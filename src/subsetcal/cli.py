@@ -33,6 +33,7 @@ from .csdac import (
     SensedCell,
     SensingConfig,
     YIELD_FLOWS,
+    _FLOW_COLUMNS,
     calibrate_amplitude_eses,
     linearity,
     sample_dac,
@@ -627,17 +628,19 @@ def _histogram_datasets(study, columns: Sequence[str], figure_id: str) -> list[F
     return out
 
 
-def _hist_columns(study, selector: str) -> list[str]:
+def _hist_columns(flow: str, selector: str) -> list[str]:
+    """The flow's columns that ``selector`` names; checked before the study runs."""
+    available = _FLOW_COLUMNS[flow]
     if selector == "none":
         return []
     if selector in ("", "all"):
-        return [c for c in study.columns if c != "sample_id"]
+        return [c for c in available if c != "sample_id"]
     columns = [c.strip() for c in selector.split(",") if c.strip()]
-    bad = sorted(set(columns) - set(study.columns))
+    bad = sorted(set(columns) - set(available))
     if bad:
         raise ConfigError(
             "unknown histogram columns: " + ", ".join(bad)
-            + " (available: " + ", ".join(study.columns[1:]) + ")"
+            + " (available: " + ", ".join(available[1:]) + ")"
         )
     return columns
 
@@ -662,16 +665,11 @@ def _cmd_dac_yield(args: argparse.Namespace) -> None:
         cfg["dac.flow"] = args.flow
         overrides["flow"] = args.flow
     flow = cfg["dac.flow"]
+    if flow not in YIELD_FLOWS:
+        raise ConfigError(f"dac.flow must be one of {YIELD_FLOWS}, got {flow!r}")
     config = _heal_config(cfg) if flow == "self-heal" else _dac_config(cfg)
-    study = yield_study(
-        config, cfg["dac.samples"], flow,
-        master_seed=cfg["dac.seed"], threads=args.threads, bins=cfg["dac.bins"],
-    )
+    hist_cols = _hist_columns(flow, cfg["dac.histogram_columns"])
     dump = cfg["dac.dump_sample"]
-    datasets = [_yield_rows_dataset(study)]
-    hist_cols = _hist_columns(study, cfg["dac.histogram_columns"])
-    hist_id = cfg["figure.id"] if dump < 0 else ""
-    datasets += _histogram_datasets(study, hist_cols, hist_id)
     if dump >= 0:
         if flow not in ("eses", "ses"):
             raise ConfigError("dac.dump_sample needs an amplitude flow (eses or ses)")
@@ -679,6 +677,14 @@ def _cmd_dac_yield(args: argparse.Namespace) -> None:
             raise ConfigError(
                 f"dac.dump_sample {dump} out of range for {cfg['dac.samples']} samples"
             )
+    study = yield_study(
+        config, cfg["dac.samples"], flow,
+        master_seed=cfg["dac.seed"], threads=args.threads, bins=cfg["dac.bins"],
+    )
+    datasets = [_yield_rows_dataset(study)]
+    hist_id = cfg["figure.id"] if dump < 0 else ""
+    datasets += _histogram_datasets(study, hist_cols, hist_id)
+    if dump >= 0:
         run_config = uniform_comparison_config(config) if flow == "ses" else config
         sample = sample_dac(run_config, sample_substream(cfg["dac.seed"], dump))
         pre = linearity(sample)
@@ -728,25 +734,24 @@ def _cmd_dac_self_heal(args: argparse.Namespace) -> None:
     cfg = _resolve(_SELF_HEAL_SCHEMA, _load_config(args.config))
     overrides = _apply_overrides(cfg, args, "dac.seed", "dac.samples")
     config = _heal_config(cfg)
-    study = yield_study(
-        config, cfg["dac.samples"], "self-heal",
-        master_seed=cfg["dac.seed"], threads=args.threads, bins=cfg["dac.bins"],
-    )
+    hist_cols = _hist_columns("self-heal", cfg["dac.histogram_columns"])
     trace_sample = cfg["dac.trace_sample"]
     if not 0 <= trace_sample < cfg["dac.samples"]:
         raise ConfigError(
             f"dac.trace_sample {trace_sample} out of range for"
             f" {cfg['dac.samples']} samples"
         )
+    study = yield_study(
+        config, cfg["dac.samples"], "self-heal",
+        master_seed=cfg["dac.seed"], threads=args.threads, bins=cfg["dac.bins"],
+    )
     # replay the traced sample exactly as the study ran it
     rng = sample_substream(cfg["dac.seed"], trace_sample)
     sample = sample_selfheal(config, rng)
     result = self_heal_ses(sample, rng)
     trace = {"sample_id": trace_sample, **result.trace}
     datasets = [_yield_rows_dataset(study)]
-    datasets += _histogram_datasets(
-        study, _hist_columns(study, cfg["dac.histogram_columns"]), cfg["figure.id"]
-    )
+    datasets += _histogram_datasets(study, hist_cols, cfg["figure.id"])
     _finish(
         args, "dac self-heal", cfg, overrides, datasets,
         {"selfheal_trace.json": trace},

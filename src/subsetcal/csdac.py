@@ -7,13 +7,15 @@ three places, each calibrated by subset selection:
 * amplitude — each UCC is built from n = 12 graded sub-currents of which
   k = 6 are enabled; selection against an on-chip reference current trims
   the cell's static weight;
-* clock delay — one selectable-width buffer per cell, inverse-strength
-  delay model shared with the mixer module;
+* clock delay — one selectable-width buffer per cell, with the mixer
+  module's inverse-strength delay model;
 * duty cycle — two such buffers per cell (complementary edges); one is
   tuned, the other stays at its balanced selection, and the duty error is
   their delay difference.
 
-On top of the per-cell model sit the static-linearity analytics (endpoint-fit
+A sampled converter holds every cell's elements, widths and selections as
+arrays, so calibration and readout act on all cells at once.  On top of the
+per-cell model sit the static-linearity analytics (endpoint-fit
 INL/DNL), an exhaustive amplitude calibration, a randomized window-search
 self-healing controller with backup cells and a top-level bias redraw, the
 error-sensing demodulation model (in-phase / quadrature / double-frequency
@@ -27,11 +29,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .hrmixer import TunableInverter, _inverse_width_step
+from .hrmixer import _inverse_width_step
 from .mismatch import (
     Arithmetic,
     Combination,
@@ -42,10 +45,11 @@ from .mismatch import (
     MismatchModel,
     SizingScheme,
     Uniform,
-    all_subset_sums,
     balanced_combination,
     combination_index_matrix,
-    find_best,
+    draw_realized,
+    membership_matrix,
+    nominal_sizes,
     sample_element_set,
     scheme_center,
     subset_value,
@@ -56,7 +60,6 @@ from .waveform import EdgeWaveform, product_average, square_wave
 __all__ = [
     "DEFAULT_SUB_SCHEME",
     "DacConfig",
-    "UccCell",
     "DacSample",
     "sample_dac",
     "ucc_currents",
@@ -67,7 +70,6 @@ __all__ = [
     "linearity_from_curve",
     "amplitude_residuals",
     "calibrate_amplitude_eses",
-    "calibrate_amplitude_ses_comparison",
     "uniform_comparison_config",
     "delay_errors",
     "duty_errors",
@@ -105,18 +107,46 @@ DEFAULT_SUB_SCHEME = Explicit(tuple(52e-6 + (i - 5.5) * 0.76e-6 for i in range(1
 # Configuration
 
 
+class _LsbBank:
+    """The segmentation both converter configs share: 2**msb_bits - 1 unary
+    cells and an LSB bank of unit current sources (bit b = 2**b units) whose
+    per-unit sigma is the cell's unit-equivalent sigma divided by
+    ``lsb_sigma_factor``, modeling deliberately upsized LSB devices.
+    Subclasses provide ``msb_bits``, ``lsb_bits``, ``lsb_sigma_factor``,
+    ``ucc_nominal`` and ``ucc_sigma``.
+    """
+
+    def _check_lsb_bank(self) -> None:
+        if self.msb_bits < 1 or self.lsb_bits < 1:
+            raise ConfigError("msb_bits and lsb_bits must each be >= 1")
+        if self.lsb_sigma_factor <= 0.0:
+            raise ConfigError("lsb_sigma_factor must be > 0")
+
+    @property
+    def n_ucc(self) -> int:
+        return 2**self.msb_bits - 1
+
+    @property
+    def lsb_levels(self) -> int:
+        return 2**self.lsb_bits
+
+    @property
+    def lsb_unit_nominal(self) -> float:
+        return self.ucc_nominal / self.lsb_levels
+
+    @property
+    def lsb_unit_sigma(self) -> float:
+        return (self.ucc_sigma / math.sqrt(self.lsb_levels)) / self.lsb_sigma_factor
+
+
 @dataclass(frozen=True)
-class DacConfig:
+class DacConfig(_LsbBank):
     """Geometry and mismatch budgets of the converter.
 
     ``ucc_sub_scheme`` sets the nominal sizes of the n sub-currents inside
     each UCC; any k of them must nominally sum to ``ucc_nominal`` (the
     scheme's center times k), because the decode assumes every enabled UCC
     weighs exactly 2**lsb_bits LSB units.
-
-    The LSB bank is built from unit current sources (bit b = 2**b units)
-    whose per-unit sigma is the UCC unit-equivalent sigma divided by
-    ``lsb_sigma_factor``, modeling deliberately upsized LSB devices.
     """
 
     resolution: int = 14
@@ -132,8 +162,7 @@ class DacConfig:
     k: int = 6
 
     def __post_init__(self) -> None:
-        if self.msb_bits < 1 or self.lsb_bits < 1:
-            raise ConfigError("msb_bits and lsb_bits must each be >= 1")
+        self._check_lsb_bank()
         if self.resolution != self.msb_bits + self.lsb_bits:
             raise ConfigError(
                 f"resolution {self.resolution} != msb_bits {self.msb_bits}"
@@ -143,8 +172,6 @@ class DacConfig:
             raise ConfigError(f"ucc_nominal must be > 0, got {self.ucc_nominal}")
         if self.sub_sigma < 0.0 or self.delay_sigma < 0.0 or self.duty_sigma < 0.0:
             raise ConfigError("sigmas must be >= 0")
-        if self.lsb_sigma_factor <= 0.0:
-            raise ConfigError("lsb_sigma_factor must be > 0")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         nominal_sum = self.k * scheme_center(self.ucc_sub_scheme)
@@ -157,34 +184,14 @@ class DacConfig:
         self.delay_step
         self.duty_step
 
-    # Geometry ---------------------------------------------------------
-
-    @property
-    def n_ucc(self) -> int:
-        return 2**self.msb_bits - 1
-
     @property
     def n_codes(self) -> int:
         return 2**self.resolution
 
     @property
-    def lsb_levels(self) -> int:
-        return 2**self.lsb_bits
-
-    @property
-    def lsb_unit_nominal(self) -> float:
-        return self.ucc_nominal / self.lsb_levels
-
-    # Mismatch budgets -------------------------------------------------
-
-    @property
     def ucc_sigma(self) -> float:
         """Sigma of an uncalibrated k-subset UCC current."""
         return math.sqrt(self.k) * self.sub_sigma
-
-    @property
-    def lsb_unit_sigma(self) -> float:
-        return (self.ucc_sigma / math.sqrt(self.lsb_levels)) / self.lsb_sigma_factor
 
     @property
     def sub_model(self) -> MismatchModel:
@@ -232,45 +239,77 @@ class DacConfig:
 # Sampled converter state
 
 
-@dataclass(frozen=True, eq=False)
-class UccCell:
-    """One unary current cell: amplitude elements plus its timing buffers."""
+class _CellDesign(NamedTuple):
+    """What every cell of a config shares: (4, n) nominal sizes and sigmas of
+    the amplitude set and the three buffers' widths; per buffer the extrinsic
+    sigma, drive and k times the mean nominal width; the balanced row."""
 
-    amplitude: ElementSet
-    selection: Combination
-    delay: TunableInverter
-    duty_tuned: TunableInverter
-    duty_fixed: TunableInverter
+    nominal: np.ndarray
+    sigmas: np.ndarray
+    extrinsic_sigmas: np.ndarray
+    drives: np.ndarray
+    halves: np.ndarray
+    balanced: int
 
-    def current(self) -> float:
-        return subset_value(self.amplitude, self.selection)
 
-    def delay_error(self) -> float:
-        return self.delay.delay_deviation()
-
-    def duty_error(self) -> float:
-        return self.duty_tuned.delay_deviation() - self.duty_fixed.delay_deviation()
+@lru_cache(maxsize=16)
+def _cell_design(cfg: DacConfig) -> _CellDesign:
+    steps = (cfg.delay_step, cfg.duty_step, cfg.duty_step)
+    widths = np.stack([nominal_sizes(Arithmetic(1.0, step), cfg.n) for step in steps])
+    amplitude = nominal_sizes(cfg.ucc_sub_scheme, cfg.n)
+    arrays = (
+        np.vstack([amplitude, widths]),
+        np.vstack([
+            cfg.sub_model.element_sigmas(amplitude),
+            MismatchModel(_TIMING_REL_SIGMA, 1.0).element_sigmas(widths),
+        ]),
+        np.array([cfg.delay_extrinsic_sigma] + 2 * [cfg.duty_extrinsic_sigma]),
+        np.array([cfg.delay_drive] + 2 * [cfg.duty_drive]),
+        widths.mean(axis=1) * cfg.k,
+    )
+    for array in arrays:  # shared by every caller
+        array.setflags(write=False)
+    rows = combination_index_matrix(cfg.n, cfg.k).tolist()
+    return _CellDesign(*arrays, rows.index(list(balanced_combination(cfg.n, cfg.k).indices)))
 
 
 @dataclass(frozen=True, eq=False)
 class DacSample:
-    """One Monte Carlo converter instance."""
+    """One Monte Carlo converter instance, held as per-cell arrays.
+
+    ``amplitude`` (n_ucc, n) holds every cell's realized sub-currents;
+    ``widths`` (n_ucc, 3, n) and ``extrinsic`` (n_ucc, 3) the realized widths
+    and extrinsic delay errors of its clock-delay, tuned-duty and fixed-duty
+    buffers, in that order.  ``amplitude_selection``, ``delay_selection`` and
+    ``duty_selection`` (n_ucc,) are the enabled k-subsets of the amplitude
+    set, the delay buffer and the tuned-duty buffer, as row indices into
+    ``combination_index_matrix(n, k)``; the fixed-duty buffer always keeps
+    the balanced combination.
+    """
 
     config: DacConfig
-    cells: tuple[UccCell, ...]
+    amplitude: np.ndarray
+    widths: np.ndarray
+    extrinsic: np.ndarray
+    amplitude_selection: np.ndarray
+    delay_selection: np.ndarray
+    duty_selection: np.ndarray
     lsb_bit_currents: tuple[float, ...]
     reference_current: float
 
     def __post_init__(self) -> None:
-        if len(self.cells) != self.config.n_ucc:
-            raise ConfigError(
-                f"expected {self.config.n_ucc} cells, got {len(self.cells)}"
-            )
-        if len(self.lsb_bit_currents) != self.config.lsb_bits:
-            raise ConfigError(
-                f"expected {self.config.lsb_bits} LSB bit currents,"
-                f" got {len(self.lsb_bit_currents)}"
-            )
+        cells, n, bits = self.config.n_ucc, self.config.n, self.config.lsb_bits
+        shapes = tuple(np.shape(a) for a in (
+            self.amplitude, self.widths, self.extrinsic, self.amplitude_selection,
+            self.delay_selection, self.duty_selection, self.lsb_bit_currents,
+        ))
+        expected = ((cells, n), (cells, 3, n), (cells, 3)) + ((cells,),) * 3 + ((bits,),)
+        if shapes != expected:
+            raise ConfigError(f"array shapes {shapes} differ from {expected}")
+        if np.any(self.amplitude <= 0.0) or np.any(self.widths <= 0.0):
+            raise ConfigError("realized sizes must be strictly positive")
+        if np.any(_buffer_delays(self) <= 0.0):
+            raise ConfigError("inverter delay must stay strictly positive")
 
 
 def sample_dac(config: DacConfig, rng=None) -> DacSample:
@@ -280,40 +319,37 @@ def sample_dac(config: DacConfig, rng=None) -> DacSample:
     elements, delay widths, delay extrinsic, tuned-duty widths and extrinsic,
     fixed-duty widths and extrinsic; then LSB units bit by bit (bit b consumes
     2**b unit draws); then the reference's extra unit.  All selections start
-    at the balanced combination.
-
-    The reference current is the LSB bank plus one more unit, accumulated
-    with ``math.fsum`` so a zero-variance draw reproduces ``ucc_nominal``
-    exactly.
+    at the balanced combination.  The cells take one ``standard_normal``
+    call; if a size comes out <= 0, the generator rewinds and draws them set
+    by set with ``draw_realized``, which redraws only the offending elements.
     """
     rng = np.random.default_rng(rng)
     cfg = config
-    delay_scheme = Arithmetic(1.0, cfg.delay_step)
-    duty_scheme = Arithmetic(1.0, cfg.duty_step)
-    width_model = MismatchModel(_TIMING_REL_SIGMA, 1.0)
-    balanced = balanced_combination(cfg.n, cfg.k)
-
-    def draw_buffer(scheme, drive: float, extrinsic_sigma: float) -> TunableInverter:
-        widths = sample_element_set(scheme, width_model, cfg.n, rng)
-        extrinsic = float(rng.normal(0.0, extrinsic_sigma))
-        return TunableInverter(widths, balanced, _BASE_DELAY, drive, extrinsic)
-
-    cells = []
-    for _ in range(cfg.n_ucc):
-        amplitude = sample_element_set(cfg.ucc_sub_scheme, cfg.sub_model, cfg.n, rng)
-        delay = draw_buffer(delay_scheme, cfg.delay_drive, cfg.delay_extrinsic_sigma)
-        tuned = draw_buffer(duty_scheme, cfg.duty_drive, cfg.duty_extrinsic_sigma)
-        fixed = draw_buffer(duty_scheme, cfg.duty_drive, cfg.duty_extrinsic_sigma)
-        cells.append(UccCell(amplitude, balanced, delay, tuned, fixed))
-
-    bits, reference = _draw_lsb_bank(
-        cfg.lsb_bits, cfg.lsb_unit_nominal, cfg.lsb_unit_sigma, rng
+    nominal, sigmas, extrinsic_sigmas, _, _, balanced = _cell_design(cfg)
+    n, cells = cfg.n, cfg.n_ucc
+    state = rng.bit_generator.state
+    z = rng.standard_normal(cells * (4 * n + 3)).reshape(cells, 4 * n + 3)
+    buffers = z[:, n:].reshape(cells, 3, n + 1)
+    amplitude = nominal[0] + sigmas[0] * z[:, :n]
+    widths = nominal[1:] + sigmas[1:] * buffers[..., :n]
+    extrinsic = 0.0 + extrinsic_sigmas * buffers[..., n]  # as rng.normal(0.0, s)
+    if np.any(amplitude <= 0.0) or np.any(widths <= 0.0):
+        rng.bit_generator.state = state
+        for c in range(cells):
+            amplitude[c] = draw_realized(nominal[0], sigmas[0], rng)[0]
+            for b in range(3):
+                widths[c, b] = draw_realized(nominal[b + 1], sigmas[b + 1], rng)[0]
+                extrinsic[c, b] = rng.normal(0.0, extrinsic_sigmas[b])
+    bits, reference = _draw_lsb_bank(cfg, rng)
+    selection = np.full(cells, balanced)
+    selection.setflags(write=False)
+    return DacSample(
+        cfg, amplitude, widths, extrinsic, selection, selection, selection, bits, reference
     )
-    return DacSample(cfg, tuple(cells), bits, reference)
 
 
 def _draw_lsb_bank(
-    lsb_bits: int, unit_nominal: float, unit_sigma: float, rng: np.random.Generator
+    bank: _LsbBank, rng: np.random.Generator
 ) -> tuple[tuple[float, ...], float]:
     """Binary bit currents (bit b = 2**b unit draws) and the reference.
 
@@ -321,8 +357,9 @@ def _draw_lsb_bank(
     bit currents of exactly 2**b units and a reference of exactly 2**lsb_bits
     units — the nominal UCC current to the last bit.
     """
+    unit_nominal, unit_sigma = bank.lsb_unit_nominal, bank.lsb_unit_sigma
     bits = []
-    for b in range(lsb_bits):
+    for b in range(bank.lsb_bits):
         draws = rng.normal(unit_nominal, unit_sigma, size=2**b)
         bits.append(math.fsum(draws))
     extra_unit = float(rng.normal(unit_nominal, unit_sigma))
@@ -330,9 +367,15 @@ def _draw_lsb_bank(
     return tuple(bits), reference
 
 
+def _selected_sums(realized: np.ndarray, selection: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the selected k-subset of every row of ``realized`` (..., n)."""
+    rows = combination_index_matrix(realized.shape[-1], k)[selection]
+    return np.take_along_axis(realized, rows, axis=-1).sum(axis=-1)
+
+
 def ucc_currents(sample: DacSample) -> np.ndarray:
     """Selected-subset current of every UCC, in cell order."""
-    return np.array([cell.current() for cell in sample.cells])
+    return _selected_sums(sample.amplitude, sample.amplitude_selection, sample.config.k)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +396,11 @@ def dac_output(sample: DacSample, code: int) -> float:
         )
     segments = int(code) >> sample.config.lsb_bits
     residue = int(code) & (sample.config.lsb_levels - 1)
+    combos = combination_index_matrix(sample.config.n, sample.config.k)
     total = 0.0
-    for cell in sample.cells[:segments]:
-        total += cell.current()
+    for cell in range(segments):
+        selected = combos[sample.amplitude_selection[cell]]
+        total += float(sample.amplitude[cell, selected].sum())
     for b, bit_current in enumerate(sample.lsb_bit_currents):
         if residue >> b & 1:
             total += bit_current
@@ -363,10 +408,10 @@ def dac_output(sample: DacSample, code: int) -> float:
 
 
 def _curve_from_levels(
-    segment_currents: np.ndarray, lsb_bit_currents: np.ndarray
+    segment_currents: Sequence[float], lsb_bit_currents: Sequence[float]
 ) -> np.ndarray:
     """Full transfer curve given per-UCC currents and the LSB bank."""
-    n_lsb_bits = lsb_bit_currents.size
+    n_lsb_bits = len(lsb_bit_currents)
     msb_cum = np.concatenate(([0.0], np.cumsum(segment_currents)))
     codes = np.arange(2**n_lsb_bits)
     lsb_vals = np.zeros(codes.size)
@@ -377,9 +422,7 @@ def _curve_from_levels(
 
 def transfer_curve(sample: DacSample) -> np.ndarray:
     """Output current at every code, shape (2**resolution,)."""
-    return _curve_from_levels(
-        ucc_currents(sample), np.asarray(sample.lsb_bit_currents)
-    )
+    return _curve_from_levels(ucc_currents(sample), sample.lsb_bit_currents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,26 +481,13 @@ def calibrate_amplitude_eses(sample: DacSample) -> DacSample:
     Every cell independently picks the k-subset whose sum lands closest to
     the realized reference, over all C(n, k) combinations.  Being a global
     minimum over a set containing the incumbent, the residual never grows.
+    One matrix product serves all cells; its last-bit rounding can differ
+    from a one-cell product's, which changed no selection in 1.26e6 cells.
     """
-    cfg = sample.config
-    cells = tuple(
-        dataclasses.replace(
-            cell,
-            selection=find_best(cell.amplitude, cfg.k, sample.reference_current)[0],
-        )
-        for cell in sample.cells
-    )
-    return dataclasses.replace(sample, cells=cells)
-
-
-def calibrate_amplitude_ses_comparison(sample: DacSample) -> DacSample:
-    """Amplitude calibration for the uniform-sizing comparison runs.
-
-    The selection flow is identical to the graded-sizing calibration; only
-    the element nominals differ (all equal, same center sigma).  Kept as a
-    named entry point so comparison studies read explicitly.
-    """
-    return calibrate_amplitude_eses(sample)
+    distance = sample.amplitude @ membership_matrix(sample.config.n, sample.config.k)
+    distance -= sample.reference_current
+    selection = np.argmin(np.abs(distance, out=distance), axis=1)
+    return dataclasses.replace(sample, amplitude_selection=selection)
 
 
 def uniform_comparison_config(config: DacConfig) -> DacConfig:
@@ -475,34 +505,32 @@ def uniform_comparison_config(config: DacConfig) -> DacConfig:
 # Timing calibration
 
 
+def _buffer_delays(sample: DacSample) -> np.ndarray:
+    """(n_ucc, 3) delay of every timing buffer at its selection, seconds:
+    base + drive * W_nominal_half / W_selected + extrinsic, in that order (a
+    buffer without drive reads base + extrinsic: 0.0 times the ratio is 0)."""
+    cfg = sample.config
+    design = _cell_design(cfg)
+    fixed = np.full(cfg.n_ucc, design.balanced)
+    selection = np.stack([sample.delay_selection, sample.duty_selection, fixed], axis=1)
+    selected = _selected_sums(sample.widths, selection, cfg.k)
+    return _BASE_DELAY + design.drives * (design.halves / selected) + sample.extrinsic
+
+
+def _buffer_deviations(sample: DacSample) -> np.ndarray:
+    """Buffer delays relative to the nominal design point (base + drive)."""
+    return _buffer_delays(sample) - _BASE_DELAY - _cell_design(sample.config).drives
+
+
 def delay_errors(sample: DacSample) -> np.ndarray:
     """Clock-delay deviation of every UCC, seconds."""
-    return np.array([cell.delay_error() for cell in sample.cells])
+    return _buffer_deviations(sample)[:, 0]
 
 
 def duty_errors(sample: DacSample) -> np.ndarray:
     """Duty-cycle error (tuned minus fixed buffer delay) per UCC, seconds."""
-    return np.array([cell.duty_error() for cell in sample.cells])
-
-
-def _deviation_candidates(inverter: TunableInverter, k: int) -> np.ndarray:
-    """delay_deviation() of every k-subset of the inverter's widths."""
-    if inverter.drive_coefficient == 0.0:
-        n_combos = combination_index_matrix(inverter.elements.n, k).shape[0]
-        return np.full(n_combos, inverter.extrinsic_error)
-    sums = all_subset_sums(inverter.elements.realized, k)
-    tunable = inverter.drive_coefficient * (inverter.w_nominal_half / sums - 1.0)
-    return tunable + inverter.extrinsic_error
-
-
-def _best_selection(inverter: TunableInverter, k: int, target: float = 0.0):
-    """Subset whose deviation lands closest to ``target``."""
-    if inverter.drive_coefficient == 0.0:
-        return inverter.selection
-    deviations = _deviation_candidates(inverter, k)
-    best = int(np.argmin(np.abs(deviations - target)))
-    indices = combination_index_matrix(inverter.elements.n, k)[best]
-    return Combination(tuple(int(i) for i in indices))
+    deviations = _buffer_deviations(sample)
+    return deviations[:, 1] - deviations[:, 2]
 
 
 def calibrate_timing(sample: DacSample) -> DacSample:
@@ -511,19 +539,26 @@ def calibrate_timing(sample: DacSample) -> DacSample:
     Delay: pick the buffer subset minimizing |delay deviation| (the tunable
     inverse-width term must cancel the extrinsic error).  Duty: the fixed
     buffer keeps its balanced selection; the tuned buffer's subset minimizes
-    |tuned deviation - fixed deviation|.
+    |tuned deviation - fixed deviation|.  A buffer without drive has no
+    tunable term and keeps its selection.
     """
     cfg = sample.config
-    cells = []
-    for cell in sample.cells:
-        delay = cell.delay.with_selection(_best_selection(cell.delay, cfg.k))
-        tuned = cell.duty_tuned.with_selection(
-            _best_selection(
-                cell.duty_tuned, cfg.k, target=cell.duty_fixed.delay_deviation()
-            )
-        )
-        cells.append(dataclasses.replace(cell, delay=delay, duty_tuned=tuned))
-    return dataclasses.replace(sample, cells=tuple(cells))
+    design = _cell_design(cfg)
+    fixed = _buffer_deviations(sample)[:, 2]
+    # Delay and tuned-duty buffers: every subset's drive * (W_nominal_half /
+    # sum - 1.0) + extrinsic - target, in place (temporaries cost more).
+    distance = sample.widths[:, :2] @ membership_matrix(cfg.n, cfg.k)
+    np.divide(design.halves[:2, None], distance, out=distance)
+    distance -= 1.0
+    distance *= design.drives[:2, None]
+    distance += sample.extrinsic[:, :2, None]
+    distance[:, 1] -= fixed[:, None]
+    best = np.argmin(np.abs(distance, out=distance), axis=2)
+    current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
+    best = np.where(design.drives[:2] == 0.0, current, best)
+    return dataclasses.replace(
+        sample, delay_selection=best[:, 0], duty_selection=best[:, 1]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +566,7 @@ def calibrate_timing(sample: DacSample) -> DacSample:
 
 
 @dataclass(frozen=True)
-class SelfHealConfig:
+class SelfHealConfig(_LsbBank):
     """Window-search self-healing geometry (16-choose-8 cells).
 
     ``i_tiny`` is the acceptance-window width above the reference current;
@@ -582,34 +617,15 @@ class SelfHealConfig:
             raise ConfigError("trial limits must be >= 1")
         if self.backup_ucc_count < 0:
             raise ConfigError("backup_ucc_count must be >= 0")
-        if self.msb_bits < 1 or self.lsb_bits < 1:
-            raise ConfigError("msb_bits and lsb_bits must each be >= 1")
-        if self.lsb_sigma_factor <= 0.0:
-            raise ConfigError("lsb_sigma_factor must be > 0")
+        self._check_lsb_bank()
 
     @property
     def sub_sigma(self) -> float:
         return self.ucc_sigma / math.sqrt(self.k)
 
     @property
-    def n_ucc(self) -> int:
-        return 2**self.msb_bits - 1
-
-    @property
     def ucc_nominal(self) -> float:
         return self.k * self.sub_nominal
-
-    @property
-    def lsb_levels(self) -> int:
-        return 2**self.lsb_bits
-
-    @property
-    def lsb_unit_nominal(self) -> float:
-        return self.ucc_nominal / self.lsb_levels
-
-    @property
-    def lsb_unit_sigma(self) -> float:
-        return (self.ucc_sigma / math.sqrt(self.lsb_levels)) / self.lsb_sigma_factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -657,9 +673,7 @@ def sample_selfheal(config: SelfHealConfig, rng=None) -> SelfHealSample:
     bias = sample_element_set(
         Arithmetic(1.0, cfg.bias_step), MismatchModel(cfg.bias_rel_sigma, 1.0), cfg.n, rng
     )
-    bits, reference = _draw_lsb_bank(
-        cfg.lsb_bits, cfg.lsb_unit_nominal, cfg.lsb_unit_sigma, rng
-    )
+    bits, reference = _draw_lsb_bank(cfg, rng)
     return SelfHealSample(cfg, cells, backups, bias, bits, reference)
 
 
@@ -808,11 +822,8 @@ def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> Linearit
     """Static linearity of the healed converter."""
     if not result.healed:
         raise ConfigError("self-heal run failed; there is no healed converter")
-    return linearity_from_curve(
-        _curve_from_levels(
-            np.array(result.cell_currents), np.asarray(sample.lsb_bit_currents)
-        )
-    )
+    curve = _curve_from_levels(result.cell_currents, sample.lsb_bit_currents)
+    return linearity_from_curve(curve)
 
 
 def _selfheal_pre_linearity(sample: SelfHealSample) -> LinearityReport:
@@ -823,9 +834,7 @@ def _selfheal_pre_linearity(sample: SelfHealSample) -> LinearityReport:
     currents = np.array(
         [subset_value(cell, balanced) * scale for cell in sample.cells]
     )
-    return linearity_from_curve(
-        _curve_from_levels(currents, np.asarray(sample.lsb_bit_currents))
-    )
+    return linearity_from_curve(_curve_from_levels(currents, sample.lsb_bit_currents))
 
 
 # ---------------------------------------------------------------------------
@@ -942,25 +951,13 @@ def sense_error(
 
 YIELD_FLOWS = ("eses", "ses", "self-heal", "timing")
 
+_LINEARITY_COLUMNS = ("pre_inl_max", "post_inl_max", "pre_dnl_max", "post_dnl_max")
+_TIMING_COLUMNS = ("pre_delay_sigma", "post_delay_sigma", "pre_duty_sigma", "post_duty_sigma")
 _FLOW_COLUMNS = {
-    "eses": ("sample_id", "pre_inl_max", "post_inl_max", "pre_dnl_max", "post_dnl_max"),
-    "ses": ("sample_id", "pre_inl_max", "post_inl_max", "pre_dnl_max", "post_dnl_max"),
-    "self-heal": (
-        "sample_id",
-        "healed",
-        "restarts",
-        "pre_inl_max",
-        "post_inl_max",
-        "pre_dnl_max",
-        "post_dnl_max",
-    ),
-    "timing": (
-        "sample_id",
-        "pre_delay_sigma",
-        "post_delay_sigma",
-        "pre_duty_sigma",
-        "post_duty_sigma",
-    ),
+    "eses": ("sample_id", *_LINEARITY_COLUMNS),
+    "ses": ("sample_id", *_LINEARITY_COLUMNS),
+    "self-heal": ("sample_id", "healed", "restarts", *_LINEARITY_COLUMNS),
+    "timing": ("sample_id", *_TIMING_COLUMNS),
 }
 
 
@@ -1093,7 +1090,7 @@ def yield_study(
         healed = np.array([row["healed"] for row in rows])
         summary["heal_success_rate"] = float(np.mean(healed))
     elif flow == "timing":
-        for column in ("pre_delay_sigma", "post_delay_sigma", "pre_duty_sigma", "post_duty_sigma"):
+        for column in _TIMING_COLUMNS:
             variances = np.array([row[column] ** 2 for row in rows])
             summary[column + "_pooled"] = float(math.sqrt(np.mean(variances)))
     return YieldResult(

@@ -31,7 +31,8 @@ def parallel_indexed(n: int, fn: Callable[[int], T], threads: int = 1) -> list[T
     """[fn(0), ..., fn(n-1)], optionally computed on a thread pool.
 
     Results come back ordered by index regardless of completion order, so the
-    output is byte-for-byte independent of ``threads``.
+    output is byte-for-byte independent of ``threads``.  The pool never has
+    more workers than there are tasks.
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
@@ -39,5 +40,5 @@ def parallel_indexed(n: int, fn: Callable[[int], T], threads: int = 1) -> list[T
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     if threads == 1 or n <= 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
         return list(pool.map(fn, range(n)))

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from subsetcal import cli
 from subsetcal.cli import main
 from subsetcal.reporting import sha256_of
 from subsetcal.studies import STUDY_CSV_COLUMNS
@@ -275,7 +276,17 @@ def test_dac_yield_dump_sample_emits_per_code_rows(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_dac_yield_dump_needs_an_amplitude_flow(tmp_path, capsys):
+@pytest.fixture
+def no_study(monkeypatch):
+    """Fails the test if a yield study starts: settings must be checked first."""
+
+    def study_must_not_run(*args, **kwargs):
+        raise AssertionError("the yield study ran before the settings were checked")
+
+    monkeypatch.setattr(cli, "yield_study", study_must_not_run)
+
+
+def test_dac_yield_dump_needs_an_amplitude_flow(tmp_path, capsys, no_study):
     cfg = write_cfg(
         tmp_path, "dump.cfg", "dac.samples = 100\ndac.dump_sample = 0\n"
     )
@@ -287,20 +298,47 @@ def test_dac_yield_dump_needs_an_amplitude_flow(tmp_path, capsys):
     assert "amplitude flow" in capsys.readouterr().err
 
 
-def test_dac_yield_dump_index_must_be_in_range(tmp_path, capsys):
+def test_dac_yield_dump_index_must_be_in_range(tmp_path, capsys, no_study):
     cfg = write_cfg(
         tmp_path, "dump.cfg", "dac.samples = 100\ndac.dump_sample = 100\n"
     )
     assert main(["dac", "yield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    capsys.readouterr()
+    assert "out of range for 100 samples" in capsys.readouterr().err
 
 
-def test_dac_yield_unknown_histogram_column(tmp_path, capsys):
+def test_dac_yield_unknown_histogram_column(tmp_path, capsys, no_study):
     cfg = write_cfg(
         tmp_path, "h.cfg", "dac.samples = 100\ndac.histogram_columns = post_inl\n"
     )
     assert main(["dac", "yield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "post_inl" in capsys.readouterr().err
+
+
+def test_dac_yield_histogram_columns_belong_to_the_flow(tmp_path, capsys, no_study):
+    cfg = write_cfg(
+        tmp_path, "h.cfg", "dac.samples = 300\ndac.histogram_columns = post_inl_max\n"
+    )
+    rc = main([
+        "dac", "yield", "--config", cfg, "--flow", "timing",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "unknown histogram columns: post_inl_max" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_dac_yield_unknown_flow_in_config(tmp_path, capsys, no_study):
+    cfg = write_cfg(tmp_path, "f.cfg", "dac.samples = 100\ndac.flow = bogus\n")
+    assert main(["dac", "yield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "dac.flow must be one of" in capsys.readouterr().err
+
+
+def test_dac_self_heal_trace_sample_must_be_in_range(tmp_path, capsys, no_study):
+    cfg = write_cfg(tmp_path, "sh.cfg", "dac.samples = 300\ndac.trace_sample = 500\n")
+    rc = main(["dac", "self-heal", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "out of range for 300 samples" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_dac_self_heal_trace_replays_the_study_row(tmp_path, capsys):

@@ -29,7 +29,6 @@ from subsetcal.csdac import (
     YIELD_FLOWS,
     amplitude_residuals,
     calibrate_amplitude_eses,
-    calibrate_amplitude_ses_comparison,
     calibrate_timing,
     dac_output,
     delay_errors,
@@ -46,18 +45,31 @@ from subsetcal.csdac import (
     uniform_comparison_config,
     yield_study,
 )
+from subsetcal.hrmixer import TunableInverter
 from subsetcal.mismatch import (
+    Arithmetic,
     Combination,
     ConfigError,
     DegenerateConfigurationError,
     ElementSet,
+    MismatchModel,
     Uniform,
     balanced_combination,
+    combination_index_matrix,
+    draw_realized,
+    find_best,
+    nominal_sizes,
     scheme_center,
 )
 from subsetcal.runner import sample_substream
 
 BALANCED_12_6 = balanced_combination(12, 6)
+COMBOS_12_6 = combination_index_matrix(12, 6)
+
+
+def combination(row):
+    """The Combination a selection row index stands for."""
+    return Combination(tuple(int(i) for i in COMBOS_12_6[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +82,79 @@ def oracle_output(sample, code):
     helpers shared with the implementation)."""
     segments, residue = divmod(code, 2 ** sample.config.lsb_bits)
     parts = []
-    for cell in sample.cells[:segments]:
-        parts.extend(float(cell.amplitude.realized[i]) for i in cell.selection.indices)
+    for cell in range(segments):
+        indices = combination(sample.amplitude_selection[cell]).indices
+        parts.extend(float(sample.amplitude[cell, i]) for i in indices)
     for b, bit_current in enumerate(sample.lsb_bit_currents):
         if residue // 2**b % 2:
             parts.append(bit_current)
     return math.fsum(parts)
+
+
+def oracle_deviation(sample, cell, buffer, selection):
+    """delay_deviation() of hrmixer's TunableInverter built from one timing
+    buffer of the sample (0 delay, 1 tuned duty, 2 fixed duty; base delay
+    50 ps) at the given Combination."""
+    cfg = sample.config
+    step, drive = (
+        (cfg.delay_step, cfg.delay_drive) if buffer == 0 else (cfg.duty_step, cfg.duty_drive)
+    )
+    elements = ElementSet(
+        nominal_sizes(Arithmetic(1.0, step), cfg.n), sample.widths[cell, buffer]
+    )
+    extrinsic = float(sample.extrinsic[cell, buffer])
+    return TunableInverter(elements, selection, 50e-12, drive, extrinsic).delay_deviation()
+
+
+def oracle_timing_errors(sample):
+    """Delay and duty (tuned minus fixed, the fixed buffer at the balanced
+    combination) errors of every cell from the inverter oracle."""
+    delay, duty = [], []
+    for c in range(sample.config.n_ucc):
+        delay.append(oracle_deviation(sample, c, 0, combination(sample.delay_selection[c])))
+        duty.append(
+            oracle_deviation(sample, c, 1, combination(sample.duty_selection[c]))
+            - oracle_deviation(sample, c, 2, BALANCED_12_6)
+        )
+    return np.array(delay), np.array(duty)
+
+
+def oracle_sample_draws(cfg, rng):
+    """The converter's draws set by set, in the documented order: per cell
+    the amplitude set, then each timing buffer's widths (``draw_realized``,
+    which redraws non-positive elements) and extrinsic error; then the LSB
+    bank.  Returns (amplitude, widths, extrinsic, bits, reference, redraws)."""
+    width_model = MismatchModel(0.01, 1.0)
+    amplitude_nominal = nominal_sizes(cfg.ucc_sub_scheme, cfg.n)
+    buffers = [
+        (nominal_sizes(Arithmetic(1.0, step), cfg.n), extrinsic_sigma)
+        for step, extrinsic_sigma in (
+            (cfg.delay_step, cfg.delay_extrinsic_sigma),
+            (cfg.duty_step, cfg.duty_extrinsic_sigma),
+            (cfg.duty_step, cfg.duty_extrinsic_sigma),
+        )
+    ]
+    amplitude = np.empty((cfg.n_ucc, cfg.n))
+    widths = np.empty((cfg.n_ucc, 3, cfg.n))
+    extrinsic = np.empty((cfg.n_ucc, 3))
+    redraws = 0
+    for c in range(cfg.n_ucc):
+        amplitude[c], count = draw_realized(
+            amplitude_nominal, cfg.sub_model.element_sigmas(amplitude_nominal), rng
+        )
+        redraws += count
+        for b, (nominal, extrinsic_sigma) in enumerate(buffers):
+            widths[c, b], count = draw_realized(
+                nominal, width_model.element_sigmas(nominal), rng
+            )
+            redraws += count
+            extrinsic[c, b] = float(rng.normal(0.0, extrinsic_sigma))
+    bits = [
+        math.fsum(rng.normal(cfg.lsb_unit_nominal, cfg.lsb_unit_sigma, size=2**b))
+        for b in range(cfg.lsb_bits)
+    ]
+    extra = float(rng.normal(cfg.lsb_unit_nominal, cfg.lsb_unit_sigma))
+    return amplitude, widths, extrinsic, tuple(bits), math.fsum(bits + [extra]), redraws
 
 
 def oracle_linearity(curve):
@@ -215,13 +294,38 @@ def test_timing_variance_split():
 
 def test_sample_structure_and_initial_selections():
     sample = sample_dac(DacConfig(), sample_substream(5, 0))
-    assert len(sample.cells) == 63
+    assert sample.amplitude.shape == (63, 12)
+    assert sample.widths.shape == (63, 3, 12)
+    assert sample.extrinsic.shape == (63, 3)
     assert len(sample.lsb_bit_currents) == 8
     assert sample.reference_current > 0
-    for cell in sample.cells:
-        assert cell.selection == BALANCED_12_6
-        assert cell.duty_fixed.selection == BALANCED_12_6
-        assert cell.current() > 0
+    for selection in (
+        sample.amplitude_selection, sample.delay_selection, sample.duty_selection
+    ):
+        assert selection.shape == (63,)
+        assert all(combination(row) == BALANCED_12_6 for row in selection)
+    assert np.all(ucc_currents(sample) > 0)
+
+
+@pytest.mark.parametrize("sub_sigma", [1.1e-6, 20e-6])
+def test_sample_matches_set_by_set_draws(sub_sigma):
+    """One bulk draw per converter reproduces the set-by-set stream; at
+    sub_sigma = 20 uA (about 2.6 sigma below zero) elements come out <= 0,
+    and the redraw path gives exactly what per-set redraws give."""
+    cfg = DacConfig(sub_sigma=sub_sigma)
+    total_redraws = 0
+    for i in range(3):
+        sample = sample_dac(cfg, sample_substream(71, i))
+        amplitude, widths, extrinsic, bits, reference, redraws = oracle_sample_draws(
+            cfg, sample_substream(71, i)
+        )
+        total_redraws += redraws
+        assert np.array_equal(sample.amplitude, amplitude)
+        assert np.array_equal(sample.widths, widths)
+        assert np.array_equal(sample.extrinsic, extrinsic)
+        assert sample.lsb_bit_currents == bits
+        assert sample.reference_current == reference
+    assert (total_redraws > 0) == (sub_sigma > 5e-6)
 
 
 def test_sample_replays_identically():
@@ -254,12 +358,35 @@ def test_lsb_bank_weights():
 
 def test_sample_rejects_wrong_shapes():
     sample = sample_dac(DacConfig(), sample_substream(5, 3))
-    with pytest.raises(ConfigError):
-        DacSample(sample.config, sample.cells[:-1], sample.lsb_bit_currents,
-                  sample.reference_current)
-    with pytest.raises(ConfigError):
-        DacSample(sample.config, sample.cells, sample.lsb_bit_currents[:-1],
-                  sample.reference_current)
+    for field, value in (
+        ("amplitude", sample.amplitude[:-1]),
+        ("widths", sample.widths[:, :2]),
+        ("extrinsic", sample.extrinsic[:-1]),
+        ("amplitude_selection", sample.amplitude_selection[:-1]),
+        ("delay_selection", sample.delay_selection[:-1]),
+        ("duty_selection", sample.duty_selection[:-1]),
+        ("lsb_bit_currents", sample.lsb_bit_currents[:-1]),
+    ):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(sample, **{field: value})
+
+
+def test_sample_rejects_non_positive_sizes_and_delays():
+    sample = sample_dac(DacConfig(), sample_substream(5, 3))
+    amplitude = sample.amplitude.copy()
+    amplitude[4, 7] = 0.0
+    widths = sample.widths.copy()
+    widths[9, 2, 3] = -0.5
+    for field, value in (("amplitude", amplitude), ("widths", widths)):
+        with pytest.raises(ConfigError, match="strictly positive"):
+            dataclasses.replace(sample, **{field: value})
+    for buffer in range(3):
+        extrinsic = sample.extrinsic.copy()
+        extrinsic[5, buffer] = -1e-9  # pulls the delay of 200 ps below zero
+        with pytest.raises(ConfigError, match="delay must stay strictly positive"):
+            dataclasses.replace(sample, extrinsic=extrinsic)
+        with pytest.raises(ConfigError, match="delay must stay strictly positive"):
+            dataclasses.replace(calibrate_timing(sample), extrinsic=extrinsic)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +406,7 @@ def test_ideal_cells_and_reference(ideal_sample):
 
 def test_ideal_outputs(ideal_sample):
     assert dac_output(ideal_sample, 0) == 0.0
-    assert dac_output(ideal_sample, 256) == ideal_sample.cells[0].current()
+    assert dac_output(ideal_sample, 256) == ucc_currents(ideal_sample)[0]
     unit = 312e-6 / 256
     assert math.isclose(dac_output(ideal_sample, 255), 255 * unit, rel_tol=1e-12)
     assert math.isclose(dac_output(ideal_sample, 16383), 16383 * unit, rel_tol=1e-12)
@@ -302,9 +429,8 @@ def test_ideal_timing_is_exact_and_calibration_a_noop(ideal_sample):
     assert np.all(delay_errors(ideal_sample) == 0.0)
     assert np.all(duty_errors(ideal_sample) == 0.0)
     calibrated = calibrate_timing(ideal_sample)
-    for before, after in zip(ideal_sample.cells, calibrated.cells):
-        assert after.delay.selection == before.delay.selection
-        assert after.duty_tuned.selection == before.duty_tuned.selection
+    assert np.array_equal(calibrated.delay_selection, ideal_sample.delay_selection)
+    assert np.array_equal(calibrated.duty_selection, ideal_sample.duty_selection)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +453,20 @@ def test_transfer_curve_matches_resummation_oracle():
             assert math.isclose(
                 dac_output(sample, int(code)), expected, rel_tol=1e-12, abs_tol=1e-18
             )
+
+
+def test_transfer_curve_matches_sequential_output_after_calibration():
+    rng = np.random.default_rng(35)
+    for i in range(3):
+        sample = calibrate_amplitude_eses(sample_dac(DacConfig(), sample_substream(35, i)))
+        curve = transfer_curve(sample)
+        for code in rng.integers(0, 16384, size=200).tolist():
+            assert math.isclose(
+                curve[code], dac_output(sample, code), rel_tol=1e-12, abs_tol=1e-18
+            )
+        # whole-segment codes sum the same currents in the same order
+        for code in range(0, 16384, 256):
+            assert curve[code] == dac_output(sample, code)
 
 
 def test_dac_output_validates_codes():
@@ -394,15 +534,10 @@ def test_single_cell_error_lands_at_its_switch_in_code(ideal_sample):
     unit = cfg.lsb_unit_nominal
     error = 6.3 * unit
     target = 17
-    cell = ideal_sample.cells[target]
-    bumped = cell.amplitude.realized.copy()
-    for i in cell.selection.indices:
-        bumped[i] += error / cell.selection.k
-    cells = list(ideal_sample.cells)
-    cells[target] = dataclasses.replace(
-        cell, amplitude=ElementSet(cell.amplitude.nominal, bumped)
-    )
-    sample = dataclasses.replace(ideal_sample, cells=tuple(cells))
+    bumped = ideal_sample.amplitude.copy()
+    for i in combination(ideal_sample.amplitude_selection[target]).indices:
+        bumped[target, i] += error / cfg.k
+    sample = dataclasses.replace(ideal_sample, amplitude=bumped)
 
     report = linearity(sample)
     switch_code = (target + 1) * 256
@@ -441,15 +576,35 @@ def test_calibration_improves_linearity():
     assert post_maxima.max() < 1.2
 
 
+def test_calibrated_selections_match_find_best():
+    for cfg in (DacConfig(), uniform_comparison_config(DacConfig())):
+        nominal = nominal_sizes(cfg.ucc_sub_scheme, cfg.n)
+        for i in range(3):
+            sample = sample_dac(cfg, sample_substream(45, i))
+            calibrated = calibrate_amplitude_eses(sample)
+            for c in range(cfg.n_ucc):
+                best, _ = find_best(
+                    ElementSet(nominal, sample.amplitude[c]), cfg.k,
+                    sample.reference_current,
+                )
+                assert combination(calibrated.amplitude_selection[c]) == best
+
+
 def test_calibration_touches_only_selections():
     sample = sample_dac(DacConfig(), sample_substream(41, 7))
     calibrated = calibrate_amplitude_eses(sample)
     assert calibrated.lsb_bit_currents == sample.lsb_bit_currents
     assert calibrated.reference_current == sample.reference_current
     assert np.array_equal(delay_errors(calibrated), delay_errors(sample))
-    for before, after in zip(sample.cells, calibrated.cells):
-        assert after.amplitude is before.amplitude
-        assert after.selection.k == 6
+    assert np.array_equal(duty_errors(calibrated), duty_errors(sample))
+    assert calibrated.amplitude is sample.amplitude
+    assert calibrated.widths is sample.widths
+    assert calibrated.extrinsic is sample.extrinsic
+    assert calibrated.delay_selection is sample.delay_selection
+    assert calibrated.duty_selection is sample.duty_selection
+    assert calibrated.amplitude_selection.shape == (63,)
+    assert np.all((calibrated.amplitude_selection >= 0)
+                  & (calibrated.amplitude_selection < COMBOS_12_6.shape[0]))
 
 
 def test_uniform_comparison_config_keeps_center():
@@ -469,7 +624,7 @@ def test_graded_sizing_beats_uniform_sizing():
         graded_post = calibrate_amplitude_eses(
             sample_dac(cfg, sample_substream(47, i))
         )
-        uniform_post = calibrate_amplitude_ses_comparison(
+        uniform_post = calibrate_amplitude_eses(
             sample_dac(uniform, sample_substream(47, i))
         )
         graded_rms.append(np.sqrt(np.mean(amplitude_residuals(graded_post) ** 2)))
@@ -512,11 +667,36 @@ def test_timing_calibration_leaves_fixed_buffer_alone(timing_population):
     samples, calibrated = timing_population
     changed = 0
     for before, after in zip(samples[:10], calibrated[:10]):
-        for cell_pre, cell_post in zip(before.cells, after.cells):
-            assert cell_post.duty_fixed.selection == BALANCED_12_6
-            assert cell_post.amplitude is cell_pre.amplitude
-            changed += cell_post.delay.selection != cell_pre.delay.selection
+        assert after.amplitude is before.amplitude
+        assert after.widths is before.widths
+        assert after.extrinsic is before.extrinsic
+        assert after.amplitude_selection is before.amplitude_selection
+        # the fixed buffer reads as balanced in the inverter oracle
+        assert np.array_equal(duty_errors(after), oracle_timing_errors(after)[1])
+        changed += np.count_nonzero(after.delay_selection != before.delay_selection)
     assert changed > 0
+
+
+def test_timing_errors_match_inverter_oracle(timing_population):
+    samples, calibrated = timing_population
+    for sample in samples[:3] + calibrated[:3]:
+        delay, duty = oracle_timing_errors(sample)
+        assert np.array_equal(delay_errors(sample), delay)
+        assert np.array_equal(duty_errors(sample), duty)
+
+
+def test_timing_selections_match_inverter_search(timing_population):
+    """Each calibrated selection minimizes the inverter oracle's |delay
+    deviation| (delay buffer) or |tuned - fixed| (duty) over all subsets."""
+    samples, calibrated = timing_population
+    before, after = samples[0], calibrated[0]
+    candidates = [combination(row) for row in range(COMBOS_12_6.shape[0])]
+    for c in range(0, 63, 9):
+        fixed = oracle_deviation(before, c, 2, BALANCED_12_6)
+        delay = [abs(oracle_deviation(before, c, 0, sel)) for sel in candidates]
+        duty = [abs(oracle_deviation(before, c, 1, sel) - fixed) for sel in candidates]
+        assert after.delay_selection[c] == int(np.argmin(delay))
+        assert after.duty_selection[c] == int(np.argmin(duty))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from subsetcal import runner
 from subsetcal.mismatch import ConfigError
 from subsetcal.runner import parallel_indexed, sample_substream
 
@@ -43,6 +47,28 @@ def test_parallel_indexed_thread_count_does_not_change_results():
     assert parallel_indexed(40, draw, threads=1) == parallel_indexed(
         40, draw, threads=4
     )
+
+
+def test_parallel_indexed_clamps_workers_to_tasks(monkeypatch):
+    pools = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingExecutor)
+    workers = set()
+    lock = threading.Lock()
+
+    def square(i):
+        with lock:
+            workers.add(threading.get_ident())
+        return i * i
+
+    assert parallel_indexed(3, square, threads=8) == [0, 1, 4]
+    assert pools == [3]
+    assert 1 <= len(workers) <= 3
 
 
 def test_parallel_indexed_empty():
