@@ -86,7 +86,10 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _parse_str(text: str) -> str:
@@ -95,7 +98,7 @@ def _parse_str(text: str) -> str:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",")]
-    return tuple(float(p) for p in parts if p)
+    return tuple(_parse_float(p) for p in parts if p)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

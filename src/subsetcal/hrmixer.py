@@ -366,7 +366,6 @@ class LoPhaseSet:
     through fall_networks[p].  All errors are seconds.
     """
 
-    f_lo: float
     clock_networks: tuple[TunableInverter, ...]
     rise_networks: tuple[TunableInverter, ...]
     fall_networks: tuple[TunableInverter, ...]
@@ -395,21 +394,21 @@ class HrBranch:
     """One mixing branch: differential phase pair + selectable tail current."""
 
     lo_phase_index: int
-    gm_elements: ElementSet
-    gm_selection: Combination
-    gm_extrinsic_error: float = 0.0
+    elements: ElementSet
+    selection: Combination
+    extrinsic_error: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.lo_phase_index < N_PHASES // 2:
             raise ConfigError(f"lo_phase_index out of range: {self.lo_phase_index}")
 
     def gain(self, alpha: float) -> float:
-        i_nominal_half = float(self.gm_elements.nominal.mean()) * self.gm_selection.k
-        i_selected = subset_value(self.gm_elements, self.gm_selection)
-        return (i_selected / i_nominal_half) ** alpha * (1.0 + self.gm_extrinsic_error)
+        i_nominal_half = float(self.elements.nominal.mean()) * self.selection.k
+        i_selected = subset_value(self.elements, self.selection)
+        return (i_selected / i_nominal_half) ** alpha * (1.0 + self.extrinsic_error)
 
     def with_selection(self, selection: Combination) -> "HrBranch":
-        return dataclasses.replace(self, gm_selection=selection)
+        return dataclasses.replace(self, selection=selection)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -442,9 +441,9 @@ def sample_receiver(
         branches.append(
             HrBranch(
                 lo_phase_index=m,
-                gm_elements=es,
-                gm_selection=start,
-                gm_extrinsic_error=ext,
+                elements=es,
+                selection=start,
+                extrinsic_error=ext,
             )
         )
 
@@ -477,7 +476,6 @@ def sample_receiver(
         )
 
     phases = LoPhaseSet(
-        f_lo=config.f0,
         clock_networks=clocks,
         rise_networks=tuple(rises),
         fall_networks=tuple(falls),
@@ -597,7 +595,7 @@ class CalStep:
     """One committed search step and the objective it was scored against."""
 
     stage: str  # "even" | "gain" | "phase"
-    iteration: int
+    iteration: int  # odd order: the iteration, from 1; even order: the pass, from 0
     target: str
     objective_before: float
     objective_after: float
@@ -615,16 +613,40 @@ class CalReport:
         }
 
 
+#: every knob, by the name the trace and the selection snapshot use
+_KNOB_NAMES = tuple(
+    f"{kind}{i}"
+    for kind, count in (("tail", 4), ("clock", 4), ("rise", N_PHASES), ("fall", N_PHASES))
+    for i in range(count)
+)
+
+
+def _knob(sample: HrReceiverSample, name: str) -> Union[HrBranch, TunableInverter]:
+    """The branch (``tail<m>``) or inverter (``clock<m>``, ``rise<p>``,
+    ``fall<p>``) that knob ``name`` tunes."""
+    kind, index = name[:-1], int(name[-1])
+    if kind == "tail":
+        return sample.branches[index]
+    return getattr(sample.phases, f"{kind}_networks")[index]
+
+
+def _with_knob(sample: HrReceiverSample, name: str, combo: Combination) -> HrReceiverSample:
+    """``sample`` with knob ``name`` switched to selection ``combo``."""
+    kind, index = name[:-1], int(name[-1])
+    if kind == "tail":
+        branches = list(sample.branches)
+        branches[index] = branches[index].with_selection(combo)
+        return dataclasses.replace(sample, branches=tuple(branches))
+    field = f"{kind}_networks"
+    nets = list(getattr(sample.phases, field))
+    nets[index] = nets[index].with_selection(combo)
+    return dataclasses.replace(
+        sample, phases=dataclasses.replace(sample.phases, **{field: tuple(nets)})
+    )
+
+
 def _selection_snapshot(sample: HrReceiverSample) -> dict[str, tuple[int, ...]]:
-    out: dict[str, tuple[int, ...]] = {}
-    for m, branch in enumerate(sample.branches):
-        out[f"tail{m}"] = branch.gm_selection.indices
-    for m, inv in enumerate(sample.phases.clock_networks):
-        out[f"clock{m}"] = inv.selection.indices
-    for p in range(N_PHASES):
-        out[f"rise{p}"] = sample.phases.rise_networks[p].selection.indices
-        out[f"fall{p}"] = sample.phases.fall_networks[p].selection.indices
-    return out
+    return {name: _knob(sample, name).selection.indices for name in _KNOB_NAMES}
 
 
 def _branch_edges(sample: HrReceiverSample, bi: int, f: float) -> tuple[np.ndarray, np.ndarray]:
@@ -644,92 +666,122 @@ def _branch_edges(sample: HrReceiverSample, bi: int, f: float) -> tuple[np.ndarr
     return times, deltas
 
 
-_EDGE_OF_NETWORK = {("rise", 0): 0, ("fall", 0): 1, ("rise", 4): 2, ("fall", 4): 3}
-
-
-def _candidate_selections(es: ElementSet, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All C(n,k) candidate selected widths plus the index matrix, lexicographic."""
-    sums = all_subset_sums(es.realized, k)
-    return sums, combination_index_matrix(es.n, k)
-
-
-def _inverter_candidates(inv: TunableInverter, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay deviation of every candidate selection of one inverter."""
-    sums, index = _candidate_selections(inv.elements, k)
-    if inv.drive_coefficient == 0.0:
-        devs = np.full(sums.shape, inv.extrinsic_error)
-    else:
-        devs = inv.drive_coefficient * (inv.w_nominal_half / sums - 1.0) + inv.extrinsic_error
-    return devs, index
-
-
-def _replace_branch(sample: HrReceiverSample, bi: int, combo: Combination) -> HrReceiverSample:
-    branches = list(sample.branches)
-    branches[bi] = branches[bi].with_selection(combo)
-    return dataclasses.replace(sample, branches=tuple(branches))
-
-
-def _replace_network(
-    sample: HrReceiverSample, kind: str, index: int, combo: Combination
-) -> HrReceiverSample:
-    ph = sample.phases
-    if kind == "clock":
-        nets = list(ph.clock_networks)
-        nets[index] = nets[index].with_selection(combo)
-        ph = dataclasses.replace(ph, clock_networks=tuple(nets))
-    elif kind == "rise":
-        nets = list(ph.rise_networks)
-        nets[index] = nets[index].with_selection(combo)
-        ph = dataclasses.replace(ph, rise_networks=tuple(nets))
-    else:
-        nets = list(ph.fall_networks)
-        nets[index] = nets[index].with_selection(combo)
-        ph = dataclasses.replace(ph, fall_networks=tuple(nets))
-    return dataclasses.replace(sample, phases=ph)
-
-
-def _branch_even_objective(sample: HrReceiverSample, bi: int, f: float) -> float:
-    """|c2/c1|^2 of branch bi measured alone (the even-order cal objective)."""
+def _branch_objective(sample: HrReceiverSample, bi: int, n: int, f: float) -> float:
+    """|c_n/c_1|^2 of branch bi measured alone (the even-order cal objective)."""
     times, deltas = _branch_edges(sample, bi, f)
     c1 = edge_fourier(times, deltas, 1)
-    c2 = edge_fourier(times, deltas, 2)
+    cn = edge_fourier(times, deltas, n)
     if abs(c1) == 0.0:
         raise DegenerateConfigurationError("branch waveform has no fundamental")
-    return float(abs(c2) ** 2 / abs(c1) ** 2)
+    return float(abs(cn) ** 2 / abs(c1) ** 2)
 
 
-def _search_buffer(
-    sample: HrReceiverSample, m: int, offset: int, kind: str, f: float, iteration: int
-) -> tuple[HrReceiverSample, CalStep]:
+def _best_selection(
+    sample: HrReceiverSample, name: str, path: Optional[str], n: int, f: float
+) -> Combination:
+    """The selection of knob ``name`` that minimizes |c_n/c_1|^2, found by
+    scoring every k-subset of the knob's elements in closed form.
+
+    Each candidate's coefficient is c_h = rest_h + amp * u_h: ``rest_h`` sums
+    the other measured branches, ``amp`` is the knob's branch amplitude
+    (gain * weight) and ``u_h`` its unit-amplitude coefficient.  A tail
+    candidate changes amp, a clock candidate shifts all four edges of its pair
+    and so rotates u_h by exp(-2 pi i h f shift), and a buffer candidate moves
+    one edge of u_h.  With ``path`` None the knob's branch is measured alone:
+    rest is 0 and amp is 1.  Ties go to the first candidate in lexicographic
+    order.
+    """
     cfg = sample.config
-    p = sample.branches[m].lo_phase_index + offset
-    before = _branch_even_objective(sample, m, f)
-    nets = (
-        sample.phases.rise_networks if kind == "rise" else sample.phases.fall_networks
-    )
-    inv = nets[p]
-    devs, index = _inverter_candidates(inv, cfg.k_selected)
-    times, deltas = _branch_edges(sample, m, f)
-    edge = _EDGE_OF_NETWORK[(kind, offset)]
-    cand_times = np.broadcast_to(times, (devs.size, 4)).copy()
-    cand_times[:, edge] += f * (devs - inv.delay_deviation())
-    c1 = edge_fourier(cand_times, deltas, 1)
-    c2 = edge_fourier(cand_times, deltas, 2)
-    obj = np.abs(c2) ** 2 / np.abs(c1) ** 2
-    best = int(np.argmin(obj))
-    combo = Combination(tuple(int(i) for i in index[best]))
-    trial = _replace_network(sample, kind, p, combo)
-    after = _branch_even_objective(trial, m, f)
-    if after <= before:
-        sample = trial
-    else:  # analytic/pipeline rounding disagreement: keep current
-        after = before
-    return sample, CalStep("even", iteration, f"{kind}{p}", before, after)
+    kind, index = name[:-1], int(name[-1])
+    knob = _knob(sample, name)
+    bi = index % 4  # the branch whose tail, clock or edge the knob sets
+    members = PATH_BRANCHES[path] if path else (bi,)
+    harmonics = (1, n)
+    rest: dict[int, complex] = {h: 0 for h in harmonics}
+    for pos, other in enumerate(members):
+        if other != bi:
+            times, deltas = _branch_edges(sample, other, f)
+            other_amp = sample.branches[other].gain(cfg.gain_alpha) * cfg.weights[pos]
+            rest = {
+                h: rest[h] + other_amp * complex(edge_fourier(times, deltas, h))
+                for h in harmonics
+            }
+    own = members.index(bi)
+    amp = sample.branches[bi].gain(cfg.gain_alpha) * cfg.weights[own] if path else 1.0
+    times, deltas = _branch_edges(sample, bi, f)
+
+    sums = all_subset_sums(knob.elements.realized, cfg.k_selected)
+    if kind == "tail":
+        i_nominal_half = float(knob.elements.nominal.mean()) * cfg.k_selected
+        gains = (sums / i_nominal_half) ** cfg.gain_alpha * (1.0 + knob.extrinsic_error)
+        amp = gains * cfg.weights[own]
+    else:
+        if knob.drive_coefficient == 0.0:
+            devs = np.full(sums.shape, knob.extrinsic_error)
+        else:
+            devs = (
+                knob.drive_coefficient * (knob.w_nominal_half / sums - 1.0)
+                + knob.extrinsic_error
+            )
+        shift = devs - knob.delay_deviation()
+        if kind != "clock":  # edges are ordered rise p, fall p, rise p+4, fall p+4
+            times = np.broadcast_to(times, (shift.size, 4)).copy()
+            times[:, 2 * (index // 4) + (kind == "fall")] += f * shift
+    unit = {h: edge_fourier(times, deltas, h) for h in harmonics}
+    if kind == "clock":
+        unit = {h: unit[h] * np.exp(-2j * np.pi * h * f * shift) for h in harmonics}
+    c1, cn = (rest[h] + amp * unit[h] for h in harmonics)
+    best = int(np.argmin(np.abs(cn) ** 2 / np.abs(c1) ** 2))
+    index_matrix = combination_index_matrix(knob.elements.n, cfg.k_selected)
+    return Combination(tuple(int(i) for i in index_matrix[best]))
 
 
-def calibrate_even_order(
-    sample: HrReceiverSample, rng: Union[np.random.Generator, int, None] = None
-) -> tuple[HrReceiverSample, CalReport]:
+def _calibrate_stage(
+    sample: HrReceiverSample,
+    steps: list[CalStep],
+    stage: str,
+    iteration: Optional[int],
+    knobs: Sequence[str],
+    path: Optional[str],
+    n: int,
+    f: float,
+) -> HrReceiverSample:
+    """Cycle over ``knobs`` until a full pass commits no change, at most
+    ``_MAX_STAGE_PASSES`` times, appending one CalStep per knob visit.
+
+    Each step takes the knob's closed-form best selection and keeps it only
+    if the exact objective — ``measure_harmonic_power`` of ``path``, or the
+    knobs' branch measured alone when ``path`` is None — does not get worse.
+    The objective is measured once at stage start and once per step: a step's
+    "before" is the previous step's "after".  Steps carry ``iteration``, or
+    their pass index when it is None.
+    """
+
+    def measure(s: HrReceiverSample) -> float:
+        if path is None:
+            return _branch_objective(s, int(knobs[0][-1]) % 4, n, f)
+        return measure_harmonic_power(s, path, n, f)
+
+    before = measure(sample)
+    for pass_index in range(_MAX_STAGE_PASSES):
+        changed = False
+        for name in knobs:
+            trial = _with_knob(sample, name, _best_selection(sample, name, path, n, f))
+            after = measure(trial)
+            if after <= before:
+                sample = trial
+                changed = changed or after < before
+            else:  # closed-form/pipeline rounding disagreement: keep current
+                after = before
+            label = pass_index if iteration is None else iteration
+            steps.append(CalStep(stage, label, name, before, after))
+            before = after
+        if not changed:
+            break
+    return sample
+
+
+def calibrate_even_order(sample: HrReceiverSample) -> tuple[HrReceiverSample, CalReport]:
     """Null each branch's own 2nd harmonic by tuning its four buffer networks.
 
     Branches are measured alone (the other three off).  For each of the four
@@ -738,98 +790,14 @@ def calibrate_even_order(
     repeats until a full pass commits no change.  A committed step never
     regresses the measured objective, so post-cal HRR2 >= pre-cal HRR2 per
     sample.  The same edge-alignment condition governs the 4th and 6th
-    harmonics, so they improve alongside.  ``rng`` is accepted for interface
-    symmetry; the exhaustive search uses no randomness.
+    harmonics, so they improve alongside.
     """
-    del rng
     f = sample.config.f0
-    steps = []
+    steps: list[CalStep] = []
     for m in range(4):
-        for pass_index in range(_MAX_STAGE_PASSES):
-            changed = False
-            for offset in (0, 4):
-                for kind in ("rise", "fall"):
-                    sample, step = _search_buffer(sample, m, offset, kind, f, pass_index)
-                    steps.append(step)
-                    if step.objective_after < step.objective_before:
-                        changed = True
-            if not changed:
-                break
+        knobs = (f"rise{m}", f"fall{m}", f"rise{m + 4}", f"fall{m + 4}")
+        sample = _calibrate_stage(sample, steps, "even", None, knobs, None, 2, f)
     return sample, CalReport(steps=tuple(steps), selections=_selection_snapshot(sample))
-
-
-def _path_unit_coeffs(
-    sample: HrReceiverSample, path: str, f: float, harmonics: Sequence[int]
-) -> tuple[list[dict[int, complex]], list[float]]:
-    """Per-branch unit-amplitude Fourier coefficients and current amplitudes."""
-    cfg = sample.config
-    units: list[dict[int, complex]] = []
-    amps: list[float] = []
-    for pos, bi in enumerate(PATH_BRANCHES[path]):
-        times, deltas = _branch_edges(sample, bi, f)
-        units.append({n: complex(edge_fourier(times, deltas, n)) for n in harmonics})
-        amps.append(sample.branches[bi].gain(cfg.gain_alpha) * cfg.weights[pos])
-    return units, amps
-
-
-def _search_tail(
-    sample: HrReceiverSample, path: str, bi: int, f: float, iteration: int
-) -> tuple[HrReceiverSample, CalStep]:
-    cfg = sample.config
-    pos = PATH_BRANCHES[path].index(bi)
-    units, amps = _path_unit_coeffs(sample, path, f, (1, 3))
-    c1_rest = sum(a * u[1] for i, (a, u) in enumerate(zip(amps, units)) if i != pos)
-    c3_rest = sum(a * u[3] for i, (a, u) in enumerate(zip(amps, units)) if i != pos)
-
-    branch = sample.branches[bi]
-    sums, index = _candidate_selections(branch.gm_elements, cfg.k_selected)
-    i_nominal_half = float(branch.gm_elements.nominal.mean()) * cfg.k_selected
-    gains = (sums / i_nominal_half) ** cfg.gain_alpha * (1.0 + branch.gm_extrinsic_error)
-    amps_cand = gains * cfg.weights[pos]
-    c1 = c1_rest + amps_cand * units[pos][1]
-    c3 = c3_rest + amps_cand * units[pos][3]
-    obj = np.abs(c3) ** 2 / np.abs(c1) ** 2
-    best = int(np.argmin(obj))
-    combo = Combination(tuple(int(i) for i in index[best]))
-
-    before = measure_harmonic_power(sample, path, 3, f)
-    trial = _replace_branch(sample, bi, combo)
-    after = measure_harmonic_power(trial, path, 3, f)
-    if after <= before:
-        sample = trial
-    else:
-        after = before
-    return sample, CalStep("gain", iteration, f"tail{bi}", before, after)
-
-
-def _search_clock(
-    sample: HrReceiverSample, path: str, m: int, f: float, iteration: int
-) -> tuple[HrReceiverSample, CalStep]:
-    cfg = sample.config
-    pos = PATH_BRANCHES[path].index(m)
-    units, amps = _path_unit_coeffs(sample, path, f, (1, 3))
-    c1_rest = sum(a * u[1] for i, (a, u) in enumerate(zip(amps, units)) if i != pos)
-    c3_rest = sum(a * u[3] for i, (a, u) in enumerate(zip(amps, units)) if i != pos)
-
-    inv = sample.phases.clock_networks[m]
-    devs, index = _inverter_candidates(inv, cfg.k_selected)
-    shift = devs - inv.delay_deviation()  # applies to all four edges of the pair
-    rot1 = np.exp(-2j * np.pi * 1 * f * shift)
-    rot3 = np.exp(-2j * np.pi * 3 * f * shift)
-    c1 = c1_rest + amps[pos] * units[pos][1] * rot1
-    c3 = c3_rest + amps[pos] * units[pos][3] * rot3
-    obj = np.abs(c3) ** 2 / np.abs(c1) ** 2
-    best = int(np.argmin(obj))
-    combo = Combination(tuple(int(i) for i in index[best]))
-
-    before = measure_harmonic_power(sample, path, 3, f)
-    trial = _replace_network(sample, "clock", m, combo)
-    after = measure_harmonic_power(trial, path, 3, f)
-    if after <= before:
-        sample = trial
-    else:
-        after = before
-    return sample, CalStep("phase", iteration, f"clock{m}", before, after)
 
 
 def calibrate_odd_order(
@@ -851,28 +819,12 @@ def calibrate_odd_order(
         raise ConfigError(f"f_low {f_low:g} must be below f_0 {f_0:g}")
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    steps = []
+    steps: list[CalStep] = []
     for it in range(1, iterations + 1):
-        for path, tails in (("I", (0, 1, 2)), ("Q", (3,))):
-            for _ in range(_MAX_STAGE_PASSES):
-                changed = False
-                for bi in tails:
-                    sample, step = _search_tail(sample, path, bi, f_low, it)
-                    steps.append(step)
-                    if step.objective_after < step.objective_before:
-                        changed = True
-                if not changed:
-                    break
-        for path, clocks in (("I", (0, 1, 2)), ("Q", (3,))):
-            for _ in range(_MAX_STAGE_PASSES):
-                changed = False
-                for m in clocks:
-                    sample, step = _search_clock(sample, path, m, f_0, it)
-                    steps.append(step)
-                    if step.objective_after < step.objective_before:
-                        changed = True
-                if not changed:
-                    break
+        for stage, kind, f in (("gain", "tail", f_low), ("phase", "clock", f_0)):
+            for path, tuned in (("I", (0, 1, 2)), ("Q", (3,))):
+                knobs = tuple(f"{kind}{m}" for m in tuned)
+                sample = _calibrate_stage(sample, steps, stage, it, knobs, path, 3, f)
     return sample, CalReport(steps=tuple(steps), selections=_selection_snapshot(sample))
 
 

@@ -3,8 +3,8 @@
 The building block used everywhere else in this package: an array of n nominally
 sized unit elements (transistor widths, unit currents, ...) of which exactly k are
 switched on at a time.  Redundancy comes from the C(n, k) possible selections; a
-calibration step picks the selection whose realized sum lands closest to (or inside
-a window around) a target value.
+calibration step picks the selection whose realized sum lands closest to a target
+value.
 
 Sizes are strictly positive throughout.  Element standard deviation follows the
 usual area scaling law: sigma_i = sigma_ref * sqrt(nominal_i / size_ref).
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations as _lex_combinations
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,21 +30,16 @@ __all__ = [
     "MismatchModel",
     "ElementSet",
     "Combination",
-    "TargetWindow",
-    "Exhaustive",
-    "RandomSearch",
     "nominal_sizes",
     "scheme_center",
     "sample_element_set",
     "draw_realized",
     "sigma_k",
     "subset_value",
-    "enumerate_combinations",
     "combination_index_matrix",
     "membership_matrix",
     "all_subset_sums",
     "find_best",
-    "find_in_window",
     "balanced_combination",
 ]
 
@@ -293,12 +288,6 @@ def membership_matrix(n: int, k: int) -> np.ndarray:
     return out
 
 
-def enumerate_combinations(n: int, k: int) -> tuple[Combination, ...]:
-    """All k-subsets of n elements in lexicographic order of their index tuples."""
-    idx = combination_index_matrix(n, k)
-    return tuple(Combination(tuple(int(i) for i in row)) for row in idx)
-
-
 def all_subset_sums(realized: np.ndarray, k: int) -> np.ndarray:
     """Subset sums of every k-combination, in lexicographic combination order.
 
@@ -332,61 +321,6 @@ def balanced_combination(n: int, k: int) -> Combination:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TargetWindow:
-    """Closed acceptance interval [center - width/2, center + width/2].
-
-    ``center`` is an absolute target value (for the redundancy studies: the
-    nominal k-subset sum plus the configured offset).
-    """
-
-    center: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if self.width < 0:
-            raise ConfigError(f"window width must be >= 0, got {self.width}")
-
-    @property
-    def low(self) -> float:
-        return self.center - self.width / 2.0
-
-    @property
-    def high(self) -> float:
-        return self.center + self.width / 2.0
-
-    def contains(self, value: float) -> bool:
-        # endpoint form, not |value - center| <= width/2: the subtraction form
-        # silently excludes exactly-representable decimal boundaries (e.g.
-        # center 1.0, width 0.2, value 1.1).
-        return self.low <= value <= self.high
-
-
-@dataclass(frozen=True)
-class Exhaustive:
-    """Scan all C(n,k) combinations in lexicographic order."""
-
-
-@dataclass(frozen=True, eq=False)
-class RandomSearch:
-    """Uniform random combination draws, with replacement, up to trial_limit.
-
-    The full trial budget is drawn from ``rng`` upfront (one integers() call)
-    and scanned for the first hit; identical in distribution and outcome to a
-    draw-until-hit loop, but deterministic to reason about and vectorizable.
-    """
-
-    trial_limit: int
-    rng: np.random.Generator
-
-    def __post_init__(self) -> None:
-        if self.trial_limit < 1:
-            raise ConfigError(f"trial_limit must be >= 1, got {self.trial_limit}")
-
-
-SearchStrategy = Union[Exhaustive, RandomSearch]
-
-
 def subset_value(element_set: ElementSet, combination: Combination) -> float:
     """Sum of the realized values of the selected elements."""
     idx = np.asarray(combination.indices, dtype=np.intp)
@@ -412,38 +346,3 @@ def find_best(
     best = int(np.argmin(np.abs(sums - target)))
     combo = Combination(tuple(int(i) for i in combination_index_matrix(n, k)[best]))
     return combo, float(sums[best] - target)
-
-
-def find_in_window(
-    element_set: ElementSet,
-    k: int,
-    window: TargetWindow,
-    strategy: SearchStrategy = Exhaustive(),
-) -> Optional[Combination]:
-    """First selection whose subset sum lands inside the closed window, or None.
-
-    Exhaustive: first hit in lexicographic order; None means no combination
-    qualifies (equivalently: the best |residual| exceeds width/2).
-    RandomSearch: first hit among trial_limit uniform draws (with replacement);
-    None merely means the budget ran out.
-    """
-    n = element_set.n
-    _check_nk(n, k)
-    lo, hi = window.low, window.high
-    idx = combination_index_matrix(n, k)
-    if isinstance(strategy, Exhaustive):
-        sums = all_subset_sums(element_set.realized, k)
-        hits = np.nonzero((sums >= lo) & (sums <= hi))[0]
-        if hits.size == 0:
-            return None
-        row = idx[int(hits[0])]
-    elif isinstance(strategy, RandomSearch):
-        draws = strategy.rng.integers(0, idx.shape[0], size=strategy.trial_limit)
-        sums = element_set.realized[idx[draws]].sum(axis=1)
-        hits = np.nonzero((sums >= lo) & (sums <= hi))[0]
-        if hits.size == 0:
-            return None
-        row = idx[int(draws[int(hits[0])])]
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown search strategy {strategy!r}")
-    return Combination(tuple(int(i) for i in row))

@@ -18,11 +18,10 @@ does not depend on the thread count, so results are bit-identical for any
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import IO, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,10 +53,8 @@ __all__ = [
     "r_cal",
     "rcal_frontier",
     "a_eses_sweep",
-    "traditional_redundancy_success",
     "STUDY_CSV_COLUMNS",
     "study_csv_rows",
-    "write_study_csv",
 ]
 
 BLOCK = 4096  # samples per random-stream block; fixed, never thread-dependent
@@ -350,20 +347,6 @@ def a_eses_sweep(
     return out
 
 
-def traditional_redundancy_success(p: float, n: int) -> float:
-    """Success probability of classic spare-unit redundancy: 1 - (1 - p)^n.
-
-    One working unit among n independent candidates each succeeding with
-    probability p; the contrast case for combinatorial selection, where n
-    elements give C(n, k) chances instead of n.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ConfigError(f"p must be in [0, 1], got {p}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    return 1.0 - (1.0 - p) ** n
-
-
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------
@@ -419,14 +402,3 @@ def study_csv_rows(result: StudyResult) -> list[tuple]:
         )
         for row in result.rows
     ]
-
-
-def write_study_csv(results: Sequence[StudyResult], stream: IO[str]) -> None:
-    """RFC-4180 CSV with a fixed column set; floats at 12 significant digits."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(STUDY_CSV_COLUMNS)
-    for result in results:
-        for row in study_csv_rows(result):
-            writer.writerow(
-                ["%.12g" % v if isinstance(v, float) else v for v in row]
-            )

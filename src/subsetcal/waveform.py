@@ -27,7 +27,6 @@ __all__ = [
     "square_wave",
     "combine",
     "fourier_coeff",
-    "fourier_coeffs",
     "edge_fourier",
     "product_average",
 ]
@@ -162,10 +161,6 @@ def fourier_coeff(waveform: EdgeWaveform, n: int) -> complex:
         return 0j
     deltas = waveform.levels - np.roll(waveform.levels, 1)
     return complex(edge_fourier(waveform.times, deltas, n))
-
-
-def fourier_coeffs(waveform: EdgeWaveform, ns: Sequence[int]) -> np.ndarray:
-    return np.array([fourier_coeff(waveform, int(n)) for n in ns])
 
 
 def product_average(a: EdgeWaveform, b: EdgeWaveform) -> float:

@@ -84,6 +84,25 @@ def test_bad_value_names_the_key(tmp_path, capsys):
     assert "study.samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, line, key",
+    [
+        (["study", "failure-rate"], "study.rel_sigma = nan", "study.rel_sigma"),
+        (["study", "failure-rate"], "study.widths = 0.1, inf", "study.widths"),
+        (["hr", "simulate"], "hr.f0 = inf", "hr.f0"),
+    ],
+    ids=["rel_sigma-nan", "widths-inf", "f0-inf"],
+)
+def test_non_finite_float_is_rejected_before_any_output(tmp_path, capsys, command, line, key):
+    cfg = write_cfg(tmp_path, "nonfinite.cfg", line + "\n")
+    out = tmp_path / "out"
+    argv = command + ["--config", cfg, "--samples", "100", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
 def test_zero_threads_is_rejected(capsys):
     assert main(["dac", "sense", "--threads", "0"]) == 2
     capsys.readouterr()

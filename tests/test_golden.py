@@ -1,0 +1,249 @@
+"""Golden output hashes of every subcommand.
+
+Each case runs ``subsetcal`` in-process on a small configuration and compares
+the SHA-256 of every CSV, ``.json`` and ``.meta.json`` it writes with the
+hashes recorded below.  A change to how any study, receiver or converter is
+drawn, calibrated or read out that moves an output byte fails here.  The
+manifest is left out: it records the output directory, which differs per run.
+
+The ``dac-yield-*`` hashes were recorded from the per-cell converter model
+that preceded the array-form ``DacSample``; the rest from the three-way mixer
+search that preceded the single knob search.
+"""
+
+import os
+
+import pytest
+
+from subsetcal.cli import main
+from subsetcal.reporting import sha256_of
+
+STUDY_CFG = """\
+study.n = 12
+study.k = 6
+study.widths = 0.01, 0.05, 0.2
+study.d_list = 0, 0.5
+study.offset_kind = gaussian
+study.offsets = 0, 2
+"""
+
+FRONTIER_CFG = """\
+frontier.sigma_t_list = 1, 5
+frontier.d_candidates = 0, 0.5, 2
+frontier.width_grid = 0.05, 0.2, 1.0
+"""
+
+A_SWEEP_CFG = """\
+sweep.a_values = 1, 0.25
+sweep.widths = 0.02, 0.08
+"""
+
+HR_CFG = """\
+hr.f_list = 150e6, 750e6
+"""
+
+DUMP_CFG = """\
+figure.id = fig5.14
+dac.flow = eses
+dac.samples = 100
+dac.seed = 1
+dac.dump_sample = 7
+dac.histogram_columns = none
+"""
+
+DAC_YIELD = ["dac", "yield", "--samples", "100", "--seed", "1"]
+
+# case -> (argv without --out/--quiet, config text or None)
+CASES = {
+    "study-failure-rate": (["study", "failure-rate", "--samples", "2000"], STUDY_CFG),
+    "study-rcal-frontier": (["study", "rcal-frontier", "--samples", "1000"], FRONTIER_CFG),
+    "study-a-sweep": (["study", "a-sweep", "--samples", "2000"], A_SWEEP_CFG),
+    "hr-simulate-1": (["hr", "simulate", "--seed", "1"], HR_CFG),
+    "hr-simulate-2": (["hr", "simulate", "--seed", "2"], HR_CFG),
+    "hr-calibrate-1": (["hr", "calibrate", "--seed", "1"], HR_CFG),
+    "hr-calibrate-2": (["hr", "calibrate", "--seed", "2"], HR_CFG),
+    "hr-sweep-1": (["hr", "sweep", "--seed", "1"], HR_CFG),
+    "hr-sweep-2": (["hr", "sweep", "--seed", "2"], HR_CFG),
+    "dac-yield-eses": (DAC_YIELD + ["--flow", "eses"], None),
+    "dac-yield-ses": (DAC_YIELD + ["--flow", "ses"], None),
+    "dac-yield-timing": (DAC_YIELD + ["--flow", "timing"], None),
+    "dac-yield-dump": (DAC_YIELD, DUMP_CFG),
+    "dac-self-heal": (["dac", "self-heal", "--samples", "100", "--seed", "3"], None),
+    "dac-sense": (["dac", "sense"], None),
+}
+
+GOLDEN = {
+    "dac-self-heal": {
+        "self_heal.csv":
+            "fac1b262feb78ca8a784dfde7c09fc2be7ea6c1655e859dc6f72eeb1779f13e8",
+        "self_heal.meta.json":
+            "b6213e4f30d0f0ba735b5e1f44428e3db53984165ee9d6cf7b06e3fd93c5f175",
+        "selfheal_trace.json":
+            "7ef5318cfd562d4f238dffa687c34d5cc327166b5af153c476c4f63cf94cbadf",
+        "yield_rows.csv":
+            "bbdbd1432ff5b696ee8d7bd427d0339671565d6d6f5cede33fa6827ddcac812e",
+        "yield_rows.meta.json":
+            "f0d26532a6d34c5aa0c16116432ac4c06da80e6b7e80bd6cff24bb6885e6bf8a",
+    },
+    "dac-sense": {
+        "sense_sweep.csv":
+            "2afc61e68c7c5d9d00356fc1d3d740ece3db39dae08f106955f568c543c1bd04",
+        "sense_sweep.meta.json":
+            "28e54e1f5ac50da8f976184c235355e5127732d5deb577add11f463930ffaea3",
+    },
+    "dac-yield-dump": {
+        "fig5.14.csv":
+            "5e7b8e5d30a25ca3c663e649f53579f262c4591d3e44bf5fb7d3d98a1660384c",
+        "fig5.14.meta.json":
+            "1baf9d01d50e118a8a801dc59e52397cba1c157173f45cb5b0f2a3ee05d1eb94",
+        "yield_rows.csv":
+            "747dfb369dac2eb99cac8f31ed7758b0eaf4419fce0f38190d73b26323aef251",
+        "yield_rows.meta.json":
+            "212b3a35722fe4bc3aa97fb6a4ee3be301172dbbbde6f4aa86e7bb14ebf4d804",
+    },
+    "dac-yield-eses": {
+        "hist_post_dnl_max.csv":
+            "230d5d33087333abc6ae3a4642a5dd1c069175215b442febca268ea170a88456",
+        "hist_post_dnl_max.meta.json":
+            "05a5403cea58a3df36d7906f8fa9122c1849f432288569cfed881b9c082aa483",
+        "hist_post_inl_max.csv":
+            "188f468003bba6b169b3d65085ba49ef2573ba00221b9f099a59617103844717",
+        "hist_post_inl_max.meta.json":
+            "69cdf874acc30dd59a77987170e6019c0924eb8df3649730e667a1506a5603f2",
+        "hist_pre_dnl_max.csv":
+            "dec616a7183cacc0e66f76bd00f9b5ddd5710fe8c2f39b774541fcc71b1afd53",
+        "hist_pre_dnl_max.meta.json":
+            "c2de6e416b3172f82e2842a2c5a172b71d16634f4c3415c9a5231e041d1f88e5",
+        "hist_pre_inl_max.csv":
+            "027ea36fe0fac5acb6245e1f23bf13f4f95f2bf18f7dd41dda5c20e2044c810a",
+        "hist_pre_inl_max.meta.json":
+            "b44ecd8705b51643050513df21b64cc5460813d916bd6fb4d13c508213b32a8a",
+        "yield_rows.csv":
+            "747dfb369dac2eb99cac8f31ed7758b0eaf4419fce0f38190d73b26323aef251",
+        "yield_rows.meta.json":
+            "212b3a35722fe4bc3aa97fb6a4ee3be301172dbbbde6f4aa86e7bb14ebf4d804",
+    },
+    "dac-yield-ses": {
+        "hist_post_dnl_max.csv":
+            "4830c017286036a92dd06a59875ca76e3a382434dc2ad0b0c101128e4150ca42",
+        "hist_post_dnl_max.meta.json":
+            "3a69744965b9829d6b5379569fb53f57646d9e11d611ebaaba7561c0812f8f9d",
+        "hist_post_inl_max.csv":
+            "6714ae87320d6aad8c6b93071a7fcfe09a958b00c8500699da10b95c11f9c8bc",
+        "hist_post_inl_max.meta.json":
+            "e11560424bb568d84e9efdddfda52f75010e1a81460d7f4eee693c981d88d6de",
+        "hist_pre_dnl_max.csv":
+            "7f2ed03a4e6b4066afc22e0a747a8f62ff1e5b19ee9bbfbd4f9e744deabbe31e",
+        "hist_pre_dnl_max.meta.json":
+            "1324e18e770994ab07b618a8f378108ccc0f80e029d5c4f2f721647829b7b2c9",
+        "hist_pre_inl_max.csv":
+            "da57c4330d9326083d932f0bf2f339a2b270b5ead13d5e71dcb301baa6deee54",
+        "hist_pre_inl_max.meta.json":
+            "2ccf46c905f10a61da075dcc49e716aee095d123bd6699646f2f80f34ea509e0",
+        "yield_rows.csv":
+            "82d255fad239b227f67d2cddab2be6b9047c247a87116e65aef36d43b9292aa3",
+        "yield_rows.meta.json":
+            "1c53074dda35e69be8a401f82c5b9f530bb0c094823618f59b08a36dde56c4b5",
+    },
+    "dac-yield-timing": {
+        "hist_post_delay_sigma.csv":
+            "82463f3bdf8ff19d567305eee2a6a75e1615b055f6cbabbb3561ac288a05344d",
+        "hist_post_delay_sigma.meta.json":
+            "315f855a2f9ce472808e50b78de922d063595612566e9cd11c02f45ef2836cb6",
+        "hist_post_duty_sigma.csv":
+            "2b50b9bcd1705292c9772ed11155779087a273f449a567cbec4f931cb5c08631",
+        "hist_post_duty_sigma.meta.json":
+            "82d98bb6de7986d308c73766c07430c176ad16769da6ce27fbf72f1dd58c244e",
+        "hist_pre_delay_sigma.csv":
+            "60bd608b1ff25673c9c2dc594f5919a12da7ec89c146f8db83d39d30bf4798f0",
+        "hist_pre_delay_sigma.meta.json":
+            "202dee45d0a0123bd4d58c288630463fdc3ce4d0cc7567fcfba5cc6e93c54074",
+        "hist_pre_duty_sigma.csv":
+            "e0f7328ca7d5a418a5cd8fe8ca9f2603bf2947056e680c920526e26cac79e187",
+        "hist_pre_duty_sigma.meta.json":
+            "62630a0f6ea45bc3315eaa026e855cf71f195ed9b782341479b1c978d9c322ed",
+        "yield_rows.csv":
+            "c9b2cae0a1246f314205b97d41818636f2c95735271021764e8ce3ef673f6d21",
+        "yield_rows.meta.json":
+            "c67e1ae168f6e2eae2e8b1d27051535fcca17d6aa2952b56a8a1bcc754afebf6",
+    },
+    "hr-calibrate-1": {
+        "hr_calibration.csv":
+            "b4e1cf11b08331bb907f90508bb69a645039159fa18f093c07cbe3ffc3123893",
+        "hr_calibration.json":
+            "31d5fae578825b9b87fedacb22ca5da6b980a134fe5bd14702b708b8f1633d42",
+        "hr_calibration.meta.json":
+            "f2cc551304c3ad55fc802511cabacaeebbaaef400ebfeb36938f71678bfade47",
+    },
+    "hr-calibrate-2": {
+        "hr_calibration.csv":
+            "5315d8ae35d93a9f3e70dc4d631079d7aeaf1512e2849383b4dea9058ae56bd5",
+        "hr_calibration.json":
+            "c002380a811cb9bd279dc08b1507086aae310cb0703179ec7969840a66f586ff",
+        "hr_calibration.meta.json":
+            "2ef14567a355bab2481385f42d03f3008bf8f22f8ad94967d6332ea834dd4d53",
+    },
+    "hr-simulate-1": {
+        "hr_simulate.csv":
+            "01fc2ae90f77ac5d083916f482d86b2316eebfce2b78fd5e4c8a7e767bc22c03",
+        "hr_simulate.meta.json":
+            "feab99bc760c33bf3ff0864c130181081eb3f29175390b524bd9ca8c0edf5371",
+    },
+    "hr-simulate-2": {
+        "hr_simulate.csv":
+            "72f97e56fbeac8d0f2a1a6b2fffd24073c9e388785e6ddc0298aaf7660b53c8e",
+        "hr_simulate.meta.json":
+            "064473c8740c5073d75c2919e8eda78185836039a8e21c57af13384833607485",
+    },
+    "hr-sweep-1": {
+        "hr_sweep.csv":
+            "6c25d56615c41143f7a3283e0cefd098dfa551a43eb27e245d4e339fba682fdb",
+        "hr_sweep.meta.json":
+            "4dd8c9185b0951e56f8ead0084a0a1d6c69e66a0193d6b561c4a16d2b8bf0259",
+    },
+    "hr-sweep-2": {
+        "hr_sweep.csv":
+            "a94b3da79c6884c128a9ea64c8df7f57022b844c3f5e23a2a956d55de91018e1",
+        "hr_sweep.meta.json":
+            "5c4f8c19bdff8ccf4a96c25ae2c8897c40f9b848262e6e237073c6be2cc2342d",
+    },
+    "study-a-sweep": {
+        "a_sweep.csv":
+            "57c525c98a7d1e30f73b79e50115930c6b71951031bfe86edc5b2d30b2d7f0c3",
+        "a_sweep.meta.json":
+            "b720577e60f5d47790cb968acf98120bdd65b639e37011890d18e8ad51ffb2d4",
+    },
+    "study-failure-rate": {
+        "failure_rate.csv":
+            "1b63dcd1f93fcf79239184d0739840cf23574662c58005393a9ea8ffd87e2c06",
+        "failure_rate.meta.json":
+            "9d69ab217bcefd644b01c6804ce552bb0b8c4e786a64f7e91248d071b81c424f",
+    },
+    "study-rcal-frontier": {
+        "rcal_frontier.csv":
+            "5aecaacb5e594690575a2808dc1ab6f8a7e921bffff12cc685562856237133a0",
+        "rcal_frontier.meta.json":
+            "70273543883b00f696280c03e566ae599c45d234d8cc0b7a5f8fd2c33771e230",
+    },
+}
+
+
+def run_case(tmp_path, case):
+    argv, cfg_text = CASES[case]
+    out = tmp_path / case
+    argv = argv + ["--quiet", "--out", str(out)]
+    if cfg_text is not None:
+        cfg = tmp_path / f"{case}.cfg"
+        cfg.write_text(cfg_text, encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    return {
+        name: sha256_of(os.path.join(out, name))
+        for name in sorted(os.listdir(out))
+        if name.endswith((".csv", ".json")) and name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_hashes(tmp_path, case):
+    assert run_case(tmp_path, case) == GOLDEN[case]

@@ -197,7 +197,7 @@ def test_sample_receiver_deterministic():
         assert inv_a.extrinsic_error == inv_b.extrinsic_error
     for br_a, br_b in zip(a.branches, b.branches):
         np.testing.assert_array_equal(
-            br_a.gm_elements.realized, br_b.gm_elements.realized
+            br_a.elements.realized, br_b.elements.realized
         )
     assert seeded_sample(4).phases.clock_networks[0].extrinsic_error != (
         a.phases.clock_networks[0].extrinsic_error
@@ -210,7 +210,7 @@ def test_sample_receiver_starts_balanced():
     for inv in s.phases.clock_networks + s.phases.rise_networks:
         assert inv.selection.k == k
     for br in s.branches:
-        assert br.gm_selection.k == k
+        assert br.selection.k == k
 
 
 def test_duty_error_budget():
@@ -274,7 +274,7 @@ def test_effective_lo_is_sum_of_branch_contributions():
                 s,
                 branches=tuple(
                     dataclasses.replace(
-                        br, gm_extrinsic_error=(br.gm_extrinsic_error if j == bi else -1.0)
+                        br, extrinsic_error=(br.extrinsic_error if j == bi else -1.0)
                     )
                     for j, br in enumerate(s.branches)
                 ),
@@ -325,7 +325,7 @@ def test_degenerate_receiver_raises():
     dead = dataclasses.replace(
         s,
         branches=tuple(
-            dataclasses.replace(br, gm_extrinsic_error=-1.0) for br in s.branches
+            dataclasses.replace(br, extrinsic_error=-1.0) for br in s.branches
         ),
     )
     with pytest.raises(DegenerateConfigurationError):

@@ -17,19 +17,14 @@ from subsetcal.mismatch import (
     Combination,
     ConfigError,
     ElementSet,
-    Exhaustive,
     Explicit,
     MismatchModel,
-    RandomSearch,
-    TargetWindow,
     Uniform,
     all_subset_sums,
     balanced_combination,
     combination_index_matrix,
     draw_realized,
-    enumerate_combinations,
     find_best,
-    find_in_window,
     membership_matrix,
     nominal_sizes,
     sample_element_set,
@@ -52,15 +47,6 @@ def oracle_best(values, k, target):
         if best_err is None or err < best_err:
             best_combo, best_err = combo, err
     return best_combo, best_err
-
-
-def oracle_window_hits(values, k, center, width):
-    """All combinations whose sum lies in the closed window, lexicographic order."""
-    hits = []
-    for combo in iter_combos(range(len(values)), k):
-        if abs(sum(values[i] for i in combo) - center) <= width / 2:
-            hits.append(combo)
-    return hits
 
 
 def make_set(values):
@@ -203,14 +189,13 @@ def test_combination_counts(n, k):
 
 
 def test_enumeration_order_4_choose_2():
-    combos = enumerate_combinations(4, 2)
-    assert [c.indices for c in combos] == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+    assert combination_index_matrix(4, 2).tolist() == [
+        [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
     ]
 
 
 def test_enumeration_matches_itertools():
-    got = [c.indices for c in enumerate_combinations(7, 3)]
+    got = [tuple(row) for row in combination_index_matrix(7, 3).tolist()]
     assert got == list(iter_combos(range(7), 3))
 
 
@@ -293,72 +278,6 @@ def test_permutation_invariance():
         perm = rng.permutation(10)
         _, res_p = find_best(make_set(values[perm]), 5, target)
         assert abs(res_p) == pytest.approx(abs(res))
-
-
-def test_window_contains_is_closed():
-    w = TargetWindow(1.0, 0.2)
-    assert w.contains(1.1) and w.contains(0.9) and w.contains(1.0)
-    assert not w.contains(1.1000001)
-
-
-def test_find_in_window_exhaustive_first_hit():
-    rng = np.random.default_rng(2718)
-    for _ in range(30):
-        n = int(rng.integers(4, 12))
-        k = int(rng.integers(1, n))
-        values = rng.normal(1.0, 0.06, size=n)
-        center = k * 1.0 + float(rng.normal(0, 0.05))
-        width = abs(float(rng.normal(0, 0.04)))
-        es = make_set(values)
-        got = find_in_window(es, k, TargetWindow(center, width))
-        hits = oracle_window_hits(list(values), k, center, width)
-        if hits:
-            assert got is not None and got.indices == hits[0]
-        else:
-            assert got is None
-
-
-def test_find_in_window_none_iff_best_outside():
-    rng = np.random.default_rng(55)
-    for _ in range(30):
-        values = rng.normal(1.0, 0.05, size=9)
-        es = make_set(values)
-        center, width = 4.0 + float(rng.normal(0, 0.1)), 0.01
-        _, residual = find_best(es, 4, center)
-        got = find_in_window(es, 4, TargetWindow(center, width))
-        assert (got is None) == (abs(residual) > width / 2)
-
-
-def test_find_in_window_boundary_value_counts():
-    es = make_set([1.0, 2.0])
-    # sum 3.0 sits exactly on the upper edge of [2.8, 3.0]
-    got = find_in_window(es, 2, TargetWindow(2.9, 0.2))
-    assert got is not None and got.indices == (0, 1)
-
-
-def test_random_search_finds_hits_and_respects_budget():
-    rng = np.random.default_rng(1234)
-    values = rng.normal(1.0, 0.02, size=12)
-    es = make_set(values)
-    window = TargetWindow(6.0, 0.5)  # generous: most combos qualify
-    got = find_in_window(es, 6, window, RandomSearch(50, np.random.default_rng(1)))
-    assert got is not None
-    assert subset_value(es, got) == pytest.approx(window.center, abs=0.25)
-    # impossible window: budget runs out, returns None
-    assert (
-        find_in_window(es, 6, TargetWindow(99.0, 0.01),
-                       RandomSearch(200, np.random.default_rng(2)))
-        is None
-    )
-
-
-def test_random_search_deterministic_per_seed():
-    values = np.random.default_rng(9).normal(1.0, 0.05, size=10)
-    es = make_set(values)
-    w = TargetWindow(5.0, 0.05)
-    a = find_in_window(es, 5, w, RandomSearch(100, np.random.default_rng(77)))
-    b = find_in_window(es, 5, w, RandomSearch(100, np.random.default_rng(77)))
-    assert (a is None and b is None) or a.indices == b.indices
 
 
 def test_subset_value_validates_range():

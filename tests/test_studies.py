@@ -7,7 +7,6 @@ cross-checked against the public per-sample search API on a reproduced block.
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -21,11 +20,13 @@ from subsetcal.mismatch import (
     Uniform,
     find_best,
 )
+from subsetcal.reporting import FigureDataset, emit_figure
 from subsetcal.studies import (
     BLOCK,
     FixedOffset,
     FrontierEntry,
     GaussianOffset,
+    STUDY_CSV_COLUMNS,
     StudyConfig,
     a_eses_sweep,
     failure_rate,
@@ -34,8 +35,6 @@ from subsetcal.studies import (
     rcal_frontier,
     run_study,
     study_csv_rows,
-    traditional_redundancy_success,
-    write_study_csv,
 )
 
 
@@ -72,14 +71,6 @@ def test_rcal_reference_values():
 def test_rcal_rejects_zero_width():
     with pytest.raises(ConfigError):
         r_cal(1.0, 0.0)
-
-
-def test_traditional_redundancy():
-    assert traditional_redundancy_success(0.01, 100) == pytest.approx(
-        0.63397, abs=5e-6
-    )
-    assert traditional_redundancy_success(1.0, 3) == 1.0
-    assert traditional_redundancy_success(0.0, 50) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +309,19 @@ def test_a_sweep_curves_close_across_scale():
 # ---------------------------------------------------------------------------
 
 
-def test_csv_shape_and_stability():
+def test_csv_shape_and_stability(tmp_path):
     res = run_study(cfg(samples=1000, window_widths=(0.1, 0.5)))
     rows = study_csv_rows(res)
     assert len(rows) == 2
     assert rows[0][0] == "ses" and rows[0][3] == "fixed"
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_study_csv([res], buf1)
-    write_study_csv([res], buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    header = buf1.getvalue().splitlines()[0]
+    dataset = FigureDataset("study", STUDY_CSV_COLUMNS, tuple(rows))
+    first, second = (
+        emit_figure(dataset, str(tmp_path / name))[0] for name in ("a", "b")
+    )
+    with open(first, "rb") as a, open(second, "rb") as b:
+        text = a.read()
+        assert text == b.read()
+    header = text.decode("utf-8").splitlines()[0]
     assert header == (
         "method,d_eses,a_eses,offset_kind,sigma_T,width_over_sigmak,"
         "samples,failures,failure_rate,stderr"

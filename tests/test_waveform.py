@@ -18,7 +18,6 @@ from subsetcal.waveform import (
     combine,
     edge_fourier,
     fourier_coeff,
-    fourier_coeffs,
     product_average,
     square_wave,
 )
