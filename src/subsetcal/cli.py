@@ -20,6 +20,7 @@ study, 1 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable, Optional, Sequence
@@ -850,6 +851,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subsetcal",

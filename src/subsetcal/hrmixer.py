@@ -315,12 +315,19 @@ class HrConfig:
 # ---------------------------------------------------------------------------
 
 
+def _nominal_half(elements: ElementSet, k: int) -> float:
+    """Nominal sum of k elements: the design value of any k-selection."""
+    return float(elements.nominal.mean()) * k
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class TunableInverter:
     """One selectable-width network: delay = base + drive * W_nominal_half/W_selected.
 
     ``extrinsic_error`` is the part of the stage's delay spread the selection
     cannot see (wiring, loading, everything outside the selected widths).
+    ``delay`` and ``deviation`` (from the design point base + drive) are
+    derived once, when the inverter is built.
     """
 
     elements: ElementSet
@@ -328,30 +335,21 @@ class TunableInverter:
     base_delay: float
     drive_coefficient: float
     extrinsic_error: float = 0.0
+    delay: float = dataclasses.field(init=False)
+    deviation: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        if self.delay() <= 0.0:
+        delay = self.base_delay
+        if self.drive_coefficient != 0.0:
+            w_nominal_half = _nominal_half(self.elements, self.selection.k)
+            w_selected = subset_value(self.elements, self.selection)
+            delay += self.drive_coefficient * (w_nominal_half / w_selected)
+        delay += self.extrinsic_error
+        if delay <= 0.0:
             raise ConfigError("inverter delay must stay strictly positive")
-
-    @property
-    def w_nominal_half(self) -> float:
-        return float(self.elements.nominal.mean()) * self.selection.k
-
-    def selected_width(self) -> float:
-        return subset_value(self.elements, self.selection)
-
-    def delay(self) -> float:
-        if self.drive_coefficient == 0.0:
-            return self.base_delay + self.extrinsic_error
-        return (
-            self.base_delay
-            + self.drive_coefficient * (self.w_nominal_half / self.selected_width())
-            + self.extrinsic_error
-        )
-
-    def delay_deviation(self) -> float:
-        """Delay relative to the nominal design point (base + drive)."""
-        return self.delay() - self.base_delay - self.drive_coefficient
+        object.__setattr__(self, "delay", delay)
+        deviation = delay - self.base_delay - self.drive_coefficient
+        object.__setattr__(self, "deviation", deviation)
 
     def with_selection(self, selection: Combination) -> "TunableInverter":
         return dataclasses.replace(self, selection=selection)
@@ -363,49 +361,48 @@ class LoPhaseSet:
 
     Phase p's rise edge error = clock_networks[p % 4] deviation (common to the
     whole differential pair) + rise_networks[p] deviation; fall edges likewise
-    through fall_networks[p].  All errors are seconds.
+    through fall_networks[p].  All errors are seconds, held in the (8,)
+    ``rise_errors`` and ``fall_errors`` arrays built with the set.
     """
 
     clock_networks: tuple[TunableInverter, ...]
     rise_networks: tuple[TunableInverter, ...]
     fall_networks: tuple[TunableInverter, ...]
+    rise_errors: np.ndarray = dataclasses.field(init=False)
+    fall_errors: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.clock_networks) != N_PHASES // 2:
             raise ConfigError("need one clock inverter per differential pair")
         if len(self.rise_networks) != N_PHASES or len(self.fall_networks) != N_PHASES:
             raise ConfigError("need one rise and one fall network per phase")
-
-    def rise_error(self, phase: int) -> float:
-        return (
-            self.clock_networks[phase % 4].delay_deviation()
-            + self.rise_networks[phase].delay_deviation()
-        )
-
-    def fall_error(self, phase: int) -> float:
-        return (
-            self.clock_networks[phase % 4].delay_deviation()
-            + self.fall_networks[phase].delay_deviation()
-        )
+        clock = np.tile([c.deviation for c in self.clock_networks], 2)
+        for name, nets in (("rise", self.rise_networks), ("fall", self.fall_networks)):
+            errors = clock + np.array([net.deviation for net in nets])
+            errors.setflags(write=False)
+            object.__setattr__(self, f"{name}_errors", errors)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class HrBranch:
-    """One mixing branch: differential phase pair + selectable tail current."""
+    """One mixing branch: differential phase pair + selectable tail current;
+    ``ratio`` (selected over nominal tail current) is derived when built."""
 
     lo_phase_index: int
     elements: ElementSet
     selection: Combination
     extrinsic_error: float = 0.0
+    ratio: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.lo_phase_index < N_PHASES // 2:
             raise ConfigError(f"lo_phase_index out of range: {self.lo_phase_index}")
+        i_selected = subset_value(self.elements, self.selection)
+        ratio = i_selected / _nominal_half(self.elements, self.selection.k)
+        object.__setattr__(self, "ratio", ratio)
 
     def gain(self, alpha: float) -> float:
-        i_nominal_half = float(self.elements.nominal.mean()) * self.selection.k
-        i_selected = subset_value(self.elements, self.selection)
-        return (i_selected / i_nominal_half) ** alpha * (1.0 + self.extrinsic_error)
+        return self.ratio**alpha * (1.0 + self.extrinsic_error)
 
     def with_selection(self, selection: Combination) -> "HrBranch":
         return dataclasses.replace(self, selection=selection)
@@ -519,13 +516,7 @@ def ideal_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:
 
 
 def _check_edge_errors(sample: HrReceiverSample, f: float) -> None:
-    worst = 0.0
-    for p in range(N_PHASES):
-        worst = max(
-            worst,
-            abs(sample.phases.rise_error(p)),
-            abs(sample.phases.fall_error(p)),
-        )
+    worst = float(np.abs((sample.phases.rise_errors, sample.phases.fall_errors)).max())
     if worst * f >= 1.0 / 16.0:
         raise ConfigError(
             f"edge timing error {worst:g}s exceeds 1/16 of the {1.0 / f:g}s period"
@@ -551,8 +542,8 @@ def effective_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWaveform:
         branch = sample.branches[bi]
         amp = branch.gain(cfg.gain_alpha) * cfg.weights[pos]
         for phase, sign in ((branch.lo_phase_index, 1.0), (branch.lo_phase_index + 4, -1.0)):
-            rise = (phase / 8.0 + f * sample.phases.rise_error(phase)) % 1.0
-            fall = (phase / 8.0 + 0.5 + f * sample.phases.fall_error(phase)) % 1.0
+            rise = (phase / 8.0 + f * sample.phases.rise_errors[phase]) % 1.0
+            fall = (phase / 8.0 + 0.5 + f * sample.phases.fall_errors[phase]) % 1.0
             waves.append(square_wave(period, rise, fall))
             amps.append(sign * amp)
     return combine(waves, amps)
@@ -656,10 +647,10 @@ def _branch_edges(sample: HrReceiverSample, bi: int, f: float) -> tuple[np.ndarr
     ph = sample.phases
     times = np.array(
         [
-            p / 8.0 + f * ph.rise_error(p),
-            p / 8.0 + 0.5 + f * ph.fall_error(p),
-            p / 8.0 + 0.5 + f * ph.rise_error(p + 4),
-            p / 8.0 + f * ph.fall_error(p + 4),
+            p / 8.0 + f * ph.rise_errors[p],
+            p / 8.0 + 0.5 + f * ph.fall_errors[p],
+            p / 8.0 + 0.5 + f * ph.rise_errors[p + 4],
+            p / 8.0 + f * ph.fall_errors[p + 4],
         ]
     )
     deltas = np.array([1.0, -1.0, -1.0, 1.0])
@@ -711,19 +702,19 @@ def _best_selection(
     times, deltas = _branch_edges(sample, bi, f)
 
     sums = all_subset_sums(knob.elements.realized, cfg.k_selected)
+    nominal_half = _nominal_half(knob.elements, cfg.k_selected)
     if kind == "tail":
-        i_nominal_half = float(knob.elements.nominal.mean()) * cfg.k_selected
-        gains = (sums / i_nominal_half) ** cfg.gain_alpha * (1.0 + knob.extrinsic_error)
+        gains = (sums / nominal_half) ** cfg.gain_alpha * (1.0 + knob.extrinsic_error)
         amp = gains * cfg.weights[own]
     else:
         if knob.drive_coefficient == 0.0:
             devs = np.full(sums.shape, knob.extrinsic_error)
         else:
             devs = (
-                knob.drive_coefficient * (knob.w_nominal_half / sums - 1.0)
+                knob.drive_coefficient * (nominal_half / sums - 1.0)
                 + knob.extrinsic_error
             )
-        shift = devs - knob.delay_deviation()
+        shift = devs - knob.deviation
         if kind != "clock":  # edges are ordered rise p, fall p, rise p+4, fall p+4
             times = np.broadcast_to(times, (shift.size, 4)).copy()
             times[:, 2 * (index // 4) + (kind == "fall")] += f * shift

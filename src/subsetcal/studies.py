@@ -19,7 +19,9 @@ does not depend on the thread count, so results are bit-identical for any
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+# unused here since blocks run through runner.parallel_indexed; kept because
+# perfbench/tracing.py replaces studies.ThreadPoolExecutor when it traces
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -36,6 +38,7 @@ from .mismatch import (
     nominal_sizes,
     sigma_k,
 )
+from .runner import parallel_indexed
 
 __all__ = [
     "BLOCK",
@@ -58,6 +61,9 @@ __all__ = [
 ]
 
 BLOCK = 4096  # samples per random-stream block; fixed, never thread-dependent
+#: most memory one block may take: its subset sums, their offsets from the
+#: target and the absolute offsets, three (rows, C(n,k)) float64 arrays at once
+MAX_BLOCK_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,14 @@ class StudyConfig:
             raise ConfigError("window_widths must not be empty")
         if any(w < 0 for w in self.window_widths):
             raise ConfigError("window widths must be >= 0")
+        if 1 <= self.k <= self.n:
+            rows = min(self.samples, BLOCK)
+            need = 3 * 8 * rows * math.comb(self.n, self.k)
+            if need > MAX_BLOCK_BYTES:
+                raise ConfigError(
+                    f"n={self.n}, k={self.k} needs {need} bytes per block of {rows}"
+                    f" samples, above the {MAX_BLOCK_BYTES}-byte limit"
+                )
 
     @property
     def sigma_k_abs(self) -> float:
@@ -182,11 +196,7 @@ def min_distances(config: StudyConfig, threads: int = 1) -> tuple[np.ndarray, in
     def work(b: int) -> tuple[np.ndarray, int]:
         return _block_distances(config, nominal, sigmas, b, sizes[b])
 
-    if threads <= 1 or n_blocks == 1:
-        parts = [work(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, range(n_blocks)))
+    parts = parallel_indexed(n_blocks, work, threads)
     dist = np.concatenate([p[0] for p in parts])
     resamples = sum(p[1] for p in parts)
     return dist, resamples

@@ -3,10 +3,11 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from subsetcal import cli
+from subsetcal import cli, studies
 from subsetcal.cli import main
 from subsetcal.reporting import sha256_of
 from subsetcal.studies import STUDY_CSV_COLUMNS
@@ -101,6 +102,29 @@ def test_non_finite_float_is_rejected_before_any_output(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not out.exists()
+
+
+def test_study_over_the_memory_bound_is_rejected_before_sampling(
+    tmp_path, capsys, monkeypatch
+):
+    def block_must_not_run(*args, **kwargs):
+        raise AssertionError("a study block ran before the memory bound was checked")
+
+    monkeypatch.setattr(studies, "_block_distances", block_must_not_run)
+    cfg = write_cfg(tmp_path, "big.cfg", "study.n = 20\nstudy.k = 10\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = main(["study", "failure-rate", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    need = 3 * 8 * studies.BLOCK * 184_756  # three (4096, C(20, 10)) float64 arrays
+    assert err.startswith("config error: n=20, k=10 needs") and f"{need} bytes" in err
+    assert not out.exists()
+    assert peak < 16 * 2**20
 
 
 def test_zero_threads_is_rejected(capsys):

@@ -92,7 +92,7 @@ def oracle_output(sample, code):
 
 
 def oracle_deviation(sample, cell, buffer, selection):
-    """delay_deviation() of hrmixer's TunableInverter built from one timing
+    """The deviation of hrmixer's TunableInverter built from one timing
     buffer of the sample (0 delay, 1 tuned duty, 2 fixed duty; base delay
     50 ps) at the given Combination."""
     cfg = sample.config
@@ -103,7 +103,7 @@ def oracle_deviation(sample, cell, buffer, selection):
         nominal_sizes(Arithmetic(1.0, step), cfg.n), sample.widths[cell, buffer]
     )
     extrinsic = float(sample.extrinsic[cell, buffer])
-    return TunableInverter(elements, selection, 50e-12, drive, extrinsic).delay_deviation()
+    return TunableInverter(elements, selection, 50e-12, drive, extrinsic).deviation
 
 
 def oracle_timing_errors(sample):

@@ -7,8 +7,9 @@ drawn, calibrated or read out that moves an output byte fails here.  The
 manifest is left out: it records the output directory, which differs per run.
 
 The ``dac-yield-*`` hashes were recorded from the per-cell converter model
-that preceded the array-form ``DacSample``; the rest from the three-way mixer
-search that preceded the single knob search.
+that preceded the array-form ``DacSample``; ``hr-calibrate-zero-timing`` from
+the mixer that recomputed every inverter delay on each read; the rest from the
+three-way mixer search that preceded the single knob search.
 """
 
 import os
@@ -42,6 +43,12 @@ HR_CFG = """\
 hr.f_list = 150e6, 750e6
 """
 
+# no clock or buffer timing spread: every inverter has drive coefficient 0
+HR_ZERO_TIMING_CFG = HR_CFG + """\
+hr.clock_delay_sigma = 0
+hr.diff_phase_sigma = 0
+"""
+
 DUMP_CFG = """\
 figure.id = fig5.14
 dac.flow = eses
@@ -62,6 +69,7 @@ CASES = {
     "hr-simulate-2": (["hr", "simulate", "--seed", "2"], HR_CFG),
     "hr-calibrate-1": (["hr", "calibrate", "--seed", "1"], HR_CFG),
     "hr-calibrate-2": (["hr", "calibrate", "--seed", "2"], HR_CFG),
+    "hr-calibrate-zero-timing": (["hr", "calibrate", "--seed", "1"], HR_ZERO_TIMING_CFG),
     "hr-sweep-1": (["hr", "sweep", "--seed", "1"], HR_CFG),
     "hr-sweep-2": (["hr", "sweep", "--seed", "2"], HR_CFG),
     "dac-yield-eses": (DAC_YIELD + ["--flow", "eses"], None),
@@ -182,6 +190,14 @@ GOLDEN = {
             "c002380a811cb9bd279dc08b1507086aae310cb0703179ec7969840a66f586ff",
         "hr_calibration.meta.json":
             "2ef14567a355bab2481385f42d03f3008bf8f22f8ad94967d6332ea834dd4d53",
+    },
+    "hr-calibrate-zero-timing": {
+        "hr_calibration.csv":
+            "d7f7aae00827575d4f771b255e1b8cb5490ddb6022d2dd0266d0ecd4c10491c9",
+        "hr_calibration.json":
+            "36b090422e10241f89e5fec31ac50a696a0e710d3f6b22ead7d63da9339065af",
+        "hr_calibration.meta.json":
+            "f2cc551304c3ad55fc802511cabacaeebbaaef400ebfeb36938f71678bfade47",
     },
     "hr-simulate-1": {
         "hr_simulate.csv":

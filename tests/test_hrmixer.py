@@ -64,8 +64,8 @@ def riemann_path_coeff(
         amp = branch.gain(cfg.gain_alpha) * cfg.weights[pos]
         p = branch.lo_phase_index
         for phase, sign in ((p, 1.0), (p + 4, -1.0)):
-            rise = (phase / 8.0 + f * sample.phases.rise_error(phase)) % 1.0
-            fall = (phase / 8.0 + 0.5 + f * sample.phases.fall_error(phase)) % 1.0
+            rise = (phase / 8.0 + f * sample.phases.rise_errors[phase]) % 1.0
+            fall = (phase / 8.0 + 0.5 + f * sample.phases.fall_errors[phase]) % 1.0
             if rise <= fall:
                 mask = (t >= rise) & (t < fall)
             else:
@@ -165,8 +165,8 @@ def test_inverter_delay_model():
         extrinsic_error=1e-12,
     )
     # nominal selection of a uniform set leaves only the extrinsic part
-    assert inv.delay_deviation() == pytest.approx(1e-12, abs=1e-24)
-    assert inv.delay() == pytest.approx(50e-12 + 4.5e-10 + 1e-12, rel=1e-12)
+    assert inv.deviation == pytest.approx(1e-12, abs=1e-24)
+    assert inv.delay == pytest.approx(50e-12 + 4.5e-10 + 1e-12, rel=1e-12)
 
 
 def _unit_elements():
@@ -221,7 +221,7 @@ def test_duty_error_budget():
     for i in range(400):
         s = seeded_sample(i, cfg)
         for p in range(8):
-            vals.append(s.phases.rise_error(p) - s.phases.fall_error(p))
+            vals.append(s.phases.rise_errors[p] - s.phases.fall_errors[p])
     # rise/fall share the clock term, so the difference isolates the two
     # buffer networks: variance = 2 * (diff_phase_sigma^2 / 2)
     assert np.std(vals) == pytest.approx(cfg.diff_phase_sigma, rel=0.05)
@@ -380,7 +380,7 @@ def test_even_cal_is_noop_on_ideal_receiver():
     out, report = calibrate_even_order(s)
     assert hrr(out, "I", 2, out.config.f0) == math.inf
     for inv in out.phases.rise_networks + out.phases.fall_networks:
-        assert inv.delay_deviation() == 0.0
+        assert inv.deviation == 0.0
 
 
 def test_even_cal_properties(calibrated_population, default_config):
@@ -426,7 +426,7 @@ def test_odd_cal_is_noop_on_ideal_receiver():
     assert hrr(out, "I", 3, 750e6) == math.inf
     assert hrr(out, "I", 5, 750e6) == math.inf
     for inv in out.phases.clock_networks:
-        assert inv.delay_deviation() == 0.0
+        assert inv.deviation == 0.0
     for br in out.branches:
         assert br.gain(out.config.gain_alpha) == pytest.approx(1.0, abs=1e-15)
 
@@ -504,3 +504,89 @@ def test_sweep_caps_infinite_values():
     s = ideal_receiver()
     points = sweep_hrr(s, [750e6], [3])
     assert points[0].hrr_db == HRR_DB_CAP
+
+
+# ---------------------------------------------------------------------------
+# derived state: stored values against a from-scratch recomputation
+# ---------------------------------------------------------------------------
+
+
+def scratch_delay(inv: TunableInverter) -> float:
+    """delay = base + drive * W_nominal_half/W_selected + extrinsic, from the
+    inverter's elements and selection alone."""
+    if inv.drive_coefficient == 0.0:
+        return inv.base_delay + inv.extrinsic_error
+    w_nominal_half = float(inv.elements.nominal.mean()) * inv.selection.k
+    w_selected = float(inv.elements.realized[list(inv.selection.indices)].sum())
+    delay = inv.base_delay + inv.drive_coefficient * (w_nominal_half / w_selected)
+    return delay + inv.extrinsic_error
+
+
+def scratch_gain(branch, alpha: float) -> float:
+    i_nominal_half = float(branch.elements.nominal.mean()) * branch.selection.k
+    i_selected = float(branch.elements.realized[list(branch.selection.indices)].sum())
+    return (i_selected / i_nominal_half) ** alpha * (1.0 + branch.extrinsic_error)
+
+
+def assert_state_matches_scratch(sample: HrReceiverSample) -> None:
+    ph = sample.phases
+    deviations = {}
+    for inv in ph.clock_networks + ph.rise_networks + ph.fall_networks:
+        delay = scratch_delay(inv)
+        assert inv.delay == delay
+        assert inv.deviation == delay - inv.base_delay - inv.drive_coefficient
+        deviations[id(inv)] = inv.deviation
+    for p in range(8):
+        clock = deviations[id(ph.clock_networks[p % 4])]
+        assert ph.rise_errors[p] == clock + deviations[id(ph.rise_networks[p])]
+        assert ph.fall_errors[p] == clock + deviations[id(ph.fall_networks[p])]
+    for br in sample.branches:
+        assert br.gain(sample.config.gain_alpha) == scratch_gain(br, sample.config.gain_alpha)
+
+
+def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
+    # every step measures its trial receiver, so checking each measured
+    # receiver covers every trial and every committed state
+    from subsetcal import hrmixer
+
+    checked = []
+
+    def checking(original):
+        def measure(sample, *args):
+            assert_state_matches_scratch(sample)
+            checked.append(sample)
+            return original(sample, *args)
+
+        return measure
+
+    for name in ("measure_harmonic_power", "_branch_objective"):
+        monkeypatch.setattr(hrmixer, name, checking(getattr(hrmixer, name)))
+    steps = 0
+    for i in range(4):
+        s = seeded_sample(i)
+        assert_state_matches_scratch(s)
+        s, even = calibrate_even_order(s)
+        s, odd = calibrate_odd_order(s, s.config.f0, s.config.f_low)
+        assert_state_matches_scratch(s)
+        assert any(st.objective_after < st.objective_before for st in even.steps + odd.steps)
+        steps += len(even.steps) + len(odd.steps)
+    assert len(checked) > steps > 4 * 50
+
+
+def test_with_selection_rebuilds_derived_values():
+    from subsetcal.mismatch import Combination
+
+    s = seeded_sample(5)
+    other = Combination((0, 1, 2, 3, 4, 5))
+    inv = s.phases.rise_networks[2]
+    moved = inv.with_selection(other)
+    assert moved.selection == other
+    assert moved.delay == scratch_delay(moved) != inv.delay
+    assert moved.deviation == moved.delay - moved.base_delay - moved.drive_coefficient
+    assert moved.deviation != inv.deviation
+    branch = s.branches[1]
+    alpha = s.config.gain_alpha
+    retuned = branch.with_selection(other)
+    assert retuned.gain(alpha) == scratch_gain(retuned, alpha) != branch.gain(alpha)
+    with pytest.raises(ValueError):
+        s.phases.rise_errors[0] = 0.0  # stored errors are read-only

@@ -73,6 +73,14 @@ def test_rcal_rejects_zero_width():
         r_cal(1.0, 0.0)
 
 
+def test_memory_bound_counts_the_block_working_set():
+    cfg(n=12, k=6, samples=10 * BLOCK)  # the configs/ catalog: n = 12, k = 6
+    cfg(n=15, k=7, samples=BLOCK)  # 3 * 8 * 4096 * 6435 bytes, under 1 GiB
+    cfg(n=20, k=10, samples=50)  # a short study needs only a short block
+    with pytest.raises(ConfigError, match=r"n=16, k=8 needs 1265172480 bytes"):
+        cfg(n=16, k=8, samples=BLOCK)  # 3 * 8 * 4096 * 12870 bytes
+
+
 # ---------------------------------------------------------------------------
 # analytic failure-rate oracles (tiny n, k)
 # ---------------------------------------------------------------------------
