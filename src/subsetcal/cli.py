@@ -847,7 +847,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--samples", type=int, help="sample-count override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads (at most the tasks and the usable cores)",
+    )
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
 
 

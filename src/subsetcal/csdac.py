@@ -26,6 +26,7 @@ Currents are amperes, times are seconds throughout.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from .mismatch import (
     Combination,
     ConfigError,
     DegenerateConfigurationError,
-    ElementSet,
     Explicit,
     MismatchModel,
     SizingScheme,
@@ -50,9 +50,7 @@ from .mismatch import (
     draw_realized,
     membership_matrix,
     nominal_sizes,
-    sample_element_set,
     scheme_center,
-    subset_value,
 )
 from .runner import parallel_indexed, sample_substream
 from .waveform import EdgeWaveform, product_average, square_wave
@@ -66,6 +64,7 @@ __all__ = [
     "dac_output",
     "transfer_curve",
     "LinearityReport",
+    "LinearityMaxima",
     "linearity",
     "linearity_from_curve",
     "amplitude_residuals",
@@ -240,13 +239,14 @@ class DacConfig(_LsbBank):
 
 
 class _CellDesign(NamedTuple):
-    """What every cell of a config shares: (4, n) nominal sizes and sigmas of
-    the amplitude set and the three buffers' widths; per buffer the extrinsic
-    sigma, drive and k times the mean nominal width; the balanced row."""
+    """What every cell of a config shares: the nominal sizes and sigmas of one
+    cell's draw (amplitude set, then per buffer its widths and extrinsic
+    error), broadcast to (n_ucc, 4n + 3), and that draw's layout; per buffer
+    the drive and k times the mean nominal width; the balanced row."""
 
     nominal: np.ndarray
     sigmas: np.ndarray
-    extrinsic_sigmas: np.ndarray
+    layout: tuple[tuple[int, bool], ...]
     drives: np.ndarray
     halves: np.ndarray
     balanced: int
@@ -256,21 +256,59 @@ class _CellDesign(NamedTuple):
 def _cell_design(cfg: DacConfig) -> _CellDesign:
     steps = (cfg.delay_step, cfg.duty_step, cfg.duty_step)
     widths = np.stack([nominal_sizes(Arithmetic(1.0, step), cfg.n) for step in steps])
+    width_sigmas = MismatchModel(_TIMING_REL_SIGMA, 1.0).element_sigmas(widths)
+    extrinsic_sigmas = [cfg.delay_extrinsic_sigma] + 2 * [cfg.duty_extrinsic_sigma]
     amplitude = nominal_sizes(cfg.ucc_sub_scheme, cfg.n)
+    nominal = [amplitude] + [np.append(w, 0.0) for w in widths]
+    sigmas = [cfg.sub_model.element_sigmas(amplitude)]
+    sigmas += [np.append(w, s) for w, s in zip(width_sigmas, extrinsic_sigmas)]
+    shape = (cfg.n_ucc, 4 * cfg.n + 3)
     arrays = (
-        np.vstack([amplitude, widths]),
-        np.vstack([
-            cfg.sub_model.element_sigmas(amplitude),
-            MismatchModel(_TIMING_REL_SIGMA, 1.0).element_sigmas(widths),
-        ]),
-        np.array([cfg.delay_extrinsic_sigma] + 2 * [cfg.duty_extrinsic_sigma]),
+        np.broadcast_to(np.concatenate(nominal), shape),
+        np.broadcast_to(np.concatenate(sigmas), shape),
         np.array([cfg.delay_drive] + 2 * [cfg.duty_drive]),
         widths.mean(axis=1) * cfg.k,
     )
     for array in arrays:  # shared by every caller
         array.setflags(write=False)
     rows = combination_index_matrix(cfg.n, cfg.k).tolist()
-    return _CellDesign(*arrays, rows.index(list(balanced_combination(cfg.n, cfg.k).indices)))
+    balanced = rows.index(list(balanced_combination(cfg.n, cfg.k).indices))
+    layout = ((cfg.n, True),) + 3 * ((cfg.n, True), (1, False))
+    return _CellDesign(arrays[0], arrays[1], layout, arrays[2], arrays[3], balanced)
+
+
+def _draw_units(
+    nominal: np.ndarray,
+    sigmas: np.ndarray,
+    layout: Sequence[tuple[int, bool]],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Realized ``nominal + sigmas * z`` over (units, columns) arrays.
+
+    ``layout`` splits each unit's columns, in draw order, into runs of
+    (width, is_set): an element set, whose sizes must stay > 0, or
+    unconstrained draws such as extrinsic errors.  All units take one
+    ``standard_normal`` call.  If a set size comes out <= 0, the generator
+    rewinds and draws unit by unit, run by run, each set with
+    ``draw_realized`` (which redraws only the offending elements): the stream
+    a set-by-set draw consumes.
+    """
+    state = rng.bit_generator.state
+    values = nominal + sigmas * rng.standard_normal(nominal.shape)
+    in_set = np.repeat([is_set for _, is_set in layout], [w for w, _ in layout])
+    if not np.any(values[:, in_set] <= 0.0):
+        return values
+    rng.bit_generator.state = state
+    stops = np.cumsum([w for w, _ in layout])
+    runs = [(slice(stop - w, stop), is_set) for (w, is_set), stop in zip(layout, stops)]
+    for u in range(values.shape[0]):
+        for run, is_set in runs:
+            if is_set:
+                values[u, run] = draw_realized(nominal[u, run], sigmas[u, run], rng)[0]
+            else:
+                z = rng.standard_normal(run.stop - run.start)
+                values[u, run] = nominal[u, run] + sigmas[u, run] * z
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,31 +355,21 @@ def sample_dac(config: DacConfig, rng=None) -> DacSample:
 
     Draw order is part of the determinism contract: per cell — amplitude
     elements, delay widths, delay extrinsic, tuned-duty widths and extrinsic,
-    fixed-duty widths and extrinsic; then LSB units bit by bit (bit b consumes
-    2**b unit draws); then the reference's extra unit.  All selections start
-    at the balanced combination.  The cells take one ``standard_normal``
-    call; if a size comes out <= 0, the generator rewinds and draws them set
-    by set with ``draw_realized``, which redraws only the offending elements.
+    fixed-duty widths and extrinsic; then the LSB bank (``_draw_lsb_bank``).
+    All selections start at the balanced combination.  The cells take one
+    ``_draw_units`` call.
     """
     rng = np.random.default_rng(rng)
     cfg = config
-    nominal, sigmas, extrinsic_sigmas, _, _, balanced = _cell_design(cfg)
+    design = _cell_design(cfg)
     n, cells = cfg.n, cfg.n_ucc
-    state = rng.bit_generator.state
-    z = rng.standard_normal(cells * (4 * n + 3)).reshape(cells, 4 * n + 3)
-    buffers = z[:, n:].reshape(cells, 3, n + 1)
-    amplitude = nominal[0] + sigmas[0] * z[:, :n]
-    widths = nominal[1:] + sigmas[1:] * buffers[..., :n]
-    extrinsic = 0.0 + extrinsic_sigmas * buffers[..., n]  # as rng.normal(0.0, s)
-    if np.any(amplitude <= 0.0) or np.any(widths <= 0.0):
-        rng.bit_generator.state = state
-        for c in range(cells):
-            amplitude[c] = draw_realized(nominal[0], sigmas[0], rng)[0]
-            for b in range(3):
-                widths[c, b] = draw_realized(nominal[b + 1], sigmas[b + 1], rng)[0]
-                extrinsic[c, b] = rng.normal(0.0, extrinsic_sigmas[b])
+    values = _draw_units(design.nominal, design.sigmas, design.layout, rng)
+    buffers = values[:, n:].reshape(cells, 3, n + 1)
+    amplitude = np.ascontiguousarray(values[:, :n])
+    widths = np.ascontiguousarray(buffers[..., :n])
+    extrinsic = np.ascontiguousarray(buffers[..., n])
     bits, reference = _draw_lsb_bank(cfg, rng)
-    selection = np.full(cells, balanced)
+    selection = np.full(cells, design.balanced)
     selection.setflags(write=False)
     return DacSample(
         cfg, amplitude, widths, extrinsic, selection, selection, selection, bits, reference
@@ -351,26 +379,28 @@ def sample_dac(config: DacConfig, rng=None) -> DacSample:
 def _draw_lsb_bank(
     bank: _LsbBank, rng: np.random.Generator
 ) -> tuple[tuple[float, ...], float]:
-    """Binary bit currents (bit b = 2**b unit draws) and the reference.
+    """Binary bit currents and the reference, from 2**lsb_bits unit draws.
 
-    Sums use ``math.fsum`` (correctly rounded), so zero-variance draws give
-    bit currents of exactly 2**b units and a reference of exactly 2**lsb_bits
-    units — the nominal UCC current to the last bit.
+    Bit b sums the next 2**b units; the reference sums the bit currents and
+    the last unit.  Sums use ``math.fsum`` (correctly rounded), so
+    zero-variance draws give bit currents of exactly 2**b units and a
+    reference of exactly 2**lsb_bits units — the nominal UCC current to the
+    last bit.
     """
-    unit_nominal, unit_sigma = bank.lsb_unit_nominal, bank.lsb_unit_sigma
-    bits = []
-    for b in range(bank.lsb_bits):
-        draws = rng.normal(unit_nominal, unit_sigma, size=2**b)
-        bits.append(math.fsum(draws))
-    extra_unit = float(rng.normal(unit_nominal, unit_sigma))
-    reference = math.fsum(bits + [extra_unit])
+    units = rng.normal(
+        bank.lsb_unit_nominal, bank.lsb_unit_sigma, size=bank.lsb_levels
+    ).tolist()
+    bits = [math.fsum(units[2**b - 1 : 2 ** (b + 1) - 1]) for b in range(bank.lsb_bits)]
+    reference = math.fsum(bits + [units[-1]])
     return tuple(bits), reference
 
 
 def _selected_sums(realized: np.ndarray, selection: np.ndarray, k: int) -> np.ndarray:
     """Sum of the selected k-subset of every row of ``realized`` (..., n)."""
-    rows = combination_index_matrix(realized.shape[-1], k)[selection]
-    return np.take_along_axis(realized, rows, axis=-1).sum(axis=-1)
+    n = realized.shape[-1]
+    rows = combination_index_matrix(n, k)[selection]
+    rows += np.arange(0, realized.size, n).reshape(selection.shape + (1,))
+    return realized.ravel().take(rows).sum(axis=-1)
 
 
 def ucc_currents(sample: DacSample) -> np.ndarray:
@@ -407,22 +437,26 @@ def dac_output(sample: DacSample, code: int) -> float:
     return total
 
 
+def _lsb_values(lsb_bit_currents: Sequence[float]) -> np.ndarray:
+    """LSB-bank current at every residue code: each code's set bits added to
+    0.0 in ascending order."""
+    values = np.zeros(2 ** len(lsb_bit_currents))
+    for b, bit_current in enumerate(lsb_bit_currents):
+        np.add(values[: 2**b], bit_current, out=values[2**b : 2 ** (b + 1)])
+    return values
+
+
 def _curve_from_levels(
-    segment_currents: Sequence[float], lsb_bit_currents: Sequence[float]
+    segment_currents: Sequence[float], lsb_vals: np.ndarray
 ) -> np.ndarray:
-    """Full transfer curve given per-UCC currents and the LSB bank."""
-    n_lsb_bits = len(lsb_bit_currents)
+    """Full transfer curve given per-UCC currents and the LSB-bank values."""
     msb_cum = np.concatenate(([0.0], np.cumsum(segment_currents)))
-    codes = np.arange(2**n_lsb_bits)
-    lsb_vals = np.zeros(codes.size)
-    for b in range(n_lsb_bits):
-        lsb_vals[(codes >> b) & 1 == 1] += lsb_bit_currents[b]
     return (msb_cum[:, None] + lsb_vals[None, :]).ravel()
 
 
 def transfer_curve(sample: DacSample) -> np.ndarray:
     """Output current at every code, shape (2**resolution,)."""
-    return _curve_from_levels(ucc_currents(sample), sample.lsb_bit_currents)
+    return _curve_from_levels(ucc_currents(sample), _lsb_values(sample.lsb_bit_currents))
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,6 +467,20 @@ class LinearityReport:
     dnl: np.ndarray
     inl_max: float
     dnl_max: float
+
+
+class LinearityMaxima(NamedTuple):
+    """The two endpoint-fit maxima a yield row keeps, in LSB units."""
+
+    inl_max: float
+    dnl_max: float
+
+
+def _check_span(span: float) -> None:
+    if span <= 0.0:
+        raise DegenerateConfigurationError(
+            "transfer curve is non-increasing end to end; no LSB unit exists"
+        )
 
 
 def linearity_from_curve(curve: np.ndarray) -> LinearityReport:
@@ -446,10 +494,7 @@ def linearity_from_curve(curve: np.ndarray) -> LinearityReport:
     if curve.ndim != 1 or curve.size < 2:
         raise ConfigError("transfer curve must be a 1-D array of >= 2 codes")
     span = curve[-1] - curve[0]
-    if span <= 0.0:
-        raise DegenerateConfigurationError(
-            "transfer curve is non-increasing end to end; no LSB unit exists"
-        )
+    _check_span(span)
     unit = span / (curve.size - 1)
     inl = (curve - curve[0]) / unit - np.arange(curve.size)
     dnl = np.zeros_like(curve)
@@ -464,6 +509,83 @@ def linearity_from_curve(curve: np.ndarray) -> LinearityReport:
 
 def linearity(sample: DacSample) -> LinearityReport:
     return linearity_from_curve(transfer_curve(sample))
+
+
+# Half-width, relative to a curve whose levels span about n_codes LSB, of
+# the band below the separable bound in which ``_segment_maxima`` evaluates
+# codes exactly: 2e-9 LSB there, where the bound's rounding error stays
+# below 1e-11 LSB.
+_CANDIDATE_MARGIN = 2e-9
+# More candidate codes than this (ties, a flat curve) read the full curve.
+_MAX_CANDIDATES = 8192
+
+
+def _segment_maxima(
+    segment_currents: Sequence[float], lsb_vals: np.ndarray
+) -> LinearityMaxima:
+    """``linearity_from_curve`` maxima of the curve ``_curve_from_levels``
+    builds, equal as floats, without building it.
+
+    Code (m, l) reads msb_cum[m] + lsb_vals[l], so its INL is a[m] + b[l] up
+    to rounding, with a = (msb_cum - first) / unit - m * levels and b =
+    lsb_vals / unit - l; a DNL step inside a segment is the LSB-bank step,
+    the same in every segment up to rounding.  The per-segment and per-level
+    arrays bound both maxima; only the codes within the margin of a bound
+    are evaluated with the curve's own expressions, and the segment-boundary
+    steps always are.
+    """
+    msb_cum = np.concatenate(([0.0], np.cumsum(segment_currents)))
+    levels, segments = lsb_vals.size, msb_cum.size
+    n_codes = segments * levels
+    first = msb_cum[0] + lsb_vals[0]
+    span = (msb_cum[-1] + lsb_vals[-1]) - first
+    _check_span(span)
+    unit = span / (n_codes - 1)
+    a = (msb_cum - first) / unit - np.arange(0, n_codes, levels)
+    b = lsb_vals / unit - np.arange(levels)
+    a_max, a_min, b_max, b_min = a.max(), a.min(), b.max(), b.min()
+    # every level / unit, first / unit and INL lies within `scale` LSB of 0
+    scale = max(a_max, -a_min) + max(b_max, -b_min) + 2 * n_codes + abs(first / unit)
+    if not math.isfinite(scale):
+        return _curve_maxima(msb_cum, lsb_vals)
+    margin = _CANDIDATE_MARGIN * scale / n_codes
+
+    high, low = a_max + b_max, a_min + b_min
+    bound = max(high, -low)
+    blocks = []  # (segments, levels) whose every pairing is a candidate
+    if high >= bound - margin:
+        blocks.append((a >= a_max - margin, b >= b_max - margin))
+    if -low >= bound - margin:
+        blocks.append((a <= a_min + margin, b <= b_min + margin))
+    blocks = [(ms.nonzero()[0], ls.nonzero()[0]) for ms, ls in blocks]
+
+    steps = np.abs(np.diff(lsb_vals) / unit - 1.0)
+    edges = (msb_cum[1:] + lsb_vals[0]) - (msb_cum[:-1] + lsb_vals[-1])
+    boundary = np.abs(edges / unit - 1.0)
+    boundary_max = boundary.max()
+    inner = (steps >= max(steps.max(), boundary_max) - margin).nonzero()[0] + 1
+
+    candidates = sum(ms.size * ls.size for ms, ls in blocks) + segments * inner.size
+    if candidates > _MAX_CANDIDATES:
+        return _curve_maxima(msb_cum, lsb_vals)
+    inl_max = max(
+        np.abs(
+            ((msb_cum[ms, None] + lsb_vals[ls]) - first) / unit
+            - (ms[:, None] * levels + ls)
+        ).max()
+        for ms, ls in blocks
+    )
+    dnl_max = boundary_max
+    if inner.size:
+        column = msb_cum[:, None]
+        inner_steps = (column + lsb_vals[inner]) - (column + lsb_vals[inner - 1])
+        dnl_max = max(dnl_max, np.abs(inner_steps / unit - 1.0).max())
+    return LinearityMaxima(float(inl_max), float(dnl_max))
+
+
+def _curve_maxima(msb_cum: np.ndarray, lsb_vals: np.ndarray) -> LinearityMaxima:
+    report = linearity_from_curve((msb_cum[:, None] + lsb_vals[None, :]).ravel())
+    return LinearityMaxima(report.inl_max, report.dnl_max)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +609,11 @@ def calibrate_amplitude_eses(sample: DacSample) -> DacSample:
     distance = sample.amplitude @ membership_matrix(sample.config.n, sample.config.k)
     distance -= sample.reference_current
     selection = np.argmin(np.abs(distance, out=distance), axis=1)
-    return dataclasses.replace(sample, amplitude_selection=selection)
+    # Only the amplitude selection changes; the sizes and buffer delays that
+    # ``DacSample.__post_init__`` validates do not, so skip revalidating them.
+    calibrated = copy.copy(sample)
+    object.__setattr__(calibrated, "amplitude_selection", selection)
+    return calibrated
 
 
 def uniform_comparison_config(config: DacConfig) -> DacConfig:
@@ -630,51 +756,72 @@ class SelfHealConfig(_LsbBank):
 
 @dataclass(frozen=True, eq=False)
 class SelfHealSample:
-    """Cells, pooled backups, bias elements, LSB bank, and the reference."""
+    """One self-healing converter instance, held as realized-size arrays.
+
+    ``cells`` (n_ucc, n) holds every cell's elements, ``backups``
+    (backup_ucc_count, n) the pooled spare cells' and ``bias_elements`` (n,)
+    the top-level bias stage's; then the LSB bank and the reference.
+    ``lsb_values`` (2**lsb_bits,) is the LSB-bank current at every residue
+    code, derived once for the pre- and post-heal linearity readings.
+    """
 
     config: SelfHealConfig
-    cells: tuple[ElementSet, ...]
-    backups: tuple[ElementSet, ...]
-    bias_elements: ElementSet
+    cells: np.ndarray
+    backups: np.ndarray
+    bias_elements: np.ndarray
     lsb_bit_currents: tuple[float, ...]
     reference_current: float
+    lsb_values: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.cells) != self.config.n_ucc:
-            raise ConfigError(
-                f"expected {self.config.n_ucc} cells, got {len(self.cells)}"
-            )
-        if len(self.backups) != self.config.backup_ucc_count:
-            raise ConfigError(
-                f"expected {self.config.backup_ucc_count} backups,"
-                f" got {len(self.backups)}"
-            )
+        cfg = self.config
+        shapes = tuple(np.shape(a) for a in (
+            self.cells, self.backups, self.bias_elements, self.lsb_bit_currents
+        ))
+        expected = (
+            (cfg.n_ucc, cfg.n), (cfg.backup_ucc_count, cfg.n), (cfg.n,), (cfg.lsb_bits,)
+        )
+        if shapes != expected:
+            raise ConfigError(f"array shapes {shapes} differ from {expected}")
+        if any(np.any(a <= 0.0) for a in (self.cells, self.backups, self.bias_elements)):
+            raise ConfigError("realized sizes must be strictly positive")
+        values = _lsb_values(self.lsb_bit_currents)
+        values.setflags(write=False)
+        object.__setattr__(self, "lsb_values", values)
+
+
+@lru_cache(maxsize=16)
+def _heal_design(cfg: SelfHealConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(n_ucc + backup_ucc_count + 1, n) nominal sizes and sigmas: the cells,
+    the backups, then the bias elements."""
+    cell = nominal_sizes(Uniform(cfg.sub_nominal), cfg.n)
+    bias = nominal_sizes(Arithmetic(1.0, cfg.bias_step), cfg.n)
+    cell_sigmas = MismatchModel(cfg.sub_sigma, cfg.sub_nominal).element_sigmas(cell)
+    bias_sigmas = MismatchModel(cfg.bias_rel_sigma, 1.0).element_sigmas(bias)
+    sets = cfg.n_ucc + cfg.backup_ucc_count
+    nominal = np.vstack([np.broadcast_to(cell, (sets, cfg.n)), bias])
+    sigmas = np.vstack([np.broadcast_to(cell_sigmas, (sets, cfg.n)), bias_sigmas])
+    for array in (nominal, sigmas):  # shared by every caller
+        array.setflags(write=False)
+    return nominal, sigmas
 
 
 def sample_selfheal(config: SelfHealConfig, rng=None) -> SelfHealSample:
     """Draw one self-healing converter instance.
 
-    Draw order: the 63 cells, then the backup cells, then the bias elements,
-    then the LSB units bit by bit plus the reference's extra unit.  The
-    reference accumulates via ``math.fsum`` so a zero-variance draw lands
+    Draw order: the 63 cells, then the backup cells, then the bias elements
+    (one ``_draw_units`` call, one element set per row), then the LSB bank.
+    The reference accumulates via ``math.fsum`` so a zero-variance draw lands
     exactly on the nominal cell current (the window's closed lower edge).
     """
     rng = np.random.default_rng(rng)
     cfg = config
-    scheme = Uniform(cfg.sub_nominal)
-    model = MismatchModel(cfg.sub_sigma, cfg.sub_nominal)
-    cells = tuple(
-        sample_element_set(scheme, model, cfg.n, rng) for _ in range(cfg.n_ucc)
-    )
-    backups = tuple(
-        sample_element_set(scheme, model, cfg.n, rng)
-        for _ in range(cfg.backup_ucc_count)
-    )
-    bias = sample_element_set(
-        Arithmetic(1.0, cfg.bias_step), MismatchModel(cfg.bias_rel_sigma, 1.0), cfg.n, rng
-    )
+    nominal, sigmas = _heal_design(cfg)
+    realized = _draw_units(nominal, sigmas, ((cfg.n, True),), rng)
     bits, reference = _draw_lsb_bank(cfg, rng)
-    return SelfHealSample(cfg, cells, backups, bias, bits, reference)
+    return SelfHealSample(
+        cfg, realized[: cfg.n_ucc], realized[cfg.n_ucc : -1], realized[-1], bits, reference
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -730,7 +877,7 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
         if attempt > 0:
             row = indices[int(gen.integers(0, n_combos))]
             bias = Combination(tuple(int(i) for i in row))
-        scale = subset_value(sample.bias_elements, bias) / float(cfg.k)
+        scale = _subset_sum(sample.bias_elements, bias) / float(cfg.k)
         backup_pool = list(range(len(sample.backups)))
         selections: list[Combination] = []
         sources: list[int] = []
@@ -751,7 +898,7 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
                 if b >= 0:
                     backups_used.append(b)
                 draws = gen.integers(0, n_combos, size=cfg.cell_trial_limit)
-                sums = elements.realized[indices[draws]].sum(axis=1) * scale
+                sums = elements[indices[draws]].sum(axis=1) * scale
                 in_window = (sums >= window_low) & (sums <= window_high)
                 if in_window.any():
                     hit = int(np.argmax(in_window))
@@ -818,23 +965,26 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
     )
 
 
-def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> LinearityReport:
-    """Static linearity of the healed converter."""
+def _subset_sum(realized: np.ndarray, combination: Combination) -> float:
+    """Sum of the selected elements of one (n,) row, as ``subset_value``
+    adds them: a row sum over a 2-D array adds in another order."""
+    return float(realized[np.asarray(combination.indices, dtype=np.intp)].sum())
+
+
+def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> LinearityMaxima:
+    """Static linearity maxima of the healed converter."""
     if not result.healed:
         raise ConfigError("self-heal run failed; there is no healed converter")
-    curve = _curve_from_levels(result.cell_currents, sample.lsb_bit_currents)
-    return linearity_from_curve(curve)
+    return _segment_maxima(result.cell_currents, sample.lsb_values)
 
 
-def _selfheal_pre_linearity(sample: SelfHealSample) -> LinearityReport:
-    """Linearity before healing: balanced selections, balanced bias."""
+def _selfheal_pre_linearity(sample: SelfHealSample) -> LinearityMaxima:
+    """Linearity maxima before healing: balanced selections, balanced bias."""
     cfg = sample.config
     balanced = balanced_combination(cfg.n, cfg.k)
-    scale = subset_value(sample.bias_elements, balanced) / float(cfg.k)
-    currents = np.array(
-        [subset_value(cell, balanced) * scale for cell in sample.cells]
-    )
-    return linearity_from_curve(_curve_from_levels(currents, sample.lsb_bit_currents))
+    scale = _subset_sum(sample.bias_elements, balanced) / float(cfg.k)
+    currents = [_subset_sum(cell, balanced) * scale for cell in sample.cells]
+    return _segment_maxima(currents, sample.lsb_values)
 
 
 # ---------------------------------------------------------------------------
@@ -982,8 +1132,9 @@ class YieldResult:
 def _amplitude_row(config: DacConfig, master_seed: int, i: int) -> dict:
     rng = sample_substream(master_seed, i)
     sample = sample_dac(config, rng)
-    pre = linearity(sample)
-    post = linearity(calibrate_amplitude_eses(sample))
+    lsb_vals = _lsb_values(sample.lsb_bit_currents)
+    pre = _segment_maxima(ucc_currents(sample), lsb_vals)
+    post = _segment_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
     return {
         "sample_id": i,
         "pre_inl_max": pre.inl_max,

@@ -13,10 +13,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from subsetcal import csdac
 from subsetcal.csdac import (
     DEFAULT_SUB_SCHEME,
     DacConfig,
@@ -59,7 +63,9 @@ from subsetcal.mismatch import (
     draw_realized,
     find_best,
     nominal_sizes,
+    sample_element_set,
     scheme_center,
+    subset_value,
 )
 from subsetcal.runner import sample_substream
 
@@ -155,6 +161,47 @@ def oracle_sample_draws(cfg, rng):
     ]
     extra = float(rng.normal(cfg.lsb_unit_nominal, cfg.lsb_unit_sigma))
     return amplitude, widths, extrinsic, tuple(bits), math.fsum(bits + [extra]), redraws
+
+
+def oracle_selfheal_draws(cfg, rng):
+    """The self-healing converter's draws set by set: each cell, then each
+    backup, then the bias stage with ``sample_element_set``; then the LSB
+    bank bit by bit.  Returns (cells, backups, bias, bits, reference,
+    redraws) with the element sets as ``ElementSet``s."""
+    scheme, model = Uniform(cfg.sub_nominal), MismatchModel(cfg.sub_sigma, cfg.sub_nominal)
+    sets = [
+        sample_element_set(scheme, model, cfg.n, rng)
+        for _ in range(cfg.n_ucc + cfg.backup_ucc_count)
+    ]
+    bias = sample_element_set(
+        Arithmetic(1.0, cfg.bias_step), MismatchModel(cfg.bias_rel_sigma, 1.0), cfg.n, rng
+    )
+    bits = [
+        math.fsum(rng.normal(cfg.lsb_unit_nominal, cfg.lsb_unit_sigma, size=2**b))
+        for b in range(cfg.lsb_bits)
+    ]
+    extra = float(rng.normal(cfg.lsb_unit_nominal, cfg.lsb_unit_sigma))
+    redraws = sum(s.resamples for s in sets) + bias.resamples
+    return (
+        sets[: cfg.n_ucc], sets[cfg.n_ucc :], bias, tuple(bits),
+        math.fsum(bits + [extra]), redraws,
+    )
+
+
+def oracle_lsb_values(bits):
+    """Every residue code's LSB current, accumulated bit by bit over code masks."""
+    codes = np.arange(2 ** len(bits))
+    values = np.zeros(codes.size)
+    for b, bit_current in enumerate(bits):
+        values[(codes >> b) & 1 == 1] += bit_current
+    return values
+
+
+def curve_maxima(currents, bits):
+    """inl_max and dnl_max of the full curve, read by ``linearity_from_curve``."""
+    curve = csdac._curve_from_levels(currents, oracle_lsb_values(bits))
+    report = linearity_from_curve(curve)
+    return report.inl_max, report.dnl_max
 
 
 def oracle_linearity(curve):
@@ -389,6 +436,37 @@ def test_sample_rejects_non_positive_sizes_and_delays():
             dataclasses.replace(calibrate_timing(sample), extrinsic=extrinsic)
 
 
+def test_delays_are_validated_where_timing_can_change(monkeypatch):
+    """Building a sample (``sample_dac``, ``calibrate_timing``) checks every
+    buffer delay; amplitude calibration moves no delay and checks none."""
+    sample = sample_dac(DacConfig(), sample_substream(5, 4))
+    checked = []
+    buffer_delays = csdac._buffer_delays
+
+    def recording(checked_sample):
+        checked.append(checked_sample)
+        return buffer_delays(checked_sample)
+
+    monkeypatch.setattr(csdac, "_buffer_delays", recording)
+    calibrated = calibrate_amplitude_eses(sample)
+    assert checked == []
+    assert calibrated.widths is sample.widths
+    assert calibrated.extrinsic is sample.extrinsic
+    timed = calibrate_timing(sample)
+    assert checked[-1] is timed
+    drawn = sample_dac(DacConfig(), sample_substream(5, 4))
+    assert checked[-1] is drawn
+
+    # every delay below zero: both builders raise, amplitude calibration
+    # (which cannot move a delay) does not look
+    monkeypatch.setattr(csdac, "_BASE_DELAY", -1.0)
+    with pytest.raises(ConfigError, match="delay must stay strictly positive"):
+        sample_dac(DacConfig(), sample_substream(5, 4))
+    with pytest.raises(ConfigError, match="delay must stay strictly positive"):
+        calibrate_timing(sample)
+    calibrate_amplitude_eses(sample)
+
+
 # ---------------------------------------------------------------------------
 # zero-variance converter
 # ---------------------------------------------------------------------------
@@ -527,6 +605,144 @@ def test_linearity_rejects_degenerate_curves():
         linearity_from_curve(np.array([1.0]))
     with pytest.raises(ConfigError):
         linearity_from_curve(np.ones((4, 4)))
+
+
+def test_lsb_values_match_mask_accumulation():
+    for bits in (
+        sample_dac(DacConfig(), sample_substream(5, 6)).lsb_bit_currents,
+        (1.0, 2.0, 4.0),
+        (0.3, 0.1, 0.7, 1e-9, 5.0),
+    ):
+        assert np.array_equal(csdac._lsb_values(bits), oracle_lsb_values(bits))
+
+
+def test_segment_maxima_equal_the_full_curve_on_real_converters():
+    """2 000 readings, each compared with == against ``linearity_from_curve``
+    on the full curve: graded and uniform converters before and after
+    amplitude calibration (seed 5), and self-healing converters before
+    healing (currents from ``subset_value``, as the set-by-set model summed
+    them) and after (seed 6)."""
+    readings = 0
+    for cfg in (DacConfig(), uniform_comparison_config(DacConfig())):
+        for i in range(400):
+            sample = sample_dac(cfg, sample_substream(5, i))
+            lsb_vals = csdac._lsb_values(sample.lsb_bit_currents)
+            for converter in (sample, calibrate_amplitude_eses(sample)):
+                currents = ucc_currents(converter)
+                expected = curve_maxima(currents, sample.lsb_bit_currents)
+                assert csdac._segment_maxima(currents, lsb_vals) == expected
+                readings += 1
+    cfg = SelfHealConfig()
+    balanced = balanced_combination(cfg.n, cfg.k)
+    cell_nominal = np.full(cfg.n, cfg.sub_nominal)
+    bias_nominal = nominal_sizes(Arithmetic(1.0, cfg.bias_step), cfg.n)
+    for i in range(200):
+        rng = sample_substream(6, i)
+        sample = sample_selfheal(cfg, rng)
+        bias = ElementSet(bias_nominal, sample.bias_elements.copy())
+        scale = subset_value(bias, balanced) / float(cfg.k)
+        currents = [
+            subset_value(ElementSet(cell_nominal, cell.copy()), balanced) * scale
+            for cell in sample.cells
+        ]
+        expected = curve_maxima(currents, sample.lsb_bit_currents)
+        assert csdac._selfheal_pre_linearity(sample) == expected
+        result = self_heal_ses(sample, rng)
+        assert result.healed
+        expected = curve_maxima(result.cell_currents, sample.lsb_bit_currents)
+        assert healed_linearity(sample, result) == expected
+        readings += 2
+    assert readings == 2000
+
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, max_examples=60, deadline=None, database=None
+)
+GEOMETRY = st.tuples(st.integers(1, 63), st.integers(1, 8))
+
+
+def assert_segment_maxima_match(currents, bits):
+    lsb_vals = csdac._lsb_values(bits)
+    assert csdac._segment_maxima(currents, lsb_vals) == curve_maxima(currents, bits)
+
+
+@PROPERTY_SETTINGS
+@given(
+    geometry=GEOMETRY,
+    levels=st.lists(st.sampled_from([0.5, 1.0, 1.0, 1.5]), min_size=63, max_size=63),
+    bit_gains=st.lists(st.sampled_from([0.75, 1.0, 1.25]), min_size=8, max_size=8),
+)
+def test_segment_maxima_property_ties(geometry, levels, bit_gains):
+    """Cells and bits from a few exact values: INL bounds and DNL steps tie."""
+    cells, lsb_bits = geometry
+    bits = [gain * 2**b / 2**lsb_bits for b, gain in enumerate(bit_gains[:lsb_bits])]
+    assert_segment_maxima_match(levels[:cells], bits)
+
+
+@PROPERTY_SETTINGS
+@given(current=st.floats(1e-6, 1e-3), cells=st.integers(1, 63), lsb_bits=st.integers(1, 8))
+@example(current=312e-6, cells=63, lsb_bits=8)  # the default converter's geometry
+def test_segment_maxima_property_equal_cells(current, cells, lsb_bits):
+    """Equal cells over an ideal bank: the INL is flat up to rounding, so
+    every code is a candidate and a converter with more codes than
+    ``_MAX_CANDIDATES`` reads the full curve."""
+    bits = [current * 2**b / 2**lsb_bits for b in range(lsb_bits)]
+    with mock.patch.object(csdac, "_curve_maxima", wraps=csdac._curve_maxima) as full_curve:
+        assert_segment_maxima_match([current] * cells, bits)
+    if (cells + 1) * 2**lsb_bits > csdac._MAX_CANDIDATES:
+        full_curve.assert_called_once()
+
+
+@PROPERTY_SETTINGS
+@given(
+    geometry=GEOMETRY,
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.integers(0, 62),
+    jump=st.floats(-0.9, 5.0),
+)
+def test_segment_maxima_property_dominant_step(geometry, seed, cell, jump):
+    """Near-ideal cells and bits, one cell off by ``jump`` of its weight: one
+    boundary DNL step dominates."""
+    cells, lsb_bits = geometry
+    rng = np.random.default_rng(seed)
+    currents = 1.0 + 1e-3 * rng.standard_normal(cells)
+    currents[cell % cells] *= 1.0 + jump
+    bits = (1.0 + 1e-3 * rng.standard_normal(lsb_bits)) * 2.0 ** np.arange(lsb_bits)
+    assert_segment_maxima_match(currents, bits / 2**lsb_bits)
+
+
+@PROPERTY_SETTINGS
+@given(
+    geometry=GEOMETRY,
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.integers(0, 62),
+    drop=st.floats(1.01, 3.0),
+)
+def test_segment_maxima_property_non_monotone_segment(geometry, seed, cell, drop):
+    """One negative cell current: the curve steps down at that boundary while
+    the end-to-end span stays positive (or the reader raises like the curve)."""
+    cells, lsb_bits = geometry
+    rng = np.random.default_rng(seed)
+    currents = 1.0 + 0.05 * rng.standard_normal(cells)
+    currents[cell % cells] = 1.0 - drop
+    bits = (1.0 + 0.05 * rng.standard_normal(lsb_bits)) * 2.0 ** np.arange(lsb_bits)
+    bits = bits / 2**lsb_bits
+    try:
+        expected = curve_maxima(currents, bits)
+    except DegenerateConfigurationError:
+        with pytest.raises(DegenerateConfigurationError):
+            csdac._segment_maxima(currents, csdac._lsb_values(bits))
+        return
+    assert csdac._segment_maxima(currents, csdac._lsb_values(bits)) == expected
+
+
+def test_segment_maxima_reject_a_degenerate_span():
+    bits = csdac._lsb_values([0.25, 0.5])
+    for currents in ([1.0, -2.0], [-1.0], [0.0, 0.0, -1.0]):
+        with pytest.raises(DegenerateConfigurationError, match="non-increasing"):
+            csdac._segment_maxima(currents, bits)
+        with pytest.raises(DegenerateConfigurationError, match="non-increasing"):
+            linearity_from_curve(csdac._curve_from_levels(currents, bits))
 
 
 def test_single_cell_error_lands_at_its_switch_in_code(ideal_sample):
@@ -737,10 +953,51 @@ def test_selfheal_config_validation():
 def test_selfheal_sample_structure():
     cfg = SelfHealConfig()
     sample = sample_selfheal(cfg, sample_substream(61, 0))
-    assert len(sample.cells) == 63
-    assert len(sample.backups) == 4
-    assert sample.bias_elements.n == 16
+    assert sample.cells.shape == (63, 16)
+    assert sample.backups.shape == (4, 16)
+    assert sample.bias_elements.shape == (16,)
+    assert len(sample.lsb_bit_currents) == 8
+    assert sample.lsb_values.shape == (256,)
+    assert not sample.lsb_values.flags.writeable
     assert abs(sample.reference_current - 156.24e-6) < 6 * cfg.ucc_sigma
+
+
+@pytest.mark.parametrize("ucc_sigma", [0.53e-6, 20e-6])
+def test_selfheal_sample_matches_set_by_set_draws(ucc_sigma):
+    """One bulk draw reproduces the set-by-set stream; at ucc_sigma = 20 uA
+    (sub sigma 7.1 uA against 19.5 uA) elements come out <= 0 and the
+    rewind gives exactly what per-set redraws give."""
+    cfg = SelfHealConfig(ucc_sigma=ucc_sigma)
+    total_redraws = 0
+    for i in range(3):
+        sample = sample_selfheal(cfg, sample_substream(73, i))
+        cells, backups, bias, bits, reference, redraws = oracle_selfheal_draws(
+            cfg, sample_substream(73, i)
+        )
+        total_redraws += redraws
+        assert np.array_equal(sample.cells, [s.realized for s in cells])
+        assert np.array_equal(sample.backups, [s.realized for s in backups])
+        assert np.array_equal(sample.bias_elements, bias.realized)
+        assert sample.lsb_bit_currents == bits
+        assert sample.reference_current == reference
+        assert np.array_equal(sample.lsb_values, oracle_lsb_values(bits))
+    assert (total_redraws > 0) == (ucc_sigma > 5e-6)
+
+
+def test_selfheal_sample_rejects_wrong_shapes_and_sizes():
+    sample = sample_selfheal(SelfHealConfig(), sample_substream(73, 5))
+    for field, value in (
+        ("cells", sample.cells[:-1]),
+        ("backups", sample.backups[:, :-1]),
+        ("bias_elements", sample.bias_elements[:-1]),
+        ("lsb_bit_currents", sample.lsb_bit_currents[:-1]),
+    ):
+        with pytest.raises(ConfigError, match="shapes"):
+            dataclasses.replace(sample, **{field: value})
+    cells = sample.cells.copy()
+    cells[3, 4] = 0.0
+    with pytest.raises(ConfigError, match="strictly positive"):
+        dataclasses.replace(sample, cells=cells)
 
 
 def test_zero_variance_heal_hits_every_first_draw():
@@ -775,9 +1032,7 @@ def test_heal_result_satisfies_the_window_and_accounting():
                 sample.cells[source] if source < 63 else sample.backups[source - 63]
             )
             selection = result.selections[ci]
-            recomputed = (
-                float(elements.realized[list(selection.indices)].sum()) * result.scale
-            )
+            recomputed = float(elements[list(selection.indices)].sum()) * result.scale
             assert math.isclose(
                 recomputed, result.cell_currents[ci], rel_tol=1e-12
             )

@@ -9,7 +9,10 @@ manifest is left out: it records the output directory, which differs per run.
 The ``dac-yield-*`` hashes were recorded from the per-cell converter model
 that preceded the array-form ``DacSample``; ``hr-calibrate-zero-timing`` from
 the mixer that recomputed every inverter delay on each read; the rest from the
-three-way mixer search that preceded the single knob search.
+three-way mixer search that preceded the single knob search;
+``dac-self-heal-rewind`` and ``dac-yield-eses-rewind`` from the converters
+that drew each element set with its own call, before the one-call draw and
+its set-by-set rewind.
 """
 
 import os
@@ -58,6 +61,16 @@ dac.dump_sample = 7
 dac.histogram_columns = none
 """
 
+# element sigmas large enough that some sizes come out <= 0 and the draw
+# rewinds to the set-by-set path: about 3 redraws per self-heal converter
+HEAL_REWIND_CFG = """\
+heal.ucc_sigma = 20e-6
+"""
+
+DAC_REWIND_CFG = """\
+dac.sub_sigma = 20e-6
+"""
+
 DAC_YIELD = ["dac", "yield", "--samples", "100", "--seed", "1"]
 
 # case -> (argv without --out/--quiet, config text or None)
@@ -76,7 +89,11 @@ CASES = {
     "dac-yield-ses": (DAC_YIELD + ["--flow", "ses"], None),
     "dac-yield-timing": (DAC_YIELD + ["--flow", "timing"], None),
     "dac-yield-dump": (DAC_YIELD, DUMP_CFG),
+    "dac-yield-eses-rewind": (DAC_YIELD + ["--flow", "eses"], DAC_REWIND_CFG),
     "dac-self-heal": (["dac", "self-heal", "--samples", "100", "--seed", "3"], None),
+    "dac-self-heal-rewind": (
+        ["dac", "self-heal", "--samples", "100", "--seed", "3"], HEAL_REWIND_CFG
+    ),
     "dac-sense": (["dac", "sense"], None),
 }
 
@@ -92,6 +109,18 @@ GOLDEN = {
             "bbdbd1432ff5b696ee8d7bd427d0339671565d6d6f5cede33fa6827ddcac812e",
         "yield_rows.meta.json":
             "f0d26532a6d34c5aa0c16116432ac4c06da80e6b7e80bd6cff24bb6885e6bf8a",
+    },
+    "dac-self-heal-rewind": {
+        "self_heal.csv":
+            "2e2b2dd7e0e76ff9fa7eb493f73e1c50b94c8d2dfe177479a0d4fc56ab44820c",
+        "self_heal.meta.json":
+            "c1e42cf129fb1127772cdb0a3c821cd1a31acad9254951ba8db62ebb6089a27e",
+        "selfheal_trace.json":
+            "75d0fc597dc4c011d022ae9c9564621ee9b64003744b4941434083645c9e1e30",
+        "yield_rows.csv":
+            "1737ea1753cfc0e4dff67c5d5f1f005ae6c960e00c5c7f0ea62614b2181298b6",
+        "yield_rows.meta.json":
+            "b6f3e59e38134abb7820bc73e574c755e4befbc5ecc0bed28affa59eb9b7705e",
     },
     "dac-sense": {
         "sense_sweep.csv":
@@ -128,6 +157,28 @@ GOLDEN = {
             "b44ecd8705b51643050513df21b64cc5460813d916bd6fb4d13c508213b32a8a",
         "yield_rows.csv":
             "747dfb369dac2eb99cac8f31ed7758b0eaf4419fce0f38190d73b26323aef251",
+        "yield_rows.meta.json":
+            "212b3a35722fe4bc3aa97fb6a4ee3be301172dbbbde6f4aa86e7bb14ebf4d804",
+    },
+    "dac-yield-eses-rewind": {
+        "hist_post_dnl_max.csv":
+            "412df93c25c3fea2da2f794fd92b99f165db2d3f7db5a6b311ed92efece6f4bf",
+        "hist_post_dnl_max.meta.json":
+            "4ac240ee557d68f7a1db062cea94911f94445f73db919a9a14ec2d6f9f4dce5e",
+        "hist_post_inl_max.csv":
+            "dcf84d3b79274abf293c74d7a0eb83811084057b0f42280cef1898e6c36ec623",
+        "hist_post_inl_max.meta.json":
+            "20a36bb85e3ecdd592db1ac943e0cce16a3437e5a33e6e37a7a3fb50acbf911e",
+        "hist_pre_dnl_max.csv":
+            "8f57ad9acf55d9d8b6fd03d0e4bd5b8ad866593a11ac9c0403357bd4febd8cb0",
+        "hist_pre_dnl_max.meta.json":
+            "cf367e63b1e0dd7f4765afd86e063020809ab9307969c027f668f608daee25a2",
+        "hist_pre_inl_max.csv":
+            "ea5ff6fc9bb374b5ebb20dd7216844728225411cbd38e98b1f301634d9c0dcc6",
+        "hist_pre_inl_max.meta.json":
+            "6a43991e463aea5daf2fa0d6b6593d574a95368d5f523a5c6c4ab9cecb27e6bd",
+        "yield_rows.csv":
+            "b897a47954b9597e75bcdaf07725fcca87c4da75d989d31716656962500b4cb9",
         "yield_rows.meta.json":
             "212b3a35722fe4bc3aa97fb6a4ee3be301172dbbbde6f4aa86e7bb14ebf4d804",
     },

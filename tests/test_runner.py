@@ -49,7 +49,9 @@ def test_parallel_indexed_thread_count_does_not_change_results():
     )
 
 
-def test_parallel_indexed_clamps_workers_to_tasks(monkeypatch):
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The max_workers of every pool parallel_indexed opens."""
     pools = []
 
     class RecordingExecutor(ThreadPoolExecutor):
@@ -58,6 +60,11 @@ def test_parallel_indexed_clamps_workers_to_tasks(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingExecutor)
+    return pools
+
+
+def test_parallel_indexed_clamps_workers_to_tasks(monkeypatch, recorded_pools):
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 64)
     workers = set()
     lock = threading.Lock()
 
@@ -67,8 +74,19 @@ def test_parallel_indexed_clamps_workers_to_tasks(monkeypatch):
         return i * i
 
     assert parallel_indexed(3, square, threads=8) == [0, 1, 4]
-    assert pools == [3]
+    assert recorded_pools == [3]
     assert 1 <= len(workers) <= 3
+
+
+def test_parallel_indexed_clamps_workers_to_usable_cores(monkeypatch, recorded_pools):
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 2)
+    assert parallel_indexed(50, lambda i: i, threads=10**6) == list(range(50))
+    assert recorded_pools == [2]
+    # one usable core: the calls run inline, no pool
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 1)
+    caller = threading.get_ident()
+    assert parallel_indexed(4, lambda i: threading.get_ident(), threads=8) == [caller] * 4
+    assert recorded_pools == [2]
 
 
 def test_parallel_indexed_empty():
