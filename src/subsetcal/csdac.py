@@ -46,6 +46,7 @@ from .mismatch import (
     SizingScheme,
     Uniform,
     balanced_combination,
+    check_array_bytes,
     combination_index_matrix,
     draw_realized,
     membership_matrix,
@@ -61,13 +62,11 @@ __all__ = [
     "DacSample",
     "sample_dac",
     "ucc_currents",
-    "dac_output",
     "transfer_curve",
     "LinearityReport",
     "LinearityMaxima",
     "linearity",
     "linearity_from_curve",
-    "amplitude_residuals",
     "calibrate_amplitude_eses",
     "uniform_comparison_config",
     "delay_errors",
@@ -120,6 +119,7 @@ class _LsbBank:
             raise ConfigError("msb_bits and lsb_bits must each be >= 1")
         if self.lsb_sigma_factor <= 0.0:
             raise ConfigError("lsb_sigma_factor must be > 0")
+        check_array_bytes("the LSB values", (self.lsb_levels,))
 
     @property
     def n_ucc(self) -> int:
@@ -173,6 +173,8 @@ class DacConfig(_LsbBank):
             raise ConfigError("sigmas must be >= 0")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        check_array_bytes("the cell draw", (self.n_ucc, 4 * self.n + 3))
+        check_array_bytes("the timing product", (self.n_ucc, 2, math.comb(self.n, self.k)))
         nominal_sum = self.k * scheme_center(self.ucc_sub_scheme)
         if abs(nominal_sum - self.ucc_nominal) > 1e-9 * self.ucc_nominal:
             raise ConfigError(
@@ -412,31 +414,6 @@ def ucc_currents(sample: DacSample) -> np.ndarray:
 # Static transfer curve and linearity
 
 
-def dac_output(sample: DacSample, code: int) -> float:
-    """Output current for one code: thermometer MSB decode + binary LSB part.
-
-    Kept as a plain sequential sum — the readable reference semantics the
-    vectorized ``transfer_curve`` must agree with.
-    """
-    if not isinstance(code, (int, np.integer)):
-        raise ConfigError(f"code must be an integer, got {type(code).__name__}")
-    if not 0 <= code < sample.config.n_codes:
-        raise ConfigError(
-            f"code must be in [0, {sample.config.n_codes - 1}], got {code}"
-        )
-    segments = int(code) >> sample.config.lsb_bits
-    residue = int(code) & (sample.config.lsb_levels - 1)
-    combos = combination_index_matrix(sample.config.n, sample.config.k)
-    total = 0.0
-    for cell in range(segments):
-        selected = combos[sample.amplitude_selection[cell]]
-        total += float(sample.amplitude[cell, selected].sum())
-    for b, bit_current in enumerate(sample.lsb_bit_currents):
-        if residue >> b & 1:
-            total += bit_current
-    return total
-
-
 def _lsb_values(lsb_bit_currents: Sequence[float]) -> np.ndarray:
     """LSB-bank current at every residue code: each code's set bits added to
     0.0 in ascending order."""
@@ -592,11 +569,6 @@ def _curve_maxima(msb_cum: np.ndarray, lsb_vals: np.ndarray) -> LinearityMaxima:
 # Amplitude calibration
 
 
-def amplitude_residuals(sample: DacSample) -> np.ndarray:
-    """Per-UCC current minus the sample's realized reference current."""
-    return ucc_currents(sample) - sample.reference_current
-
-
 def calibrate_amplitude_eses(sample: DacSample) -> DacSample:
     """Exhaustive per-UCC subset selection against the reference current.
 
@@ -744,6 +716,8 @@ class SelfHealConfig(_LsbBank):
         if self.backup_ucc_count < 0:
             raise ConfigError("backup_ucc_count must be >= 0")
         self._check_lsb_bank()
+        check_array_bytes("the element draw", (self.n_ucc + self.backup_ucc_count + 1, self.n))
+        check_array_bytes("the combination table", (math.comb(self.n, self.k), self.k))
 
     @property
     def sub_sigma(self) -> float:

@@ -58,7 +58,6 @@ __all__ = [
     "HRR_DB_CAP",
     "sample_receiver",
     "zero_variance_receiver",
-    "ideal_receiver",
     "effective_lo",
     "hrr",
     "measure_harmonic_power",
@@ -496,18 +495,6 @@ def zero_variance_receiver(config: Optional[HrConfig] = None) -> HrReceiverSampl
         diff_phase_sigma=0.0,
     )
     return sample_receiver(cfg, rng=0)
-
-
-def ideal_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:
-    """Zero-variance receiver with exact 1:sqrt(2):1 recombination weights.
-
-    Every harmonic-cancellation condition holds exactly, so HRR3 = HRR5 = inf;
-    useful as the textbook reference point and as a calibration no-op check.
-    """
-    base = config if config is not None else HrConfig()
-    return zero_variance_receiver(
-        dataclasses.replace(base, weights=(1.0, math.sqrt(2.0), 1.0))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "DegenerateConfigurationError",
+    "MAX_ARRAY_BYTES",
+    "check_array_bytes",
     "Uniform",
     "Arithmetic",
     "Explicit",
@@ -50,6 +52,19 @@ class ConfigError(ValueError):
 
 class DegenerateConfigurationError(ValueError):
     """Raised when a sampled state cannot be analyzed (zero carrier, flat curve)."""
+
+
+#: most memory one study block or one converter's array may take
+MAX_ARRAY_BYTES = 1 << 30
+
+
+def check_array_bytes(what: str, shape: tuple[int, ...]) -> None:
+    """Reject a float64 array of ``shape`` above ``MAX_ARRAY_BYTES`` before it exists."""
+    need = 8 * math.prod(shape)
+    if need > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"{what} {shape} needs {need} bytes, above the {MAX_ARRAY_BYTES}-byte limit"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,11 @@ class RunManifest:
     artifacts: dict
 
 
-def write_manifest(manifest: RunManifest, paths: Sequence[str]) -> str:
-    """Hash the artifact files and write ``manifest.json`` next to them."""
+def write_manifest(
+    manifest: RunManifest, paths: Sequence[str], directory: Optional[str] = None
+) -> str:
+    """Hash the artifact files and write ``manifest.json`` into ``directory``
+    (by default ``manifest.out_dir``)."""
     artifacts = dict(manifest.artifacts)
     for path in paths:
         artifacts[os.path.basename(path)] = sha256_of(path)
@@ -155,4 +158,4 @@ def write_manifest(manifest: RunManifest, paths: Sequence[str]) -> str:
         "out_dir": manifest.out_dir,
         "artifacts": artifacts,
     }
-    return emit_json(payload, os.path.join(manifest.out_dir, "manifest.json"))
+    return emit_json(payload, os.path.join(directory or manifest.out_dir, "manifest.json"))

@@ -11,16 +11,18 @@ sigma to be corrected, sqrt(1 + sigma_T^2) * sigma_k, to the equivalent
 quantization sigma of a uniform residual over the window, width / sqrt(12).
 
 Determinism: sampling is partitioned into fixed blocks of ``BLOCK`` samples;
-block b draws from ``SeedSequence(master_seed, spawn_key=(b,))``.  The partition
-does not depend on the thread count, so results are bit-identical for any
-``threads`` value, and all widths of one study are evaluated on one population.
+block b draws from ``SeedSequence(master_seed, spawn_key=(b,))``, and all widths
+of one study are evaluated on one population.  Blocks run one after another:
+the subset-sum product that dominates a block already runs on OpenBLAS's own
+threads, and a thread pool on top of it measured slower and doubled the peak
+memory.
 """
 
 from __future__ import annotations
 
 import math
-# unused here since blocks run through runner.parallel_indexed; kept because
-# perfbench/tracing.py replaces studies.ThreadPoolExecutor when it traces
+# unused here since blocks run in sequence; kept because perfbench/tracing.py
+# replaces studies.ThreadPoolExecutor when it traces
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -28,17 +30,19 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .mismatch import (
+    MAX_ARRAY_BYTES,
     Arithmetic,
     ConfigError,
+    Explicit,
     MismatchModel,
     SizingScheme,
     Uniform,
     draw_realized,
     membership_matrix,
     nominal_sizes,
+    scheme_center,
     sigma_k,
 )
-from .runner import parallel_indexed
 
 __all__ = [
     "BLOCK",
@@ -52,7 +56,6 @@ __all__ = [
     "InfeasibleStudyError",
     "min_distances",
     "run_study",
-    "failure_rate",
     "r_cal",
     "rcal_frontier",
     "a_eses_sweep",
@@ -61,9 +64,6 @@ __all__ = [
 ]
 
 BLOCK = 4096  # samples per random-stream block; fixed, never thread-dependent
-#: most memory one block may take: its subset sums, their offsets from the
-#: target and the absolute offsets, three (rows, C(n,k)) float64 arrays at once
-MAX_BLOCK_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,14 @@ class StudyConfig:
         if any(w < 0 for w in self.window_widths):
             raise ConfigError("window widths must be >= 0")
         if 1 <= self.k <= self.n:
+            # a block's subset sums, their offsets from the target and the
+            # absolute offsets: three (rows, C(n,k)) float64 arrays at once
             rows = min(self.samples, BLOCK)
             need = 3 * 8 * rows * math.comb(self.n, self.k)
-            if need > MAX_BLOCK_BYTES:
+            if need > MAX_ARRAY_BYTES:
                 raise ConfigError(
                     f"n={self.n}, k={self.k} needs {need} bytes per block of {rows}"
-                    f" samples, above the {MAX_BLOCK_BYTES}-byte limit"
+                    f" samples, above the {MAX_ARRAY_BYTES}-byte limit"
                 )
 
     @property
@@ -141,12 +143,6 @@ class StudyResult:
     config: StudyConfig
     rows: tuple[WidthResult, ...]
     resamples: int  # non-positive redraws across the whole run (diagnostic)
-
-    def row_for(self, width: float) -> WidthResult:
-        for row in self.rows:
-            if row.width == width:
-                return row
-        raise KeyError(f"no row for width {width}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,7 @@ def _block_distances(
     return dist, resamples
 
 
-def min_distances(config: StudyConfig, threads: int = 1) -> tuple[np.ndarray, int]:
+def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
     """Per-sample distance from the best subset sum to the target, absolute units.
 
     Returns (distances, resample_count).  Every window width of the study is a
@@ -188,40 +184,24 @@ def min_distances(config: StudyConfig, threads: int = 1) -> tuple[np.ndarray, in
     nominal = nominal_sizes(config.scheme, config.n)
     sigmas = config.model.element_sigmas(nominal)
     n_blocks = -(-config.samples // BLOCK)
-    sizes = [
-        BLOCK if (b + 1) * BLOCK <= config.samples else config.samples - b * BLOCK
+    parts = [
+        _block_distances(config, nominal, sigmas, b, min(BLOCK, config.samples - b * BLOCK))
         for b in range(n_blocks)
     ]
-
-    def work(b: int) -> tuple[np.ndarray, int]:
-        return _block_distances(config, nominal, sigmas, b, sizes[b])
-
-    parts = parallel_indexed(n_blocks, work, threads)
     dist = np.concatenate([p[0] for p in parts])
     resamples = sum(p[1] for p in parts)
     return dist, resamples
 
 
-def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
+def run_study(config: StudyConfig) -> StudyResult:
     """Failure rate of in-window calibration for every configured window width."""
-    dist, resamples = min_distances(config, threads)
+    dist, resamples = min_distances(config)
     sk = config.sigma_k_abs
     rows = []
     for w in config.window_widths:
         failures = int(np.count_nonzero(dist > (w * sk) / 2.0))
         rows.append(WidthResult(width=w, samples=config.samples, failures=failures))
     return StudyResult(config=config, rows=tuple(rows), resamples=resamples)
-
-
-def failure_rate(
-    config: StudyConfig, width: Optional[float] = None, threads: int = 1
-) -> float:
-    """Convenience scalar query: failure rate at one window width."""
-    if width is not None:
-        config = replace(config, window_widths=(width,))
-    elif len(config.window_widths) != 1:
-        raise ConfigError("failure_rate without width needs a single-width config")
-    return run_study(config, threads).rows[0].failure_rate
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +242,6 @@ def rcal_frontier(
     d_candidates: Sequence[float],
     width_grid: Sequence[float],
     yield_floor: float = 0.99,
-    threads: int = 1,
 ) -> list[FrontierEntry]:
     """Best achievable r_cal versus offset spread, searching step and width.
 
@@ -277,7 +256,9 @@ def rcal_frontier(
     widths = tuple(sorted(set(float(w) for w in width_grid)))
     if any(w <= 0 for w in widths):
         raise ConfigError("frontier width grid must be strictly positive")
-    center = _scheme_center_for_steps(template.scheme)
+    if isinstance(template.scheme, Explicit):
+        raise ConfigError("frontier template needs a Uniform or Arithmetic scheme")
+    center = scheme_center(template.scheme)
     sk = template.sigma_k_abs
     max_fail = 1.0 - yield_floor
     out = []
@@ -291,7 +272,7 @@ def rcal_frontier(
                 offset=GaussianOffset(float(st)),
                 window_widths=widths,
             )
-            result = run_study(cfg, threads)
+            result = run_study(cfg)
             for row in result.rows:  # widths ascend; first feasible is best
                 if row.failure_rate <= max_fail:
                     rc = r_cal(float(st), row.width)
@@ -311,14 +292,6 @@ def rcal_frontier(
                 )
             )
     return out
-
-
-def _scheme_center_for_steps(scheme: SizingScheme) -> float:
-    if isinstance(scheme, Uniform):
-        return scheme.width
-    if isinstance(scheme, Arithmetic):
-        return scheme.mean
-    raise ConfigError("frontier template needs a Uniform or Arithmetic scheme")
 
 
 def a_eses_sweep(

@@ -90,9 +90,6 @@ class EdgeWaveform:
         order = np.argsort(t, kind="stable")
         return EdgeWaveform(self.period, t[order], self.levels[order], self.dc)
 
-    def scaled(self, gain: float) -> "EdgeWaveform":
-        return EdgeWaveform(self.period, self.times, self.levels * gain, self.dc * gain)
-
 
 def square_wave(
     period: float, rise_frac: float, fall_frac: float, low: float = 0.0, high: float = 1.0

@@ -44,7 +44,6 @@ from subsetcal.hrmixer import (
     calibrate_even_order,
     calibrate_odd_order,
     hrr,
-    ideal_receiver,
     sample_receiver,
     sweep_hrr,
     zero_variance_receiver,
@@ -60,6 +59,8 @@ from subsetcal.studies import (
     rcal_frontier,
     run_study,
 )
+
+from oracles import ideal_receiver
 
 THREADS = 4
 F0 = HrConfig().f0
@@ -213,7 +214,7 @@ def test_c02_window_failure_regimes():
             n=12, k=6, scheme=scheme, model=model, window_widths=widths,
             offset=offset, samples=1_000_000, master_seed=1,
         )
-        return run_study(cfg, threads=THREADS).rows
+        return run_study(cfg).rows
 
     graded_small = rates(Arithmetic(1.0, 0.25 * sk), GaussianOffset(0.25), (0.03,))
     graded_wide = rates(Arithmetic(1.0, 0.5 * sk), GaussianOffset(2.0), (0.07,))
@@ -266,7 +267,6 @@ def test_c03_resolution_frontier():
         d_candidates=(0.25, 0.5, 1.0, 1.5, 2.0, 2.65),
         width_grid=(0.0576, 0.0911, 0.1288, 0.2078, 0.2881, 0.369, 1.0414),
         yield_floor=0.99,
-        threads=THREADS,
     )
     elapsed = time.time() - start
     assert elapsed < 900.0, f"frontier took {elapsed:.0f}s"

@@ -7,9 +7,9 @@ import tracemalloc
 
 import pytest
 
-from subsetcal import cli, studies
+from subsetcal import cli, reporting, studies
 from subsetcal.cli import main
-from subsetcal.reporting import sha256_of
+from subsetcal.reporting import emit_json, sha256_of
 from subsetcal.studies import STUDY_CSV_COLUMNS
 
 
@@ -65,6 +65,63 @@ def test_unknown_keys_are_listed_sorted(tmp_path, capsys):
     assert main(["study", "failure-rate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "study.aaa, study.zzz" in err
+
+
+_STUDY_KEYS = ("figure.id", "study.k", "study.n", "study.samples", "study.seed")
+_HR_KEYS = (
+    "figure.id", "hr.clock_delay_sigma", "hr.diff_phase_sigma", "hr.element_rel_sigma",
+    "hr.f0", "hr.f_list", "hr.f_low", "hr.gain_sigma", "hr.harmonics", "hr.iterations",
+    "hr.k", "hr.n", "hr.path", "hr.seed", "hr.weights",
+)
+_HEAL_KEYS = (
+    "dac.bins", "dac.histogram_columns", "dac.samples", "dac.seed", "figure.id",
+    "heal.backup_ucc_count", "heal.bias_rel_sigma", "heal.bias_step",
+    "heal.cell_trial_limit", "heal.i_tiny", "heal.k", "heal.lsb_bits",
+    "heal.lsb_sigma_factor", "heal.msb_bits", "heal.n", "heal.sub_nominal",
+    "heal.toplevel_trial_limit", "heal.ucc_sigma",
+)
+
+# every subcommand's config keys, as its "unknown config keys" error lists them
+KNOWN_KEYS = {
+    "study failure-rate": _STUDY_KEYS + (
+        "study.center", "study.d_list", "study.offset_kind", "study.offsets",
+        "study.rel_sigma", "study.widths",
+    ),
+    "study rcal-frontier": _STUDY_KEYS + (
+        "frontier.d_candidates", "frontier.sigma_t_list", "frontier.width_grid",
+        "frontier.yield_floor", "study.center", "study.rel_sigma",
+    ),
+    "study a-sweep": _STUDY_KEYS + (
+        "sweep.a_values", "sweep.center_sigma", "sweep.offset", "sweep.offset_kind",
+        "sweep.step_abs", "sweep.widths",
+    ),
+    "hr simulate": _HR_KEYS,
+    "hr calibrate": _HR_KEYS,
+    "hr sweep": _HR_KEYS,
+    "dac yield": _HEAL_KEYS + (
+        "dac.delay_sigma", "dac.dump_sample", "dac.duty_sigma", "dac.flow", "dac.k",
+        "dac.lsb_bits", "dac.lsb_sigma_factor", "dac.msb_bits", "dac.n",
+        "dac.resolution", "dac.sub_center", "dac.sub_sigma", "dac.sub_step",
+        "dac.ucc_nominal",
+    ),
+    "dac self-heal": _HEAL_KEYS + ("dac.trace_sample",),
+    "dac sense": (
+        "figure.id", "sense.amplitude", "sense.amplitude_error_max", "sense.f_meas",
+        "sense.gain", "sense.points", "sense.timing_error_max",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(KNOWN_KEYS))
+def test_unknown_key_error_lists_every_known_key(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "bad.cfg", "zz.unknown = 1\n")
+    out = tmp_path / "out"
+    assert main(command.split() + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config keys: zz.unknown (known: ")
+    listed = err.rstrip().removesuffix(")").split("(known: ")[1].split(", ")
+    assert listed == sorted(KNOWN_KEYS[command])
+    assert not out.exists()
 
 
 def test_duplicate_key_is_rejected(tmp_path, capsys):
@@ -123,6 +180,34 @@ def test_study_over_the_memory_bound_is_rejected_before_sampling(
     err = capsys.readouterr().err
     need = 3 * 8 * studies.BLOCK * 184_756  # three (4096, C(20, 10)) float64 arrays
     assert err.startswith("config error: n=20, k=10 needs") and f"{need} bytes" in err
+    assert not out.exists()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "command, text, need",
+    [
+        ("yield", "dac.lsb_bits = 30\ndac.resolution = 36\n", 8 * 2**30),
+        ("yield", "dac.msb_bits = 30\ndac.resolution = 38\n", 8 * (2**30 - 1) * 51),
+        ("yield", "dac.lsb_bits = 27\ndac.resolution = 33\ndac.dump_sample = 0\n", 8 * 2**33),
+        ("self-heal", "heal.msb_bits = 30\n", 8 * (2**30 - 1 + 4 + 1) * 16),
+    ],
+    ids=["lsb-values", "cell-draw", "dump-curve", "self-heal-draw"],
+)
+def test_converter_over_the_memory_bound_is_rejected_before_sampling(
+    tmp_path, capsys, no_study, command, text, need
+):
+    cfg = write_cfg(tmp_path, "big.cfg", text)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = main(["dac", command, "--config", cfg, "--samples", "100", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"needs {need} bytes" in err
     assert not out.exists()
     assert peak < 16 * 2**20
 
@@ -419,3 +504,74 @@ def test_quiet_suppresses_the_summary_line(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["dac", "sense", "--out", out, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# writing the run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("self-heal", "figure.id = yield_rows\n"),
+        ("yield", "figure.id = yield_rows\ndac.histogram_columns = post_inl_max\n"),
+        ("yield", "figure.id = yield_rows\ndac.dump_sample = 3\ndac.histogram_columns = none\n"),
+    ],
+    ids=["self-heal-histogram", "yield-histogram", "yield-dump"],
+)
+def test_two_artifacts_with_one_name_are_rejected_before_writing(
+    tmp_path, capsys, command, text
+):
+    cfg = write_cfg(tmp_path, "clash.cfg", text)
+    out = tmp_path / "out"
+    rc = main(["dac", command, "--config", cfg, "--samples", "100", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "yield_rows.csv" in err
+    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["clash.cfg"]
+
+
+def test_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def emit_json_failing_second(payload, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(f"disk full writing {path}")
+        return emit_json(payload, path)
+
+    # emit_figure writes the meta file through reporting.emit_json, the
+    # calibration report goes through the name cli imported
+    monkeypatch.setattr(reporting, "emit_json", emit_json_failing_second)
+    monkeypatch.setattr(cli, "emit_json", emit_json_failing_second)
+    runs = tmp_path / "runs"
+    out = runs / "out"
+    out.mkdir(parents=True)
+    (out / "earlier.txt").write_text("kept", encoding="utf-8")
+    rc = main(["hr", "calibrate", "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("i/o error: disk full")
+    assert len(calls) == 2
+    assert os.listdir(out) == ["earlier.txt"]
+    assert os.listdir(runs) == ["out"]  # no staging directory left behind
+
+
+def test_rerun_replaces_the_manifest_and_keeps_other_files(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    out = runs / "out"
+    assert main(["hr", "simulate", "--out", str(out), "--quiet", "--seed", "1"]) == 0
+    (out / "earlier.txt").write_text("kept", encoding="utf-8")
+    first = read_json(out / "manifest.json")
+    assert main(["hr", "simulate", "--out", str(out), "--quiet", "--seed", "2"]) == 0
+    assert sorted(os.listdir(out)) == [
+        "earlier.txt", "hr_simulate.csv", "hr_simulate.meta.json", "manifest.json"
+    ]
+    manifest = read_json(out / "manifest.json")
+    assert manifest["master_seed"] == 2
+    assert manifest["artifacts"] != first["artifacts"]
+    for name, digest in manifest["artifacts"].items():
+        assert digest == sha256_of(out / name)
+    assert os.listdir(runs) == ["out"]
+    capsys.readouterr()

@@ -31,10 +31,8 @@ from subsetcal.csdac import (
     SensedCell,
     SensingConfig,
     YIELD_FLOWS,
-    amplitude_residuals,
     calibrate_amplitude_eses,
     calibrate_timing,
-    dac_output,
     delay_errors,
     duty_errors,
     healed_linearity,
@@ -68,6 +66,8 @@ from subsetcal.mismatch import (
     subset_value,
 )
 from subsetcal.runner import sample_substream
+
+from oracles import amplitude_residuals, dac_output
 
 BALANCED_12_6 = balanced_combination(12, 6)
 COMBOS_12_6 = combination_index_matrix(12, 6)

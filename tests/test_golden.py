@@ -4,7 +4,10 @@ Each case runs ``subsetcal`` in-process on a small configuration and compares
 the SHA-256 of every CSV, ``.json`` and ``.meta.json`` it writes with the
 hashes recorded below.  A change to how any study, receiver or converter is
 drawn, calibrated or read out that moves an output byte fails here.  The
-manifest is left out: it records the output directory, which differs per run.
+manifest is checked apart: it records the output directory, which differs per
+run, so its hash is taken over its JSON with ``out_dir`` removed; that pins
+the resolved config, the overrides, the seed, the sample count and the
+thread count every subcommand records.
 
 The ``dac-yield-*`` hashes were recorded from the per-cell converter model
 that preceded the array-form ``DacSample``; ``hr-calibrate-zero-timing`` from
@@ -12,9 +15,13 @@ the mixer that recomputed every inverter delay on each read; the rest from the
 three-way mixer search that preceded the single knob search;
 ``dac-self-heal-rewind`` and ``dac-yield-eses-rewind`` from the converters
 that drew each element set with its own call, before the one-call draw and
-its set-by-set rewind.
+its set-by-set rewind.  The manifest hashes were recorded from the command
+layer that gave each subcommand its own handler and restated the config
+dataclasses' defaults.
 """
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -294,6 +301,28 @@ GOLDEN = {
     },
 }
 
+MANIFEST_GOLDEN = {
+    "dac-self-heal": "8c51e7a6d81032b9ad8f3b290459a76722e875907fc048d5a87bd3a38b231990",
+    "dac-self-heal-rewind": "1bb139e05a49631999379f2ee9ed7f130881115c0af424314dc81444e232c0d3",
+    "dac-sense": "17e437ac61a09c08e939237b9a9dfca16bfc3903023697c32a5985379ec400a7",
+    "dac-yield-dump": "14506a56f1ec8dfa3f0c40e17c6299fb1da8ecb6978cae047484bf4bccbdb07b",
+    "dac-yield-eses": "0eeef1e305aaf341fa60936642775dccf663d4b4f33a54d592f427750e06b504",
+    "dac-yield-eses-rewind": "4abe3007d790a9af8ad582b7f1b0bd14f65ec1e3ec91dc3fa57e2901210bf914",
+    "dac-yield-ses": "47d52c455d33192f632e27e7cb053ed754f6c02f4d48a59a61af53181733097e",
+    "dac-yield-timing": "0ac5b5883a384f42965fedf4b1673fac1090d7735285eadcc4131c64aba53dff",
+    "hr-calibrate-1": "f2c7d223d56b87e9dff080378f71901be4634d47746980acb5f293d670de464b",
+    "hr-calibrate-2": "9224979f9de769ef500d01669a3ec1f6829bbb878edcfb14129f04b9c1e5cdb7",
+    "hr-calibrate-zero-timing":
+        "3d0c24add1e31355bb138b26383c729408459301d79c66bb811a3512a5061049",
+    "hr-simulate-1": "d4843005749c37004b171783f54c7693de4c0fe6d9c9a46e8c27313f374572f6",
+    "hr-simulate-2": "ed7b084419d29461aaa3aa23877155fbda1cdb9c9b538e58dd27431181cfecd8",
+    "hr-sweep-1": "c2fc6cac98ad1509455e57d7795b55c8ce609fd95f5470fb71ecc0596657cbec",
+    "hr-sweep-2": "63e97cf29bccd7ff9b694b5cab3fcc40ffaadefd445802ef0f02af3ff33d666d",
+    "study-a-sweep": "28da9e882e80cacd50f5f74b8c1ea397d46c27bb0f79f2a5d70948f2a8176752",
+    "study-failure-rate": "5a804b89039f5a7102c1e28f256edc684640f15512ca168a6186f8c50cc050e4",
+    "study-rcal-frontier": "2e6f07d977dba3693fcde354695d87aa750bbfd61089217c9b26370d3108a6d4",
+}
+
 
 def run_case(tmp_path, case):
     argv, cfg_text = CASES[case]
@@ -304,13 +333,20 @@ def run_case(tmp_path, case):
         cfg.write_text(cfg_text, encoding="utf-8")
         argv += ["--config", str(cfg)]
     assert main(argv) == 0
-    return {
+    hashes = {
         name: sha256_of(os.path.join(out, name))
         for name in sorted(os.listdir(out))
         if name.endswith((".csv", ".json")) and name != "manifest.json"
     }
+    with open(out / "manifest.json", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    del manifest["out_dir"]
+    text = json.dumps(manifest, sort_keys=True)
+    return hashes, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_hashes(tmp_path, case):
-    assert run_case(tmp_path, case) == GOLDEN[case]
+    hashes, manifest = run_case(tmp_path, case)
+    assert hashes == GOLDEN[case]
+    assert manifest == MANIFEST_GOLDEN[case]

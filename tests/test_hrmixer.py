@@ -32,12 +32,13 @@ from subsetcal.hrmixer import (
     calibrate_odd_order,
     effective_lo,
     hrr,
-    ideal_receiver,
     measure_harmonic_power,
     sample_receiver,
     sweep_hrr,
     zero_variance_receiver,
 )
+
+from oracles import ideal_receiver
 
 
 def closed_form_hrr(weights: tuple[float, float, float], n: int) -> float:

@@ -29,13 +29,14 @@ from subsetcal.studies import (
     STUDY_CSV_COLUMNS,
     StudyConfig,
     a_eses_sweep,
-    failure_rate,
     min_distances,
     r_cal,
     rcal_frontier,
     run_study,
     study_csv_rows,
 )
+
+from oracles import failure_rate
 
 
 def phi(x: float) -> float:
@@ -169,12 +170,18 @@ def test_all_widths_share_one_population_and_are_monotone():
     assert all(row.samples == 30_000 for row in res.rows)
 
 
-def test_thread_count_invariance():
+def test_blocks_are_independent_substreams():
+    # block b depends only on (master_seed, b): a longer study repeats a
+    # shorter one's whole blocks bit for bit, and the first block of a study
+    # is the whole of a one-block study
     c = cfg(samples=3 * BLOCK + 123, window_widths=(0.05, 0.2))
-    d1, r1 = min_distances(c, threads=1)
-    d4, r4 = min_distances(c, threads=4)
-    assert np.array_equal(d1, d4)
-    assert r1 == r4
+    d, r = min_distances(c)
+    d2, r2 = min_distances(cfg(samples=2 * BLOCK, window_widths=(0.05, 0.2)))
+    d1, _ = min_distances(cfg(samples=BLOCK, window_widths=(0.05, 0.2)))
+    assert np.array_equal(d[: 2 * BLOCK], d2)
+    assert np.array_equal(d[:BLOCK], d1)
+    assert d.shape == (3 * BLOCK + 123,)
+    assert r >= r2
 
 
 def test_determinism_per_seed_and_sensitivity():
