@@ -13,11 +13,11 @@ runs the study, and emits CSV/JSON artifacts plus a ``manifest.json`` under
 --out.  They are written beside --out and then moved in, the manifest last,
 so a present manifest means a complete run.
 
---threads runs the rows of ``dac yield`` and ``dac self-heal`` in parallel;
-study blocks run on OpenBLAS's own threads, and the mixer commands run one
-receiver.  Output bytes are independent of --threads: parallel work is split
-by sample index over per-index random substreams and reassembled in
-canonical order.
+--threads sets how many worker processes (this one included) share the rows
+of ``dac yield`` and ``dac self-heal``; study blocks run on OpenBLAS's own
+threads, and the mixer commands run one receiver.  Output bytes are
+independent of --threads: parallel work is split by sample index over
+per-index random substreams and reassembled in canonical order.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or degenerate
 study, 1 I/O failure.
@@ -765,8 +765,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--samples", type=int, help="sample-count override")
         sub.add_argument(
             "--threads", type=int, default=1,
-            help="threads for the rows of dac yield and dac self-heal (at most the"
-            " rows and the usable cores); study blocks use OpenBLAS's own threads",
+            help="worker processes, this one included, for the rows of dac yield and"
+            " dac self-heal (at most the rows and the usable cores); study blocks"
+            " use OpenBLAS's own threads",
         )
         sub.add_argument("--quiet", action="store_true", help="suppress the summary line")
         if subcommand == "dac yield":

@@ -106,8 +106,9 @@ class StudyConfig:
         if any(w < 0 for w in self.window_widths):
             raise ConfigError("window widths must be >= 0")
         if 1 <= self.k <= self.n:
-            # a block's subset sums, their offsets from the target and the
-            # absolute offsets: three (rows, C(n,k)) float64 arrays at once
+            # room for three (rows, C(n,k)) float64 arrays; the block's subset
+            # sums are offset and made absolute in place, so the bound is
+            # conservative (one such array is live at a time)
             rows = min(self.samples, BLOCK)
             need = 3 * 8 * rows * math.comb(self.n, self.k)
             if need > MAX_ARRAY_BYTES:
@@ -170,7 +171,9 @@ def _block_distances(
         t_abs = np.full(size, config.offset.value * sk)
     center = config.k * nominal.mean() + t_abs  # nominal k-subset sum + offset
     sums = realized @ membership_matrix(config.n, config.k)
-    dist = np.min(np.abs(sums - center[:, None]), axis=1)
+    sums -= center[:, None]
+    np.abs(sums, out=sums)
+    dist = sums.min(axis=1)
     return dist, resamples
 
 

@@ -18,6 +18,7 @@ count.
 """
 
 import math
+import mmap
 import os
 import time
 
@@ -110,10 +111,12 @@ def bsl_inl_max(curve: np.ndarray) -> float:
     transfer curve, in units of the fitted slope.
 
     The fit is the closed-form simple regression on centered codes, so the
-    line passes through the curve's mean."""
+    line passes through the curve's mean.  Its sums are NumPy's own, not a
+    BLAS dot product: OpenBLAS threads a dot this long, and in each forked
+    worker of a yield study those threads would compete for the same cores."""
     codes = np.arange(curve.size) - (curve.size - 1) / 2.0
     deviation = curve - curve.mean()
-    slope = float(codes @ deviation) / float(codes @ codes)
+    slope = float(np.sum(codes * deviation)) / float(np.sum(codes * codes))
     return float(np.max(np.abs(deviation - slope * codes))) / slope
 
 
@@ -143,9 +146,12 @@ def eses_yield():
     converter's reading is stored under its sample index (the spawn key of
     its ``sample_substream`` generator).  The wrapper consumes no random
     draws, so the study's rows are unchanged; its reading (a transfer curve
-    and a line fit per converter) counts towards the study's wall time.
+    and a line fit per converter) counts towards the study's wall time.  The
+    readings live in a shared anonymous mapping, so those taken in the
+    study's forked workers reach this process too.
     """
-    pre_bsl = np.full(10_000, np.nan)
+    pre_bsl = np.frombuffer(mmap.mmap(-1, 10_000 * 8), dtype=float)
+    pre_bsl[:] = np.nan
 
     def recording_sample_dac(config, rng=None):
         sample = sample_dac(config, rng)

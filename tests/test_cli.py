@@ -7,8 +7,9 @@ import tracemalloc
 
 import pytest
 
-from subsetcal import cli, reporting, studies
+from subsetcal import cli, csdac, reporting, runner, studies
 from subsetcal.cli import main
+from subsetcal.mismatch import ConfigError
 from subsetcal.reporting import emit_json, sha256_of
 from subsetcal.studies import STUDY_CSV_COLUMNS
 
@@ -384,6 +385,34 @@ def test_dac_yield_is_byte_identical_across_thread_counts(tmp_path):
     m1 = read_json(os.path.join(outs[0], "manifest.json"))
     m3 = read_json(os.path.join(outs[1], "manifest.json"))
     assert m1["artifacts"] == m3["artifacts"]
+
+
+def test_worker_config_error_exits_like_a_serial_run(tmp_path, capsys, monkeypatch):
+    real_row = csdac._amplitude_row
+
+    def row(config, master_seed, i):
+        if i == 70:
+            raise ConfigError(f"converter {i} rejected")
+        return real_row(config, master_seed, i)
+
+    monkeypatch.setattr(csdac, "_amplitude_row", row)
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 2)
+    assert runner._chunk_bounds(100, 2) == [0, 50, 100]  # row 70 runs in the worker
+    errors = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        rc = main([
+            "dac", "yield", "--flow", "eses", "--samples", "100",
+            "--out", str(out), "--threads", str(threads),
+        ])
+        assert rc == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == "config error: converter 70 rejected\n"
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_dac_yield_dump_sample_emits_per_code_rows(tmp_path, capsys):

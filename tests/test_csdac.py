@@ -24,13 +24,10 @@ from subsetcal import csdac
 from subsetcal.csdac import (
     DEFAULT_SUB_SCHEME,
     DacConfig,
-    DacSample,
-    LinearityReport,
     SENSE_MODES,
     SelfHealConfig,
     SensedCell,
     SensingConfig,
-    YIELD_FLOWS,
     calibrate_amplitude_eses,
     calibrate_timing,
     delay_errors,

@@ -22,7 +22,6 @@ from subsetcal.waveform import fourier_coeff
 from subsetcal.hrmixer import (
     HRR_DB_CAP,
     PATH_BRANCHES,
-    CalReport,
     ConfigError,
     DegenerateConfigurationError,
     HrConfig,

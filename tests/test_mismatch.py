@@ -25,7 +25,6 @@ from subsetcal.mismatch import (
     combination_index_matrix,
     draw_realized,
     find_best,
-    membership_matrix,
     nominal_sizes,
     sample_element_set,
     scheme_center,

@@ -17,7 +17,6 @@ from subsetcal.mismatch import (
     ConfigError,
     ElementSet,
     MismatchModel,
-    Uniform,
     find_best,
 )
 from subsetcal.reporting import FigureDataset, emit_figure
