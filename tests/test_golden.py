@@ -15,9 +15,11 @@ the mixer that recomputed every inverter delay on each read; the rest from the
 three-way mixer search that preceded the single knob search;
 ``dac-self-heal-rewind`` and ``dac-yield-eses-rewind`` from the converters
 that drew each element set with its own call, before the one-call draw and
-its set-by-set rewind.  The manifest hashes were recorded from the command
-layer that gave each subcommand its own handler and restated the config
-dataclasses' defaults.
+its set-by-set rewind.  ``hr-calibrate-k8`` and ``hr-calibrate-rewind`` were
+recorded from the mixer that held each knob as an object wrapping its own
+element set, drawn set by set, before the (24, n) array receiver.  The
+manifest hashes were recorded from the command layer that gave each
+subcommand its own handler and restated the config dataclasses' defaults.
 """
 
 import hashlib
@@ -59,6 +61,20 @@ hr.clock_delay_sigma = 0
 hr.diff_phase_sigma = 0
 """
 
+# k = 8 of 16: selected sums must add as one (n,) row sum does
+HR_K8_CFG = HR_CFG + """\
+hr.n = 16
+hr.k = 8
+"""
+
+# width sigmas large enough that some widths come out <= 0 and the draw
+# rewinds to the set-by-set path: 1 to 7 redraws per receiver at seeds 1-3
+HR_REWIND_CFG = HR_CFG + """\
+hr.element_rel_sigma = 0.5
+hr.clock_delay_sigma = 0
+hr.diff_phase_sigma = 0
+"""
+
 DUMP_CFG = """\
 figure.id = fig5.14
 dac.flow = eses
@@ -90,6 +106,8 @@ CASES = {
     "hr-calibrate-1": (["hr", "calibrate", "--seed", "1"], HR_CFG),
     "hr-calibrate-2": (["hr", "calibrate", "--seed", "2"], HR_CFG),
     "hr-calibrate-zero-timing": (["hr", "calibrate", "--seed", "1"], HR_ZERO_TIMING_CFG),
+    "hr-calibrate-k8": (["hr", "calibrate", "--seed", "1"], HR_K8_CFG),
+    "hr-calibrate-rewind": (["hr", "calibrate", "--seed", "2"], HR_REWIND_CFG),
     "hr-sweep-1": (["hr", "sweep", "--seed", "1"], HR_CFG),
     "hr-sweep-2": (["hr", "sweep", "--seed", "2"], HR_CFG),
     "dac-yield-eses": (DAC_YIELD + ["--flow", "eses"], None),
@@ -249,6 +267,22 @@ GOLDEN = {
         "hr_calibration.meta.json":
             "2ef14567a355bab2481385f42d03f3008bf8f22f8ad94967d6332ea834dd4d53",
     },
+    "hr-calibrate-k8": {
+        "hr_calibration.csv":
+            "fe860e97a22831b8b3ce9cc00709ab5fc20ac8f3a0742d51bf7fd0cc79c6b7f6",
+        "hr_calibration.json":
+            "09d053a4fe4f5a11f6e55882cd7f894e987dbe94613b5ba7c93fb1858f2b5ac5",
+        "hr_calibration.meta.json":
+            "f2cc551304c3ad55fc802511cabacaeebbaaef400ebfeb36938f71678bfade47",
+    },
+    "hr-calibrate-rewind": {
+        "hr_calibration.csv":
+            "20582e1ca2766f7a1d7bca7c69c481986ec0ce4ef3153d2da17b202c0e4d1150",
+        "hr_calibration.json":
+            "49f289ee8b450903699042c3025d786a25e9f1a726aea1d10674fbe7480b8b35",
+        "hr_calibration.meta.json":
+            "2ef14567a355bab2481385f42d03f3008bf8f22f8ad94967d6332ea834dd4d53",
+    },
     "hr-calibrate-zero-timing": {
         "hr_calibration.csv":
             "d7f7aae00827575d4f771b255e1b8cb5490ddb6022d2dd0266d0ecd4c10491c9",
@@ -312,6 +346,8 @@ MANIFEST_GOLDEN = {
     "dac-yield-timing": "0ac5b5883a384f42965fedf4b1673fac1090d7735285eadcc4131c64aba53dff",
     "hr-calibrate-1": "f2c7d223d56b87e9dff080378f71901be4634d47746980acb5f293d670de464b",
     "hr-calibrate-2": "9224979f9de769ef500d01669a3ec1f6829bbb878edcfb14129f04b9c1e5cdb7",
+    "hr-calibrate-k8": "6ee25c70cdfc541f24555680400111503df0b755f206c4bf8bdc700d076a4479",
+    "hr-calibrate-rewind": "143a59a0639984af919fad91b2deb55af3a2d617b1b49794b2eeefdeb547fedb",
     "hr-calibrate-zero-timing":
         "3d0c24add1e31355bb138b26383c729408459301d79c66bb811a3512a5061049",
     "hr-simulate-1": "d4843005749c37004b171783f54c7693de4c0fe6d9c9a46e8c27313f374572f6",
