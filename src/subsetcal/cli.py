@@ -20,7 +20,7 @@ independent of --threads: parallel work is split by sample index over
 per-index random substreams and reassembled in canonical order.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or degenerate
-study, 1 I/O failure.
+study, 1 I/O failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -793,6 +793,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # _finish already removed anything it staged
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .hrmixer import _inverse_width_step
+from .hrmixer import _inverse_width_delay, _inverse_width_step
 from .mismatch import (
     Arithmetic,
     Combination,
@@ -45,10 +45,10 @@ from .mismatch import (
     MismatchModel,
     SizingScheme,
     Uniform,
+    _draw_units,
     balanced_combination,
     check_array_bytes,
     combination_index_matrix,
-    draw_realized,
     membership_matrix,
     nominal_sizes,
     scheme_center,
@@ -105,14 +105,18 @@ DEFAULT_SUB_SCHEME = Explicit(tuple(52e-6 + (i - 5.5) * 0.76e-6 for i in range(1
 # Configuration
 
 
+@dataclass(frozen=True)
 class _LsbBank:
     """The segmentation both converter configs share: 2**msb_bits - 1 unary
     cells and an LSB bank of unit current sources (bit b = 2**b units) whose
     per-unit sigma is the cell's unit-equivalent sigma divided by
     ``lsb_sigma_factor``, modeling deliberately upsized LSB devices.
-    Subclasses provide ``msb_bits``, ``lsb_bits``, ``lsb_sigma_factor``,
-    ``ucc_nominal`` and ``ucc_sigma``.
+    Subclasses provide ``ucc_nominal`` and ``ucc_sigma``.
     """
+
+    msb_bits: int = 6
+    lsb_bits: int = 8
+    lsb_sigma_factor: float = 8.0
 
     def _check_lsb_bank(self) -> None:
         if self.msb_bits < 1 or self.lsb_bits < 1:
@@ -149,12 +153,9 @@ class DacConfig(_LsbBank):
     """
 
     resolution: int = 14
-    msb_bits: int = 6
-    lsb_bits: int = 8
     ucc_nominal: float = 312e-6
     ucc_sub_scheme: SizingScheme = DEFAULT_SUB_SCHEME
     sub_sigma: float = 1.1e-6
-    lsb_sigma_factor: float = 8.0
     delay_sigma: float = 1.3e-12
     duty_sigma: float = 1.8e-12
     n: int = 12
@@ -277,40 +278,6 @@ def _cell_design(cfg: DacConfig) -> _CellDesign:
     balanced = rows.index(list(balanced_combination(cfg.n, cfg.k).indices))
     layout = ((cfg.n, True),) + 3 * ((cfg.n, True), (1, False))
     return _CellDesign(arrays[0], arrays[1], layout, arrays[2], arrays[3], balanced)
-
-
-def _draw_units(
-    nominal: np.ndarray,
-    sigmas: np.ndarray,
-    layout: Sequence[tuple[int, bool]],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Realized ``nominal + sigmas * z`` over (units, columns) arrays.
-
-    ``layout`` splits each unit's columns, in draw order, into runs of
-    (width, is_set): an element set, whose sizes must stay > 0, or
-    unconstrained draws such as extrinsic errors.  All units take one
-    ``standard_normal`` call.  If a set size comes out <= 0, the generator
-    rewinds and draws unit by unit, run by run, each set with
-    ``draw_realized`` (which redraws only the offending elements): the stream
-    a set-by-set draw consumes.
-    """
-    state = rng.bit_generator.state
-    values = nominal + sigmas * rng.standard_normal(nominal.shape)
-    in_set = np.repeat([is_set for _, is_set in layout], [w for w, _ in layout])
-    if not np.any(values[:, in_set] <= 0.0):
-        return values
-    rng.bit_generator.state = state
-    stops = np.cumsum([w for w, _ in layout])
-    runs = [(slice(stop - w, stop), is_set) for (w, is_set), stop in zip(layout, stops)]
-    for u in range(values.shape[0]):
-        for run, is_set in runs:
-            if is_set:
-                values[u, run] = draw_realized(nominal[u, run], sigmas[u, run], rng)[0]
-            else:
-                z = rng.standard_normal(run.stop - run.start)
-                values[u, run] = nominal[u, run] + sigmas[u, run] * z
-    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,15 +571,16 @@ def uniform_comparison_config(config: DacConfig) -> DacConfig:
 
 
 def _buffer_delays(sample: DacSample) -> np.ndarray:
-    """(n_ucc, 3) delay of every timing buffer at its selection, seconds:
-    base + drive * W_nominal_half / W_selected + extrinsic, in that order (a
-    buffer without drive reads base + extrinsic: 0.0 times the ratio is 0)."""
+    """(n_ucc, 3) delay of every timing buffer at its selection, seconds,
+    by the receiver's inverse-width delay law."""
     cfg = sample.config
     design = _cell_design(cfg)
     fixed = np.full(cfg.n_ucc, design.balanced)
     selection = np.stack([sample.delay_selection, sample.duty_selection, fixed], axis=1)
     selected = _selected_sums(sample.widths, selection, cfg.k)
-    return _BASE_DELAY + design.drives * (design.halves / selected) + sample.extrinsic
+    return _inverse_width_delay(
+        _BASE_DELAY, design.drives, design.halves, selected, sample.extrinsic
+    )
 
 
 def _buffer_deviations(sample: DacSample) -> np.ndarray:
@@ -691,9 +659,6 @@ class SelfHealConfig(_LsbBank):
     backup_ucc_count: int = 4
     bias_step: float = 0.0005
     bias_rel_sigma: float = 0.0005
-    msb_bits: int = 6
-    lsb_bits: int = 8
-    lsb_sigma_factor: float = 8.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n:
@@ -940,8 +905,10 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
 
 
 def _subset_sum(realized: np.ndarray, combination: Combination) -> float:
-    """Sum of the selected elements of one (n,) row, as ``subset_value``
-    adds them: a row sum over a 2-D array adds in another order."""
+    """Sum of the selected elements of one (n,) row, added by a 1-D ``sum``
+    as the set-by-set model and the receiver add them: numpy's pairwise sum
+    adds k >= 8 values in another order than a reduction down a 2-D array's
+    strided axis."""
     return float(realized[np.asarray(combination.indices, dtype=np.intp)].sum())
 
 

@@ -18,6 +18,12 @@ cover six sigma of the total variation:
 * edge timing:   per-phase pull-up (rise) and pull-down (fall) buffer
                  networks with the same inverse-width delay law
 
+A sampled receiver holds its 24 knobs as arrays: a (24, n) element draw, a
+(24,) extrinsic error per knob and a (24,) selection of row indices into the
+k-of-n combination table, drawn with the converters' draw routine and read
+through the delay law the converter's timing buffers share.  A calibration
+step changes one selection row.
+
 Timing deviations are fixed in seconds; their harmonic impact scales with the
 operating frequency, so calibration runs at the top frequency and sweeps down.
 """
@@ -26,30 +32,26 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .mismatch import (
     Arithmetic,
-    Combination,
     ConfigError,
     DegenerateConfigurationError,
-    ElementSet,
     MismatchModel,
+    _draw_units,
     all_subset_sums,
     balanced_combination,
     combination_index_matrix,
-    sample_element_set,
-    subset_value,
+    nominal_sizes,
 )
 from .waveform import EdgeWaveform, combine, edge_fourier, fourier_coeff, square_wave
 
 __all__ = [
     "HrConfig",
-    "TunableInverter",
-    "LoPhaseSet",
-    "HrBranch",
     "HrReceiverSample",
     "CalStep",
     "CalReport",
@@ -278,6 +280,10 @@ class HrConfig:
                 )
         if self.gain_sigma > 0.0:
             d = self.tail_step
+            if 3.0 * d >= 1.0:  # (1 - 3d)**alpha below would be complex
+                raise ConfigError(
+                    f"tail_step {d:g} puts the gain range's low end at or below zero"
+                )
             up = (1.0 + 3.0 * d) ** self.gain_alpha - 1.0
             down = 1.0 - (1.0 - 3.0 * d) ** self.gain_alpha
             need = self.coverage_sigma * self.gain_sigma
@@ -294,189 +300,169 @@ class HrConfig:
             if step * (self.n_elements - 1) >= 2.0:
                 raise ConfigError(f"{name} {step:g} drives element sizes non-positive")
 
-    # -- element populations -------------------------------------------------
-
-    def tail_scheme(self) -> Arithmetic:
-        return Arithmetic(mean=1.0, step=self.tail_step)
-
-    def tail_model(self) -> MismatchModel:
-        return MismatchModel(sigma_ref=max(self.tail_element_sigma, 0.0), size_ref=1.0)
-
-    def width_scheme(self, step: float) -> Arithmetic:
-        return Arithmetic(mean=1.0, step=step)
-
-    def width_model(self) -> MismatchModel:
-        return MismatchModel(sigma_ref=self.element_rel_sigma, size_ref=1.0)
-
 
 # ---------------------------------------------------------------------------
 # sampled state
 # ---------------------------------------------------------------------------
 
-
-def _nominal_half(elements: ElementSet, k: int) -> float:
-    """Nominal sum of k elements: the design value of any k-selection."""
-    return float(elements.nominal.mean()) * k
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class TunableInverter:
-    """One selectable-width network: delay = base + drive * W_nominal_half/W_selected.
-
-    ``extrinsic_error`` is the part of the stage's delay spread the selection
-    cannot see (wiring, loading, everything outside the selected widths).
-    ``delay`` and ``deviation`` (from the design point base + drive) are
-    derived once, when the inverter is built.
-    """
-
-    elements: ElementSet
-    selection: Combination
-    base_delay: float
-    drive_coefficient: float
-    extrinsic_error: float = 0.0
-    delay: float = dataclasses.field(init=False)
-    deviation: float = dataclasses.field(init=False)
-
-    def __post_init__(self) -> None:
-        delay = self.base_delay
-        if self.drive_coefficient != 0.0:
-            w_nominal_half = _nominal_half(self.elements, self.selection.k)
-            w_selected = subset_value(self.elements, self.selection)
-            delay += self.drive_coefficient * (w_nominal_half / w_selected)
-        delay += self.extrinsic_error
-        if delay <= 0.0:
-            raise ConfigError("inverter delay must stay strictly positive")
-        object.__setattr__(self, "delay", delay)
-        deviation = delay - self.base_delay - self.drive_coefficient
-        object.__setattr__(self, "deviation", deviation)
-
-    def with_selection(self, selection: Combination) -> "TunableInverter":
-        return dataclasses.replace(self, selection=selection)
+#: every knob, by the name the trace and the selection snapshot use; a
+#: receiver's knob arrays hold their rows in this order
+_KNOB_NAMES = tuple(
+    f"{kind}{i}"
+    for kind, count in (("tail", 4), ("clock", 4), ("rise", N_PHASES), ("fall", N_PHASES))
+    for i in range(count)
+)
+_KNOB_ROWS = {name: row for row, name in enumerate(_KNOB_NAMES)}
+#: knob rows in draw order: the tails, the clocks, then rise p and fall p
+#: of each phase p in turn
+_DRAW_ORDER = np.concatenate(
+    [np.arange(8), np.stack([np.arange(8, 16), np.arange(16, 24)], axis=1).ravel()]
+)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class LoPhaseSet:
-    """Eight LO phases and the inverters that set their edge timing.
-
-    Phase p's rise edge error = clock_networks[p % 4] deviation (common to the
-    whole differential pair) + rise_networks[p] deviation; fall edges likewise
-    through fall_networks[p].  All errors are seconds, held in the (8,)
-    ``rise_errors`` and ``fall_errors`` arrays built with the set.
-    """
-
-    clock_networks: tuple[TunableInverter, ...]
-    rise_networks: tuple[TunableInverter, ...]
-    fall_networks: tuple[TunableInverter, ...]
-    rise_errors: np.ndarray = dataclasses.field(init=False)
-    fall_errors: np.ndarray = dataclasses.field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(self.clock_networks) != N_PHASES // 2:
-            raise ConfigError("need one clock inverter per differential pair")
-        if len(self.rise_networks) != N_PHASES or len(self.fall_networks) != N_PHASES:
-            raise ConfigError("need one rise and one fall network per phase")
-        clock = np.tile([c.deviation for c in self.clock_networks], 2)
-        for name, nets in (("rise", self.rise_networks), ("fall", self.fall_networks)):
-            errors = clock + np.array([net.deviation for net in nets])
-            errors.setflags(write=False)
-            object.__setattr__(self, f"{name}_errors", errors)
+def _inverse_width_delay(base, drive, half, selected, extrinsic):
+    """The delay law of every selectable-width timing network, seconds:
+    ``base + drive * (half / selected) + extrinsic``, with ``half`` k times
+    the mean nominal width and ``selected`` the selected widths' sum.  A
+    network without drive reads ``base + extrinsic`` (0.0 times the ratio is
+    0).  Scalars or broadcasting arrays."""
+    return base + drive * (half / selected) + extrinsic
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class HrBranch:
-    """One mixing branch: differential phase pair + selectable tail current;
-    ``ratio`` (selected over nominal tail current) is derived when built."""
+class _KnobDesign(NamedTuple):
+    """What every receiver of a config shares: per knob row, in draw order,
+    the nominal sizes and sigmas of its n elements and then of its extrinsic
+    error; in knob order, k times each row's mean nominal size (the design
+    value of any k-selection) and the drive of the 20 inverter rows; the
+    balanced row."""
 
-    lo_phase_index: int
-    elements: ElementSet
-    selection: Combination
-    extrinsic_error: float = 0.0
-    ratio: float = dataclasses.field(init=False)
+    nominal: np.ndarray
+    sigmas: np.ndarray
+    halves: np.ndarray
+    drives: np.ndarray
+    balanced: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo_phase_index < N_PHASES // 2:
-            raise ConfigError(f"lo_phase_index out of range: {self.lo_phase_index}")
-        i_selected = subset_value(self.elements, self.selection)
-        ratio = i_selected / _nominal_half(self.elements, self.selection.k)
-        object.__setattr__(self, "ratio", ratio)
 
-    def gain(self, alpha: float) -> float:
-        return self.ratio**alpha * (1.0 + self.extrinsic_error)
+@lru_cache(maxsize=16)
+def _knob_design(cfg: HrConfig) -> _KnobDesign:
+    n, k = cfg.n_elements, cfg.k_selected
+    rows = []  # (nominal sizes, element sigma, extrinsic sigma) in knob order
+    tail = nominal_sizes(Arithmetic(1.0, cfg.tail_step), n)
+    tail_sigmas = MismatchModel(cfg.tail_element_sigma, 1.0).element_sigmas(tail)
+    rows += 4 * [(tail, tail_sigmas, cfg.tail_extrinsic_sigma)]
+    width_model = MismatchModel(cfg.element_rel_sigma, 1.0)
+    for step, count, extrinsic_sigma in (
+        (cfg.clock_step, 4, cfg.clock_extrinsic_sigma),
+        (cfg.buffer_step, 2 * N_PHASES, cfg.buffer_extrinsic_sigma),
+    ):
+        widths = nominal_sizes(Arithmetic(1.0, step), n)
+        rows += count * [(widths, width_model.element_sigmas(widths), extrinsic_sigma)]
+    nominal = np.array([np.append(row[0], 0.0) for row in rows])[_DRAW_ORDER]
+    sigmas = np.array([np.append(row[1], row[2]) for row in rows])[_DRAW_ORDER]
+    # one 1-D mean per row, as each row's own set would take it
+    halves = np.array([float(row[0].mean()) * k for row in rows])
+    drives = np.repeat([cfg.clock_drive, cfg.buffer_drive], [4, 2 * N_PHASES])
+    for array in (nominal, sigmas, halves, drives):  # shared by every caller
+        array.setflags(write=False)
+    combos = combination_index_matrix(n, k).tolist()
+    balanced = combos.index(list(balanced_combination(n, k).indices))
+    return _KnobDesign(nominal, sigmas, halves, drives, balanced)
 
-    def with_selection(self, selection: Combination) -> "HrBranch":
-        return dataclasses.replace(self, selection=selection)
+
+def _selected_sum(row: np.ndarray, indices: np.ndarray) -> float:
+    """Sum of one row's selected elements, added by a 1-D ``sum`` as a
+    set-by-set draw adds them: numpy's pairwise sum adds k >= 8 values in
+    another order than a reduction down a 2-D array's strided axis."""
+    return float(row[indices].sum())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class HrReceiverSample:
-    """One Monte Carlo receiver instance: four branches sharing an LO phase set."""
+    """One Monte Carlo receiver instance, held as per-knob arrays.
+
+    ``elements`` (24, n) holds every knob's realized element sizes and
+    ``extrinsic`` (24,) the part of its spread the selection cannot see,
+    rows in ``_KNOB_NAMES`` order: the four tail-current sets (branch m
+    mixes with differential pair (m, m + 4); its extrinsic term is a
+    relative gain error), the four pair clock inverters, then the eight rise
+    and the eight fall buffer networks (extrinsic terms in seconds).
+    ``selection`` (24,) holds each knob's enabled k-subset as a row index
+    into ``combination_index_matrix(n, k)``.
+
+    Derived once, when the sample is built: ``selected`` (24,), each row's
+    selected sum; ``tail_ratios`` (4,), selected over nominal tail current;
+    ``deviations`` (20,), each inverter's delay less its design point
+    base + drive; and the read-only (8,) ``rise_errors`` and
+    ``fall_errors``: phase p's edge error is its pair clock's deviation
+    (clock p % 4) plus its own rise or fall network's.  ``known_sums``
+    passes selected sums already known, so a calibration step re-sums only
+    the row it changed.
+    """
 
     config: HrConfig
-    phases: LoPhaseSet
-    branches: tuple[HrBranch, ...]
+    elements: np.ndarray
+    extrinsic: np.ndarray
+    selection: np.ndarray
+    known_sums: dataclasses.InitVar[Optional[np.ndarray]] = None
+    selected: np.ndarray = dataclasses.field(init=False, repr=False)
+    tail_ratios: np.ndarray = dataclasses.field(init=False, repr=False)
+    deviations: np.ndarray = dataclasses.field(init=False, repr=False)
+    rise_errors: np.ndarray = dataclasses.field(init=False, repr=False)
+    fall_errors: np.ndarray = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.branches) != 4:
-            raise ConfigError("need exactly four branches (phase families 0..3)")
+    def __post_init__(self, known_sums: Optional[np.ndarray]) -> None:
+        cfg = self.config
+        rows = len(_KNOB_NAMES)
+        shapes = tuple(np.shape(a) for a in (self.elements, self.extrinsic, self.selection))
+        expected = ((rows, cfg.n_elements), (rows,), (rows,))
+        if shapes != expected:
+            raise ConfigError(f"array shapes {shapes} differ from {expected}")
+        if np.any(self.elements <= 0.0):
+            raise ConfigError("realized sizes must be strictly positive")
+        if known_sums is None:
+            combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
+            known_sums = np.array(
+                [_selected_sum(e, c) for e, c in zip(self.elements, combos[self.selection])]
+            )
+        design = _knob_design(cfg)
+        delays = _inverse_width_delay(
+            cfg.base_delay, design.drives, design.halves[4:], known_sums[4:],
+            self.extrinsic[4:],
+        )
+        if np.any(delays <= 0.0):
+            raise ConfigError("inverter delay must stay strictly positive")
+        deviations = delays - cfg.base_delay - design.drives
+        clock = np.tile(deviations[:4], 2)
+        derived = {
+            "selected": known_sums,
+            "tail_ratios": known_sums[:4] / design.halves[:4],
+            "deviations": deviations,
+            "rise_errors": clock + deviations[4:12],
+            "fall_errors": clock + deviations[12:],
+        }
+        for name, array in derived.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def sample_receiver(
     config: HrConfig, rng: Union[np.random.Generator, int, None]
 ) -> HrReceiverSample:
-    """Draw one receiver.  Draw order is fixed: per-branch tail elements then
-    extrinsic gain error, per-pair clock network then extrinsic delay, then per
-    phase the rise network + extrinsic and fall network + extrinsic."""
+    """Draw one receiver.  Draw order is fixed: per branch its tail elements
+    then extrinsic gain error, per pair its clock widths then extrinsic
+    delay, then per phase the rise widths and extrinsic, then the fall
+    widths and extrinsic (one ``_draw_units`` call).  Every knob starts at
+    the balanced combination."""
     rng = np.random.default_rng(rng)
-    n, k = config.n_elements, config.k_selected
-    start = balanced_combination(n, k)
-
-    branches = []
-    for m in range(4):
-        es = sample_element_set(config.tail_scheme(), config.tail_model(), n, rng)
-        ext = float(rng.normal(0.0, config.tail_extrinsic_sigma))
-        branches.append(
-            HrBranch(
-                lo_phase_index=m,
-                elements=es,
-                selection=start,
-                extrinsic_error=ext,
-            )
-        )
-
-    def draw_inverter(step: float, drive: float, ext_sigma: float) -> TunableInverter:
-        es = sample_element_set(config.width_scheme(step), config.width_model(), n, rng)
-        ext = float(rng.normal(0.0, ext_sigma))
-        return TunableInverter(
-            elements=es,
-            selection=start,
-            base_delay=config.base_delay,
-            drive_coefficient=drive,
-            extrinsic_error=ext,
-        )
-
-    clocks = tuple(
-        draw_inverter(config.clock_step, config.clock_drive, config.clock_extrinsic_sigma)
-        for _ in range(4)
+    design = _knob_design(config)
+    n = config.n_elements
+    drawn = _draw_units(design.nominal, design.sigmas, ((n, True), (1, False)), rng)
+    values = np.empty_like(drawn)
+    values[_DRAW_ORDER] = drawn
+    selection = np.full(len(_KNOB_NAMES), design.balanced)
+    return HrReceiverSample(
+        config, np.ascontiguousarray(values[:, :n]), values[:, n].copy(), selection
     )
-    rises, falls = [], []
-    for _ in range(N_PHASES):
-        rises.append(
-            draw_inverter(
-                config.buffer_step, config.buffer_drive, config.buffer_extrinsic_sigma
-            )
-        )
-        falls.append(
-            draw_inverter(
-                config.buffer_step, config.buffer_drive, config.buffer_extrinsic_sigma
-            )
-        )
-
-    phases = LoPhaseSet(
-        clock_networks=clocks,
-        rise_networks=tuple(rises),
-        fall_networks=tuple(falls),
-    )
-    return HrReceiverSample(config=config, phases=phases, branches=tuple(branches))
 
 
 def zero_variance_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:
@@ -497,13 +483,20 @@ def zero_variance_receiver(config: Optional[HrConfig] = None) -> HrReceiverSampl
     return sample_receiver(cfg, rng=0)
 
 
+def _branch_gain(sample: HrReceiverSample, m: int) -> float:
+    """Gain of branch m: (selected / nominal tail current)**alpha times its
+    extrinsic (1 + error)."""
+    ratio = float(sample.tail_ratios[m])
+    return ratio**sample.config.gain_alpha * (1.0 + float(sample.extrinsic[m]))
+
+
 # ---------------------------------------------------------------------------
 # effective LO and spectra
 # ---------------------------------------------------------------------------
 
 
 def _check_edge_errors(sample: HrReceiverSample, f: float) -> None:
-    worst = float(np.abs((sample.phases.rise_errors, sample.phases.fall_errors)).max())
+    worst = float(np.abs((sample.rise_errors, sample.fall_errors)).max())
     if worst * f >= 1.0 / 16.0:
         raise ConfigError(
             f"edge timing error {worst:g}s exceeds 1/16 of the {1.0 / f:g}s period"
@@ -526,11 +519,10 @@ def effective_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWaveform:
     waves: list[EdgeWaveform] = []
     amps: list[float] = []
     for pos, bi in enumerate(PATH_BRANCHES[path]):
-        branch = sample.branches[bi]
-        amp = branch.gain(cfg.gain_alpha) * cfg.weights[pos]
-        for phase, sign in ((branch.lo_phase_index, 1.0), (branch.lo_phase_index + 4, -1.0)):
-            rise = (phase / 8.0 + f * sample.phases.rise_errors[phase]) % 1.0
-            fall = (phase / 8.0 + 0.5 + f * sample.phases.fall_errors[phase]) % 1.0
+        amp = _branch_gain(sample, bi) * cfg.weights[pos]
+        for phase, sign in ((bi, 1.0), (bi + 4, -1.0)):
+            rise = (phase / 8.0 + f * sample.rise_errors[phase]) % 1.0
+            fall = (phase / 8.0 + 0.5 + f * sample.fall_errors[phase]) % 1.0
             waves.append(square_wave(period, rise, fall))
             amps.append(sign * amp)
     return combine(waves, amps)
@@ -591,53 +583,36 @@ class CalReport:
         }
 
 
-#: every knob, by the name the trace and the selection snapshot use
-_KNOB_NAMES = tuple(
-    f"{kind}{i}"
-    for kind, count in (("tail", 4), ("clock", 4), ("rise", N_PHASES), ("fall", N_PHASES))
-    for i in range(count)
-)
-
-
-def _knob(sample: HrReceiverSample, name: str) -> Union[HrBranch, TunableInverter]:
-    """The branch (``tail<m>``) or inverter (``clock<m>``, ``rise<p>``,
-    ``fall<p>``) that knob ``name`` tunes."""
-    kind, index = name[:-1], int(name[-1])
-    if kind == "tail":
-        return sample.branches[index]
-    return getattr(sample.phases, f"{kind}_networks")[index]
-
-
-def _with_knob(sample: HrReceiverSample, name: str, combo: Combination) -> HrReceiverSample:
-    """``sample`` with knob ``name`` switched to selection ``combo``."""
-    kind, index = name[:-1], int(name[-1])
-    if kind == "tail":
-        branches = list(sample.branches)
-        branches[index] = branches[index].with_selection(combo)
-        return dataclasses.replace(sample, branches=tuple(branches))
-    field = f"{kind}_networks"
-    nets = list(getattr(sample.phases, field))
-    nets[index] = nets[index].with_selection(combo)
-    return dataclasses.replace(
-        sample, phases=dataclasses.replace(sample.phases, **{field: tuple(nets)})
-    )
+def _with_knob(sample: HrReceiverSample, name: str, best: int) -> HrReceiverSample:
+    """``sample`` with knob ``name`` switched to selection row ``best``; only
+    that row's selected sum is added again."""
+    row = _KNOB_ROWS[name]
+    selection = sample.selection.copy()
+    selection[row] = best
+    sums = sample.selected.copy()
+    combos = combination_index_matrix(sample.config.n_elements, sample.config.k_selected)
+    sums[row] = _selected_sum(sample.elements[row], combos[best])
+    return dataclasses.replace(sample, selection=selection, known_sums=sums)
 
 
 def _selection_snapshot(sample: HrReceiverSample) -> dict[str, tuple[int, ...]]:
-    return {name: _knob(sample, name).selection.indices for name in _KNOB_NAMES}
+    combos = combination_index_matrix(sample.config.n_elements, sample.config.k_selected)
+    return {
+        name: tuple(int(i) for i in combos[row])
+        for name, row in zip(_KNOB_NAMES, sample.selection)
+    }
 
 
 def _branch_edges(sample: HrReceiverSample, bi: int, f: float) -> tuple[np.ndarray, np.ndarray]:
     """Edge times (period fractions) and level deltas of branch bi's
-    differential waveform w_p - w_{p+4}, at unit amplitude."""
-    p = sample.branches[bi].lo_phase_index
-    ph = sample.phases
+    differential waveform w_p - w_{p+4} (p = bi), at unit amplitude."""
+    p = bi
     times = np.array(
         [
-            p / 8.0 + f * ph.rise_errors[p],
-            p / 8.0 + 0.5 + f * ph.fall_errors[p],
-            p / 8.0 + 0.5 + f * ph.rise_errors[p + 4],
-            p / 8.0 + f * ph.fall_errors[p + 4],
+            p / 8.0 + f * sample.rise_errors[p],
+            p / 8.0 + 0.5 + f * sample.fall_errors[p],
+            p / 8.0 + 0.5 + f * sample.rise_errors[p + 4],
+            p / 8.0 + f * sample.fall_errors[p + 4],
         ]
     )
     deltas = np.array([1.0, -1.0, -1.0, 1.0])
@@ -656,9 +631,9 @@ def _branch_objective(sample: HrReceiverSample, bi: int, n: int, f: float) -> fl
 
 def _best_selection(
     sample: HrReceiverSample, name: str, path: Optional[str], n: int, f: float
-) -> Combination:
-    """The selection of knob ``name`` that minimizes |c_n/c_1|^2, found by
-    scoring every k-subset of the knob's elements in closed form.
+) -> int:
+    """The selection row of knob ``name`` that minimizes |c_n/c_1|^2, found
+    by scoring every k-subset of the knob's elements in closed form.
 
     Each candidate's coefficient is c_h = rest_h + amp * u_h: ``rest_h`` sums
     the other measured branches, ``amp`` is the knob's branch amplitude
@@ -670,8 +645,9 @@ def _best_selection(
     order.
     """
     cfg = sample.config
+    design = _knob_design(cfg)
     kind, index = name[:-1], int(name[-1])
-    knob = _knob(sample, name)
+    row = _KNOB_ROWS[name]
     bi = index % 4  # the branch whose tail, clock or edge the knob sets
     members = PATH_BRANCHES[path] if path else (bi,)
     harmonics = (1, n)
@@ -679,29 +655,27 @@ def _best_selection(
     for pos, other in enumerate(members):
         if other != bi:
             times, deltas = _branch_edges(sample, other, f)
-            other_amp = sample.branches[other].gain(cfg.gain_alpha) * cfg.weights[pos]
+            other_amp = _branch_gain(sample, other) * cfg.weights[pos]
             rest = {
                 h: rest[h] + other_amp * complex(edge_fourier(times, deltas, h))
                 for h in harmonics
             }
     own = members.index(bi)
-    amp = sample.branches[bi].gain(cfg.gain_alpha) * cfg.weights[own] if path else 1.0
+    amp = _branch_gain(sample, bi) * cfg.weights[own] if path else 1.0
     times, deltas = _branch_edges(sample, bi, f)
 
-    sums = all_subset_sums(knob.elements.realized, cfg.k_selected)
-    nominal_half = _nominal_half(knob.elements, cfg.k_selected)
+    sums = all_subset_sums(sample.elements[row], cfg.k_selected)
+    half, extrinsic = design.halves[row], sample.extrinsic[row]
     if kind == "tail":
-        gains = (sums / nominal_half) ** cfg.gain_alpha * (1.0 + knob.extrinsic_error)
+        gains = (sums / half) ** cfg.gain_alpha * (1.0 + extrinsic)
         amp = gains * cfg.weights[own]
     else:
-        if knob.drive_coefficient == 0.0:
-            devs = np.full(sums.shape, knob.extrinsic_error)
+        drive = design.drives[row - 4]
+        if drive == 0.0:
+            devs = np.full(sums.shape, extrinsic)
         else:
-            devs = (
-                knob.drive_coefficient * (nominal_half / sums - 1.0)
-                + knob.extrinsic_error
-            )
-        shift = devs - knob.deviation
+            devs = drive * (half / sums - 1.0) + extrinsic
+        shift = devs - sample.deviations[row - 4]
         if kind != "clock":  # edges are ordered rise p, fall p, rise p+4, fall p+4
             times = np.broadcast_to(times, (shift.size, 4)).copy()
             times[:, 2 * (index // 4) + (kind == "fall")] += f * shift
@@ -709,9 +683,7 @@ def _best_selection(
     if kind == "clock":
         unit = {h: unit[h] * np.exp(-2j * np.pi * h * f * shift) for h in harmonics}
     c1, cn = (rest[h] + amp * unit[h] for h in harmonics)
-    best = int(np.argmin(np.abs(cn) ** 2 / np.abs(c1) ** 2))
-    index_matrix = combination_index_matrix(knob.elements.n, cfg.k_selected)
-    return Combination(tuple(int(i) for i in index_matrix[best]))
+    return int(np.argmin(np.abs(cn) ** 2 / np.abs(c1) ** 2))
 
 
 def _calibrate_stage(

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations as _lex_combinations
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,10 +34,8 @@ __all__ = [
     "Combination",
     "nominal_sizes",
     "scheme_center",
-    "sample_element_set",
     "draw_realized",
     "sigma_k",
-    "subset_value",
     "combination_index_matrix",
     "membership_matrix",
     "all_subset_sums",
@@ -221,14 +219,38 @@ def draw_realized(
     return realized, resamples
 
 
-def sample_element_set(
-    scheme: SizingScheme, model: MismatchModel, n: int, rng: np.random.Generator
-) -> ElementSet:
-    """Sample one element set: nominal sizes plus Gaussian mismatch per element."""
-    nominal = nominal_sizes(scheme, n)
-    sigmas = model.element_sigmas(nominal)
-    realized, resamples = draw_realized(nominal, sigmas, rng)
-    return ElementSet(nominal=nominal, realized=realized, resamples=resamples)
+def _draw_units(
+    nominal: np.ndarray,
+    sigmas: np.ndarray,
+    layout: Sequence[tuple[int, bool]],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Realized ``nominal + sigmas * z`` over (units, columns) arrays.
+
+    The one draw routine of the converters and the receiver.  ``layout``
+    splits each unit's columns, in draw order, into runs of (width, is_set):
+    an element set, whose sizes must stay > 0, or unconstrained draws such as
+    extrinsic errors.  All units take one ``standard_normal`` call.  If a set
+    size comes out <= 0, the generator rewinds and draws unit by unit, run by
+    run, each set with ``draw_realized`` (which redraws only the offending
+    elements): the stream a set-by-set draw consumes.
+    """
+    state = rng.bit_generator.state
+    values = nominal + sigmas * rng.standard_normal(nominal.shape)
+    in_set = np.repeat([is_set for _, is_set in layout], [w for w, _ in layout])
+    if not np.any(values[:, in_set] <= 0.0):
+        return values
+    rng.bit_generator.state = state
+    stops = np.cumsum([w for w, _ in layout])
+    runs = [(slice(stop - w, stop), is_set) for (w, is_set), stop in zip(layout, stops)]
+    for u in range(values.shape[0]):
+        for run, is_set in runs:
+            if is_set:
+                values[u, run] = draw_realized(nominal[u, run], sigmas[u, run], rng)[0]
+            else:
+                z = rng.standard_normal(run.stop - run.start)
+                values[u, run] = nominal[u, run] + sigmas[u, run] * z
+    return values
 
 
 def sigma_k(model: MismatchModel, scheme: SizingScheme, k: int) -> float:
@@ -336,22 +358,12 @@ def balanced_combination(n: int, k: int) -> Combination:
 # ---------------------------------------------------------------------------
 
 
-def subset_value(element_set: ElementSet, combination: Combination) -> float:
-    """Sum of the realized values of the selected elements."""
-    idx = np.asarray(combination.indices, dtype=np.intp)
-    if idx.size and idx[-1] >= element_set.n:
-        raise ConfigError(
-            f"combination index {idx[-1]} out of range for n={element_set.n}"
-        )
-    return float(element_set.realized[idx].sum())
-
-
 def find_best(
     element_set: ElementSet, k: int, target: float
 ) -> tuple[Combination, float]:
     """Best-match selection: the combination minimizing |subset sum - target|.
 
-    Returns (combination, signed residual) with residual = subset_value - target.
+    Returns (combination, signed residual) with residual = subset sum - target.
     Ties on the absolute residual resolve to the earliest combination in
     lexicographic order (argmin semantics over the lexicographic enumeration).
     """

@@ -1,9 +1,11 @@
 """Reference implementations that only the tests call.
 
 The sequential DAC decode, the per-cell amplitude residuals, the textbook
-ideal receiver, a scalar failure-rate query and a waveform scaled by a gain:
-the tests check the package's fast paths against them, and no program code
-needs them.
+ideal receiver, a scalar failure-rate query, a waveform scaled by a gain,
+the set-by-set element draw with its subset sum, and the scalar
+inverse-width delay law that the receiver's and the converter's timing
+networks are checked against, one network at a time: the tests check the
+package's fast paths against them, and no program code needs them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,17 @@ import numpy as np
 
 from subsetcal.csdac import DacSample, ucc_currents
 from subsetcal.hrmixer import HrConfig, HrReceiverSample, zero_variance_receiver
-from subsetcal.mismatch import ConfigError, combination_index_matrix
+from subsetcal.mismatch import (
+    Arithmetic,
+    Combination,
+    ConfigError,
+    ElementSet,
+    MismatchModel,
+    SizingScheme,
+    combination_index_matrix,
+    draw_realized,
+    nominal_sizes,
+)
 from subsetcal.studies import StudyConfig, run_study
 from subsetcal.waveform import EdgeWaveform
 
@@ -75,3 +87,85 @@ def failure_rate(config: StudyConfig, width: Optional[float] = None) -> float:
 def scaled(wave: EdgeWaveform, gain: float) -> EdgeWaveform:
     """``wave`` with every level and its DC term multiplied by ``gain``."""
     return EdgeWaveform(wave.period, wave.times, wave.levels * gain, wave.dc * gain)
+
+
+def sample_element_set(
+    scheme: SizingScheme, model: MismatchModel, n: int, rng: np.random.Generator
+) -> ElementSet:
+    """One element set with its own draw: nominal sizes plus Gaussian
+    mismatch per element, non-positive sizes redrawn (the stream a
+    set-by-set draw consumes)."""
+    nominal = nominal_sizes(scheme, n)
+    realized, resamples = draw_realized(nominal, model.element_sigmas(nominal), rng)
+    return ElementSet(nominal=nominal, realized=realized, resamples=resamples)
+
+
+def subset_value(element_set: ElementSet, combination: Combination) -> float:
+    """Sum of the realized values of the selected elements."""
+    idx = np.asarray(combination.indices, dtype=np.intp)
+    if idx.size and idx[-1] >= element_set.n:
+        raise ConfigError(
+            f"combination index {idx[-1]} out of range for n={element_set.n}"
+        )
+    return float(element_set.realized[idx].sum())
+
+
+def inverter_deviation(
+    elements: ElementSet,
+    selection: Combination,
+    drive: float,
+    extrinsic: float,
+    base: float = 50e-12,
+) -> float:
+    """One selectable-width network's delay less its design point base +
+    drive, in scalars: delay = base + drive * W_nominal_half / W_selected +
+    extrinsic, where W_nominal_half is k times the mean nominal width and a
+    network without drive leaves the width term out."""
+    delay = base
+    if drive != 0.0:
+        w_nominal_half = float(elements.nominal.mean()) * selection.k
+        delay += drive * (w_nominal_half / subset_value(elements, selection))
+    delay += extrinsic
+    return delay - base - drive
+
+
+def receiver_state(
+    sample: HrReceiverSample,
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """A receiver's tail ratios (4), inverter deviations (20: clocks, rises,
+    falls) and rise and fall edge errors (8 each), knob by knob: every knob
+    rebuilt as an ``ElementSet`` on its nominal sizes with a ``Combination``.
+    Phase p's edge error is clock p % 4's deviation plus its own network's."""
+    cfg = sample.config
+    combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
+
+    def knob(row: int, step: float) -> tuple[ElementSet, Combination]:
+        nominal = nominal_sizes(Arithmetic(1.0, step), cfg.n_elements)
+        selection = Combination(tuple(int(i) for i in combos[sample.selection[row]]))
+        return ElementSet(nominal, sample.elements[row].copy()), selection
+
+    ratios = []
+    for m in range(4):
+        elements, selection = knob(m, cfg.tail_step)
+        i_nominal_half = float(elements.nominal.mean()) * selection.k
+        ratios.append(subset_value(elements, selection) / i_nominal_half)
+    deviations = []
+    for row in range(4, 24):
+        step, drive = (
+            (cfg.clock_step, cfg.clock_drive) if row < 8 else (cfg.buffer_step, cfg.buffer_drive)
+        )
+        elements, selection = knob(row, step)
+        extrinsic = float(sample.extrinsic[row])
+        deviations.append(
+            inverter_deviation(elements, selection, drive, extrinsic, cfg.base_delay)
+        )
+    rise = [deviations[p % 4] + deviations[4 + p] for p in range(8)]
+    fall = [deviations[p % 4] + deviations[12 + p] for p in range(8)]
+    return ratios, deviations, rise, fall
+
+
+def receiver_gain(sample: HrReceiverSample, m: int) -> float:
+    """Branch m's gain, (selected / nominal tail current)**alpha * (1 + its
+    extrinsic error), from ``receiver_state``."""
+    ratio = receiver_state(sample)[0][m]
+    return ratio**sample.config.gain_alpha * (1.0 + float(sample.extrinsic[m]))

@@ -213,6 +213,16 @@ def test_converter_over_the_memory_bound_is_rejected_before_sampling(
     assert peak < 16 * 2**20
 
 
+def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "gain.cfg", "hr.gain_sigma = 0.08\n")
+    out = tmp_path / "out"
+    assert main(["hr", "simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "tail_step" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_zero_threads_is_rejected(capsys):
     assert main(["dac", "sense", "--threads", "0"]) == 2
     capsys.readouterr()
@@ -585,6 +595,25 @@ def test_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
     assert os.listdir(out) == ["earlier.txt"]
     assert os.listdir(runs) == ["out"]  # no staging directory left behind
+
+
+@pytest.mark.parametrize("where", ["build", "write"])
+def test_interrupt_exits_130_and_leaves_no_output(tmp_path, capsys, monkeypatch, where):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    if where == "build":
+        command = cli._COMMANDS["hr simulate"]
+        monkeypatch.setitem(cli._COMMANDS, "hr simulate", command._replace(build=interrupted))
+    else:  # while _finish writes into its staging directory
+        monkeypatch.setattr(cli, "write_manifest", interrupted)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "out"
+    assert main(["hr", "simulate", "--out", str(out)]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n" and captured.out == ""
+    assert os.listdir(runs) == []  # neither --out nor a staging directory
 
 
 def test_rerun_replaces_the_manifest_and_keeps_other_files(tmp_path, capsys):

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subsetcal import csdac
@@ -44,7 +44,6 @@ from subsetcal.csdac import (
     uniform_comparison_config,
     yield_study,
 )
-from subsetcal.hrmixer import TunableInverter
 from subsetcal.mismatch import (
     Arithmetic,
     Combination,
@@ -58,13 +57,17 @@ from subsetcal.mismatch import (
     draw_realized,
     find_best,
     nominal_sizes,
-    sample_element_set,
     scheme_center,
-    subset_value,
 )
 from subsetcal.runner import sample_substream
 
-from oracles import amplitude_residuals, dac_output
+from oracles import (
+    amplitude_residuals,
+    dac_output,
+    inverter_deviation,
+    sample_element_set,
+    subset_value,
+)
 
 BALANCED_12_6 = balanced_combination(12, 6)
 COMBOS_12_6 = combination_index_matrix(12, 6)
@@ -95,9 +98,9 @@ def oracle_output(sample, code):
 
 
 def oracle_deviation(sample, cell, buffer, selection):
-    """The deviation of hrmixer's TunableInverter built from one timing
-    buffer of the sample (0 delay, 1 tuned duty, 2 fixed duty; base delay
-    50 ps) at the given Combination."""
+    """The scalar inverse-width deviation of one timing buffer of the sample
+    (0 delay, 1 tuned duty, 2 fixed duty; base delay 50 ps) at the given
+    Combination."""
     cfg = sample.config
     step, drive = (
         (cfg.delay_step, cfg.delay_drive) if buffer == 0 else (cfg.duty_step, cfg.duty_drive)
@@ -106,7 +109,7 @@ def oracle_deviation(sample, cell, buffer, selection):
         nominal_sizes(Arithmetic(1.0, step), cfg.n), sample.widths[cell, buffer]
     )
     extrinsic = float(sample.extrinsic[cell, buffer])
-    return TunableInverter(elements, selection, 50e-12, drive, extrinsic).deviation
+    return inverter_deviation(elements, selection, drive, extrinsic)
 
 
 def oracle_timing_errors(sample):
@@ -652,9 +655,6 @@ def test_segment_maxima_equal_the_full_curve_on_real_converters():
     assert readings == 2000
 
 
-PROPERTY_SETTINGS = settings(
-    derandomize=True, max_examples=60, deadline=None, database=None
-)
 GEOMETRY = st.tuples(st.integers(1, 63), st.integers(1, 8))
 
 
@@ -663,7 +663,6 @@ def assert_segment_maxima_match(currents, bits):
     assert csdac._segment_maxima(currents, lsb_vals) == curve_maxima(currents, bits)
 
 
-@PROPERTY_SETTINGS
 @given(
     geometry=GEOMETRY,
     levels=st.lists(st.sampled_from([0.5, 1.0, 1.0, 1.5]), min_size=63, max_size=63),
@@ -676,7 +675,6 @@ def test_segment_maxima_property_ties(geometry, levels, bit_gains):
     assert_segment_maxima_match(levels[:cells], bits)
 
 
-@PROPERTY_SETTINGS
 @given(current=st.floats(1e-6, 1e-3), cells=st.integers(1, 63), lsb_bits=st.integers(1, 8))
 @example(current=312e-6, cells=63, lsb_bits=8)  # the default converter's geometry
 def test_segment_maxima_property_equal_cells(current, cells, lsb_bits):
@@ -690,7 +688,6 @@ def test_segment_maxima_property_equal_cells(current, cells, lsb_bits):
         full_curve.assert_called_once()
 
 
-@PROPERTY_SETTINGS
 @given(
     geometry=GEOMETRY,
     seed=st.integers(0, 2**32 - 1),
@@ -708,7 +705,6 @@ def test_segment_maxima_property_dominant_step(geometry, seed, cell, jump):
     assert_segment_maxima_match(currents, bits / 2**lsb_bits)
 
 
-@PROPERTY_SETTINGS
 @given(
     geometry=GEOMETRY,
     seed=st.integers(0, 2**32 - 1),

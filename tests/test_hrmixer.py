@@ -4,7 +4,9 @@ Two independent oracles anchor the waveform pipeline: the textbook rejection
 formula for a mismatch-free receiver with arbitrary recombination weights
 (HRR_n = 20*log10(n*(1+rho)/|1-rho|), rho = b/(a*sqrt(2))), and a dense
 midpoint-Riemann demodulation of the composite LO built from boolean phase
-masks rather than edge algebra.  Calibration behavior is asserted as
+masks rather than edge algebra.  The array receiver's draw and derived state
+are checked bit for bit against set-by-set draws and the scalar
+inverse-width delay law in ``oracles``.  Calibration behavior is asserted as
 properties: per-step objectives never regress, repeated iterations agree,
 and population statistics land in the documented bands.
 """
@@ -17,7 +19,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from subsetcal import hrmixer
 from subsetcal.waveform import fourier_coeff
 from subsetcal.hrmixer import (
     HRR_DB_CAP,
@@ -26,7 +31,6 @@ from subsetcal.hrmixer import (
     DegenerateConfigurationError,
     HrConfig,
     HrReceiverSample,
-    TunableInverter,
     calibrate_even_order,
     calibrate_odd_order,
     effective_lo,
@@ -37,7 +41,23 @@ from subsetcal.hrmixer import (
     zero_variance_receiver,
 )
 
-from oracles import ideal_receiver
+from subsetcal.mismatch import (
+    Arithmetic,
+    Combination,
+    ElementSet,
+    MismatchModel,
+    balanced_combination,
+    combination_index_matrix,
+)
+from subsetcal.runner import sample_substream
+
+from oracles import (
+    ideal_receiver,
+    inverter_deviation,
+    receiver_gain,
+    receiver_state,
+    sample_element_set,
+)
 
 
 def closed_form_hrr(weights: tuple[float, float, float], n: int) -> float:
@@ -57,15 +77,14 @@ def riemann_path_coeff(
     midpoint-Riemann error is bounded by (sum of |level jumps|)/grid.
     """
     cfg = sample.config
+    _, _, rise_errors, fall_errors = receiver_state(sample)
     t = (np.arange(grid) + 0.5) / grid
     val = np.zeros(grid)
-    for pos, bi in enumerate(PATH_BRANCHES[path]):
-        branch = sample.branches[bi]
-        amp = branch.gain(cfg.gain_alpha) * cfg.weights[pos]
-        p = branch.lo_phase_index
+    for pos, p in enumerate(PATH_BRANCHES[path]):
+        amp = receiver_gain(sample, p) * cfg.weights[pos]
         for phase, sign in ((p, 1.0), (p + 4, -1.0)):
-            rise = (phase / 8.0 + f * sample.phases.rise_errors[phase]) % 1.0
-            fall = (phase / 8.0 + 0.5 + f * sample.phases.fall_errors[phase]) % 1.0
+            rise = (phase / 8.0 + f * rise_errors[phase]) % 1.0
+            fall = (phase / 8.0 + 0.5 + f * fall_errors[phase]) % 1.0
             if rise <= fall:
                 mask = (t >= rise) & (t < fall)
             else:
@@ -78,6 +97,14 @@ def seeded_sample(i: int, config: HrConfig | None = None) -> HrReceiverSample:
     cfg = config or HrConfig()
     rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(i,)))
     return sample_receiver(cfg, rng)
+
+
+def with_extrinsic(sample: HrReceiverSample, rows, value=None, shift=0.0) -> HrReceiverSample:
+    """``sample`` with the extrinsic error of knob ``rows`` set to ``value``
+    or moved by ``shift``."""
+    extrinsic = sample.extrinsic.copy()
+    extrinsic[rows] = extrinsic[rows] + shift if value is None else value
+    return dataclasses.replace(sample, extrinsic=extrinsic)
 
 
 @pytest.fixture(scope="module")
@@ -157,29 +184,24 @@ def test_step_sizes_cover_six_sigma():
 
 
 def test_inverter_delay_model():
-    inv = TunableInverter(
-        elements=_unit_elements(),
-        selection=_first_six(),
-        base_delay=50e-12,
-        drive_coefficient=4.5e-10,
-        extrinsic_error=1e-12,
-    )
     # nominal selection of a uniform set leaves only the extrinsic part
-    assert inv.deviation == pytest.approx(1e-12, abs=1e-24)
-    assert inv.delay == pytest.approx(50e-12 + 4.5e-10 + 1e-12, rel=1e-12)
-
-
-def _unit_elements():
-    from subsetcal.mismatch import ElementSet
-
+    delay = hrmixer._inverse_width_delay(50e-12, 4.5e-10, 6.0, 6.0, 1e-12)
+    assert delay == pytest.approx(50e-12 + 4.5e-10 + 1e-12, rel=1e-12)
     nominal = np.ones(12)
-    return ElementSet(nominal=nominal, realized=nominal.copy())
+    unit = ElementSet(nominal=nominal, realized=nominal.copy())
+    deviation = inverter_deviation(unit, Combination(tuple(range(6))), 4.5e-10, 1e-12)
+    assert deviation == delay - 50e-12 - 4.5e-10 == pytest.approx(1e-12, abs=1e-24)
+    # without drive the width term drops out: base + extrinsic exactly
+    assert hrmixer._inverse_width_delay(50e-12, 0.0, 6.0, 5.5, 1e-12) == 50e-12 + 1e-12
 
 
-def _first_six():
-    from subsetcal.mismatch import Combination
-
-    return Combination(tuple(range(6)))
+def test_gain_range_past_zero_is_a_config_error():
+    # (1 - 3 * tail_step) < 0: the range check must come before the power
+    for gain_sigma in (0.08, 0.1):
+        with pytest.raises(ConfigError, match="tail_step"):
+            HrConfig(gain_sigma=gain_sigma)
+    with pytest.raises(ConfigError, match="tail_step"):
+        HrConfig(gain_sigma=0.08, n_elements=4, k_selected=2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +212,61 @@ def _first_six():
 def test_sample_receiver_deterministic():
     a = seeded_sample(3)
     b = seeded_sample(3)
-    for inv_a, inv_b in zip(a.phases.rise_networks, b.phases.rise_networks):
-        np.testing.assert_array_equal(
-            inv_a.elements.realized, inv_b.elements.realized
-        )
-        assert inv_a.extrinsic_error == inv_b.extrinsic_error
-    for br_a, br_b in zip(a.branches, b.branches):
-        np.testing.assert_array_equal(
-            br_a.elements.realized, br_b.elements.realized
-        )
-    assert seeded_sample(4).phases.clock_networks[0].extrinsic_error != (
-        a.phases.clock_networks[0].extrinsic_error
-    )
+    np.testing.assert_array_equal(a.elements, b.elements)
+    np.testing.assert_array_equal(a.extrinsic, b.extrinsic)
+    assert seeded_sample(4).extrinsic[4] != a.extrinsic[4]  # clock 0
 
 
 def test_sample_receiver_starts_balanced():
     s = seeded_sample(0)
-    k = s.config.k_selected
-    for inv in s.phases.clock_networks + s.phases.rise_networks:
-        assert inv.selection.k == k
-    for br in s.branches:
-        assert br.selection.k == k
+    n, k = s.config.n_elements, s.config.k_selected
+    combos = combination_index_matrix(n, k)
+    for row in s.selection:
+        assert tuple(combos[row]) == balanced_combination(n, k).indices
+
+
+def set_by_set_draw(cfg: HrConfig, rng) -> tuple[np.ndarray, np.ndarray, int]:
+    """The receiver's draws one set at a time, in the documented order: per
+    branch its tail set then extrinsic gain error, per pair its clock widths
+    then extrinsic delay, per phase rise then fall widths, each followed by
+    its extrinsic.  Returns (elements, extrinsic, redraws) in knob order."""
+    n = cfg.n_elements
+    tail = (Arithmetic(1.0, cfg.tail_step), MismatchModel(cfg.tail_element_sigma, 1.0))
+    width = MismatchModel(cfg.element_rel_sigma, 1.0)
+    clock, buffer = Arithmetic(1.0, cfg.clock_step), Arithmetic(1.0, cfg.buffer_step)
+    plan = 4 * [(tail, cfg.tail_extrinsic_sigma, "tail")]
+    plan += 4 * [((clock, width), cfg.clock_extrinsic_sigma, "clock")]
+    for _ in range(8):
+        plan += [((buffer, width), cfg.buffer_extrinsic_sigma, kind) for kind in ("rise", "fall")]
+    drawn = {"tail": [], "clock": [], "rise": [], "fall": []}
+    redraws = 0
+    for (scheme, model), sigma, kind in plan:
+        elements = sample_element_set(scheme, model, n, rng)
+        redraws += elements.resamples
+        drawn[kind].append((elements.realized, float(rng.normal(0.0, sigma))))
+    rows = drawn["tail"] + drawn["clock"] + drawn["rise"] + drawn["fall"]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), redraws
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"n_elements": 16, "k_selected": 8},
+        {"element_rel_sigma": 0.5, "clock_delay_sigma": 0.0, "diff_phase_sigma": 0.0},
+    ],
+    ids=["default", "n16-k8", "rewind"],
+)
+def test_sample_receiver_matches_set_by_set_draws(overrides):
+    cfg = HrConfig(**overrides)
+    redraws = 0
+    for i in range(30):
+        s = sample_receiver(cfg, sample_substream(1, i))
+        elements, extrinsic, count = set_by_set_draw(cfg, sample_substream(1, i))
+        assert np.array_equal(s.elements, elements)
+        assert np.array_equal(s.extrinsic, extrinsic)
+        redraws += count
+    assert (redraws > 0) == ("element_rel_sigma" in overrides)
 
 
 def test_duty_error_budget():
@@ -221,7 +277,7 @@ def test_duty_error_budget():
     for i in range(400):
         s = seeded_sample(i, cfg)
         for p in range(8):
-            vals.append(s.phases.rise_errors[p] - s.phases.fall_errors[p])
+            vals.append(s.rise_errors[p] - s.fall_errors[p])
     # rise/fall share the clock term, so the difference isolates the two
     # buffer networks: variance = 2 * (diff_phase_sigma^2 / 2)
     assert np.std(vals) == pytest.approx(cfg.diff_phase_sigma, rel=0.05)
@@ -270,15 +326,7 @@ def test_effective_lo_is_sum_of_branch_contributions():
     for n in (1, 3):
         total = 0j
         for pos, bi in enumerate(PATH_BRANCHES["I"]):
-            solo = dataclasses.replace(
-                s,
-                branches=tuple(
-                    dataclasses.replace(
-                        br, extrinsic_error=(br.extrinsic_error if j == bi else -1.0)
-                    )
-                    for j, br in enumerate(s.branches)
-                ),
-            )
+            solo = with_extrinsic(s, [m for m in range(4) if m != bi], -1.0)
             total += fourier_coeff(effective_lo(solo, "I", cfg.f0), n)
         assert abs(total - fourier_coeff(lo, n)) < 1e-12 * abs(fourier_coeff(lo, 1))
 
@@ -293,20 +341,7 @@ def test_hrr_invariances():
     assert hrr(scaled, "I", 3, cfg.f0) == pytest.approx(base3, abs=1e-9)
     # common time shift applied to every phase edge
     delta = 3e-12
-    shifted = dataclasses.replace(
-        s,
-        phases=dataclasses.replace(
-            s.phases,
-            rise_networks=tuple(
-                dataclasses.replace(inv, extrinsic_error=inv.extrinsic_error + delta)
-                for inv in s.phases.rise_networks
-            ),
-            fall_networks=tuple(
-                dataclasses.replace(inv, extrinsic_error=inv.extrinsic_error + delta)
-                for inv in s.phases.fall_networks
-            ),
-        ),
-    )
+    shifted = with_extrinsic(s, slice(8, 24), shift=delta)  # every rise and fall
     assert hrr(shifted, "I", 3, cfg.f0) == pytest.approx(base3, abs=1e-9)
 
 
@@ -322,31 +357,14 @@ def test_hrr_power_identity():
 
 def test_degenerate_receiver_raises():
     s = seeded_sample(0)
-    dead = dataclasses.replace(
-        s,
-        branches=tuple(
-            dataclasses.replace(br, extrinsic_error=-1.0) for br in s.branches
-        ),
-    )
+    dead = with_extrinsic(s, slice(0, 4), -1.0)  # every tail
     with pytest.raises(DegenerateConfigurationError):
         hrr(dead, "I", 3, s.config.f0)
 
 
 def test_edge_error_guard():
     s = seeded_sample(0)
-    slow = dataclasses.replace(
-        s,
-        phases=dataclasses.replace(
-            s.phases,
-            rise_networks=(
-                dataclasses.replace(
-                    s.phases.rise_networks[0],
-                    extrinsic_error=s.phases.rise_networks[0].extrinsic_error + 1e-10,
-                ),
-            )
-            + s.phases.rise_networks[1:],
-        ),
-    )
+    slow = with_extrinsic(s, 8, shift=1e-10)  # rise 0
     with pytest.raises(ConfigError):
         effective_lo(slow, "I", 750e6)  # |f * error| >= 1/16
     effective_lo(slow, "I", 150e6)  # fine at a lower frequency
@@ -379,8 +397,7 @@ def test_even_cal_is_noop_on_ideal_receiver():
     s = ideal_receiver()
     out, report = calibrate_even_order(s)
     assert hrr(out, "I", 2, out.config.f0) == math.inf
-    for inv in out.phases.rise_networks + out.phases.fall_networks:
-        assert inv.deviation == 0.0
+    assert np.all(out.deviations[4:] == 0.0)  # every rise and fall network
 
 
 def test_even_cal_properties(calibrated_population, default_config):
@@ -425,10 +442,9 @@ def test_odd_cal_is_noop_on_ideal_receiver():
     out, report = calibrate_odd_order(s, 750e6, 15e6)
     assert hrr(out, "I", 3, 750e6) == math.inf
     assert hrr(out, "I", 5, 750e6) == math.inf
-    for inv in out.phases.clock_networks:
-        assert inv.deviation == 0.0
-    for br in out.branches:
-        assert br.gain(out.config.gain_alpha) == pytest.approx(1.0, abs=1e-15)
+    assert np.all(out.deviations[:4] == 0.0)  # every clock
+    for m in range(4):
+        assert hrmixer._branch_gain(out, m) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_odd_cal_trace_never_regresses(calibrated_population):
@@ -511,44 +527,28 @@ def test_sweep_caps_infinite_values():
 # ---------------------------------------------------------------------------
 
 
-def scratch_delay(inv: TunableInverter) -> float:
-    """delay = base + drive * W_nominal_half/W_selected + extrinsic, from the
-    inverter's elements and selection alone."""
-    if inv.drive_coefficient == 0.0:
-        return inv.base_delay + inv.extrinsic_error
-    w_nominal_half = float(inv.elements.nominal.mean()) * inv.selection.k
-    w_selected = float(inv.elements.realized[list(inv.selection.indices)].sum())
-    delay = inv.base_delay + inv.drive_coefficient * (w_nominal_half / w_selected)
-    return delay + inv.extrinsic_error
-
-
-def scratch_gain(branch, alpha: float) -> float:
-    i_nominal_half = float(branch.elements.nominal.mean()) * branch.selection.k
-    i_selected = float(branch.elements.realized[list(branch.selection.indices)].sum())
-    return (i_selected / i_nominal_half) ** alpha * (1.0 + branch.extrinsic_error)
-
-
 def assert_state_matches_scratch(sample: HrReceiverSample) -> None:
-    ph = sample.phases
-    deviations = {}
-    for inv in ph.clock_networks + ph.rise_networks + ph.fall_networks:
-        delay = scratch_delay(inv)
-        assert inv.delay == delay
-        assert inv.deviation == delay - inv.base_delay - inv.drive_coefficient
-        deviations[id(inv)] = inv.deviation
-    for p in range(8):
-        clock = deviations[id(ph.clock_networks[p % 4])]
-        assert ph.rise_errors[p] == clock + deviations[id(ph.rise_networks[p])]
-        assert ph.fall_errors[p] == clock + deviations[id(ph.fall_networks[p])]
-    for br in sample.branches:
-        assert br.gain(sample.config.gain_alpha) == scratch_gain(br, sample.config.gain_alpha)
+    """Stored sums, ratios, deviations and edge errors equal, bit for bit,
+    the knob-by-knob scalar recomputation of ``oracles.receiver_state``."""
+    cfg = sample.config
+    combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
+    sums = [
+        float(sample.elements[row][list(combos[sel])].sum())
+        for row, sel in enumerate(sample.selection)
+    ]
+    ratios, deviations, rise, fall = receiver_state(sample)
+    assert sample.selected.tolist() == sums
+    assert sample.tail_ratios.tolist() == ratios
+    assert sample.deviations.tolist() == deviations
+    assert sample.rise_errors.tolist() == rise
+    assert sample.fall_errors.tolist() == fall
+    for m in range(4):
+        assert hrmixer._branch_gain(sample, m) == receiver_gain(sample, m)
 
 
 def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
     # every step measures its trial receiver, so checking each measured
     # receiver covers every trial and every committed state
-    from subsetcal import hrmixer
-
     checked = []
 
     def checking(original):
@@ -574,19 +574,45 @@ def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
 
 
 def test_with_selection_rebuilds_derived_values():
-    from subsetcal.mismatch import Combination
-
     s = seeded_sample(5)
-    other = Combination((0, 1, 2, 3, 4, 5))
-    inv = s.phases.rise_networks[2]
-    moved = inv.with_selection(other)
-    assert moved.selection == other
-    assert moved.delay == scratch_delay(moved) != inv.delay
-    assert moved.deviation == moved.delay - moved.base_delay - moved.drive_coefficient
-    assert moved.deviation != inv.deviation
-    branch = s.branches[1]
-    alpha = s.config.gain_alpha
-    retuned = branch.with_selection(other)
-    assert retuned.gain(alpha) == scratch_gain(retuned, alpha) != branch.gain(alpha)
+    first = 0  # combination (0, 1, 2, 3, 4, 5)
+    for name, row in (("rise2", 10), ("tail1", 1), ("clock3", 7)):
+        moved = hrmixer._with_knob(s, name, first)
+        assert moved.selection[row] == first
+        assert np.array_equal(np.delete(moved.selection, row), np.delete(s.selection, row))
+        assert_state_matches_scratch(moved)
+        assert moved.selected[row] != s.selected[row]
+    assert hrmixer._with_knob(s, "rise2", first).rise_errors[2] != s.rise_errors[2]
+    assert hrmixer._with_knob(s, "tail1", first).tail_ratios[1] != s.tail_ratios[1]
+    assert s.selection[10] != first  # the source sample is left as it was
     with pytest.raises(ValueError):
-        s.phases.rise_errors[0] = 0.0  # stored errors are read-only
+        s.rise_errors[0] = 0.0  # stored errors are read-only
+
+
+@st.composite
+def receiver_geometry(draw):
+    """n elements and an even k with a balanced combination: 2k <= n + 2."""
+    n = draw(st.integers(3, 16))
+    return n, 2 * draw(st.integers(1, (n + 2) // 4))
+
+
+@given(
+    geometry=receiver_geometry(),
+    seed=st.integers(0, 2**32 - 1),
+    rewind=st.booleans(),
+    moves=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 2**16)), max_size=4),
+)
+@example(geometry=(16, 8), seed=1, rewind=False, moves=[(9, 12345), (2, 7)])
+@example(geometry=(12, 6), seed=2, rewind=True, moves=[])
+def test_array_state_equals_the_scalar_oracle(geometry, seed, rewind, moves):
+    """Drawn receivers, then a few selection changes, against the scalar
+    inverse-width oracle; ``rewind`` draws widths wide enough to be redrawn."""
+    n, k = geometry
+    overrides = {"element_rel_sigma": 0.5, "clock_delay_sigma": 0.0,
+                 "diff_phase_sigma": 0.0} if rewind else {}
+    sample = sample_receiver(HrConfig(n_elements=n, k_selected=k, **overrides), seed)
+    assert_state_matches_scratch(sample)
+    count = len(combination_index_matrix(n, k))
+    for row, choice in moves:
+        sample = hrmixer._with_knob(sample, hrmixer._KNOB_NAMES[row], choice % count)
+        assert_state_matches_scratch(sample)

@@ -26,11 +26,11 @@ from subsetcal.mismatch import (
     draw_realized,
     find_best,
     nominal_sizes,
-    sample_element_set,
     scheme_center,
     sigma_k,
-    subset_value,
 )
+
+from oracles import sample_element_set, subset_value
 
 
 # ---------------------------------------------------------------------------

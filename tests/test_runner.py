@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetcal import runner
 from subsetcal.mismatch import ConfigError
@@ -146,6 +149,21 @@ def test_worker_that_dies_without_a_result(four_cores):
 
     with pytest.raises(ChildProcessError, match=r"chunk 1 \(rows 4\.\.7\).*exit status 3"):
         parallel_indexed(8, row, threads=2)
+    assert_no_child_left()
+
+
+@settings(max_examples=25)
+@given(n=st.integers(0, 9), threads=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_parallel_indexed_rows_do_not_depend_on_workers(n, threads, seed):
+    """At most four workers (three forked) on any machine: the rows equal
+    the serial ones, in index order, and every worker is reaped."""
+
+    def draw(i):
+        return i, float(sample_substream(seed, i).standard_normal())
+
+    with mock.patch.object(runner, "_usable_cores", lambda: 4):
+        rows = parallel_indexed(n, draw, threads=threads)
+    assert rows == [draw(i) for i in range(n)]
     assert_no_child_left()
 
 
