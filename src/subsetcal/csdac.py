@@ -906,9 +906,9 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
 
 def _subset_sum(realized: np.ndarray, combination: Combination) -> float:
     """Sum of the selected elements of one (n,) row, added by a 1-D ``sum``
-    as the set-by-set model and the receiver add them: numpy's pairwise sum
-    adds k >= 8 values in another order than a reduction down a 2-D array's
-    strided axis."""
+    as the receiver and the set-by-set oracle in ``tests/oracles.py`` add
+    them: numpy's pairwise sum adds k >= 8 values in another order than a
+    reduction down a 2-D array's strided axis."""
     return float(realized[np.asarray(combination.indices, dtype=np.intp)].sum())
 
 

@@ -166,6 +166,11 @@ def test_coverage_check_rejects_underdriven_networks():
     # a budget too large for any feasible arithmetic spread
     with pytest.raises(ConfigError):
         HrConfig(gain_sigma=0.2)
+    # a budget whose step puts the range's low end, 1 - 3 * tail_step, below
+    # zero; with 4 elements the element sizes themselves stay positive
+    for geometry in ({}, {"n_elements": 4, "k_selected": 2}):
+        with pytest.raises(ConfigError, match="tail_step"):
+            HrConfig(gain_sigma=0.08, **geometry)
 
 
 def test_step_sizes_cover_six_sigma():
@@ -193,15 +198,6 @@ def test_inverter_delay_model():
     assert deviation == delay - 50e-12 - 4.5e-10 == pytest.approx(1e-12, abs=1e-24)
     # without drive the width term drops out: base + extrinsic exactly
     assert hrmixer._inverse_width_delay(50e-12, 0.0, 6.0, 5.5, 1e-12) == 50e-12 + 1e-12
-
-
-def test_gain_range_past_zero_is_a_config_error():
-    # (1 - 3 * tail_step) < 0: the range check must come before the power
-    for gain_sigma in (0.08, 0.1):
-        with pytest.raises(ConfigError, match="tail_step"):
-            HrConfig(gain_sigma=gain_sigma)
-    with pytest.raises(ConfigError, match="tail_step"):
-        HrConfig(gain_sigma=0.08, n_elements=4, k_selected=2)
 
 
 # ---------------------------------------------------------------------------
