@@ -55,6 +55,7 @@ from .csdac import (
     yield_study,
 )
 from .hrmixer import (
+    PATH_BRANCHES,
     HrConfig,
     calibrate_even_order,
     calibrate_odd_order,
@@ -329,9 +330,24 @@ def _hr_schema(figure_id: str, harmonics: tuple[int, ...]) -> Schema:
 _HRR_COLUMNS = ("f_hz", "n", "hrr_db", "phase")
 
 
+def _check_hr_keys(cfg: dict) -> None:
+    """The ``hr.*`` keys that are not ``HrConfig`` fields, checked before a
+    receiver is drawn."""
+    if cfg["hr.path"] not in PATH_BRANCHES:
+        raise ConfigError(f"hr.path must be 'I' or 'Q', got {cfg['hr.path']!r}")
+    harmonics = cfg["hr.harmonics"]
+    if not harmonics or min(harmonics) < 2:
+        raise ConfigError(f"hr.harmonics must be indices >= 2, got {list(harmonics)}")
+    if cfg["hr.iterations"] < 1:
+        raise ConfigError(f"hr.iterations must be >= 1, got {cfg['hr.iterations']}")
+    if any(f <= 0 for f in cfg["hr.f_list"]):
+        raise ConfigError(f"hr.f_list must be frequencies > 0, got {list(cfg['hr.f_list'])}")
+
+
 def _hr(command: str, cfg: dict, threads: int) -> Output:
     """Draw one receiver, table its HRR, and for ``calibrate`` and ``sweep``
     calibrate it and table the HRR again."""
+    _check_hr_keys(cfg)
     receiver = sample_receiver(
         HrConfig(**_field_values(cfg, _HR_FIELDS)), sample_substream(cfg["hr.seed"], 0)
     )

@@ -48,7 +48,7 @@ from .mismatch import (
     combination_index_matrix,
     nominal_sizes,
 )
-from .waveform import EdgeWaveform, combine, edge_fourier, fourier_coeff, square_wave
+from .waveform import EdgeWaveform, edge_fourier
 
 __all__ = [
     "HrConfig",
@@ -152,11 +152,11 @@ class HrConfig:
             raise ConfigError(
                 f"need 0 < k < n, got n={self.n_elements} k={self.k_selected}"
             )
-        if self.f_low >= self.f0:
-            raise ConfigError(f"f_low {self.f_low:g} must be below f0 {self.f0:g}")
         for name in ("f0", "f_low", "gain_alpha", "coverage_sigma"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+        if self.f_low >= self.f0:
+            raise ConfigError(f"f_low {self.f_low:g} must be below f0 {self.f0:g}")
         for name in (
             "element_rel_sigma",
             "gain_sigma",
@@ -503,50 +503,89 @@ def _check_edge_errors(sample: HrReceiverSample, f: float) -> None:
         )
 
 
-def effective_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWaveform:
-    """Weighted sum of the path's three differential LO waveforms at frequency f.
+def _lo_edges(
+    sample: HrReceiverSample, path: str, f: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The path's effective LO at frequency f as arrays: the times where its
+    level changes, the level after each, and the constant level when there
+    is none (``EdgeWaveform``'s ``times``, ``levels`` and ``dc``).
 
-    Timing errors are fixed in seconds, so their fractional (phase) impact
-    scales with f.  Branch amplitudes are gain * positional weight.
+    The LO is the sum of six square waves, high from rise to fall
+    (cyclically): phase p with amplitude +amp and phase p + 4 with -amp for
+    each branch p of the path, amp = gain * positional weight.  Timing errors
+    are fixed in seconds, so their fractional (phase) impact scales with f.
+    Levels are read on the union of the twelve edges and added wave by wave
+    in a zero array, the order ``tests/oracles.combine`` adds them in, so
+    every value equals the square-wave sum's bit for bit.
     """
     if path not in PATH_BRANCHES:
         raise ConfigError(f"path must be 'I' or 'Q', got {path!r}")
     if f <= 0:
         raise ConfigError(f"frequency must be > 0, got {f}")
     _check_edge_errors(sample, f)
+    if not math.isfinite(f):
+        raise ConfigError(f"frequency must be finite, got {f}")
     cfg = sample.config
-    period = 1.0 / f
-    waves: list[EdgeWaveform] = []
-    amps: list[float] = []
-    for pos, bi in enumerate(PATH_BRANCHES[path]):
-        amp = _branch_gain(sample, bi) * cfg.weights[pos]
-        for phase, sign in ((bi, 1.0), (bi + 4, -1.0)):
-            rise = (phase / 8.0 + f * sample.rise_errors[phase]) % 1.0
-            fall = (phase / 8.0 + 0.5 + f * sample.fall_errors[phase]) % 1.0
-            waves.append(square_wave(period, rise, fall))
-            amps.append(sign * amp)
-    return combine(waves, amps)
+    branches = PATH_BRANCHES[path]
+    phases = np.array([(bi, bi + 4) for bi in branches]).ravel()
+    gains = [_branch_gain(sample, bi) * weight for bi, weight in zip(branches, cfg.weights)]
+    amps = [sign * amp for amp in gains for sign in (1.0, -1.0)]
+    rise = np.mod((phases / 8.0 + f * sample.rise_errors[phases]) % 1.0, 1.0)
+    fall = np.mod((phases / 8.0 + 0.5 + f * sample.fall_errors[phases]) % 1.0, 1.0)
+    if np.any(rise == fall):
+        raise ConfigError("square_wave needs distinct rise/fall times")
+    times = np.unique(np.concatenate((rise, fall)))
+    after_rise, before_fall = times >= rise[:, None], times < fall[:, None]
+    high = np.where((rise < fall)[:, None], after_rise & before_fall, after_rise | before_fall)
+    levels = np.zeros_like(times)
+    for amp, wave in zip(amps, high):
+        levels += amp * wave
+    keep = levels != np.concatenate((levels[-1:], levels[:-1]))  # level before each edge
+    if not np.any(keep):  # the LO is constant
+        return times[:0], levels[:0], float(levels[0])
+    return times[keep], levels[keep], 0.0
 
 
-def _first_and_nth(sample: HrReceiverSample, path: str, n: int, f: float) -> tuple[complex, complex]:
-    if n < 2:
-        raise ConfigError(f"harmonic index must be >= 2, got {n}")
-    lo = effective_lo(sample, path, f)
-    c1 = fourier_coeff(lo, 1)
-    cn = fourier_coeff(lo, n)
+def effective_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWaveform:
+    """Weighted sum of the path's three differential LO waveforms at frequency f."""
+    times, levels, dc = _lo_edges(sample, path, f)
+    return EdgeWaveform(1.0 / f, times, levels, dc)
+
+
+def _lo_fundamental(
+    sample: HrReceiverSample, path: str, f: float
+) -> tuple[np.ndarray, np.ndarray, complex]:
+    """The path's LO edge times and level steps at frequency f, and its c1."""
+    times, levels, _ = _lo_edges(sample, path, f)
+    deltas = levels - np.concatenate((levels[-1:], levels[:-1]))
+    c1 = complex(edge_fourier(times, deltas, 1))
     if abs(c1) == 0.0:
         raise DegenerateConfigurationError(
             "effective LO has no fundamental component (all branch gains zero?)"
         )
-    return c1, cn
+    return times, deltas, c1
+
+
+def _check_harmonic(n: int) -> None:
+    if n < 2:
+        raise ConfigError(f"harmonic index must be >= 2, got {n}")
+
+
+def _first_and_nth(sample: HrReceiverSample, path: str, n: int, f: float) -> tuple[complex, complex]:
+    _check_harmonic(n)
+    times, deltas, c1 = _lo_fundamental(sample, path, f)
+    return c1, complex(edge_fourier(times, deltas, n))
+
+
+def _hrr_db(c1: complex, cn: complex) -> float:
+    if abs(cn) < HRR_INF_REL * abs(c1):
+        return math.inf
+    return 20.0 * math.log10(abs(c1) / abs(cn))
 
 
 def hrr(sample: HrReceiverSample, path: str, n: int, f: float) -> float:
     """Harmonic rejection ratio 20*log10(|c1|/|cn|) in dB; inf below 1e-15."""
-    c1, cn = _first_and_nth(sample, path, n, f)
-    if abs(cn) < HRR_INF_REL * abs(c1):
-        return math.inf
-    return 20.0 * math.log10(abs(c1) / abs(cn))
+    return _hrr_db(*_first_and_nth(sample, path, n, f))
 
 
 def measure_harmonic_power(sample: HrReceiverSample, path: str, n: int, f: float) -> float:
@@ -804,7 +843,13 @@ def sweep_hrr(
     the table stays finite."""
     out = []
     for f in f_list:
+        lo = None  # built at the first harmonic, so errors come in hrr's order
         for n in n_list:
-            value = min(hrr(sample, path, n, f), HRR_DB_CAP)
+            _check_harmonic(n)
+            if lo is None:
+                lo = _lo_fundamental(sample, path, f)
+            times, deltas, c1 = lo
+            cn = complex(edge_fourier(times, deltas, n))
+            value = min(_hrr_db(c1, cn), HRR_DB_CAP)
             out.append(HrrPoint(f_hz=float(f), n=int(n), hrr_db=value))
     return out

@@ -16,7 +16,6 @@ with t_e in period fractions and dlevel_e the level step at the edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .mismatch import ConfigError
 __all__ = [
     "EdgeWaveform",
     "square_wave",
-    "combine",
     "fourier_coeff",
     "edge_fourier",
     "product_average",
@@ -107,33 +105,6 @@ def square_wave(
     else:
         times, levels = np.array([f, r]), np.array([low, high])
     return EdgeWaveform(period, times, levels)
-
-
-def combine(waveforms: Sequence[EdgeWaveform], weights: Sequence[float]) -> EdgeWaveform:
-    """Weighted sum of waveforms sharing one period, as an exact edge list.
-
-    Levels are evaluated on the union of transition times; edges where the
-    combined level does not change are dropped.
-    """
-    if not waveforms:
-        raise ConfigError("combine needs at least one waveform")
-    period = waveforms[0].period
-    for w in waveforms[1:]:
-        if w.period != period:
-            raise ConfigError("combine requires a common period")
-    all_times = np.unique(
-        np.concatenate([w.times for w in waveforms if w.times.size] or [np.empty(0)])
-    )
-    if all_times.size == 0:
-        dc = float(sum(g * w.dc for g, w in zip(weights, waveforms)))
-        return EdgeWaveform(period, np.empty(0), np.empty(0), dc)
-    levels = np.zeros_like(all_times)
-    for g, w in zip(weights, waveforms):
-        levels += g * w.value(all_times)
-    keep = levels != np.roll(levels, 1)
-    if not np.any(keep):  # combination is constant
-        return EdgeWaveform(period, np.empty(0), np.empty(0), float(levels[0]))
-    return EdgeWaveform(period, all_times[keep], levels[keep])
 
 
 def edge_fourier(times, deltas, n) -> np.ndarray:

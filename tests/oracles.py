@@ -2,22 +2,31 @@
 
 The sequential DAC decode, the per-cell amplitude residuals, the textbook
 ideal receiver, a scalar failure-rate query, a waveform scaled by a gain,
-the set-by-set element draw with its subset sum, and the scalar
-inverse-width delay law that the receiver's and the converter's timing
-networks are checked against, one network at a time: the tests check the
-package's fast paths against them, and no program code needs them.
+the weighted sum of waveforms and the receiver's effective LO built from
+it, one square wave per phase, the set-by-set element draw with its subset
+sum, and the scalar inverse-width delay law that the receiver's and the
+converter's timing networks are checked against, one network at a time:
+the tests check the package's fast paths against them, and no program code
+needs them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from subsetcal.csdac import DacSample, ucc_currents
-from subsetcal.hrmixer import HrConfig, HrReceiverSample, zero_variance_receiver
+from subsetcal.hrmixer import (
+    PATH_BRANCHES,
+    HrConfig,
+    HrReceiverSample,
+    _branch_gain,
+    _check_edge_errors,
+    zero_variance_receiver,
+)
 from subsetcal.mismatch import (
     Arithmetic,
     Combination,
@@ -30,7 +39,7 @@ from subsetcal.mismatch import (
     nominal_sizes,
 )
 from subsetcal.studies import StudyConfig, run_study
-from subsetcal.waveform import EdgeWaveform
+from subsetcal.waveform import EdgeWaveform, square_wave
 
 
 def dac_output(sample: DacSample, code: int) -> float:
@@ -87,6 +96,58 @@ def failure_rate(config: StudyConfig, width: Optional[float] = None) -> float:
 def scaled(wave: EdgeWaveform, gain: float) -> EdgeWaveform:
     """``wave`` with every level and its DC term multiplied by ``gain``."""
     return EdgeWaveform(wave.period, wave.times, wave.levels * gain, wave.dc * gain)
+
+
+def combine(waveforms: Sequence[EdgeWaveform], weights: Sequence[float]) -> EdgeWaveform:
+    """Weighted sum of waveforms sharing one period, as an exact edge list.
+
+    Levels are evaluated on the union of transition times; edges where the
+    combined level does not change are dropped.
+    """
+    if not waveforms:
+        raise ConfigError("combine needs at least one waveform")
+    period = waveforms[0].period
+    for w in waveforms[1:]:
+        if w.period != period:
+            raise ConfigError("combine requires a common period")
+    all_times = np.unique(
+        np.concatenate([w.times for w in waveforms if w.times.size] or [np.empty(0)])
+    )
+    if all_times.size == 0:
+        dc = float(sum(g * w.dc for g, w in zip(weights, waveforms)))
+        return EdgeWaveform(period, np.empty(0), np.empty(0), dc)
+    levels = np.zeros_like(all_times)
+    for g, w in zip(weights, waveforms):
+        levels += g * w.value(all_times)
+    keep = levels != np.roll(levels, 1)
+    if not np.any(keep):  # combination is constant
+        return EdgeWaveform(period, np.empty(0), np.empty(0), float(levels[0]))
+    return EdgeWaveform(period, all_times[keep], levels[keep])
+
+
+def square_wave_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWaveform:
+    """The path's effective LO at frequency f as ``combine`` of six
+    ``square_wave`` objects: phase p high from its rise to its fall, with
+    amplitude +gain * weight, and phase p + 4 with the negated amplitude, for
+    each branch p of the path.  The same checks as ``hrmixer.effective_lo``
+    come first."""
+    if path not in PATH_BRANCHES:
+        raise ConfigError(f"path must be 'I' or 'Q', got {path!r}")
+    if f <= 0:
+        raise ConfigError(f"frequency must be > 0, got {f}")
+    _check_edge_errors(sample, f)
+    cfg = sample.config
+    period = 1.0 / f
+    waves: list[EdgeWaveform] = []
+    amps: list[float] = []
+    for pos, bi in enumerate(PATH_BRANCHES[path]):
+        amp = _branch_gain(sample, bi) * cfg.weights[pos]
+        for phase, sign in ((bi, 1.0), (bi + 4, -1.0)):
+            rise = (phase / 8.0 + f * sample.rise_errors[phase]) % 1.0
+            fall = (phase / 8.0 + 0.5 + f * sample.fall_errors[phase]) % 1.0
+            waves.append(square_wave(period, rise, fall))
+            amps.append(sign * amp)
+    return combine(waves, amps)
 
 
 def sample_element_set(

@@ -223,6 +223,42 @@ def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("hr.path = X", "hr.path must be 'I' or 'Q', got 'X'"),
+        ("hr.harmonics = 1, 3", "hr.harmonics must be indices >= 2, got [1, 3]"),
+        ("hr.harmonics = ", "hr.harmonics must be indices >= 2, got []"),
+        ("hr.iterations = 0", "hr.iterations must be >= 1, got 0"),
+        ("hr.f_list = 0, 750e6", "hr.f_list must be frequencies > 0, got [0.0, 750000000.0]"),
+        ("hr.f_list = -1e6", "hr.f_list must be frequencies > 0, got [-1000000.0]"),
+    ],
+    ids=["path", "harmonic-1", "no-harmonics", "iterations-0", "f-zero", "f-negative"],
+)
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "sweep"])
+def test_bad_hr_keys_are_rejected_before_the_draw(
+    tmp_path, capsys, monkeypatch, command, line, message
+):
+    def draw_must_not_run(*args, **kwargs):
+        raise AssertionError("a receiver was drawn before the hr keys were checked")
+
+    monkeypatch.setattr(cli, "sample_receiver", draw_must_not_run)
+    cfg = write_cfg(tmp_path, "hr.cfg", line + "\n")
+    out = tmp_path / "out"
+    assert main(["hr", command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_hr_f0_must_be_positive_before_it_is_compared(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "hr.cfg", "hr.f0 = 0\n")
+    out = tmp_path / "out"
+    assert main(["hr", "simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: f0 must be > 0\n"
+    assert not out.exists()
+
+
 def test_zero_threads_is_rejected(capsys):
     assert main(["dac", "sense", "--threads", "0"]) == 2
     capsys.readouterr()

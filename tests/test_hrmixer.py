@@ -6,7 +6,8 @@ formula for a mismatch-free receiver with arbitrary recombination weights
 midpoint-Riemann demodulation of the composite LO built from boolean phase
 masks rather than edge algebra.  The array receiver's draw and derived state
 are checked bit for bit against set-by-set draws and the scalar
-inverse-width delay law in ``oracles``.  Calibration behavior is asserted as
+inverse-width delay law in ``oracles``, and its array-form effective LO
+against the sum of six square-wave objects there.  Calibration behavior is asserted as
 properties: per-step objectives never regress, repeated iterations agree,
 and population statistics land in the documented bands.
 """
@@ -57,6 +58,7 @@ from oracles import (
     receiver_gain,
     receiver_state,
     sample_element_set,
+    square_wave_lo,
 )
 
 
@@ -354,8 +356,18 @@ def test_hrr_power_identity():
 def test_degenerate_receiver_raises():
     s = seeded_sample(0)
     dead = with_extrinsic(s, slice(0, 4), -1.0)  # every tail
-    with pytest.raises(DegenerateConfigurationError):
-        hrr(dead, "I", 3, s.config.f0)
+    f0 = s.config.f0
+    oracle = square_wave_lo(dead, "I", f0)
+    assert oracle.n_edges == 0 and fourier_coeff(oracle, 1) == 0
+    lo = effective_lo(dead, "I", f0)
+    assert lo.n_edges == 0 and lo.dc == oracle.dc
+    message = "effective LO has no fundamental component"
+    with pytest.raises(DegenerateConfigurationError, match=message):
+        hrr(dead, "I", 3, f0)
+    with pytest.raises(DegenerateConfigurationError, match=message):
+        measure_harmonic_power(dead, "I", 2, f0)
+    with pytest.raises(DegenerateConfigurationError, match=message):
+        sweep_hrr(dead, [f0], [3, 5])
 
 
 def test_edge_error_guard():
@@ -374,6 +386,12 @@ def test_invalid_path_and_harmonic():
         hrr(s, "I", 1, 750e6)
     with pytest.raises(ConfigError):
         hrr(s, "I", 3, 0.0)
+    # a sweep checks each point in hrr's order: the harmonic, then the LO
+    with pytest.raises(ConfigError, match="harmonic index must be >= 2"):
+        sweep_hrr(s, [750e6], [1, 3], "X")
+    with pytest.raises(ConfigError, match="path must be 'I' or 'Q'"):
+        sweep_hrr(s, [750e6], [3, 1], "X")
+    assert sweep_hrr(s, [750e6], [], "X") == []
 
 
 def test_precal_hrr3_band(default_config):
@@ -612,3 +630,85 @@ def test_array_state_equals_the_scalar_oracle(geometry, seed, rewind, moves):
     for row, choice in moves:
         sample = hrmixer._with_knob(sample, hrmixer._KNOB_NAMES[row], choice % count)
         assert_state_matches_scratch(sample)
+
+
+# ---------------------------------------------------------------------------
+# the effective LO from arrays against the square-wave oracle
+# ---------------------------------------------------------------------------
+
+#: the default receiver, the golden hr-calibrate-k8 and hr-calibrate-rewind
+#: geometries, and a receiver without timing spread
+LO_CONFIGS = {
+    "default": HrConfig(),
+    "k8": HrConfig(n_elements=16, k_selected=8),
+    "rewind": HrConfig(element_rel_sigma=0.5, clock_delay_sigma=0.0, diff_phase_sigma=0.0),
+    "zero-timing": HrConfig(clock_delay_sigma=0.0, diff_phase_sigma=0.0),
+}
+LO_FREQUENCIES = {"f_low": lambda c: c.f_low, "f0": lambda c: c.f0, "1.3 f0": lambda c: 1.3 * c.f0}
+
+
+def hex_parts(c: complex) -> tuple[str, str]:
+    return c.real.hex(), c.imag.hex()
+
+
+def oracle_hrr(sample: HrReceiverSample, path: str, n: int, f: float) -> float:
+    lo = square_wave_lo(sample, path, f)
+    c1, cn = fourier_coeff(lo, 1), fourier_coeff(lo, n)
+    if abs(cn) < hrmixer.HRR_INF_REL * abs(c1):
+        return math.inf
+    return 20.0 * math.log10(abs(c1) / abs(cn))
+
+
+def moved_receiver(config: str, seed: int, moves) -> HrReceiverSample:
+    """A drawn receiver with a few selections changed, as calibration does."""
+    cfg = LO_CONFIGS[config]
+    sample = sample_receiver(cfg, seed)
+    count = len(combination_index_matrix(cfg.n_elements, cfg.k_selected))
+    for row, choice in moves:
+        sample = hrmixer._with_knob(sample, hrmixer._KNOB_NAMES[row], choice % count)
+    return sample
+
+
+@given(
+    config=st.sampled_from(sorted(LO_CONFIGS)),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 2**16)), max_size=3),
+    path=st.sampled_from(("I", "Q")),
+    n=st.integers(2, 7),
+    frequency=st.sampled_from(sorted(LO_FREQUENCIES)),
+)
+@example(config="k8", seed=1, moves=[], path="I", n=3, frequency="f0")
+@example(config="rewind", seed=2, moves=[(9, 5)], path="Q", n=2, frequency="1.3 f0")
+@example(config="zero-timing", seed=1, moves=[], path="I", n=5, frequency="f_low")
+def test_array_lo_equals_the_square_wave_oracle(config, seed, moves, path, n, frequency):
+    """c1, cn and the edge list equal, bit for bit, ``combine`` of six
+    ``square_wave`` objects."""
+    sample = moved_receiver(config, seed, moves)
+    f = LO_FREQUENCIES[frequency](sample.config)
+    oracle = square_wave_lo(sample, path, f)
+    c1, cn = hrmixer._first_and_nth(sample, path, n, f)
+    assert hex_parts(c1) == hex_parts(fourier_coeff(oracle, 1))
+    assert hex_parts(cn) == hex_parts(fourier_coeff(oracle, n))
+    lo = effective_lo(sample, path, f)
+    assert lo.period == oracle.period and lo.dc == oracle.dc
+    assert lo.times.tobytes() == oracle.times.tobytes()
+    assert lo.levels.tobytes() == oracle.levels.tobytes()
+
+
+@given(
+    config=st.sampled_from(sorted(LO_CONFIGS)),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 2**16)), max_size=3),
+    path=st.sampled_from(("I", "Q")),
+)
+def test_sweep_hrr_equals_per_point_oracle_hrr(config, seed, moves, path):
+    sample = moved_receiver(config, seed, moves)
+    f_list = [get(sample.config) for get in LO_FREQUENCIES.values()]
+    n_list = range(2, 8)
+    got = [(p.f_hz, p.n, p.hrr_db.hex()) for p in sweep_hrr(sample, f_list, n_list, path)]
+    expect = [
+        (f, n, min(oracle_hrr(sample, path, n, f), HRR_DB_CAP).hex())
+        for f in f_list
+        for n in n_list
+    ]
+    assert got == expect

@@ -11,6 +11,8 @@ from itertools import combinations as iter_combos
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subsetcal.mismatch import (
     Arithmetic,
@@ -258,6 +260,45 @@ def test_find_best_matches_oracle_randomized():
         o_combo, o_err = oracle_best(list(values), k, target)
         assert combo.indices == o_combo
         assert abs(residual) == pytest.approx(o_err)
+
+
+@st.composite
+def sets_and_targets(draw, exact: bool):
+    """n <= 10 values, k and a target near k values' sum.  ``exact`` draws
+    multiples of 1/64 below 64, whose subset sums float adds without
+    rounding, so ties are exact and common."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    if exact:
+        values = [draw(st.integers(1, 4096)) / 64 for _ in range(n)]
+        target = draw(st.integers(0, 4096 * k)) / 64
+    else:
+        values = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+        target = draw(st.floats(0.0, 2.0 * k))
+    return values, k, target
+
+
+@given(case=sets_and_targets(exact=True))
+def test_find_best_equals_brute_force_on_exact_sums(case):
+    """With exact sums the selection, tie-break included, and the residual
+    are the brute-force scan's."""
+    values, k, target = case
+    combo, residual = find_best(make_set(values), k, target)
+    o_combo, o_err = oracle_best(values, k, target)
+    assert combo.indices == o_combo
+    assert residual == sum(values[i] for i in o_combo) - target
+    assert abs(residual) == o_err
+
+
+@given(case=sets_and_targets(exact=False))
+def test_find_best_equals_brute_force(case):
+    """On any floats the residual matches the brute-force minimum to
+    rounding, and belongs to the selection returned."""
+    values, k, target = case
+    combo, residual = find_best(make_set(values), k, target)
+    _, o_err = oracle_best(values, k, target)
+    assert abs(residual) == pytest.approx(o_err, rel=1e-12, abs=1e-12)
+    assert residual == pytest.approx(sum(values[i] for i in combo.indices) - target, abs=1e-12)
 
 
 def test_find_best_tie_breaks_lexicographic():

@@ -15,14 +15,13 @@ import pytest
 from subsetcal.mismatch import ConfigError
 from subsetcal.waveform import (
     EdgeWaveform,
-    combine,
     edge_fourier,
     fourier_coeff,
     product_average,
     square_wave,
 )
 
-from oracles import scaled
+from oracles import combine, scaled
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
