@@ -30,7 +30,7 @@ import copy
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -38,7 +38,6 @@ import numpy as np
 from .hrmixer import _inverse_width_delay, _inverse_width_step
 from .mismatch import (
     Arithmetic,
-    Combination,
     ConfigError,
     DegenerateConfigurationError,
     Explicit,
@@ -47,6 +46,7 @@ from .mismatch import (
     Uniform,
     _draw_units,
     balanced_combination,
+    balanced_row,
     check_array_bytes,
     combination_index_matrix,
     membership_matrix,
@@ -274,10 +274,10 @@ def _cell_design(cfg: DacConfig) -> _CellDesign:
     )
     for array in arrays:  # shared by every caller
         array.setflags(write=False)
-    rows = combination_index_matrix(cfg.n, cfg.k).tolist()
-    balanced = rows.index(list(balanced_combination(cfg.n, cfg.k).indices))
     layout = ((cfg.n, True),) + 3 * ((cfg.n, True), (1, False))
-    return _CellDesign(arrays[0], arrays[1], layout, arrays[2], arrays[3], balanced)
+    return _CellDesign(
+        arrays[0], arrays[1], layout, arrays[2], arrays[3], balanced_row(cfg.n, cfg.k)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -683,6 +683,7 @@ class SelfHealConfig(_LsbBank):
         self._check_lsb_bank()
         check_array_bytes("the element draw", (self.n_ucc + self.backup_ucc_count + 1, self.n))
         check_array_bytes("the combination table", (math.comb(self.n, self.k), self.k))
+        balanced_combination(self.n, self.k)  # the first attempt's bias
 
     @property
     def sub_sigma(self) -> float:
@@ -763,23 +764,115 @@ def sample_selfheal(config: SelfHealConfig, rng=None) -> SelfHealSample:
     )
 
 
+class _HealAttempt(NamedTuple):
+    """One pass over the cells, as much of it as the trace reports."""
+
+    bias: np.ndarray  # (k,) element indices of the bias combination
+    scale: float
+    trials: list[int]  # per cell reached, in cell order
+    backups_used: dict[int, list[int]]  # spares auditioned, for cells that needed any
+    completed: bool
+
+
 @dataclass(frozen=True, eq=False)
 class SelfHealResult:
     """Outcome of one controller run.
 
-    ``sources[i]`` is the physical element set cell i ended up using: its own
-    index, or n_ucc + b for pooled backup b.  ``cell_currents`` are the healed
-    (bias-scaled) currents.  ``trace`` is a JSON-ready dict recording the full
-    search: per-cell trial counts, backups used, and every top-level restart.
+    ``bias_selection`` and ``selections`` (n_ucc,) are row indices into
+    ``combination_index_matrix(n, k)``.  ``sources[i]`` is the physical
+    element set cell i ended up using: its own index, or n_ucc + b for pooled
+    backup b.  ``cell_currents`` are the healed (bias-scaled) currents.
+    ``restarts`` counts the top-level restarts; ``trace`` is a JSON-ready
+    dict recording the full search (per-cell trial counts, backups used and
+    every restart), built from ``attempts`` when first read.
     """
 
     healed: bool
-    bias_selection: Combination
+    bias_selection: int
     scale: float
-    selections: Optional[tuple[Combination, ...]]
-    sources: Optional[tuple[int, ...]]
-    cell_currents: Optional[tuple[float, ...]]
-    trace: dict
+    selections: Optional[np.ndarray]
+    sources: Optional[np.ndarray]
+    cell_currents: Optional[np.ndarray]
+    seed: Optional[int]
+    attempts: tuple[_HealAttempt, ...] = dataclasses.field(repr=False)
+
+    @property
+    def restarts(self) -> int:
+        return len(self.attempts) - 1
+
+    @cached_property
+    def trace(self) -> dict:
+        attempts = []
+        for attempt in self.attempts:
+            last = len(attempt.trials) - 1
+            cells = [
+                {
+                    "cell": ci,
+                    "trials": trials,
+                    "backups_used": list(attempt.backups_used.get(ci, ())),
+                    "healed": attempt.completed or ci < last,
+                }
+                for ci, trials in enumerate(attempt.trials)
+            ]
+            attempts.append(
+                {
+                    "bias_selection": attempt.bias.tolist(),
+                    "scale": attempt.scale,
+                    "cells": cells,
+                    "completed": attempt.completed,
+                }
+            )
+        return {
+            "seed": self.seed,
+            "outcome": "healed" if self.healed else "failed",
+            "toplevel_restarts": self.restarts,
+            "attempts": attempts,
+        }
+
+
+# Candidates of a block scored before the rest, which only blocks without a
+# hit among them need (a default cell heals in about 43 trials on average).
+_HEAL_CHUNK = 48
+# Own-cell auditions scored together, on the guess that none of them misses.
+_HEAL_WINDOW = 16
+
+
+def _first_hits(
+    flat: np.ndarray,
+    offsets: np.ndarray,
+    blocks: np.ndarray,
+    indices: np.ndarray,
+    scale: float,
+    window: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's first candidate whose scaled subset sum lands in the
+    closed window, or -1, and that candidate's current.
+
+    Row r of ``blocks`` (rows, limit) draws combination rows for the element
+    set starting at ``flat[offsets[r]]``.  Each candidate's k elements are
+    summed along the last axis, then multiplied by ``scale``: the same
+    reduction and the same product as scoring one block at a time.
+    """
+    rows, limit = blocks.shape
+    low, high = window
+    hits = np.full(rows, -1)
+    currents = np.zeros(rows)
+    todo = np.arange(rows)
+    start = 0
+    for stop in (min(_HEAL_CHUNK, limit), limit):
+        if stop == start or todo.size == 0:
+            break
+        gather = np.take(indices, blocks[todo, start:stop], axis=0)
+        gather += offsets[todo, None, None]
+        sums = flat[gather].sum(axis=-1) * scale
+        in_window = (sums >= low) & (sums <= high)
+        found = in_window.any(axis=1)
+        first = in_window[found].argmax(axis=1)
+        hits[todo[found]] = start + first
+        currents[todo[found]] = sums[found.nonzero()[0], first]
+        todo = todo[~found]
+        start = stop
+    return hits, currents
 
 
 def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
@@ -800,116 +893,99 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
     The first attempt uses the balanced bias combination; restarts draw
     random ones.  Passing an int seed records it in the trace, making the
     run replayable bit for bit.
+
+    Every audition draws one block of ``cell_trial_limit`` combination rows,
+    in audition order.  Blocks are drawn in bulk, one row per cell still to
+    heal, since one ``integers`` call of (R, L) draws the same stream as R
+    calls of L; a window of cells is scored together on the guess that none
+    of them misses.  An attempt that fails with blocks left unread rewinds
+    the generator and draws only the blocks it read, so the next bias draw
+    sees the stream of one draw per audition.
     """
     cfg = sample.config
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     gen = np.random.default_rng(rng)
     indices = combination_index_matrix(cfg.n, cfg.k)
     n_combos = indices.shape[0]
-    window_low = sample.reference_current
-    window_high = window_low + cfg.i_tiny
+    n_cells, n, limit = cfg.n_ucc, cfg.n, cfg.cell_trial_limit
+    window = (sample.reference_current, sample.reference_current + cfg.i_tiny)
+    flat = np.concatenate([sample.cells, sample.backups]).ravel()  # by source
+    cell_offsets = np.arange(n_cells) * n
 
-    attempts_log: list[dict] = []
-    bias = balanced_combination(cfg.n, cfg.k)
-    scale = 1.0
+    attempts: list[_HealAttempt] = []
+    bias = balanced_row(cfg.n, cfg.k)
     for attempt in range(cfg.toplevel_trial_limit):
         if attempt > 0:
-            row = indices[int(gen.integers(0, n_combos))]
-            bias = Combination(tuple(int(i) for i in row))
-        scale = _subset_sum(sample.bias_elements, bias) / float(cfg.k)
-        backup_pool = list(range(len(sample.backups)))
-        selections: list[Combination] = []
-        sources: list[int] = []
-        currents: list[float] = []
-        cell_logs: list[dict] = []
-        completed = True
-        for ci, own_elements in enumerate(sample.cells):
-            backups_used: list[int] = []
-            trials = 0
-            found: Optional[Combination] = None
-            current = math.nan
-            source = ci
-            candidates = [(ci, -1, own_elements)]
-            candidates += [
-                (len(sample.cells) + b, b, sample.backups[b]) for b in backup_pool
-            ]
-            for cand_source, b, elements in candidates:
-                if b >= 0:
-                    backups_used.append(b)
-                draws = gen.integers(0, n_combos, size=cfg.cell_trial_limit)
-                sums = elements[indices[draws]].sum(axis=1) * scale
-                in_window = (sums >= window_low) & (sums <= window_high)
-                if in_window.any():
-                    hit = int(np.argmax(in_window))
-                    trials += hit + 1
-                    found = Combination(tuple(int(i) for i in indices[draws[hit]]))
-                    current = float(sums[hit])
-                    source = cand_source
-                    if b >= 0:
-                        backup_pool.remove(b)
-                    break
-                trials += cfg.cell_trial_limit
-            cell_logs.append(
-                {
-                    "cell": ci,
-                    "trials": trials,
-                    "backups_used": backups_used,
-                    "healed": found is not None,
-                }
+            bias = int(gen.integers(0, n_combos))
+        scale = float(sample.bias_elements[indices[bias]].sum()) / float(cfg.k)
+        state = gen.bit_generator.state
+        blocks = np.empty((0, limit), dtype=np.int64)  # drawn, read up to `head`
+        head = drawn = 0
+        pool = list(range(cfg.backup_ucc_count))
+        selections = np.empty(n_cells, dtype=np.intp)
+        sources = np.arange(n_cells)
+        currents = np.empty(n_cells)
+        trials: list[int] = []
+        backups_used: dict[int, list[int]] = {}
+        ci = 0
+        while ci < n_cells:
+            if head == len(blocks):  # each cell left reads one block at least
+                blocks, head = gen.integers(0, n_combos, size=(n_cells - ci, limit)), 0
+                drawn += len(blocks)
+            own = blocks[head : head + _HEAL_WINDOW]
+            hits, found = _first_hits(
+                flat, cell_offsets[ci : ci + len(own)], own, indices, scale, window
             )
-            if found is None:
-                completed = False
+            misses = (hits < 0).nonzero()[0]
+            healed = int(misses[0]) if misses.size else len(own)
+            selections[ci : ci + healed] = own[np.arange(healed), hits[:healed]]
+            currents[ci : ci + healed] = found[:healed]
+            trials += (hits[:healed] + 1).tolist()
+            head += healed
+            ci += healed
+            if healed == len(own):
+                continue
+            head += 1  # the missed own block
+            cell_trials = limit
+            used: list[int] = []
+            spare = None
+            for b in pool:
+                used.append(b)
+                if head == len(blocks):
+                    blocks, head = gen.integers(0, n_combos, size=(n_cells - ci, limit)), 0
+                    drawn += len(blocks)
+                block = blocks[head : head + 1]
+                head += 1
+                offset = np.array([(n_cells + b) * n])
+                hit, current = _first_hits(flat, offset, block, indices, scale, window)
+                if hit[0] >= 0:
+                    cell_trials += int(hit[0]) + 1
+                    selections[ci] = block[0, hit[0]]
+                    currents[ci] = current[0]
+                    spare = b
+                    break
+                cell_trials += limit
+            trials.append(cell_trials)
+            if used:
+                backups_used[ci] = used
+            if spare is None:
                 break
-            selections.append(found)
-            sources.append(source)
-            currents.append(current)
-        attempts_log.append(
-            {
-                "bias_selection": [int(i) for i in bias.indices],
-                "scale": float(scale),
-                "cells": cell_logs,
-                "completed": completed,
-            }
+            pool.remove(spare)
+            sources[ci] = n_cells + spare
+            ci += 1
+        completed = ci == n_cells
+        attempts.append(
+            _HealAttempt(indices[bias], scale, trials, backups_used, completed)
         )
         if completed:
-            trace = {
-                "seed": seed,
-                "outcome": "healed",
-                "toplevel_restarts": attempt,
-                "attempts": attempts_log,
-            }
             return SelfHealResult(
-                healed=True,
-                bias_selection=bias,
-                scale=scale,
-                selections=tuple(selections),
-                sources=tuple(sources),
-                cell_currents=tuple(currents),
-                trace=trace,
+                True, bias, scale, selections, sources, currents, seed, tuple(attempts)
             )
-    trace = {
-        "seed": seed,
-        "outcome": "failed",
-        "toplevel_restarts": cfg.toplevel_trial_limit - 1,
-        "attempts": attempts_log,
-    }
-    return SelfHealResult(
-        healed=False,
-        bias_selection=bias,
-        scale=scale,
-        selections=None,
-        sources=None,
-        cell_currents=None,
-        trace=trace,
-    )
-
-
-def _subset_sum(realized: np.ndarray, combination: Combination) -> float:
-    """Sum of the selected elements of one (n,) row, added by a 1-D ``sum``
-    as the receiver and the set-by-set oracle in ``tests/oracles.py`` add
-    them: numpy's pairwise sum adds k >= 8 values in another order than a
-    reduction down a 2-D array's strided axis."""
-    return float(realized[np.asarray(combination.indices, dtype=np.intp)].sum())
+        unread = len(blocks) - head
+        if unread:
+            gen.bit_generator.state = state
+            gen.integers(0, n_combos, size=(drawn - unread, limit))
+    return SelfHealResult(False, bias, scale, None, None, None, seed, tuple(attempts))
 
 
 def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> LinearityMaxima:
@@ -922,9 +998,11 @@ def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> Linearit
 def _selfheal_pre_linearity(sample: SelfHealSample) -> LinearityMaxima:
     """Linearity maxima before healing: balanced selections, balanced bias."""
     cfg = sample.config
-    balanced = balanced_combination(cfg.n, cfg.k)
-    scale = _subset_sum(sample.bias_elements, balanced) / float(cfg.k)
-    currents = [_subset_sum(cell, balanced) * scale for cell in sample.cells]
+    balanced = combination_index_matrix(cfg.n, cfg.k)[balanced_row(cfg.n, cfg.k)]
+    scale = float(sample.bias_elements[balanced].sum()) / float(cfg.k)
+    # a C-ordered gather: each cell's k elements add as one 1-D row's do,
+    # which a reduction down a strided axis would not for k >= 8
+    currents = np.take(sample.cells, balanced, axis=1).sum(axis=1) * scale
     return _segment_maxima(currents, sample.lsb_values)
 
 
@@ -1088,13 +1166,15 @@ def _amplitude_row(config: DacConfig, master_seed: int, i: int) -> dict:
 def _timing_row(config: DacConfig, master_seed: int, i: int) -> dict:
     rng = sample_substream(master_seed, i)
     sample = sample_dac(config, rng)
-    calibrated = calibrate_timing(sample)
+    # delay_errors and duty_errors of each state, from one evaluation each
+    pre = _buffer_deviations(sample)
+    post = _buffer_deviations(calibrate_timing(sample))
     return {
         "sample_id": i,
-        "pre_delay_sigma": float(np.std(delay_errors(sample))),
-        "post_delay_sigma": float(np.std(delay_errors(calibrated))),
-        "pre_duty_sigma": float(np.std(duty_errors(sample))),
-        "post_duty_sigma": float(np.std(duty_errors(calibrated))),
+        "pre_delay_sigma": float(np.std(pre[:, 0])),
+        "post_delay_sigma": float(np.std(post[:, 0])),
+        "pre_duty_sigma": float(np.std(pre[:, 1] - pre[:, 2])),
+        "post_duty_sigma": float(np.std(post[:, 1] - post[:, 2])),
     }
 
 
@@ -1111,7 +1191,7 @@ def _selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> dict:
     return {
         "sample_id": i,
         "healed": 1.0 if result.healed else 0.0,
-        "restarts": float(result.trace["toplevel_restarts"]),
+        "restarts": float(result.restarts),
         "pre_inl_max": pre.inl_max,
         "post_inl_max": post_inl,
         "pre_dnl_max": pre.dnl_max,

@@ -44,7 +44,7 @@ from .mismatch import (
     MismatchModel,
     _draw_units,
     all_subset_sums,
-    balanced_combination,
+    balanced_row,
     combination_index_matrix,
     nominal_sizes,
 )
@@ -364,9 +364,7 @@ def _knob_design(cfg: HrConfig) -> _KnobDesign:
     drives = np.repeat([cfg.clock_drive, cfg.buffer_drive], [4, 2 * N_PHASES])
     for array in (nominal, sigmas, halves, drives):  # shared by every caller
         array.setflags(write=False)
-    combos = combination_index_matrix(n, k).tolist()
-    balanced = combos.index(list(balanced_combination(n, k).indices))
-    return _KnobDesign(nominal, sigmas, halves, drives, balanced)
+    return _KnobDesign(nominal, sigmas, halves, drives, balanced_row(n, k))
 
 
 def _selected_sum(row: np.ndarray, indices: np.ndarray) -> float:

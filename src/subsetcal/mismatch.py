@@ -41,6 +41,7 @@ __all__ = [
     "all_subset_sums",
     "find_best",
     "balanced_combination",
+    "balanced_row",
 ]
 
 
@@ -351,6 +352,13 @@ def balanced_combination(n: int, k: int) -> Combination:
     if low and low[-1] >= min(high):
         raise ConfigError(f"no balanced combination for n={n} k={k}")
     return Combination(tuple(sorted(low + high)))
+
+
+@lru_cache(maxsize=None)
+def balanced_row(n: int, k: int) -> int:
+    """Row of ``balanced_combination(n, k)`` in ``combination_index_matrix(n, k)``."""
+    rows = combination_index_matrix(n, k).tolist()
+    return rows.index(list(balanced_combination(n, k).indices))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ The sequential DAC decode, the per-cell amplitude residuals, the textbook
 ideal receiver, a scalar failure-rate query, a waveform scaled by a gain,
 the weighted sum of waveforms and the receiver's effective LO built from
 it, one square wave per phase, the set-by-set element draw with its subset
-sum, and the scalar inverse-width delay law that the receiver's and the
-converter's timing networks are checked against, one network at a time:
-the tests check the package's fast paths against them, and no program code
-needs them.
+sum, the scalar inverse-width delay law that the receiver's and the
+converter's timing networks are checked against, one network at a time, and
+the self-heal controller as one audition at a time with a ``Combination``
+per healed cell: the tests check the package's fast paths against them, and
+no program code needs them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from subsetcal.csdac import DacSample, ucc_currents
+from subsetcal.csdac import DacSample, SelfHealSample, ucc_currents
 from subsetcal.hrmixer import (
     PATH_BRANCHES,
     HrConfig,
@@ -34,6 +35,7 @@ from subsetcal.mismatch import (
     ElementSet,
     MismatchModel,
     SizingScheme,
+    balanced_combination,
     combination_index_matrix,
     draw_realized,
     nominal_sizes,
@@ -230,3 +232,132 @@ def receiver_gain(sample: HrReceiverSample, m: int) -> float:
     extrinsic error), from ``receiver_state``."""
     ratio = receiver_state(sample)[0][m]
     return ratio**sample.config.gain_alpha * (1.0 + float(sample.extrinsic[m]))
+
+
+def _subset_sum(realized: np.ndarray, combination: Combination) -> float:
+    """Sum of the selected elements of one (n,) row, added by a 1-D ``sum``:
+    numpy's pairwise sum adds k >= 8 values in another order than a
+    reduction down a 2-D array's strided axis."""
+    return float(realized[np.asarray(combination.indices, dtype=np.intp)].sum())
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class SelfHealOracleResult:
+    """``self_heal_oracle``'s outcome: ``Combination`` selections, per-cell
+    tuples and the full trace dict, built as the search runs."""
+
+    healed: bool
+    bias_selection: Combination
+    scale: float
+    selections: Optional[tuple[Combination, ...]]
+    sources: Optional[tuple[int, ...]]
+    cell_currents: Optional[tuple[float, ...]]
+    trace: dict
+
+
+def self_heal_oracle(sample: SelfHealSample, rng=0) -> SelfHealOracleResult:
+    """The self-heal controller one audition at a time: one
+    ``gen.integers(0, C(n,k), cell_trial_limit)`` call and one scored block
+    per audition, cells in order, each cell's own block, then the pooled
+    backups in pool order; a failed cell redraws the bias and restarts."""
+    cfg = sample.config
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
+    gen = np.random.default_rng(rng)
+    indices = combination_index_matrix(cfg.n, cfg.k)
+    n_combos = indices.shape[0]
+    window_low = sample.reference_current
+    window_high = window_low + cfg.i_tiny
+
+    attempts_log: list[dict] = []
+    bias = balanced_combination(cfg.n, cfg.k)
+    scale = 1.0
+    for attempt in range(cfg.toplevel_trial_limit):
+        if attempt > 0:
+            row = indices[int(gen.integers(0, n_combos))]
+            bias = Combination(tuple(int(i) for i in row))
+        scale = _subset_sum(sample.bias_elements, bias) / float(cfg.k)
+        backup_pool = list(range(len(sample.backups)))
+        selections: list[Combination] = []
+        sources: list[int] = []
+        currents: list[float] = []
+        cell_logs: list[dict] = []
+        completed = True
+        for ci, own_elements in enumerate(sample.cells):
+            backups_used: list[int] = []
+            trials = 0
+            found: Optional[Combination] = None
+            current = math.nan
+            source = ci
+            candidates = [(ci, -1, own_elements)]
+            candidates += [
+                (len(sample.cells) + b, b, sample.backups[b]) for b in backup_pool
+            ]
+            for cand_source, b, elements in candidates:
+                if b >= 0:
+                    backups_used.append(b)
+                draws = gen.integers(0, n_combos, size=cfg.cell_trial_limit)
+                sums = elements[indices[draws]].sum(axis=1) * scale
+                in_window = (sums >= window_low) & (sums <= window_high)
+                if in_window.any():
+                    hit = int(np.argmax(in_window))
+                    trials += hit + 1
+                    found = Combination(tuple(int(i) for i in indices[draws[hit]]))
+                    current = float(sums[hit])
+                    source = cand_source
+                    if b >= 0:
+                        backup_pool.remove(b)
+                    break
+                trials += cfg.cell_trial_limit
+            cell_logs.append(
+                {
+                    "cell": ci,
+                    "trials": trials,
+                    "backups_used": backups_used,
+                    "healed": found is not None,
+                }
+            )
+            if found is None:
+                completed = False
+                break
+            selections.append(found)
+            sources.append(source)
+            currents.append(current)
+        attempts_log.append(
+            {
+                "bias_selection": [int(i) for i in bias.indices],
+                "scale": float(scale),
+                "cells": cell_logs,
+                "completed": completed,
+            }
+        )
+        if completed:
+            trace = {
+                "seed": seed,
+                "outcome": "healed",
+                "toplevel_restarts": attempt,
+                "attempts": attempts_log,
+            }
+            return SelfHealOracleResult(
+                healed=True,
+                bias_selection=bias,
+                scale=scale,
+                selections=tuple(selections),
+                sources=tuple(sources),
+                cell_currents=tuple(currents),
+                trace=trace,
+            )
+    trace = {
+        "seed": seed,
+        "outcome": "failed",
+        "toplevel_restarts": cfg.toplevel_trial_limit - 1,
+        "attempts": attempts_log,
+    }
+    return SelfHealOracleResult(
+        healed=False,
+        bias_selection=bias,
+        scale=scale,
+        selections=None,
+        sources=None,
+        cell_currents=None,
+        trace=trace,
+    )

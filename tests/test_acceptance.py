@@ -477,8 +477,8 @@ def test_c10_self_heal_flow():
     assert first.trace == second.trace
     assert first.healed == second.healed
     assert first.scale == second.scale
-    assert first.selections == second.selections
-    assert first.sources == second.sources
+    np.testing.assert_array_equal(first.selections, second.selections)
+    np.testing.assert_array_equal(first.sources, second.sources)
     np.testing.assert_array_equal(first.cell_currents, second.cell_currents)
 
 

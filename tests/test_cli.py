@@ -544,13 +544,38 @@ def test_dac_self_heal_trace_sample_must_be_in_range(tmp_path, capsys, no_study)
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        (["dac", "self-heal"], "heal.k = 7", "balanced combination needs even k, got k=7"),
+        (["dac", "yield", "--flow", "self-heal"], "heal.k = 7",
+         "balanced combination needs even k, got k=7"),
+        (["dac", "self-heal"], "heal.n = 8\nheal.k = 8", "no balanced combination for n=8 k=8"),
+    ],
+)
+def test_heal_geometry_without_a_balanced_bias_is_rejected_before_the_draw(
+    tmp_path, capsys, monkeypatch, command, line, message
+):
+    def draw_must_not_run(*args, **kwargs):
+        raise AssertionError("a converter was drawn before the heal geometry was checked")
+
+    monkeypatch.setattr(cli, "sample_selfheal", draw_must_not_run)
+    monkeypatch.setattr(csdac, "sample_selfheal", draw_must_not_run)
+    cfg = write_cfg(tmp_path, "sh.cfg", line + "\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_dac_self_heal_trace_replays_the_study_row(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = write_cfg(tmp_path, "sh.cfg", "dac.samples = 100\ndac.trace_sample = 3\n")
     assert main(["dac", "self-heal", "--config", cfg, "--out", out, "--quiet"]) == 0
     trace = read_json(os.path.join(out, "selfheal_trace.json"))
     assert trace["sample_id"] == 3
-    assert trace["outcome"] in ("healed", "backups exhausted", "restarts exhausted")
+    assert trace["outcome"] in ("healed", "failed")
     rows = read_csv(os.path.join(out, "yield_rows.csv"))
     header = rows[0]
     row3 = rows[1 + 3]

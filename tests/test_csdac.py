@@ -66,6 +66,7 @@ from oracles import (
     dac_output,
     inverter_deviation,
     sample_element_set,
+    self_heal_oracle,
     subset_value,
 )
 
@@ -941,6 +942,11 @@ def test_selfheal_config_validation():
         SelfHealConfig(toplevel_trial_limit=0)
     with pytest.raises(ConfigError):
         SelfHealConfig(backup_ucc_count=-1)
+    # no balanced combination for the first attempt's bias
+    with pytest.raises(ConfigError, match="needs even k"):
+        SelfHealConfig(k=7)
+    with pytest.raises(ConfigError, match="no balanced combination"):
+        SelfHealConfig(n=8, k=8)
 
 
 def test_selfheal_sample_structure():
@@ -1024,8 +1030,8 @@ def test_heal_result_satisfies_the_window_and_accounting():
             elements = (
                 sample.cells[source] if source < 63 else sample.backups[source - 63]
             )
-            selection = result.selections[ci]
-            recomputed = float(elements[list(selection.indices)].sum()) * result.scale
+            selection = combination_index_matrix(cfg.n, cfg.k)[result.selections[ci]]
+            recomputed = float(elements[selection].sum()) * result.scale
             assert math.isclose(
                 recomputed, result.cell_currents[ci], rel_tol=1e-12
             )
@@ -1037,8 +1043,8 @@ def test_heal_replays_bit_identically():
     a = self_heal_ses(sample, rng=4242)
     b = self_heal_ses(sample, rng=4242)
     assert a.trace == b.trace
-    assert a.selections == b.selections
-    assert a.cell_currents == b.cell_currents
+    np.testing.assert_array_equal(a.selections, b.selections)
+    np.testing.assert_array_equal(a.cell_currents, b.cell_currents)
     assert a.trace["seed"] == 4242
     other = self_heal_ses(sample, rng=4243)
     assert other.trace != a.trace
@@ -1082,6 +1088,82 @@ def test_starved_heal_fails_honestly():
     assert not result.trace["attempts"][-1]["completed"]
     with pytest.raises(ConfigError):
         healed_linearity(sample, result)
+
+
+@pytest.mark.parametrize("n_combos", [12_870, 2**31 + 1])
+@pytest.mark.parametrize("shape", [(63, 200), (63, 7), (5, 1)])
+def test_one_bulk_draw_equals_one_draw_per_block(n_combos, shape):
+    """The controller draws R blocks of L in one call: the same integers, and
+    the same generator state after, as R calls of L.  PCG64 keeps its spare
+    32-bit half-word in its state, so a call boundary discards nothing; at
+    C = 2**31 + 1 about half the raw 32-bit draws are rejected."""
+    rows, size = shape
+    for seed in range(5):
+        bulk, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = bulk.integers(0, n_combos, size=(rows, size))
+        expected = [single.integers(0, n_combos, size=size) for _ in range(rows)]
+        np.testing.assert_array_equal(drawn, np.array(expected))
+        assert bulk.bit_generator.state == single.bit_generator.state
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@given(
+    geometry=st.sampled_from([(4, 2), (8, 2), (8, 4), (10, 6), (12, 6), (16, 8)]),
+    cell_trial_limit=st.integers(1, 200),
+    backup_ucc_count=st.integers(0, 4),
+    window=st.sampled_from([1.0, 0.3, 0.1, 0.01]),
+    toplevel_trial_limit=st.integers(1, 4),
+    msb_bits=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    geometry=(16, 8), cell_trial_limit=200, backup_ucc_count=4, window=0.1,
+    toplevel_trial_limit=20, msb_bits=6, seed=0,
+)
+@example(
+    geometry=(16, 8), cell_trial_limit=3, backup_ucc_count=4, window=0.01,
+    toplevel_trial_limit=4, msb_bits=6, seed=1,
+)
+def test_self_heal_equals_the_one_audition_oracle(
+    geometry, cell_trial_limit, backup_ucc_count, window, toplevel_trial_limit,
+    msb_bits, seed,
+):
+    """Bulk draws and window scoring heal exactly as one audition at a time:
+    the outcome, the bias, the scale, every selection, source and current
+    bit for bit, the trace as JSON, and the generator's final state, also on
+    failing and restarted runs.  The window is drawn in cell sigmas (0.1 is
+    the default); a narrow one forces spares, restarts and failures."""
+    n, k = geometry
+    cfg = SelfHealConfig(
+        n=n, k=k, i_tiny=window * SelfHealConfig.ucc_sigma, cell_trial_limit=cell_trial_limit,
+        toplevel_trial_limit=toplevel_trial_limit,
+        backup_ucc_count=backup_ucc_count, msb_bits=msb_bits, lsb_bits=2,
+    )
+    sample = sample_selfheal(cfg, sample_substream(seed, 0))
+    rng, oracle_rng = sample_substream(seed, 1), sample_substream(seed, 1)
+    result = self_heal_ses(sample, rng)
+    expected = self_heal_oracle(sample, oracle_rng)
+    combos = combination_index_matrix(n, k)
+
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert json.dumps(result.trace) == json.dumps(expected.trace)
+    assert result.restarts == expected.trace["toplevel_restarts"]
+    assert result.healed == expected.healed
+    assert tuple(combos[result.bias_selection]) == expected.bias_selection.indices
+    assert _bits(result.scale) == _bits(expected.scale)
+    if expected.healed:
+        assert [tuple(row) for row in combos[result.selections].tolist()] == [
+            selection.indices for selection in expected.selections
+        ]
+        assert result.sources.tolist() == list(expected.sources)
+        np.testing.assert_array_equal(
+            _bits(result.cell_currents), _bits(expected.cell_currents)
+        )
+    else:
+        assert result.selections is result.sources is result.cell_currents is None
 
 
 # ---------------------------------------------------------------------------

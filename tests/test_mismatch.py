@@ -24,6 +24,7 @@ from subsetcal.mismatch import (
     Uniform,
     all_subset_sums,
     balanced_combination,
+    balanced_row,
     combination_index_matrix,
     draw_realized,
     find_best,
@@ -234,6 +235,9 @@ def test_balanced_combination():
     sizes = nominal_sizes(Arithmetic(1.0, 0.02), 12)
     idx = list(balanced_combination(12, 6).indices)
     assert sizes[idx].sum() == pytest.approx(6.0, abs=1e-12)
+    for n, k in ((4, 2), (10, 4), (12, 6), (16, 8)):
+        row = combination_index_matrix(n, k)[balanced_row(n, k)]
+        assert tuple(row) == balanced_combination(n, k).indices
 
 
 # ---------------------------------------------------------------------------
