@@ -55,6 +55,7 @@ from .csdac import (
     yield_study,
 )
 from .hrmixer import (
+    MAX_ITERATIONS,
     PATH_BRANCHES,
     HrConfig,
     calibrate_even_order,
@@ -340,6 +341,10 @@ def _check_hr_keys(cfg: dict) -> None:
         raise ConfigError(f"hr.harmonics must be indices >= 2, got {list(harmonics)}")
     if cfg["hr.iterations"] < 1:
         raise ConfigError(f"hr.iterations must be >= 1, got {cfg['hr.iterations']}")
+    if cfg["hr.iterations"] > MAX_ITERATIONS:
+        raise ConfigError(
+            f"hr.iterations must be <= {MAX_ITERATIONS}, got {cfg['hr.iterations']}"
+        )
     if any(f <= 0 for f in cfg["hr.f_list"]):
         raise ConfigError(f"hr.f_list must be frequencies > 0, got {list(cfg['hr.f_list'])}")
 
@@ -735,8 +740,11 @@ def _run(args: argparse.Namespace) -> None:
     command = _COMMANDS[subcommand]
     cfg = _resolve(command.schema, _load_config(args.config))
     overrides: dict = {}
-    if command.seed_key is not None and args.seed is not None:
-        cfg[command.seed_key] = overrides["seed"] = args.seed
+    if command.seed_key is not None:
+        if args.seed is not None:
+            cfg[command.seed_key] = overrides["seed"] = args.seed
+        if cfg[command.seed_key] < 0:  # a SeedSequence takes no negative entropy
+            raise ConfigError(f"{command.seed_key} must be >= 0, got {cfg[command.seed_key]}")
     if command.samples_key is not None and args.samples is not None:
         if args.samples < 1:
             raise ConfigError(f"--samples must be >= 1, got {args.samples}")

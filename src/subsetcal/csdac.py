@@ -1222,6 +1222,7 @@ def yield_study(
         raise ConfigError(f"yield studies need n_samples >= 100, got {n_samples}")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
+    check_array_bytes("the histogram edges", (bins + 1,))
     if flow == "self-heal":
         if not isinstance(config, SelfHealConfig):
             raise ConfigError("the self-heal flow needs a SelfHealConfig")

@@ -48,7 +48,7 @@ from .mismatch import (
     combination_index_matrix,
     nominal_sizes,
 )
-from .waveform import EdgeWaveform, edge_fourier
+from .waveform import EdgeWaveform, edge_fourier, moved_edge_fourier
 
 __all__ = [
     "HrConfig",
@@ -58,6 +58,7 @@ __all__ = [
     "HrrPoint",
     "PATH_BRANCHES",
     "HRR_DB_CAP",
+    "MAX_ITERATIONS",
     "sample_receiver",
     "zero_variance_receiver",
     "effective_lo",
@@ -77,6 +78,9 @@ HRR_INF_REL = 1e-15
 HRR_DB_CAP = 300.0
 #: cap on knob-cycle repeats within one calibration stage
 _MAX_STAGE_PASSES = 8
+#: most odd-order iterations one calibration may run; the second is already
+#: quiescent at the default frequencies, so more only repeat idle steps
+MAX_ITERATIONS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +371,13 @@ def _knob_design(cfg: HrConfig) -> _KnobDesign:
     return _KnobDesign(nominal, sigmas, halves, drives, balanced_row(n, k))
 
 
+def _edge_errors(deviations: np.ndarray) -> dict[str, np.ndarray]:
+    """Phase p's rise and fall edge errors: its pair clock's deviation
+    (clock p % 4) plus its own rise or fall network's."""
+    clock = np.tile(deviations[:4], 2)
+    return {"rise_errors": clock + deviations[4:12], "fall_errors": clock + deviations[12:]}
+
+
 def _selected_sum(row: np.ndarray, indices: np.ndarray) -> float:
     """Sum of one row's selected elements, added by a 1-D ``sum`` as a
     set-by-set draw adds them: numpy's pairwise sum adds k >= 8 values in
@@ -387,28 +398,26 @@ class HrReceiverSample:
     ``selection`` (24,) holds each knob's enabled k-subset as a row index
     into ``combination_index_matrix(n, k)``.
 
-    Derived once, when the sample is built: ``selected`` (24,), each row's
-    selected sum; ``tail_ratios`` (4,), selected over nominal tail current;
-    ``deviations`` (20,), each inverter's delay less its design point
-    base + drive; and the read-only (8,) ``rise_errors`` and
+    Derived once, when the sample is built, all read-only: ``selected``
+    (24,), each row's selected sum; ``tail_ratios`` (4,), selected over
+    nominal tail current; ``deviations`` (20,), each inverter's delay less
+    its design point base + drive; and the (8,) ``rise_errors`` and
     ``fall_errors``: phase p's edge error is its pair clock's deviation
-    (clock p % 4) plus its own rise or fall network's.  ``known_sums``
-    passes selected sums already known, so a calibration step re-sums only
-    the row it changed.
+    (clock p % 4) plus its own rise or fall network's.  A calibration step
+    (``_with_knob``) derives again only what its changed row feeds.
     """
 
     config: HrConfig
     elements: np.ndarray
     extrinsic: np.ndarray
     selection: np.ndarray
-    known_sums: dataclasses.InitVar[Optional[np.ndarray]] = None
     selected: np.ndarray = dataclasses.field(init=False, repr=False)
     tail_ratios: np.ndarray = dataclasses.field(init=False, repr=False)
     deviations: np.ndarray = dataclasses.field(init=False, repr=False)
     rise_errors: np.ndarray = dataclasses.field(init=False, repr=False)
     fall_errors: np.ndarray = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self, known_sums: Optional[np.ndarray]) -> None:
+    def __post_init__(self) -> None:
         cfg = self.config
         rows = len(_KNOB_NAMES)
         shapes = tuple(np.shape(a) for a in (self.elements, self.extrinsic, self.selection))
@@ -417,26 +426,22 @@ class HrReceiverSample:
             raise ConfigError(f"array shapes {shapes} differ from {expected}")
         if np.any(self.elements <= 0.0):
             raise ConfigError("realized sizes must be strictly positive")
-        if known_sums is None:
-            combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
-            known_sums = np.array(
-                [_selected_sum(e, c) for e, c in zip(self.elements, combos[self.selection])]
-            )
+        combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
+        selected = np.array(
+            [_selected_sum(e, c) for e, c in zip(self.elements, combos[self.selection])]
+        )
         design = _knob_design(cfg)
         delays = _inverse_width_delay(
-            cfg.base_delay, design.drives, design.halves[4:], known_sums[4:],
-            self.extrinsic[4:],
+            cfg.base_delay, design.drives, design.halves[4:], selected[4:], self.extrinsic[4:]
         )
         if np.any(delays <= 0.0):
             raise ConfigError("inverter delay must stay strictly positive")
         deviations = delays - cfg.base_delay - design.drives
-        clock = np.tile(deviations[:4], 2)
         derived = {
-            "selected": known_sums,
-            "tail_ratios": known_sums[:4] / design.halves[:4],
+            "selected": selected,
+            "tail_ratios": selected[:4] / design.halves[:4],
             "deviations": deviations,
-            "rise_errors": clock + deviations[4:12],
-            "fall_errors": clock + deviations[12:],
+            **_edge_errors(deviations),
         }
         for name, array in derived.items():
             array.setflags(write=False)
@@ -621,15 +626,43 @@ class CalReport:
 
 
 def _with_knob(sample: HrReceiverSample, name: str, best: int) -> HrReceiverSample:
-    """``sample`` with knob ``name`` switched to selection row ``best``; only
-    that row's selected sum is added again."""
+    """``sample`` with knob ``name`` switched to selection row ``best``.
+
+    Only what that row feeds is derived again, with the arithmetic
+    ``HrReceiverSample`` uses on the whole receiver: the row's selected sum,
+    then its tail ratio, or its inverter's deviation (a delay <= 0 is
+    rejected) and the rise and fall errors.  Every other array is shared
+    with ``sample``, and the checks the drawn receiver passed are not run
+    again: the elements and extrinsic errors are the same arrays.
+    """
+    cfg = sample.config
+    design = _knob_design(cfg)
     row = _KNOB_ROWS[name]
     selection = sample.selection.copy()
     selection[row] = best
-    sums = sample.selected.copy()
-    combos = combination_index_matrix(sample.config.n_elements, sample.config.k_selected)
-    sums[row] = _selected_sum(sample.elements[row], combos[best])
-    return dataclasses.replace(sample, selection=selection, known_sums=sums)
+    combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
+    selected = sample.selected.copy()
+    selected[row] = _selected_sum(sample.elements[row], combos[best])
+    derived = {"selected": selected}
+    if row < 4:
+        ratios = sample.tail_ratios.copy()
+        ratios[row] = selected[row] / design.halves[row]
+        derived["tail_ratios"] = ratios
+    else:
+        drive = design.drives[row - 4]
+        delay = _inverse_width_delay(
+            cfg.base_delay, drive, design.halves[row], selected[row], sample.extrinsic[row]
+        )
+        if delay <= 0.0:
+            raise ConfigError("inverter delay must stay strictly positive")
+        deviations = sample.deviations.copy()
+        deviations[row - 4] = delay - cfg.base_delay - drive
+        derived.update(deviations=deviations, **_edge_errors(deviations))
+    for array in derived.values():
+        array.setflags(write=False)
+    moved = object.__new__(HrReceiverSample)  # frozen: its fields are set in its dict
+    vars(moved).update(vars(sample), selection=selection, **derived)
+    return moved
 
 
 def _selection_snapshot(sample: HrReceiverSample) -> dict[str, tuple[int, ...]]:
@@ -666,23 +699,56 @@ def _branch_objective(sample: HrReceiverSample, bi: int, n: int, f: float) -> fl
     return float(abs(cn) ** 2 / abs(c1) ** 2)
 
 
-def _best_selection(
-    sample: HrReceiverSample, name: str, path: Optional[str], n: int, f: float
-) -> int:
-    """The selection row of knob ``name`` that minimizes |c_n/c_1|^2, found
-    by scoring every k-subset of the knob's elements in closed form.
+def _knob_candidates(
+    sample: HrReceiverSample, row: int, tables: dict[int, np.ndarray]
+) -> np.ndarray:
+    """Knob ``row``'s value under every selection row: the branch gain of a
+    tail, the deviation of an inverter.
+
+    The values depend only on the row's elements and extrinsic error, which
+    no calibration step changes, so ``tables`` keeps each row's array from
+    its first visit for every receiver one calibration derives from the
+    same draw.  The sums come from one 1-D ``all_subset_sums`` per row.
+    """
+    values = tables.get(row)
+    if values is None:
+        cfg = sample.config
+        design = _knob_design(cfg)
+        sums = all_subset_sums(sample.elements[row], cfg.k_selected)
+        half, extrinsic = design.halves[row], sample.extrinsic[row]
+        if row < 4:
+            values = (sums / half) ** cfg.gain_alpha * (1.0 + extrinsic)
+        elif design.drives[row - 4] == 0.0:
+            values = np.full(sums.shape, extrinsic)
+        else:
+            values = design.drives[row - 4] * (half / sums - 1.0) + extrinsic
+        tables[row] = values
+    return values
+
+
+def _knob_objectives(
+    sample: HrReceiverSample,
+    name: str,
+    path: Optional[str],
+    n: int,
+    f: float,
+    tables: dict[int, np.ndarray],
+) -> np.ndarray:
+    """|c_n/c_1|^2 under every selection row of knob ``name``, scored in
+    closed form over every k-subset of the knob's elements.
 
     Each candidate's coefficient is c_h = rest_h + amp * u_h: ``rest_h`` sums
     the other measured branches, ``amp`` is the knob's branch amplitude
     (gain * weight) and ``u_h`` its unit-amplitude coefficient.  A tail
     candidate changes amp, a clock candidate shifts all four edges of its pair
     and so rotates u_h by exp(-2 pi i h f shift), and a buffer candidate moves
-    one edge of u_h.  With ``path`` None the knob's branch is measured alone:
-    rest is 0 and amp is 1.  Ties go to the first candidate in lexicographic
-    order.
+    one edge of u_h: only that edge's phase is evaluated per candidate
+    (``moved_edge_fourier``), and the four edges are summed in the order a
+    full evaluation sums them.  The candidates' gains or deviations come
+    from ``tables`` (``_knob_candidates``).  With ``path`` None the knob's
+    branch is measured alone: rest is 0 and amp is 1.
     """
     cfg = sample.config
-    design = _knob_design(cfg)
     kind, index = name[:-1], int(name[-1])
     row = _KNOB_ROWS[name]
     bi = index % 4  # the branch whose tail, clock or edge the knob sets
@@ -700,27 +766,36 @@ def _best_selection(
     own = members.index(bi)
     amp = _branch_gain(sample, bi) * cfg.weights[own] if path else 1.0
     times, deltas = _branch_edges(sample, bi, f)
-
-    sums = all_subset_sums(sample.elements[row], cfg.k_selected)
-    half, extrinsic = design.halves[row], sample.extrinsic[row]
+    values = _knob_candidates(sample, row, tables)
     if kind == "tail":
-        gains = (sums / half) ** cfg.gain_alpha * (1.0 + extrinsic)
-        amp = gains * cfg.weights[own]
-    else:
-        drive = design.drives[row - 4]
-        if drive == 0.0:
-            devs = np.full(sums.shape, extrinsic)
-        else:
-            devs = drive * (half / sums - 1.0) + extrinsic
-        shift = devs - sample.deviations[row - 4]
-        if kind != "clock":  # edges are ordered rise p, fall p, rise p+4, fall p+4
-            times = np.broadcast_to(times, (shift.size, 4)).copy()
-            times[:, 2 * (index // 4) + (kind == "fall")] += f * shift
-    unit = {h: edge_fourier(times, deltas, h) for h in harmonics}
-    if kind == "clock":
-        unit = {h: unit[h] * np.exp(-2j * np.pi * h * f * shift) for h in harmonics}
+        amp = values * cfg.weights[own]
+        unit = {h: edge_fourier(times, deltas, h) for h in harmonics}
+    elif kind == "clock":
+        shift = values - sample.deviations[row - 4]
+        unit = {
+            h: edge_fourier(times, deltas, h) * np.exp(-2j * np.pi * h * f * shift)
+            for h in harmonics
+        }
+    else:  # edges are ordered rise p, fall p, rise p+4, fall p+4
+        edge = 2 * (index // 4) + (kind == "fall")
+        moved = times[edge] + f * (values - sample.deviations[row - 4])
+        unit = {h: moved_edge_fourier(times, deltas, h, edge, moved) for h in harmonics}
     c1, cn = (rest[h] + amp * unit[h] for h in harmonics)
-    return int(np.argmin(np.abs(cn) ** 2 / np.abs(c1) ** 2))
+    return np.abs(cn) ** 2 / np.abs(c1) ** 2
+
+
+def _best_selection(
+    sample: HrReceiverSample,
+    name: str,
+    path: Optional[str],
+    n: int,
+    f: float,
+    tables: dict[int, np.ndarray],
+) -> int:
+    """The selection row of knob ``name`` that minimizes the closed-form
+    |c_n/c_1|^2 (``_knob_objectives``); ties go to the first row in
+    lexicographic order."""
+    return int(np.argmin(_knob_objectives(sample, name, path, n, f, tables)))
 
 
 def _calibrate_stage(
@@ -732,6 +807,7 @@ def _calibrate_stage(
     path: Optional[str],
     n: int,
     f: float,
+    tables: dict[int, np.ndarray],
 ) -> HrReceiverSample:
     """Cycle over ``knobs`` until a full pass commits no change, at most
     ``_MAX_STAGE_PASSES`` times, appending one CalStep per knob visit.
@@ -739,9 +815,13 @@ def _calibrate_stage(
     Each step takes the knob's closed-form best selection and keeps it only
     if the exact objective — ``measure_harmonic_power`` of ``path``, or the
     knobs' branch measured alone when ``path`` is None — does not get worse.
-    The objective is measured once at stage start and once per step: a step's
-    "before" is the previous step's "after".  Steps carry ``iteration``, or
-    their pass index when it is None.
+    The objective is measured once at stage start and once per step that
+    builds a trial: a step's "before" is the previous step's "after", so it
+    is always the measure of the current receiver.  A step whose best
+    selection is the one already set builds no trial and measures nothing;
+    its "after" is its "before", the value that trial would measure.  Steps
+    carry ``iteration``, or their pass index when it is None.  ``tables``
+    holds the knobs' candidate values (``_knob_candidates``).
     """
 
     def measure(s: HrReceiverSample) -> float:
@@ -753,13 +833,16 @@ def _calibrate_stage(
     for pass_index in range(_MAX_STAGE_PASSES):
         changed = False
         for name in knobs:
-            trial = _with_knob(sample, name, _best_selection(sample, name, path, n, f))
-            after = measure(trial)
-            if after <= before:
-                sample = trial
-                changed = changed or after < before
-            else:  # closed-form/pipeline rounding disagreement: keep current
-                after = before
+            best = _best_selection(sample, name, path, n, f, tables)
+            after = before
+            if best != sample.selection[_KNOB_ROWS[name]]:
+                trial = _with_knob(sample, name, best)
+                measured = measure(trial)
+                # a worse trial is a closed-form/pipeline rounding
+                # disagreement: keep the current receiver
+                if measured <= before:
+                    sample, after = trial, measured
+                    changed = changed or after < before
             label = pass_index if iteration is None else iteration
             steps.append(CalStep(stage, label, name, before, after))
             before = after
@@ -781,9 +864,10 @@ def calibrate_even_order(sample: HrReceiverSample) -> tuple[HrReceiverSample, Ca
     """
     f = sample.config.f0
     steps: list[CalStep] = []
+    tables: dict[int, np.ndarray] = {}
     for m in range(4):
         knobs = (f"rise{m}", f"fall{m}", f"rise{m + 4}", f"fall{m + 4}")
-        sample = _calibrate_stage(sample, steps, "even", None, knobs, None, 2, f)
+        sample = _calibrate_stage(sample, steps, "even", None, knobs, None, 2, f, tables)
     return sample, CalReport(steps=tuple(steps), selections=_selection_snapshot(sample))
 
 
@@ -801,17 +885,21 @@ def calibrate_odd_order(
     measured objective.  Each stage cycles over its knobs until a full pass
     commits no change, so one iteration leaves the stage at its search floor;
     with f_low well below f_0 the second iteration is already quiescent.
+    ``iterations`` runs from 1 to ``MAX_ITERATIONS``.
     """
     if f_low >= f_0:
         raise ConfigError(f"f_low {f_low:g} must be below f_0 {f_0:g}")
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    if iterations > MAX_ITERATIONS:
+        raise ConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
     steps: list[CalStep] = []
+    tables: dict[int, np.ndarray] = {}
     for it in range(1, iterations + 1):
         for stage, kind, f in (("gain", "tail", f_low), ("phase", "clock", f_0)):
             for path, tuned in (("I", (0, 1, 2)), ("Q", (3,))):
                 knobs = tuple(f"{kind}{m}" for m in tuned)
-                sample = _calibrate_stage(sample, steps, stage, it, knobs, path, 3, f)
+                sample = _calibrate_stage(sample, steps, stage, it, knobs, path, 3, f, tables)
     return sample, CalReport(steps=tuple(steps), selections=_selection_snapshot(sample))
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "square_wave",
     "fourier_coeff",
     "edge_fourier",
+    "moved_edge_fourier",
     "product_average",
 ]
 
@@ -116,6 +117,22 @@ def edge_fourier(times, deltas, n) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     phase = np.exp((-2j * np.pi * n) * times)
+    return (phase * deltas).sum(axis=-1) / (2j * np.pi * n)
+
+
+def moved_edge_fourier(times, deltas, n, edge, moved) -> np.ndarray:
+    """``edge_fourier`` of the batch of edge lists equal to the 1-D ``times``
+    but for edge ``edge``, which takes each value of ``moved`` in turn.
+
+    Only the moved edge's phase is evaluated per list; the fixed phases are
+    evaluated once.  The (len(moved), E) phase product, its sum and the
+    division are those ``edge_fourier`` takes on the explicit batch, so
+    every coefficient equals that one bit for bit.
+    """
+    times = np.asarray(times, dtype=float)
+    phase = np.empty((np.size(moved), times.size), dtype=complex)
+    phase[:] = np.exp((-2j * np.pi * n) * times)
+    phase[:, edge] = np.exp((-2j * np.pi * n) * np.asarray(moved, dtype=float))
     return (phase * deltas).sum(axis=-1) / (2j * np.pi * n)
 
 

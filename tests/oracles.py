@@ -5,7 +5,8 @@ ideal receiver, a scalar failure-rate query, a waveform scaled by a gain,
 the weighted sum of waveforms and the receiver's effective LO built from
 it, one square wave per phase, the set-by-set element draw with its subset
 sum, the scalar inverse-width delay law that the receiver's and the
-converter's timing networks are checked against, one network at a time, and
+converter's timing networks are checked against, one network at a time, the
+mixer's knob scorer with all four edges of every candidate evaluated, and
 the self-heal controller as one audition at a time with a ``Combination``
 per healed cell: the tests check the package's fast paths against them, and
 no program code needs them.
@@ -21,11 +22,14 @@ import numpy as np
 
 from subsetcal.csdac import DacSample, SelfHealSample, ucc_currents
 from subsetcal.hrmixer import (
+    _KNOB_ROWS,
     PATH_BRANCHES,
     HrConfig,
     HrReceiverSample,
+    _branch_edges,
     _branch_gain,
     _check_edge_errors,
+    _knob_design,
     zero_variance_receiver,
 )
 from subsetcal.mismatch import (
@@ -35,13 +39,14 @@ from subsetcal.mismatch import (
     ElementSet,
     MismatchModel,
     SizingScheme,
+    all_subset_sums,
     balanced_combination,
     combination_index_matrix,
     draw_realized,
     nominal_sizes,
 )
 from subsetcal.studies import StudyConfig, run_study
-from subsetcal.waveform import EdgeWaveform, square_wave
+from subsetcal.waveform import EdgeWaveform, edge_fourier, square_wave
 
 
 def dac_output(sample: DacSample, code: int) -> float:
@@ -232,6 +237,64 @@ def receiver_gain(sample: HrReceiverSample, m: int) -> float:
     extrinsic error), from ``receiver_state``."""
     ratio = receiver_state(sample)[0][m]
     return ratio**sample.config.gain_alpha * (1.0 + float(sample.extrinsic[m]))
+
+
+def knob_objectives(
+    sample: HrReceiverSample, name: str, path: Optional[str], n: int, f: float
+) -> np.ndarray:
+    """|c_n/c_1|^2 of every selection row of knob ``name``, scored in closed
+    form over every k-subset of the knob's elements; the knob's best row is
+    the first minimum.
+
+    Each candidate's coefficient is c_h = rest_h + amp * u_h: ``rest_h`` sums
+    the other measured branches, ``amp`` is the knob's branch amplitude
+    (gain * weight) and ``u_h`` its unit-amplitude coefficient.  A tail
+    candidate changes amp, a clock candidate shifts all four edges of its pair
+    and so rotates u_h by exp(-2 pi i h f shift), and a buffer candidate moves
+    one edge of u_h; all four edges of every buffer candidate are evaluated.
+    With ``path`` None the knob's branch is measured alone: rest is 0 and amp
+    is 1.
+    """
+    cfg = sample.config
+    design = _knob_design(cfg)
+    kind, index = name[:-1], int(name[-1])
+    row = _KNOB_ROWS[name]
+    bi = index % 4  # the branch whose tail, clock or edge the knob sets
+    members = PATH_BRANCHES[path] if path else (bi,)
+    harmonics = (1, n)
+    rest: dict[int, complex] = {h: 0 for h in harmonics}
+    for pos, other in enumerate(members):
+        if other != bi:
+            times, deltas = _branch_edges(sample, other, f)
+            other_amp = _branch_gain(sample, other) * cfg.weights[pos]
+            rest = {
+                h: rest[h] + other_amp * complex(edge_fourier(times, deltas, h))
+                for h in harmonics
+            }
+    own = members.index(bi)
+    amp = _branch_gain(sample, bi) * cfg.weights[own] if path else 1.0
+    times, deltas = _branch_edges(sample, bi, f)
+
+    sums = all_subset_sums(sample.elements[row], cfg.k_selected)
+    half, extrinsic = design.halves[row], sample.extrinsic[row]
+    if kind == "tail":
+        gains = (sums / half) ** cfg.gain_alpha * (1.0 + extrinsic)
+        amp = gains * cfg.weights[own]
+    else:
+        drive = design.drives[row - 4]
+        if drive == 0.0:
+            devs = np.full(sums.shape, extrinsic)
+        else:
+            devs = drive * (half / sums - 1.0) + extrinsic
+        shift = devs - sample.deviations[row - 4]
+        if kind != "clock":  # edges are ordered rise p, fall p, rise p+4, fall p+4
+            times = np.broadcast_to(times, (shift.size, 4)).copy()
+            times[:, 2 * (index // 4) + (kind == "fall")] += f * shift
+    unit = {h: edge_fourier(times, deltas, h) for h in harmonics}
+    if kind == "clock":
+        unit = {h: unit[h] * np.exp(-2j * np.pi * h * f * shift) for h in harmonics}
+    c1, cn = (rest[h] + amp * unit[h] for h in harmonics)
+    return np.abs(cn) ** 2 / np.abs(c1) ** 2
 
 
 def _subset_sum(realized: np.ndarray, combination: Combination) -> float:

@@ -230,10 +230,12 @@ def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):
         ("hr.harmonics = 1, 3", "hr.harmonics must be indices >= 2, got [1, 3]"),
         ("hr.harmonics = ", "hr.harmonics must be indices >= 2, got []"),
         ("hr.iterations = 0", "hr.iterations must be >= 1, got 0"),
+        ("hr.iterations = 1000000000", "hr.iterations must be <= 100, got 1000000000"),
         ("hr.f_list = 0, 750e6", "hr.f_list must be frequencies > 0, got [0.0, 750000000.0]"),
         ("hr.f_list = -1e6", "hr.f_list must be frequencies > 0, got [-1000000.0]"),
     ],
-    ids=["path", "harmonic-1", "no-harmonics", "iterations-0", "f-zero", "f-negative"],
+    ids=["path", "harmonic-1", "no-harmonics", "iterations-0", "iterations-huge", "f-zero",
+         "f-negative"],
 )
 @pytest.mark.parametrize("command", ["simulate", "calibrate", "sweep"])
 def test_bad_hr_keys_are_rejected_before_the_draw(
@@ -248,6 +250,49 @@ def test_bad_hr_keys_are_rejected_before_the_draw(
     assert main(["hr", command, "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+SEEDED_COMMANDS = sorted(name for name, command in cli._COMMANDS.items() if command.seed_key)
+
+
+@pytest.mark.parametrize(
+    "subcommand, line",
+    [(name, None) for name in SEEDED_COMMANDS]
+    + [("study failure-rate", "study.seed = -1"), ("hr calibrate", "hr.seed = -1"),
+       ("dac self-heal", "dac.seed = -1")],
+)
+def test_negative_seed_is_rejected_before_any_draw(tmp_path, capsys, monkeypatch, subcommand, line):
+    """--seed -1, or the seed key set to -1, exits 2 before the command runs."""
+    command = cli._COMMANDS[subcommand]
+
+    def build_must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran before its seed was checked")
+
+    monkeypatch.setitem(cli._COMMANDS, subcommand, command._replace(build=build_must_not_run))
+    out = tmp_path / "out"
+    argv = [*subcommand.split(), "--out", str(out)]
+    argv += ["--config", write_cfg(tmp_path, "seed.cfg", line + "\n")] if line else ["--seed", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {command.seed_key} must be >= 0, got -1\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", [["dac", "yield"], ["dac", "self-heal"]])
+def test_histogram_over_the_memory_bound_is_rejected_before_any_row(
+    tmp_path, capsys, monkeypatch, command
+):
+    def rows_must_not_run(*args, **kwargs):
+        raise AssertionError("a study row ran before the histogram size was checked")
+
+    monkeypatch.setattr(csdac, "parallel_indexed", rows_must_not_run)
+    cfg = write_cfg(tmp_path, "bins.cfg", "dac.bins = 1000000000\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", cfg, "--samples", "100", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: the histogram edges (1000000001,) needs")
+    assert "8000000008 bytes" in captured.err and captured.out == ""
     assert not out.exists()
 
 

@@ -6,15 +6,18 @@ formula for a mismatch-free receiver with arbitrary recombination weights
 midpoint-Riemann demodulation of the composite LO built from boolean phase
 masks rather than edge algebra.  The array receiver's draw and derived state
 are checked bit for bit against set-by-set draws and the scalar
-inverse-width delay law in ``oracles``, and its array-form effective LO
-against the sum of six square-wave objects there.  Calibration behavior is asserted as
-properties: per-step objectives never regress, repeated iterations agree,
-and population statistics land in the documented bands.
+inverse-width delay law in ``oracles``, its array-form effective LO
+against the sum of six square-wave objects there, and its knob search
+against the scorer there that evaluates all four edges of every candidate.
+Calibration behavior is asserted as properties: per-step objectives never
+regress, repeated iterations agree, and population statistics land in the
+documented bands; one hash pins every step and HRR of 24 receivers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -47,6 +50,7 @@ from subsetcal.mismatch import (
     Combination,
     ElementSet,
     MismatchModel,
+    all_subset_sums,
     balanced_combination,
     combination_index_matrix,
 )
@@ -55,6 +59,7 @@ from subsetcal.runner import sample_substream
 from oracles import (
     ideal_receiver,
     inverter_deviation,
+    knob_objectives,
     receiver_gain,
     receiver_state,
     sample_element_set,
@@ -449,6 +454,8 @@ def test_odd_cal_validation():
         calibrate_odd_order(s, 750e6, 750e6)
     with pytest.raises(ConfigError):
         calibrate_odd_order(s, 750e6, 15e6, iterations=0)
+    with pytest.raises(ConfigError, match="iterations must be <= 100, got 101"):
+        calibrate_odd_order(s, 750e6, 15e6, iterations=hrmixer.MAX_ITERATIONS + 1)
 
 
 def test_odd_cal_is_noop_on_ideal_receiver():
@@ -561,21 +568,36 @@ def assert_state_matches_scratch(sample: HrReceiverSample) -> None:
 
 
 def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
-    # every step measures its trial receiver, so checking each measured
-    # receiver covers every trial and every committed state
-    checked = []
+    # every receiver a step builds and every receiver a measure reads is
+    # checked; a step builds a trial unless its best row is the one already
+    # selected, and then its objective stays exactly where it was
+    measured, trials, choices = [], [], []
 
     def checking(original):
         def measure(sample, *args):
             assert_state_matches_scratch(sample)
-            checked.append(sample)
+            measured.append(sample)
             return original(sample, *args)
 
         return measure
 
+    def with_knob(sample, name, best):
+        moved = original_with_knob(sample, name, best)
+        assert_state_matches_scratch(moved)
+        trials.append(moved)
+        return moved
+
+    def best_selection(sample, name, *args):
+        best = original_best(sample, name, *args)
+        choices.append(best != sample.selection[hrmixer._KNOB_ROWS[name]])
+        return best
+
+    original_with_knob, original_best = hrmixer._with_knob, hrmixer._best_selection
     for name in ("measure_harmonic_power", "_branch_objective"):
         monkeypatch.setattr(hrmixer, name, checking(getattr(hrmixer, name)))
-    steps = 0
+    monkeypatch.setattr(hrmixer, "_with_knob", with_knob)
+    monkeypatch.setattr(hrmixer, "_best_selection", best_selection)
+    steps = []
     for i in range(4):
         s = seeded_sample(i)
         assert_state_matches_scratch(s)
@@ -583,8 +605,15 @@ def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
         s, odd = calibrate_odd_order(s, s.config.f0, s.config.f_low)
         assert_state_matches_scratch(s)
         assert any(st.objective_after < st.objective_before for st in even.steps + odd.steps)
-        steps += len(even.steps) + len(odd.steps)
-    assert len(checked) > steps > 4 * 50
+        steps += even.steps + odd.steps
+    assert len(steps) == len(choices) > 4 * 50
+    for step, built in zip(steps, choices):
+        assert built or step.objective_after == step.objective_before
+    assert len(trials) == sum(choices) > 0
+    assert sum(choices) < len(steps)  # some steps choose the row already set
+    # each of the 4 + 8 stages of a receiver measures at its start, and each
+    # trial once
+    assert len(measured) == len(trials) + 4 * (4 + 8)
 
 
 def test_with_selection_rebuilds_derived_values():
@@ -601,6 +630,28 @@ def test_with_selection_rebuilds_derived_values():
     assert s.selection[10] != first  # the source sample is left as it was
     with pytest.raises(ValueError):
         s.rise_errors[0] = 0.0  # stored errors are read-only
+
+
+@pytest.mark.parametrize("name", ["clock1", "rise5", "fall2"])
+def test_with_knob_rejects_a_non_positive_delay(name):
+    """A move to a row whose inverter delay is <= 0 raises, as a receiver
+    built with that selection does: the extrinsic error puts the balanced
+    row's delay above zero and the widest row's below."""
+    s = seeded_sample(2)
+    row = hrmixer._KNOB_ROWS[name]
+    design = hrmixer._knob_design(s.config)
+    sums = all_subset_sums(s.elements[row], s.config.k_selected)
+    delays = hrmixer._inverse_width_delay(
+        s.config.base_delay, design.drives[row - 4], design.halves[row], sums, 0.0
+    )
+    widest = int(np.argmin(delays))
+    s = with_extrinsic(s, row, -(delays[s.selection[row]] + delays[widest]) / 2)
+    with pytest.raises(ConfigError, match="inverter delay must stay strictly positive"):
+        hrmixer._with_knob(s, name, widest)
+    selection = s.selection.copy()
+    selection[row] = widest
+    with pytest.raises(ConfigError, match="inverter delay must stay strictly positive"):
+        dataclasses.replace(s, selection=selection)
 
 
 @st.composite
@@ -695,6 +746,48 @@ def test_array_lo_equals_the_square_wave_oracle(config, seed, moves, path, n, fr
     assert lo.levels.tobytes() == oracle.levels.tobytes()
 
 
+#: every knob with each way it can be measured: its branch alone, or on a
+#: path that mixes its branch
+SCORED_KNOBS = [
+    (name, path)
+    for name in hrmixer._KNOB_NAMES
+    for path in (None, "I", "Q")
+    if path is None or int(name[-1]) % 4 in PATH_BRANCHES[path]
+]
+
+
+@given(
+    config=st.sampled_from(sorted(LO_CONFIGS)),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 2**16)), max_size=3),
+    knob=st.sampled_from(SCORED_KNOBS),
+    n=st.sampled_from((2, 3)),
+    frequency=st.sampled_from(("f_low", "f0")),
+)
+@example(config="default", seed=3, moves=[(10, 7)], knob=("rise2", None), n=2, frequency="f0")
+@example(config="default", seed=4, moves=[], knob=("fall5", "Q"), n=3, frequency="f0")
+@example(config="k8", seed=1, moves=[(20, 99)], knob=("fall4", None), n=2, frequency="f0")
+@example(config="default", seed=5, moves=[(1, 3)], knob=("tail1", "I"), n=3, frequency="f_low")
+@example(config="rewind", seed=2, moves=[(5, 9)], knob=("clock3", "Q"), n=3, frequency="f0")
+@example(config="zero-timing", seed=1, moves=[], knob=("rise6", None), n=2, frequency="f0")
+@example(config="zero-timing", seed=2, moves=[(6, 40)], knob=("clock2", "I"), n=3, frequency="f0")
+def test_knob_search_equals_the_full_edge_oracle(config, seed, moves, knob, n, frequency):
+    """Every candidate's objective equals, bit for bit, the oracle's that
+    evaluates all four edges of each candidate and sums every row's subsets
+    at each visit, and the chosen row is the oracle's first minimum: with no
+    timing spread every clock and buffer candidate ties exactly."""
+    sample = moved_receiver(config, seed, moves)
+    f = LO_FREQUENCIES[frequency](sample.config)
+    name, path = knob
+    expect = knob_objectives(sample, name, path, n, f)
+    tables: dict = {}
+    for _ in range(2):  # the row's table is built, then read
+        got = hrmixer._knob_objectives(sample, name, path, n, f, tables)
+        assert got.tobytes() == expect.tobytes()
+        assert hrmixer._best_selection(sample, name, path, n, f, tables) == np.argmin(expect)
+    assert list(tables) == [hrmixer._KNOB_ROWS[name]]
+
+
 @given(
     config=st.sampled_from(sorted(LO_CONFIGS)),
     seed=st.integers(0, 2**32 - 1),
@@ -712,3 +805,62 @@ def test_sweep_hrr_equals_per_point_oracle_hrr(config, seed, moves, path):
         for n in n_list
     ]
     assert got == expect
+
+
+# ---------------------------------------------------------------------------
+# calibration trace: every step and every HRR of a receiver population
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of ``calibration_trace_records``, recorded from the mixer whose
+#: knob search scored all four edges of every candidate and rebuilt the
+#: whole receiver for each step's trial
+CALIBRATION_TRACE_SHA256 = "9503f027c62dbc8c6bffd2fa554ac816068c629f43053cb4b341e7c176311c36"
+
+
+def hexed(value):
+    """``value`` with every float, however deeply nested, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(item) for item in value]
+    return value
+
+
+def hrr_table(sample: HrReceiverSample) -> list[tuple[float, int, float]]:
+    """``sweep_hrr`` of both paths at f_low, f0 / 2 and f0, n = 2 to 7."""
+    cfg = sample.config
+    f_list = [cfg.f_low, cfg.f0 / 2, cfg.f0]
+    return [
+        (point.f_hz, point.n, point.hrr_db)
+        for path in ("I", "Q")
+        for point in sweep_hrr(sample, f_list, range(2, 8), path)
+    ]
+
+
+def calibration_trace_records():
+    """Per receiver, in order: its pre-calibration HRR table, both stages'
+    ``CalReport.to_json_dict()`` and the post-calibration table, for 24
+    receivers over the default, k8, rewind and zero-timing configs."""
+    for config, count in (("default", 9), ("k8", 5), ("rewind", 5), ("zero-timing", 5)):
+        cfg = LO_CONFIGS[config]
+        for seed in range(1, count + 1):
+            sample = sample_receiver(cfg, seed)
+            pre = hrr_table(sample)
+            sample, even = calibrate_even_order(sample)
+            sample, odd = calibrate_odd_order(sample, cfg.f0, cfg.f_low)
+            yield {
+                "config": config, "seed": seed, "pre": pre, "even": even.to_json_dict(),
+                "odd": odd.to_json_dict(), "post": hrr_table(sample),
+            }
+
+
+def test_calibration_trace_hash_is_unchanged():
+    """Every objective, selection and HRR of the population, each float as
+    hex, hashes to the recorded value: a search or step rebuild that moves
+    any bit of any output fails here."""
+    digest = hashlib.sha256()
+    for record in calibration_trace_records():
+        digest.update(json.dumps(hexed(record), sort_keys=True).encode())
+    assert digest.hexdigest() == CALIBRATION_TRACE_SHA256

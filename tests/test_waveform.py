@@ -11,12 +11,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subsetcal.mismatch import ConfigError
 from subsetcal.waveform import (
     EdgeWaveform,
     edge_fourier,
     fourier_coeff,
+    moved_edge_fourier,
     product_average,
     square_wave,
 )
@@ -147,6 +150,26 @@ def test_edge_fourier_batched():
     batch = edge_fourier(times, deltas, 3)
     for i in range(5):
         assert batch[i] == pytest.approx(edge_fourier(times[i], deltas[i], 3))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.integers(1, 8),
+    batch=st.integers(1, 300),
+    n=st.integers(1, 7),
+    spread=st.sampled_from((1e-9, 1e-3, 0.5, 3.0)),
+)
+def test_moved_edge_fourier_equals_the_explicit_batch(seed, edges, batch, n, spread):
+    """Moving one edge of a fixed list gives, bit for bit, the coefficients
+    ``edge_fourier`` takes on the batch with that edge written out."""
+    rng = np.random.default_rng(seed)
+    times, deltas = rng.random(edges), rng.normal(size=edges)
+    edge = int(rng.integers(edges))
+    moved = times[edge] + spread * rng.normal(size=batch)
+    explicit = np.broadcast_to(times, (batch, edges)).copy()
+    explicit[:, edge] = moved
+    got = moved_edge_fourier(times, deltas, n, edge, moved)
+    assert got.tobytes() == edge_fourier(explicit, deltas, n).tobytes()
 
 
 def test_rejects_negative_harmonic():
