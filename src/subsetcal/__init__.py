@@ -9,7 +9,7 @@ offsets can be absorbed as well.
 
 Modules:
 
-- ``mismatch``  — element sets, sizing schemes, subset search primitives
+- ``mismatch``  — the one selection layer: draws, row-index subset sums, timing law
 - ``studies``   — Monte Carlo calibration yield/resolution/range studies
 - ``waveform``  — exact piecewise-constant periodic waveform algebra
 - ``hrmixer``   — 8-phase harmonic-rejection receiver model and its calibration

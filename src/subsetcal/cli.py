@@ -539,6 +539,7 @@ def _dac_sense(cfg: dict, threads: int) -> Output:
     points = cfg["sense.points"]
     if points < 2:
         raise ConfigError(f"sense.points must be >= 2, got {points}")
+    check_array_bytes("the sense sweep", (3, points, len(SENSE_MODES)))  # kinds, points, modes
     timing_max = cfg["sense.timing_error_max"]
     if timing_max is None:
         timing_max = 1.0 / cfg["sense.f_meas"] / 1000.0

@@ -7,8 +7,8 @@ three places, each calibrated by subset selection:
 * amplitude — each UCC is built from n = 12 graded sub-currents of which
   k = 6 are enabled; selection against an on-chip reference current trims
   the cell's static weight;
-* clock delay — one selectable-width buffer per cell, with the mixer
-  module's inverse-strength delay model;
+* clock delay — one selectable-width buffer per cell, with the
+  inverse-width delay law the mixer's timing networks share;
 * duty cycle — two such buffers per cell (complementary edges); one is
   tuned, the other stays at its balanced selection, and the duty error is
   their delay difference.
@@ -35,7 +35,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .hrmixer import _inverse_width_delay, _inverse_width_step
 from .mismatch import (
     Arithmetic,
     ConfigError,
@@ -45,13 +44,16 @@ from .mismatch import (
     SizingScheme,
     Uniform,
     _draw_units,
-    balanced_combination,
     balanced_row,
     check_array_bytes,
     combination_index_matrix,
+    inverse_width_deviation,
+    inverse_width_step,
     membership_matrix,
     nominal_sizes,
     scheme_center,
+    selected_sums,
+    subset_deviations,
 )
 from .runner import parallel_indexed, sample_substream
 from .waveform import EdgeWaveform, product_average, square_wave
@@ -209,7 +211,7 @@ class DacConfig(_LsbBank):
     @property
     def delay_step(self) -> float:
         reach = _COVERAGE_SIGMA * _RANGE_MARGIN * self.delay_sigma
-        return _inverse_width_step(self.delay_drive, reach)
+        return inverse_width_step(self.delay_drive, reach)
 
     @property
     def delay_extrinsic_sigma(self) -> float:
@@ -230,7 +232,7 @@ class DacConfig(_LsbBank):
         # The tuned buffer must reach the *difference* of two buffer errors,
         # so its range covers the full duty budget, not just its own spread.
         reach = _COVERAGE_SIGMA * _RANGE_MARGIN * self.duty_sigma
-        return _inverse_width_step(self.duty_drive, reach)
+        return inverse_width_step(self.duty_drive, reach)
 
     @property
     def duty_extrinsic_sigma(self) -> float:
@@ -245,14 +247,13 @@ class _CellDesign(NamedTuple):
     """What every cell of a config shares: the nominal sizes and sigmas of one
     cell's draw (amplitude set, then per buffer its widths and extrinsic
     error), broadcast to (n_ucc, 4n + 3), and that draw's layout; per buffer
-    the drive and k times the mean nominal width; the balanced row."""
+    the drive and k times the mean nominal width."""
 
     nominal: np.ndarray
     sigmas: np.ndarray
     layout: tuple[tuple[int, bool], ...]
     drives: np.ndarray
     halves: np.ndarray
-    balanced: int
 
 
 @lru_cache(maxsize=16)
@@ -275,9 +276,7 @@ def _cell_design(cfg: DacConfig) -> _CellDesign:
     for array in arrays:  # shared by every caller
         array.setflags(write=False)
     layout = ((cfg.n, True),) + 3 * ((cfg.n, True), (1, False))
-    return _CellDesign(
-        arrays[0], arrays[1], layout, arrays[2], arrays[3], balanced_row(cfg.n, cfg.k)
-    )
+    return _CellDesign(arrays[0], arrays[1], layout, arrays[2], arrays[3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,8 +314,7 @@ class DacSample:
             raise ConfigError(f"array shapes {shapes} differ from {expected}")
         if np.any(self.amplitude <= 0.0) or np.any(self.widths <= 0.0):
             raise ConfigError("realized sizes must be strictly positive")
-        if np.any(_buffer_delays(self) <= 0.0):
-            raise ConfigError("inverter delay must stay strictly positive")
+        _buffer_deviations(self)  # raises if a buffer delay is <= 0
 
 
 def sample_dac(config: DacConfig, rng=None) -> DacSample:
@@ -338,7 +336,7 @@ def sample_dac(config: DacConfig, rng=None) -> DacSample:
     widths = np.ascontiguousarray(buffers[..., :n])
     extrinsic = np.ascontiguousarray(buffers[..., n])
     bits, reference = _draw_lsb_bank(cfg, rng)
-    selection = np.full(cells, design.balanced)
+    selection = np.full(cells, balanced_row(cfg.n, cfg.k))
     selection.setflags(write=False)
     return DacSample(
         cfg, amplitude, widths, extrinsic, selection, selection, selection, bits, reference
@@ -364,17 +362,9 @@ def _draw_lsb_bank(
     return tuple(bits), reference
 
 
-def _selected_sums(realized: np.ndarray, selection: np.ndarray, k: int) -> np.ndarray:
-    """Sum of the selected k-subset of every row of ``realized`` (..., n)."""
-    n = realized.shape[-1]
-    rows = combination_index_matrix(n, k)[selection]
-    rows += np.arange(0, realized.size, n).reshape(selection.shape + (1,))
-    return realized.ravel().take(rows).sum(axis=-1)
-
-
 def ucc_currents(sample: DacSample) -> np.ndarray:
     """Selected-subset current of every UCC, in cell order."""
-    return _selected_sums(sample.amplitude, sample.amplitude_selection, sample.config.k)
+    return selected_sums(sample.amplitude, sample.amplitude_selection, sample.config.k)
 
 
 # ---------------------------------------------------------------------------
@@ -570,22 +560,18 @@ def uniform_comparison_config(config: DacConfig) -> DacConfig:
 # Timing calibration
 
 
-def _buffer_delays(sample: DacSample) -> np.ndarray:
-    """(n_ucc, 3) delay of every timing buffer at its selection, seconds,
-    by the receiver's inverse-width delay law."""
+def _buffer_deviations(sample: DacSample) -> np.ndarray:
+    """(n_ucc, 3) delay of every timing buffer at its selection relative to
+    the nominal design point (base + drive), seconds; raises ConfigError if
+    a delay is <= 0."""
     cfg = sample.config
     design = _cell_design(cfg)
-    fixed = np.full(cfg.n_ucc, design.balanced)
+    fixed = np.full(cfg.n_ucc, balanced_row(cfg.n, cfg.k))
     selection = np.stack([sample.delay_selection, sample.duty_selection, fixed], axis=1)
-    selected = _selected_sums(sample.widths, selection, cfg.k)
-    return _inverse_width_delay(
+    selected = selected_sums(sample.widths, selection, cfg.k)
+    return inverse_width_deviation(
         _BASE_DELAY, design.drives, design.halves, selected, sample.extrinsic
     )
-
-
-def _buffer_deviations(sample: DacSample) -> np.ndarray:
-    """Buffer delays relative to the nominal design point (base + drive)."""
-    return _buffer_delays(sample) - _BASE_DELAY - _cell_design(sample.config).drives
 
 
 def delay_errors(sample: DacSample) -> np.ndarray:
@@ -611,13 +597,12 @@ def calibrate_timing(sample: DacSample) -> DacSample:
     cfg = sample.config
     design = _cell_design(cfg)
     fixed = _buffer_deviations(sample)[:, 2]
-    # Delay and tuned-duty buffers: every subset's drive * (W_nominal_half /
-    # sum - 1.0) + extrinsic - target, in place (temporaries cost more).
-    distance = sample.widths[:, :2] @ membership_matrix(cfg.n, cfg.k)
-    np.divide(design.halves[:2, None], distance, out=distance)
-    distance -= 1.0
-    distance *= design.drives[:2, None]
-    distance += sample.extrinsic[:, :2, None]
+    distance = subset_deviations(  # delay and tuned-duty buffers, every subset
+        sample.widths[:, :2] @ membership_matrix(cfg.n, cfg.k),
+        design.drives[:2, None],
+        design.halves[:2, None],
+        sample.extrinsic[:, :2, None],
+    )
     distance[:, 1] -= fixed[:, None]
     best = np.argmin(np.abs(distance, out=distance), axis=2)
     current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
@@ -683,7 +668,10 @@ class SelfHealConfig(_LsbBank):
         self._check_lsb_bank()
         check_array_bytes("the element draw", (self.n_ucc + self.backup_ucc_count + 1, self.n))
         check_array_bytes("the combination table", (math.comb(self.n, self.k), self.k))
-        balanced_combination(self.n, self.k)  # the first attempt's bias
+        check_array_bytes("the cell trial draw", (self.n_ucc, self.cell_trial_limit))
+        window = min(_HEAL_WINDOW, self.n_ucc)
+        check_array_bytes("the cell trial gather", (window, self.cell_trial_limit, self.k))
+        balanced_row(self.n, self.k)  # the first attempt's bias
 
     @property
     def sub_sigma(self) -> float:
@@ -917,7 +905,7 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
     for attempt in range(cfg.toplevel_trial_limit):
         if attempt > 0:
             bias = int(gen.integers(0, n_combos))
-        scale = float(sample.bias_elements[indices[bias]].sum()) / float(cfg.k)
+        scale = float(selected_sums(sample.bias_elements, bias, cfg.k)) / float(cfg.k)
         state = gen.bit_generator.state
         blocks = np.empty((0, limit), dtype=np.int64)  # drawn, read up to `head`
         head = drawn = 0
@@ -998,11 +986,9 @@ def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> Linearit
 def _selfheal_pre_linearity(sample: SelfHealSample) -> LinearityMaxima:
     """Linearity maxima before healing: balanced selections, balanced bias."""
     cfg = sample.config
-    balanced = combination_index_matrix(cfg.n, cfg.k)[balanced_row(cfg.n, cfg.k)]
-    scale = float(sample.bias_elements[balanced].sum()) / float(cfg.k)
-    # a C-ordered gather: each cell's k elements add as one 1-D row's do,
-    # which a reduction down a strided axis would not for k >= 8
-    currents = np.take(sample.cells, balanced, axis=1).sum(axis=1) * scale
+    balanced = balanced_row(cfg.n, cfg.k)
+    scale = float(selected_sums(sample.bias_elements, balanced, cfg.k)) / float(cfg.k)
+    currents = selected_sums(sample.cells, balanced, cfg.k) * scale
     return _segment_maxima(currents, sample.lsb_values)
 
 

@@ -21,8 +21,9 @@ cover six sigma of the total variation:
 A sampled receiver holds its 24 knobs as arrays: a (24, n) element draw, a
 (24,) extrinsic error per knob and a (24,) selection of row indices into the
 k-of-n combination table, drawn with the converters' draw routine and read
-through the delay law the converter's timing buffers share.  A calibration
-step changes one selection row.
+through ``mismatch``'s selected sum and inverse-width delay law, which the
+converter's timing buffers share.  A calibration step changes one selection
+row.
 
 Timing deviations are fixed in seconds; their harmonic impact scales with the
 operating frequency, so calibration runs at the top frequency and sweeps down.
@@ -46,7 +47,11 @@ from .mismatch import (
     all_subset_sums,
     balanced_row,
     combination_index_matrix,
+    inverse_width_deviation,
+    inverse_width_step,
     nominal_sizes,
+    selected_sums,
+    subset_deviations,
 )
 from .waveform import EdgeWaveform, edge_fourier, moved_edge_fourier
 
@@ -98,22 +103,6 @@ def _power_law_step(alpha: float, reach: float) -> float:
     up = ((1.0 + reach) ** (1.0 / alpha) - 1.0) / 3.0
     down = (1.0 - (1.0 - reach) ** (1.0 / alpha)) / 3.0
     return max(up, down)
-
-
-def _inverse_width_step(drive: float, reach_seconds: float) -> float:
-    """Smallest step d so delay = drive * W_nom/W_sel covers +/-reach_seconds.
-
-    The compressive side (W_sel above nominal) is the binding one:
-    drive * 3d/(1+3d) >= reach.
-    """
-    if reach_seconds == 0.0:
-        return 0.0
-    x = reach_seconds / drive
-    if x >= 1.0:
-        raise ConfigError(
-            f"delay tuning range {drive:g}s cannot cover {reach_seconds:g}s"
-        )
-    return x / (3.0 * (1.0 - x))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,9 +219,7 @@ class HrConfig:
 
     @property
     def clock_step(self) -> float:
-        if self.clock_delay_sigma == 0.0:
-            return 0.0
-        return _inverse_width_step(
+        return inverse_width_step(
             self.clock_drive, self._reach_factor * self.clock_delay_sigma
         )
 
@@ -258,30 +245,20 @@ class HrConfig:
 
     @property
     def buffer_step(self) -> float:
-        if self.diff_phase_sigma == 0.0:
-            return 0.0
-        return _inverse_width_step(
+        return inverse_width_step(
             self.buffer_drive, self._reach_factor * self.diff_phase_sigma
         )
 
     def _check_coverage(self) -> None:
-        """Tuning ranges must cover coverage_sigma of the total variation."""
+        """Tuning ranges must cover coverage_sigma of the total variation.
+
+        The clock and buffer steps cover their reach by construction
+        (``inverse_width_step`` raises when no step can); the gain range is
+        checked here."""
         if self.element_rel_sigma == 0.0 and (
             self.gain_sigma or self.clock_delay_sigma or self.diff_phase_sigma
         ):
             raise ConfigError("element_rel_sigma must be > 0 when variances are set")
-        for name, step, drive, total in (
-            ("clock", self.clock_step, self.clock_drive, self.clock_delay_sigma),
-            ("buffer", self.buffer_step, self.buffer_drive, self.diff_phase_sigma),
-        ):
-            if total == 0.0:
-                continue
-            down_reach = drive * 3.0 * step / (1.0 + 3.0 * step)
-            if down_reach + 1e-18 < self.coverage_sigma * total:
-                raise ConfigError(
-                    f"{name} tuning range covers only {down_reach:g}s of the "
-                    f"required {self.coverage_sigma * total:g}s"
-                )
         if self.gain_sigma > 0.0:
             d = self.tail_step
             if 3.0 * d >= 1.0:  # (1 - 3d)**alpha below would be complex
@@ -324,27 +301,16 @@ _DRAW_ORDER = np.concatenate(
 )
 
 
-def _inverse_width_delay(base, drive, half, selected, extrinsic):
-    """The delay law of every selectable-width timing network, seconds:
-    ``base + drive * (half / selected) + extrinsic``, with ``half`` k times
-    the mean nominal width and ``selected`` the selected widths' sum.  A
-    network without drive reads ``base + extrinsic`` (0.0 times the ratio is
-    0).  Scalars or broadcasting arrays."""
-    return base + drive * (half / selected) + extrinsic
-
-
 class _KnobDesign(NamedTuple):
     """What every receiver of a config shares: per knob row, in draw order,
     the nominal sizes and sigmas of its n elements and then of its extrinsic
     error; in knob order, k times each row's mean nominal size (the design
-    value of any k-selection) and the drive of the 20 inverter rows; the
-    balanced row."""
+    value of any k-selection) and the drive of the 20 inverter rows."""
 
     nominal: np.ndarray
     sigmas: np.ndarray
     halves: np.ndarray
     drives: np.ndarray
-    balanced: int
 
 
 @lru_cache(maxsize=16)
@@ -368,7 +334,7 @@ def _knob_design(cfg: HrConfig) -> _KnobDesign:
     drives = np.repeat([cfg.clock_drive, cfg.buffer_drive], [4, 2 * N_PHASES])
     for array in (nominal, sigmas, halves, drives):  # shared by every caller
         array.setflags(write=False)
-    return _KnobDesign(nominal, sigmas, halves, drives, balanced_row(n, k))
+    return _KnobDesign(nominal, sigmas, halves, drives)
 
 
 def _edge_errors(deviations: np.ndarray) -> dict[str, np.ndarray]:
@@ -376,13 +342,6 @@ def _edge_errors(deviations: np.ndarray) -> dict[str, np.ndarray]:
     (clock p % 4) plus its own rise or fall network's."""
     clock = np.tile(deviations[:4], 2)
     return {"rise_errors": clock + deviations[4:12], "fall_errors": clock + deviations[12:]}
-
-
-def _selected_sum(row: np.ndarray, indices: np.ndarray) -> float:
-    """Sum of one row's selected elements, added by a 1-D ``sum`` as a
-    set-by-set draw adds them: numpy's pairwise sum adds k >= 8 values in
-    another order than a reduction down a 2-D array's strided axis."""
-    return float(row[indices].sum())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -426,17 +385,11 @@ class HrReceiverSample:
             raise ConfigError(f"array shapes {shapes} differ from {expected}")
         if np.any(self.elements <= 0.0):
             raise ConfigError("realized sizes must be strictly positive")
-        combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
-        selected = np.array(
-            [_selected_sum(e, c) for e, c in zip(self.elements, combos[self.selection])]
-        )
+        selected = selected_sums(self.elements, self.selection, cfg.k_selected)
         design = _knob_design(cfg)
-        delays = _inverse_width_delay(
+        deviations = inverse_width_deviation(
             cfg.base_delay, design.drives, design.halves[4:], selected[4:], self.extrinsic[4:]
         )
-        if np.any(delays <= 0.0):
-            raise ConfigError("inverter delay must stay strictly positive")
-        deviations = delays - cfg.base_delay - design.drives
         derived = {
             "selected": selected,
             "tail_ratios": selected[:4] / design.halves[:4],
@@ -462,7 +415,7 @@ def sample_receiver(
     drawn = _draw_units(design.nominal, design.sigmas, ((n, True), (1, False)), rng)
     values = np.empty_like(drawn)
     values[_DRAW_ORDER] = drawn
-    selection = np.full(len(_KNOB_NAMES), design.balanced)
+    selection = np.full(len(_KNOB_NAMES), balanced_row(n, config.k_selected))
     return HrReceiverSample(
         config, np.ascontiguousarray(values[:, :n]), values[:, n].copy(), selection
     )
@@ -640,23 +593,19 @@ def _with_knob(sample: HrReceiverSample, name: str, best: int) -> HrReceiverSamp
     row = _KNOB_ROWS[name]
     selection = sample.selection.copy()
     selection[row] = best
-    combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
     selected = sample.selected.copy()
-    selected[row] = _selected_sum(sample.elements[row], combos[best])
+    selected[row] = selected_sums(sample.elements[row], best, cfg.k_selected)
     derived = {"selected": selected}
     if row < 4:
         ratios = sample.tail_ratios.copy()
         ratios[row] = selected[row] / design.halves[row]
         derived["tail_ratios"] = ratios
     else:
-        drive = design.drives[row - 4]
-        delay = _inverse_width_delay(
-            cfg.base_delay, drive, design.halves[row], selected[row], sample.extrinsic[row]
-        )
-        if delay <= 0.0:
-            raise ConfigError("inverter delay must stay strictly positive")
         deviations = sample.deviations.copy()
-        deviations[row - 4] = delay - cfg.base_delay - drive
+        deviations[row - 4] = inverse_width_deviation(
+            cfg.base_delay, design.drives[row - 4], design.halves[row], selected[row],
+            sample.extrinsic[row],
+        )
         derived.update(deviations=deviations, **_edge_errors(deviations))
     for array in derived.values():
         array.setflags(write=False)
@@ -718,10 +667,8 @@ def _knob_candidates(
         half, extrinsic = design.halves[row], sample.extrinsic[row]
         if row < 4:
             values = (sums / half) ** cfg.gain_alpha * (1.0 + extrinsic)
-        elif design.drives[row - 4] == 0.0:
-            values = np.full(sums.shape, extrinsic)
         else:
-            values = design.drives[row - 4] * (half / sums - 1.0) + extrinsic
+            values = subset_deviations(sums, design.drives[row - 4], half, extrinsic)
         tables[row] = values
     return values
 

@@ -6,6 +6,10 @@ switched on at a time.  Redundancy comes from the C(n, k) possible selections; a
 calibration step picks the selection whose realized sum lands closest to a target
 value.
 
+Element sets are (..., n) arrays of realized sizes and a selection is a row index
+into ``combination_index_matrix(n, k)``; every module reads selections, and the
+timing networks' inverse-width delay law, through this one.
+
 Sizes are strictly positive throughout.  Element standard deviation follows the
 usual area scaling law: sigma_i = sigma_ref * sqrt(nominal_i / size_ref).
 """
@@ -30,8 +34,6 @@ __all__ = [
     "Explicit",
     "SizingScheme",
     "MismatchModel",
-    "ElementSet",
-    "Combination",
     "nominal_sizes",
     "scheme_center",
     "draw_realized",
@@ -39,9 +41,12 @@ __all__ = [
     "combination_index_matrix",
     "membership_matrix",
     "all_subset_sums",
+    "selected_sums",
     "find_best",
-    "balanced_combination",
     "balanced_row",
+    "inverse_width_step",
+    "inverse_width_deviation",
+    "subset_deviations",
 ]
 
 
@@ -150,7 +155,7 @@ def scheme_center(scheme: SizingScheme) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mismatch model and element sets
+# mismatch model and element draws
 # ---------------------------------------------------------------------------
 
 
@@ -169,29 +174,6 @@ class MismatchModel:
 
     def element_sigmas(self, nominal: np.ndarray) -> np.ndarray:
         return self.sigma_ref * np.sqrt(np.asarray(nominal) / self.size_ref)
-
-
-@dataclass(frozen=True, eq=False)
-class ElementSet:
-    """One sampled instance: nominal sizes plus their realized (mismatched) values.
-
-    ``resamples`` counts how many individual draws had to be repeated because
-    they came out non-positive (diagnostic; zero in any realistic regime).
-    """
-
-    nominal: np.ndarray
-    realized: np.ndarray
-    resamples: int = 0
-
-    def __post_init__(self) -> None:
-        if self.nominal.shape != self.realized.shape:
-            raise ConfigError("nominal and realized shapes differ")
-        if np.any(self.realized <= 0.0):
-            raise ConfigError("realized sizes must be strictly positive")
-
-    @property
-    def n(self) -> int:
-        return int(self.nominal.shape[0])
 
 
 def draw_realized(
@@ -272,24 +254,6 @@ def sigma_k(model: MismatchModel, scheme: SizingScheme, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Combination:
-    """A k-subset of element indices, stored sorted ascending."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = self.indices
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-            raise ConfigError(f"indices must be strictly ascending, got {idx}")
-        if idx and idx[0] < 0:
-            raise ConfigError(f"indices must be non-negative, got {idx}")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-
 def _check_nk(n: int, k: int) -> None:
     if not (1 <= k <= n):
         raise ConfigError(f"need 1 <= k <= n, got n={n} k={k}")
@@ -337,8 +301,24 @@ def all_subset_sums(realized: np.ndarray, k: int) -> np.ndarray:
     return realized @ membership_matrix(n, k)
 
 
-def balanced_combination(n: int, k: int) -> Combination:
-    """The symmetric k-subset pairing element i with its mirror n-1-i.
+def selected_sums(realized: np.ndarray, selection, k: int) -> np.ndarray:
+    """Sum of the selected k-subset of every row of ``realized`` (..., n),
+    given one selection row per row of ``realized`` or one for them all.
+
+    The selected elements are gathered C-ordered and summed along the last
+    axis, so each row adds as a 1-D ``sum`` of its selection does; a
+    reduction down a strided axis would add k >= 8 values in another order.
+    """
+    n = realized.shape[-1]
+    rows = combination_index_matrix(n, k).take(selection, axis=0)
+    rows = rows + np.arange(0, realized.size, n).reshape(realized.shape[:-1] + (1,))
+    return realized.ravel().take(rows).sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def balanced_row(n: int, k: int) -> int:
+    """Row in ``combination_index_matrix(n, k)`` of the symmetric k-subset
+    pairing element i with its mirror n-1-i.
 
     For even k: indices {0, 2, ..., k-2} plus their mirrors, e.g. n=12, k=6 ->
     (0, 2, 4, 7, 9, 11).  Its nominal sum equals k * mean exactly for any
@@ -347,18 +327,57 @@ def balanced_combination(n: int, k: int) -> Combination:
     _check_nk(n, k)
     if k % 2:
         raise ConfigError(f"balanced combination needs even k, got k={k}")
-    low = [2 * i for i in range(k // 2)]
-    high = [n - 1 - i for i in low]
-    if low and low[-1] >= min(high):
+    low = np.arange(0, k, 2)
+    high = n - 1 - low
+    if low[-1] >= high[-1]:
         raise ConfigError(f"no balanced combination for n={n} k={k}")
-    return Combination(tuple(sorted(low + high)))
+    subset = np.concatenate((low, high[::-1]))
+    rows = combination_index_matrix(n, k)
+    return int(np.flatnonzero((rows == subset).all(axis=1))[0])
 
 
-@lru_cache(maxsize=None)
-def balanced_row(n: int, k: int) -> int:
-    """Row of ``balanced_combination(n, k)`` in ``combination_index_matrix(n, k)``."""
-    rows = combination_index_matrix(n, k).tolist()
-    return rows.index(list(balanced_combination(n, k).indices))
+# ---------------------------------------------------------------------------
+# the inverse-width timing law
+# ---------------------------------------------------------------------------
+
+
+def inverse_width_step(drive: float, reach_seconds: float) -> float:
+    """Smallest step d so delay = drive * W_nom/W_sel covers +/-reach_seconds.
+
+    The compressive side (W_sel above nominal) is the binding one:
+    drive * 3d/(1+3d) >= reach.
+    """
+    if reach_seconds == 0.0:
+        return 0.0
+    x = reach_seconds / drive
+    if x >= 1.0:
+        raise ConfigError(
+            f"delay tuning range {drive:g}s cannot cover {reach_seconds:g}s"
+        )
+    return x / (3.0 * (1.0 - x))
+
+
+def inverse_width_deviation(base, drive, half, selected, extrinsic):
+    """Delay of selectable-width timing networks, ``base + drive * (half /
+    selected) + extrinsic``, less the design point base + drive, seconds;
+    ``half`` is k times the mean nominal width and ``selected`` the selected
+    widths' sum.  Raises ConfigError if a delay is <= 0.  Scalars or
+    broadcasting arrays."""
+    delay = base + drive * (half / selected) + extrinsic
+    if np.any(delay <= 0.0):
+        raise ConfigError("inverter delay must stay strictly positive")
+    return delay - base - drive
+
+
+def subset_deviations(sums: np.ndarray, drive, half, extrinsic) -> np.ndarray:
+    """Every subset's inverse-width deviation, ``drive * (half / sums - 1.0)
+    + extrinsic``, in place over ``sums`` (temporaries cost more); with drive 0
+    each equals the extrinsic error."""
+    np.divide(half, sums, out=sums)
+    sums -= 1.0
+    sums *= drive
+    sums += extrinsic
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +385,14 @@ def balanced_row(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def find_best(
-    element_set: ElementSet, k: int, target: float
-) -> tuple[Combination, float]:
-    """Best-match selection: the combination minimizing |subset sum - target|.
+def find_best(realized: np.ndarray, k: int, target: float) -> tuple[int, float]:
+    """Best-match selection of one (n,) element set: the row of
+    ``combination_index_matrix(n, k)`` minimizing |subset sum - target|.
 
-    Returns (combination, signed residual) with residual = subset sum - target.
+    Returns (row, signed residual) with residual = subset sum - target.
     Ties on the absolute residual resolve to the earliest combination in
     lexicographic order (argmin semantics over the lexicographic enumeration).
     """
-    n = element_set.n
-    _check_nk(n, k)
-    sums = all_subset_sums(element_set.realized, k)
+    sums = all_subset_sums(realized, k)
     best = int(np.argmin(np.abs(sums - target)))
-    combo = Combination(tuple(int(i) for i in combination_index_matrix(n, k)[best]))
-    return combo, float(sums[best] - target)
+    return best, float(sums[best] - target)

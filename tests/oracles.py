@@ -5,9 +5,9 @@ ideal receiver, a scalar failure-rate query, a waveform scaled by a gain,
 the weighted sum of waveforms and the receiver's effective LO built from
 it, one square wave per phase, the set-by-set element draw with its subset
 sum, the scalar inverse-width delay law that the receiver's and the
-converter's timing networks are checked against, one network at a time, the
-mixer's knob scorer with all four edges of every candidate evaluated, and
-the self-heal controller as one audition at a time with a ``Combination``
+converter's timing networks are checked against, one network or one subset
+at a time, the mixer's knob scorer with all four edges of every candidate evaluated, and
+the self-heal controller as one audition at a time with an index tuple
 per healed cell: the tests check the package's fast paths against them, and
 no program code needs them.
 """
@@ -34,13 +34,11 @@ from subsetcal.hrmixer import (
 )
 from subsetcal.mismatch import (
     Arithmetic,
-    Combination,
     ConfigError,
-    ElementSet,
     MismatchModel,
     SizingScheme,
     all_subset_sums,
-    balanced_combination,
+    balanced_row,
     combination_index_matrix,
     draw_realized,
     nominal_sizes,
@@ -159,28 +157,30 @@ def square_wave_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWavefor
 
 def sample_element_set(
     scheme: SizingScheme, model: MismatchModel, n: int, rng: np.random.Generator
-) -> ElementSet:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """One element set with its own draw: nominal sizes plus Gaussian
     mismatch per element, non-positive sizes redrawn (the stream a
-    set-by-set draw consumes)."""
+    set-by-set draw consumes).  Returns (nominal, realized, redraws)."""
     nominal = nominal_sizes(scheme, n)
     realized, resamples = draw_realized(nominal, model.element_sigmas(nominal), rng)
-    return ElementSet(nominal=nominal, realized=realized, resamples=resamples)
+    return nominal, realized, resamples
 
 
-def subset_value(element_set: ElementSet, combination: Combination) -> float:
-    """Sum of the realized values of the selected elements."""
-    idx = np.asarray(combination.indices, dtype=np.intp)
-    if idx.size and idx[-1] >= element_set.n:
+def subset_value(realized: np.ndarray, indices: Sequence[int]) -> float:
+    """Sum of the realized values of the selected elements of one (n,) set,
+    added by a 1-D ``sum``."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and idx[-1] >= realized.shape[0]:
         raise ConfigError(
-            f"combination index {idx[-1]} out of range for n={element_set.n}"
+            f"combination index {idx[-1]} out of range for n={realized.shape[0]}"
         )
-    return float(element_set.realized[idx].sum())
+    return float(realized[idx].sum())
 
 
 def inverter_deviation(
-    elements: ElementSet,
-    selection: Combination,
+    nominal: np.ndarray,
+    realized: np.ndarray,
+    indices: Sequence[int],
     drive: float,
     extrinsic: float,
     base: float = 50e-12,
@@ -191,10 +191,19 @@ def inverter_deviation(
     network without drive leaves the width term out."""
     delay = base
     if drive != 0.0:
-        w_nominal_half = float(elements.nominal.mean()) * selection.k
-        delay += drive * (w_nominal_half / subset_value(elements, selection))
+        w_nominal_half = float(nominal.mean()) * len(indices)
+        delay += drive * (w_nominal_half / subset_value(realized, indices))
     delay += extrinsic
     return delay - base - drive
+
+
+def subset_deviation(drive: float, half: float, subset_sum: float, extrinsic: float) -> float:
+    """One subset's inverse-width deviation in scalars, as the all-subset
+    tables take it: drive * (half / sum - 1.0) + extrinsic, and the extrinsic
+    error alone for a network without drive."""
+    if drive == 0.0:
+        return extrinsic
+    return drive * (half / subset_sum - 1.0) + extrinsic
 
 
 def receiver_state(
@@ -202,30 +211,31 @@ def receiver_state(
 ) -> tuple[list[float], list[float], list[float], list[float]]:
     """A receiver's tail ratios (4), inverter deviations (20: clocks, rises,
     falls) and rise and fall edge errors (8 each), knob by knob: every knob
-    rebuilt as an ``ElementSet`` on its nominal sizes with a ``Combination``.
-    Phase p's edge error is clock p % 4's deviation plus its own network's."""
+    read from its nominal sizes, its realized row and the index tuple of its
+    selection.  Phase p's edge error is clock p % 4's deviation plus its own
+    network's."""
     cfg = sample.config
     combos = combination_index_matrix(cfg.n_elements, cfg.k_selected)
 
-    def knob(row: int, step: float) -> tuple[ElementSet, Combination]:
+    def knob(row: int, step: float) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         nominal = nominal_sizes(Arithmetic(1.0, step), cfg.n_elements)
-        selection = Combination(tuple(int(i) for i in combos[sample.selection[row]]))
-        return ElementSet(nominal, sample.elements[row].copy()), selection
+        indices = tuple(int(i) for i in combos[sample.selection[row]])
+        return nominal, sample.elements[row].copy(), indices
 
     ratios = []
     for m in range(4):
-        elements, selection = knob(m, cfg.tail_step)
-        i_nominal_half = float(elements.nominal.mean()) * selection.k
-        ratios.append(subset_value(elements, selection) / i_nominal_half)
+        nominal, realized, indices = knob(m, cfg.tail_step)
+        i_nominal_half = float(nominal.mean()) * len(indices)
+        ratios.append(subset_value(realized, indices) / i_nominal_half)
     deviations = []
     for row in range(4, 24):
         step, drive = (
             (cfg.clock_step, cfg.clock_drive) if row < 8 else (cfg.buffer_step, cfg.buffer_drive)
         )
-        elements, selection = knob(row, step)
+        nominal, realized, indices = knob(row, step)
         extrinsic = float(sample.extrinsic[row])
         deviations.append(
-            inverter_deviation(elements, selection, drive, extrinsic, cfg.base_delay)
+            inverter_deviation(nominal, realized, indices, drive, extrinsic, cfg.base_delay)
         )
     rise = [deviations[p % 4] + deviations[4 + p] for p in range(8)]
     fall = [deviations[p % 4] + deviations[12 + p] for p in range(8)]
@@ -297,22 +307,15 @@ def knob_objectives(
     return np.abs(cn) ** 2 / np.abs(c1) ** 2
 
 
-def _subset_sum(realized: np.ndarray, combination: Combination) -> float:
-    """Sum of the selected elements of one (n,) row, added by a 1-D ``sum``:
-    numpy's pairwise sum adds k >= 8 values in another order than a
-    reduction down a 2-D array's strided axis."""
-    return float(realized[np.asarray(combination.indices, dtype=np.intp)].sum())
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SelfHealOracleResult:
-    """``self_heal_oracle``'s outcome: ``Combination`` selections, per-cell
-    tuples and the full trace dict, built as the search runs."""
+    """``self_heal_oracle``'s outcome: selections as element index tuples,
+    per-cell tuples and the full trace dict, built as the search runs."""
 
     healed: bool
-    bias_selection: Combination
+    bias_selection: tuple[int, ...]
     scale: float
-    selections: Optional[tuple[Combination, ...]]
+    selections: Optional[tuple[tuple[int, ...], ...]]
     sources: Optional[tuple[int, ...]]
     cell_currents: Optional[tuple[float, ...]]
     trace: dict
@@ -332,15 +335,14 @@ def self_heal_oracle(sample: SelfHealSample, rng=0) -> SelfHealOracleResult:
     window_high = window_low + cfg.i_tiny
 
     attempts_log: list[dict] = []
-    bias = balanced_combination(cfg.n, cfg.k)
+    bias = tuple(int(i) for i in indices[balanced_row(cfg.n, cfg.k)])
     scale = 1.0
     for attempt in range(cfg.toplevel_trial_limit):
         if attempt > 0:
-            row = indices[int(gen.integers(0, n_combos))]
-            bias = Combination(tuple(int(i) for i in row))
-        scale = _subset_sum(sample.bias_elements, bias) / float(cfg.k)
+            bias = tuple(int(i) for i in indices[int(gen.integers(0, n_combos))])
+        scale = subset_value(sample.bias_elements, bias) / float(cfg.k)
         backup_pool = list(range(len(sample.backups)))
-        selections: list[Combination] = []
+        selections: list[tuple[int, ...]] = []
         sources: list[int] = []
         currents: list[float] = []
         cell_logs: list[dict] = []
@@ -348,7 +350,7 @@ def self_heal_oracle(sample: SelfHealSample, rng=0) -> SelfHealOracleResult:
         for ci, own_elements in enumerate(sample.cells):
             backups_used: list[int] = []
             trials = 0
-            found: Optional[Combination] = None
+            found: Optional[tuple[int, ...]] = None
             current = math.nan
             source = ci
             candidates = [(ci, -1, own_elements)]
@@ -364,7 +366,7 @@ def self_heal_oracle(sample: SelfHealSample, rng=0) -> SelfHealOracleResult:
                 if in_window.any():
                     hit = int(np.argmax(in_window))
                     trials += hit + 1
-                    found = Combination(tuple(int(i) for i in indices[draws[hit]]))
+                    found = tuple(int(i) for i in indices[draws[hit]])
                     current = float(sums[hit])
                     source = cand_source
                     if b >= 0:
@@ -387,7 +389,7 @@ def self_heal_oracle(sample: SelfHealSample, rng=0) -> SelfHealOracleResult:
             currents.append(current)
         attempts_log.append(
             {
-                "bias_selection": [int(i) for i in bias.indices],
+                "bias_selection": list(bias),
                 "scale": float(scale),
                 "cells": cell_logs,
                 "completed": completed,

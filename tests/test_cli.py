@@ -192,8 +192,11 @@ def test_study_over_the_memory_bound_is_rejected_before_sampling(
         ("yield", "dac.msb_bits = 30\ndac.resolution = 38\n", 8 * (2**30 - 1) * 51),
         ("yield", "dac.lsb_bits = 27\ndac.resolution = 33\ndac.dump_sample = 0\n", 8 * 2**33),
         ("self-heal", "heal.msb_bits = 30\n", 8 * (2**30 - 1 + 4 + 1) * 16),
+        ("self-heal", "heal.cell_trial_limit = 1000000000000\n", 8 * 63 * 10**12),
+        ("self-heal", "heal.cell_trial_limit = 2000000\n", 8 * 16 * 2_000_000 * 8),
     ],
-    ids=["lsb-values", "cell-draw", "dump-curve", "self-heal-draw"],
+    ids=["lsb-values", "cell-draw", "dump-curve", "self-heal-draw", "self-heal-trials",
+         "self-heal-gather"],
 )
 def test_converter_over_the_memory_bound_is_rejected_before_sampling(
     tmp_path, capsys, no_study, command, text, need
@@ -211,6 +214,24 @@ def test_converter_over_the_memory_bound_is_rejected_before_sampling(
     assert err.startswith("config error:") and f"needs {need} bytes" in err
     assert not out.exists()
     assert peak < 16 * 2**20
+
+
+def test_sense_sweep_over_the_memory_bound_is_rejected_before_any_reading(
+    tmp_path, capsys, monkeypatch
+):
+    def reading_must_not_run(*args, **kwargs):
+        raise AssertionError("a sense reading ran before the sweep size was checked")
+
+    monkeypatch.setattr(cli, "sense_error", reading_must_not_run)
+    cfg = write_cfg(tmp_path, "sense.cfg", "sense.points = 1000000000000\n")
+    out = tmp_path / "out"
+    assert main(["dac", "sense", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: the sense sweep (3, 1000000000000, 3) needs 72000000000000 bytes,"
+        " above the 1073741824-byte limit\n"
+    )
+    assert captured.out == "" and not out.exists()
 
 
 def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):

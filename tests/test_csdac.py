@@ -46,13 +46,10 @@ from subsetcal.csdac import (
 )
 from subsetcal.mismatch import (
     Arithmetic,
-    Combination,
     ConfigError,
     DegenerateConfigurationError,
-    ElementSet,
     MismatchModel,
     Uniform,
-    balanced_combination,
     combination_index_matrix,
     draw_realized,
     find_best,
@@ -70,13 +67,13 @@ from oracles import (
     subset_value,
 )
 
-BALANCED_12_6 = balanced_combination(12, 6)
+BALANCED_12_6 = (0, 2, 4, 7, 9, 11)
 COMBOS_12_6 = combination_index_matrix(12, 6)
 
 
 def combination(row):
-    """The Combination a selection row index stands for."""
-    return Combination(tuple(int(i) for i in COMBOS_12_6[row]))
+    """The element indices a selection row index stands for."""
+    return tuple(int(i) for i in COMBOS_12_6[row])
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +87,7 @@ def oracle_output(sample, code):
     segments, residue = divmod(code, 2 ** sample.config.lsb_bits)
     parts = []
     for cell in range(segments):
-        indices = combination(sample.amplitude_selection[cell]).indices
+        indices = combination(sample.amplitude_selection[cell])
         parts.extend(float(sample.amplitude[cell, i]) for i in indices)
     for b, bit_current in enumerate(sample.lsb_bit_currents):
         if residue // 2**b % 2:
@@ -101,16 +98,14 @@ def oracle_output(sample, code):
 def oracle_deviation(sample, cell, buffer, selection):
     """The scalar inverse-width deviation of one timing buffer of the sample
     (0 delay, 1 tuned duty, 2 fixed duty; base delay 50 ps) at the given
-    Combination."""
+    element indices."""
     cfg = sample.config
     step, drive = (
         (cfg.delay_step, cfg.delay_drive) if buffer == 0 else (cfg.duty_step, cfg.duty_drive)
     )
-    elements = ElementSet(
-        nominal_sizes(Arithmetic(1.0, step), cfg.n), sample.widths[cell, buffer]
-    )
+    nominal = nominal_sizes(Arithmetic(1.0, step), cfg.n)
     extrinsic = float(sample.extrinsic[cell, buffer])
-    return inverter_deviation(elements, selection, drive, extrinsic)
+    return inverter_deviation(nominal, sample.widths[cell, buffer], selection, drive, extrinsic)
 
 
 def oracle_timing_errors(sample):
@@ -168,7 +163,7 @@ def oracle_selfheal_draws(cfg, rng):
     """The self-healing converter's draws set by set: each cell, then each
     backup, then the bias stage with ``sample_element_set``; then the LSB
     bank bit by bit.  Returns (cells, backups, bias, bits, reference,
-    redraws) with the element sets as ``ElementSet``s."""
+    redraws) with the element sets as realized-size arrays."""
     scheme, model = Uniform(cfg.sub_nominal), MismatchModel(cfg.sub_sigma, cfg.sub_nominal)
     sets = [
         sample_element_set(scheme, model, cfg.n, rng)
@@ -182,9 +177,10 @@ def oracle_selfheal_draws(cfg, rng):
         for b in range(cfg.lsb_bits)
     ]
     extra = float(rng.normal(cfg.lsb_unit_nominal, cfg.lsb_unit_sigma))
-    redraws = sum(s.resamples for s in sets) + bias.resamples
+    redraws = sum(s[2] for s in sets) + bias[2]
+    realized = [s[1] for s in sets]
     return (
-        sets[: cfg.n_ucc], sets[cfg.n_ucc :], bias, tuple(bits),
+        realized[: cfg.n_ucc], realized[cfg.n_ucc :], bias[1], tuple(bits),
         math.fsum(bits + [extra]), redraws,
     )
 
@@ -442,13 +438,13 @@ def test_delays_are_validated_where_timing_can_change(monkeypatch):
     buffer delay; amplitude calibration moves no delay and checks none."""
     sample = sample_dac(DacConfig(), sample_substream(5, 4))
     checked = []
-    buffer_delays = csdac._buffer_delays
+    buffer_deviations = csdac._buffer_deviations
 
     def recording(checked_sample):
         checked.append(checked_sample)
-        return buffer_delays(checked_sample)
+        return buffer_deviations(checked_sample)
 
-    monkeypatch.setattr(csdac, "_buffer_delays", recording)
+    monkeypatch.setattr(csdac, "_buffer_deviations", recording)
     calibrated = calibrate_amplitude_eses(sample)
     assert checked == []
     assert calibrated.widths is sample.widths
@@ -634,18 +630,12 @@ def test_segment_maxima_equal_the_full_curve_on_real_converters():
                 assert csdac._segment_maxima(currents, lsb_vals) == expected
                 readings += 1
     cfg = SelfHealConfig()
-    balanced = balanced_combination(cfg.n, cfg.k)
-    cell_nominal = np.full(cfg.n, cfg.sub_nominal)
-    bias_nominal = nominal_sizes(Arithmetic(1.0, cfg.bias_step), cfg.n)
+    balanced = (0, 2, 4, 6, 9, 11, 13, 15)
     for i in range(200):
         rng = sample_substream(6, i)
         sample = sample_selfheal(cfg, rng)
-        bias = ElementSet(bias_nominal, sample.bias_elements.copy())
-        scale = subset_value(bias, balanced) / float(cfg.k)
-        currents = [
-            subset_value(ElementSet(cell_nominal, cell.copy()), balanced) * scale
-            for cell in sample.cells
-        ]
+        scale = subset_value(sample.bias_elements, balanced) / float(cfg.k)
+        currents = [subset_value(cell, balanced) * scale for cell in sample.cells]
         expected = curve_maxima(currents, sample.lsb_bit_currents)
         assert csdac._selfheal_pre_linearity(sample) == expected
         result = self_heal_ses(sample, rng)
@@ -745,7 +735,7 @@ def test_single_cell_error_lands_at_its_switch_in_code(ideal_sample):
     error = 6.3 * unit
     target = 17
     bumped = ideal_sample.amplitude.copy()
-    for i in combination(ideal_sample.amplitude_selection[target]).indices:
+    for i in combination(ideal_sample.amplitude_selection[target]):
         bumped[target, i] += error / cfg.k
     sample = dataclasses.replace(ideal_sample, amplitude=bumped)
 
@@ -788,16 +778,12 @@ def test_calibration_improves_linearity():
 
 def test_calibrated_selections_match_find_best():
     for cfg in (DacConfig(), uniform_comparison_config(DacConfig())):
-        nominal = nominal_sizes(cfg.ucc_sub_scheme, cfg.n)
         for i in range(3):
             sample = sample_dac(cfg, sample_substream(45, i))
             calibrated = calibrate_amplitude_eses(sample)
             for c in range(cfg.n_ucc):
-                best, _ = find_best(
-                    ElementSet(nominal, sample.amplitude[c]), cfg.k,
-                    sample.reference_current,
-                )
-                assert combination(calibrated.amplitude_selection[c]) == best
+                best, _ = find_best(sample.amplitude[c], cfg.k, sample.reference_current)
+                assert calibrated.amplitude_selection[c] == best
 
 
 def test_calibration_touches_only_selections():
@@ -974,9 +960,9 @@ def test_selfheal_sample_matches_set_by_set_draws(ucc_sigma):
             cfg, sample_substream(73, i)
         )
         total_redraws += redraws
-        assert np.array_equal(sample.cells, [s.realized for s in cells])
-        assert np.array_equal(sample.backups, [s.realized for s in backups])
-        assert np.array_equal(sample.bias_elements, bias.realized)
+        assert np.array_equal(sample.cells, cells)
+        assert np.array_equal(sample.backups, backups)
+        assert np.array_equal(sample.bias_elements, bias)
         assert sample.lsb_bit_currents == bits
         assert sample.reference_current == reference
         assert np.array_equal(sample.lsb_values, oracle_lsb_values(bits))
@@ -1152,11 +1138,11 @@ def test_self_heal_equals_the_one_audition_oracle(
     assert json.dumps(result.trace) == json.dumps(expected.trace)
     assert result.restarts == expected.trace["toplevel_restarts"]
     assert result.healed == expected.healed
-    assert tuple(combos[result.bias_selection]) == expected.bias_selection.indices
+    assert tuple(combos[result.bias_selection]) == expected.bias_selection
     assert _bits(result.scale) == _bits(expected.scale)
     if expected.healed:
         assert [tuple(row) for row in combos[result.selections].tolist()] == [
-            selection.indices for selection in expected.selections
+            selection for selection in expected.selections
         ]
         assert result.sources.tolist() == list(expected.sources)
         np.testing.assert_array_equal(

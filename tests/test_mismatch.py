@@ -7,6 +7,7 @@ oracle (itertools scan) on randomized inputs with fixed seeds.
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations as iter_combos
 
 import numpy as np
@@ -16,24 +17,24 @@ from hypothesis import strategies as st
 
 from subsetcal.mismatch import (
     Arithmetic,
-    Combination,
     ConfigError,
-    ElementSet,
     Explicit,
     MismatchModel,
     Uniform,
     all_subset_sums,
-    balanced_combination,
     balanced_row,
     combination_index_matrix,
+    inverse_width_step,
     draw_realized,
     find_best,
     nominal_sizes,
     scheme_center,
+    selected_sums,
     sigma_k,
+    subset_deviations,
 )
 
-from oracles import sample_element_set, subset_value
+from oracles import sample_element_set, subset_deviation, subset_value
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +53,12 @@ def oracle_best(values, k, target):
 
 
 def make_set(values):
-    arr = np.asarray(values, dtype=float)
-    return ElementSet(nominal=np.full_like(arr, arr.mean()), realized=arr)
+    return np.asarray(values, dtype=float)
+
+
+def indices(row, n, k):
+    """The element indices a selection row stands for."""
+    return tuple(int(i) for i in combination_index_matrix(n, k)[row])
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +135,10 @@ def test_sigma_k_uses_center_size():
 
 def test_sampling_deterministic_per_seed():
     scheme, model = Arithmetic(1.0, 0.02), MismatchModel(0.01, 1.0)
-    a = sample_element_set(scheme, model, 12, np.random.default_rng(777))
-    b = sample_element_set(scheme, model, 12, np.random.default_rng(777))
-    assert np.array_equal(a.realized, b.realized)
-    assert np.array_equal(a.nominal, b.nominal)
+    a_nominal, a_realized, _ = sample_element_set(scheme, model, 12, np.random.default_rng(777))
+    b_nominal, b_realized, _ = sample_element_set(scheme, model, 12, np.random.default_rng(777))
+    assert np.array_equal(a_realized, b_realized)
+    assert np.array_equal(a_nominal, b_nominal)
 
 
 def test_sampling_statistics():
@@ -141,7 +146,7 @@ def test_sampling_statistics():
     scheme, model = Uniform(1.0), MismatchModel(0.02, 1.0)
     rng = np.random.default_rng(2024)
     draws = np.array(
-        [sample_element_set(scheme, model, 8, rng).realized for _ in range(4000)]
+        [sample_element_set(scheme, model, 8, rng)[1] for _ in range(4000)]
     )
     assert draws.mean() == pytest.approx(1.0, abs=3e-3)
     assert draws.std() == pytest.approx(0.02, rel=0.03)
@@ -150,11 +155,11 @@ def test_sampling_statistics():
 def test_subset_sum_sigma_is_sqrt_k():
     scheme, model = Uniform(1.0), MismatchModel(0.01, 1.0)
     rng = np.random.default_rng(99)
-    combo = Combination((0, 2, 3, 5, 8, 9))
+    combo = (0, 2, 3, 5, 8, 9)
     sums = []
     for _ in range(4000):
-        es = sample_element_set(scheme, model, 12, rng)
-        sums.append(subset_value(es, combo))
+        _, realized, _ = sample_element_set(scheme, model, 12, rng)
+        sums.append(subset_value(realized, combo))
     sums = np.asarray(sums)
     assert sums.std() == pytest.approx(sigma_k(model, scheme, 6), rel=0.05)
 
@@ -219,25 +224,113 @@ def test_all_subset_sums_batched():
     assert np.allclose(sums[2], one, rtol=1e-14, atol=0)
 
 
-def test_combination_validation():
-    with pytest.raises(ConfigError):
-        Combination((3, 1))
-    with pytest.raises(ConfigError):
-        Combination((1, 1, 2))
-    with pytest.raises(ConfigError):
-        Combination((-1, 2))
-
-
 def test_balanced_combination():
-    assert balanced_combination(12, 6).indices == (0, 2, 4, 7, 9, 11)
-    assert balanced_combination(16, 8).indices == (0, 2, 4, 6, 9, 11, 13, 15)
+    assert indices(balanced_row(12, 6), 12, 6) == (0, 2, 4, 7, 9, 11)
+    assert indices(balanced_row(16, 8), 16, 8) == (0, 2, 4, 6, 9, 11, 13, 15)
     # nominal sum of the balanced pick equals k * mean exactly
     sizes = nominal_sizes(Arithmetic(1.0, 0.02), 12)
-    idx = list(balanced_combination(12, 6).indices)
+    idx = list(indices(balanced_row(12, 6), 12, 6))
     assert sizes[idx].sum() == pytest.approx(6.0, abs=1e-12)
     for n, k in ((4, 2), (10, 4), (12, 6), (16, 8)):
-        row = combination_index_matrix(n, k)[balanced_row(n, k)]
-        assert tuple(row) == balanced_combination(n, k).indices
+        low = list(range(0, k, 2))
+        assert indices(balanced_row(n, k), n, k) == tuple(low + [n - 1 - i for i in low[::-1]])
+
+
+def oracle_balanced_row(n, k):
+    """``balanced_row`` as the list scan it replaced: the mirrored subset
+    built from Python lists and found with ``list.index``, its errors raised
+    in the same order."""
+    if not 1 <= k <= n:
+        raise ConfigError(f"need 1 <= k <= n, got n={n} k={k}")
+    if k % 2:
+        raise ConfigError(f"balanced combination needs even k, got k={k}")
+    low = [2 * i for i in range(k // 2)]
+    high = [n - 1 - i for i in low]
+    if low[-1] >= min(high):
+        raise ConfigError(f"no balanced combination for n={n} k={k}")
+    return list(iter_combos(range(n), k)).index(tuple(sorted(low + high)))
+
+
+@given(n=st.integers(1, 14), k=st.integers(1, 14))
+def test_balanced_row_equals_the_list_scan(n, k):
+    """Equal rows, and equal errors, for every geometry up to n = 14."""
+    try:
+        expected = oracle_balanced_row(n, k)
+    except ConfigError as error:
+        with pytest.raises(ConfigError, match=re.escape(str(error))):
+            balanced_row(n, k)
+    else:
+        assert balanced_row(n, k) == expected
+
+
+@given(drive=st.floats(1e-13, 1e-9), fraction=st.floats(0.0, 0.999))
+def test_inverse_width_step_covers_its_reach(drive, fraction):
+    """The compressive side of the step's range, drive * 3d / (1 + 3d),
+    reaches the requested deviation to rounding; a reach at or past the
+    drive has no step."""
+    reach = fraction * drive
+    d = inverse_width_step(drive, reach)
+    assert drive * 3.0 * d / (1.0 + 3.0 * d) == pytest.approx(reach, rel=1e-9, abs=1e-30)
+    with pytest.raises(ConfigError, match="cannot cover"):
+        inverse_width_step(drive, drive * (1.0 + fraction))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@given(
+    k=st.sampled_from([6, 8, 9, 12]),
+    shape=st.sampled_from([(), (24,), (63, 3)]),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_selected_sums_equal_per_row_sums(k, shape, extra, seed):
+    """Bit for bit, every row's selected sum is the 1-D ``sum`` of its
+    selected elements, for a selection per row and for one scalar selection.
+    Sizes span six decades, so any other addition order would show."""
+    n = k + extra
+    rng = np.random.default_rng(seed)
+    realized = np.exp(rng.uniform(-7.0, 7.0, shape + (n,)))
+    combos = combination_index_matrix(n, k)
+    selection = rng.integers(0, combos.shape[0], shape)
+    scalar = int(rng.integers(0, combos.shape[0]))
+    per_row = np.array([realized[i][combos[selection[i]]].sum() for i in np.ndindex(shape)])
+    one_row = np.array([realized[i][combos[scalar]].sum() for i in np.ndindex(shape)])
+    assert np.array_equal(_bits(selected_sums(realized, selection, k)).ravel(), _bits(per_row))
+    assert np.array_equal(_bits(selected_sums(realized, scalar, k)).ravel(), _bits(one_row))
+
+
+# a drawn extrinsic error is nominal 0.0 plus sigma * z, never -0.0
+_EXTRINSIC = st.floats(-1e-11, 1e-11).filter(lambda x: math.copysign(1.0, x) > 0 or x != 0)
+
+
+@given(
+    rows=st.integers(1, 3),
+    n=st.integers(2, 10),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subset_deviations_equal_the_scalar_law(rows, n, data, seed):
+    """In place over a (rows, C(n,k)) block, each row with its own drive
+    (0 included), design width and extrinsic error, every value is the
+    scalar law's bit for bit."""
+    k = data.draw(st.integers(1, n))
+    drives = data.draw(st.lists(st.sampled_from([0.0, 4.5e-10]) | st.floats(1e-12, 1e-9),
+                                min_size=rows, max_size=rows))
+    extrinsic = data.draw(st.lists(_EXTRINSIC, min_size=rows, max_size=rows))
+    widths = np.random.default_rng(seed).normal(1.0, 0.05, (rows, n))
+    halves = widths.mean(axis=1) * k
+    sums = all_subset_sums(widths, k)
+    expected = [
+        [subset_deviation(drives[r], float(halves[r]), float(s), extrinsic[r]) for s in sums[r]]
+        for r in range(rows)
+    ]
+    column = lambda values: np.array(values)[:, None]
+    got = subset_deviations(sums.copy(), column(drives), column(halves), column(extrinsic))
+    assert np.array_equal(_bits(got), _bits(expected))
+    one = subset_deviations(sums[0].copy(), drives[0], halves[0], extrinsic[0])
+    assert np.array_equal(_bits(one), _bits(expected[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +340,8 @@ def test_balanced_combination():
 
 def test_find_best_two_element_example():
     es = make_set([1.0, 1.4])
-    combo, residual = find_best(es, 1, 1.1)
-    assert combo.indices == (0,)
+    row, residual = find_best(es, 1, 1.1)
+    assert indices(row, 2, 1) == (0,)
     assert residual == pytest.approx(-0.1)
 
 
@@ -260,9 +353,9 @@ def test_find_best_matches_oracle_randomized():
         values = rng.normal(1.0, 0.05, size=n)
         target = k * (1.0 + float(rng.normal(0, 0.05)))
         es = make_set(values)
-        combo, residual = find_best(es, k, target)
+        row, residual = find_best(es, k, target)
         o_combo, o_err = oracle_best(list(values), k, target)
-        assert combo.indices == o_combo
+        assert indices(row, n, k) == o_combo
         assert abs(residual) == pytest.approx(o_err)
 
 
@@ -287,9 +380,9 @@ def test_find_best_equals_brute_force_on_exact_sums(case):
     """With exact sums the selection, tie-break included, and the residual
     are the brute-force scan's."""
     values, k, target = case
-    combo, residual = find_best(make_set(values), k, target)
+    row, residual = find_best(make_set(values), k, target)
     o_combo, o_err = oracle_best(values, k, target)
-    assert combo.indices == o_combo
+    assert indices(row, len(values), k) == o_combo
     assert residual == sum(values[i] for i in o_combo) - target
     assert abs(residual) == o_err
 
@@ -299,17 +392,18 @@ def test_find_best_equals_brute_force(case):
     """On any floats the residual matches the brute-force minimum to
     rounding, and belongs to the selection returned."""
     values, k, target = case
-    combo, residual = find_best(make_set(values), k, target)
+    row, residual = find_best(make_set(values), k, target)
     _, o_err = oracle_best(values, k, target)
     assert abs(residual) == pytest.approx(o_err, rel=1e-12, abs=1e-12)
-    assert residual == pytest.approx(sum(values[i] for i in combo.indices) - target, abs=1e-12)
+    combo = indices(row, len(values), k)
+    assert residual == pytest.approx(sum(values[i] for i in combo) - target, abs=1e-12)
 
 
 def test_find_best_tie_breaks_lexicographic():
     # two selections with identical |residual| (symmetric values)
     es = make_set([1.0, 2.0, 3.0, 4.0])
-    combo, residual = find_best(es, 1, 2.5)
-    assert combo.indices == (1,)  # 2.0 and 3.0 tie; (1,) precedes (2,)
+    row, residual = find_best(es, 1, 2.5)
+    assert indices(row, 4, 1) == (1,)  # 2.0 and 3.0 tie; (1,) precedes (2,)
     assert residual == pytest.approx(-0.5)
 
 
@@ -327,4 +421,4 @@ def test_permutation_invariance():
 def test_subset_value_validates_range():
     es = make_set([1.0, 2.0, 3.0])
     with pytest.raises(ConfigError):
-        subset_value(es, Combination((0, 3)))
+        subset_value(es, (0, 3))

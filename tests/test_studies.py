@@ -15,7 +15,6 @@ import pytest
 from subsetcal.mismatch import (
     Arithmetic,
     ConfigError,
-    ElementSet,
     MismatchModel,
     find_best,
 )
@@ -151,8 +150,7 @@ def test_block_distances_match_find_best_residuals():
     realized, _ = draw_realized(np.broadcast_to(nominal, (300, c.n)), sigmas, rng)
     target = c.k * nominal.mean()  # nominal k-subset sum
     for i in range(0, 300, 17):
-        es = ElementSet(nominal=nominal, realized=realized[i])
-        _, residual = find_best(es, c.k, target)
+        _, residual = find_best(realized[i], c.k, target)
         assert abs(residual) == pytest.approx(dist[i], rel=1e-9, abs=1e-15)
 
 
