@@ -372,9 +372,7 @@ def _hr(command: str, cfg: dict, threads: int) -> Output:
         summary = f"hr simulate: {len(rows)} HRR points, worst {worst:.2f} dB"
     else:
         receiver, even_report = calibrate_even_order(receiver)
-        receiver, odd_report = calibrate_odd_order(
-            receiver, f0, cfg["hr.f_low"], iterations=cfg["hr.iterations"]
-        )
+        receiver, odd_report = calibrate_odd_order(receiver, iterations=cfg["hr.iterations"])
         post_rows = hrr_rows("post")
         rows += post_rows
         post = [row[2] for row in post_rows]
@@ -531,6 +529,12 @@ def _dac_self_heal(cfg: dict, threads: int) -> Output:
     )
 
 
+#: bytes each of a ``dac sense`` run's (3 error kinds, points, 3 modes)
+#: readings takes: a kept 4-tuple with two floats, and its CSV line
+#: (tracemalloc, CPython 3.11: 272 B per reading from 4 500 to 72 000 readings)
+_SENSE_READING_BYTES = 280
+
+
 def _dac_sense(cfg: dict, threads: int) -> Output:
     sensing = SensingConfig(cfg["sense.f_meas"], cfg["sense.gain"])
     amplitude = cfg["sense.amplitude"]
@@ -539,7 +543,7 @@ def _dac_sense(cfg: dict, threads: int) -> Output:
     points = cfg["sense.points"]
     if points < 2:
         raise ConfigError(f"sense.points must be >= 2, got {points}")
-    check_array_bytes("the sense sweep", (3, points, len(SENSE_MODES)))  # kinds, points, modes
+    check_array_bytes("the sense sweep", (3, points, len(SENSE_MODES)), _SENSE_READING_BYTES)
     timing_max = cfg["sense.timing_error_max"]
     if timing_max is None:
         timing_max = 1.0 / cfg["sense.f_meas"] / 1000.0

@@ -48,12 +48,12 @@ from .mismatch import (
     check_array_bytes,
     combination_index_matrix,
     inverse_width_deviation,
-    inverse_width_step,
     membership_matrix,
     nominal_sizes,
     scheme_center,
     selected_sums,
     subset_deviations,
+    timing_network,
 )
 from .runner import parallel_indexed, sample_substream
 from .waveform import EdgeWaveform, product_average, square_wave
@@ -92,12 +92,9 @@ __all__ = [
 # Timing-network sizing shared by the delay and duty buffers.  The selectable
 # widths carry a fixed fraction of each stage's variance budget; the rest is
 # an extrinsic Gaussian term the selection must cancel, so tuning ranges are
-# sized to cover the stage's *total* spread with margin.
+# sized to cover the stage's *total* spread with margin (``timing_network``).
 _TIMING_REL_SIGMA = 0.01
 _TIMING_INTRINSIC_FRACTION = 0.25
-_COVERAGE_SIGMA = 6.0
-_RANGE_MARGIN = 1.15
-_BASE_DELAY = 50e-12
 
 # Default graded sub-current nominals: mean 52 uA, common difference 0.76 uA.
 DEFAULT_SUB_SCHEME = Explicit(tuple(52e-6 + (i - 5.5) * 0.76e-6 for i in range(12)))
@@ -185,8 +182,8 @@ class DacConfig(_LsbBank):
                 f" ucc_nominal {self.ucc_nominal:g} A"
             )
         # Force the range checks early: either raises here or never.
-        self.delay_step
-        self.duty_step
+        self.delay_network
+        self.duty_network
 
     @property
     def n_codes(self) -> int:
@@ -204,14 +201,10 @@ class DacConfig(_LsbBank):
     # Timing-network sizing --------------------------------------------
 
     @property
-    def delay_drive(self) -> float:
+    def delay_network(self) -> tuple[float, float]:
+        """Drive and step of every delay buffer."""
         intrinsic = math.sqrt(_TIMING_INTRINSIC_FRACTION) * self.delay_sigma
-        return intrinsic * math.sqrt(self.k) / _TIMING_REL_SIGMA
-
-    @property
-    def delay_step(self) -> float:
-        reach = _COVERAGE_SIGMA * _RANGE_MARGIN * self.delay_sigma
-        return inverse_width_step(self.delay_drive, reach)
+        return timing_network(intrinsic, _TIMING_REL_SIGMA, self.k, self.delay_sigma)
 
     @property
     def delay_extrinsic_sigma(self) -> float:
@@ -223,16 +216,12 @@ class DacConfig(_LsbBank):
         return self.duty_sigma / math.sqrt(2.0)
 
     @property
-    def duty_drive(self) -> float:
+    def duty_network(self) -> tuple[float, float]:
+        """Drive and step of every duty buffer.  The tuned buffer must reach
+        the *difference* of two buffer errors, so its range covers the full
+        duty budget, not just its own spread."""
         intrinsic = math.sqrt(_TIMING_INTRINSIC_FRACTION) * self.duty_network_sigma
-        return intrinsic * math.sqrt(self.k) / _TIMING_REL_SIGMA
-
-    @property
-    def duty_step(self) -> float:
-        # The tuned buffer must reach the *difference* of two buffer errors,
-        # so its range covers the full duty budget, not just its own spread.
-        reach = _COVERAGE_SIGMA * _RANGE_MARGIN * self.duty_sigma
-        return inverse_width_step(self.duty_drive, reach)
+        return timing_network(intrinsic, _TIMING_REL_SIGMA, self.k, self.duty_sigma)
 
     @property
     def duty_extrinsic_sigma(self) -> float:
@@ -258,8 +247,8 @@ class _CellDesign(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _cell_design(cfg: DacConfig) -> _CellDesign:
-    steps = (cfg.delay_step, cfg.duty_step, cfg.duty_step)
-    widths = np.stack([nominal_sizes(Arithmetic(1.0, step), cfg.n) for step in steps])
+    networks = (cfg.delay_network, cfg.duty_network, cfg.duty_network)
+    widths = np.stack([nominal_sizes(Arithmetic(1.0, step), cfg.n) for _, step in networks])
     width_sigmas = MismatchModel(_TIMING_REL_SIGMA, 1.0).element_sigmas(widths)
     extrinsic_sigmas = [cfg.delay_extrinsic_sigma] + 2 * [cfg.duty_extrinsic_sigma]
     amplitude = nominal_sizes(cfg.ucc_sub_scheme, cfg.n)
@@ -270,7 +259,7 @@ def _cell_design(cfg: DacConfig) -> _CellDesign:
     arrays = (
         np.broadcast_to(np.concatenate(nominal), shape),
         np.broadcast_to(np.concatenate(sigmas), shape),
-        np.array([cfg.delay_drive] + 2 * [cfg.duty_drive]),
+        np.array([drive for drive, _ in networks]),
         widths.mean(axis=1) * cfg.k,
     )
     for array in arrays:  # shared by every caller
@@ -569,9 +558,7 @@ def _buffer_deviations(sample: DacSample) -> np.ndarray:
     fixed = np.full(cfg.n_ucc, balanced_row(cfg.n, cfg.k))
     selection = np.stack([sample.delay_selection, sample.duty_selection, fixed], axis=1)
     selected = selected_sums(sample.widths, selection, cfg.k)
-    return inverse_width_deviation(
-        _BASE_DELAY, design.drives, design.halves, selected, sample.extrinsic
-    )
+    return inverse_width_deviation(design.drives, design.halves, selected, sample.extrinsic)
 
 
 def delay_errors(sample: DacSample) -> np.ndarray:
@@ -1185,6 +1172,12 @@ def _selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> dict:
     }
 
 
+#: bytes one kept yield row takes: a dict of 5 to 7 floats, about 520 B for
+#: an amplitude or timing row and 630 B for a self-heal row (tracemalloc,
+#: CPython 3.11)
+_YIELD_ROW_BYTES = 640
+
+
 def yield_study(
     config: Union[DacConfig, SelfHealConfig],
     n_samples: int,
@@ -1206,6 +1199,7 @@ def yield_study(
         raise ConfigError(f"flow must be one of {YIELD_FLOWS}, got {flow!r}")
     if n_samples < 100:
         raise ConfigError(f"yield studies need n_samples >= 100, got {n_samples}")
+    check_array_bytes("the yield rows", (n_samples,), _YIELD_ROW_BYTES)
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     check_array_bytes("the histogram edges", (bins + 1,))

@@ -18,6 +18,10 @@ cover six sigma of the total variation:
 * edge timing:   per-phase pull-up (rise) and pull-down (fall) buffer
                  networks with the same inverse-width delay law
 
+The model's fixed constants are not config fields: alpha and the three
+intrinsic variance shares are constants here (``HrConfig`` names them), and
+``BASE_DELAY``, ``COVERAGE_SIGMA`` and ``RANGE_MARGIN`` live in ``mismatch``.
+
 A sampled receiver holds its 24 knobs as arrays: a (24, n) element draw, a
 (24,) extrinsic error per knob and a (24,) selection of row indices into the
 k-of-n combination table, drawn with the converters' draw routine and read
@@ -39,6 +43,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .mismatch import (
+    COVERAGE_SIGMA,
+    RANGE_MARGIN,
     Arithmetic,
     ConfigError,
     DegenerateConfigurationError,
@@ -48,10 +54,10 @@ from .mismatch import (
     balanced_row,
     combination_index_matrix,
     inverse_width_deviation,
-    inverse_width_step,
     nominal_sizes,
     selected_sums,
     subset_deviations,
+    timing_network,
 )
 from .waveform import EdgeWaveform, edge_fourier, moved_edge_fourier
 
@@ -65,9 +71,7 @@ __all__ = [
     "HRR_DB_CAP",
     "MAX_ITERATIONS",
     "sample_receiver",
-    "zero_variance_receiver",
     "effective_lo",
-    "hrr",
     "measure_harmonic_power",
     "calibrate_even_order",
     "calibrate_odd_order",
@@ -86,6 +90,14 @@ _MAX_STAGE_PASSES = 8
 #: most odd-order iterations one calibration may run; the second is already
 #: quiescent at the default frequencies, so more only repeat idle steps
 MAX_ITERATIONS = 100
+#: branch gain is (selected / nominal tail current) ** GAIN_ALPHA
+GAIN_ALPHA = 0.5
+#: shares of the gain, clock-delay and differential-phase variance that the
+#: tail elements, the pair clock inverters and the rise/fall buffer networks
+#: carry (``HrConfig``)
+GAIN_INTRINSIC_FRACTION = 0.08
+CLOCK_INTRINSIC_FRACTION = 0.25
+DIFF_INTRINSIC_FRACTION = 0.45
 
 
 # ---------------------------------------------------------------------------
@@ -93,28 +105,34 @@ MAX_ITERATIONS = 100
 # ---------------------------------------------------------------------------
 
 
-def _power_law_step(alpha: float, reach: float) -> float:
+def _power_law_step(reach: float) -> float:
     """Smallest arithmetic step d such that (K-subset sums of sizes a(1 +/- 3d))
-    pushed through x -> x**alpha cover a relative gain deviation of +/-reach."""
+    pushed through x -> x**GAIN_ALPHA cover a relative gain deviation of
+    +/-reach."""
     if reach == 0.0:
         return 0.0
     if reach >= 1.0:
         raise ConfigError(f"gain tuning cannot cover a relative reach of {reach}")
-    up = ((1.0 + reach) ** (1.0 / alpha) - 1.0) / 3.0
-    down = (1.0 - (1.0 - reach) ** (1.0 / alpha)) / 3.0
+    up = ((1.0 + reach) ** (1.0 / GAIN_ALPHA) - 1.0) / 3.0
+    down = (1.0 - (1.0 - reach) ** (1.0 / GAIN_ALPHA)) / 3.0
     return max(up, down)
 
 
 @dataclasses.dataclass(frozen=True)
 class HrConfig:
-    """Receiver statistics and derived tuning-network sizing.
+    """Receiver statistics and derived tuning-network sizing: one field per
+    ``hr.*`` key.
 
     Variance budgets follow the split between what the selection networks can
-    reach (intrinsic fraction) and what they must correct (extrinsic rest):
-    8% of gain variance is intrinsic to the tail elements, 25% of clock-delay
-    variance to the pair clock inverters, and 45% of differential-phase
-    variance to the per-phase rise/fall buffer networks (split equally between
-    the two networks of a phase).
+    reach (intrinsic fraction) and what they must correct (extrinsic rest).
+    The fixed model constants live in this module: ``GAIN_INTRINSIC_FRACTION``
+    (8 %) of gain variance is intrinsic to the tail elements, whose gain
+    follows (I_sel/I_nom)**``GAIN_ALPHA``, ``CLOCK_INTRINSIC_FRACTION`` (25 %)
+    of clock-delay variance to the pair clock inverters, and
+    ``DIFF_INTRINSIC_FRACTION`` (45 %) of differential-phase variance to the
+    per-phase rise/fall buffer networks (split equally between the two
+    networks of a phase).  The base delay, the coverage sigma and the range
+    margin that size every timing network live in ``mismatch``.
 
     ``f_low`` is the gain-measurement frequency.  Timing errors are fixed in
     seconds, so their phase contribution scales with frequency; the default
@@ -129,23 +147,16 @@ class HrConfig:
     k_selected: int = 6
     element_rel_sigma: float = 0.01
     gain_sigma: float = 0.01
-    gain_intrinsic_fraction: float = 0.08
-    gain_alpha: float = 0.5
     clock_delay_sigma: float = 3.7e-12
-    clock_intrinsic_fraction: float = 0.25
     diff_phase_sigma: float = 2.0e-12
-    diff_intrinsic_fraction: float = 0.45
     weights: tuple[float, float, float] = (12.0, 17.0, 12.0)
-    base_delay: float = 50e-12
-    coverage_sigma: float = 6.0
-    range_margin: float = 1.15
 
     def __post_init__(self) -> None:
         if not (0 < self.k_selected < self.n_elements):
             raise ConfigError(
                 f"need 0 < k < n, got n={self.n_elements} k={self.k_selected}"
             )
-        for name in ("f0", "f_low", "gain_alpha", "coverage_sigma"):
+        for name in ("f0", "f_low"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
         if self.f_low >= self.f0:
@@ -158,16 +169,6 @@ class HrConfig:
         ):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in (
-            "gain_intrinsic_fraction",
-            "clock_intrinsic_fraction",
-            "diff_intrinsic_fraction",
-        ):
-            frac = getattr(self, name)
-            if not 0.0 < frac <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {frac}")
-        if self.range_margin < 1.0:
-            raise ConfigError("range_margin must be >= 1")
         if len(self.weights) != 3 or any(w <= 0 for w in self.weights):
             raise ConfigError(f"weights must be three positive values: {self.weights}")
         self._check_coverage()
@@ -175,86 +176,54 @@ class HrConfig:
     # -- derived sizing ----------------------------------------------------
 
     @property
-    def _reach_factor(self) -> float:
-        return self.coverage_sigma * self.range_margin
-
-    @property
     def tail_element_sigma(self) -> float:
-        """Element sigma that puts gain_intrinsic_fraction of gain variance
+        """Element sigma that puts GAIN_INTRINSIC_FRACTION of gain variance
         into the selected tail sum: sigma_gain ~= alpha * sigma_el * sqrt(k)/k."""
         return (
             math.sqrt(self.k_selected)
-            * math.sqrt(self.gain_intrinsic_fraction)
+            * math.sqrt(GAIN_INTRINSIC_FRACTION)
             * self.gain_sigma
-            / self.gain_alpha
+            / GAIN_ALPHA
         )
 
     @property
     def tail_extrinsic_sigma(self) -> float:
-        return math.sqrt(1.0 - self.gain_intrinsic_fraction) * self.gain_sigma
+        return math.sqrt(1.0 - GAIN_INTRINSIC_FRACTION) * self.gain_sigma
 
     @property
     def tail_step(self) -> float:
-        return _power_law_step(self.gain_alpha, self._reach_factor * self.gain_sigma)
-
-    @property
-    def clock_intrinsic_sigma(self) -> float:
-        return math.sqrt(self.clock_intrinsic_fraction) * self.clock_delay_sigma
+        return _power_law_step(COVERAGE_SIGMA * RANGE_MARGIN * self.gain_sigma)
 
     @property
     def clock_extrinsic_sigma(self) -> float:
-        return math.sqrt(1.0 - self.clock_intrinsic_fraction) * self.clock_delay_sigma
+        return math.sqrt(1.0 - CLOCK_INTRINSIC_FRACTION) * self.clock_delay_sigma
 
     @property
-    def clock_drive(self) -> float:
-        """Drive coefficient making the inverter's own width mismatch worth
-        exactly the intrinsic clock-delay sigma."""
-        if self.clock_delay_sigma == 0.0:
-            return 0.0
-        return (
-            self.clock_intrinsic_sigma
-            * math.sqrt(self.k_selected)
-            / self.element_rel_sigma
+    def clock_network(self) -> tuple[float, float]:
+        """Drive and step of every pair clock inverter."""
+        intrinsic = math.sqrt(CLOCK_INTRINSIC_FRACTION) * self.clock_delay_sigma
+        return timing_network(
+            intrinsic, self.element_rel_sigma, self.k_selected, self.clock_delay_sigma
         )
-
-    @property
-    def clock_step(self) -> float:
-        return inverse_width_step(
-            self.clock_drive, self._reach_factor * self.clock_delay_sigma
-        )
-
-    @property
-    def buffer_network_sigma(self) -> float:
-        """Intrinsic delay sigma of one rise or fall buffer network (the
-        intrinsic differential-phase variance splits between the two)."""
-        return math.sqrt(self.diff_intrinsic_fraction / 2.0) * self.diff_phase_sigma
 
     @property
     def buffer_extrinsic_sigma(self) -> float:
-        return math.sqrt((1.0 - self.diff_intrinsic_fraction) / 2.0) * self.diff_phase_sigma
+        return math.sqrt((1.0 - DIFF_INTRINSIC_FRACTION) / 2.0) * self.diff_phase_sigma
 
     @property
-    def buffer_drive(self) -> float:
-        if self.diff_phase_sigma == 0.0:
-            return 0.0
-        return (
-            self.buffer_network_sigma
-            * math.sqrt(self.k_selected)
-            / self.element_rel_sigma
-        )
-
-    @property
-    def buffer_step(self) -> float:
-        return inverse_width_step(
-            self.buffer_drive, self._reach_factor * self.diff_phase_sigma
+    def buffer_network(self) -> tuple[float, float]:
+        """Drive and step of every rise or fall buffer network (the intrinsic
+        differential-phase variance splits between the two)."""
+        intrinsic = math.sqrt(DIFF_INTRINSIC_FRACTION / 2.0) * self.diff_phase_sigma
+        return timing_network(
+            intrinsic, self.element_rel_sigma, self.k_selected, self.diff_phase_sigma
         )
 
     def _check_coverage(self) -> None:
-        """Tuning ranges must cover coverage_sigma of the total variation.
-
-        The clock and buffer steps cover their reach by construction
-        (``inverse_width_step`` raises when no step can); the gain range is
-        checked here."""
+        """Every step covers its reach by construction (``_power_law_step``
+        and ``inverse_width_step`` raise when no step can).  Checked here:
+        a set variance has element mismatch to select from, and the element
+        sizes and the gain range's low end stay positive."""
         if self.element_rel_sigma == 0.0 and (
             self.gain_sigma or self.clock_delay_sigma or self.diff_phase_sigma
         ):
@@ -265,18 +234,10 @@ class HrConfig:
                 raise ConfigError(
                     f"tail_step {d:g} puts the gain range's low end at or below zero"
                 )
-            up = (1.0 + 3.0 * d) ** self.gain_alpha - 1.0
-            down = 1.0 - (1.0 - 3.0 * d) ** self.gain_alpha
-            need = self.coverage_sigma * self.gain_sigma
-            if min(up, down) + 1e-15 < need:
-                raise ConfigError(
-                    f"gain tuning range covers only {min(up, down):g} of the "
-                    f"required {need:g} relative deviation"
-                )
         for name, step in (
             ("tail_step", self.tail_step),
-            ("clock_step", self.clock_step),
-            ("buffer_step", self.buffer_step),
+            ("clock_step", self.clock_network[1]),
+            ("buffer_step", self.buffer_network[1]),
         ):
             if step * (self.n_elements - 1) >= 2.0:
                 raise ConfigError(f"{name} {step:g} drives element sizes non-positive")
@@ -321,9 +282,10 @@ def _knob_design(cfg: HrConfig) -> _KnobDesign:
     tail_sigmas = MismatchModel(cfg.tail_element_sigma, 1.0).element_sigmas(tail)
     rows += 4 * [(tail, tail_sigmas, cfg.tail_extrinsic_sigma)]
     width_model = MismatchModel(cfg.element_rel_sigma, 1.0)
+    (clock_drive, clock_step), (buffer_drive, buffer_step) = cfg.clock_network, cfg.buffer_network
     for step, count, extrinsic_sigma in (
-        (cfg.clock_step, 4, cfg.clock_extrinsic_sigma),
-        (cfg.buffer_step, 2 * N_PHASES, cfg.buffer_extrinsic_sigma),
+        (clock_step, 4, cfg.clock_extrinsic_sigma),
+        (buffer_step, 2 * N_PHASES, cfg.buffer_extrinsic_sigma),
     ):
         widths = nominal_sizes(Arithmetic(1.0, step), n)
         rows += count * [(widths, width_model.element_sigmas(widths), extrinsic_sigma)]
@@ -331,7 +293,7 @@ def _knob_design(cfg: HrConfig) -> _KnobDesign:
     sigmas = np.array([np.append(row[1], row[2]) for row in rows])[_DRAW_ORDER]
     # one 1-D mean per row, as each row's own set would take it
     halves = np.array([float(row[0].mean()) * k for row in rows])
-    drives = np.repeat([cfg.clock_drive, cfg.buffer_drive], [4, 2 * N_PHASES])
+    drives = np.repeat([clock_drive, buffer_drive], [4, 2 * N_PHASES])
     for array in (nominal, sigmas, halves, drives):  # shared by every caller
         array.setflags(write=False)
     return _KnobDesign(nominal, sigmas, halves, drives)
@@ -388,7 +350,7 @@ class HrReceiverSample:
         selected = selected_sums(self.elements, self.selection, cfg.k_selected)
         design = _knob_design(cfg)
         deviations = inverse_width_deviation(
-            cfg.base_delay, design.drives, design.halves[4:], selected[4:], self.extrinsic[4:]
+            design.drives, design.halves[4:], selected[4:], self.extrinsic[4:]
         )
         derived = {
             "selected": selected,
@@ -421,29 +383,11 @@ def sample_receiver(
     )
 
 
-def zero_variance_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:
-    """Receiver with every mismatch source switched off, weights kept.
-
-    Branch gains are exactly the configured recombination weights and all
-    edges land on their nominal grid, so the spectrum equals the closed-form
-    prediction for those weights.
-    """
-    base = config if config is not None else HrConfig()
-    cfg = dataclasses.replace(
-        base,
-        element_rel_sigma=0.0,
-        gain_sigma=0.0,
-        clock_delay_sigma=0.0,
-        diff_phase_sigma=0.0,
-    )
-    return sample_receiver(cfg, rng=0)
-
-
 def _branch_gain(sample: HrReceiverSample, m: int) -> float:
     """Gain of branch m: (selected / nominal tail current)**alpha times its
     extrinsic (1 + error)."""
     ratio = float(sample.tail_ratios[m])
-    return ratio**sample.config.gain_alpha * (1.0 + float(sample.extrinsic[m]))
+    return ratio**GAIN_ALPHA * (1.0 + float(sample.extrinsic[m]))
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +483,6 @@ def _hrr_db(c1: complex, cn: complex) -> float:
     return 20.0 * math.log10(abs(c1) / abs(cn))
 
 
-def hrr(sample: HrReceiverSample, path: str, n: int, f: float) -> float:
-    """Harmonic rejection ratio 20*log10(|c1|/|cn|) in dB; inf below 1e-15."""
-    return _hrr_db(*_first_and_nth(sample, path, n, f))
-
-
 def measure_harmonic_power(sample: HrReceiverSample, path: str, n: int, f: float) -> float:
     """Calibration objective |c_n/c_1|^2 — the emulated tone-power measurement."""
     c1, cn = _first_and_nth(sample, path, n, f)
@@ -603,8 +542,7 @@ def _with_knob(sample: HrReceiverSample, name: str, best: int) -> HrReceiverSamp
     else:
         deviations = sample.deviations.copy()
         deviations[row - 4] = inverse_width_deviation(
-            cfg.base_delay, design.drives[row - 4], design.halves[row], selected[row],
-            sample.extrinsic[row],
+            design.drives[row - 4], design.halves[row], selected[row], sample.extrinsic[row]
         )
         derived.update(deviations=deviations, **_edge_errors(deviations))
     for array in derived.values():
@@ -666,7 +604,7 @@ def _knob_candidates(
         sums = all_subset_sums(sample.elements[row], cfg.k_selected)
         half, extrinsic = design.halves[row], sample.extrinsic[row]
         if row < 4:
-            values = (sums / half) ** cfg.gain_alpha * (1.0 + extrinsic)
+            values = (sums / half) ** GAIN_ALPHA * (1.0 + extrinsic)
         else:
             values = subset_deviations(sums, design.drives[row - 4], half, extrinsic)
         tables[row] = values
@@ -819,31 +757,31 @@ def calibrate_even_order(sample: HrReceiverSample) -> tuple[HrReceiverSample, Ca
 
 
 def calibrate_odd_order(
-    sample: HrReceiverSample, f_0: float, f_low: float, iterations: int = 2
+    sample: HrReceiverSample, iterations: int = 2
 ) -> tuple[HrReceiverSample, CalReport]:
-    """Gain-then-phase odd-harmonic calibration.
+    """Gain-then-phase odd-harmonic calibration at the receiver's own f_low
+    and f0.
 
     Per iteration: (1) at f_low — where fixed timing errors have negligible
     phase impact — each path's tail currents are tuned against its own
     3rd-harmonic power (I path: branches 0,1,2; Q path: branch 3, reusing the
-    shared 45/90-degree results); (2) at f_0 the pair clock inverters are
+    shared 45/90-degree results); (2) at f0 the pair clock inverters are
     tuned the same way (I path: clocks 0-2; Q path: clock 3).  Exhaustive
     searches, candidates scored in closed form, commits never regress the
     measured objective.  Each stage cycles over its knobs until a full pass
     commits no change, so one iteration leaves the stage at its search floor;
-    with f_low well below f_0 the second iteration is already quiescent.
+    with f_low well below f0 the second iteration is already quiescent.
     ``iterations`` runs from 1 to ``MAX_ITERATIONS``.
     """
-    if f_low >= f_0:
-        raise ConfigError(f"f_low {f_low:g} must be below f_0 {f_0:g}")
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     if iterations > MAX_ITERATIONS:
         raise ConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
+    cfg = sample.config
     steps: list[CalStep] = []
     tables: dict[int, np.ndarray] = {}
     for it in range(1, iterations + 1):
-        for stage, kind, f in (("gain", "tail", f_low), ("phase", "clock", f_0)):
+        for stage, kind, f in (("gain", "tail", cfg.f_low), ("phase", "clock", cfg.f0)):
             for path, tuned in (("I", (0, 1, 2)), ("Q", (3,))):
                 knobs = tuple(f"{kind}{m}" for m in tuned)
                 sample = _calibrate_stage(sample, steps, stage, it, knobs, path, 3, f, tables)

@@ -44,7 +44,11 @@ __all__ = [
     "selected_sums",
     "find_best",
     "balanced_row",
+    "BASE_DELAY",
+    "COVERAGE_SIGMA",
+    "RANGE_MARGIN",
     "inverse_width_step",
+    "timing_network",
     "inverse_width_deviation",
     "subset_deviations",
 ]
@@ -62,9 +66,10 @@ class DegenerateConfigurationError(ValueError):
 MAX_ARRAY_BYTES = 1 << 30
 
 
-def check_array_bytes(what: str, shape: tuple[int, ...]) -> None:
-    """Reject a float64 array of ``shape`` above ``MAX_ARRAY_BYTES`` before it exists."""
-    need = 8 * math.prod(shape)
+def check_array_bytes(what: str, shape: tuple[int, ...], item_bytes: int = 8) -> None:
+    """Reject ``shape`` items of ``item_bytes`` each (a float64 array by
+    default) above ``MAX_ARRAY_BYTES`` before they exist."""
+    need = item_bytes * math.prod(shape)
     if need > MAX_ARRAY_BYTES:
         raise ConfigError(
             f"{what} {shape} needs {need} bytes, above the {MAX_ARRAY_BYTES}-byte limit"
@@ -337,8 +342,15 @@ def balanced_row(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the inverse-width timing law
+# the inverse-width timing law and the sizing of its networks
 # ---------------------------------------------------------------------------
+
+#: delay of a timing network less its drive at the design point, seconds
+BASE_DELAY = 50e-12
+#: tuning ranges must cover this many sigma of their stage's total spread,
+COVERAGE_SIGMA = 6.0
+#: and are sized with this margin above it
+RANGE_MARGIN = 1.15
 
 
 def inverse_width_step(drive: float, reach_seconds: float) -> float:
@@ -349,24 +361,36 @@ def inverse_width_step(drive: float, reach_seconds: float) -> float:
     """
     if reach_seconds == 0.0:
         return 0.0
-    x = reach_seconds / drive
-    if x >= 1.0:
+    if reach_seconds >= drive:  # as reach / drive >= 1.0, and a drive of 0 too
         raise ConfigError(
             f"delay tuning range {drive:g}s cannot cover {reach_seconds:g}s"
         )
+    x = reach_seconds / drive
     return x / (3.0 * (1.0 - x))
 
 
-def inverse_width_deviation(base, drive, half, selected, extrinsic):
-    """Delay of selectable-width timing networks, ``base + drive * (half /
-    selected) + extrinsic``, less the design point base + drive, seconds;
-    ``half`` is k times the mean nominal width and ``selected`` the selected
-    widths' sum.  Raises ConfigError if a delay is <= 0.  Scalars or
-    broadcasting arrays."""
-    delay = base + drive * (half / selected) + extrinsic
+def timing_network(
+    intrinsic_sigma: float, width_sigma: float, k: int, spread: float
+) -> tuple[float, float]:
+    """Drive and step of a k-of-n timing network whose width mismatch
+    (relative sigma ``width_sigma`` per element) is worth ``intrinsic_sigma``
+    of delay, and whose range covers COVERAGE_SIGMA * RANGE_MARGIN times
+    ``spread``, seconds.  The drive is 0.0 when ``intrinsic_sigma`` is, so
+    ``width_sigma`` may then be 0."""
+    drive = 0.0 if intrinsic_sigma == 0.0 else intrinsic_sigma * math.sqrt(k) / width_sigma
+    return drive, inverse_width_step(drive, COVERAGE_SIGMA * RANGE_MARGIN * spread)
+
+
+def inverse_width_deviation(drive, half, selected, extrinsic):
+    """Delay of selectable-width timing networks, ``BASE_DELAY + drive *
+    (half / selected) + extrinsic``, less the design point BASE_DELAY +
+    drive, seconds; ``half`` is k times the mean nominal width and
+    ``selected`` the selected widths' sum.  Raises ConfigError if a delay is
+    <= 0.  Scalars or broadcasting arrays."""
+    delay = BASE_DELAY + drive * (half / selected) + extrinsic
     if np.any(delay <= 0.0):
         raise ConfigError("inverter delay must stay strictly positive")
-    return delay - base - drive
+    return delay - BASE_DELAY - drive
 
 
 def subset_deviations(sums: np.ndarray, drive, half, extrinsic) -> np.ndarray:

@@ -37,6 +37,7 @@ from .mismatch import (
     MismatchModel,
     SizingScheme,
     Uniform,
+    check_array_bytes,
     draw_realized,
     membership_matrix,
     nominal_sizes,
@@ -101,6 +102,7 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        check_array_bytes("the sample distances", (self.samples,))
         if not self.window_widths:
             raise ConfigError("window_widths must not be empty")
         if any(w < 0 for w in self.window_widths):

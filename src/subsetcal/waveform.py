@@ -59,10 +59,6 @@ class EdgeWaveform:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "levels", l)
 
-    @property
-    def n_edges(self) -> int:
-        return int(self.times.size)
-
     def value(self, t_frac) -> np.ndarray:
         """Waveform level at time fraction(s) t (taken modulo 1)."""
         t = np.mod(np.asarray(t_frac, dtype=float), 1.0)

@@ -1,15 +1,16 @@
 """Reference implementations that only the tests call.
 
-The sequential DAC decode, the per-cell amplitude residuals, the textbook
-ideal receiver, a scalar failure-rate query, a waveform scaled by a gain,
-the weighted sum of waveforms and the receiver's effective LO built from
-it, one square wave per phase, the set-by-set element draw with its subset
-sum, the scalar inverse-width delay law that the receiver's and the
-converter's timing networks are checked against, one network or one subset
-at a time, the mixer's knob scorer with all four edges of every candidate evaluated, and
-the self-heal controller as one audition at a time with an index tuple
-per healed cell: the tests check the package's fast paths against them, and
-no program code needs them.
+The sequential DAC decode, the per-cell amplitude residuals, the
+zero-variance receiver and the textbook ideal receiver built on it, the HRR
+of one point, a waveform's edge count, a scalar failure-rate query, a
+waveform scaled by a gain, the weighted sum of waveforms and the receiver's
+effective LO built from it, one square wave per phase, the set-by-set
+element draw with its subset sum, the scalar inverse-width delay law that
+the receiver's and the converter's timing networks are checked against, one
+network or one subset at a time, the mixer's knob scorer with all four edges
+of every candidate evaluated, and the self-heal controller as one audition
+at a time with an index tuple per healed cell: the tests check the
+package's fast paths against them, and no program code needs them.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ import numpy as np
 from subsetcal.csdac import DacSample, SelfHealSample, ucc_currents
 from subsetcal.hrmixer import (
     _KNOB_ROWS,
+    GAIN_ALPHA,
     PATH_BRANCHES,
     HrConfig,
     HrReceiverSample,
     _branch_edges,
     _branch_gain,
     _check_edge_errors,
+    _first_and_nth,
+    _hrr_db,
     _knob_design,
-    zero_variance_receiver,
+    sample_receiver,
 )
 from subsetcal.mismatch import (
     Arithmetic,
@@ -75,6 +79,34 @@ def dac_output(sample: DacSample, code: int) -> float:
 def amplitude_residuals(sample: DacSample) -> np.ndarray:
     """Per-UCC current minus the sample's realized reference current."""
     return ucc_currents(sample) - sample.reference_current
+
+
+def zero_variance_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:
+    """Receiver with every mismatch source switched off, weights kept.
+
+    Branch gains are exactly the configured recombination weights and all
+    edges land on their nominal grid, so the spectrum equals the closed-form
+    prediction for those weights.
+    """
+    base = config if config is not None else HrConfig()
+    cfg = dataclasses.replace(
+        base,
+        element_rel_sigma=0.0,
+        gain_sigma=0.0,
+        clock_delay_sigma=0.0,
+        diff_phase_sigma=0.0,
+    )
+    return sample_receiver(cfg, rng=0)
+
+
+def hrr(sample: HrReceiverSample, path: str, n: int, f: float) -> float:
+    """Harmonic rejection ratio 20*log10(|c1|/|cn|) in dB; inf below 1e-15."""
+    return _hrr_db(*_first_and_nth(sample, path, n, f))
+
+
+def n_edges(wave: EdgeWaveform) -> int:
+    """Number of level transitions in one period of ``wave``."""
+    return int(wave.times.size)
 
 
 def ideal_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:
@@ -229,14 +261,10 @@ def receiver_state(
         ratios.append(subset_value(realized, indices) / i_nominal_half)
     deviations = []
     for row in range(4, 24):
-        step, drive = (
-            (cfg.clock_step, cfg.clock_drive) if row < 8 else (cfg.buffer_step, cfg.buffer_drive)
-        )
+        drive, step = cfg.clock_network if row < 8 else cfg.buffer_network
         nominal, realized, indices = knob(row, step)
         extrinsic = float(sample.extrinsic[row])
-        deviations.append(
-            inverter_deviation(nominal, realized, indices, drive, extrinsic, cfg.base_delay)
-        )
+        deviations.append(inverter_deviation(nominal, realized, indices, drive, extrinsic))
     rise = [deviations[p % 4] + deviations[4 + p] for p in range(8)]
     fall = [deviations[p % 4] + deviations[12 + p] for p in range(8)]
     return ratios, deviations, rise, fall
@@ -246,7 +274,7 @@ def receiver_gain(sample: HrReceiverSample, m: int) -> float:
     """Branch m's gain, (selected / nominal tail current)**alpha * (1 + its
     extrinsic error), from ``receiver_state``."""
     ratio = receiver_state(sample)[0][m]
-    return ratio**sample.config.gain_alpha * (1.0 + float(sample.extrinsic[m]))
+    return ratio**GAIN_ALPHA * (1.0 + float(sample.extrinsic[m]))
 
 
 def knob_objectives(
@@ -288,7 +316,7 @@ def knob_objectives(
     sums = all_subset_sums(sample.elements[row], cfg.k_selected)
     half, extrinsic = design.halves[row], sample.extrinsic[row]
     if kind == "tail":
-        gains = (sums / half) ** cfg.gain_alpha * (1.0 + extrinsic)
+        gains = (sums / half) ** GAIN_ALPHA * (1.0 + extrinsic)
         amp = gains * cfg.weights[own]
     else:
         drive = design.drives[row - 4]

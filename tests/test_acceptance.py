@@ -44,10 +44,8 @@ from subsetcal.hrmixer import (
     HrConfig,
     calibrate_even_order,
     calibrate_odd_order,
-    hrr,
     sample_receiver,
     sweep_hrr,
-    zero_variance_receiver,
 )
 from subsetcal.mismatch import Arithmetic, MismatchModel, Uniform, sigma_k
 from subsetcal.runner import sample_substream
@@ -61,7 +59,7 @@ from subsetcal.studies import (
     run_study,
 )
 
-from oracles import ideal_receiver
+from oracles import hrr, ideal_receiver, zero_variance_receiver
 
 THREADS = 4
 F0 = HrConfig().f0
@@ -365,8 +363,8 @@ def test_c06_receiver_calibration_population():
         assert post2 >= pre2 - 1e-9, (
             f"sample {i}: HRR2 regressed {pre2:.2f} -> {post2:.2f} dB"
         )
-        two, _ = calibrate_odd_order(even, cfg.f0, cfg.f_low, iterations=2)
-        three, _ = calibrate_odd_order(even, cfg.f0, cfg.f_low, iterations=3)
+        two, _ = calibrate_odd_order(even, iterations=2)
+        three, _ = calibrate_odd_order(even, iterations=3)
         h3 = hrr(two, "I", 3, cfg.f0)
         h5 = hrr(two, "I", 5, cfg.f0)
         if h3 >= 70.0 and h5 >= 70.0:

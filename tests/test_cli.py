@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import csv
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -9,6 +10,8 @@ import pytest
 
 from subsetcal import cli, csdac, reporting, runner, studies
 from subsetcal.cli import main
+from subsetcal.csdac import DacConfig, SelfHealConfig
+from subsetcal.hrmixer import HrConfig
 from subsetcal.mismatch import ConfigError
 from subsetcal.reporting import emit_json, sha256_of
 from subsetcal.studies import STUDY_CSV_COLUMNS
@@ -223,15 +226,59 @@ def test_sense_sweep_over_the_memory_bound_is_rejected_before_any_reading(
         raise AssertionError("a sense reading ran before the sweep size was checked")
 
     monkeypatch.setattr(cli, "sense_error", reading_must_not_run)
-    cfg = write_cfg(tmp_path, "sense.cfg", "sense.points = 1000000000000\n")
+    # 2 000 000 points fit 8 bytes per reading, not the 280 a reading takes
+    for points, need in ((1000000000000, 2520000000000000), (2000000, 5040000000)):
+        cfg = write_cfg(tmp_path, "sense.cfg", f"sense.points = {points}\n")
+        out = tmp_path / "out"
+        assert main(["dac", "sense", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: the sense sweep (3, {points}, 3) needs {need} bytes,"
+            " above the 1073741824-byte limit\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, module, name, message",
+    [
+        (["study", "failure-rate"], studies, "_block_distances",
+         "the sample distances (100000000000,) needs 800000000000 bytes"),
+        (["dac", "yield"], csdac, "parallel_indexed",
+         "the yield rows (100000000000,) needs 64000000000000 bytes"),
+        (["dac", "self-heal"], csdac, "parallel_indexed",
+         "the yield rows (100000000000,) needs 64000000000000 bytes"),
+    ],
+    ids=["study", "dac-yield", "dac-self-heal"],
+)
+def test_sample_count_over_the_memory_bound_is_rejected_before_any_sample(
+    tmp_path, capsys, monkeypatch, command, module, name, message
+):
+    def sampling_must_not_run(*args, **kwargs):
+        raise AssertionError("a sample ran before the sample count was checked")
+
+    monkeypatch.setattr(module, name, sampling_must_not_run)
     out = tmp_path / "out"
-    assert main(["dac", "sense", "--config", cfg, "--out", str(out)]) == 2
+    assert main([*command, "--samples", "100000000000", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (
-        "config error: the sense sweep (3, 1000000000000, 3) needs 72000000000000 bytes,"
-        " above the 1073741824-byte limit\n"
-    )
+    assert captured.err == f"config error: {message}, above the 1073741824-byte limit\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cls, keys, derived",
+    [
+        # dac.sub_center and dac.sub_step set the sub-current scheme
+        (DacConfig, cli._DAC_FIELDS, {"ucc_sub_scheme"}),
+        (SelfHealConfig, cli._HEAL_FIELDS, set()),
+        (HrConfig, cli._HR_FIELDS, set()),
+    ],
+    ids=["dac", "heal", "hr"],
+)
+def test_every_config_field_has_a_key(cls, keys, derived):
+    """A config field that no key sets is a model constant: no run can set it."""
+    fields = {field.name for field in dataclasses.fields(cls)}
+    assert fields == set(keys.values()) | derived
 
 
 def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):
@@ -254,9 +301,11 @@ def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):
         ("hr.iterations = 1000000000", "hr.iterations must be <= 100, got 1000000000"),
         ("hr.f_list = 0, 750e6", "hr.f_list must be frequencies > 0, got [0.0, 750000000.0]"),
         ("hr.f_list = -1e6", "hr.f_list must be frequencies > 0, got [-1000000.0]"),
+        ("hr.element_rel_sigma = 0.2",
+         "delay tuning range 2.26578e-11s cannot cover 2.553e-11s"),
     ],
     ids=["path", "harmonic-1", "no-harmonics", "iterations-0", "iterations-huge", "f-zero",
-         "f-negative"],
+         "f-negative", "underdriven-clock"],
 )
 @pytest.mark.parametrize("command", ["simulate", "calibrate", "sweep"])
 def test_bad_hr_keys_are_rejected_before_the_draw(

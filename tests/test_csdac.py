@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subsetcal import csdac
+from subsetcal import csdac, mismatch
 from subsetcal.csdac import (
     DEFAULT_SUB_SCHEME,
     DacConfig,
@@ -100,9 +100,7 @@ def oracle_deviation(sample, cell, buffer, selection):
     (0 delay, 1 tuned duty, 2 fixed duty; base delay 50 ps) at the given
     element indices."""
     cfg = sample.config
-    step, drive = (
-        (cfg.delay_step, cfg.delay_drive) if buffer == 0 else (cfg.duty_step, cfg.duty_drive)
-    )
+    drive, step = cfg.delay_network if buffer == 0 else cfg.duty_network
     nominal = nominal_sizes(Arithmetic(1.0, step), cfg.n)
     extrinsic = float(sample.extrinsic[cell, buffer])
     return inverter_deviation(nominal, sample.widths[cell, buffer], selection, drive, extrinsic)
@@ -130,10 +128,10 @@ def oracle_sample_draws(cfg, rng):
     amplitude_nominal = nominal_sizes(cfg.ucc_sub_scheme, cfg.n)
     buffers = [
         (nominal_sizes(Arithmetic(1.0, step), cfg.n), extrinsic_sigma)
-        for step, extrinsic_sigma in (
-            (cfg.delay_step, cfg.delay_extrinsic_sigma),
-            (cfg.duty_step, cfg.duty_extrinsic_sigma),
-            (cfg.duty_step, cfg.duty_extrinsic_sigma),
+        for (_, step), extrinsic_sigma in (
+            (cfg.delay_network, cfg.delay_extrinsic_sigma),
+            (cfg.duty_network, cfg.duty_extrinsic_sigma),
+            (cfg.duty_network, cfg.duty_extrinsic_sigma),
         )
     ]
     amplitude = np.empty((cfg.n_ucc, cfg.n))
@@ -304,9 +302,9 @@ def test_timing_step_covers_budget_on_the_short_side():
     # so solving the smaller (negative) side for the coverage budget
     # 6 * 1.15 * sigma reproduces the configured step exactly.
     cfg = DacConfig()
-    for step, drive, budget in (
-        (cfg.delay_step, cfg.delay_drive, 6 * 1.15 * cfg.delay_sigma),
-        (cfg.duty_step, cfg.duty_drive, 6 * 1.15 * cfg.duty_sigma),
+    for (drive, step), budget in (
+        (cfg.delay_network, 6 * 1.15 * cfg.delay_sigma),
+        (cfg.duty_network, 6 * 1.15 * cfg.duty_sigma),
     ):
         short_reach = drive * 3 * step / (1 + 3 * step)
         long_reach = drive * 3 * step / (1 - 3 * step)
@@ -317,7 +315,7 @@ def test_timing_step_covers_budget_on_the_short_side():
 def test_timing_variance_split():
     cfg = DacConfig()
     assert math.isclose(
-        cfg.delay_drive, math.sqrt(0.25) * 1.3e-12 * math.sqrt(6) / 0.01,
+        cfg.delay_network[0], math.sqrt(0.25) * 1.3e-12 * math.sqrt(6) / 0.01,
         rel_tol=1e-12,
     )
     assert math.isclose(
@@ -325,7 +323,7 @@ def test_timing_variance_split():
     )
     assert math.isclose(cfg.duty_network_sigma, 1.8e-12 / math.sqrt(2), rel_tol=1e-12)
     # intrinsic + extrinsic variance recombine to the stage budget
-    intrinsic = cfg.delay_drive * 0.01 / math.sqrt(6)
+    intrinsic = cfg.delay_network[0] * 0.01 / math.sqrt(6)
     assert math.isclose(
         math.hypot(intrinsic, cfg.delay_extrinsic_sigma), 1.3e-12, rel_tol=1e-12
     )
@@ -456,7 +454,7 @@ def test_delays_are_validated_where_timing_can_change(monkeypatch):
 
     # every delay below zero: both builders raise, amplitude calibration
     # (which cannot move a delay) does not look
-    monkeypatch.setattr(csdac, "_BASE_DELAY", -1.0)
+    monkeypatch.setattr(mismatch, "BASE_DELAY", -1.0)
     with pytest.raises(ConfigError, match="delay must stay strictly positive"):
         sample_dac(DacConfig(), sample_substream(5, 4))
     with pytest.raises(ConfigError, match="delay must stay strictly positive"):

@@ -38,14 +38,14 @@ from subsetcal.hrmixer import (
     calibrate_even_order,
     calibrate_odd_order,
     effective_lo,
-    hrr,
     measure_harmonic_power,
     sample_receiver,
     sweep_hrr,
-    zero_variance_receiver,
 )
 
 from subsetcal.mismatch import (
+    BASE_DELAY,
+    COVERAGE_SIGMA,
     Arithmetic,
     MismatchModel,
     all_subset_sums,
@@ -55,13 +55,16 @@ from subsetcal.mismatch import (
 from subsetcal.runner import sample_substream
 
 from oracles import (
+    hrr,
     ideal_receiver,
     inverter_deviation,
     knob_objectives,
+    n_edges,
     receiver_gain,
     receiver_state,
     sample_element_set,
     square_wave_lo,
+    zero_variance_receiver,
 )
 
 
@@ -126,8 +129,8 @@ def calibrated_population(default_config):
         s0 = seeded_sample(i, cfg)
         pre2 = hrr(s0, "I", 2, cfg.f0)
         even, even_report = calibrate_even_order(s0)
-        two, report2 = calibrate_odd_order(even, cfg.f0, cfg.f_low, iterations=2)
-        three, _ = calibrate_odd_order(even, cfg.f0, cfg.f_low, iterations=3)
+        two, report2 = calibrate_odd_order(even, iterations=2)
+        three, _ = calibrate_odd_order(even, iterations=3)
         rows.append(
             dict(
                 pre=s0,
@@ -153,20 +156,19 @@ def test_config_validation_rejects_bad_fields():
     with pytest.raises(ConfigError):
         HrConfig(k_selected=12)
     with pytest.raises(ConfigError):
-        HrConfig(gain_alpha=0.0)
-    with pytest.raises(ConfigError):
         HrConfig(weights=(12.0, 17.0))
-    with pytest.raises(ConfigError):
-        HrConfig(range_margin=0.9)
 
 
 def test_coverage_check_rejects_underdriven_networks():
-    # Nearly no intrinsic clock variance leaves the selection network too weak
-    # to span 6 sigma of the extrinsic delay error.
-    with pytest.raises(ConfigError):
-        HrConfig(clock_intrinsic_fraction=1e-6)
-    with pytest.raises(ConfigError):
-        HrConfig(diff_intrinsic_fraction=1e-6)
+    # Wide element mismatch leaves each width worth little delay: the
+    # selection network is too weak to span 6 sigma of the stage's spread.
+    with pytest.raises(ConfigError, match="cannot cover 2.553e-11s"):
+        HrConfig(element_rel_sigma=0.2)  # the clock inverters
+    with pytest.raises(ConfigError, match="cannot cover 1.38e-11s"):
+        HrConfig(element_rel_sigma=0.2, clock_delay_sigma=0.0)  # the buffers
+    # a spread so small that its intrinsic share rounds to 0: no drive at all
+    with pytest.raises(ConfigError, match="range 0s cannot cover"):
+        HrConfig(diff_phase_sigma=5e-324)
     # gain range is sized from the total budget, so the failure mode there is
     # a budget too large for any feasible arithmetic spread
     with pytest.raises(ConfigError):
@@ -181,26 +183,29 @@ def test_coverage_check_rejects_underdriven_networks():
 def test_step_sizes_cover_six_sigma():
     cfg = HrConfig()
     # the widest reachable pull-down deviation must cover 6 sigma of the total
-    for drive, step, total in (
-        (cfg.clock_drive, cfg.clock_step, cfg.clock_delay_sigma),
-        (cfg.buffer_drive, cfg.buffer_step, math.sqrt(0.5) * cfg.diff_phase_sigma),
+    for (drive, step), total in (
+        (cfg.clock_network, cfg.clock_delay_sigma),
+        (cfg.buffer_network, math.sqrt(0.5) * cfg.diff_phase_sigma),
     ):
         down_reach = drive * 3.0 * step / (1.0 + 3.0 * step)
-        assert down_reach >= cfg.coverage_sigma * total
+        assert down_reach >= COVERAGE_SIGMA * total
     # gain: (1 +/- 3*step)^alpha must cover 6 sigma of relative gain error
-    up = (1.0 + 3.0 * cfg.tail_step) ** cfg.gain_alpha - 1.0
-    down = 1.0 - (1.0 - 3.0 * cfg.tail_step) ** cfg.gain_alpha
-    assert min(up, down) >= cfg.coverage_sigma * cfg.gain_sigma
+    # over the budgets a config accepts; no config check repeats this
+    for gain_sigma in (1e-12, 1e-6, 1e-3, cfg.gain_sigma, 0.03):
+        step = HrConfig(gain_sigma=gain_sigma).tail_step
+        up = (1.0 + 3.0 * step) ** hrmixer.GAIN_ALPHA - 1.0
+        down = 1.0 - (1.0 - 3.0 * step) ** hrmixer.GAIN_ALPHA
+        assert min(up, down) >= COVERAGE_SIGMA * gain_sigma
 
 
 def test_inverter_delay_model():
     # nominal selection of a uniform set leaves only the extrinsic part
-    deviation = inverse_width_deviation(50e-12, 4.5e-10, 6.0, 6.0, 1e-12)
+    deviation = inverse_width_deviation(4.5e-10, 6.0, 6.0, 1e-12)
     nominal = np.ones(12)
     oracle = inverter_deviation(nominal, nominal.copy(), tuple(range(6)), 4.5e-10, 1e-12)
     assert oracle == deviation == pytest.approx(1e-12, abs=1e-24)
     # without drive the width term drops out: base + extrinsic exactly
-    assert inverse_width_deviation(50e-12, 0.0, 6.0, 5.5, 1e-12) == (50e-12 + 1e-12) - 50e-12
+    assert inverse_width_deviation(0.0, 6.0, 5.5, 1e-12) == (BASE_DELAY + 1e-12) - BASE_DELAY
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +237,7 @@ def set_by_set_draw(cfg: HrConfig, rng) -> tuple[np.ndarray, np.ndarray, int]:
     n = cfg.n_elements
     tail = (Arithmetic(1.0, cfg.tail_step), MismatchModel(cfg.tail_element_sigma, 1.0))
     width = MismatchModel(cfg.element_rel_sigma, 1.0)
-    clock, buffer = Arithmetic(1.0, cfg.clock_step), Arithmetic(1.0, cfg.buffer_step)
+    clock, buffer = Arithmetic(1.0, cfg.clock_network[1]), Arithmetic(1.0, cfg.buffer_network[1])
     plan = 4 * [(tail, cfg.tail_extrinsic_sigma, "tail")]
     plan += 4 * [((clock, width), cfg.clock_extrinsic_sigma, "clock")]
     for _ in range(8):
@@ -359,9 +364,9 @@ def test_degenerate_receiver_raises():
     dead = with_extrinsic(s, slice(0, 4), -1.0)  # every tail
     f0 = s.config.f0
     oracle = square_wave_lo(dead, "I", f0)
-    assert oracle.n_edges == 0 and fourier_coeff(oracle, 1) == 0
+    assert n_edges(oracle) == 0 and fourier_coeff(oracle, 1) == 0
     lo = effective_lo(dead, "I", f0)
-    assert lo.n_edges == 0 and lo.dc == oracle.dc
+    assert n_edges(lo) == 0 and lo.dc == oracle.dc
     message = "effective LO has no fundamental component"
     with pytest.raises(DegenerateConfigurationError, match=message):
         hrr(dead, "I", 3, f0)
@@ -447,16 +452,14 @@ def test_even_cal_helps_higher_even_harmonics(calibrated_population, default_con
 def test_odd_cal_validation():
     s = ideal_receiver()
     with pytest.raises(ConfigError):
-        calibrate_odd_order(s, 750e6, 750e6)
-    with pytest.raises(ConfigError):
-        calibrate_odd_order(s, 750e6, 15e6, iterations=0)
+        calibrate_odd_order(s, iterations=0)
     with pytest.raises(ConfigError, match="iterations must be <= 100, got 101"):
-        calibrate_odd_order(s, 750e6, 15e6, iterations=hrmixer.MAX_ITERATIONS + 1)
+        calibrate_odd_order(s, iterations=hrmixer.MAX_ITERATIONS + 1)
 
 
 def test_odd_cal_is_noop_on_ideal_receiver():
     s = ideal_receiver()
-    out, report = calibrate_odd_order(s, 750e6, 15e6)
+    out, report = calibrate_odd_order(s)
     assert hrr(out, "I", 3, 750e6) == math.inf
     assert hrr(out, "I", 5, 750e6) == math.inf
     assert np.all(out.deviations[:4] == 0.0)  # every clock
@@ -598,7 +601,7 @@ def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
         s = seeded_sample(i)
         assert_state_matches_scratch(s)
         s, even = calibrate_even_order(s)
-        s, odd = calibrate_odd_order(s, s.config.f0, s.config.f_low)
+        s, odd = calibrate_odd_order(s)
         assert_state_matches_scratch(s)
         assert any(st.objective_after < st.objective_before for st in even.steps + odd.steps)
         steps += even.steps + odd.steps
@@ -637,7 +640,7 @@ def test_with_knob_rejects_a_non_positive_delay(name):
     row = hrmixer._KNOB_ROWS[name]
     design = hrmixer._knob_design(s.config)
     sums = all_subset_sums(s.elements[row], s.config.k_selected)
-    delays = s.config.base_delay + design.drives[row - 4] * (design.halves[row] / sums)
+    delays = BASE_DELAY + design.drives[row - 4] * (design.halves[row] / sums)
     widest = int(np.argmin(delays))
     s = with_extrinsic(s, row, -(delays[s.selection[row]] + delays[widest]) / 2)
     with pytest.raises(ConfigError, match="inverter delay must stay strictly positive"):
@@ -843,7 +846,7 @@ def calibration_trace_records():
             sample = sample_receiver(cfg, seed)
             pre = hrr_table(sample)
             sample, even = calibrate_even_order(sample)
-            sample, odd = calibrate_odd_order(sample, cfg.f0, cfg.f_low)
+            sample, odd = calibrate_odd_order(sample)
             yield {
                 "config": config, "seed": seed, "pre": pre, "even": even.to_json_dict(),
                 "odd": odd.to_json_dict(), "post": hrr_table(sample),

@@ -16,7 +16,9 @@ import sys
 import pytest
 
 import subsetcal.cli  # noqa: F401  (loads every subsetcal module)
-from subsetcal.hrmixer import sweep_hrr, zero_variance_receiver
+from subsetcal.hrmixer import sweep_hrr
+
+from oracles import zero_variance_receiver
 
 TRACING_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
