@@ -418,10 +418,8 @@ def _dac_config(cfg: dict) -> DacConfig:
 def _yield_datasets(study, columns: Sequence[str], figure_id: str) -> list[FigureDataset]:
     """The per-sample rows, then a histogram of each of ``columns`` that has
     finite values; a single histogram takes ``figure_id`` when it is set."""
-    rows = tuple(tuple(row[col] for col in study.columns) for row in study.rows)
-    out = [FigureDataset(
-        "yield_rows", study.columns, rows, meta={"flow": study.flow, "summary": study.summary}
-    )]
+    meta = {"flow": study.flow, "summary": study.summary}
+    out = [FigureDataset("yield_rows", study.columns, study.rows, meta=meta)]
     units = "s" if study.flow == "timing" else "lsb"
     header = (f"bin_left_{units}", f"bin_right_{units}", "count")
     for column in columns:
@@ -582,7 +580,7 @@ def _dac_sense(cfg: dict, threads: int) -> Output:
 
 class _Command(NamedTuple):
     """One subcommand: its config keys, which of them --seed and --samples
-    override (None: the flag has no effect), what it runs and its help."""
+    override (None: no such flag), what it runs and its help."""
 
     schema: Schema
     seed_key: Optional[str]
@@ -689,7 +687,7 @@ _COMMANDS = {
             "sense.amplitude_error_max": (_parse_float, 0.02),
             "sense.timing_error_max": (_parse_float, None),
         },
-        # the sweep is deterministic: --seed/--samples have no effect here
+        # the sweep is deterministic: it takes no --seed or --samples
         None, None, _dac_sense, "error-sensing transfer sweep",
     ),
 }
@@ -790,8 +788,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands[group].add_parser(name, help=command.help)
         sub.add_argument("--config", help="flat key=value config file")
         sub.add_argument("--out", default="out", help="output directory (default: out)")
-        sub.add_argument("--seed", type=int, help="master seed override")
-        sub.add_argument("--samples", type=int, help="sample-count override")
+        if command.seed_key is not None:
+            sub.add_argument("--seed", type=int, help="master seed override")
+        if command.samples_key is not None:
+            sub.add_argument("--samples", type=int, help="sample-count override")
         sub.add_argument(
             "--threads", type=int, default=1,
             help="worker processes, this one included, for the rows of dac yield and"

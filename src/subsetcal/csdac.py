@@ -808,7 +808,7 @@ class SelfHealResult:
 # Candidates of a block scored before the rest, which only blocks without a
 # hit among them need (a default cell heals in about 43 trials on average).
 _HEAL_CHUNK = 48
-# Own-cell auditions scored together, on the guess that none of them misses.
+# Auditions scored together, on the guess that none of them misses.
 _HEAL_WINDOW = 16
 
 
@@ -872,10 +872,12 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
     Every audition draws one block of ``cell_trial_limit`` combination rows,
     in audition order.  Blocks are drawn in bulk, one row per cell still to
     heal, since one ``integers`` call of (R, L) draws the same stream as R
-    calls of L; a window of cells is scored together on the guess that none
-    of them misses.  An attempt that fails with blocks left unread rewinds
-    the generator and draws only the blocks it read, so the next bias draw
-    sees the stream of one draw per audition.
+    calls of L.  One loop scores the current cell's next audition (its own
+    elements, or after m misses spare ``pool[m-1]``) with the next cells'
+    own, on the guess that none of them misses, and accepts them up to the
+    first miss.  An attempt that fails with blocks left unread rewinds the
+    generator and draws only the blocks it read, so the next bias draw sees
+    the stream of one draw per audition.
     """
     cfg = sample.config
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
@@ -885,7 +887,6 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
     n_cells, n, limit = cfg.n_ucc, cfg.n, cfg.cell_trial_limit
     window = (sample.reference_current, sample.reference_current + cfg.i_tiny)
     flat = np.concatenate([sample.cells, sample.backups]).ravel()  # by source
-    cell_offsets = np.arange(n_cells) * n
 
     attempts: list[_HealAttempt] = []
     bias = balanced_row(cfg.n, cfg.k)
@@ -902,52 +903,35 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
         currents = np.empty(n_cells)
         trials: list[int] = []
         backups_used: dict[int, list[int]] = {}
-        ci = 0
+        ci = misses = 0  # misses: auditions cell ci has failed in this attempt
         while ci < n_cells:
             if head == len(blocks):  # each cell left reads one block at least
                 blocks, head = gen.integers(0, n_combos, size=(n_cells - ci, limit)), 0
                 drawn += len(blocks)
-            own = blocks[head : head + _HEAL_WINDOW]
-            hits, found = _first_hits(
-                flat, cell_offsets[ci : ci + len(own)], own, indices, scale, window
-            )
-            misses = (hits < 0).nonzero()[0]
-            healed = int(misses[0]) if misses.size else len(own)
-            selections[ci : ci + healed] = own[np.arange(healed), hits[:healed]]
+            scored = blocks[head : head + _HEAL_WINDOW]
+            offsets = np.arange(ci, ci + len(scored)) * n
+            if misses:  # cell ci auditions its next spare
+                offsets[0] = (n_cells + pool[misses - 1]) * n
+            hits, found = _first_hits(flat, offsets, scored, indices, scale, window)
+            missed = (hits < 0).nonzero()[0]
+            healed = int(missed[0]) if missed.size else len(scored)
+            selections[ci : ci + healed] = scored[np.arange(healed), hits[:healed]]
             currents[ci : ci + healed] = found[:healed]
             trials += (hits[:healed] + 1).tolist()
+            if healed and misses:  # a spare healed cell ci
+                trials[ci] += misses * limit
+                backups_used[ci] = pool[:misses]
+                sources[ci] = n_cells + pool.pop(misses - 1)
+                misses = 0
             head += healed
             ci += healed
-            if healed == len(own):
-                continue
-            head += 1  # the missed own block
-            cell_trials = limit
-            used: list[int] = []
-            spare = None
-            for b in pool:
-                used.append(b)
-                if head == len(blocks):
-                    blocks, head = gen.integers(0, n_combos, size=(n_cells - ci, limit)), 0
-                    drawn += len(blocks)
-                block = blocks[head : head + 1]
+            if healed < len(scored):  # cell ci missed: one block spent
                 head += 1
-                offset = np.array([(n_cells + b) * n])
-                hit, current = _first_hits(flat, offset, block, indices, scale, window)
-                if hit[0] >= 0:
-                    cell_trials += int(hit[0]) + 1
-                    selections[ci] = block[0, hit[0]]
-                    currents[ci] = current[0]
-                    spare = b
+                misses += 1
+                if misses > len(pool):
+                    trials.append(misses * limit)
+                    backups_used[ci] = pool
                     break
-                cell_trials += limit
-            trials.append(cell_trials)
-            if used:
-                backups_used[ci] = used
-            if spare is None:
-                break
-            pool.remove(spare)
-            sources[ci] = n_cells + spare
-            ci += 1
         completed = ci == n_cells
         attempts.append(
             _HealAttempt(indices[bias], scale, trials, backups_used, completed)
@@ -1107,6 +1091,7 @@ _FLOW_COLUMNS = {
 class YieldResult:
     """Monte Carlo yield study: per-sample rows plus distribution summaries.
 
+    Each row is a tuple of the values of ``columns``, in that order.
     ``percentiles[column]`` holds the 50th/95th/99th percentile of that
     column over samples with a finite value; ``histograms[column]`` is the
     (counts, bin_edges) pair from ``np.histogram``.  ``summary`` carries
@@ -1115,43 +1100,34 @@ class YieldResult:
 
     flow: str
     columns: tuple[str, ...]
-    rows: tuple[dict, ...]
+    rows: tuple[tuple, ...]
     percentiles: dict
     histograms: dict
     summary: dict
 
 
-def _amplitude_row(config: DacConfig, master_seed: int, i: int) -> dict:
+def _amplitude_row(config: DacConfig, master_seed: int, i: int) -> tuple:
     rng = sample_substream(master_seed, i)
     sample = sample_dac(config, rng)
     lsb_vals = _lsb_values(sample.lsb_bit_currents)
     pre = _segment_maxima(ucc_currents(sample), lsb_vals)
     post = _segment_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
-    return {
-        "sample_id": i,
-        "pre_inl_max": pre.inl_max,
-        "post_inl_max": post.inl_max,
-        "pre_dnl_max": pre.dnl_max,
-        "post_dnl_max": post.dnl_max,
-    }
+    return i, pre.inl_max, post.inl_max, pre.dnl_max, post.dnl_max
 
 
-def _timing_row(config: DacConfig, master_seed: int, i: int) -> dict:
+def _timing_row(config: DacConfig, master_seed: int, i: int) -> tuple:
     rng = sample_substream(master_seed, i)
     sample = sample_dac(config, rng)
     # delay_errors and duty_errors of each state, from one evaluation each
     pre = _buffer_deviations(sample)
     post = _buffer_deviations(calibrate_timing(sample))
-    return {
-        "sample_id": i,
-        "pre_delay_sigma": float(np.std(pre[:, 0])),
-        "post_delay_sigma": float(np.std(post[:, 0])),
-        "pre_duty_sigma": float(np.std(pre[:, 1] - pre[:, 2])),
-        "post_duty_sigma": float(np.std(post[:, 1] - post[:, 2])),
-    }
+    return (
+        i, float(np.std(pre[:, 0])), float(np.std(post[:, 0])),
+        float(np.std(pre[:, 1] - pre[:, 2])), float(np.std(post[:, 1] - post[:, 2])),
+    )
 
 
-def _selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> dict:
+def _selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> tuple:
     rng = sample_substream(master_seed, i)
     sample = sample_selfheal(config, rng)
     pre = _selfheal_pre_linearity(sample)
@@ -1161,20 +1137,14 @@ def _selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> dict:
         post_inl, post_dnl = post.inl_max, post.dnl_max
     else:
         post_inl = post_dnl = math.nan
-    return {
-        "sample_id": i,
-        "healed": 1.0 if result.healed else 0.0,
-        "restarts": float(result.restarts),
-        "pre_inl_max": pre.inl_max,
-        "post_inl_max": post_inl,
-        "pre_dnl_max": pre.dnl_max,
-        "post_dnl_max": post_dnl,
-    }
+    healed = 1.0 if result.healed else 0.0
+    return i, healed, float(result.restarts), pre.inl_max, post_inl, pre.dnl_max, post_dnl
 
 
-#: bytes one kept yield row takes: a dict of 5 to 7 floats, about 520 B for
-#: an amplitude or timing row and 630 B for a self-heal row (tracemalloc,
-#: CPython 3.11)
+#: bytes one kept yield row may take: a tuple of 5 to 7 numbers, about 230 B
+#: for an amplitude or timing row and 280 B for a self-heal row, its list
+#: slot included (memory tracemalloc saw retained over 300 rows, CPython
+#: 3.11); kept at 640 B as an upper bound
 _YIELD_ROW_BYTES = 640
 
 
@@ -1223,10 +1193,8 @@ def yield_study(
 
     percentiles: dict = {}
     histograms: dict = {}
-    for column in columns:
-        if column == "sample_id":
-            continue
-        values = np.array([row[column] for row in rows], dtype=float)
+    for j, column in enumerate(columns[1:], 1):  # after sample_id
+        values = np.array([row[j] for row in rows], dtype=float)
         finite = values[np.isfinite(values)]
         if finite.size == 0:
             continue
@@ -1240,11 +1208,12 @@ def yield_study(
 
     summary: dict = {}
     if flow == "self-heal":
-        healed = np.array([row["healed"] for row in rows])
+        at = columns.index("healed")
+        healed = np.array([row[at] for row in rows])
         summary["heal_success_rate"] = float(np.mean(healed))
     elif flow == "timing":
-        for column in _TIMING_COLUMNS:
-            variances = np.array([row[column] ** 2 for row in rows])
+        for j, column in enumerate(_TIMING_COLUMNS, 1):  # after sample_id
+            variances = np.array([row[j] ** 2 for row in rows])
             summary[column + "_pooled"] = float(math.sqrt(np.mean(variances)))
     return YieldResult(
         flow=flow,

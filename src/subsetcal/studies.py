@@ -158,9 +158,11 @@ def _block_distances(
     nominal: np.ndarray,
     sigmas: np.ndarray,
     block: int,
-    size: int,
-) -> tuple[np.ndarray, int]:
-    """Min |subset sum - target center| for one block of samples, absolute units."""
+    out: np.ndarray,
+) -> int:
+    """Min |subset sum - target center| for one block of samples, absolute
+    units, written into ``out`` (one value per sample); returns the resamples."""
+    size = len(out)
     ss = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(block,))
     rng = np.random.default_rng(ss)
     nom = np.broadcast_to(nominal, (size, config.n))
@@ -175,8 +177,8 @@ def _block_distances(
     sums = realized @ membership_matrix(config.n, config.k)
     sums -= center[:, None]
     np.abs(sums, out=sums)
-    dist = sums.min(axis=1)
-    return dist, resamples
+    sums.min(axis=1, out=out)
+    return resamples
 
 
 def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
@@ -188,13 +190,11 @@ def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
     """
     nominal = nominal_sizes(config.scheme, config.n)
     sigmas = config.model.element_sigmas(nominal)
-    n_blocks = -(-config.samples // BLOCK)
-    parts = [
-        _block_distances(config, nominal, sigmas, b, min(BLOCK, config.samples - b * BLOCK))
-        for b in range(n_blocks)
-    ]
-    dist = np.concatenate([p[0] for p in parts])
-    resamples = sum(p[1] for p in parts)
+    dist = np.empty(config.samples)
+    resamples = 0
+    for start in range(0, config.samples, BLOCK):  # each block fills its slice
+        out = dist[start : start + BLOCK]
+        resamples += _block_distances(config, nominal, sigmas, start // BLOCK, out)
     return dist, resamples
 
 

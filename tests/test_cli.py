@@ -149,8 +149,10 @@ def test_bad_value_names_the_key(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, line, key",
     [
-        (["study", "failure-rate"], "study.rel_sigma = nan", "study.rel_sigma"),
-        (["study", "failure-rate"], "study.widths = 0.1, inf", "study.widths"),
+        (["study", "failure-rate", "--samples", "100"], "study.rel_sigma = nan",
+         "study.rel_sigma"),
+        (["study", "failure-rate", "--samples", "100"], "study.widths = 0.1, inf",
+         "study.widths"),
         (["hr", "simulate"], "hr.f0 = inf", "hr.f0"),
     ],
     ids=["rel_sigma-nan", "widths-inf", "f0-inf"],
@@ -158,7 +160,7 @@ def test_bad_value_names_the_key(tmp_path, capsys):
 def test_non_finite_float_is_rejected_before_any_output(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, "nonfinite.cfg", line + "\n")
     out = tmp_path / "out"
-    argv = command + ["--config", cfg, "--samples", "100", "--out", str(out)]
+    argv = command + ["--config", cfg, "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
@@ -371,6 +373,26 @@ def test_hr_f0_must_be_positive_before_it_is_compared(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["hr", "simulate", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: f0 must be > 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hr", "simulate", "--samples", "5"],
+        ["hr", "calibrate", "--samples", "5"],
+        ["hr", "sweep", "--samples", "5"],
+        ["dac", "sense", "--seed", "5"],
+        ["dac", "sense", "--samples", "5"],
+    ],
+    ids=["hr-simulate-samples", "hr-calibrate-samples", "hr-sweep-samples",
+         "dac-sense-seed", "dac-sense-samples"],
+)
+def test_a_flag_the_subcommand_cannot_use_is_rejected(tmp_path, capsys, argv):
+    # the mixer commands draw one receiver and the sense sweep draws nothing
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1094,6 +1094,72 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
+def _spare_heals_then_own_cells(cells, cfg):
+    return any(
+        cell["healed"] and cell["backups_used"] and after["healed"]
+        and not after["backups_used"]
+        for cell, after in zip(cells, cells[1:])
+    )
+
+
+def _spare_misses_next_spare_heals(cells, cfg):
+    return any(cell["healed"] and len(cell["backups_used"]) >= 2 for cell in cells)
+
+
+def _last_cell_exhausts_the_pool(cells, cfg):
+    last = cells[-1]
+    return (
+        last["cell"] == cfg.n_ucc - 1 > 0 and not last["healed"]
+        and len(last["backups_used"]) > 0
+    )
+
+
+def _cell_fails_with_the_pool_empty(cells, cfg):
+    return cfg.backup_ucc_count > 0 and any(
+        not cell["healed"] and not cell["backups_used"] for cell in cells
+    )
+
+
+# Oracle inputs that reach each branch of the controller's audition loop, and
+# the reading of one attempt's cells that shows it.
+_HEAL_BRANCHES = (
+    (_spare_heals_then_own_cells, dict(
+        geometry=(16, 8), cell_trial_limit=3, backup_ucc_count=2, window=0.3,
+        toplevel_trial_limit=1, msb_bits=6, seed=0,
+    )),
+    (_spare_misses_next_spare_heals, dict(
+        geometry=(16, 8), cell_trial_limit=3, backup_ucc_count=2, window=0.3,
+        toplevel_trial_limit=1, msb_bits=6, seed=3,
+    )),
+    (_last_cell_exhausts_the_pool, dict(
+        geometry=(16, 8), cell_trial_limit=3, backup_ucc_count=4, window=0.3,
+        toplevel_trial_limit=1, msb_bits=2, seed=0,
+    )),
+    (_cell_fails_with_the_pool_empty, dict(
+        geometry=(16, 8), cell_trial_limit=3, backup_ucc_count=1, window=0.3,
+        toplevel_trial_limit=1, msb_bits=6, seed=2,
+    )),
+)
+
+
+@pytest.mark.parametrize(
+    "reached, inputs", _HEAL_BRANCHES, ids=[f.__name__ for f, _ in _HEAL_BRANCHES]
+)
+def test_oracle_examples_reach_each_audition_branch(reached, inputs):
+    """Each branch example of the oracle property reaches its branch, read
+    from the oracle's trace."""
+    n, k = inputs["geometry"]
+    cfg = SelfHealConfig(
+        n=n, k=k, i_tiny=inputs["window"] * SelfHealConfig.ucc_sigma,
+        cell_trial_limit=inputs["cell_trial_limit"],
+        toplevel_trial_limit=inputs["toplevel_trial_limit"],
+        backup_ucc_count=inputs["backup_ucc_count"], msb_bits=inputs["msb_bits"], lsb_bits=2,
+    )
+    sample = sample_selfheal(cfg, sample_substream(inputs["seed"], 0))
+    trace = self_heal_oracle(sample, sample_substream(inputs["seed"], 1)).trace
+    assert any(reached(attempt["cells"], cfg) for attempt in trace["attempts"])
+
+
 @given(
     geometry=st.sampled_from([(4, 2), (8, 2), (8, 4), (10, 6), (12, 6), (16, 8)]),
     cell_trial_limit=st.integers(1, 200),
@@ -1111,6 +1177,10 @@ def _bits(values) -> np.ndarray:
     geometry=(16, 8), cell_trial_limit=3, backup_ucc_count=4, window=0.01,
     toplevel_trial_limit=4, msb_bits=6, seed=1,
 )
+@example(**_HEAL_BRANCHES[0][1])
+@example(**_HEAL_BRANCHES[1][1])
+@example(**_HEAL_BRANCHES[2][1])
+@example(**_HEAL_BRANCHES[3][1])
 def test_self_heal_equals_the_one_audition_oracle(
     geometry, cell_trial_limit, backup_ucc_count, window, toplevel_trial_limit,
     msb_bits, seed,
@@ -1301,11 +1371,12 @@ def test_yield_rows_and_columns(eses_yield):
     assert eses_yield.columns == (
         "sample_id", "pre_inl_max", "post_inl_max", "pre_dnl_max", "post_dnl_max",
     )
+    col = eses_yield.columns.index
     assert len(eses_yield.rows) == 100
-    assert [row["sample_id"] for row in eses_yield.rows] == list(range(100))
+    assert [row[col("sample_id")] for row in eses_yield.rows] == list(range(100))
     for row in eses_yield.rows[:5]:
-        assert set(row) == set(eses_yield.columns)
-        assert row["post_inl_max"] < row["pre_inl_max"]
+        assert isinstance(row, tuple) and len(row) == len(eses_yield.columns)
+        assert row[col("post_inl_max")] < row[col("pre_inl_max")]
 
 
 def test_yield_percentiles_and_histograms(eses_yield):
@@ -1339,12 +1410,13 @@ def test_yield_validation():
 
 def test_yield_selfheal_flow():
     result = yield_study(SelfHealConfig(), 100, "self-heal", master_seed=19)
+    col = result.columns.index
     assert result.summary["heal_success_rate"] >= 0.9
     for row in result.rows:
-        assert row["healed"] in (0.0, 1.0)
-        assert (row["healed"] == 0.0) == math.isnan(row["post_inl_max"])
-        if row["healed"]:
-            assert row["post_inl_max"] < row["pre_inl_max"]
+        assert row[col("healed")] in (0.0, 1.0)
+        assert (row[col("healed")] == 0.0) == math.isnan(row[col("post_inl_max")])
+        if row[col("healed")]:
+            assert row[col("post_inl_max")] < row[col("pre_inl_max")]
 
 
 def test_yield_timing_flow():

@@ -8,6 +8,7 @@ cross-checked against the public per-sample search API on a reproduced block.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ def test_blocks_are_independent_substreams():
     assert np.array_equal(d[:BLOCK], d1)
     assert d.shape == (3 * BLOCK + 123,)
     assert r >= r2
+
+
+def test_min_distances_peak_stays_near_its_result():
+    # blocks land in one preallocated array: holding every block and then
+    # concatenating them would peak at twice the result
+    c = cfg(n=6, k=3, samples=1_000_000)
+    tracemalloc.start()
+    try:
+        d, _ = min_distances(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.shape == (1_000_000,)
+    assert peak < 1.5 * d.nbytes
 
 
 def test_determinism_per_seed_and_sensitivity():
