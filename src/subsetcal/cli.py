@@ -71,6 +71,7 @@ from .mismatch import (
     MismatchModel,
     Uniform,
     check_array_bytes,
+    check_nk,
 )
 from .reporting import FigureDataset, RunManifest, emit_figure, emit_json, write_manifest
 from .runner import sample_substream
@@ -82,7 +83,7 @@ from .studies import (
     StudyConfig,
     a_eses_sweep,
     rcal_frontier,
-    run_study,
+    run_studies,
     study_csv_rows,
 )
 
@@ -98,6 +99,8 @@ def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
+    if value == 0.0:
+        return 0.0  # -0.0 reads as 0.0: numpy refuses a sigma of -0.0
     return value
 
 
@@ -250,13 +253,13 @@ def _study_dataset(cfg: dict, rows: list[tuple], series: list[str], **meta) -> F
 def _failure_rate(cfg: dict, threads: int) -> Output:
     center = cfg["study.center"]
     uniform = _study(cfg, scheme=Uniform(center), window_widths=cfg["study.widths"])
+    offsets = [_offset_spec(cfg["study.offset_kind"], value) for value in cfg["study.offsets"]]
     rows: list[tuple] = []
-    for d in cfg["study.d_list"]:
+    for d in cfg["study.d_list"]:  # one shared study per d serves every offset
         scheme = Arithmetic(center, d * uniform.sigma_k_abs) if d else uniform.scheme
-        for value in cfg["study.offsets"]:
-            offset = _offset_spec(cfg["study.offset_kind"], value)
-            study = dataclasses.replace(uniform, scheme=scheme, offset=offset)
-            rows += study_csv_rows(run_study(study))
+        study = dataclasses.replace(uniform, scheme=scheme)
+        for result in run_studies(study, offsets):
+            rows += study_csv_rows(result)
     dataset = _study_dataset(cfg, rows, ["method", "d_eses", "offset_kind", "sigma_T"])
     n_series = len(cfg["study.d_list"]) * len(cfg["study.offsets"])
     return [dataset], {}, (
@@ -292,6 +295,7 @@ def _rcal_frontier(cfg: dict, threads: int) -> Output:
 
 
 def _a_sweep(cfg: dict, threads: int) -> Output:
+    check_nk(cfg["study.n"], cfg["study.k"])  # before sqrt(k) below
     step_abs = cfg["sweep.step_abs"]
     if step_abs is None:
         # default: a quarter of sigma_k, held absolute across the sweep

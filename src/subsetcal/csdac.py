@@ -36,6 +36,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .mismatch import (
+    MAX_ARRAY_BYTES,
     Arithmetic,
     ConfigError,
     DegenerateConfigurationError,
@@ -120,6 +121,15 @@ class _LsbBank:
     def _check_lsb_bank(self) -> None:
         if self.msb_bits < 1 or self.lsb_bits < 1:
             raise ConfigError("msb_bits and lsb_bits must each be >= 1")
+        for name, bits in (("msb_bits", self.msb_bits), ("lsb_bits", self.lsb_bits)):
+            # from this width on 2**bits - 1 items pass the byte limit at any
+            # item size, so the count is rejected before 2**bits is built
+            # (at 10**9 bits that integer alone is 125 MB)
+            if bits >= MAX_ARRAY_BYTES.bit_length():
+                raise ConfigError(
+                    f"{name} = {bits} needs arrays of 2**{name} items,"
+                    f" above the {MAX_ARRAY_BYTES}-byte limit"
+                )
         if self.lsb_sigma_factor <= 0.0:
             raise ConfigError("lsb_sigma_factor must be > 0")
         check_array_bytes("the LSB values", (self.lsb_levels,))

@@ -71,6 +71,11 @@ def check_array_bytes(what: str, shape: tuple[int, ...], item_bytes: int = 8) ->
     default) above ``MAX_ARRAY_BYTES`` before they exist."""
     need = item_bytes * math.prod(shape)
     if need > MAX_ARRAY_BYTES:
+        if need.bit_length() > 64:  # may be too long to print: give its power of two
+            raise ConfigError(
+                f"{what} needs at least 2**{need.bit_length() - 1} bytes,"
+                f" above the {MAX_ARRAY_BYTES}-byte limit"
+            )
         raise ConfigError(
             f"{what} {shape} needs {need} bytes, above the {MAX_ARRAY_BYTES}-byte limit"
         )
@@ -259,7 +264,7 @@ def sigma_k(model: MismatchModel, scheme: SizingScheme, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_nk(n: int, k: int) -> None:
+def check_nk(n: int, k: int) -> None:
     if not (1 <= k <= n):
         raise ConfigError(f"need 1 <= k <= n, got n={n} k={k}")
     if n > 24:
@@ -270,7 +275,7 @@ def _check_nk(n: int, k: int) -> None:
 @lru_cache(maxsize=None)
 def combination_index_matrix(n: int, k: int) -> np.ndarray:
     """(C(n,k), k) int array of all k-subsets of range(n) in lexicographic order."""
-    _check_nk(n, k)
+    check_nk(n, k)
     count = math.comb(n, k)
     out = np.fromiter(
         (i for combo in _lex_combinations(range(n), k) for i in combo),
@@ -329,7 +334,7 @@ def balanced_row(n: int, k: int) -> int:
     (0, 2, 4, 7, 9, 11).  Its nominal sum equals k * mean exactly for any
     arithmetic sizing, which makes it the natural pre-calibration default.
     """
-    _check_nk(n, k)
+    check_nk(n, k)
     if k % 2:
         raise ConfigError(f"balanced combination needs even k, got k={k}")
     low = np.arange(0, k, 2)

@@ -11,9 +11,15 @@ sigma to be corrected, sqrt(1 + sigma_T^2) * sigma_k, to the equivalent
 quantization sigma of a uniform residual over the window, width / sqrt(12).
 
 Determinism: sampling is partitioned into fixed blocks of ``BLOCK`` samples;
-block b draws from ``SeedSequence(master_seed, spawn_key=(b,))``, and all widths
-of one study are evaluated on one population.  Blocks run one after another:
-the subset-sum product that dominates a block already runs on OpenBLAS's own
+block b draws from ``SeedSequence(master_seed, spawn_key=(b,))`` the element
+sets and then one standard normal per sample that every Gaussian offset
+scales.  All widths of one study are evaluated on one population, and so are
+the offsets that ``run_studies`` serves from one draw: a block's subset sums
+come from one matrix product, which every offset then reduces (subtract its
+center, abs, row min).  That reduction is most of a block's time, about
+10 ms per offset against 3 ms for the product in a 4096-row C(12, 6) block on
+a 2-core Xeon, so it runs over row chunks of about 256 KB that stay in
+cache.  Blocks run one after another: the product runs on OpenBLAS's own
 threads, and a thread pool on top of it measured slower and doubled the peak
 memory.
 """
@@ -38,6 +44,7 @@ from .mismatch import (
     SizingScheme,
     Uniform,
     check_array_bytes,
+    check_nk,
     draw_realized,
     membership_matrix,
     nominal_sizes,
@@ -57,6 +64,7 @@ __all__ = [
     "InfeasibleStudyError",
     "min_distances",
     "run_study",
+    "run_studies",
     "r_cal",
     "rcal_frontier",
     "a_eses_sweep",
@@ -102,22 +110,25 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        # min_distances' array; run_studies keeps none, so for it this only
+        # caps the sample count
         check_array_bytes("the sample distances", (self.samples,))
         if not self.window_widths:
             raise ConfigError("window_widths must not be empty")
         if any(w < 0 for w in self.window_widths):
             raise ConfigError("window widths must be >= 0")
-        if 1 <= self.k <= self.n:
-            # room for three (rows, C(n,k)) float64 arrays; the block's subset
-            # sums are offset and made absolute in place, so the bound is
-            # conservative (one such array is live at a time)
-            rows = min(self.samples, BLOCK)
-            need = 3 * 8 * rows * math.comb(self.n, self.k)
-            if need > MAX_ARRAY_BYTES:
-                raise ConfigError(
-                    f"n={self.n}, k={self.k} needs {need} bytes per block of {rows}"
-                    f" samples, above the {MAX_ARRAY_BYTES}-byte limit"
-                )
+        check_nk(self.n, self.k)
+        # room for three (rows, C(n,k)) float64 arrays; a block holds one (its
+        # subset sums), one chunk-sized scratch array and a (rows,) center and
+        # distance row per offset, so for a handful of offsets the bound is
+        # conservative
+        rows = min(self.samples, BLOCK)
+        need = 3 * 8 * rows * math.comb(self.n, self.k)
+        if need > MAX_ARRAY_BYTES:
+            raise ConfigError(
+                f"n={self.n}, k={self.k} needs {need} bytes per block of {rows}"
+                f" samples, above the {MAX_ARRAY_BYTES}-byte limit"
+            )
 
     @property
     def sigma_k_abs(self) -> float:
@@ -153,31 +164,58 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 
+# rows of subset sums per reduction chunk: about 256 KB, so a chunk stays in
+# L2 while every offset subtracts, takes abs and takes the row min over it
+_CHUNK_BYTES = 2**18
+
+
 def _block_distances(
     config: StudyConfig,
+    offsets: Sequence[OffsetSpec],
     nominal: np.ndarray,
     sigmas: np.ndarray,
     block: int,
     out: np.ndarray,
 ) -> int:
-    """Min |subset sum - target center| for one block of samples, absolute
-    units, written into ``out`` (one value per sample); returns the resamples."""
-    size = len(out)
+    """Min |subset sum - target center| for one block of samples and each of
+    ``offsets``, absolute units, written into ``out`` (offsets, rows); returns
+    the resamples.  The element draw and the subset sums are shared by every
+    offset."""
+    size = out.shape[1]
     ss = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(block,))
     rng = np.random.default_rng(ss)
     nom = np.broadcast_to(nominal, (size, config.n))
     realized, resamples = draw_realized(nom, sigmas, rng)
-    # offsets are drawn after the element block, in sigma_k units -> absolute
+    # a Gaussian offset is drawn after the element block, in sigma_k units, as
+    # one standard normal that every Gaussian offset scales -> absolute
     sk = config.sigma_k_abs
-    if isinstance(config.offset, GaussianOffset):
-        t_abs = rng.standard_normal(size) * (config.offset.sigma_t * sk)
-    else:
-        t_abs = np.full(size, config.offset.value * sk)
-    center = config.k * nominal.mean() + t_abs  # nominal k-subset sum + offset
+    nominal_sum = config.k * nominal.mean()
+    if any(isinstance(offset, GaussianOffset) for offset in offsets):
+        z = rng.standard_normal(size)
+    # (size, 1) each; a fixed offset's is one value broadcast, which numpy
+    # subtracts about three times faster than a column of distinct values
+    centers = []
+    for offset in offsets:
+        if isinstance(offset, GaussianOffset):
+            centers.append((nominal_sum + z * (offset.sigma_t * sk))[:, None])
+        else:
+            centers.append(np.broadcast_to(nominal_sum + offset.value * sk, (size, 1)))
+    # The product's bits depend on its row count and on the OpenBLAS kernel
+    # (the same rows differ between a 63-row and a 4096-row product), so it
+    # runs once over the whole block; only the elementwise passes and the exact
+    # row min below run in chunks, and every distance is bit-equal to one pass
+    # over the block.  A change that re-chunks the product must show that no
+    # threshold count moves.
     sums = realized @ membership_matrix(config.n, config.k)
-    sums -= center[:, None]
-    np.abs(sums, out=sums)
-    sums.min(axis=1, out=out)
+    step = max(1, _CHUNK_BYTES // (8 * sums.shape[1]))
+    scratch = np.empty((min(step, size), sums.shape[1]))
+    for lo in range(0, size, step):
+        chunk = sums[lo : lo + step]
+        work = scratch[: len(chunk)]
+        for center, dist in zip(centers, out):
+            np.subtract(chunk, center[lo : lo + step], out=work)
+            np.abs(work, out=work)
+            work.min(axis=1, out=dist[lo : lo + step])
     return resamples
 
 
@@ -193,20 +231,49 @@ def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
     dist = np.empty(config.samples)
     resamples = 0
     for start in range(0, config.samples, BLOCK):  # each block fills its slice
-        out = dist[start : start + BLOCK]
-        resamples += _block_distances(config, nominal, sigmas, start // BLOCK, out)
+        out = dist[None, start : start + BLOCK]
+        resamples += _block_distances(
+            config, (config.offset,), nominal, sigmas, start // BLOCK, out
+        )
     return dist, resamples
+
+
+def run_studies(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> list[StudyResult]:
+    """One study per offset, all on the element sets ``config`` draws.
+
+    Each result carries ``config`` with that offset and equals its own
+    ``run_study``: the element draw, the Gaussian offsets' standard normal and
+    the subset sums are made once per block and shared, and each block's
+    failures are counted before the next block reuses the distance buffer.
+    """
+    nominal = nominal_sizes(config.scheme, config.n)
+    sigmas = config.model.element_sigmas(nominal)
+    sk = config.sigma_k_abs
+    limits = [(w * sk) / 2.0 for w in config.window_widths]
+    failures = np.zeros((len(offsets), len(limits)), dtype=np.int64)
+    dist = np.empty((len(offsets), min(config.samples, BLOCK)))
+    resamples = 0
+    for start in range(0, config.samples, BLOCK):
+        out = dist[:, : min(BLOCK, config.samples - start)]
+        resamples += _block_distances(config, offsets, nominal, sigmas, start // BLOCK, out)
+        for j, limit in enumerate(limits):
+            failures[:, j] += np.count_nonzero(out > limit, axis=1)
+    return [
+        StudyResult(
+            config=replace(config, offset=offset),
+            rows=tuple(
+                WidthResult(width=w, samples=config.samples, failures=int(f))
+                for w, f in zip(config.window_widths, counts)
+            ),
+            resamples=resamples,
+        )
+        for offset, counts in zip(offsets, failures)
+    ]
 
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Failure rate of in-window calibration for every configured window width."""
-    dist, resamples = min_distances(config)
-    sk = config.sigma_k_abs
-    rows = []
-    for w in config.window_widths:
-        failures = int(np.count_nonzero(dist > (w * sk) / 2.0))
-        rows.append(WidthResult(width=w, samples=config.samples, failures=failures))
-    return StudyResult(config=config, rows=tuple(rows), resamples=resamples)
+    return run_studies(config, (config.offset,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,37 +333,24 @@ def rcal_frontier(
     center = scheme_center(template.scheme)
     sk = template.sigma_k_abs
     max_fail = 1.0 - yield_floor
-    out = []
-    for st in sigma_t_list:
-        best: Optional[tuple[float, float, float]] = None  # (rcal, d, width)
-        for d in d_candidates:
-            scheme = Arithmetic(center, float(d) * sk) if d else Uniform(center)
-            cfg = replace(
-                template,
-                scheme=scheme,
-                offset=GaussianOffset(float(st)),
-                window_widths=widths,
-            )
-            result = run_study(cfg)
+    offsets = [GaussianOffset(float(st)) for st in sigma_t_list]
+    # per sigma_t: (rcal, d, width), the d candidates taken in order
+    best: list[Optional[tuple[float, float, float]]] = [None] * len(offsets)
+    for d in d_candidates:  # one shared study per d serves every sigma_t
+        scheme = Arithmetic(center, float(d) * sk) if d else Uniform(center)
+        cfg = replace(template, scheme=scheme, window_widths=widths)
+        for i, result in enumerate(run_studies(cfg, offsets)):
+            st = result.config.offset.sigma_t
             for row in result.rows:  # widths ascend; first feasible is best
                 if row.failure_rate <= max_fail:
-                    rc = r_cal(float(st), row.width)
-                    if best is None or rc > best[0]:
-                        best = (rc, float(d), row.width)
+                    rc = r_cal(st, row.width)
+                    if best[i] is None or rc > best[i][0]:
+                        best[i] = (rc, float(d), row.width)
                     break
-        if best is None:
-            out.append(FrontierEntry(sigma_t=float(st), feasible=False))
-        else:
-            out.append(
-                FrontierEntry(
-                    sigma_t=float(st),
-                    feasible=True,
-                    best_rcal=best[0],
-                    d_eses=best[1],
-                    width=best[2],
-                )
-            )
-    return out
+    return [
+        FrontierEntry(o.sigma_t, False) if b is None else FrontierEntry(o.sigma_t, True, *b)
+        for o, b in zip(offsets, best)
+    ]
 
 
 def a_eses_sweep(

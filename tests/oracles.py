@@ -3,14 +3,16 @@
 The sequential DAC decode, the per-cell amplitude residuals, the
 zero-variance receiver and the textbook ideal receiver built on it, the HRR
 of one point, a waveform's edge count, a scalar failure-rate query, a
-waveform scaled by a gain, the weighted sum of waveforms and the receiver's
-effective LO built from it, one square wave per phase, the set-by-set
-element draw with its subset sum, the scalar inverse-width delay law that
-the receiver's and the converter's timing networks are checked against, one
-network or one subset at a time, the mixer's knob scorer with all four edges
-of every candidate evaluated, and the self-heal controller as one audition
-at a time with an index tuple per healed cell: the tests check the
-package's fast paths against them, and no program code needs them.
+study's distances in one pass over each block, the resolution frontier as
+one study per (sigma_t, d) pair, a waveform scaled by a gain, the weighted
+sum of waveforms and the receiver's effective LO built from it, one square
+wave per phase, the set-by-set element draw with its subset sum, the scalar
+inverse-width delay law that the receiver's and the converter's timing
+networks are checked against, one network or one subset at a time, the
+mixer's knob scorer with all four edges of every candidate evaluated, and
+the self-heal controller as one audition at a time with an index tuple per
+healed cell: the tests check the package's fast paths against them, and no
+program code needs them.
 """
 
 from __future__ import annotations
@@ -41,13 +43,23 @@ from subsetcal.mismatch import (
     ConfigError,
     MismatchModel,
     SizingScheme,
+    Uniform,
     all_subset_sums,
     balanced_row,
     combination_index_matrix,
     draw_realized,
+    membership_matrix,
     nominal_sizes,
+    scheme_center,
 )
-from subsetcal.studies import StudyConfig, run_study
+from subsetcal.studies import (
+    BLOCK,
+    FrontierEntry,
+    GaussianOffset,
+    StudyConfig,
+    r_cal,
+    run_study,
+)
 from subsetcal.waveform import EdgeWaveform, edge_fourier, square_wave
 
 
@@ -128,6 +140,65 @@ def failure_rate(config: StudyConfig, width: Optional[float] = None) -> float:
     elif len(config.window_widths) != 1:
         raise ConfigError("failure_rate without width needs a single-width config")
     return run_study(config).rows[0].failure_rate
+
+
+def one_pass_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
+    """Per-sample distances of ``config``'s own offset, each block reduced in
+    one subtract, abs and min pass over its whole (rows, C(n,k)) subset sums;
+    returns (distances, resamples)."""
+    nominal = nominal_sizes(config.scheme, config.n)
+    sigmas = config.model.element_sigmas(nominal)
+    sk = config.sigma_k_abs
+    dist = np.empty(config.samples)
+    resamples = 0
+    for start in range(0, config.samples, BLOCK):
+        size = min(BLOCK, config.samples - start)
+        seed = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(start // BLOCK,))
+        rng = np.random.default_rng(seed)
+        realized, redraws = draw_realized(np.broadcast_to(nominal, (size, config.n)), sigmas, rng)
+        resamples += redraws
+        if isinstance(config.offset, GaussianOffset):
+            t_abs = rng.standard_normal(size) * (config.offset.sigma_t * sk)
+        else:
+            t_abs = np.full(size, config.offset.value * sk)
+        center = config.k * nominal.mean() + t_abs
+        sums = realized @ membership_matrix(config.n, config.k)
+        dist[start : start + size] = np.abs(sums - center[:, None]).min(axis=1)
+    return dist, resamples
+
+
+def rcal_frontier_oracle(
+    template: StudyConfig,
+    sigma_t_list: Sequence[float],
+    d_candidates: Sequence[float],
+    width_grid: Sequence[float],
+    yield_floor: float = 0.99,
+) -> list[FrontierEntry]:
+    """The resolution frontier with one study per (sigma_t, d) pair, sigma_t
+    outer and the d candidates in order, a later pair winning only on a
+    strictly larger r_cal."""
+    widths = tuple(sorted(set(float(w) for w in width_grid)))
+    center = scheme_center(template.scheme)
+    sk = template.sigma_k_abs
+    out = []
+    for st in sigma_t_list:
+        best = None  # (rcal, d, width)
+        for d in d_candidates:
+            scheme = Arithmetic(center, float(d) * sk) if d else Uniform(center)
+            cfg = dataclasses.replace(
+                template, scheme=scheme, offset=GaussianOffset(float(st)), window_widths=widths
+            )
+            for row in run_study(cfg).rows:
+                if row.failure_rate <= 1.0 - yield_floor:
+                    rc = r_cal(float(st), row.width)
+                    if best is None or rc > best[0]:
+                        best = (rc, float(d), row.width)
+                    break
+        if best is None:
+            out.append(FrontierEntry(sigma_t=float(st), feasible=False))
+        else:
+            out.append(FrontierEntry(float(st), True, best[0], best[1], best[2]))
+    return out
 
 
 def scaled(wave: EdgeWaveform, gain: float) -> EdgeWaveform:

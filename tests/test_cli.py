@@ -267,6 +267,55 @@ def test_sample_count_over_the_memory_bound_is_rejected_before_any_sample(
     assert captured.out == "" and not out.exists()
 
 
+_OVER_LIMIT = ", above the 1073741824-byte limit"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["study", "a-sweep"], "study.k = -1\n", "need 1 <= k <= n, got n=12 k=-1"),
+        (["dac", "yield"], "dac.lsb_bits = 1000000000\n",
+         "lsb_bits = 1000000000 needs arrays of 2**lsb_bits items" + _OVER_LIMIT),
+        (["dac", "self-heal"], "heal.msb_bits = 1000000000\n",
+         "msb_bits = 1000000000 needs arrays of 2**msb_bits items" + _OVER_LIMIT),
+        (["dac", "self-heal"], "heal.lsb_bits = 1000000000\n",
+         "lsb_bits = 1000000000 needs arrays of 2**lsb_bits items" + _OVER_LIMIT),
+        # C(20000, 10000) has 6020 digits, past Python's int-to-string limit
+        (["dac", "yield"], "dac.n = 20000\ndac.k = 10000\n",
+         "the timing product needs at least 2**20002 bytes" + _OVER_LIMIT),
+    ],
+    ids=["a-sweep-k", "dac-lsb-bits", "heal-msb-bits", "heal-lsb-bits", "dac-huge-comb"],
+)
+def test_hostile_geometry_is_rejected_before_any_work(
+    tmp_path, capsys, monkeypatch, command, text, message
+):
+    def work_must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the geometry was checked")
+
+    monkeypatch.setattr(studies, "_block_distances", work_must_not_run)
+    monkeypatch.setattr(csdac, "parallel_indexed", work_must_not_run)
+    cfg = write_cfg(tmp_path, "hostile.cfg", text)
+    out = tmp_path / "out"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_negative_zero_sigma_runs_as_zero(tmp_path, capsys):
+    # numpy refuses a scale of -0.0, which passes every `< 0.0` check
+    written = []
+    for value in ("-0.0", "0.0"):
+        cfg = write_cfg(tmp_path, "zero.cfg", f"dac.sub_sigma = {value}\n")
+        out = tmp_path / value
+        assert main(["dac", "yield", "--config", cfg, "--samples", "100", "--out", str(out)]) == 0
+        names = sorted(name for name in os.listdir(out) if name != "manifest.json")
+        written.append({name: (out / name).read_bytes() for name in names})
+        assert read_json(out / "manifest.json")["config"]["dac.sub_sigma"] == 0.0
+    capsys.readouterr()
+    assert written[0] == written[1] and "yield_rows.csv" in written[0]
+
+
 @pytest.mark.parametrize(
     "cls, keys, derived",
     [

@@ -7,6 +7,7 @@ cross-checked against the public per-sample search API on a reproduced block.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,8 +18,10 @@ from subsetcal.mismatch import (
     Arithmetic,
     ConfigError,
     MismatchModel,
+    Uniform,
     find_best,
 )
+from subsetcal import studies
 from subsetcal.reporting import FigureDataset, emit_figure
 from subsetcal.studies import (
     BLOCK,
@@ -31,11 +34,12 @@ from subsetcal.studies import (
     min_distances,
     r_cal,
     rcal_frontier,
+    run_studies,
     run_study,
     study_csv_rows,
 )
 
-from oracles import failure_rate
+from oracles import failure_rate, one_pass_distances, rcal_frontier_oracle
 
 
 def phi(x: float) -> float:
@@ -153,6 +157,85 @@ def test_block_distances_match_find_best_residuals():
     for i in range(0, 300, 17):
         _, residual = find_best(realized[i], c.k, target)
         assert abs(residual) == pytest.approx(dist[i], rel=1e-9, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# offsets sharing a block, chunked reduction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK + 1, 3 * BLOCK + 123])
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        (FixedOffset(0.0), FixedOffset(1.0), FixedOffset(3.0)),
+        (GaussianOffset(0.25), GaussianOffset(0.0), GaussianOffset(2.0)),
+        (FixedOffset(2.0), GaussianOffset(1.0), FixedOffset(0.0)),
+    ],
+    ids=["fixed", "gaussian", "mixed"],
+)
+def test_shared_offsets_equal_their_own_studies(samples, offsets):
+    # a 0.4 relative sigma makes the draw redraw non-positive elements, so
+    # the shared resample count is checked as well
+    c = cfg(
+        samples=samples, scheme=Arithmetic(1.0, 0.05), model=MismatchModel(0.4, 1.0),
+        window_widths=(0.02, 0.1, 0.5, 2.0),
+    )
+    shared = run_studies(c, offsets)
+    assert shared == [run_study(dataclasses.replace(c, offset=o)) for o in offsets]
+    for offset, result in zip(offsets, shared):
+        own = dataclasses.replace(c, offset=offset)
+        dist, resamples = one_pass_distances(own)
+        assert result.config == own
+        assert result.resamples == resamples
+        assert [row.failures for row in result.rows] == [
+            int(np.count_nonzero(dist > (w * own.sigma_k_abs) / 2.0)) for w in c.window_widths
+        ]
+    if samples > BLOCK:
+        assert shared[0].resamples > 0
+
+
+def test_frontier_equals_the_per_offset_oracle():
+    t = cfg(samples=3000)
+    grid = (0.035, 0.05, 0.0911, 0.2078, 0.369, 0.7, 1.0414)
+    args = (t, [0.0, 1.0, 3.0, 7.0], [0.0, 0.25, 0.5, 1.0, 2.65], grid)
+    entries = rcal_frontier(*args, yield_floor=0.95)
+    assert entries == rcal_frontier_oracle(*args, yield_floor=0.95)
+    assert len({e.d_eses for e in entries}) > 1  # the winning step moves with sigma_t
+
+
+def test_frontier_tie_keeps_the_first_step():
+    # only the 20-sigma_k width is feasible, so every step ties at one r_cal
+    # and the first candidate keeps the entry, as in the per-offset loop
+    t = cfg(samples=2000)
+    args = (t, [0.0, 2.0], [0.5, 0.0, 0.25], [1e-4, 20.0])
+    entries = rcal_frontier(*args)
+    assert entries == rcal_frontier_oracle(*args)
+    assert [(e.d_eses, e.width) for e in entries] == [(0.5, 20.0), (0.5, 20.0)]
+    for st in (0.0, 2.0):
+        for scheme in (Uniform(1.0), Arithmetic(1.0, 0.25 * t.sigma_k_abs)):  # d = 0, 0.25
+            late = dataclasses.replace(
+                t, scheme=scheme, offset=GaussianOffset(st), window_widths=(1e-4, 20.0)
+            )
+            rows = run_study(late).rows
+            assert rows[0].failure_rate > 0.01 and rows[1].failures == 0  # a tie
+
+
+@pytest.mark.parametrize(
+    "n, k, samples",
+    [(12, 6, 2 * BLOCK + 50), (10, 3, BLOCK + 7), (18, 9, 7)],
+    ids=["924-sums", "120-sums", "one-row-chunks"],
+)
+def test_chunk_boundaries_are_invisible(n, k, samples):
+    step = max(1, studies._CHUNK_BYTES // (8 * math.comb(n, k)))
+    # a chunk ends inside the full block and inside the last one
+    assert step == 1 or (BLOCK % step and samples % BLOCK % step)
+    for offset in (FixedOffset(0.5), GaussianOffset(1.5)):
+        c = cfg(n=n, k=k, samples=samples, offset=offset, scheme=Arithmetic(1.0, 0.002))
+        dist, resamples = studies.min_distances(c)
+        expect, expect_resamples = one_pass_distances(c)
+        assert np.array_equal(dist, expect)
+        assert resamples == expect_resamples
 
 
 # ---------------------------------------------------------------------------
