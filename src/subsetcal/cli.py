@@ -411,12 +411,15 @@ _HEAL_SCHEMA: Schema = {
 
 
 def _dac_config(cfg: dict) -> DacConfig:
+    """The converter config.  With a graded scheme it is first checked with
+    equal sizes at the center, so the cell-draw bound limits n before the n
+    graded sizes are listed."""
     n, center, step = cfg["dac.n"], cfg["dac.sub_center"], cfg["dac.sub_step"]
+    config = DacConfig(ucc_sub_scheme=Uniform(center), **_field_values(cfg, _DAC_FIELDS))
     if step == 0.0:
-        scheme = Uniform(center)
-    else:
-        scheme = Explicit(tuple(center + (i - (n - 1) / 2.0) * step for i in range(n)))
-    return DacConfig(ucc_sub_scheme=scheme, **_field_values(cfg, _DAC_FIELDS))
+        return config
+    sizes = (center + (i - (n - 1) / 2.0) * step for i in range(n))
+    return dataclasses.replace(config, ucc_sub_scheme=Explicit(sizes))
 
 
 def _yield_datasets(study, columns: Sequence[str], figure_id: str) -> list[FigureDataset]:

@@ -134,6 +134,15 @@ class _LsbBank:
             raise ConfigError("lsb_sigma_factor must be > 0")
         check_array_bytes("the LSB values", (self.lsb_levels,))
 
+    def _check_derived_sigmas(self) -> None:
+        """Finite inputs can derive an infinite UCC or LSB-unit sigma (a
+        1e308 sigma times sqrt(k), a 5e-324 ``lsb_sigma_factor``), which the
+        LSB bank's draw cannot sum."""
+        for name in ("ucc_sigma", "lsb_unit_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"the derived {name} is {value}, not a finite current")
+
     @property
     def n_ucc(self) -> int:
         return 2**self.msb_bits - 1
@@ -183,6 +192,7 @@ class DacConfig(_LsbBank):
             raise ConfigError("sigmas must be >= 0")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        self._check_derived_sigmas()
         check_array_bytes("the cell draw", (self.n_ucc, 4 * self.n + 3))
         check_array_bytes("the timing product", (self.n_ucc, 2, math.comb(self.n, self.k)))
         nominal_sum = self.k * scheme_center(self.ucc_sub_scheme)
@@ -663,6 +673,7 @@ class SelfHealConfig(_LsbBank):
         if self.backup_ucc_count < 0:
             raise ConfigError("backup_ucc_count must be >= 0")
         self._check_lsb_bank()
+        self._check_derived_sigmas()
         check_array_bytes("the element draw", (self.n_ucc + self.backup_ucc_count + 1, self.n))
         check_array_bytes("the combination table", (math.comb(self.n, self.k), self.k))
         check_array_bytes("the cell trial draw", (self.n_ucc, self.cell_trial_limit))

@@ -414,9 +414,12 @@ def _lo_edges(
     (cyclically): phase p with amplitude +amp and phase p + 4 with -amp for
     each branch p of the path, amp = gain * positional weight.  Timing errors
     are fixed in seconds, so their fractional (phase) impact scales with f.
-    Levels are read on the union of the twelve edges and added wave by wave
-    in a zero array, the order ``tests/oracles.combine`` adds them in, so
-    every value equals the square-wave sum's bit for bit.
+    The twelve edges are Python floats, each reduced modulo 1 twice as the
+    square wave and its caller reduce it (float ``%`` and ``np.mod`` round
+    alike).  Levels are read on the sorted set of the edges, each starting
+    at 0.0 and adding amp * (1.0 or 0.0) wave by wave, the order
+    ``tests/oracles.combine`` adds them in, so every value, the sign of a
+    zero included, equals the square-wave sum's bit for bit.
     """
     if path not in PATH_BRANCHES:
         raise ConfigError(f"path must be 'I' or 'Q', got {path!r}")
@@ -425,25 +428,29 @@ def _lo_edges(
     _check_edge_errors(sample, f)
     if not math.isfinite(f):
         raise ConfigError(f"frequency must be finite, got {f}")
-    cfg = sample.config
-    branches = PATH_BRANCHES[path]
-    phases = np.array([(bi, bi + 4) for bi in branches]).ravel()
-    gains = [_branch_gain(sample, bi) * weight for bi, weight in zip(branches, cfg.weights)]
-    amps = [sign * amp for amp in gains for sign in (1.0, -1.0)]
-    rise = np.mod((phases / 8.0 + f * sample.rise_errors[phases]) % 1.0, 1.0)
-    fall = np.mod((phases / 8.0 + 0.5 + f * sample.fall_errors[phases]) % 1.0, 1.0)
-    if np.any(rise == fall):
-        raise ConfigError("square_wave needs distinct rise/fall times")
-    times = np.unique(np.concatenate((rise, fall)))
-    after_rise, before_fall = times >= rise[:, None], times < fall[:, None]
-    high = np.where((rise < fall)[:, None], after_rise & before_fall, after_rise | before_fall)
-    levels = np.zeros_like(times)
-    for amp, wave in zip(amps, high):
-        levels += amp * wave
-    keep = levels != np.concatenate((levels[-1:], levels[:-1]))  # level before each edge
-    if not np.any(keep):  # the LO is constant
-        return times[:0], levels[:0], float(levels[0])
-    return times[keep], levels[keep], 0.0
+    rise_errors, fall_errors = sample.rise_errors.tolist(), sample.fall_errors.tolist()
+    waves = []  # (amplitude, rise, fall) of each square wave
+    for bi, weight in zip(PATH_BRANCHES[path], sample.config.weights):
+        amp = _branch_gain(sample, bi) * weight
+        for p, sign in ((bi, 1.0), (bi + 4, -1.0)):
+            rise = ((p / 8.0 + f * rise_errors[p]) % 1.0) % 1.0
+            fall = ((p / 8.0 + 0.5 + f * fall_errors[p]) % 1.0) % 1.0
+            if rise == fall:
+                raise ConfigError("square_wave needs distinct rise/fall times")
+            waves.append((sign * amp, rise, fall))
+    times = sorted({edge for _, rise, fall in waves for edge in (rise, fall)})
+    levels = []
+    for t in times:
+        level = 0.0
+        for amp, rise, fall in waves:
+            high = rise <= t < fall if rise < fall else (rise <= t or t < fall)
+            level += amp * (1.0 if high else 0.0)
+        levels.append(level)
+    # an edge is kept where its level differs from the one before it, cyclically
+    kept = [i for i, level in enumerate(levels) if level != levels[i - 1]]
+    if not kept:  # the LO is constant
+        return np.empty(0), np.empty(0), levels[0]
+    return np.array([times[i] for i in kept]), np.array([levels[i] for i in kept]), 0.0
 
 
 def effective_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWaveform:
@@ -513,7 +520,11 @@ class CalReport:
     def to_json_dict(self) -> dict:
         return {
             "selections": {k: list(v) for k, v in sorted(self.selections.items())},
-            "trace": [dataclasses.asdict(s) for s in self.steps],
+            "trace": [  # no deep copy, as dataclasses.asdict makes of every field
+                {"stage": s.stage, "iteration": s.iteration, "target": s.target,
+                 "objective_before": s.objective_before, "objective_after": s.objective_after}
+                for s in self.steps
+            ],
         }
 
 
@@ -707,6 +718,14 @@ def _calibrate_stage(
     its "after" is its "before", the value that trial would measure.  Steps
     carry ``iteration``, or their pass index when it is None.  ``tables``
     holds the knobs' candidate values (``_knob_candidates``).
+
+    Path, harmonic, frequency and ``tables`` are fixed within one call, and
+    every value a search reads derives from the selections, so a knob
+    searched again at the same selection vector has the same best row.
+    ``searched`` keeps each (knob, selection vector) pair's best row for the
+    call, and a repeated pair (a stage's last pass mostly confirms the one
+    before) skips only the search.  A repeat whose best row is not the one
+    set follows a rejected trial, and builds and measures that trial again.
     """
 
     def measure(s: HrReceiverSample) -> float:
@@ -714,11 +733,15 @@ def _calibrate_stage(
             return _branch_objective(s, int(knobs[0][-1]) % 4, n, f)
         return measure_harmonic_power(s, path, n, f)
 
+    searched: dict[tuple[str, bytes], int] = {}
     before = measure(sample)
     for pass_index in range(_MAX_STAGE_PASSES):
         changed = False
         for name in knobs:
-            best = _best_selection(sample, name, path, n, f, tables)
+            key = (name, sample.selection.tobytes())
+            best = searched.get(key)
+            if best is None:
+                best = searched[key] = _best_selection(sample, name, path, n, f, tables)
             after = before
             if best != sample.selection[_KNOB_ROWS[name]]:
                 trial = _with_knob(sample, name, best)

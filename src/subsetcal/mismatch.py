@@ -108,9 +108,13 @@ class Arithmetic:
 
 @dataclass(frozen=True)
 class Explicit:
-    """Nominal sizes given literally, one per element."""
+    """Nominal sizes given literally, one per element, from any iterable
+    (kept as a tuple)."""
 
     sizes: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sizes", tuple(self.sizes))
 
 
 SizingScheme = Union[Uniform, Arithmetic, Explicit]

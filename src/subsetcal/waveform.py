@@ -116,20 +116,45 @@ def edge_fourier(times, deltas, n) -> np.ndarray:
     return (phase * deltas).sum(axis=-1) / (2j * np.pi * n)
 
 
+#: most edges whose row sum ``moved_edge_fourier`` reproduces: up to 64
+#: complex values numpy's add reduction sums in one unrolled block; longer
+#: rows it splits pairwise
+_MAX_MOVED_EDGES = 64
+
+
 def moved_edge_fourier(times, deltas, n, edge, moved) -> np.ndarray:
     """``edge_fourier`` of the batch of edge lists equal to the 1-D ``times``
     but for edge ``edge``, which takes each value of ``moved`` in turn.
 
-    Only the moved edge's phase is evaluated per list; the fixed phases are
-    evaluated once.  The (len(moved), E) phase product, its sum and the
-    division are those ``edge_fourier`` takes on the explicit batch, so
-    every coefficient equals that one bit for bit.
+    The E fixed terms d * exp(-j 2 pi n t) are evaluated once and the moved
+    edge's term once per list; no (len(moved), E) array is built.  The terms
+    are added in the order numpy's add reduction sums a row of E <= 64
+    complex values: four lanes t0..t3, each adding every fourth term after
+    it, then (lane0 + lane1) + (lane2 + lane3), then the E % 4 last terms
+    one by one, all added to 0.  For E = 4 that is 0 + ((t0 + t1) + (t2 +
+    t3)).  With the products and the division ``edge_fourier`` takes, every
+    coefficient equals its coefficient of the explicit batch bit for bit.
     """
     times = np.asarray(times, dtype=float)
-    phase = np.empty((np.size(moved), times.size), dtype=complex)
-    phase[:] = np.exp((-2j * np.pi * n) * times)
-    phase[:, edge] = np.exp((-2j * np.pi * n) * np.asarray(moved, dtype=float))
-    return (phase * deltas).sum(axis=-1) / (2j * np.pi * n)
+    count = times.size
+    if count > _MAX_MOVED_EDGES:
+        raise ConfigError(f"moved_edge_fourier takes at most {_MAX_MOVED_EDGES} edges")
+    w = -2j * np.pi * n
+    terms = (np.exp(w * times) * deltas).tolist()
+    terms[edge] = np.exp(w * np.asarray(moved, dtype=float)) * deltas[edge]
+    if count < 4:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+    else:
+        tail = count - count % 4
+        lanes = terms[:4]
+        for start in range(4, tail, 4):
+            lanes = [lane + term for lane, term in zip(lanes, terms[start : start + 4])]
+        total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        for term in terms[tail:]:
+            total = total + term
+    return (0.0 + total) / (2j * np.pi * n)
 
 
 def fourier_coeff(waveform: EdgeWaveform, n: int) -> complex:

@@ -9,7 +9,8 @@ sum of waveforms and the receiver's effective LO built from it, one square
 wave per phase, the set-by-set element draw with its subset sum, the scalar
 inverse-width delay law that the receiver's and the converter's timing
 networks are checked against, one network or one subset at a time, the
-mixer's knob scorer with all four edges of every candidate evaluated, and
+mixer's knob scorer with all four edges of every candidate evaluated, the
+mixer's calibration stage with a search at every step, and
 the self-heal controller as one audition at a time with an index tuple per
 healed cell: the tests check the package's fast paths against them, and no
 program code needs them.
@@ -23,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from subsetcal import hrmixer
 from subsetcal.csdac import DacSample, SelfHealSample, ucc_currents
 from subsetcal.hrmixer import (
     _KNOB_ROWS,
@@ -404,6 +406,47 @@ def knob_objectives(
         unit = {h: unit[h] * np.exp(-2j * np.pi * h * f * shift) for h in harmonics}
     c1, cn = (rest[h] + amp * unit[h] for h in harmonics)
     return np.abs(cn) ** 2 / np.abs(c1) ** 2
+
+
+def calibrate_stage(
+    sample: HrReceiverSample,
+    steps: list,
+    stage: str,
+    iteration: Optional[int],
+    knobs: Sequence[str],
+    path: Optional[str],
+    n: int,
+    f: float,
+    tables: dict,
+) -> HrReceiverSample:
+    """``hrmixer._calibrate_stage`` with a closed-form search at every step,
+    also where the stage has already searched the knob at the same
+    selections.  The searches, trials and measures go through the
+    ``hrmixer`` module, so a test that patches them there patches both."""
+
+    def measure(s: HrReceiverSample) -> float:
+        if path is None:
+            return hrmixer._branch_objective(s, int(knobs[0][-1]) % 4, n, f)
+        return hrmixer.measure_harmonic_power(s, path, n, f)
+
+    before = measure(sample)
+    for pass_index in range(hrmixer._MAX_STAGE_PASSES):
+        changed = False
+        for name in knobs:
+            best = hrmixer._best_selection(sample, name, path, n, f, tables)
+            after = before
+            if best != sample.selection[_KNOB_ROWS[name]]:
+                trial = hrmixer._with_knob(sample, name, best)
+                measured = measure(trial)
+                if measured <= before:
+                    sample, after = trial, measured
+                    changed = changed or after < before
+            label = pass_index if iteration is None else iteration
+            steps.append(hrmixer.CalStep(stage, label, name, before, after))
+            before = after
+        if not changed:
+            break
+    return sample
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

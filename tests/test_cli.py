@@ -289,17 +289,48 @@ _OVER_LIMIT = ", above the 1073741824-byte limit"
 def test_hostile_geometry_is_rejected_before_any_work(
     tmp_path, capsys, monkeypatch, command, text, message
 ):
+    assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text, message)
+
+
+def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text, message):
+    """``command`` under the config ``text`` exits 2 with ``message`` alone on
+    stderr, before any study, converter or graded size list is made, and
+    leaves no output directory."""
+
     def work_must_not_run(*args, **kwargs):
-        raise AssertionError("work started before the geometry was checked")
+        raise AssertionError("work started before the config was checked")
 
     monkeypatch.setattr(studies, "_block_distances", work_must_not_run)
     monkeypatch.setattr(csdac, "parallel_indexed", work_must_not_run)
+    monkeypatch.setattr(cli, "Explicit", work_must_not_run)  # n graded sizes
     cfg = write_cfg(tmp_path, "hostile.cfg", text)
     out = tmp_path / "out"
     assert main([*command, "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["dac", "yield"], "dac.lsb_sigma_factor = 5e-324\n",
+         "the derived lsb_unit_sigma is inf, not a finite current"),
+        (["dac", "yield", "--flow", "timing"], "dac.sub_sigma = 1e308\n",
+         "the derived ucc_sigma is inf, not a finite current"),
+        (["dac", "self-heal"], "heal.lsb_sigma_factor = 5e-324\n",
+         "the derived lsb_unit_sigma is inf, not a finite current"),
+        # listing the n graded sizes before DacConfig checks n would not
+        # end; the patched Explicit fails before it takes the first size
+        (["dac", "yield"], "dac.n = 1000000000\n",
+         "the cell draw (63, 4000000003) needs 2016000001512 bytes" + _OVER_LIMIT),
+    ],
+    ids=["dac-lsb-sigma-factor", "dac-sub-sigma", "heal-lsb-sigma-factor", "dac-huge-n"],
+)
+def test_hostile_dac_values_are_rejected_before_any_work(
+    tmp_path, capsys, monkeypatch, command, text, message
+):
+    assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text, message)
 
 
 def test_negative_zero_sigma_runs_as_zero(tmp_path, capsys):

@@ -7,8 +7,10 @@ midpoint-Riemann demodulation of the composite LO built from boolean phase
 masks rather than edge algebra.  The array receiver's draw and derived state
 are checked bit for bit against set-by-set draws and the scalar
 inverse-width delay law in ``oracles``, its array-form effective LO
-against the sum of six square-wave objects there, and its knob search
-against the scorer there that evaluates all four edges of every candidate.
+against the sum of six square-wave objects there, its knob search
+against the scorer there that evaluates all four edges of every candidate,
+and its calibration stages against the stage loop there that searches at
+every step.
 Calibration behavior is asserted as properties: per-step objectives never
 regress, repeated iterations agree, and population statistics land in the
 documented bands; one hash pins every step and HRR of 24 receivers.
@@ -55,6 +57,7 @@ from subsetcal.mismatch import (
 from subsetcal.runner import sample_substream
 
 from oracles import (
+    calibrate_stage as oracle_calibrate_stage,
     hrr,
     ideal_receiver,
     inverter_deviation,
@@ -366,7 +369,7 @@ def test_degenerate_receiver_raises():
     oracle = square_wave_lo(dead, "I", f0)
     assert n_edges(oracle) == 0 and fourier_coeff(oracle, 1) == 0
     lo = effective_lo(dead, "I", f0)
-    assert n_edges(lo) == 0 and lo.dc == oracle.dc
+    assert n_edges(lo) == 0 and lo.dc.hex() == oracle.dc.hex() == "0x0.0p+0"  # not -0.0
     message = "effective LO has no fundamental component"
     with pytest.raises(DegenerateConfigurationError, match=message):
         hrr(dead, "I", 3, f0)
@@ -566,11 +569,25 @@ def assert_state_matches_scratch(sample: HrReceiverSample) -> None:
         assert hrmixer._branch_gain(sample, m) == receiver_gain(sample, m)
 
 
+class StepLog(list):
+    """A stage's step list that logs each step into ``events`` as it comes."""
+
+    def __init__(self, events: list):
+        super().__init__()
+        self.events = events
+
+    def append(self, step) -> None:
+        self.events.append(("step", step))
+        super().append(step)
+
+
 def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
     # every receiver a step builds and every receiver a measure reads is
-    # checked; a step builds a trial unless its best row is the one already
-    # selected, and then its objective stays exactly where it was
-    measured, trials, choices = [], [], []
+    # checked.  A step searches unless its stage has already searched the
+    # knob at the same selections (a repeat), and it builds a trial unless
+    # its best row is the one already selected, when its objective stays
+    # exactly where it was
+    measured, trials, choices, events, keys = [], [], [], [], []
 
     def checking(original):
         def measure(sample, *args):
@@ -584,18 +601,30 @@ def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
         moved = original_with_knob(sample, name, best)
         assert_state_matches_scratch(moved)
         trials.append(moved)
+        events.append(("trial", name))
         return moved
 
     def best_selection(sample, name, *args):
         best = original_best(sample, name, *args)
         choices.append(best != sample.selection[hrmixer._KNOB_ROWS[name]])
+        events.append(("search", choices[-1]))
+        keys[-1].append((name, sample.selection.tobytes()))
         return best
 
+    def calibrate_stage(sample, steps, *args):
+        keys.append([])
+        logged = StepLog(events)
+        sample = original_stage(sample, logged, *args)
+        steps += logged
+        return sample
+
     original_with_knob, original_best = hrmixer._with_knob, hrmixer._best_selection
+    original_stage = hrmixer._calibrate_stage
     for name in ("measure_harmonic_power", "_branch_objective"):
         monkeypatch.setattr(hrmixer, name, checking(getattr(hrmixer, name)))
     monkeypatch.setattr(hrmixer, "_with_knob", with_knob)
     monkeypatch.setattr(hrmixer, "_best_selection", best_selection)
+    monkeypatch.setattr(hrmixer, "_calibrate_stage", calibrate_stage)
     steps = []
     for i in range(4):
         s = seeded_sample(i)
@@ -605,11 +634,29 @@ def test_derived_state_is_fresh_after_every_calibration_step(monkeypatch):
         assert_state_matches_scratch(s)
         assert any(st.objective_after < st.objective_before for st in even.steps + odd.steps)
         steps += even.steps + odd.steps
-    assert len(steps) == len(choices) > 4 * 50
-    for step, built in zip(steps, choices):
+    records = []  # per step: the step, its search's choice (None: a repeat), a trial built
+    search, trial = None, False
+    for kind, value in events:
+        if kind == "step":
+            records.append((value, search, trial))
+            search, trial = None, False
+        elif kind == "search":
+            assert search is None and not trial  # one search at most, before any trial
+            search = value
+        else:
+            assert not trial
+            trial = True
+    assert [step for step, _, _ in records] == steps
+    repeats = [record for record in records if record[1] is None]
+    assert len(steps) == len(choices) + len(repeats) > 4 * 50
+    assert repeats  # some steps repeat a search their stage has made
+    for step, choice, built in records:
+        assert choice is None or built == choice
         assert built or step.objective_after == step.objective_before
-    assert len(trials) == sum(choices) > 0
+    assert len(trials) == sum(built for _, _, built in records) >= sum(choices) > 0
     assert sum(choices) < len(steps)  # some steps choose the row already set
+    for stage_keys in keys:  # no stage searches a knob twice at one selection
+        assert len(set(stage_keys)) == len(stage_keys)
     # each of the 4 + 8 stages of a receiver measures at its start, and each
     # trial once
     assert len(measured) == len(trials) + 4 * (4 + 8)
@@ -692,7 +739,12 @@ LO_CONFIGS = {
     "rewind": HrConfig(element_rel_sigma=0.5, clock_delay_sigma=0.0, diff_phase_sigma=0.0),
     "zero-timing": HrConfig(clock_delay_sigma=0.0, diff_phase_sigma=0.0),
 }
-LO_FREQUENCIES = {"f_low": lambda c: c.f_low, "f0": lambda c: c.f0, "1.3 f0": lambda c: 1.3 * c.f0}
+#: at 1 nHz an edge error shifts its edge by less than half an ulp, so the
+#: rise of phase p and the fall of phase p + 4 coincide on a drawn receiver
+LO_FREQUENCIES = {
+    "f_low": lambda c: c.f_low, "f0": lambda c: c.f0, "1.3 f0": lambda c: 1.3 * c.f0,
+    "1 nHz": lambda c: 1e-9,
+}
 
 
 def hex_parts(c: complex) -> tuple[str, str]:
@@ -728,17 +780,20 @@ def moved_receiver(config: str, seed: int, moves) -> HrReceiverSample:
 @example(config="k8", seed=1, moves=[], path="I", n=3, frequency="f0")
 @example(config="rewind", seed=2, moves=[(9, 5)], path="Q", n=2, frequency="1.3 f0")
 @example(config="zero-timing", seed=1, moves=[], path="I", n=5, frequency="f_low")
+@example(config="default", seed=3, moves=[(12, 9)], path="Q", n=3, frequency="1 nHz")
 def test_array_lo_equals_the_square_wave_oracle(config, seed, moves, path, n, frequency):
     """c1, cn and the edge list equal, bit for bit, ``combine`` of six
     ``square_wave`` objects."""
     sample = moved_receiver(config, seed, moves)
     f = LO_FREQUENCIES[frequency](sample.config)
+    if frequency == "1 nHz":  # the rise of phase 2 is the fall of phase 6
+        assert (0.25 + f * sample.rise_errors[2]) % 1.0 == (1.25 + f * sample.fall_errors[6]) % 1.0
     oracle = square_wave_lo(sample, path, f)
     c1, cn = hrmixer._first_and_nth(sample, path, n, f)
     assert hex_parts(c1) == hex_parts(fourier_coeff(oracle, 1))
     assert hex_parts(cn) == hex_parts(fourier_coeff(oracle, n))
     lo = effective_lo(sample, path, f)
-    assert lo.period == oracle.period and lo.dc == oracle.dc
+    assert lo.period == oracle.period and lo.dc.hex() == oracle.dc.hex()
     assert lo.times.tobytes() == oracle.times.tobytes()
     assert lo.levels.tobytes() == oracle.levels.tobytes()
 
@@ -802,6 +857,95 @@ def test_sweep_hrr_equals_per_point_oracle_hrr(config, seed, moves, path):
         for n in n_list
     ]
     assert got == expect
+
+
+# ---------------------------------------------------------------------------
+# a stage's repeated steps against the loop that searches every step
+# ---------------------------------------------------------------------------
+
+
+def calibrate_configs(configs) -> list[tuple]:
+    """(even report, odd report, calibrated receiver) of seeds 1 to count
+    of each ``LO_CONFIGS`` entry in ``configs``."""
+    out = []
+    for config, count in configs:
+        for seed in range(1, count + 1):
+            sample, even = calibrate_even_order(sample_receiver(LO_CONFIGS[config], seed))
+            sample, odd = calibrate_odd_order(sample)
+            out.append((even, odd, sample))
+    return out
+
+
+RECEIVER_ARRAYS = (
+    "elements", "extrinsic", "selection", "selected", "tail_ratios", "deviations",
+    "rise_errors", "fall_errors",
+)
+
+
+def test_calibration_equals_the_stage_loop_that_searches_every_step(monkeypatch):
+    """24 receivers over ``LO_CONFIGS`` calibrate to equal steps, selections
+    and receiver arrays when every step searches (``oracles.calibrate_stage``)
+    as when a stage reuses its search of a repeated knob and selection."""
+    searches = []
+
+    def best_selection(*args):
+        searches[-1] += 1
+        return original_best(*args)
+
+    original_best = hrmixer._best_selection
+    monkeypatch.setattr(hrmixer, "_best_selection", best_selection)
+    configs = [(config, 6) for config in sorted(LO_CONFIGS)]
+    searches.append(0)
+    fast = calibrate_configs(configs)
+    monkeypatch.setattr(hrmixer, "_calibrate_stage", oracle_calibrate_stage)
+    searches.append(0)
+    expect = calibrate_configs(configs)
+    assert len(fast) == len(expect) == 24
+    for (even, odd, sample), (even_o, odd_o, sample_o) in zip(fast, expect):
+        assert even.steps == even_o.steps and odd.steps == odd_o.steps  # floats by ==
+        assert even.selections == even_o.selections and odd.selections == odd_o.selections
+        for name in RECEIVER_ARRAYS:
+            assert getattr(sample, name).tobytes() == getattr(sample_o, name).tobytes()
+    assert 0 < searches[0] < searches[1]
+
+
+def test_a_repeat_after_a_rejected_trial_builds_and_measures_it_again(monkeypatch):
+    """A tail1 trial that always measures worse is rejected in pass 0.  Pass
+    1 repeats tail1 at the same selections, so it takes the first search's
+    best row, which is not the one set, and builds and measures that trial
+    again, as the loop that searches every step does."""
+    sample = seeded_sample(0)
+    row = hrmixer._KNOB_ROWS["tail1"]
+    start = sample.selection[row]
+    searched, built = [], []
+
+    def measure(s, *args):  # any move of tail1 measures twice as bad
+        return original_measure(s, *args) * (1.0 if s.selection[row] == start else 2.0)
+
+    def best_selection(s, name, *args):
+        searched.append(name)
+        return original_best(s, name, *args)
+
+    def with_knob(s, name, best):
+        built.append(name)
+        return original_with_knob(s, name, best)
+
+    original_measure = hrmixer.measure_harmonic_power
+    original_best, original_with_knob = hrmixer._best_selection, hrmixer._with_knob
+    monkeypatch.setattr(hrmixer, "measure_harmonic_power", measure)
+    monkeypatch.setattr(hrmixer, "_best_selection", best_selection)
+    monkeypatch.setattr(hrmixer, "_with_knob", with_knob)
+    args = ("gain", 1, ("tail0", "tail1"), "I", 3, sample.config.f_low)
+    steps, expect = [], []
+    out = hrmixer._calibrate_stage(sample, steps, *args, {})
+    assert searched == ["tail0", "tail1", "tail0"] and built == ["tail0", "tail1", "tail1"]
+    oracle_out = oracle_calibrate_stage(sample, expect, *args, {})
+    assert steps == expect and out.selection.tobytes() == oracle_out.selection.tobytes()
+    # pass 0 commits tail0 and rejects tail1; pass 1 changes nothing
+    assert [st.target for st in steps] == ["tail0", "tail1", "tail0", "tail1"]
+    assert steps[0].objective_after < steps[0].objective_before
+    assert all(st.objective_after == st.objective_before for st in steps[1:])
+    assert out.selection[row] == start
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,29 @@ def test_moved_edge_fourier_equals_the_explicit_batch(seed, edges, batch, n, spr
     assert got.tobytes() == edge_fourier(explicit, deltas, n).tobytes()
 
 
+@pytest.mark.parametrize("edges", range(1, 9))
+def test_moved_edge_fourier_sums_a_zero_row_as_the_batch_does(edges):
+    """Rows of signed zeros (every delta -0.0): numpy's reduction adds each
+    row to +0.0, and the coefficients keep the signs of the zeros it gives."""
+    times, deltas = np.linspace(0.0, 0.5, edges), np.full(edges, -0.0)
+    moved = np.array([0.0, 0.25, 0.75])
+    explicit = np.broadcast_to(times, (moved.size, edges)).copy()
+    explicit[:, edges // 2] = moved
+    got = moved_edge_fourier(times, deltas, 3, edges // 2, moved)
+    assert got.tobytes() == edge_fourier(explicit, deltas, 3).tobytes()
+
+
+def test_moved_edge_fourier_takes_up_to_64_edges():
+    rng = np.random.default_rng(5)
+    times, deltas, moved = rng.random(65), rng.normal(size=65), rng.random(10)
+    explicit = np.broadcast_to(times[:64], (10, 64)).copy()
+    explicit[:, 61] = moved
+    got = moved_edge_fourier(times[:64], deltas[:64], 2, 61, moved)
+    assert got.tobytes() == edge_fourier(explicit, deltas[:64], 2).tobytes()
+    with pytest.raises(ConfigError, match="at most 64 edges"):
+        moved_edge_fourier(times, deltas, 2, 61, moved)
+
+
 def test_rejects_negative_harmonic():
     with pytest.raises(ConfigError):
         fourier_coeff(square_wave(1.0, 0.0, 0.5), -1)
