@@ -508,8 +508,9 @@ def _dac_yield(cfg: dict, threads: int) -> Output:
             f"post delay sigma {study.summary['post_delay_sigma_pooled']:.3g} s,"
             f" post duty sigma {study.summary['post_duty_sigma_pooled']:.3g} s"
         )
-    else:
-        note = f"post INL p99 {study.percentiles['post_inl_max']['p99']:.3g} LSB"
+    else:  # a column with no finite value has no percentiles
+        p99 = study.percentiles.get("post_inl_max", {}).get("p99", math.nan)
+        note = f"post INL p99 {p99:.3g} LSB"
     return datasets, {}, (
         f"dac yield ({flow}): {cfg['dac.samples']} samples, {note} -> yield_rows.csv"
     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
@@ -97,6 +98,14 @@ __all__ = [
 _TIMING_REL_SIGMA = 0.01
 _TIMING_INTRINSIC_FRACTION = 0.25
 
+# A normal draw from numpy's Generator lies within 14 sigma of its mean (the
+# ziggurat's tail ends near 3.65 + 36.7 / 3.65); the bound on a drawn
+# converter's sums takes every element 16 sigma out.  Its limit leaves a
+# factor 64 for graded nominals (at most twice the center), the differences
+# taken from the sums and the float rounding of the bound itself.
+_DRAW_REACH = 16.0
+_MAX_DRAW_SUM = sys.float_info.max / 64
+
 # Default graded sub-current nominals: mean 52 uA, common difference 0.76 uA.
 DEFAULT_SUB_SCHEME = Explicit(tuple(52e-6 + (i - 5.5) * 0.76e-6 for i in range(12)))
 
@@ -134,14 +143,26 @@ class _LsbBank:
             raise ConfigError("lsb_sigma_factor must be > 0")
         check_array_bytes("the LSB values", (self.lsb_levels,))
 
-    def _check_derived_sigmas(self) -> None:
+    def _check_derived_sigmas(self, gain: float = 1.0) -> None:
         """Finite inputs can derive an infinite UCC or LSB-unit sigma (a
         1e308 sigma times sqrt(k), a 5e-324 ``lsb_sigma_factor``), which the
-        LSB bank's draw cannot sum."""
+        LSB bank's draw cannot sum.  Finite sigmas can still overflow a
+        draw's subset and curve sums, so the full-scale current with every
+        element ``_DRAW_REACH`` sigma above its nominal, times ``gain`` (a
+        bound on any factor the currents are scaled by), must stay below
+        ``_MAX_DRAW_SUM``."""
         for name in ("ucc_sigma", "lsb_unit_sigma"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"the derived {name} is {value}, not a finite current")
+        cells = self.n_ucc * (self.ucc_nominal + _DRAW_REACH * self.k * self.sub_sigma)
+        bank = self.lsb_levels * (self.lsb_unit_nominal + _DRAW_REACH * self.lsb_unit_sigma)
+        reach = (cells + bank) * gain
+        if not reach <= _MAX_DRAW_SUM:
+            raise ConfigError(
+                f"a drawn converter's full-scale current could reach {reach:.3g} A,"
+                f" above the {_MAX_DRAW_SUM:.3g} A its sums are kept below"
+            )
 
     @property
     def n_ucc(self) -> int:
@@ -321,9 +342,20 @@ class DacSample:
         expected = ((cells, n), (cells, 3, n), (cells, 3)) + ((cells,),) * 3 + ((bits,),)
         if shapes != expected:
             raise ConfigError(f"array shapes {shapes} differ from {expected}")
-        if np.any(self.amplitude <= 0.0) or np.any(self.widths <= 0.0):
-            raise ConfigError("realized sizes must be strictly positive")
-        _buffer_deviations(self)  # raises if a buffer delay is <= 0
+        _check_cells(
+            self.config, self.amplitude, self.widths, self.extrinsic,
+            self.delay_selection, self.duty_selection,
+        )
+
+
+def _check_cells(cfg: DacConfig, amplitude, widths, extrinsic, delay_selection, duty_selection):
+    """``DacSample``'s value checks, on one converter's arrays or on
+    converters stacked along leading axes: every realized size > 0, then
+    every buffer delay at its selection > 0."""
+    if np.any(amplitude <= 0.0) or np.any(widths <= 0.0):
+        raise ConfigError("realized sizes must be strictly positive")
+    # raises if a buffer delay is <= 0
+    _selected_deviations(cfg, widths, extrinsic, delay_selection, duty_selection)
 
 
 def sample_dac(config: DacConfig, rng=None) -> DacSample:
@@ -335,21 +367,31 @@ def sample_dac(config: DacConfig, rng=None) -> DacSample:
     All selections start at the balanced combination.  The cells take one
     ``_draw_units`` call.
     """
-    rng = np.random.default_rng(rng)
-    cfg = config
-    design = _cell_design(cfg)
-    n, cells = cfg.n, cfg.n_ucc
-    values = _draw_units(design.nominal, design.sigmas, design.layout, rng)
-    buffers = values[:, n:].reshape(cells, 3, n + 1)
-    amplitude = np.ascontiguousarray(values[:, :n])
-    widths = np.ascontiguousarray(buffers[..., :n])
-    extrinsic = np.ascontiguousarray(buffers[..., n])
-    bits, reference = _draw_lsb_bank(cfg, rng)
-    selection = np.full(cells, balanced_row(cfg.n, cfg.k))
+    values, bits, reference = _draw_dac(config, np.random.default_rng(rng))
+    amplitude, widths, extrinsic = _cell_arrays(values, config.n)
+    selection = np.full(config.n_ucc, balanced_row(config.n, config.k))
     selection.setflags(write=False)
     return DacSample(
-        cfg, amplitude, widths, extrinsic, selection, selection, selection, bits, reference
+        config, amplitude, widths, extrinsic, selection, selection, selection, bits, reference
     )
+
+
+def _draw_dac(
+    cfg: DacConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[float, ...], float]:
+    """One converter's draw in ``sample_dac``'s order: the (n_ucc, 4n + 3)
+    cell values, then the LSB bank's bit currents and reference."""
+    design = _cell_design(cfg)
+    values = _draw_units(design.nominal, design.sigmas, design.layout, rng)
+    return (values, *_draw_lsb_bank(cfg, rng))
+
+
+def _cell_arrays(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Contiguous amplitude (..., cells, n), widths (..., cells, 3, n) and
+    extrinsic (..., cells, 3) from drawn cell values (..., cells, 4n + 3)."""
+    buffers = values[..., n:].reshape(values.shape[:-1] + (3, n + 1))
+    parts = (values[..., :n], buffers[..., :n], buffers[..., n])
+    return tuple(np.ascontiguousarray(part) for part in parts)
 
 
 def _draw_lsb_bank(
@@ -380,12 +422,13 @@ def ucc_currents(sample: DacSample) -> np.ndarray:
 # Static transfer curve and linearity
 
 
-def _lsb_values(lsb_bit_currents: Sequence[float]) -> np.ndarray:
+def _lsb_values(lsb_bit_currents) -> np.ndarray:
     """LSB-bank current at every residue code: each code's set bits added to
-    0.0 in ascending order."""
-    values = np.zeros(2 ** len(lsb_bit_currents))
-    for b, bit_current in enumerate(lsb_bit_currents):
-        np.add(values[: 2**b], bit_current, out=values[2**b : 2 ** (b + 1)])
+    0.0 in ascending order.  Bit currents (..., bits) give (..., 2**bits)."""
+    bits = np.asarray(lsb_bit_currents, dtype=float)
+    values = np.zeros(bits.shape[:-1] + (2 ** bits.shape[-1],))
+    for b in range(bits.shape[-1]):
+        np.add(values[..., : 2**b], bits[..., b, None], out=values[..., 2**b : 2 ** (b + 1)])
     return values
 
 
@@ -474,8 +517,8 @@ def _segment_maxima(
     lsb_vals / unit - l; a DNL step inside a segment is the LSB-bank step,
     the same in every segment up to rounding.  The per-segment and per-level
     arrays bound both maxima; only the codes within the margin of a bound
-    are evaluated with the curve's own expressions, and the segment-boundary
-    steps always are.
+    are evaluated with the curve's own expressions (``_segment_candidates``),
+    and the segment-boundary steps always are.
     """
     msb_cum = np.concatenate(([0.0], np.cumsum(segment_currents)))
     levels, segments = lsb_vals.size, msb_cum.size
@@ -486,7 +529,57 @@ def _segment_maxima(
     unit = span / (n_codes - 1)
     a = (msb_cum - first) / unit - np.arange(0, n_codes, levels)
     b = lsb_vals / unit - np.arange(levels)
-    a_max, a_min, b_max, b_min = a.max(), a.min(), b.max(), b.min()
+    steps = np.abs((lsb_vals[1:] - lsb_vals[:-1]) / unit - 1.0)
+    edges = (msb_cum[1:] + lsb_vals[0]) - (msb_cum[:-1] + lsb_vals[-1])
+    boundary = np.abs(edges / unit - 1.0)
+    extremes = (first, unit, a.max(), a.min(), b.max(), b.min(), boundary.max(), steps.max())
+    return _segment_candidates(msb_cum, lsb_vals, a, b, steps, extremes)
+
+
+def _segment_maxima_rows(
+    segment_currents: np.ndarray, lsb_vals: np.ndarray
+) -> list[LinearityMaxima]:
+    """``_segment_maxima`` of converters stacked along the first axis,
+    (rows, cells) currents and (rows, levels) LSB values.  Its arrays and
+    their extremes are computed once for all rows, with one converter's
+    elementwise expressions and exact reductions, so each row's floats are
+    its own; ``_segment_candidates`` runs per converter.  ``_segment_maxima``
+    keeps its own 1-D arrays: one converter read as one row here costs about
+    a fifth more."""
+    rows, levels = lsb_vals.shape
+    msb_cum = np.zeros((rows, segment_currents.shape[1] + 1))
+    np.cumsum(segment_currents, axis=1, out=msb_cum[:, 1:])
+    n_codes = msb_cum.shape[1] * levels
+    first = msb_cum[:, 0] + lsb_vals[:, 0]
+    span = (msb_cum[:, -1] + lsb_vals[:, -1]) - first
+    for value in span.tolist():
+        _check_span(value)
+    unit = span / (n_codes - 1)
+    column = unit[:, None]
+    a = (msb_cum - first[:, None]) / column - np.arange(0, n_codes, levels)
+    b = lsb_vals / column - np.arange(levels)
+    steps = np.abs((lsb_vals[:, 1:] - lsb_vals[:, :-1]) / column - 1.0)
+    edges = (msb_cum[:, 1:] + lsb_vals[:, :1]) - (msb_cum[:, :-1] + lsb_vals[:, -1:])
+    boundary = np.abs(edges / column - 1.0)
+    extremes = (
+        first, unit, a.max(axis=1), a.min(axis=1), b.max(axis=1), b.min(axis=1),
+        boundary.max(axis=1), steps.max(axis=1),
+    )
+    return [
+        _segment_candidates(msb_cum[r], lsb_vals[r], a[r], b[r], steps[r], values)
+        for r, values in enumerate(zip(*(array.tolist() for array in extremes)))
+    ]
+
+
+def _segment_candidates(msb_cum, lsb_vals, a, b, steps, extremes) -> LinearityMaxima:
+    """One converter's maxima from ``_segment_maxima``'s arrays and their
+    ``extremes``: first, unit, the maximum and minimum of a and of b, and
+    the largest boundary and inner DNL step.  Evaluates the candidate codes,
+    or reads the full curve when ``scale`` is not finite or more than
+    ``_MAX_CANDIDATES`` codes are candidates."""
+    first, unit, a_max, a_min, b_max, b_min, boundary_max, step_max = extremes
+    levels, segments = lsb_vals.size, msb_cum.size
+    n_codes = segments * levels
     # every level / unit, first / unit and INL lies within `scale` LSB of 0
     scale = max(a_max, -a_min) + max(b_max, -b_min) + 2 * n_codes + abs(first / unit)
     if not math.isfinite(scale):
@@ -501,12 +594,7 @@ def _segment_maxima(
     if -low >= bound - margin:
         blocks.append((a <= a_min + margin, b <= b_min + margin))
     blocks = [(ms.nonzero()[0], ls.nonzero()[0]) for ms, ls in blocks]
-
-    steps = np.abs(np.diff(lsb_vals) / unit - 1.0)
-    edges = (msb_cum[1:] + lsb_vals[0]) - (msb_cum[:-1] + lsb_vals[-1])
-    boundary = np.abs(edges / unit - 1.0)
-    boundary_max = boundary.max()
-    inner = (steps >= max(steps.max(), boundary_max) - margin).nonzero()[0] + 1
+    inner = (steps >= max(step_max, boundary_max) - margin).nonzero()[0] + 1
 
     candidates = sum(ms.size * ls.size for ms, ls in blocks) + segments * inner.size
     if candidates > _MAX_CANDIDATES:
@@ -544,14 +632,21 @@ def calibrate_amplitude_eses(sample: DacSample) -> DacSample:
     One matrix product serves all cells; its last-bit rounding can differ
     from a one-cell product's, which changed no selection in 1.26e6 cells.
     """
-    distance = sample.amplitude @ membership_matrix(sample.config.n, sample.config.k)
-    distance -= sample.reference_current
-    selection = np.argmin(np.abs(distance, out=distance), axis=1)
+    selection = _closest_subsets(sample.amplitude, sample.reference_current, sample.config.k)
     # Only the amplitude selection changes; the sizes and buffer delays that
     # ``DacSample.__post_init__`` validates do not, so skip revalidating them.
     calibrated = copy.copy(sample)
     object.__setattr__(calibrated, "amplitude_selection", selection)
     return calibrated
+
+
+def _closest_subsets(amplitude: np.ndarray, reference: float, k: int) -> np.ndarray:
+    """Per cell of ``amplitude`` (cells, n), the row of
+    ``combination_index_matrix(n, k)`` whose subset sum lands closest to
+    ``reference``, from one (cells, C(n, k)) product."""
+    distance = amplitude @ membership_matrix(amplitude.shape[-1], k)
+    distance -= reference
+    return np.argmin(np.abs(distance, out=distance), axis=1)
 
 
 def uniform_comparison_config(config: DacConfig) -> DacConfig:
@@ -573,12 +668,20 @@ def _buffer_deviations(sample: DacSample) -> np.ndarray:
     """(n_ucc, 3) delay of every timing buffer at its selection relative to
     the nominal design point (base + drive), seconds; raises ConfigError if
     a delay is <= 0."""
-    cfg = sample.config
+    return _selected_deviations(
+        sample.config, sample.widths, sample.extrinsic,
+        sample.delay_selection, sample.duty_selection,
+    )
+
+
+def _selected_deviations(cfg: DacConfig, widths, extrinsic, delay_selection, duty_selection):
+    """``_buffer_deviations`` of widths (..., n_ucc, 3, n) and extrinsic
+    errors (..., n_ucc, 3), with (n_ucc,) selections."""
     design = _cell_design(cfg)
     fixed = np.full(cfg.n_ucc, balanced_row(cfg.n, cfg.k))
-    selection = np.stack([sample.delay_selection, sample.duty_selection, fixed], axis=1)
-    selected = selected_sums(sample.widths, selection, cfg.k)
-    return inverse_width_deviation(design.drives, design.halves, selected, sample.extrinsic)
+    selection = np.stack([delay_selection, duty_selection, fixed], axis=1)
+    selected = selected_sums(widths, selection, cfg.k)
+    return inverse_width_deviation(design.drives, design.halves, selected, extrinsic)
 
 
 def delay_errors(sample: DacSample) -> np.ndarray:
@@ -673,7 +776,9 @@ class SelfHealConfig(_LsbBank):
         if self.backup_ucc_count < 0:
             raise ConfigError("backup_ucc_count must be >= 0")
         self._check_lsb_bank()
-        self._check_derived_sigmas()
+        # the bias scale: a mean of bias elements, each of nominal below 2 and
+        # sigma below sqrt(2) * bias_rel_sigma
+        self._check_derived_sigmas(2.0 + _DRAW_REACH * math.sqrt(2.0) * self.bias_rel_sigma)
         check_array_bytes("the element draw", (self.n_ucc + self.backup_ucc_count + 1, self.n))
         check_array_bytes("the combination table", (math.comb(self.n, self.k), self.k))
         check_array_bytes("the cell trial draw", (self.n_ucc, self.cell_trial_limit))
@@ -1127,13 +1232,42 @@ class YieldResult:
     summary: dict
 
 
-def _amplitude_row(config: DacConfig, master_seed: int, i: int) -> tuple:
-    rng = sample_substream(master_seed, i)
-    sample = sample_dac(config, rng)
-    lsb_vals = _lsb_values(sample.lsb_bit_currents)
-    pre = _segment_maxima(ucc_currents(sample), lsb_vals)
-    post = _segment_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
-    return i, pre.inl_max, post.inl_max, pre.dnl_max, post.dnl_max
+#: converters one ``_amplitude_rows`` call stacks (no output depends on it):
+#: its arrays stay near 1 MB, and 100 samples split evenly over two workers
+_AMPLITUDE_BLOCK = 16
+
+
+def _amplitude_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
+    """Yield rows lo, ..., hi - 1 of an amplitude flow on ``config``, each
+    equal as floats to ``sample_dac``, ``calibrate_amplitude_eses`` and
+    ``_segment_maxima`` on sample i's own stream.
+
+    Each converter is drawn from its own stream.  The block then runs
+    ``DacSample``'s checks, the balanced and calibrated cell currents, the
+    LSB values and the segment bounds on stacked arrays; the subset-sum
+    product, its argmin and the candidate codes run per converter.  If any
+    converter fails, the block runs again one converter at a time, so it
+    raises the error of its lowest failing sample, as a loop over the rows
+    does.
+    """
+    try:
+        n, k = config.n, config.k
+        draws = [_draw_dac(config, sample_substream(master_seed, i)) for i in range(lo, hi)]
+        amplitude, widths, extrinsic = _cell_arrays(np.stack([d[0] for d in draws]), n)
+        balanced = np.full(config.n_ucc, balanced_row(n, k))
+        _check_cells(config, amplitude, widths, extrinsic, balanced, balanced)
+        lsb_vals = _lsb_values([d[1] for d in draws])
+        pre = _segment_maxima_rows(selected_sums(amplitude, balanced, k), lsb_vals)
+        selection = [_closest_subsets(a, d[2], k) for a, d in zip(amplitude, draws)]
+        post = _segment_maxima_rows(selected_sums(amplitude, np.stack(selection), k), lsb_vals)
+    except (ConfigError, DegenerateConfigurationError):
+        if hi - lo == 1:
+            raise
+        return [row for i in range(lo, hi) for row in _amplitude_rows(config, master_seed, i, i + 1)]
+    return [
+        (i, before.inl_max, after.inl_max, before.dnl_max, after.dnl_max)
+        for i, before, after in zip(range(lo, hi), pre, post)
+    ]
 
 
 def _timing_row(config: DacConfig, master_seed: int, i: int) -> tuple:
@@ -1162,11 +1296,12 @@ def _selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> tuple:
     return i, healed, float(result.restarts), pre.inl_max, post_inl, pre.dnl_max, post_dnl
 
 
-#: bytes one kept yield row may take: a tuple of 5 to 7 numbers, about 230 B
-#: for an amplitude or timing row and 280 B for a self-heal row, its list
-#: slot included (memory tracemalloc saw retained over 300 rows, CPython
-#: 3.11); kept at 640 B as an upper bound
-_YIELD_ROW_BYTES = 640
+#: bytes one yield row may take: a tuple of 5 to 7 numbers.  tracemalloc
+#: (CPython 3.11, 1 000 to 6 000 rows) saw a study's peak grow by 239 B a row
+#: for eses, 249 B for timing and 315 B for self-heal rows (216 to 258 B of
+#: it kept); the figure is that upper bound and about a quarter more, which
+#: also covers the pickled rows a forked worker hands back
+_YIELD_ROW_BYTES = 400
 
 
 def yield_study(
@@ -1184,7 +1319,9 @@ def yield_study(
     ``self-heal`` (window-search controller; needs a SelfHealConfig), and
     ``timing`` (delay/duty calibration sigmas).  Sample i always runs on the
     generator spawned from (master_seed, i), so results are deterministic and
-    independent of ``threads``.
+    independent of ``threads``.  ``runner.parallel_indexed`` hands out the
+    timing and self-heal rows one by one and the amplitude rows in blocks of
+    ``_AMPLITUDE_BLOCK`` converters (``_amplitude_rows``), in sample order.
     """
     if flow not in YIELD_FLOWS:
         raise ConfigError(f"flow must be one of {YIELD_FLOWS}, got {flow!r}")
@@ -1198,18 +1335,20 @@ def yield_study(
         if not isinstance(config, SelfHealConfig):
             raise ConfigError("the self-heal flow needs a SelfHealConfig")
         row_fn = lambda i: _selfheal_row(config, master_seed, i)
-    else:
-        if not isinstance(config, DacConfig):
-            raise ConfigError(f"the {flow} flow needs a DacConfig")
-        if flow == "ses":
-            run_config = uniform_comparison_config(config)
-            row_fn = lambda i: _amplitude_row(run_config, master_seed, i)
-        elif flow == "eses":
-            row_fn = lambda i: _amplitude_row(config, master_seed, i)
-        else:
-            row_fn = lambda i: _timing_row(config, master_seed, i)
-
-    rows = tuple(parallel_indexed(n_samples, row_fn, threads))
+        rows = tuple(parallel_indexed(n_samples, row_fn, threads))
+    elif not isinstance(config, DacConfig):
+        raise ConfigError(f"the {flow} flow needs a DacConfig")
+    elif flow == "timing":
+        row_fn = lambda i: _timing_row(config, master_seed, i)
+        rows = tuple(parallel_indexed(n_samples, row_fn, threads))
+    else:  # blocks of amplitude rows, flattened in order
+        run_config = uniform_comparison_config(config) if flow == "ses" else config
+        size = _AMPLITUDE_BLOCK
+        block_fn = lambda j: _amplitude_rows(
+            run_config, master_seed, j * size, min(n_samples, (j + 1) * size)
+        )
+        blocks = parallel_indexed(-(-n_samples // size), block_fn, threads)
+        rows = tuple(row for block in blocks for row in block)
     columns = _FLOW_COLUMNS[flow]
 
     percentiles: dict = {}

@@ -216,6 +216,14 @@ def draw_realized(
     return realized, resamples
 
 
+@lru_cache(maxsize=None)
+def _set_columns(layout: tuple[tuple[int, bool], ...]) -> np.ndarray:
+    """Which of a unit's columns ``layout`` puts in element sets."""
+    mask = np.repeat([is_set for _, is_set in layout], [w for w, _ in layout])
+    mask.setflags(write=False)
+    return mask
+
+
 def _draw_units(
     nominal: np.ndarray,
     sigmas: np.ndarray,
@@ -234,8 +242,7 @@ def _draw_units(
     """
     state = rng.bit_generator.state
     values = nominal + sigmas * rng.standard_normal(nominal.shape)
-    in_set = np.repeat([is_set for _, is_set in layout], [w for w, _ in layout])
-    if not np.any(values[:, in_set] <= 0.0):
+    if not (values[:, _set_columns(tuple(layout))] <= 0.0).any():
         return values
     rng.bit_generator.state = state
     stops = np.cumsum([w for w, _ in layout])

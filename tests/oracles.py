@@ -1,8 +1,9 @@
 """Reference implementations that only the tests call.
 
-The sequential DAC decode, the per-cell amplitude residuals, the
-zero-variance receiver and the textbook ideal receiver built on it, the HRR
-of one point, a waveform's edge count, a scalar failure-rate query, a
+The sequential DAC decode, the per-cell amplitude residuals, one
+converter's amplitude yield row, the zero-variance receiver and the
+textbook ideal receiver built on it, the HRR of one point, a waveform's
+edge count, a scalar failure-rate query, a
 study's distances in one pass over each block, the resolution frontier as
 one study per (sigma_t, d) pair, a waveform scaled by a gain, the weighted
 sum of waveforms and the receiver's effective LO built from it, one square
@@ -24,8 +25,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from subsetcal import hrmixer
-from subsetcal.csdac import DacSample, SelfHealSample, ucc_currents
+from subsetcal import csdac, hrmixer
+from subsetcal.csdac import (
+    DacConfig,
+    DacSample,
+    SelfHealSample,
+    calibrate_amplitude_eses,
+    sample_dac,
+    ucc_currents,
+)
 from subsetcal.hrmixer import (
     _KNOB_ROWS,
     GAIN_ALPHA,
@@ -54,6 +62,7 @@ from subsetcal.mismatch import (
     nominal_sizes,
     scheme_center,
 )
+from subsetcal.runner import sample_substream
 from subsetcal.studies import (
     BLOCK,
     FrontierEntry,
@@ -93,6 +102,18 @@ def dac_output(sample: DacSample, code: int) -> float:
 def amplitude_residuals(sample: DacSample) -> np.ndarray:
     """Per-UCC current minus the sample's realized reference current."""
     return ucc_currents(sample) - sample.reference_current
+
+
+def amplitude_row(config: DacConfig, master_seed: int, i: int) -> tuple:
+    """One converter's amplitude yield row, as one converter at a time
+    composes it: ``sample_dac`` on sample i's stream, then the
+    ``_segment_maxima`` of its balanced and its ``calibrate_amplitude_eses``
+    cell currents."""
+    sample = sample_dac(config, sample_substream(master_seed, i))
+    lsb_vals = csdac._lsb_values(sample.lsb_bit_currents)
+    pre = csdac._segment_maxima(ucc_currents(sample), lsb_vals)
+    post = csdac._segment_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
+    return i, pre.inl_max, post.inl_max, pre.dnl_max, post.dnl_max
 
 
 def zero_variance_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:

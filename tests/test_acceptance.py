@@ -33,7 +33,6 @@ from subsetcal.csdac import (
     SelfHealConfig,
     SensedCell,
     SensingConfig,
-    sample_dac,
     sample_selfheal,
     self_heal_ses,
     sense_error,
@@ -47,7 +46,7 @@ from subsetcal.hrmixer import (
     sample_receiver,
     sweep_hrr,
 )
-from subsetcal.mismatch import Arithmetic, MismatchModel, Uniform, sigma_k
+from subsetcal.mismatch import Arithmetic, MismatchModel, Uniform, balanced_row, sigma_k
 from subsetcal.runner import sample_substream
 from subsetcal.studies import (
     FixedOffset,
@@ -140,26 +139,33 @@ def eses_yield():
     wall time, and the BSL INL_max of each converter's pre-calibration curve.
 
     The BSL reading is taken from the very converters the study draws:
-    ``sample_dac`` is wrapped for the duration of the study, and each
-    converter's reading is stored under its sample index (the spawn key of
-    its ``sample_substream`` generator).  The wrapper consumes no random
-    draws, so the study's rows are unchanged; its reading (a transfer curve
-    and a line fit per converter) counts towards the study's wall time.  The
-    readings live in a shared anonymous mapping, so those taken in the
-    study's forked workers reach this process too.
+    ``csdac._draw_dac``, which draws every converter, is wrapped for the
+    duration of the study; each draw is read as the balanced converter
+    ``sample_dac`` builds from it, and its reading is stored under its
+    sample index (the spawn key of its ``sample_substream`` generator).  The
+    wrapper consumes no random draws, so the study's rows are unchanged; its
+    reading (a transfer curve and a line fit per converter) counts towards
+    the study's wall time.  The readings live in a shared anonymous mapping,
+    so those taken in the study's forked workers reach this process too.
     """
     pre_bsl = np.frombuffer(mmap.mmap(-1, 10_000 * 8), dtype=float)
     pre_bsl[:] = np.nan
+    draw_dac = csdac._draw_dac
 
-    def recording_sample_dac(config, rng=None):
-        sample = sample_dac(config, rng)
+    def recording_draw_dac(config, rng):
+        values, bits, reference = draw_dac(config, rng)
+        balanced = np.full(config.n_ucc, balanced_row(config.n, config.k))
+        sample = csdac.DacSample(
+            config, *csdac._cell_arrays(values, config.n), balanced, balanced, balanced,
+            bits, reference,
+        )
         pre_bsl[rng.bit_generator.seed_seq.spawn_key[0]] = bsl_inl_max(
             transfer_curve(sample)
         )
-        return sample
+        return values, bits, reference
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csdac, "sample_dac", recording_sample_dac)
+        patch.setattr(csdac, "_draw_dac", recording_draw_dac)
         start = time.time()
         study = yield_study(DacConfig(), 10_000, "eses", master_seed=1, threads=THREADS)
         elapsed = time.time() - start

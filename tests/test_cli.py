@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import tracemalloc
 
@@ -247,9 +248,9 @@ def test_sense_sweep_over_the_memory_bound_is_rejected_before_any_reading(
         (["study", "failure-rate"], studies, "_block_distances",
          "the sample distances (100000000000,) needs 800000000000 bytes"),
         (["dac", "yield"], csdac, "parallel_indexed",
-         "the yield rows (100000000000,) needs 64000000000000 bytes"),
+         "the yield rows (100000000000,) needs 40000000000000 bytes"),
         (["dac", "self-heal"], csdac, "parallel_indexed",
-         "the yield rows (100000000000,) needs 64000000000000 bytes"),
+         "the yield rows (100000000000,) needs 40000000000000 bytes"),
     ],
     ids=["study", "dac-yield", "dac-self-heal"],
 )
@@ -268,6 +269,10 @@ def test_sample_count_over_the_memory_bound_is_rejected_before_any_sample(
 
 
 _OVER_LIMIT = ", above the 1073741824-byte limit"
+_OVERFLOWING_DRAW = (
+    "a drawn converter's full-scale current could reach inf A,"
+    " above the 2.81e+306 A its sums are kept below"
+)
 
 
 @pytest.mark.parametrize(
@@ -324,13 +329,36 @@ def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text
         # end; the patched Explicit fails before it takes the first size
         (["dac", "yield"], "dac.n = 1000000000\n",
          "the cell draw (63, 4000000003) needs 2016000001512 bytes" + _OVER_LIMIT),
+        # finite derived sigmas whose draws' sums would overflow
+        (["dac", "yield"], "dac.sub_sigma = 1e307\n", _OVERFLOWING_DRAW),
+        (["dac", "self-heal"], "heal.ucc_sigma = 1e308\n", _OVERFLOWING_DRAW),
+        (["dac", "yield", "--flow", "self-heal"], "heal.bias_rel_sigma = 1e308\n",
+         _OVERFLOWING_DRAW),
     ],
-    ids=["dac-lsb-sigma-factor", "dac-sub-sigma", "heal-lsb-sigma-factor", "dac-huge-n"],
+    ids=[
+        "dac-lsb-sigma-factor", "dac-sub-sigma", "heal-lsb-sigma-factor", "dac-huge-n",
+        "dac-sub-sigma-sums", "heal-ucc-sigma-sums", "heal-bias-sigma-sums",
+    ],
 )
 def test_hostile_dac_values_are_rejected_before_any_work(
     tmp_path, capsys, monkeypatch, command, text, message
 ):
     assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text, message)
+
+
+def test_yield_summary_survives_a_column_with_no_finite_value(tmp_path, capsys, monkeypatch):
+    def nan_rows(config, master_seed, lo, hi):
+        return [(i,) + 4 * (math.nan,) for i in range(lo, hi)]
+
+    monkeypatch.setattr(csdac, "_amplitude_rows", nan_rows)
+    out = tmp_path / "out"
+    assert main(["dac", "yield", "--samples", "100", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "dac yield (eses): 100 samples, post INL p99 nan LSB -> yield_rows.csv\n"
+    )
+    assert (out / "yield_rows.csv").exists()
 
 
 def test_negative_zero_sigma_runs_as_zero(tmp_path, capsys):
@@ -651,16 +679,18 @@ def test_dac_yield_is_byte_identical_across_thread_counts(tmp_path):
 
 
 def test_worker_config_error_exits_like_a_serial_run(tmp_path, capsys, monkeypatch):
-    real_row = csdac._amplitude_row
+    real_rows = csdac._amplitude_rows
 
-    def row(config, master_seed, i):
-        if i == 70:
-            raise ConfigError(f"converter {i} rejected")
-        return real_row(config, master_seed, i)
+    def rows(config, master_seed, lo, hi):
+        if lo <= 70 < hi:
+            raise ConfigError("converter 70 rejected")
+        return real_rows(config, master_seed, lo, hi)
 
-    monkeypatch.setattr(csdac, "_amplitude_row", row)
+    monkeypatch.setattr(csdac, "_amplitude_rows", rows)
     monkeypatch.setattr(runner, "_usable_cores", lambda: 2)
-    assert runner._chunk_bounds(100, 2) == [0, 50, 100]  # row 70 runs in the worker
+    blocks = -(-100 // csdac._AMPLITUDE_BLOCK)
+    # row 70's block runs in the worker
+    assert runner._chunk_bounds(blocks, 2)[1] <= 70 // csdac._AMPLITUDE_BLOCK
     errors = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"

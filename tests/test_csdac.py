@@ -60,6 +60,7 @@ from subsetcal.runner import sample_substream
 
 from oracles import (
     amplitude_residuals,
+    amplitude_row,
     dac_output,
     inverter_deviation,
     sample_element_set,
@@ -435,22 +436,28 @@ def test_delays_are_validated_where_timing_can_change(monkeypatch):
     """Building a sample (``sample_dac``, ``calibrate_timing``) checks every
     buffer delay; amplitude calibration moves no delay and checks none."""
     sample = sample_dac(DacConfig(), sample_substream(5, 4))
-    checked = []
-    buffer_deviations = csdac._buffer_deviations
+    checked = []  # the arrays of each checked converter
+    check_cells = csdac._check_cells
 
-    def recording(checked_sample):
-        checked.append(checked_sample)
-        return buffer_deviations(checked_sample)
+    def recording(cfg, *arrays):
+        checked.append(arrays)
+        return check_cells(cfg, *arrays)
 
-    monkeypatch.setattr(csdac, "_buffer_deviations", recording)
+    def arrays_of(converter):
+        return (
+            converter.amplitude, converter.widths, converter.extrinsic,
+            converter.delay_selection, converter.duty_selection,
+        )
+
+    monkeypatch.setattr(csdac, "_check_cells", recording)
     calibrated = calibrate_amplitude_eses(sample)
     assert checked == []
     assert calibrated.widths is sample.widths
     assert calibrated.extrinsic is sample.extrinsic
     timed = calibrate_timing(sample)
-    assert checked[-1] is timed
+    assert all(a is b for a, b in zip(checked[-1], arrays_of(timed), strict=True))
     drawn = sample_dac(DacConfig(), sample_substream(5, 4))
-    assert checked[-1] is drawn
+    assert all(a is b for a, b in zip(checked[-1], arrays_of(drawn), strict=True))
 
     # every delay below zero: both builders raise, amplitude calibration
     # (which cannot move a delay) does not look
@@ -716,6 +723,31 @@ def test_segment_maxima_property_non_monotone_segment(geometry, seed, cell, drop
             csdac._segment_maxima(currents, csdac._lsb_values(bits))
         return
     assert csdac._segment_maxima(currents, csdac._lsb_values(bits)) == expected
+
+
+@given(
+    geometry=GEOMETRY,
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 4),
+    tied=st.booleans(),
+)
+def test_segment_maxima_rows_equal_one_converter_at_a_time(geometry, seed, rows, tied):
+    """Stacked near-ideal converters, the first with every level tied when
+    ``tied`` (equal cells over an ideal bank, which may read the full
+    curve): each row reads as ``_segment_maxima`` reads it alone, and the
+    stacked LSB values are each row's own."""
+    cells, lsb_bits = geometry
+    rng = np.random.default_rng(seed)
+    currents = 1.0 + 1e-3 * rng.standard_normal((rows, cells))
+    bits = (1.0 + 1e-3 * rng.standard_normal((rows, lsb_bits))) * 2.0 ** np.arange(lsb_bits)
+    if tied:
+        currents[0], bits[0] = 1.0, 2.0 ** np.arange(lsb_bits)
+    bits /= 2**lsb_bits
+    lsb_vals = csdac._lsb_values(bits)
+    for values, row_bits in zip(lsb_vals, bits):
+        assert np.array_equal(values, oracle_lsb_values(row_bits))
+    expected = [csdac._segment_maxima(c, values) for c, values in zip(currents, lsb_vals)]
+    assert csdac._segment_maxima_rows(currents, lsb_vals) == expected
 
 
 def test_segment_maxima_reject_a_degenerate_span():
@@ -1436,3 +1468,95 @@ def test_yield_zero_variance_converter_is_perfect():
     result = yield_study(zero_variance_config(), 100, "eses", master_seed=29)
     for column in ("pre_inl_max", "post_inl_max"):
         assert result.percentiles[column]["p99"] < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# amplitude rows in blocks
+# ---------------------------------------------------------------------------
+
+
+def bits_of(rows):
+    """Rows with every float as its hex string, so equal means equal bits."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def assert_block_equals_the_row_oracle(config, master_seed, lo, hi):
+    rows = csdac._amplitude_rows(config, master_seed, lo, hi)
+    expected = [amplitude_row(config, master_seed, i) for i in range(lo, hi)]
+    assert bits_of(rows) == bits_of(expected)
+
+
+AMPLITUDE_CONFIGS = {
+    "eses": DacConfig(),
+    "ses": uniform_comparison_config(DacConfig()),
+}
+
+
+@pytest.mark.parametrize("flow", sorted(AMPLITUDE_CONFIGS))
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 16), (5, 21), (37, 38), (90, 103), (1000, 1001)],
+    ids=["aligned", "unaligned", "one", "odd-length", "far-one"],
+)
+def test_amplitude_rows_equal_the_row_oracle(flow, lo, hi):
+    assert_block_equals_the_row_oracle(AMPLITUDE_CONFIGS[flow], 13, lo, hi)
+
+
+@pytest.mark.parametrize("flow", sorted(AMPLITUDE_CONFIGS))
+def test_yield_study_amplitude_rows_equal_the_row_oracle(flow):
+    """A sample count that no block size divides: the last block is short."""
+    config = AMPLITUDE_CONFIGS[flow]
+    rows = yield_study(DacConfig(), 101, flow, master_seed=17, threads=1).rows
+    expected = [amplitude_row(config, 17, i) for i in range(101)]
+    assert bits_of(rows) == bits_of(expected)
+
+
+def test_zero_variance_block_takes_the_full_curve_fallback():
+    """Equal cells over an ideal bank tie at every code, so every converter
+    of the block reads the full curve, before and after calibration."""
+    with mock.patch.object(csdac, "_curve_maxima", wraps=csdac._curve_maxima) as full_curve:
+        assert_block_equals_the_row_oracle(zero_variance_config(), 29, 3, 8)
+    # five converters, two readings each, in the block and in the oracle
+    assert full_curve.call_count == 2 * 2 * 5
+
+
+def test_block_with_a_rewound_draw_equals_the_row_oracle():
+    """At sub_sigma = 20 uA some element comes out <= 0, so ``_draw_units``
+    rewinds and draws set by set (``draw_realized``)."""
+    with mock.patch.object(mismatch, "draw_realized", wraps=mismatch.draw_realized) as redraw:
+        assert_block_equals_the_row_oracle(DacConfig(sub_sigma=20e-6), 71, 0, 3)
+    assert redraw.called
+
+
+@pytest.mark.parametrize(
+    "flat, late, error",
+    [(3, 9, DegenerateConfigurationError), (9, 3, ConfigError)],
+    ids=["flat-first", "delay-first"],
+)
+def test_a_block_raises_the_error_of_its_lowest_failing_sample(monkeypatch, flat, late, error):
+    """Sample ``flat`` draws an LSB bank that sinks the top code below code
+    0, which ``_segment_maxima`` rejects; sample ``late`` draws an extrinsic
+    error that pulls a delay below zero, which the sample checks reject
+    first.  The block raises what the loop over the rows raises."""
+    draw = csdac._draw_dac
+
+    def failing_draw(cfg, rng):
+        values, bits, reference = draw(cfg, rng)
+        i = rng.bit_generator.seed_seq.spawn_key[0]
+        if i == flat:
+            bits = (-1.0,) * len(bits)
+        if i == late:
+            values = values.copy()
+            values[5, 2 * cfg.n] = -1e-9  # cell 5's delay buffer
+        return values, bits, reference
+
+    monkeypatch.setattr(csdac, "_draw_dac", failing_draw)
+    config = DacConfig()
+    with pytest.raises(error) as serial:
+        [amplitude_row(config, 5, i) for i in range(16)]
+    with pytest.raises(error) as block:
+        csdac._amplitude_rows(config, 5, 0, 16)
+    assert type(block.value) is type(serial.value)
+    assert str(block.value) == str(serial.value)
+    rows = csdac._amplitude_rows(config, 5, 0, min(flat, late))  # the rows before both
+    assert bits_of(rows) == bits_of(amplitude_row(config, 5, i) for i in range(min(flat, late)))
