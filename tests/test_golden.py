@@ -94,6 +94,16 @@ DAC_REWIND_CFG = """\
 dac.sub_sigma = 20e-6
 """
 
+# timing buffers without drive keep their balanced selection: no clock-delay
+# spread makes every delay buffer's drive 0, no duty spread every duty buffer's
+DAC_ZERO_DELAY_CFG = """\
+dac.delay_sigma = 0
+"""
+
+DAC_ZERO_DUTY_CFG = """\
+dac.duty_sigma = 0
+"""
+
 DAC_YIELD = ["dac", "yield", "--samples", "100", "--seed", "1"]
 
 # case -> (argv without --out/--quiet, config text or None)
@@ -113,6 +123,8 @@ CASES = {
     "dac-yield-eses": (DAC_YIELD + ["--flow", "eses"], None),
     "dac-yield-ses": (DAC_YIELD + ["--flow", "ses"], None),
     "dac-yield-timing": (DAC_YIELD + ["--flow", "timing"], None),
+    "dac-yield-timing-zero-delay": (DAC_YIELD + ["--flow", "timing"], DAC_ZERO_DELAY_CFG),
+    "dac-yield-timing-zero-duty": (DAC_YIELD + ["--flow", "timing"], DAC_ZERO_DUTY_CFG),
     "dac-yield-dump": (DAC_YIELD, DUMP_CFG),
     "dac-yield-eses-rewind": (DAC_YIELD + ["--flow", "eses"], DAC_REWIND_CFG),
     "dac-self-heal": (["dac", "self-heal", "--samples", "100", "--seed", "3"], None),
@@ -251,6 +263,50 @@ GOLDEN = {
         "yield_rows.meta.json":
             "c67e1ae168f6e2eae2e8b1d27051535fcca17d6aa2952b56a8a1bcc754afebf6",
     },
+    "dac-yield-timing-zero-delay": {
+        "hist_post_delay_sigma.csv":
+            "168a3e7526b680f7c3deb95b0d6c927a63c416d042f7b63ce75f0b61b885ed69",
+        "hist_post_delay_sigma.meta.json":
+            "436c6af76f48e6986b04ee2ed0eb51c57d629000bad6785ba3cffafcdd2d8aa5",
+        "hist_post_duty_sigma.csv":
+            "2b50b9bcd1705292c9772ed11155779087a273f449a567cbec4f931cb5c08631",
+        "hist_post_duty_sigma.meta.json":
+            "82d98bb6de7986d308c73766c07430c176ad16769da6ce27fbf72f1dd58c244e",
+        "hist_pre_delay_sigma.csv":
+            "168a3e7526b680f7c3deb95b0d6c927a63c416d042f7b63ce75f0b61b885ed69",
+        "hist_pre_delay_sigma.meta.json":
+            "296a6c94fcab6bdfd866464ec7ea9d2310c015b0867e00040b3764918e57ccdd",
+        "hist_pre_duty_sigma.csv":
+            "e0f7328ca7d5a418a5cd8fe8ca9f2603bf2947056e680c920526e26cac79e187",
+        "hist_pre_duty_sigma.meta.json":
+            "62630a0f6ea45bc3315eaa026e855cf71f195ed9b782341479b1c978d9c322ed",
+        "yield_rows.csv":
+            "7ea13e315a0a3cffd4030426045f1c54df799fa9e0b528b323162f1b4e30c5c3",
+        "yield_rows.meta.json":
+            "fedc23703d8660e62b4323ea632c7241c79a26338f40975ffe2feb69bcf9293e",
+    },
+    "dac-yield-timing-zero-duty": {
+        "hist_post_delay_sigma.csv":
+            "82463f3bdf8ff19d567305eee2a6a75e1615b055f6cbabbb3561ac288a05344d",
+        "hist_post_delay_sigma.meta.json":
+            "315f855a2f9ce472808e50b78de922d063595612566e9cd11c02f45ef2836cb6",
+        "hist_post_duty_sigma.csv":
+            "168a3e7526b680f7c3deb95b0d6c927a63c416d042f7b63ce75f0b61b885ed69",
+        "hist_post_duty_sigma.meta.json":
+            "0c5c0f0e57dc12bc007472fb1898c2d8ceae926f344ab78ac402240b053f313e",
+        "hist_pre_delay_sigma.csv":
+            "60bd608b1ff25673c9c2dc594f5919a12da7ec89c146f8db83d39d30bf4798f0",
+        "hist_pre_delay_sigma.meta.json":
+            "202dee45d0a0123bd4d58c288630463fdc3ce4d0cc7567fcfba5cc6e93c54074",
+        "hist_pre_duty_sigma.csv":
+            "168a3e7526b680f7c3deb95b0d6c927a63c416d042f7b63ce75f0b61b885ed69",
+        "hist_pre_duty_sigma.meta.json":
+            "a2af016eb749c40e5ab7f4b932420d4f3c1a3b841744853f337ac5c96d75efc8",
+        "yield_rows.csv":
+            "4529831ce846778259e98c5c9df03eccbab5c7b72972e9bb6ef2e257dc894813",
+        "yield_rows.meta.json":
+            "7d77276cd7db48a94b0a1845873e064099b5b7f57a9c9a7f98b2825e6fc8fd00",
+    },
     "hr-calibrate-1": {
         "hr_calibration.csv":
             "b4e1cf11b08331bb907f90508bb69a645039159fa18f093c07cbe3ffc3123893",
@@ -344,6 +400,10 @@ MANIFEST_GOLDEN = {
     "dac-yield-eses-rewind": "4abe3007d790a9af8ad582b7f1b0bd14f65ec1e3ec91dc3fa57e2901210bf914",
     "dac-yield-ses": "47d52c455d33192f632e27e7cb053ed754f6c02f4d48a59a61af53181733097e",
     "dac-yield-timing": "0ac5b5883a384f42965fedf4b1673fac1090d7735285eadcc4131c64aba53dff",
+    "dac-yield-timing-zero-delay":
+        "fa44cbb351b82d0460096c4363cf55de7a9eaf1bed83ebefa3474097215df8e1",
+    "dac-yield-timing-zero-duty":
+        "e0362c7e5c4a7bb6f2be5928ba5e806dcd6c0114dc0321bbdbed221af8753b80",
     "hr-calibrate-1": "f2c7d223d56b87e9dff080378f71901be4634d47746980acb5f293d670de464b",
     "hr-calibrate-2": "9224979f9de769ef500d01669a3ec1f6829bbb878edcfb14129f04b9c1e5cdb7",
     "hr-calibrate-k8": "6ee25c70cdfc541f24555680400111503df0b755f206c4bf8bdc700d076a4479",
