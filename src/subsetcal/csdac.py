@@ -31,12 +31,13 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .mismatch import (
+    BASE_DELAY,
     MAX_ARRAY_BYTES,
     Arithmetic,
     ConfigError,
@@ -105,6 +106,11 @@ _TIMING_INTRINSIC_FRACTION = 0.25
 # taken from the sums and the float rounding of the bound itself.
 _DRAW_REACH = 16.0
 _MAX_DRAW_SUM = sys.float_info.max / 64
+
+# A timing deviation is at most twice its buffer's delay, a duty error four
+# times and its offset from the mean eight; squared, at most 2**6 times the
+# squared delay.  Below this bound, sums of 2**74 such squares stay finite.
+_MAX_TIMING_REACH = math.sqrt(sys.float_info.max) / 2**40
 
 # Default graded sub-current nominals: mean 52 uA, common difference 0.76 uA.
 DEFAULT_SUB_SCHEME = Explicit(tuple(52e-6 + (i - 5.5) * 0.76e-6 for i in range(12)))
@@ -225,6 +231,31 @@ class DacConfig(_LsbBank):
         # Force the range checks early: either raises here or never.
         self.delay_network
         self.duty_network
+        self._check_timing_reach()
+
+    def _check_timing_reach(self) -> None:
+        """Buffer delays grow with the timing sigmas, and the timing columns
+        square them twice: ``np.std`` over the cells, then the pooled root
+        mean square over the samples.  So a buffer's delay with its widths
+        and extrinsic error ``_DRAW_REACH`` sigma out must stay below
+        ``_MAX_TIMING_REACH``.  (The lowered widths stay positive: no step
+        takes a nominal width below 0.07, and 16 of its 1 % sigmas are below
+        0.05.)"""
+        width_model = MismatchModel(_TIMING_REL_SIGMA, 1.0)
+        for name, (drive, step), extrinsic in (
+            ("delay_sigma", self.delay_network, self.delay_extrinsic_sigma),
+            ("duty_sigma", self.duty_network, self.duty_extrinsic_sigma),
+        ):
+            widths = nominal_sizes(Arithmetic(1.0, step), self.n)
+            low = np.sort(widths - _DRAW_REACH * width_model.element_sigmas(widths))
+            ratio = float(widths.mean() / low[: self.k].mean())
+            reach = BASE_DELAY + drive * ratio + _DRAW_REACH * extrinsic
+            if not reach <= _MAX_TIMING_REACH:
+                raise ConfigError(
+                    f"a drawn buffer's delay could reach {reach:.3g} s at {name} ="
+                    f" {getattr(self, name):g} s, above the {_MAX_TIMING_REACH:.3g} s"
+                    " its squared sums are kept below"
+                )
 
     @property
     def n_codes(self) -> int:
@@ -351,11 +382,12 @@ class DacSample:
 def _check_cells(cfg: DacConfig, amplitude, widths, extrinsic, delay_selection, duty_selection):
     """``DacSample``'s value checks, on one converter's arrays or on
     converters stacked along leading axes: every realized size > 0, then
-    every buffer delay at its selection > 0."""
+    every buffer delay at its selection > 0.  Returns the buffer deviations
+    (``_selected_deviations``) that the second check computes."""
     if np.any(amplitude <= 0.0) or np.any(widths <= 0.0):
         raise ConfigError("realized sizes must be strictly positive")
     # raises if a buffer delay is <= 0
-    _selected_deviations(cfg, widths, extrinsic, delay_selection, duty_selection)
+    return _selected_deviations(cfg, widths, extrinsic, delay_selection, duty_selection)
 
 
 def sample_dac(config: DacConfig, rng=None) -> DacSample:
@@ -381,9 +413,14 @@ def _draw_dac(
 ) -> tuple[np.ndarray, tuple[float, ...], float]:
     """One converter's draw in ``sample_dac``'s order: the (n_ucc, 4n + 3)
     cell values, then the LSB bank's bit currents and reference."""
+    return (_draw_cells(cfg, rng), *_draw_lsb_bank(cfg, rng))
+
+
+def _draw_cells(cfg: DacConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (n_ucc, 4n + 3) cell values of one converter, in one
+    ``_draw_units`` call; the LSB bank follows them on the stream."""
     design = _cell_design(cfg)
-    values = _draw_units(design.nominal, design.sigmas, design.layout, rng)
-    return (values, *_draw_lsb_bank(cfg, rng))
+    return _draw_units(design.nominal, design.sigmas, design.layout, rng)
 
 
 def _cell_arrays(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -676,10 +713,10 @@ def _buffer_deviations(sample: DacSample) -> np.ndarray:
 
 def _selected_deviations(cfg: DacConfig, widths, extrinsic, delay_selection, duty_selection):
     """``_buffer_deviations`` of widths (..., n_ucc, 3, n) and extrinsic
-    errors (..., n_ucc, 3), with (n_ucc,) selections."""
+    errors (..., n_ucc, 3), with selections (n_ucc,) or (..., n_ucc)."""
     design = _cell_design(cfg)
-    fixed = np.full(cfg.n_ucc, balanced_row(cfg.n, cfg.k))
-    selection = np.stack([delay_selection, duty_selection, fixed], axis=1)
+    fixed = np.full(np.shape(delay_selection), balanced_row(cfg.n, cfg.k))
+    selection = np.stack([delay_selection, duty_selection, fixed], axis=-1)
     selected = selected_sums(widths, selection, cfg.k)
     return inverse_width_deviation(design.drives, design.halves, selected, extrinsic)
 
@@ -702,24 +739,82 @@ def calibrate_timing(sample: DacSample) -> DacSample:
     inverse-width term must cancel the extrinsic error).  Duty: the fixed
     buffer keeps its balanced selection; the tuned buffer's subset minimizes
     |tuned deviation - fixed deviation|.  A buffer without drive has no
-    tunable term and keeps its selection.
+    tunable term and keeps its selection.  Ties go to the first subset in
+    ``combination_index_matrix`` order; ``_timing_selections`` makes the
+    choice.
     """
-    cfg = sample.config
-    design = _cell_design(cfg)
     fixed = _buffer_deviations(sample)[:, 2]
-    distance = subset_deviations(  # delay and tuned-duty buffers, every subset
-        sample.widths[:, :2] @ membership_matrix(cfg.n, cfg.k),
-        design.drives[:2, None],
-        design.halves[:2, None],
-        sample.extrinsic[:, :2, None],
-    )
-    distance[:, 1] -= fixed[:, None]
-    best = np.argmin(np.abs(distance, out=distance), axis=2)
     current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
-    best = np.where(design.drives[:2] == 0.0, current, best)
+    best = _timing_selections(sample.config, sample.widths, sample.extrinsic, fixed, current)
     return dataclasses.replace(
         sample, delay_selection=best[:, 0], duty_selection=best[:, 1]
     )
+
+
+@lru_cache(maxsize=None)
+def _shifted_membership(n: int, k: int) -> np.ndarray:
+    """``membership_matrix(n, k)`` over a row of ones: a row [widths | -t]
+    times it gives every subset sum less t."""
+    out = np.vstack([membership_matrix(n, k), np.ones((1, math.comb(n, k)))])
+    out.setflags(write=False)
+    return out
+
+
+#: the bracket's rounding allowance, in eps times the target sum: about 60
+#: covers the two products, the target and the five passes (below)
+_BRACKET_ROUNDING = 256.0
+
+
+def _timing_selections(cfg: DacConfig, widths, extrinsic, fixed, current) -> np.ndarray:
+    """The (cells, 2) delay and tuned-duty selections ``calibrate_timing``
+    picks for widths (cells, 3, n), extrinsic errors (cells, 3) and the fixed
+    duty buffer's deviations ``fixed`` (cells,); a buffer without drive keeps
+    its ``current`` (cells, 2) selection.
+
+    The calibration's objective over a subset sum S takes five passes,
+    fl(fl(fl(fl(half / S) - 1) * drive) + e) - f, with f = 0 for the delay
+    buffer.  Its real counterpart is drive * half * (1/S - 1/S*), zero at
+    S* = half * drive / (drive - e + f): a sum at distance r from S* scores
+    at least drive * half * r / (S* (S* + r)), and the nearest sum, at
+    distance m, at most drive * half * m / (S* (S* - m)).  So one per-cell
+    product gives S - S* for every subset, and its nearest subset is the
+    choice when every other one lies outside the band m + 2 m**2 / (S* - 2m)
+    + ``_BRACKET_ROUNDING`` * eps * S*.  The allowance holds while
+    |e| + |f| <= drive / 2 and m <= S* / 4, which the test also asks.  A
+    cell with a buffer that fails it (a tie, equal widths, an error beyond
+    the tuning range) runs the five passes over the plain per-cell product
+    ``widths @ membership_matrix``.
+    """
+    n, k = cfg.n, cfg.k
+    design = _cell_design(cfg)
+    drive, half = design.drives[:2], design.halves[:2]
+    errors = extrinsic[:, :2]
+    offsets = np.stack([np.zeros_like(fixed), fixed], axis=1)
+    shifted = np.empty((len(widths), 2, n + 1))  # per cell: (2, n + 1) @ (n + 1, C)
+    shifted[..., :n] = widths[:, :2]
+    # a buffer without drive can make the target NaN or inf; such rows fail the test
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        target = (half * drive) / ((drive - errors) + offsets)
+        shifted[..., n] = -target
+        distance = shifted @ _shifted_membership(n, k)
+        np.abs(distance, out=distance)
+        best = np.argmin(distance, axis=2)
+        nearest = np.take_along_axis(distance, best[..., None], axis=2)[..., 0]
+        np.put_along_axis(distance, best[..., None], np.inf, axis=2)
+        band = nearest + 2.0 * nearest**2 / (target - 2.0 * nearest)
+        band += _BRACKET_ROUNDING * np.finfo(float).eps * target
+        proven = (np.abs(errors) + np.abs(offsets) <= drive / 2.0) & (nearest <= target / 4.0)
+        proven &= distance.min(axis=2) > band
+    redo = np.flatnonzero((~proven & (drive > 0.0)).any(axis=1))
+    if redo.size:
+        five_pass = subset_deviations(
+            widths[redo, :2] @ membership_matrix(n, k),
+            drive[:, None], half[:, None], extrinsic[redo, :2, None],
+        )
+        five_pass[:, 1] -= fixed[redo, None]
+        exact = np.argmin(np.abs(five_pass, out=five_pass), axis=2)
+        best[redo] = np.where(proven[redo], best[redo], exact)
+    return np.where(drive == 0.0, current, best)
 
 
 # ---------------------------------------------------------------------------
@@ -855,14 +950,22 @@ def sample_selfheal(config: SelfHealConfig, rng=None) -> SelfHealSample:
     The reference accumulates via ``math.fsum`` so a zero-variance draw lands
     exactly on the nominal cell current (the window's closed lower edge).
     """
-    rng = np.random.default_rng(rng)
     cfg = config
-    nominal, sigmas = _heal_design(cfg)
-    realized = _draw_units(nominal, sigmas, ((cfg.n, True),), rng)
-    bits, reference = _draw_lsb_bank(cfg, rng)
+    realized, bits, reference = _draw_heal(cfg, np.random.default_rng(rng))
     return SelfHealSample(
         cfg, realized[: cfg.n_ucc], realized[cfg.n_ucc : -1], realized[-1], bits, reference
     )
+
+
+def _draw_heal(
+    cfg: SelfHealConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[float, ...], float]:
+    """One converter's draw in ``sample_selfheal``'s order: the
+    (n_ucc + backup_ucc_count + 1, n) element sets, then the LSB bank's bit
+    currents and reference."""
+    nominal, sigmas = _heal_design(cfg)
+    realized = _draw_units(nominal, sigmas, ((cfg.n, True),), rng)
+    return (realized, *_draw_lsb_bank(cfg, rng))
 
 
 class _HealAttempt(NamedTuple):
@@ -1080,15 +1183,6 @@ def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> Linearit
     return _segment_maxima(result.cell_currents, sample.lsb_values)
 
 
-def _selfheal_pre_linearity(sample: SelfHealSample) -> LinearityMaxima:
-    """Linearity maxima before healing: balanced selections, balanced bias."""
-    cfg = sample.config
-    balanced = balanced_row(cfg.n, cfg.k)
-    scale = float(selected_sums(sample.bias_elements, balanced, cfg.k)) / float(cfg.k)
-    currents = selected_sums(sample.cells, balanced, cfg.k) * scale
-    return _segment_maxima(currents, sample.lsb_values)
-
-
 # ---------------------------------------------------------------------------
 # Error sensing
 
@@ -1232,11 +1326,30 @@ class YieldResult:
     summary: dict
 
 
-#: converters one ``_amplitude_rows`` call stacks (no output depends on it):
+#: converters one block of a yield study stacks (no output depends on it):
 #: its arrays stay near 1 MB, and 100 samples split evenly over two workers
-_AMPLITUDE_BLOCK = 16
+_YIELD_BLOCK = 16
 
 
+def _rerun_failing_blocks(block_rows):
+    """``block_rows(config, master_seed, lo, hi)``, which runs a block that
+    fails (ConfigError, DegenerateConfigurationError) again one converter at
+    a time, so it raises the error of its lowest failing sample, as a loop
+    over the rows does."""
+
+    @wraps(block_rows)
+    def rows(config, master_seed: int, lo: int, hi: int) -> list[tuple]:
+        try:
+            return block_rows(config, master_seed, lo, hi)
+        except (ConfigError, DegenerateConfigurationError):
+            if hi - lo == 1:
+                raise
+            return [row for i in range(lo, hi) for row in block_rows(config, master_seed, i, i + 1)]
+
+    return rows
+
+
+@_rerun_failing_blocks
 def _amplitude_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
     """Yield rows lo, ..., hi - 1 of an amplitude flow on ``config``, each
     equal as floats to ``sample_dac``, ``calibrate_amplitude_eses`` and
@@ -1245,55 +1358,104 @@ def _amplitude_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> li
     Each converter is drawn from its own stream.  The block then runs
     ``DacSample``'s checks, the balanced and calibrated cell currents, the
     LSB values and the segment bounds on stacked arrays; the subset-sum
-    product, its argmin and the candidate codes run per converter.  If any
-    converter fails, the block runs again one converter at a time, so it
-    raises the error of its lowest failing sample, as a loop over the rows
-    does.
+    product, its argmin and the candidate codes run per converter.
     """
-    try:
-        n, k = config.n, config.k
-        draws = [_draw_dac(config, sample_substream(master_seed, i)) for i in range(lo, hi)]
-        amplitude, widths, extrinsic = _cell_arrays(np.stack([d[0] for d in draws]), n)
-        balanced = np.full(config.n_ucc, balanced_row(n, k))
-        _check_cells(config, amplitude, widths, extrinsic, balanced, balanced)
-        lsb_vals = _lsb_values([d[1] for d in draws])
-        pre = _segment_maxima_rows(selected_sums(amplitude, balanced, k), lsb_vals)
-        selection = [_closest_subsets(a, d[2], k) for a, d in zip(amplitude, draws)]
-        post = _segment_maxima_rows(selected_sums(amplitude, np.stack(selection), k), lsb_vals)
-    except (ConfigError, DegenerateConfigurationError):
-        if hi - lo == 1:
-            raise
-        return [row for i in range(lo, hi) for row in _amplitude_rows(config, master_seed, i, i + 1)]
+    n, k = config.n, config.k
+    draws = [_draw_dac(config, sample_substream(master_seed, i)) for i in range(lo, hi)]
+    amplitude, widths, extrinsic = _cell_arrays(np.stack([d[0] for d in draws]), n)
+    balanced = np.full(config.n_ucc, balanced_row(n, k))
+    _check_cells(config, amplitude, widths, extrinsic, balanced, balanced)
+    lsb_vals = _lsb_values([d[1] for d in draws])
+    pre = _segment_maxima_rows(selected_sums(amplitude, balanced, k), lsb_vals)
+    selection = [_closest_subsets(a, d[2], k) for a, d in zip(amplitude, draws)]
+    post = _segment_maxima_rows(selected_sums(amplitude, np.stack(selection), k), lsb_vals)
     return [
         (i, before.inl_max, after.inl_max, before.dnl_max, after.dnl_max)
         for i, before, after in zip(range(lo, hi), pre, post)
     ]
 
 
-def _timing_row(config: DacConfig, master_seed: int, i: int) -> tuple:
-    rng = sample_substream(master_seed, i)
-    sample = sample_dac(config, rng)
-    # delay_errors and duty_errors of each state, from one evaluation each
-    pre = _buffer_deviations(sample)
-    post = _buffer_deviations(calibrate_timing(sample))
-    return (
-        i, float(np.std(pre[:, 0])), float(np.std(post[:, 0])),
-        float(np.std(pre[:, 1] - pre[:, 2])), float(np.std(post[:, 1] - post[:, 2])),
-    )
+@_rerun_failing_blocks
+def _timing_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
+    """Yield rows lo, ..., hi - 1 of the timing flow, each equal as floats to
+    the standard deviations of ``delay_errors`` and ``duty_errors`` before
+    and after ``calibrate_timing``, on ``sample_dac`` of sample i's stream.
+
+    Each converter's cells are drawn from its own stream; the LSB bank that
+    follows them there is not drawn, since no timing column reads it.  The
+    block runs ``DacSample``'s checks, the deviations before and after and
+    their standard deviations on stacked arrays, and ``_timing_selections``
+    per converter.
+    """
+    n, k = config.n, config.k
+    cells = [_draw_cells(config, sample_substream(master_seed, i)) for i in range(lo, hi)]
+    amplitude, widths, extrinsic = _cell_arrays(np.stack(cells), n)
+    balanced = np.full(config.n_ucc, balanced_row(n, k))
+    pre = _check_cells(config, amplitude, widths, extrinsic, balanced, balanced)
+    current = np.stack([balanced, balanced], axis=1)
+    selection = np.stack([
+        _timing_selections(config, w, e, deviations[:, 2], current)
+        for w, e, deviations in zip(widths, extrinsic, pre)
+    ])
+    post = _selected_deviations(config, widths, extrinsic, selection[..., 0], selection[..., 1])
+    errors = (pre[..., 0], post[..., 0], pre[..., 1] - pre[..., 2], post[..., 1] - post[..., 2])
+    return list(zip(range(lo, hi), *(np.std(e, axis=1).tolist() for e in errors)))
 
 
-def _selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> tuple:
-    rng = sample_substream(master_seed, i)
-    sample = sample_selfheal(config, rng)
-    pre = _selfheal_pre_linearity(sample)
-    result = self_heal_ses(sample, rng)
-    if result.healed:
-        post = healed_linearity(sample, result)
-        post_inl, post_dnl = post.inl_max, post.dnl_max
-    else:
-        post_inl = post_dnl = math.nan
-    healed = 1.0 if result.healed else 0.0
-    return i, healed, float(result.restarts), pre.inl_max, post_inl, pre.dnl_max, post_dnl
+def _checked_heal_sample(
+    cfg: SelfHealConfig, realized, bits, reference, lsb_values
+) -> SelfHealSample:
+    """A ``SelfHealSample`` of a draw whose sizes and LSB values a block has
+    already checked and derived, built without repeating that."""
+    sample = object.__new__(SelfHealSample)
+    fields = {
+        "config": cfg, "cells": realized[: cfg.n_ucc], "backups": realized[cfg.n_ucc : -1],
+        "bias_elements": realized[-1], "lsb_bit_currents": bits,
+        "reference_current": reference, "lsb_values": lsb_values,
+    }
+    for name, value in fields.items():
+        object.__setattr__(sample, name, value)
+    return sample
+
+
+@_rerun_failing_blocks
+def _selfheal_rows(config: SelfHealConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
+    """Yield rows lo, ..., hi - 1 of the self-heal flow, each equal as floats
+    to ``sample_selfheal`` and ``self_heal_ses`` on sample i's own stream,
+    with the ``_segment_maxima`` of the balanced, bias-scaled cell currents
+    before and of ``healed_linearity`` after.
+
+    Each converter is drawn from its own stream, and the controller runs per
+    converter on that generator.  The block runs ``SelfHealSample``'s size
+    check, the LSB values and both linearity readings on stacked arrays.
+    """
+    n, k = config.n, config.k
+    rngs = [sample_substream(master_seed, i) for i in range(lo, hi)]
+    draws = [_draw_heal(config, rng) for rng in rngs]
+    realized = np.stack([d[0] for d in draws])
+    if np.any(realized <= 0.0):
+        raise ConfigError("realized sizes must be strictly positive")
+    lsb_vals = _lsb_values([d[1] for d in draws])
+    balanced = balanced_row(n, k)
+    scale = selected_sums(realized[:, -1], balanced, k) / float(k)
+    currents = selected_sums(realized[:, : config.n_ucc], balanced, k) * scale[:, None]
+    pre = _segment_maxima_rows(currents, lsb_vals)
+    results = [
+        self_heal_ses(_checked_heal_sample(config, values, bits, reference, levels), rng)
+        for (values, bits, reference), levels, rng in zip(draws, lsb_vals, rngs)
+    ]
+    healed = [r for r, result in enumerate(results) if result.healed]
+    post = dict.fromkeys(range(hi - lo), LinearityMaxima(math.nan, math.nan))
+    if healed:
+        healed_currents = np.stack([results[r].cell_currents for r in healed])
+        post.update(zip(healed, _segment_maxima_rows(healed_currents, lsb_vals[healed])))
+    return [
+        (
+            i, 1.0 if result.healed else 0.0, float(result.restarts),
+            before.inl_max, post[r].inl_max, before.dnl_max, post[r].dnl_max,
+        )
+        for r, (i, before, result) in enumerate(zip(range(lo, hi), pre, results))
+    ]
 
 
 #: bytes one yield row may take: a tuple of 5 to 7 numbers.  tracemalloc
@@ -1320,8 +1482,9 @@ def yield_study(
     ``timing`` (delay/duty calibration sigmas).  Sample i always runs on the
     generator spawned from (master_seed, i), so results are deterministic and
     independent of ``threads``.  ``runner.parallel_indexed`` hands out the
-    timing and self-heal rows one by one and the amplitude rows in blocks of
-    ``_AMPLITUDE_BLOCK`` converters (``_amplitude_rows``), in sample order.
+    rows of every flow in blocks of ``_YIELD_BLOCK`` converters
+    (``_amplitude_rows``, ``_timing_rows``, ``_selfheal_rows``), in sample
+    order.
     """
     if flow not in YIELD_FLOWS:
         raise ConfigError(f"flow must be one of {YIELD_FLOWS}, got {flow!r}")
@@ -1334,21 +1497,18 @@ def yield_study(
     if flow == "self-heal":
         if not isinstance(config, SelfHealConfig):
             raise ConfigError("the self-heal flow needs a SelfHealConfig")
-        row_fn = lambda i: _selfheal_row(config, master_seed, i)
-        rows = tuple(parallel_indexed(n_samples, row_fn, threads))
+        block_rows = _selfheal_rows
     elif not isinstance(config, DacConfig):
         raise ConfigError(f"the {flow} flow needs a DacConfig")
-    elif flow == "timing":
-        row_fn = lambda i: _timing_row(config, master_seed, i)
-        rows = tuple(parallel_indexed(n_samples, row_fn, threads))
-    else:  # blocks of amplitude rows, flattened in order
-        run_config = uniform_comparison_config(config) if flow == "ses" else config
-        size = _AMPLITUDE_BLOCK
-        block_fn = lambda j: _amplitude_rows(
-            run_config, master_seed, j * size, min(n_samples, (j + 1) * size)
-        )
-        blocks = parallel_indexed(-(-n_samples // size), block_fn, threads)
-        rows = tuple(row for block in blocks for row in block)
+    else:
+        block_rows = _timing_rows if flow == "timing" else _amplitude_rows
+    run_config = uniform_comparison_config(config) if flow == "ses" else config
+    size = _YIELD_BLOCK
+    block_fn = lambda j: block_rows(
+        run_config, master_seed, j * size, min(n_samples, (j + 1) * size)
+    )
+    blocks = parallel_indexed(-(-n_samples // size), block_fn, threads)
+    rows = tuple(row for block in blocks for row in block)
     columns = _FLOW_COLUMNS[flow]
 
     percentiles: dict = {}

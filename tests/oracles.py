@@ -1,7 +1,9 @@
 """Reference implementations that only the tests call.
 
 The sequential DAC decode, the per-cell amplitude residuals, one
-converter's amplitude yield row, the zero-variance receiver and the
+converter's amplitude yield row, the five-pass timing calibration, one
+converter's timing and self-heal yield rows with the pre-heal linearity,
+the zero-variance receiver and the
 textbook ideal receiver built on it, the HRR of one point, a waveform's
 edge count, a scalar failure-rate query, a
 study's distances in one pass over each block, the resolution frontier as
@@ -29,9 +31,13 @@ from subsetcal import csdac, hrmixer
 from subsetcal.csdac import (
     DacConfig,
     DacSample,
+    SelfHealConfig,
     SelfHealSample,
     calibrate_amplitude_eses,
+    healed_linearity,
     sample_dac,
+    sample_selfheal,
+    self_heal_ses,
     ucc_currents,
 )
 from subsetcal.hrmixer import (
@@ -61,6 +67,8 @@ from subsetcal.mismatch import (
     membership_matrix,
     nominal_sizes,
     scheme_center,
+    selected_sums,
+    subset_deviations,
 )
 from subsetcal.runner import sample_substream
 from subsetcal.studies import (
@@ -114,6 +122,71 @@ def amplitude_row(config: DacConfig, master_seed: int, i: int) -> tuple:
     pre = csdac._segment_maxima(ucc_currents(sample), lsb_vals)
     post = csdac._segment_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
     return i, pre.inl_max, post.inl_max, pre.dnl_max, post.dnl_max
+
+
+def calibrate_timing(sample: DacSample) -> DacSample:
+    """Exhaustive timing calibration of every UCC, as five passes over every
+    subset of the delay and tuned-duty buffers: the subset deviations from
+    today's per-cell product, less the fixed buffer's deviation for duty,
+    then the first index of the least absolute value.  A buffer without
+    drive keeps its selection."""
+    cfg = sample.config
+    design = csdac._cell_design(cfg)
+    fixed = csdac._buffer_deviations(sample)[:, 2]
+    distance = subset_deviations(  # delay and tuned-duty buffers, every subset
+        sample.widths[:, :2] @ membership_matrix(cfg.n, cfg.k),
+        design.drives[:2, None],
+        design.halves[:2, None],
+        sample.extrinsic[:, :2, None],
+    )
+    distance[:, 1] -= fixed[:, None]
+    best = np.argmin(np.abs(distance, out=distance), axis=2)
+    current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
+    best = np.where(design.drives[:2] == 0.0, current, best)
+    return dataclasses.replace(
+        sample, delay_selection=best[:, 0], duty_selection=best[:, 1]
+    )
+
+
+def timing_row(config: DacConfig, master_seed: int, i: int) -> tuple:
+    """One converter's timing yield row, as one converter at a time composes
+    it: ``sample_dac`` on sample i's stream, then the standard deviations of
+    its delay and duty errors before and after the five-pass
+    ``calibrate_timing``."""
+    sample = sample_dac(config, sample_substream(master_seed, i))
+    pre = csdac._buffer_deviations(sample)
+    post = csdac._buffer_deviations(calibrate_timing(sample))
+    return (
+        i, float(np.std(pre[:, 0])), float(np.std(post[:, 0])),
+        float(np.std(pre[:, 1] - pre[:, 2])), float(np.std(post[:, 1] - post[:, 2])),
+    )
+
+
+def selfheal_pre_linearity(sample: SelfHealSample) -> csdac.LinearityMaxima:
+    """Linearity maxima before healing: balanced selections, balanced bias."""
+    cfg = sample.config
+    balanced = balanced_row(cfg.n, cfg.k)
+    scale = float(selected_sums(sample.bias_elements, balanced, cfg.k)) / float(cfg.k)
+    currents = selected_sums(sample.cells, balanced, cfg.k) * scale
+    return csdac._segment_maxima(currents, sample.lsb_values)
+
+
+def selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> tuple:
+    """One converter's self-heal yield row, as one converter at a time
+    composes it: ``sample_selfheal`` and ``self_heal_ses`` on sample i's
+    stream, with the linearity before and after healing (NaN after a failed
+    run)."""
+    rng = sample_substream(master_seed, i)
+    sample = sample_selfheal(config, rng)
+    pre = selfheal_pre_linearity(sample)
+    result = self_heal_ses(sample, rng)
+    if result.healed:
+        post = healed_linearity(sample, result)
+        post_inl, post_dnl = post.inl_max, post.dnl_max
+    else:
+        post_inl = post_dnl = math.nan
+    healed = 1.0 if result.healed else 0.0
+    return i, healed, float(result.restarts), pre.inl_max, post_inl, pre.dnl_max, post_dnl
 
 
 def zero_variance_receiver(config: Optional[HrConfig] = None) -> HrReceiverSample:

@@ -273,6 +273,7 @@ _OVERFLOWING_DRAW = (
     "a drawn converter's full-scale current could reach inf A,"
     " above the 2.81e+306 A its sums are kept below"
 )
+_OVERFLOWING_DELAY = ", above the 1.22e+142 s its squared sums are kept below"
 
 
 @pytest.mark.parametrize(
@@ -334,10 +335,18 @@ def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text
         (["dac", "self-heal"], "heal.ucc_sigma = 1e308\n", _OVERFLOWING_DRAW),
         (["dac", "yield", "--flow", "self-heal"], "heal.bias_rel_sigma = 1e308\n",
          _OVERFLOWING_DRAW),
+        # timing sigmas whose deviations' squares would overflow the columns
+        (["dac", "yield", "--flow", "timing"], "dac.delay_sigma = 1e300\n",
+         "a drawn buffer's delay could reach 1.7e+302 s at delay_sigma = 1e+300 s"
+         + _OVERFLOWING_DELAY),
+        (["dac", "yield", "--flow", "timing"], "dac.duty_sigma = 1e307\n",
+         "a drawn buffer's delay could reach inf s at duty_sigma = 1e+307 s"
+         + _OVERFLOWING_DELAY),
     ],
     ids=[
         "dac-lsb-sigma-factor", "dac-sub-sigma", "heal-lsb-sigma-factor", "dac-huge-n",
         "dac-sub-sigma-sums", "heal-ucc-sigma-sums", "heal-bias-sigma-sums",
+        "dac-delay-sigma-squares", "dac-duty-sigma-squares",
     ],
 )
 def test_hostile_dac_values_are_rejected_before_any_work(
@@ -688,9 +697,9 @@ def test_worker_config_error_exits_like_a_serial_run(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(csdac, "_amplitude_rows", rows)
     monkeypatch.setattr(runner, "_usable_cores", lambda: 2)
-    blocks = -(-100 // csdac._AMPLITUDE_BLOCK)
+    blocks = -(-100 // csdac._YIELD_BLOCK)
     # row 70's block runs in the worker
-    assert runner._chunk_bounds(blocks, 2)[1] <= 70 // csdac._AMPLITUDE_BLOCK
+    assert runner._chunk_bounds(blocks, 2)[1] <= 70 // csdac._YIELD_BLOCK
     errors = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
@@ -807,7 +816,7 @@ def test_heal_geometry_without_a_balanced_bias_is_rejected_before_the_draw(
         raise AssertionError("a converter was drawn before the heal geometry was checked")
 
     monkeypatch.setattr(cli, "sample_selfheal", draw_must_not_run)
-    monkeypatch.setattr(csdac, "sample_selfheal", draw_must_not_run)
+    monkeypatch.setattr(csdac, "_draw_heal", draw_must_not_run)  # the study's block draw
     cfg = write_cfg(tmp_path, "sh.cfg", line + "\n")
     out = tmp_path / "out"
     assert main([*command, "--config", cfg, "--out", str(out)]) == 2

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subsetcal import csdac, mismatch
+from subsetcal import csdac, mismatch, runner
 from subsetcal.csdac import (
     DEFAULT_SUB_SCHEME,
     DacConfig,
@@ -65,8 +65,12 @@ from oracles import (
     inverter_deviation,
     sample_element_set,
     self_heal_oracle,
+    selfheal_pre_linearity,
+    selfheal_row,
     subset_value,
+    timing_row,
 )
+from oracles import calibrate_timing as five_pass_calibrate_timing
 
 BALANCED_12_6 = (0, 2, 4, 7, 9, 11)
 COMBOS_12_6 = combination_index_matrix(12, 6)
@@ -642,7 +646,7 @@ def test_segment_maxima_equal_the_full_curve_on_real_converters():
         scale = subset_value(sample.bias_elements, balanced) / float(cfg.k)
         currents = [subset_value(cell, balanced) * scale for cell in sample.cells]
         expected = curve_maxima(currents, sample.lsb_bit_currents)
-        assert csdac._selfheal_pre_linearity(sample) == expected
+        assert selfheal_pre_linearity(sample) == expected
         result = self_heal_ses(sample, rng)
         assert result.healed
         expected = curve_maxima(result.cell_currents, sample.lsb_bit_currents)
@@ -923,6 +927,80 @@ def test_timing_selections_match_inverter_search(timing_population):
         duty = [abs(oracle_deviation(before, c, 1, sel) - fixed) for sel in candidates]
         assert after.delay_selection[c] == int(np.argmin(delay))
         assert after.duty_selection[c] == int(np.argmin(duty))
+
+
+def timing_case_sample(geometry, case, seed, cell, shift, rank, ulps):
+    """A converter at (n, k) for one case of the selection property: as
+    drawn; with every width at its nominal (exact ties between subsets); with
+    no delay or no duty drive; with an extrinsic error of ``shift`` drives on
+    one cell's delay and tuned-duty buffers, beyond the tuning range; or with
+    that cell's buffers' zero of the delay law moved to ``ulps`` units from
+    the point where two neighbouring subset sums score alike."""
+    n, k = geometry
+    sigmas = {"no-delay-drive": {"delay_sigma": 0.0}, "no-duty-drive": {"duty_sigma": 0.0}}
+    cfg = DacConfig(n=n, k=k, ucc_sub_scheme=Uniform(312e-6 / k), **sigmas.get(case, {}))
+    sample = sample_dac(cfg, sample_substream(seed, 0))
+    design = csdac._cell_design(cfg)
+    cell %= cfg.n_ucc
+    if case == "equal-widths":
+        nominal = design.nominal[0, n:].reshape(3, n + 1)[:, :n]
+        return dataclasses.replace(sample, widths=np.broadcast_to(nominal, sample.widths.shape))
+    if case == "beyond-range":
+        extrinsic = sample.extrinsic.copy()
+        extrinsic[cell, :2] += shift * design.drives[:2]
+        return dataclasses.replace(sample, extrinsic=extrinsic)
+    if case == "near-tie":
+        sums = sample.widths[cell, :2] @ mismatch.membership_matrix(n, k)
+        fixed = csdac._buffer_deviations(sample)[cell, 2]
+        extrinsic = sample.extrinsic.copy()
+        for b, offset in ((0, 0.0), (1, fixed)):
+            distinct = np.unique(sums[b])
+            low, high = distinct[rank % (distinct.size - 1) :][:2]
+            zero = 2.0 * low * high / (low + high)  # the sums' harmonic mean
+            drive, half = design.drives[b], design.halves[b]
+            error = drive - drive * half / zero + offset
+            extrinsic[cell, b] = error + ulps * np.spacing(error)
+        return dataclasses.replace(sample, extrinsic=extrinsic)
+    return sample
+
+
+@given(
+    geometry=st.sampled_from([(4, 2), (8, 4), (12, 6)]),
+    case=st.sampled_from(
+        ["drawn", "equal-widths", "no-delay-drive", "no-duty-drive", "beyond-range", "near-tie"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.integers(0, 62),
+    shift=st.floats(-0.45, 0.9),
+    rank=st.integers(0, 923),
+    ulps=st.integers(-4, 4),
+)
+def test_timing_selections_equal_the_five_pass_calibration(
+    geometry, case, seed, cell, shift, rank, ulps
+):
+    sample = timing_case_sample(geometry, case, seed, cell, shift, rank, ulps)
+    expected = five_pass_calibrate_timing(sample)
+    fixed = csdac._buffer_deviations(sample)[:, 2]
+    current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
+    best = csdac._timing_selections(sample.config, sample.widths, sample.extrinsic, fixed, current)
+    assert np.array_equal(best[:, 0], expected.delay_selection)
+    assert np.array_equal(best[:, 1], expected.duty_selection)
+
+
+@pytest.mark.parametrize("case", ["equal-widths", "near-tie", "beyond-range"])
+def test_timing_selections_fall_back_where_the_bracket_proves_nothing(case):
+    """Tied sums, a zero of the law between two sums that score alike, and an
+    error the tuning range cannot cancel each send their cell to the five
+    passes."""
+    sample = timing_case_sample((12, 6), case, 3, 7, 0.8, 400, 0)
+    with mock.patch.object(
+        csdac, "subset_deviations", wraps=csdac.subset_deviations
+    ) as five_passes:
+        calibrated = calibrate_timing(sample)
+    assert five_passes.called
+    expected = five_pass_calibrate_timing(sample)
+    assert np.array_equal(calibrated.delay_selection, expected.delay_selection)
+    assert np.array_equal(calibrated.duty_selection, expected.duty_selection)
 
 
 # ---------------------------------------------------------------------------
@@ -1560,3 +1638,103 @@ def test_a_block_raises_the_error_of_its_lowest_failing_sample(monkeypatch, flat
     assert str(block.value) == str(serial.value)
     rows = csdac._amplitude_rows(config, 5, 0, min(flat, late))  # the rows before both
     assert bits_of(rows) == bits_of(amplitude_row(config, 5, i) for i in range(min(flat, late)))
+
+
+# ---------------------------------------------------------------------------
+# timing and self-heal rows in blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_FLOWS = {
+    "timing": (DacConfig(), csdac._timing_rows, timing_row),
+    "self-heal": (SelfHealConfig(), csdac._selfheal_rows, selfheal_row),
+}
+
+
+@pytest.mark.parametrize("flow", sorted(BLOCK_FLOWS))
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 16), (5, 21), (37, 38), (90, 103)],
+    ids=["aligned", "unaligned", "one", "odd-length"],
+)
+def test_block_rows_equal_the_row_oracle(flow, lo, hi):
+    config, block_rows, row = BLOCK_FLOWS[flow]
+    expected = [row(config, 13, i) for i in range(lo, hi)]
+    assert bits_of(block_rows(config, 13, lo, hi)) == bits_of(expected)
+
+
+@pytest.mark.parametrize("flow", sorted(BLOCK_FLOWS))
+def test_yield_study_block_rows_equal_the_row_oracle(flow):
+    """A sample count that no block size divides; at seed 17 two of the
+    self-healing converters fail, so their post columns read NaN."""
+    config, _, row = BLOCK_FLOWS[flow]
+    rows = yield_study(config, 101, flow, master_seed=17, threads=1).rows
+    assert bits_of(rows) == bits_of(row(config, 17, i) for i in range(101))
+    if flow == "self-heal":
+        assert 0 < sum(r[1] for r in rows) < 101
+
+
+@pytest.mark.parametrize("flow", sorted(BLOCK_FLOWS))
+def test_block_flows_are_independent_of_threads(monkeypatch, flow):
+    """At two threads the second half of the blocks runs in a forked worker."""
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 2)
+    config = BLOCK_FLOWS[flow][0]
+    one, two = (yield_study(config, 100, flow, 31, threads=t).rows for t in (1, 2))
+    assert bits_of(one) == bits_of(two)
+
+
+@pytest.mark.parametrize(
+    "early, late", [(3, 9), (9, 3)], ids=["delay-first", "size-first"]
+)
+def test_a_timing_block_raises_the_error_of_its_lowest_failing_sample(
+    monkeypatch, early, late
+):
+    """Sample ``early`` draws an extrinsic error that pulls a delay below
+    zero; sample ``late`` a width <= 0.  The block checks every size before
+    any delay, so it sees the width first; it raises what the loop over the
+    rows raises."""
+    draw = csdac._draw_cells
+
+    def failing_draw(cfg, rng):
+        values = draw(cfg, rng).copy()
+        i = rng.bit_generator.seed_seq.spawn_key[0]
+        if i == early:
+            values[5, 2 * cfg.n] = -1e-9  # cell 5's delay buffer
+        if i == late:
+            values[7, cfg.n + 2] = -0.5  # a width of cell 7's delay buffer
+        return values
+
+    monkeypatch.setattr(csdac, "_draw_cells", failing_draw)
+    assert_block_raises_like_the_rows(csdac._timing_rows, timing_row, DacConfig(), min(early, late))
+
+
+@pytest.mark.parametrize("flat, late", [(3, 9), (9, 3)], ids=["flat-first", "size-first"])
+def test_a_selfheal_block_raises_the_error_of_its_lowest_failing_sample(monkeypatch, flat, late):
+    """Sample ``flat`` draws an LSB bank that sinks the top code below code
+    0, which the pre-heal reading rejects; sample ``late`` an element <= 0,
+    which the size check rejects first."""
+    draw = csdac._draw_heal
+
+    def failing_draw(cfg, rng):
+        realized, bits, reference = draw(cfg, rng)
+        i = rng.bit_generator.seed_seq.spawn_key[0]
+        if i == flat:
+            bits = (-1.0,) * len(bits)
+        if i == late:
+            realized = realized.copy()
+            realized[-1, 4] = 0.0  # a bias element
+        return realized, bits, reference
+
+    monkeypatch.setattr(csdac, "_draw_heal", failing_draw)
+    assert_block_raises_like_the_rows(
+        csdac._selfheal_rows, selfheal_row, SelfHealConfig(), min(flat, late)
+    )
+
+
+def assert_block_raises_like_the_rows(block_rows, row, config, first):
+    with pytest.raises((ConfigError, DegenerateConfigurationError)) as serial:
+        [row(config, 5, i) for i in range(16)]
+    with pytest.raises((ConfigError, DegenerateConfigurationError)) as block:
+        block_rows(config, 5, 0, 16)
+    assert type(block.value) is type(serial.value)
+    assert str(block.value) == str(serial.value)
+    rows = block_rows(config, 5, 0, first)  # the rows before both
+    assert bits_of(rows) == bits_of(row(config, 5, i) for i in range(first))

@@ -25,7 +25,10 @@ subcommand its own handler and restated the config dataclasses' defaults.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from subsetcal.cli import main
@@ -446,3 +449,30 @@ def test_outputs_match_golden_hashes(tmp_path, case):
     hashes, manifest = run_case(tmp_path, case)
     assert hashes == GOLDEN[case]
     assert manifest == MANIFEST_GOLDEN[case]
+
+
+def _openblas_picks_kernels_at_run_time() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    not _openblas_picks_kernels_at_run_time(),
+    reason="OPENBLAS_CORETYPE acts only on a DYNAMIC_ARCH build of OpenBLAS",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_dac_golden_cases_hold_on_other_blas_kernels(coretype):
+    """The converter cases under an AVX2 and an SSE3 OpenBLAS kernel, in a
+    subprocess (the variable acts only on the process it is set for): the
+    subset-sum products change bits from kernel to kernel, and no converter
+    output may.  ``dac-sense`` is left out: its readout sums through
+    ``np.dot``, whose order is per kernel."""
+    cases = sorted(c for c in CASES if c.startswith(("dac-yield-", "dac-self-heal")))
+    tests = [f"{__file__}::test_outputs_match_golden_hashes[{case}]" for case in cases]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        env={**os.environ, "OPENBLAS_CORETYPE": coretype},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-3000:]
+    assert f"{len(cases)} passed" in run.stdout
