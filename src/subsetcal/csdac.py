@@ -238,18 +238,29 @@ class DacConfig(_LsbBank):
         square them twice: ``np.std`` over the cells, then the pooled root
         mean square over the samples.  So a buffer's delay with its widths
         and extrinsic error ``_DRAW_REACH`` sigma out must stay below
-        ``_MAX_TIMING_REACH``.  (The lowered widths stay positive: no step
-        takes a nominal width below 0.07, and 16 of its 1 % sigmas are below
-        0.05.)"""
-        width_model = MismatchModel(_TIMING_REL_SIGMA, 1.0)
-        for name, (drive, step), extrinsic in (
-            ("delay_sigma", self.delay_network, self.delay_extrinsic_sigma),
-            ("duty_sigma", self.duty_network, self.duty_extrinsic_sigma),
+        ``_MAX_TIMING_REACH``: BASE_DELAY + drive * half / S_low plus
+        ``_DRAW_REACH`` extrinsic sigmas, with S_low the sum of the k lowest
+        lowered widths.  A lowered width can be negative (at n = 38, k = 2
+        the lowest nominal duty width is 0.0128 and 16 of its sigmas 0.018),
+        and a drawn sum near 0 has no bound, so S_low must stay above 0.  It
+        does in every geometry the width steps allow; the least found is
+        0.0023, at n = 25, k = 1."""
+        n, k = self.n, self.k
+        design = _cell_design(self)
+        nominal = design.nominal[0, n:].reshape(3, n + 1)
+        sigmas = design.sigmas[0, n:].reshape(3, n + 1)
+        lowered = np.sort(nominal[:, :n] - _DRAW_REACH * sigmas[:, :n], axis=1)
+        for name, drive, half, low_sum, extrinsic in zip(
+            ("delay_sigma", "duty_sigma"), design.drives.tolist(), design.halves.tolist(),
+            lowered[:, :k].sum(axis=1).tolist(), sigmas[:, n].tolist(),
         ):
-            widths = nominal_sizes(Arithmetic(1.0, step), self.n)
-            low = np.sort(widths - _DRAW_REACH * width_model.element_sigmas(widths))
-            ratio = float(widths.mean() / low[: self.k].mean())
-            reach = BASE_DELAY + drive * ratio + _DRAW_REACH * extrinsic
+            if not low_sum > 0.0:
+                raise ConfigError(
+                    f"at n = {n}, k = {k} the {k} lowest timing widths,"
+                    f" {_DRAW_REACH:g} sigma low, sum to {low_sum:.3g}: a drawn"
+                    " buffer's delay has no bound"
+                )
+            reach = BASE_DELAY + drive * half / low_sum + _DRAW_REACH * extrinsic
             if not reach <= _MAX_TIMING_REACH:
                 raise ConfigError(
                     f"a drawn buffer's delay could reach {reach:.3g} s at {name} ="
@@ -760,11 +771,6 @@ def _shifted_membership(n: int, k: int) -> np.ndarray:
     return out
 
 
-#: the bracket's rounding allowance, in eps times the target sum: about 60
-#: covers the two products, the target and the five passes (below)
-_BRACKET_ROUNDING = 256.0
-
-
 def _timing_selections(cfg: DacConfig, widths, extrinsic, fixed, current) -> np.ndarray:
     """The (cells, 2) delay and tuned-duty selections ``calibrate_timing``
     picks for widths (cells, 3, n), extrinsic errors (cells, 3) and the fixed
@@ -773,17 +779,37 @@ def _timing_selections(cfg: DacConfig, widths, extrinsic, fixed, current) -> np.
 
     The calibration's objective over a subset sum S takes five passes,
     fl(fl(fl(fl(half / S) - 1) * drive) + e) - f, with f = 0 for the delay
-    buffer.  Its real counterpart is drive * half * (1/S - 1/S*), zero at
-    S* = half * drive / (drive - e + f): a sum at distance r from S* scores
-    at least drive * half * r / (S* (S* + r)), and the nearest sum, at
-    distance m, at most drive * half * m / (S* (S* - m)).  So one per-cell
-    product gives S - S* for every subset, and its nearest subset is the
-    choice when every other one lies outside the band m + 2 m**2 / (S* - 2m)
-    + ``_BRACKET_ROUNDING`` * eps * S*.  The allowance holds while
-    |e| + |f| <= drive / 2 and m <= S* / 4, which the test also asks.  A
-    cell with a buffer that fails it (a tie, equal widths, an error beyond
-    the tuning range) runs the five passes over the plain per-cell product
-    ``widths @ membership_matrix``.
+    buffer.  Each pass is correctly rounded and monotone, so the objective
+    does not increase with S.  Its real counterpart is drive * half *
+    (1/S - 1/S*), zero at S* = half * drive / (drive - e + f): a sum at
+    distance r from S* scores at least drive * half * r / (S* (S* + r)),
+    and the nearest sum, at distance m, at most drive * half * m /
+    (S* (S* - m)).  The first exceeds the second for r > m + 2 m**2 /
+    (S* - 2m).  So one per-cell product gives S - S* for every subset, and
+    its nearest subset is the choice when every other one lies outside that
+    band plus a rounding allowance of (192 + 22 k) eps S*.
+
+    The allowance is twice this budget, in eps S*, for |e| + |f| <=
+    drive / 2 and m <= S* / 4, which the test also asks.  Then half / S* is
+    in [1/2, 3/2], the band ends within 0.6 S* of S*, and half / S <= 3.75
+    for the sums there.  Since the objective is monotone, farther sums
+    score no better than the band's end.
+      - S* itself: a product, two sums that |e| + |f| <= drive / 2 keep to
+        a condition of 3, and a division: 3.
+      - S - S* from the bracket's product: k + 1 nonzero terms (the zeros
+        of the membership add exactly), so gamma_k (S + S*): 1.3 k.
+      - S from the five passes' product: gamma_(k-1) S: 0.8 k.
+      - The five passes, at most 7.5 eps drive for half / S <= 3.75.  The
+        objective's slope is at least drive / (5.12 S*) there, so the two
+        sums compared need a band wider by 2 * 5.12 * 7.5: 76.8.
+      - The nearest sum's distance is known to within the first three
+        terms, 3 + 2.1 k, and the band grows up to 4.1 times as fast as m
+        (its slope S***2 / (S* - 2m)**2); the other sum's distance is known
+        to the same: 5.1 (3 + 2.1 k) = 15.3 + 10.7 k.
+      - The band's own arithmetic, with the computed S*: 3.5.
+    In all 95.6 + 10.7 k.  A cell with a buffer that fails the test (a tie,
+    equal widths, an error beyond the tuning range) runs the five passes
+    over the plain per-cell product ``widths @ membership_matrix``.
     """
     n, k = cfg.n, cfg.k
     design = _cell_design(cfg)
@@ -802,7 +828,7 @@ def _timing_selections(cfg: DacConfig, widths, extrinsic, fixed, current) -> np.
         nearest = np.take_along_axis(distance, best[..., None], axis=2)[..., 0]
         np.put_along_axis(distance, best[..., None], np.inf, axis=2)
         band = nearest + 2.0 * nearest**2 / (target - 2.0 * nearest)
-        band += _BRACKET_ROUNDING * np.finfo(float).eps * target
+        band += (192.0 + 22.0 * k) * np.finfo(float).eps * target
         proven = (np.abs(errors) + np.abs(offsets) <= drive / 2.0) & (nearest <= target / 4.0)
         proven &= distance.min(axis=2) > band
     redo = np.flatnonzero((~proven & (drive > 0.0)).any(axis=1))
@@ -1402,22 +1428,6 @@ def _timing_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[
     return list(zip(range(lo, hi), *(np.std(e, axis=1).tolist() for e in errors)))
 
 
-def _checked_heal_sample(
-    cfg: SelfHealConfig, realized, bits, reference, lsb_values
-) -> SelfHealSample:
-    """A ``SelfHealSample`` of a draw whose sizes and LSB values a block has
-    already checked and derived, built without repeating that."""
-    sample = object.__new__(SelfHealSample)
-    fields = {
-        "config": cfg, "cells": realized[: cfg.n_ucc], "backups": realized[cfg.n_ucc : -1],
-        "bias_elements": realized[-1], "lsb_bit_currents": bits,
-        "reference_current": reference, "lsb_values": lsb_values,
-    }
-    for name, value in fields.items():
-        object.__setattr__(sample, name, value)
-    return sample
-
-
 @_rerun_failing_blocks
 def _selfheal_rows(config: SelfHealConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
     """Yield rows lo, ..., hi - 1 of the self-heal flow, each equal as floats
@@ -1425,25 +1435,19 @@ def _selfheal_rows(config: SelfHealConfig, master_seed: int, lo: int, hi: int) -
     with the ``_segment_maxima`` of the balanced, bias-scaled cell currents
     before and of ``healed_linearity`` after.
 
-    Each converter is drawn from its own stream, and the controller runs per
-    converter on that generator.  The block runs ``SelfHealSample``'s size
-    check, the LSB values and both linearity readings on stacked arrays.
+    Each converter is drawn by ``sample_selfheal`` from its own stream, and
+    the controller runs per converter on that generator.  The block runs
+    both linearity readings on stacked arrays.
     """
     n, k = config.n, config.k
     rngs = [sample_substream(master_seed, i) for i in range(lo, hi)]
-    draws = [_draw_heal(config, rng) for rng in rngs]
-    realized = np.stack([d[0] for d in draws])
-    if np.any(realized <= 0.0):
-        raise ConfigError("realized sizes must be strictly positive")
-    lsb_vals = _lsb_values([d[1] for d in draws])
+    samples = [sample_selfheal(config, rng) for rng in rngs]
+    lsb_vals = np.stack([s.lsb_values for s in samples])
     balanced = balanced_row(n, k)
-    scale = selected_sums(realized[:, -1], balanced, k) / float(k)
-    currents = selected_sums(realized[:, : config.n_ucc], balanced, k) * scale[:, None]
+    scale = selected_sums(np.stack([s.bias_elements for s in samples]), balanced, k) / float(k)
+    currents = selected_sums(np.stack([s.cells for s in samples]), balanced, k) * scale[:, None]
     pre = _segment_maxima_rows(currents, lsb_vals)
-    results = [
-        self_heal_ses(_checked_heal_sample(config, values, bits, reference, levels), rng)
-        for (values, bits, reference), levels, rng in zip(draws, lsb_vals, rngs)
-    ]
+    results = [self_heal_ses(sample, rng) for sample, rng in zip(samples, rngs)]
     healed = [r for r, result in enumerate(results) if result.healed]
     post = dict.fromkeys(range(hi - lo), LinearityMaxima(math.nan, math.nan))
     if healed:

@@ -317,6 +317,23 @@ def test_timing_step_covers_budget_on_the_short_side():
         assert long_reach > budget
 
 
+def test_timing_reach_needs_the_lowest_lowered_widths_to_sum_above_zero(monkeypatch):
+    # At n = 38, k = 2 the lowest nominal duty width, 16 of its sigmas low,
+    # is below 0, but the two lowest such widths still sum above 0, so the
+    # delay bound holds; n = 25, k = 1 has the least such sum found.
+    model = MismatchModel(0.01, 1.0)
+    for n, k, negative in ((38, 2, True), (25, 1, False)):
+        cfg = DacConfig(n=n, k=k, ucc_sub_scheme=Uniform(312e-6 / k))
+        widths = nominal_sizes(Arithmetic(1.0, cfg.duty_network[1]), n)
+        lowered = np.sort(widths - 16.0 * model.element_sigmas(widths))
+        assert (lowered[0] < 0.0) == negative
+        assert 0.0 < lowered[:k].sum() < 0.02
+    # a wider reach takes that sum below 0, where no delay bound holds
+    monkeypatch.setattr(csdac, "_DRAW_REACH", 40.0)
+    with pytest.raises(ConfigError, match=r"at n = 38, k = 2 .* a drawn buffer's delay has no bound"):
+        DacConfig(n=38, k=2, ucc_sub_scheme=Uniform(312e-6 / 2))
+
+
 def test_timing_variance_split():
     cfg = DacConfig()
     assert math.isclose(
