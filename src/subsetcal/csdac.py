@@ -243,8 +243,8 @@ class DacConfig(_LsbBank):
         lowered widths.  A lowered width can be negative (at n = 38, k = 2
         the lowest nominal duty width is 0.0128 and 16 of its sigmas 0.018),
         and a drawn sum near 0 has no bound, so S_low must stay above 0.  It
-        does in every geometry the width steps allow; the least found is
-        0.0023, at n = 25, k = 1."""
+        does in every geometry the width steps allow for k up to 399; the
+        least is 0.0023, at n = 25, k = 1."""
         n, k = self.n, self.k
         design = _cell_design(self)
         nominal = design.nominal[0, n:].reshape(3, n + 1)
@@ -789,8 +789,8 @@ def _timing_selections(cfg: DacConfig, widths, extrinsic, fixed, current) -> np.
     its nearest subset is the choice when every other one lies outside that
     band plus a rounding allowance of (192 + 22 k) eps S*.
 
-    The allowance is twice this budget, in eps S*, for |e| + |f| <=
-    drive / 2 and m <= S* / 4, which the test also asks.  Then half / S* is
+    The allowance is twice the budget below, in eps S*, which holds for
+    |e| + |f| <= drive / 2 and m <= S* / 4; the test also asks both.  Then half / S* is
     in [1/2, 3/2], the band ends within 0.6 S* of S*, and half / S <= 3.75
     for the sums there.  Since the objective is monotone, farther sums
     score no better than the band's end.

@@ -816,7 +816,7 @@ def test_heal_geometry_without_a_balanced_bias_is_rejected_before_the_draw(
         raise AssertionError("a converter was drawn before the heal geometry was checked")
 
     monkeypatch.setattr(cli, "sample_selfheal", draw_must_not_run)
-    monkeypatch.setattr(csdac, "_draw_heal", draw_must_not_run)  # the study's block draw
+    monkeypatch.setattr(csdac, "sample_selfheal", draw_must_not_run)
     cfg = write_cfg(tmp_path, "sh.cfg", line + "\n")
     out = tmp_path / "out"
     assert main([*command, "--config", cfg, "--out", str(out)]) == 2
