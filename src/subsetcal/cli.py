@@ -41,7 +41,6 @@ from .csdac import (
     DacConfig,
     SENSE_MODES,
     SelfHealConfig,
-    SensedCell,
     SensingConfig,
     YIELD_FLOWS,
     _FLOW_COLUMNS,
@@ -50,7 +49,7 @@ from .csdac import (
     sample_dac,
     sample_selfheal,
     self_heal_ses,
-    sense_error,
+    sense_readings,
     uniform_comparison_config,
     yield_study,
 )
@@ -536,9 +535,9 @@ def _dac_self_heal(cfg: dict, threads: int) -> Output:
 
 
 #: bytes each of a ``dac sense`` run's (3 error kinds, points, 3 modes)
-#: readings takes: a kept 4-tuple with two floats, and its CSV line
-#: (tracemalloc, CPython 3.11: 272 B per reading from 4 500 to 72 000 readings)
-_SENSE_READING_BYTES = 280
+#: readings takes at the peak, in the array pass's temporaries (tracemalloc,
+#: CPython 3.11, numpy 2.4: 833 B per reading from 4 500 to 72 000 readings)
+_SENSE_READING_BYTES = 860
 
 
 def _dac_sense(cfg: dict, threads: int) -> Output:
@@ -554,20 +553,23 @@ def _dac_sense(cfg: dict, threads: int) -> Output:
     if timing_max is None:
         timing_max = 1.0 / cfg["sense.f_meas"] / 1000.0
         cfg["sense.timing_error_max"] = timing_max
-    amp_max = cfg["sense.amplitude_error_max"] * amplitude
-    rows = []
-    for kind, span in (("amplitude", amp_max), ("delay", timing_max), ("duty", timing_max)):
-        for value in np.linspace(-span, span, points):
-            half = float(value) / 2.0
-            if kind == "amplitude":
-                cells = SensedCell(amplitude + half), SensedCell(amplitude - half)
-            else:
-                cells = (SensedCell(amplitude, **{kind: half}),
-                         SensedCell(amplitude, **{kind: -half}))
-            rows += [
-                (mode, kind, float(value), sense_error(*cells, mode, sensing))
-                for mode in SENSE_MODES
-            ]
+    spans = (cfg["sense.amplitude_error_max"] * amplitude, timing_max, timing_max)
+    for kind, span in zip(SENSE_MODES, spans):
+        if not math.isfinite(2.0 * span):
+            raise ConfigError(f"the {kind} sweep from {-span:g} to {span:g} has no finite width")
+
+    def readings(errors):  # (3 kinds, points): +half on a cell, -half on its reference
+        split = np.eye(3)[:, :, None, None] * np.multiply.outer(errors / 2.0, (1.0, -1.0))
+        return sense_readings(amplitude + split[0], split[1], split[2], sensing)
+
+    readings(np.array([(-span, span) for span in spans]))  # the cell checks, at the ends
+    errors = np.array([np.linspace(-span, span, points) for span in spans])
+    rows = [
+        (mode, kind, value, reading)
+        for kind, values, read in zip(SENSE_MODES, errors.tolist(), readings(errors).tolist())
+        for value, point in zip(values, read)
+        for mode, reading in zip(SENSE_MODES, point)
+    ]
     dataset = FigureDataset(
         cfg["figure.id"],
         ("mode", "error_kind", "error_value", "output_v"),

@@ -38,7 +38,9 @@ import numpy as np
 
 from .mismatch import (
     BASE_DELAY,
+    DRAW_REACH,
     MAX_ARRAY_BYTES,
+    MAX_DRAW_SUM,
     Arithmetic,
     ConfigError,
     DegenerateConfigurationError,
@@ -59,7 +61,6 @@ from .mismatch import (
     timing_network,
 )
 from .runner import parallel_indexed, sample_substream
-from .waveform import EdgeWaveform, product_average, square_wave
 
 __all__ = [
     "DEFAULT_SUB_SCHEME",
@@ -83,10 +84,9 @@ __all__ = [
     "SelfHealResult",
     "self_heal_ses",
     "healed_linearity",
-    "SensedCell",
     "SensingConfig",
     "SENSE_MODES",
-    "sense_error",
+    "sense_readings",
     "YieldResult",
     "YIELD_FLOWS",
     "yield_study",
@@ -98,14 +98,6 @@ __all__ = [
 # sized to cover the stage's *total* spread with margin (``timing_network``).
 _TIMING_REL_SIGMA = 0.01
 _TIMING_INTRINSIC_FRACTION = 0.25
-
-# A normal draw from numpy's Generator lies within 14 sigma of its mean (the
-# ziggurat's tail ends near 3.65 + 36.7 / 3.65); the bound on a drawn
-# converter's sums takes every element 16 sigma out.  Its limit leaves a
-# factor 64 for graded nominals (at most twice the center), the differences
-# taken from the sums and the float rounding of the bound itself.
-_DRAW_REACH = 16.0
-_MAX_DRAW_SUM = sys.float_info.max / 64
 
 # A timing deviation is at most twice its buffer's delay, a duty error four
 # times and its offset from the mean eight; squared, at most 2**6 times the
@@ -154,20 +146,20 @@ class _LsbBank:
         1e308 sigma times sqrt(k), a 5e-324 ``lsb_sigma_factor``), which the
         LSB bank's draw cannot sum.  Finite sigmas can still overflow a
         draw's subset and curve sums, so the full-scale current with every
-        element ``_DRAW_REACH`` sigma above its nominal, times ``gain`` (a
+        element ``DRAW_REACH`` sigma above its nominal, times ``gain`` (a
         bound on any factor the currents are scaled by), must stay below
-        ``_MAX_DRAW_SUM``."""
+        ``MAX_DRAW_SUM``."""
         for name in ("ucc_sigma", "lsb_unit_sigma"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"the derived {name} is {value}, not a finite current")
-        cells = self.n_ucc * (self.ucc_nominal + _DRAW_REACH * self.k * self.sub_sigma)
-        bank = self.lsb_levels * (self.lsb_unit_nominal + _DRAW_REACH * self.lsb_unit_sigma)
+        cells = self.n_ucc * (self.ucc_nominal + DRAW_REACH * self.k * self.sub_sigma)
+        bank = self.lsb_levels * (self.lsb_unit_nominal + DRAW_REACH * self.lsb_unit_sigma)
         reach = (cells + bank) * gain
-        if not reach <= _MAX_DRAW_SUM:
+        if not reach <= MAX_DRAW_SUM:
             raise ConfigError(
                 f"a drawn converter's full-scale current could reach {reach:.3g} A,"
-                f" above the {_MAX_DRAW_SUM:.3g} A its sums are kept below"
+                f" above the {MAX_DRAW_SUM:.3g} A its sums are kept below"
             )
 
     @property
@@ -237,9 +229,9 @@ class DacConfig(_LsbBank):
         """Buffer delays grow with the timing sigmas, and the timing columns
         square them twice: ``np.std`` over the cells, then the pooled root
         mean square over the samples.  So a buffer's delay with its widths
-        and extrinsic error ``_DRAW_REACH`` sigma out must stay below
+        and extrinsic error ``DRAW_REACH`` sigma out must stay below
         ``_MAX_TIMING_REACH``: BASE_DELAY + drive * half / S_low plus
-        ``_DRAW_REACH`` extrinsic sigmas, with S_low the sum of the k lowest
+        ``DRAW_REACH`` extrinsic sigmas, with S_low the sum of the k lowest
         lowered widths.  A lowered width can be negative (at n = 38, k = 2
         the lowest nominal duty width is 0.0128 and 16 of its sigmas 0.018),
         and a drawn sum near 0 has no bound, so S_low must stay above 0.  It
@@ -249,7 +241,7 @@ class DacConfig(_LsbBank):
         design = _cell_design(self)
         nominal = design.nominal[0, n:].reshape(3, n + 1)
         sigmas = design.sigmas[0, n:].reshape(3, n + 1)
-        lowered = np.sort(nominal[:, :n] - _DRAW_REACH * sigmas[:, :n], axis=1)
+        lowered = np.sort(nominal[:, :n] - DRAW_REACH * sigmas[:, :n], axis=1)
         for name, drive, half, low_sum, extrinsic in zip(
             ("delay_sigma", "duty_sigma"), design.drives.tolist(), design.halves.tolist(),
             lowered[:, :k].sum(axis=1).tolist(), sigmas[:, n].tolist(),
@@ -257,10 +249,10 @@ class DacConfig(_LsbBank):
             if not low_sum > 0.0:
                 raise ConfigError(
                     f"at n = {n}, k = {k} the {k} lowest timing widths,"
-                    f" {_DRAW_REACH:g} sigma low, sum to {low_sum:.3g}: a drawn"
+                    f" {DRAW_REACH:g} sigma low, sum to {low_sum:.3g}: a drawn"
                     " buffer's delay has no bound"
                 )
-            reach = BASE_DELAY + drive * half / low_sum + _DRAW_REACH * extrinsic
+            reach = BASE_DELAY + drive * half / low_sum + DRAW_REACH * extrinsic
             if not reach <= _MAX_TIMING_REACH:
                 raise ConfigError(
                     f"a drawn buffer's delay could reach {reach:.3g} s at {name} ="
@@ -546,54 +538,29 @@ def linearity(sample: DacSample) -> LinearityReport:
 
 
 # Half-width, relative to a curve whose levels span about n_codes LSB, of
-# the band below the separable bound in which ``_segment_maxima`` evaluates
-# codes exactly: 2e-9 LSB there, where the bound's rounding error stays
-# below 1e-11 LSB.
+# the band below the separable bound in which ``_segment_maxima_rows``
+# evaluates codes exactly: 2e-9 LSB there, where the bound's rounding error
+# stays below 1e-11 LSB.
 _CANDIDATE_MARGIN = 2e-9
 # More candidate codes than this (ties, a flat curve) read the full curve.
 _MAX_CANDIDATES = 8192
 
 
-def _segment_maxima(
-    segment_currents: Sequence[float], lsb_vals: np.ndarray
-) -> LinearityMaxima:
-    """``linearity_from_curve`` maxima of the curve ``_curve_from_levels``
-    builds, equal as floats, without building it.
+def _segment_maxima_rows(
+    segment_currents: np.ndarray, lsb_vals: np.ndarray
+) -> list[LinearityMaxima]:
+    """``linearity_from_curve`` maxima of the curves ``_curve_from_levels``
+    builds from (rows, cells) currents and (rows, levels) LSB values, equal
+    as floats, without building them.
 
     Code (m, l) reads msb_cum[m] + lsb_vals[l], so its INL is a[m] + b[l] up
     to rounding, with a = (msb_cum - first) / unit - m * levels and b =
     lsb_vals / unit - l; a DNL step inside a segment is the LSB-bank step,
-    the same in every segment up to rounding.  The per-segment and per-level
-    arrays bound both maxima; only the codes within the margin of a bound
-    are evaluated with the curve's own expressions (``_segment_candidates``),
-    and the segment-boundary steps always are.
-    """
-    msb_cum = np.concatenate(([0.0], np.cumsum(segment_currents)))
-    levels, segments = lsb_vals.size, msb_cum.size
-    n_codes = segments * levels
-    first = msb_cum[0] + lsb_vals[0]
-    span = (msb_cum[-1] + lsb_vals[-1]) - first
-    _check_span(span)
-    unit = span / (n_codes - 1)
-    a = (msb_cum - first) / unit - np.arange(0, n_codes, levels)
-    b = lsb_vals / unit - np.arange(levels)
-    steps = np.abs((lsb_vals[1:] - lsb_vals[:-1]) / unit - 1.0)
-    edges = (msb_cum[1:] + lsb_vals[0]) - (msb_cum[:-1] + lsb_vals[-1])
-    boundary = np.abs(edges / unit - 1.0)
-    extremes = (first, unit, a.max(), a.min(), b.max(), b.min(), boundary.max(), steps.max())
-    return _segment_candidates(msb_cum, lsb_vals, a, b, steps, extremes)
-
-
-def _segment_maxima_rows(
-    segment_currents: np.ndarray, lsb_vals: np.ndarray
-) -> list[LinearityMaxima]:
-    """``_segment_maxima`` of converters stacked along the first axis,
-    (rows, cells) currents and (rows, levels) LSB values.  Its arrays and
-    their extremes are computed once for all rows, with one converter's
-    elementwise expressions and exact reductions, so each row's floats are
-    its own; ``_segment_candidates`` runs per converter.  ``_segment_maxima``
-    keeps its own 1-D arrays: one converter read as one row here costs about
-    a fifth more."""
+    the same in every segment up to rounding.  These arrays bound both
+    maxima, computed for all rows at once with exact reductions, so each
+    row's floats are its own.  Per converter, only the codes within the
+    margin of a bound and the segment-boundary steps are evaluated with the
+    curve's own expressions (``_segment_candidates``)."""
     rows, levels = lsb_vals.shape
     msb_cum = np.zeros((rows, segment_currents.shape[1] + 1))
     np.cumsum(segment_currents, axis=1, out=msb_cum[:, 1:])
@@ -620,7 +587,7 @@ def _segment_maxima_rows(
 
 
 def _segment_candidates(msb_cum, lsb_vals, a, b, steps, extremes) -> LinearityMaxima:
-    """One converter's maxima from ``_segment_maxima``'s arrays and their
+    """One converter's maxima from ``_segment_maxima_rows``' arrays and their
     ``extremes``: first, unit, the maximum and minimum of a and of b, and
     the largest boundary and inner DNL step.  Evaluates the candidate codes,
     or reads the full curve when ``scale`` is not finite or more than
@@ -899,7 +866,7 @@ class SelfHealConfig(_LsbBank):
         self._check_lsb_bank()
         # the bias scale: a mean of bias elements, each of nominal below 2 and
         # sigma below sqrt(2) * bias_rel_sigma
-        self._check_derived_sigmas(2.0 + _DRAW_REACH * math.sqrt(2.0) * self.bias_rel_sigma)
+        self._check_derived_sigmas(2.0 + DRAW_REACH * math.sqrt(2.0) * self.bias_rel_sigma)
         check_array_bytes("the element draw", (self.n_ucc + self.backup_ucc_count + 1, self.n))
         check_array_bytes("the combination table", (math.comb(self.n, self.k), self.k))
         check_array_bytes("the cell trial draw", (self.n_ucc, self.cell_trial_limit))
@@ -1206,7 +1173,7 @@ def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> Linearit
     """Static linearity maxima of the healed converter."""
     if not result.healed:
         raise ConfigError("self-heal run failed; there is no healed converter")
-    return _segment_maxima(result.cell_currents, sample.lsb_values)
+    return _segment_maxima_rows(result.cell_currents[None], sample.lsb_values[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1214,25 +1181,6 @@ def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> Linearit
 
 
 SENSE_MODES = ("amplitude", "delay", "duty")
-
-
-@dataclass(frozen=True)
-class SensedCell:
-    """Square-wave cell output: amplitude (A) plus timing errors (s).
-
-    ``delay`` shifts both edges; ``duty`` widens the high phase symmetrically
-    (rise earlier by duty/2, fall later by duty/2).  Nominal is a 50% square.
-    """
-
-    amplitude: float
-    delay: float = 0.0
-    duty: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.amplitude) or self.amplitude < 0.0:
-            raise ConfigError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not (math.isfinite(self.delay) and math.isfinite(self.duty)):
-            raise ConfigError("delay and duty must be finite")
 
 
 @dataclass(frozen=True)
@@ -1247,74 +1195,74 @@ class SensingConfig:
             raise ConfigError(f"f_meas must be > 0, got {self.f_meas}")
 
 
-def _cell_wave(cell: SensedCell, f: float) -> EdgeWaveform:
-    rise = f * (cell.delay - cell.duty / 2.0)
-    fall = 0.5 + f * (cell.delay + cell.duty / 2.0)
-    if abs(f * cell.delay) + abs(f * cell.duty) / 2.0 >= 0.125:
-        raise ConfigError(
-            "timing errors must stay well below an eighth of the toggle period"
-        )
-    return square_wave(1.0 / f, rise, fall, low=0.0, high=cell.amplitude)
+def _levels_after(times: np.ndarray, levels: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Levels of periodic edge lists (..., E) right after each cut (..., C):
+    that of the last edge at or before the cut.  Edges at one time must
+    carry one level."""
+    order = np.argsort(times, axis=-1)
+    passed = (np.take_along_axis(times, order, -1)[..., None, :] <= cuts[..., None]).sum(-1)
+    last = (passed - 1) % order.shape[-1]  # -1, no edge passed, wraps to the last
+    return np.take_along_axis(np.take_along_axis(levels, order, -1), last, -1)
 
 
-def _double_frequency_square(period: float, center_frac: float) -> EdgeWaveform:
-    """+/-1 square at twice the toggle rate, +1 pulses centered on the edges."""
-    edges = sorted(
-        (
-            (math.fmod(center_frac - 0.125, 1.0) % 1.0, 1.0),
-            (math.fmod(center_frac + 0.125, 1.0) % 1.0, -1.0),
-            (math.fmod(center_frac + 0.375, 1.0) % 1.0, 1.0),
-            (math.fmod(center_frac + 0.625, 1.0) % 1.0, -1.0),
-        )
-    )
-    times = np.array([t for t, _ in edges])
-    levels = np.array([v for _, v in edges])
-    return EdgeWaveform(period, times, levels)
-
-
-def sense_error(
-    cell_a: SensedCell,
-    cell_ref: SensedCell,
-    mode: str,
-    cfg: SensingConfig = SensingConfig(),
-) -> float:
-    """DC readout of the chopped difference between two cell outputs.
-
-    Both cells toggle at ``cfg.f_meas``; their difference is multiplied by
-    the mode's square-wave modulation and averaged over one period:
-
-    * ``amplitude`` — in-phase square,
-    * ``delay`` — quadrature square (a quarter period later),
-    * ``duty`` — square at twice the toggle rate, pulses centered on the
-      pair's mean edge positions.
-
-    All three modulations are aligned to the *pair-mean* edge timing, which
-    makes the misalignment slivers of the two cells congruent: each mode
-    reads its own error linearly while the other two cancel.
+def sense_readings(amplitude, delay, duty, cfg: SensingConfig = SensingConfig()) -> np.ndarray:
+    """Readings (..., 3), in ``SENSE_MODES`` order, of cell pairs whose
+    amplitude (A), delay and duty (s) have shape (..., 2): a cell, then its
+    reference.  A cell is a 0/A square high from f*(delay - duty/2) to 0.5 +
+    f*(delay + duty/2) of the period, f = ``cfg.f_meas``.  A reading is the
+    gain times the period average of the pair's difference times the mode's
+    +/-1 modulation: the in-phase square, the quadrature square (a quarter
+    period later) or the square at twice the rate with +1 pulses centered
+    on the edges, all at the pair-mean timing, so each mode reads its own
+    error while the other two cancel.  A cell times a modulation is constant
+    between their sorted edges, and the segments' terms are added left to
+    right, so no reading depends on the CPU kernel.
     """
-    if mode not in SENSE_MODES:
-        raise ConfigError(f"mode must be one of {SENSE_MODES}, got {mode!r}")
+    amplitude, delay, duty = (
+        np.asarray(value, dtype=float) for value in np.broadcast_arrays(amplitude, delay, duty)
+    )
+    bad = amplitude[~(np.isfinite(amplitude) & (amplitude >= 0.0))]
+    if bad.size:
+        raise ConfigError(f"amplitude must be finite and >= 0, got {bad[0]}")
+    if not (np.isfinite(delay).all() and np.isfinite(duty).all()):
+        raise ConfigError("delay and duty must be finite")
     f = cfg.f_meas
-    wave_a = _cell_wave(cell_a, f)
-    wave_ref = _cell_wave(cell_ref, f)
-    mean_delay = 0.5 * (cell_a.delay + cell_ref.delay)
-    mean_duty = 0.5 * (cell_a.duty + cell_ref.duty)
-    in_phase = square_wave(
-        1.0 / f,
-        f * (mean_delay - mean_duty / 2.0),
-        0.5 + f * (mean_delay + mean_duty / 2.0),
-        low=-1.0,
-        high=1.0,
+    with np.errstate(over="ignore"):  # a product that overflows fails the guard
+        if (np.abs(f * delay) + np.abs(f * duty) / 2.0 >= 0.125).any():
+            raise ConfigError("timing errors must stay well below an eighth of the toggle period")
+
+    def square(d, u):  # rise and fall of a 50% square delayed by d and widened by u
+        return np.mod(np.stack([f * (d - u / 2.0), 0.5 + f * (d + u / 2.0)], axis=-1), 1.0)
+
+    cell = square(delay, duty)
+    if (cell[..., 0] == cell[..., 1]).any():
+        raise ConfigError("a cell needs distinct rise and fall times")
+    mean_delay = 0.5 * (delay[..., 0] + delay[..., 1])
+    in_phase = square(mean_delay, 0.5 * (duty[..., 0] + duty[..., 1]))
+    # four edges each, (..., 2 cells, 1, 4) against (..., 1, 3 modes, 4): the
+    # two-edge squares list theirs twice, which only adds zero-width segments
+    cell_times = np.tile(cell, 2)[..., None, :]
+    cell_levels = np.tile(np.stack([amplitude, np.zeros_like(amplitude)], axis=-1), 2)
+    mod_times = np.stack([
+        np.tile(in_phase, 2),
+        np.tile(np.mod(in_phase + 0.25, 1.0), 2),
+        np.mod((f * mean_delay)[..., None] + [-0.125, 0.125, 0.375, 0.625], 1.0),
+    ], axis=-2)[..., None, :, :]
+    mod_levels = np.broadcast_to([1.0, -1.0, 1.0, -1.0], mod_times.shape)
+    cuts = np.sort(np.concatenate(np.broadcast_arrays(cell_times, mod_times), axis=-1), axis=-1)
+    terms = _levels_after(cell_times, cell_levels[..., None, :], cuts)
+    terms *= _levels_after(mod_times, mod_levels, cuts)
+    terms *= np.concatenate(
+        (np.diff(cuts, axis=-1), 1.0 - cuts[..., -1:] + cuts[..., :1]), axis=-1
     )
-    if mode == "amplitude":
-        modulation = in_phase
-    elif mode == "delay":
-        modulation = in_phase.shifted(0.25)
-    else:
-        modulation = _double_frequency_square(1.0 / f, f * mean_delay)
-    return cfg.sensing_gain * (
-        product_average(wave_a, modulation) - product_average(wave_ref, modulation)
-    )
+    average = np.zeros(cuts.shape[:-1])
+    for segment in np.moveaxis(terms, -1, 0):
+        average += segment
+    with np.errstate(over="ignore"):  # a reading that overflows is rejected below
+        readings = cfg.sensing_gain * (average[..., 0, :] - average[..., 1, :])
+    if not np.isfinite(readings).all():
+        raise ConfigError(f"a sense reading overflows a float at gain {cfg.sensing_gain:g}")
+    return readings
 
 
 # ---------------------------------------------------------------------------
@@ -1379,7 +1327,7 @@ def _rerun_failing_blocks(block_rows):
 def _amplitude_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
     """Yield rows lo, ..., hi - 1 of an amplitude flow on ``config``, each
     equal as floats to ``sample_dac``, ``calibrate_amplitude_eses`` and
-    ``_segment_maxima`` on sample i's own stream.
+    ``linearity_from_curve`` on sample i's own stream.
 
     Each converter is drawn from its own stream.  The block then runs
     ``DacSample``'s checks, the balanced and calibrated cell currents, the
@@ -1432,7 +1380,7 @@ def _timing_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[
 def _selfheal_rows(config: SelfHealConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
     """Yield rows lo, ..., hi - 1 of the self-heal flow, each equal as floats
     to ``sample_selfheal`` and ``self_heal_ses`` on sample i's own stream,
-    with the ``_segment_maxima`` of the balanced, bias-scaled cell currents
+    with the linearity maxima of the balanced, bias-scaled cell currents
     before and of ``healed_linearity`` after.
 
     Each converter is drawn by ``sample_selfheal`` from its own stream, and

@@ -228,6 +228,12 @@ class HrConfig:
             self.gain_sigma or self.clock_delay_sigma or self.diff_phase_sigma
         ):
             raise ConfigError("element_rel_sigma must be > 0 when variances are set")
+        for name, (drive, _) in (("clock", self.clock_network), ("buffer", self.buffer_network)):
+            if not math.isfinite(drive):
+                raise ConfigError(
+                    f"the {name} drive is {drive} s at element_rel_sigma ="
+                    f" {self.element_rel_sigma:g}, not a finite delay"
+                )
         if self.gain_sigma > 0.0:
             d = self.tail_step
             if 3.0 * d >= 1.0:  # (1 - 3d)**alpha below would be complex
@@ -436,7 +442,7 @@ def _lo_edges(
             rise = ((p / 8.0 + f * rise_errors[p]) % 1.0) % 1.0
             fall = ((p / 8.0 + 0.5 + f * fall_errors[p]) % 1.0) % 1.0
             if rise == fall:
-                raise ConfigError("square_wave needs distinct rise/fall times")
+                raise ConfigError("an LO phase needs distinct rise and fall times")
             waves.append((sign * amp, rise, fall))
     times = sorted({edge for _, rise, fall in waves for edge in (rise, fall)})
     levels = []

@@ -17,6 +17,7 @@ usual area scaling law: sigma_i = sigma_ref * sqrt(nominal_i / size_ref).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations as _lex_combinations
@@ -29,6 +30,8 @@ __all__ = [
     "DegenerateConfigurationError",
     "MAX_ARRAY_BYTES",
     "check_array_bytes",
+    "DRAW_REACH",
+    "MAX_DRAW_SUM",
     "Uniform",
     "Arithmetic",
     "Explicit",
@@ -64,6 +67,14 @@ class DegenerateConfigurationError(ValueError):
 
 #: most memory one study block or one converter's array may take
 MAX_ARRAY_BYTES = 1 << 30
+
+
+# A normal draw from numpy's Generator lies within 14 sigma of its mean (the
+# ziggurat's tail ends near 3.65 + 36.7 / 3.65); bounds on drawn sums take
+# every element DRAW_REACH sigma out.  MAX_DRAW_SUM leaves a factor 64 for
+# graded nominals, differences taken from the sums and the bound's rounding.
+DRAW_REACH = 16.0
+MAX_DRAW_SUM = sys.float_info.max / 64
 
 
 def check_array_bytes(what: str, shape: tuple[int, ...], item_bytes: int = 8) -> None:

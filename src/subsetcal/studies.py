@@ -36,7 +36,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .mismatch import (
+    DRAW_REACH,
     MAX_ARRAY_BYTES,
+    MAX_DRAW_SUM,
     Arithmetic,
     ConfigError,
     Explicit,
@@ -128,6 +130,16 @@ class StudyConfig:
             raise ConfigError(
                 f"n={self.n}, k={self.k} needs {need} bytes per block of {rows}"
                 f" samples, above the {MAX_ARRAY_BYTES}-byte limit"
+            )
+        # a subset sum with every element DRAW_REACH sigma above the largest
+        # nominal must stay finite, and so must the distances taken from it
+        nominal = nominal_sizes(self.scheme, self.n)
+        sigma = float(self.model.element_sigmas(nominal).max())
+        reach = self.k * (float(nominal.max()) + DRAW_REACH * sigma)
+        if not reach <= MAX_DRAW_SUM:
+            raise ConfigError(
+                f"a drawn study's subset sums could reach {reach:.3g},"
+                f" above the {MAX_DRAW_SUM:.3g} they are kept below"
             )
 
     @property
@@ -373,9 +385,8 @@ def a_eses_sweep(
     Window widths stay in sigma_k units (the same absolute widths, since
     sigma_k is common to the whole sweep).
     """
-    out = []
-    for a in a_values:
-        cfg = StudyConfig(
+    configs = [  # every center size is checked before the first study runs
+        StudyConfig(
             n=n,
             k=k,
             scheme=Arithmetic(float(a), step_abs),
@@ -385,8 +396,9 @@ def a_eses_sweep(
             samples=samples,
             master_seed=master_seed,
         )
-        out.append((float(a), run_study(cfg)))
-    return out
+        for a in a_values
+    ]
+    return [(float(a), run_study(cfg)) for a, cfg in zip(a_values, configs)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A waveform is a list of transitions (time as a fraction of the period, new
 level) with cyclic wrap-around: the last level holds from the last transition
-through the end of the period and on to the first transition.  Everything
-downstream — LO spectra, harmonic-rejection ratios, error sensing — reduces to
-exact operations on these edge lists; no time-domain sampling grids anywhere.
+through the end of the period and on to the first transition.  The mixer's LO
+spectra and harmonic-rejection ratios reduce to exact Fourier coefficients of
+these edge lists; no time-domain sampling grids anywhere.
 
 Fourier convention: x(t) = sum_n c_n exp(+j 2 pi n t / T), so for n != 0
 
@@ -23,11 +23,9 @@ from .mismatch import ConfigError
 
 __all__ = [
     "EdgeWaveform",
-    "square_wave",
     "fourier_coeff",
     "edge_fourier",
     "moved_edge_fourier",
-    "product_average",
 ]
 
 
@@ -59,14 +57,6 @@ class EdgeWaveform:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "levels", l)
 
-    def value(self, t_frac) -> np.ndarray:
-        """Waveform level at time fraction(s) t (taken modulo 1)."""
-        t = np.mod(np.asarray(t_frac, dtype=float), 1.0)
-        if self.times.size == 0:
-            return np.full_like(t, self.dc)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self.levels[idx]  # idx == -1 wraps to the last level
-
     def mean(self) -> float:
         """Exact DC value (the n=0 Fourier coefficient)."""
         if self.times.size == 0:
@@ -76,32 +66,6 @@ class EdgeWaveform:
         durations[:-1] = np.diff(t)
         durations[-1] = 1.0 - t[-1] + t[0]
         return float(np.dot(l, durations))
-
-    def shifted(self, dt_frac: float) -> "EdgeWaveform":
-        """Cyclic time shift by dt (fraction of a period)."""
-        if self.times.size == 0:
-            return self
-        t = np.mod(self.times + dt_frac, 1.0)
-        order = np.argsort(t, kind="stable")
-        return EdgeWaveform(self.period, t[order], self.levels[order], self.dc)
-
-
-def square_wave(
-    period: float, rise_frac: float, fall_frac: float, low: float = 0.0, high: float = 1.0
-) -> EdgeWaveform:
-    """Rectangular wave: ``high`` from rise to fall (cyclically), ``low`` elsewhere.
-
-    rise and fall are period fractions (any reals; reduced modulo 1).  Equal
-    rise/fall (mod 1) would be a zero-width pulse and is rejected.
-    """
-    r, f = float(np.mod(rise_frac, 1.0)), float(np.mod(fall_frac, 1.0))
-    if r == f:
-        raise ConfigError("square_wave needs distinct rise/fall times")
-    if r < f:
-        times, levels = np.array([r, f]), np.array([high, low])
-    else:
-        times, levels = np.array([f, r]), np.array([low, high])
-    return EdgeWaveform(period, times, levels)
 
 
 def edge_fourier(times, deltas, n) -> np.ndarray:
@@ -167,22 +131,3 @@ def fourier_coeff(waveform: EdgeWaveform, n: int) -> complex:
         return 0j
     deltas = waveform.levels - np.roll(waveform.levels, 1)
     return complex(edge_fourier(waveform.times, deltas, n))
-
-
-def product_average(a: EdgeWaveform, b: EdgeWaveform) -> float:
-    """Exact period-average of the product a(t) * b(t).
-
-    Both waveforms are evaluated on the union of their transition times; the
-    product is constant on every resulting segment, so the average is an exact
-    finite sum (no quadrature).
-    """
-    if a.period != b.period:
-        raise ConfigError("product_average requires a common period")
-    cuts = np.unique(np.concatenate([a.times, b.times]))
-    if cuts.size == 0:
-        return a.dc * b.dc
-    la, lb = a.value(cuts), b.value(cuts)
-    durations = np.empty_like(cuts)
-    durations[:-1] = np.diff(cuts)
-    durations[-1] = 1.0 - cuts[-1] + cuts[0]
-    return float(np.dot(la * lb, durations))

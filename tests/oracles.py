@@ -1,9 +1,11 @@
 """Reference implementations that only the tests call.
 
-The sequential DAC decode, the per-cell amplitude residuals, one
-converter's amplitude yield row, the five-pass timing calibration, one
-converter's timing and self-heal yield rows with the pre-heal linearity,
-the zero-variance receiver and the
+The sequential DAC decode, the per-cell amplitude residuals, the linearity
+maxima of a full transfer curve, one converter's amplitude yield row, the
+five-pass timing calibration, one converter's timing and self-heal yield
+rows with the pre-heal linearity, the per-reading sensing path built from
+waveform objects (square waves, cyclic shifts, level lookup and the exact
+product average), the zero-variance receiver and the
 textbook ideal receiver built on it, the HRR of one point, a waveform's
 edge count, a scalar failure-rate query, a
 study's distances in one pass over each block, the resolution frontier as
@@ -29,12 +31,15 @@ import numpy as np
 
 from subsetcal import csdac, hrmixer
 from subsetcal.csdac import (
+    SENSE_MODES,
     DacConfig,
     DacSample,
+    LinearityMaxima,
     SelfHealConfig,
     SelfHealSample,
+    SensingConfig,
     calibrate_amplitude_eses,
-    healed_linearity,
+    linearity_from_curve,
     sample_dac,
     sample_selfheal,
     self_heal_ses,
@@ -79,7 +84,7 @@ from subsetcal.studies import (
     r_cal,
     run_study,
 )
-from subsetcal.waveform import EdgeWaveform, edge_fourier, square_wave
+from subsetcal.waveform import EdgeWaveform, edge_fourier
 
 
 def dac_output(sample: DacSample, code: int) -> float:
@@ -112,15 +117,22 @@ def amplitude_residuals(sample: DacSample) -> np.ndarray:
     return ucc_currents(sample) - sample.reference_current
 
 
+def curve_maxima(currents, lsb_vals: np.ndarray) -> LinearityMaxima:
+    """INL and DNL maxima of the full transfer curve of cell ``currents``
+    over the LSB values ``lsb_vals``, read by ``linearity_from_curve``."""
+    report = linearity_from_curve(csdac._curve_from_levels(currents, lsb_vals))
+    return LinearityMaxima(report.inl_max, report.dnl_max)
+
+
 def amplitude_row(config: DacConfig, master_seed: int, i: int) -> tuple:
     """One converter's amplitude yield row, as one converter at a time
-    composes it: ``sample_dac`` on sample i's stream, then the
-    ``_segment_maxima`` of its balanced and its ``calibrate_amplitude_eses``
+    composes it: ``sample_dac`` on sample i's stream, then the full-curve
+    linearity maxima of its balanced and its ``calibrate_amplitude_eses``
     cell currents."""
     sample = sample_dac(config, sample_substream(master_seed, i))
     lsb_vals = csdac._lsb_values(sample.lsb_bit_currents)
-    pre = csdac._segment_maxima(ucc_currents(sample), lsb_vals)
-    post = csdac._segment_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
+    pre = curve_maxima(ucc_currents(sample), lsb_vals)
+    post = curve_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
     return i, pre.inl_max, post.inl_max, pre.dnl_max, post.dnl_max
 
 
@@ -162,13 +174,14 @@ def timing_row(config: DacConfig, master_seed: int, i: int) -> tuple:
     )
 
 
-def selfheal_pre_linearity(sample: SelfHealSample) -> csdac.LinearityMaxima:
-    """Linearity maxima before healing: balanced selections, balanced bias."""
+def selfheal_pre_linearity(sample: SelfHealSample) -> LinearityMaxima:
+    """Full-curve linearity maxima before healing: balanced selections,
+    balanced bias."""
     cfg = sample.config
     balanced = balanced_row(cfg.n, cfg.k)
     scale = float(selected_sums(sample.bias_elements, balanced, cfg.k)) / float(cfg.k)
     currents = selected_sums(sample.cells, balanced, cfg.k) * scale
-    return csdac._segment_maxima(currents, sample.lsb_values)
+    return curve_maxima(currents, sample.lsb_values)
 
 
 def selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> tuple:
@@ -181,7 +194,7 @@ def selfheal_row(config: SelfHealConfig, master_seed: int, i: int) -> tuple:
     pre = selfheal_pre_linearity(sample)
     result = self_heal_ses(sample, rng)
     if result.healed:
-        post = healed_linearity(sample, result)
+        post = curve_maxima(result.cell_currents, sample.lsb_values)
         post_inl, post_dnl = post.inl_max, post.dnl_max
     else:
         post_inl = post_dnl = math.nan
@@ -297,6 +310,141 @@ def rcal_frontier_oracle(
     return out
 
 
+def value(wave: EdgeWaveform, t_frac) -> np.ndarray:
+    """Waveform level at time fraction(s) t (taken modulo 1)."""
+    t = np.mod(np.asarray(t_frac, dtype=float), 1.0)
+    if wave.times.size == 0:
+        return np.full_like(t, wave.dc)
+    idx = np.searchsorted(wave.times, t, side="right") - 1
+    return wave.levels[idx]  # idx == -1 wraps to the last level
+
+
+def shifted(wave: EdgeWaveform, dt_frac: float) -> EdgeWaveform:
+    """Cyclic time shift by dt (fraction of a period)."""
+    if wave.times.size == 0:
+        return wave
+    t = np.mod(wave.times + dt_frac, 1.0)
+    order = np.argsort(t, kind="stable")
+    return EdgeWaveform(wave.period, t[order], wave.levels[order], wave.dc)
+
+
+def square_wave(
+    period: float, rise_frac: float, fall_frac: float, low: float = 0.0, high: float = 1.0
+) -> EdgeWaveform:
+    """Rectangular wave: ``high`` from rise to fall (cyclically), ``low`` elsewhere.
+
+    rise and fall are period fractions (any reals; reduced modulo 1).  Equal
+    rise/fall (mod 1) would be a zero-width pulse and is rejected.
+    """
+    r, f = float(np.mod(rise_frac, 1.0)), float(np.mod(fall_frac, 1.0))
+    if r == f:
+        raise ConfigError("square_wave needs distinct rise/fall times")
+    if r < f:
+        times, levels = np.array([r, f]), np.array([high, low])
+    else:
+        times, levels = np.array([f, r]), np.array([low, high])
+    return EdgeWaveform(period, times, levels)
+
+
+def product_average(a: EdgeWaveform, b: EdgeWaveform) -> float:
+    """Exact period-average of the product a(t) * b(t).
+
+    Both waveforms are evaluated on the union of their transition times; the
+    product is constant on every resulting segment, so the average is an exact
+    finite sum (no quadrature).
+    """
+    if a.period != b.period:
+        raise ConfigError("product_average requires a common period")
+    cuts = np.unique(np.concatenate([a.times, b.times]))
+    if cuts.size == 0:
+        return a.dc * b.dc
+    la, lb = value(a, cuts), value(b, cuts)
+    durations = np.empty_like(cuts)
+    durations[:-1] = np.diff(cuts)
+    durations[-1] = 1.0 - cuts[-1] + cuts[0]
+    return float(np.dot(la * lb, durations))
+
+
+@dataclasses.dataclass(frozen=True)
+class SensedCell:
+    """Square-wave cell output: amplitude (A) plus timing errors (s).
+
+    ``delay`` shifts both edges; ``duty`` widens the high phase symmetrically
+    (rise earlier by duty/2, fall later by duty/2).  Nominal is a 50% square.
+    """
+
+    amplitude: float
+    delay: float = 0.0
+    duty: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.amplitude) or self.amplitude < 0.0:
+            raise ConfigError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not (math.isfinite(self.delay) and math.isfinite(self.duty)):
+            raise ConfigError("delay and duty must be finite")
+
+
+def cell_wave(cell: SensedCell, f: float) -> EdgeWaveform:
+    rise = f * (cell.delay - cell.duty / 2.0)
+    fall = 0.5 + f * (cell.delay + cell.duty / 2.0)
+    if abs(f * cell.delay) + abs(f * cell.duty) / 2.0 >= 0.125:
+        raise ConfigError(
+            "timing errors must stay well below an eighth of the toggle period"
+        )
+    return square_wave(1.0 / f, rise, fall, low=0.0, high=cell.amplitude)
+
+
+def double_frequency_square(period: float, center_frac: float) -> EdgeWaveform:
+    """+/-1 square at twice the toggle rate, +1 pulses centered on the edges."""
+    edges = sorted(
+        (
+            (math.fmod(center_frac - 0.125, 1.0) % 1.0, 1.0),
+            (math.fmod(center_frac + 0.125, 1.0) % 1.0, -1.0),
+            (math.fmod(center_frac + 0.375, 1.0) % 1.0, 1.0),
+            (math.fmod(center_frac + 0.625, 1.0) % 1.0, -1.0),
+        )
+    )
+    times = np.array([t for t, _ in edges])
+    levels = np.array([v for _, v in edges])
+    return EdgeWaveform(period, times, levels)
+
+
+def sense_error(
+    cell_a: SensedCell,
+    cell_ref: SensedCell,
+    mode: str,
+    cfg: SensingConfig = SensingConfig(),
+) -> float:
+    """One reading of ``csdac.sense_readings`` built from waveform objects:
+    both cells' square waves, the mode's modulation (the in-phase square,
+    its quarter-period shift, or the double-rate square centered on the
+    pair-mean edges) and their exact product averages, summed by
+    ``np.dot``."""
+    if mode not in SENSE_MODES:
+        raise ConfigError(f"mode must be one of {SENSE_MODES}, got {mode!r}")
+    f = cfg.f_meas
+    wave_a = cell_wave(cell_a, f)
+    wave_ref = cell_wave(cell_ref, f)
+    mean_delay = 0.5 * (cell_a.delay + cell_ref.delay)
+    mean_duty = 0.5 * (cell_a.duty + cell_ref.duty)
+    in_phase = square_wave(
+        1.0 / f,
+        f * (mean_delay - mean_duty / 2.0),
+        0.5 + f * (mean_delay + mean_duty / 2.0),
+        low=-1.0,
+        high=1.0,
+    )
+    if mode == "amplitude":
+        modulation = in_phase
+    elif mode == "delay":
+        modulation = shifted(in_phase, 0.25)
+    else:
+        modulation = double_frequency_square(1.0 / f, f * mean_delay)
+    return cfg.sensing_gain * (
+        product_average(wave_a, modulation) - product_average(wave_ref, modulation)
+    )
+
+
 def scaled(wave: EdgeWaveform, gain: float) -> EdgeWaveform:
     """``wave`` with every level and its DC term multiplied by ``gain``."""
     return EdgeWaveform(wave.period, wave.times, wave.levels * gain, wave.dc * gain)
@@ -322,7 +470,7 @@ def combine(waveforms: Sequence[EdgeWaveform], weights: Sequence[float]) -> Edge
         return EdgeWaveform(period, np.empty(0), np.empty(0), dc)
     levels = np.zeros_like(all_times)
     for g, w in zip(weights, waveforms):
-        levels += g * w.value(all_times)
+        levels += g * value(w, all_times)
     keep = levels != np.roll(levels, 1)
     if not np.any(keep):  # combination is constant
         return EdgeWaveform(period, np.empty(0), np.empty(0), float(levels[0]))

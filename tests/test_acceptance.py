@@ -31,11 +31,10 @@ from subsetcal.csdac import (
     DacConfig,
     SENSE_MODES,
     SelfHealConfig,
-    SensedCell,
     SensingConfig,
     sample_selfheal,
     self_heal_ses,
-    sense_error,
+    sense_readings,
     transfer_curve,
     yield_study,
 )
@@ -498,22 +497,12 @@ def test_c11_sensing_orthogonality():
         "duty": np.linspace(-2.5e-12, 2.5e-12, 10),
     }
 
-    def pair(kind, value):
-        if kind == "amplitude":
-            return SensedCell(base + value / 2), SensedCell(base - value / 2)
-        if kind == "delay":
-            return (
-                SensedCell(base, delay=value / 2),
-                SensedCell(base, delay=-value / 2),
-            )
-        return SensedCell(base, duty=value / 2), SensedCell(base, duty=-value / 2)
-
     for kind, grid in sweeps.items():
-        readings = {mode: [] for mode in SENSE_MODES}
-        for value in grid:
-            cell_a, cell_ref = pair(kind, float(value))
-            for mode in SENSE_MODES:
-                readings[mode].append(sense_error(cell_a, cell_ref, mode, cfg))
+        # each error split evenly: +value/2 on the cell, -value/2 on its reference
+        cells = {"amplitude": np.full((grid.size, 2), base), "delay": 0.0, "duty": 0.0}
+        cells[kind] = cells[kind] + np.stack([grid / 2, -grid / 2], axis=-1)
+        pairs = sense_readings(cells["amplitude"], cells["delay"], cells["duty"], cfg)
+        readings = dict(zip(SENSE_MODES, pairs.T.tolist()))
         matching = np.array(readings[kind])
         r2 = linear_r2(grid, matching)
         assert r2 > 0.999, f"{kind}: matching-mode R^2 = {r2}"
@@ -527,9 +516,9 @@ def test_c11_sensing_orthogonality():
                 f" (matching scale {scale:.3g} V)"
             )
 
-    twin = SensedCell(base * 1.01, delay=0.4e-12, duty=-0.3e-12)
-    for mode in SENSE_MODES:
-        assert sense_error(twin, twin, mode, cfg) == 0.0
+    twins = sense_readings([base * 1.01] * 2, [0.4e-12] * 2, [-0.3e-12] * 2, cfg)
+    for mode, reading in zip(SENSE_MODES, twins.tolist()):
+        assert reading == 0.0, mode
 
 
 def test_c12_cli_thread_determinism(tmp_path):

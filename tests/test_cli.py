@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -228,9 +229,9 @@ def test_sense_sweep_over_the_memory_bound_is_rejected_before_any_reading(
     def reading_must_not_run(*args, **kwargs):
         raise AssertionError("a sense reading ran before the sweep size was checked")
 
-    monkeypatch.setattr(cli, "sense_error", reading_must_not_run)
-    # 2 000 000 points fit 8 bytes per reading, not the 280 a reading takes
-    for points, need in ((1000000000000, 2520000000000000), (2000000, 5040000000)):
+    monkeypatch.setattr(cli, "sense_readings", reading_must_not_run)
+    # 2 000 000 points fit 8 bytes per reading, not the 860 a reading takes
+    for points, need in ((1000000000000, 7740000000000000), (2000000, 15480000000)):
         cfg = write_cfg(tmp_path, "sense.cfg", f"sense.points = {points}\n")
         out = tmp_path / "out"
         assert main(["dac", "sense", "--config", cfg, "--out", str(out)]) == 2
@@ -274,6 +275,9 @@ _OVERFLOWING_DRAW = (
     " above the 2.81e+306 A its sums are kept below"
 )
 _OVERFLOWING_DELAY = ", above the 1.22e+142 s its squared sums are kept below"
+_OVERFLOWING_STUDY = (
+    "a drawn study's subset sums could reach inf, above the 2.81e+306 they are kept below"
+)
 
 
 @pytest.mark.parametrize(
@@ -289,8 +293,14 @@ _OVERFLOWING_DELAY = ", above the 1.22e+142 s its squared sums are kept below"
         # C(20000, 10000) has 6020 digits, past Python's int-to-string limit
         (["dac", "yield"], "dac.n = 20000\ndac.k = 10000\n",
          "the timing product needs at least 2**20002 bytes" + _OVER_LIMIT),
+        # subset sums that would overflow, counted as no failure at all
+        (["study", "failure-rate"], "study.center = 1e308\n", _OVERFLOWING_STUDY),
+        (["study", "failure-rate"], "study.rel_sigma = 1e308\n", _OVERFLOWING_STUDY),
+        (["study", "a-sweep"], "sweep.a_values = 1e308\n", _OVERFLOWING_STUDY),
+        (["study", "a-sweep"], "sweep.a_values = 1, 0.5, 1e308\n", _OVERFLOWING_STUDY),
     ],
-    ids=["a-sweep-k", "dac-lsb-bits", "heal-msb-bits", "heal-lsb-bits", "dac-huge-comb"],
+    ids=["a-sweep-k", "dac-lsb-bits", "heal-msb-bits", "heal-lsb-bits", "dac-huge-comb",
+         "study-center-sums", "study-rel-sigma-sums", "a-sweep-a-sums", "a-sweep-last-a-sums"],
 )
 def test_hostile_geometry_is_rejected_before_any_work(
     tmp_path, capsys, monkeypatch, command, text, message
@@ -311,7 +321,10 @@ def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text
     monkeypatch.setattr(cli, "Explicit", work_must_not_run)  # n graded sizes
     cfg = write_cfg(tmp_path, "hostile.cfg", text)
     out = tmp_path / "out"
-    assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:  # numpy's would print first
+        warnings.simplefilter("always")
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+    assert [str(warning.message) for warning in caught] == []
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n"
     assert captured.out == "" and not out.exists()
@@ -342,11 +355,24 @@ def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text
         (["dac", "yield", "--flow", "timing"], "dac.duty_sigma = 1e307\n",
          "a drawn buffer's delay could reach inf s at duty_sigma = 1e+307 s"
          + _OVERFLOWING_DELAY),
+        # sense sweeps whose span numpy's linspace cannot take, checked before it
+        (["dac", "sense"], "sense.f_meas = 5e-324\n",
+         "the delay sweep from -inf to inf has no finite width"),
+        (["dac", "sense"], "sense.timing_error_max = 1e308\n",
+         "the delay sweep from -1e+308 to 1e+308 has no finite width"),
+        (["dac", "sense"], "sense.amplitude_error_max = 1e308\n",
+         "amplitude must be finite and >= 0, got -1.56e+304"),
+        (["dac", "sense"], "sense.timing_error_max = 1e-9\n",
+         "timing errors must stay well below an eighth of the toggle period"),
+        (["dac", "sense"], "sense.gain = 1e308\nsense.amplitude = 1e308\n",
+         "a sense reading overflows a float at gain 1e+308"),
     ],
     ids=[
         "dac-lsb-sigma-factor", "dac-sub-sigma", "heal-lsb-sigma-factor", "dac-huge-n",
         "dac-sub-sigma-sums", "heal-ucc-sigma-sums", "heal-bias-sigma-sums",
-        "dac-delay-sigma-squares", "dac-duty-sigma-squares",
+        "dac-delay-sigma-squares", "dac-duty-sigma-squares", "sense-f-meas-tiny",
+        "sense-timing-span-huge", "sense-amplitude-span-past-zero", "sense-timing-span-past-guard",
+        "sense-reading-overflow",
     ],
 )
 def test_hostile_dac_values_are_rejected_before_any_work(
@@ -422,9 +448,11 @@ def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):
         ("hr.f_list = -1e6", "hr.f_list must be frequencies > 0, got [-1000000.0]"),
         ("hr.element_rel_sigma = 0.2",
          "delay tuning range 2.26578e-11s cannot cover 2.553e-11s"),
+        ("hr.element_rel_sigma = 5e-324",
+         "the clock drive is inf s at element_rel_sigma = 4.94066e-324, not a finite delay"),
     ],
     ids=["path", "harmonic-1", "no-harmonics", "iterations-0", "iterations-huge", "f-zero",
-         "f-negative", "underdriven-clock"],
+         "f-negative", "underdriven-clock", "infinite-drive"],
 )
 @pytest.mark.parametrize("command", ["simulate", "calibrate", "sweep"])
 def test_bad_hr_keys_are_rejected_before_the_draw(
@@ -854,6 +882,21 @@ def test_dac_sense_sweep_shape(tmp_path, capsys):
     ]
     assert matched[0] < 0 < matched[-1]
     capsys.readouterr()
+
+
+def test_dac_sense_reads_a_cell_edge_a_hair_below_zero(tmp_path, capsys):
+    """At 15 points over +/-1e-13 s the middle delay is a few 1e-29 s, not 0:
+    half of it on a cell puts an edge a hair before the period start, which
+    the sweep reads like an edge at 0."""
+    cfg = write_cfg(tmp_path, "hair.cfg", "sense.points = 15\nsense.timing_error_max = 1e-13\n")
+    out = str(tmp_path / "out")
+    assert main(["dac", "sense", "--config", cfg, "--out", out, "--quiet"]) == 0
+    rows = read_csv(os.path.join(out, "sense_sweep.csv"))[1:]
+    delay = [float(row[3]) for row in rows if row[0] == row[1] == "delay"]
+    values = [float(row[2]) for row in rows if row[0] == row[1] == "delay"]
+    assert len(delay) == 15 and 0.0 < abs(values[7]) < 1e-27
+    assert delay == sorted(delay) and delay[0] < 0 < delay[-1]
+    assert capsys.readouterr().err == ""
 
 
 def test_quiet_suppresses_the_summary_line(tmp_path, capsys):

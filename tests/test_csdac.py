@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,6 @@ from subsetcal.csdac import (
     DacConfig,
     SENSE_MODES,
     SelfHealConfig,
-    SensedCell,
     SensingConfig,
     calibrate_amplitude_eses,
     calibrate_timing,
@@ -38,7 +38,7 @@ from subsetcal.csdac import (
     sample_dac,
     sample_selfheal,
     self_heal_ses,
-    sense_error,
+    sense_readings,
     transfer_curve,
     ucc_currents,
     uniform_comparison_config,
@@ -59,6 +59,7 @@ from subsetcal.mismatch import (
 from subsetcal.runner import sample_substream
 
 from oracles import (
+    SensedCell,
     amplitude_residuals,
     amplitude_row,
     dac_output,
@@ -67,6 +68,7 @@ from oracles import (
     self_heal_oracle,
     selfheal_pre_linearity,
     selfheal_row,
+    sense_error,
     subset_value,
     timing_row,
 )
@@ -204,6 +206,11 @@ def curve_maxima(currents, bits):
     return report.inl_max, report.dnl_max
 
 
+def segment_maxima(currents, lsb_vals):
+    """``csdac._segment_maxima_rows`` of one converter."""
+    return csdac._segment_maxima_rows(np.asarray(currents, dtype=float)[None], lsb_vals[None])[0]
+
+
 def oracle_linearity(curve):
     """Endpoint-fit INL/DNL straight from the definition, python loops."""
     unit = (curve[-1] - curve[0]) / (len(curve) - 1)
@@ -246,6 +253,15 @@ def oracle_sense(cell_a, cell_ref, mode, cfg, n_grid=2**20):
         mod = np.where(in_pulse, 1.0, -1.0)
     diff = cell_values(cell_a) - cell_values(cell_ref)
     return cfg.sensing_gain * float(np.mean(diff * mod))
+
+
+def sense(cell_a, cell_ref, mode, cfg=SensingConfig()):
+    """``sense_readings`` of one pair of ``SensedCell``s, read in ``mode``."""
+    fields = [
+        [getattr(cell, name) for cell in (cell_a, cell_ref)]
+        for name in ("amplitude", "delay", "duty")
+    ]
+    return float(sense_readings(*fields, cfg)[SENSE_MODES.index(mode)])
 
 
 def zero_variance_config():
@@ -329,7 +345,7 @@ def test_timing_reach_needs_the_lowest_lowered_widths_to_sum_above_zero(monkeypa
         assert (lowered[0] < 0.0) == negative
         assert 0.0 < lowered[:k].sum() < 0.02
     # a wider reach takes that sum below 0, where no delay bound holds
-    monkeypatch.setattr(csdac, "_DRAW_REACH", 40.0)
+    monkeypatch.setattr(csdac, "DRAW_REACH", 40.0)
     with pytest.raises(ConfigError, match=r"at n = 38, k = 2 .* a drawn buffer's delay has no bound"):
         DacConfig(n=38, k=2, ucc_sub_scheme=Uniform(312e-6 / 2))
 
@@ -653,7 +669,7 @@ def test_segment_maxima_equal_the_full_curve_on_real_converters():
             for converter in (sample, calibrate_amplitude_eses(sample)):
                 currents = ucc_currents(converter)
                 expected = curve_maxima(currents, sample.lsb_bit_currents)
-                assert csdac._segment_maxima(currents, lsb_vals) == expected
+                assert segment_maxima(currents, lsb_vals) == expected
                 readings += 1
     cfg = SelfHealConfig()
     balanced = (0, 2, 4, 6, 9, 11, 13, 15)
@@ -663,6 +679,7 @@ def test_segment_maxima_equal_the_full_curve_on_real_converters():
         scale = subset_value(sample.bias_elements, balanced) / float(cfg.k)
         currents = [subset_value(cell, balanced) * scale for cell in sample.cells]
         expected = curve_maxima(currents, sample.lsb_bit_currents)
+        assert segment_maxima(currents, sample.lsb_values) == expected
         assert selfheal_pre_linearity(sample) == expected
         result = self_heal_ses(sample, rng)
         assert result.healed
@@ -677,7 +694,7 @@ GEOMETRY = st.tuples(st.integers(1, 63), st.integers(1, 8))
 
 def assert_segment_maxima_match(currents, bits):
     lsb_vals = csdac._lsb_values(bits)
-    assert csdac._segment_maxima(currents, lsb_vals) == curve_maxima(currents, bits)
+    assert segment_maxima(currents, lsb_vals) == curve_maxima(currents, bits)
 
 
 @given(
@@ -741,9 +758,9 @@ def test_segment_maxima_property_non_monotone_segment(geometry, seed, cell, drop
         expected = curve_maxima(currents, bits)
     except DegenerateConfigurationError:
         with pytest.raises(DegenerateConfigurationError):
-            csdac._segment_maxima(currents, csdac._lsb_values(bits))
+            segment_maxima(currents, csdac._lsb_values(bits))
         return
-    assert csdac._segment_maxima(currents, csdac._lsb_values(bits)) == expected
+    assert segment_maxima(currents, csdac._lsb_values(bits)) == expected
 
 
 @given(
@@ -755,8 +772,8 @@ def test_segment_maxima_property_non_monotone_segment(geometry, seed, cell, drop
 def test_segment_maxima_rows_equal_one_converter_at_a_time(geometry, seed, rows, tied):
     """Stacked near-ideal converters, the first with every level tied when
     ``tied`` (equal cells over an ideal bank, which may read the full
-    curve): each row reads as ``_segment_maxima`` reads it alone, and the
-    stacked LSB values are each row's own."""
+    curve): each row reads as the full curve of that converter alone, and
+    the stacked LSB values are each row's own."""
     cells, lsb_bits = geometry
     rng = np.random.default_rng(seed)
     currents = 1.0 + 1e-3 * rng.standard_normal((rows, cells))
@@ -767,7 +784,7 @@ def test_segment_maxima_rows_equal_one_converter_at_a_time(geometry, seed, rows,
     lsb_vals = csdac._lsb_values(bits)
     for values, row_bits in zip(lsb_vals, bits):
         assert np.array_equal(values, oracle_lsb_values(row_bits))
-    expected = [csdac._segment_maxima(c, values) for c, values in zip(currents, lsb_vals)]
+    expected = [curve_maxima(c, row_bits) for c, row_bits in zip(currents, bits)]
     assert csdac._segment_maxima_rows(currents, lsb_vals) == expected
 
 
@@ -775,7 +792,7 @@ def test_segment_maxima_reject_a_degenerate_span():
     bits = csdac._lsb_values([0.25, 0.5])
     for currents in ([1.0, -2.0], [-1.0], [0.0, 0.0, -1.0]):
         with pytest.raises(DegenerateConfigurationError, match="non-increasing"):
-            csdac._segment_maxima(currents, bits)
+            segment_maxima(currents, bits)
         with pytest.raises(DegenerateConfigurationError, match="non-increasing"):
             linearity_from_curve(csdac._curve_from_levels(currents, bits))
 
@@ -1363,14 +1380,14 @@ def test_sense_pure_amplitude_reads_the_difference_times_high_width():
     ref = SensedCell(0.95e-3)
     for gain in (1.0, 0.5, 3.0):
         cfg = SensingConfig(F_MEAS, gain)
-        reading = sense_error(a, ref, "amplitude", cfg)
+        reading = sense(a, ref, "amplitude", cfg)
         assert reading == pytest.approx(gain * 0.10e-3 / 2, rel=1e-12)
-    assert sense_error(ref, a, "amplitude", SensingConfig(F_MEAS)) == pytest.approx(
+    assert sense(ref, a, "amplitude", SensingConfig(F_MEAS)) == pytest.approx(
         -0.10e-3 / 2, rel=1e-12
     )
 
     common = dict(delay=0.3e-12, duty=-0.2e-12)
-    skewed = sense_error(
+    skewed = sense(
         SensedCell(1.05e-3, **common), SensedCell(0.95e-3, **common),
         "amplitude", SensingConfig(F_MEAS),
     )
@@ -1383,7 +1400,7 @@ def test_sense_pure_delay_reads_two_f_a_dd():
     for delta in (PERIOD / 1000, -PERIOD / 2000, PERIOD / 300):
         a = SensedCell(amplitude, delay=0.8e-12 + delta / 2, duty=0.4e-12)
         ref = SensedCell(amplitude, delay=0.8e-12 - delta / 2, duty=0.4e-12)
-        reading = sense_error(a, ref, "delay", SensingConfig(F_MEAS))
+        reading = sense(a, ref, "delay", SensingConfig(F_MEAS))
         assert reading == pytest.approx(2 * F_MEAS * amplitude * delta, rel=1e-12)
 
 
@@ -1392,7 +1409,7 @@ def test_sense_pure_duty_reads_f_a_du():
     for delta in (PERIOD / 1000, -PERIOD / 1500, PERIOD / 400):
         a = SensedCell(amplitude, delay=0.5e-12, duty=delta / 2)
         ref = SensedCell(amplitude, delay=0.5e-12, duty=-delta / 2)
-        reading = sense_error(a, ref, "duty", SensingConfig(F_MEAS))
+        reading = sense(a, ref, "duty", SensingConfig(F_MEAS))
         assert reading == pytest.approx(F_MEAS * amplitude * delta, rel=1e-12)
 
 
@@ -1400,7 +1417,7 @@ def test_sense_identical_cells_read_exactly_zero():
     cell = SensedCell(1.2e-3, delay=0.6e-12, duty=-0.3e-12)
     twin = SensedCell(1.2e-3, delay=0.6e-12, duty=-0.3e-12)
     for mode in SENSE_MODES:
-        assert sense_error(cell, twin, mode, SensingConfig(F_MEAS)) == 0.0
+        assert sense(cell, twin, mode, SensingConfig(F_MEAS)) == 0.0
 
 
 def test_sense_orthogonality():
@@ -1420,12 +1437,12 @@ def test_sense_orthogonality():
         ),
     }
     for source_mode, (a, ref) in pure.items():
-        matching = abs(sense_error(a, ref, source_mode, cfg))
+        matching = abs(sense(a, ref, source_mode, cfg))
         assert matching > 0
         for other_mode in SENSE_MODES:
             if other_mode == source_mode:
                 continue
-            leak = abs(sense_error(a, ref, other_mode, cfg))
+            leak = abs(sense(a, ref, other_mode, cfg))
             assert leak <= 0.01 * matching
             assert leak < 1e-12 * matching + 1e-18
 
@@ -1438,7 +1455,7 @@ def test_sense_linearity_over_ten_point_sweeps():
         for delta in sweep:
             kwargs = {mode: float(delta)}
             a = SensedCell(1e-3, **kwargs)
-            readings.append(sense_error(a, SensedCell(1e-3), mode, cfg))
+            readings.append(sense(a, SensedCell(1e-3), mode, cfg))
         slope, intercept = np.polyfit(sweep, readings, 1)
         predicted = slope * sweep + intercept
         ss_res = np.sum((np.array(readings) - predicted) ** 2)
@@ -1461,26 +1478,71 @@ def test_sense_matches_grid_oracle_on_mixed_errors():
             duty=float(rng.uniform(-1, 1) * PERIOD / 500),
         )
         for mode in SENSE_MODES:
-            exact = sense_error(a, ref, mode, cfg)
+            exact = sense(a, ref, mode, cfg)
             approx = oracle_sense(a, ref, mode, cfg)
             assert exact == pytest.approx(approx, abs=3e-8)
 
 
 def test_sense_validation():
-    with pytest.raises(ConfigError):
-        SensedCell(-1e-3)
-    with pytest.raises(ConfigError):
-        SensedCell(1e-3, delay=math.inf)
+    with pytest.raises(ConfigError, match="amplitude must be finite and >= 0, got -0.001"):
+        sense_readings([1e-3, -1e-3], 0.0, 0.0)
+    with pytest.raises(ConfigError, match="amplitude must be finite and >= 0, got nan"):
+        sense_readings([math.nan, 1e-3], 0.0, 0.0)
+    with pytest.raises(ConfigError, match="delay and duty must be finite"):
+        sense_readings(1e-3, [math.inf, 0.0], 0.0)
+    with pytest.raises(ConfigError, match="delay and duty must be finite"):
+        sense_readings(1e-3, 0.0, [0.0, math.nan])
     with pytest.raises(ConfigError):
         SensingConfig(f_meas=0.0)
-    with pytest.raises(ConfigError):
-        sense_error(SensedCell(1e-3), SensedCell(1e-3), "phase")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="an eighth of the toggle period"):
         # timing error too close to the modulation pulse width
-        sense_error(
-            SensedCell(1e-3, delay=0.2 * PERIOD), SensedCell(1e-3), "delay",
-            SensingConfig(F_MEAS),
-        )
+        sense_readings(1e-3, [0.2 * PERIOD, 0.0], 0.0, SensingConfig(F_MEAS))
+    with warnings.catch_warnings():  # overflows are rejected without a numpy warning
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="an eighth of the toggle period"):
+            sense_readings(1e-3, [1e300, 0.0], 0.0, SensingConfig(1e300))
+        with pytest.raises(ConfigError, match="a sense reading overflows a float at gain 1e"):
+            sense_readings([1e308, 0.0], 0.0, 0.0, SensingConfig(F_MEAS, 1e300))
+
+
+CELL_AMPLITUDE = st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 2e-3)
+# timing errors up to PERIOD / 20 on a grid of PERIOD / 2e7, so no edge lands
+# a hair before a period boundary (which the oracle's waveform objects reject)
+CELL_TIMING = st.integers(-10**6, 10**6).map(lambda i: i * PERIOD / 2e7)
+SENSED_CELL = st.builds(SensedCell, CELL_AMPLITUDE, CELL_TIMING, CELL_TIMING)
+
+
+@given(
+    pairs=st.lists(st.tuples(SENSED_CELL, SENSED_CELL), min_size=1, max_size=6),
+    gain=st.sampled_from([1.0, -0.5, 3.0]),
+)
+def test_sense_readings_equal_the_waveform_oracle(pairs, gain):
+    """A batch of cell pairs with mixed amplitude, delay and duty errors (and
+    shared edges where the timings tie) reads, in every mode, what the
+    per-reading waveform objects read, up to the order of one sum of at
+    most six segment terms."""
+    cfg = SensingConfig(F_MEAS, gain)
+    fields = [
+        [[getattr(cell, name) for cell in pair] for pair in pairs]
+        for name in ("amplitude", "delay", "duty")
+    ]
+    readings = sense_readings(*fields, cfg)
+    assert readings.shape == (len(pairs), len(SENSE_MODES))
+    for (a, ref), row in zip(pairs, readings.tolist()):
+        scale = abs(gain) * (a.amplitude + ref.amplitude)
+        for mode, reading in zip(SENSE_MODES, row):
+            expected = sense_error(a, ref, mode, cfg)
+            assert reading == pytest.approx(expected, rel=0, abs=1e-14 * scale)
+
+
+def test_sense_reads_an_edge_a_hair_before_the_period_start():
+    """A delay of -1e-30 s puts a rise at np.mod(-4e-22, 1.0) == 1.0, the
+    period's end; the readings are those of the edge at 0."""
+    cfg = SensingConfig(F_MEAS)
+    for delay in ([-1e-30, 0.0], [-1e-30, 1e-30], [0.0, -1e-30]):
+        hair = sense_readings([1.1e-3, 0.9e-3], delay, 0.0, cfg)
+        exact = sense_readings([1.1e-3, 0.9e-3], 0.0, 0.0, cfg)
+        np.testing.assert_allclose(hair, exact, rtol=0, atol=1e-18)
 
 
 # ---------------------------------------------------------------------------
@@ -1611,8 +1673,9 @@ def test_zero_variance_block_takes_the_full_curve_fallback():
     of the block reads the full curve, before and after calibration."""
     with mock.patch.object(csdac, "_curve_maxima", wraps=csdac._curve_maxima) as full_curve:
         assert_block_equals_the_row_oracle(zero_variance_config(), 29, 3, 8)
-    # five converters, two readings each, in the block and in the oracle
-    assert full_curve.call_count == 2 * 2 * 5
+    # five converters, two readings each, in the block (the oracle builds
+    # the full curve itself)
+    assert full_curve.call_count == 2 * 5
 
 
 def test_block_with_a_rewound_draw_equals_the_row_oracle():
@@ -1630,7 +1693,7 @@ def test_block_with_a_rewound_draw_equals_the_row_oracle():
 )
 def test_a_block_raises_the_error_of_its_lowest_failing_sample(monkeypatch, flat, late, error):
     """Sample ``flat`` draws an LSB bank that sinks the top code below code
-    0, which ``_segment_maxima`` rejects; sample ``late`` draws an extrinsic
+    0, which the linearity readers reject; sample ``late`` draws an extrinsic
     error that pulls a delay below zero, which the sample checks reject
     first.  The block raises what the loop over the rows raises."""
     draw = csdac._draw_dac

@@ -164,7 +164,7 @@ GOLDEN = {
     },
     "dac-sense": {
         "sense_sweep.csv":
-            "2afc61e68c7c5d9d00356fc1d3d740ece3db39dae08f106955f568c543c1bd04",
+            "c068e75f77fefe92b1b65019bd8f9404030f8526a13736f87e72b89db0ba1a0b",
         "sense_sweep.meta.json":
             "28e54e1f5ac50da8f976184c235355e5127732d5deb577add11f463930ffaea3",
     },
@@ -397,7 +397,7 @@ GOLDEN = {
 MANIFEST_GOLDEN = {
     "dac-self-heal": "8c51e7a6d81032b9ad8f3b290459a76722e875907fc048d5a87bd3a38b231990",
     "dac-self-heal-rewind": "1bb139e05a49631999379f2ee9ed7f130881115c0af424314dc81444e232c0d3",
-    "dac-sense": "17e437ac61a09c08e939237b9a9dfca16bfc3903023697c32a5985379ec400a7",
+    "dac-sense": "b584083180a88055abe3245b3de1ff1b0f8c578cf22a1e9ad89989358a2d798f",
     "dac-yield-dump": "14506a56f1ec8dfa3f0c40e17c6299fb1da8ecb6978cae047484bf4bccbdb07b",
     "dac-yield-eses": "0eeef1e305aaf341fa60936642775dccf663d4b4f33a54d592f427750e06b504",
     "dac-yield-eses-rewind": "4abe3007d790a9af8ad582b7f1b0bd14f65ec1e3ec91dc3fa57e2901210bf914",
@@ -462,12 +462,11 @@ def _openblas_picks_kernels_at_run_time() -> bool:
 )
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_dac_golden_cases_hold_on_other_blas_kernels(coretype):
-    """The converter cases under an AVX2 and an SSE3 OpenBLAS kernel, in a
+    """Every golden case under an AVX2 and an SSE3 OpenBLAS kernel, in a
     subprocess (the variable acts only on the process it is set for): the
-    subset-sum products change bits from kernel to kernel, and no converter
-    output may.  ``dac-sense`` is left out: its readout sums through
-    ``np.dot``, whose order is per kernel."""
-    cases = sorted(c for c in CASES if c.startswith(("dac-yield-", "dac-self-heal")))
+    subset-sum products change bits from kernel to kernel, and no output
+    may."""
+    cases = sorted(CASES)
     tests = [f"{__file__}::test_outputs_match_golden_hashes[{case}]" for case in cases]
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
