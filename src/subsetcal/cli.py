@@ -491,8 +491,11 @@ def _dac_yield(cfg: dict, threads: int) -> Output:
     if dump >= 0:
         run_config = uniform_comparison_config(config) if flow == "ses" else config
         sample = sample_dac(run_config, sample_substream(cfg["dac.seed"], dump))
+        calibrated = dataclasses.replace(sample, amplitude_selection=calibrate_amplitude_eses(
+            sample.amplitude, sample.reference_current, run_config.k
+        ))
         rows = []
-        for phase, state in (("pre", sample), ("post", calibrate_amplitude_eses(sample))):
+        for phase, state in (("pre", sample), ("post", calibrated)):
             report = linearity(state)
             pairs = zip(report.inl.tolist(), report.dnl.tolist())
             rows += [(code, phase, inl, dnl) for code, (inl, dnl) in enumerate(pairs)]
@@ -773,7 +776,6 @@ def _run(args: argparse.Namespace) -> None:
         samples=cfg[command.samples_key] if command.samples_key else None,
         threads=threads,
         out_dir=args.out,
-        artifacts={},
     )
     _finish(manifest, datasets, extra_json)
     if not args.quiet:

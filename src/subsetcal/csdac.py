@@ -26,7 +26,6 @@ Currents are amperes, times are seconds throughout.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import sys
@@ -52,6 +51,7 @@ from .mismatch import (
     balanced_row,
     check_array_bytes,
     combination_index_matrix,
+    find_best,
     inverse_width_deviation,
     membership_matrix,
     nominal_sizes,
@@ -354,7 +354,8 @@ class DacSample:
     ``duty_selection`` (n_ucc,) are the enabled k-subsets of the amplitude
     set, the delay buffer and the tuned-duty buffer, as row indices into
     ``combination_index_matrix(n, k)``; the fixed-duty buffer always keeps
-    the balanced combination.
+    the balanced combination.  ``deviations`` (n_ucc, 3), derived when the
+    sample is built and read-only, holds its ``_selected_deviations``.
     """
 
     config: DacConfig
@@ -366,6 +367,7 @@ class DacSample:
     duty_selection: np.ndarray
     lsb_bit_currents: tuple[float, ...]
     reference_current: float
+    deviations: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cells, n, bits = self.config.n_ucc, self.config.n, self.config.lsb_bits
@@ -376,10 +378,12 @@ class DacSample:
         expected = ((cells, n), (cells, 3, n), (cells, 3)) + ((cells,),) * 3 + ((bits,),)
         if shapes != expected:
             raise ConfigError(f"array shapes {shapes} differ from {expected}")
-        _check_cells(
+        deviations = _check_cells(
             self.config, self.amplitude, self.widths, self.extrinsic,
             self.delay_selection, self.duty_selection,
         )
+        deviations.setflags(write=False)
+        object.__setattr__(self, "deviations", deviations)
 
 
 def _check_cells(cfg: DacConfig, amplitude, widths, extrinsic, delay_selection, duty_selection):
@@ -638,30 +642,19 @@ def _curve_maxima(msb_cum: np.ndarray, lsb_vals: np.ndarray) -> LinearityMaxima:
 # Amplitude calibration
 
 
-def calibrate_amplitude_eses(sample: DacSample) -> DacSample:
-    """Exhaustive per-UCC subset selection against the reference current.
-
-    Every cell independently picks the k-subset whose sum lands closest to
-    the realized reference, over all C(n, k) combinations.  Being a global
-    minimum over a set containing the incumbent, the residual never grows.
-    One matrix product serves all cells; its last-bit rounding can differ
-    from a one-cell product's, which changed no selection in 1.26e6 cells.
+def calibrate_amplitude_eses(amplitude: np.ndarray, references, k: int) -> np.ndarray:
+    """Exhaustive per-UCC subset selection against the reference current:
+    for amplitude sets (..., n_ucc, n) and references (...), the (..., n_ucc)
+    rows whose k-subset sums land closest to their converter's reference.
+    Being a global minimum over a set containing the incumbent, the residual
+    never grows.  ``find_best`` runs once per converter: its (n_ucc, C(n, k))
+    product stays in cache, and one over several converters' cells measured
+    slower or changed the last bits of some sums on some CPU kernels.
     """
-    selection = _closest_subsets(sample.amplitude, sample.reference_current, sample.config.k)
-    # Only the amplitude selection changes; the sizes and buffer delays that
-    # ``DacSample.__post_init__`` validates do not, so skip revalidating them.
-    calibrated = copy.copy(sample)
-    object.__setattr__(calibrated, "amplitude_selection", selection)
-    return calibrated
-
-
-def _closest_subsets(amplitude: np.ndarray, reference: float, k: int) -> np.ndarray:
-    """Per cell of ``amplitude`` (cells, n), the row of
-    ``combination_index_matrix(n, k)`` whose subset sum lands closest to
-    ``reference``, from one (cells, C(n, k)) product."""
-    distance = amplitude @ membership_matrix(amplitude.shape[-1], k)
-    distance -= reference
-    return np.argmin(np.abs(distance, out=distance), axis=1)
+    converters = amplitude.reshape((-1,) + amplitude.shape[-2:])
+    references = np.broadcast_to(references, amplitude.shape[:-2]).ravel().tolist()
+    selections = [find_best(a, k, reference) for a, reference in zip(converters, references)]
+    return np.stack(selections).reshape(amplitude.shape[:-1])
 
 
 def uniform_comparison_config(config: DacConfig) -> DacConfig:
@@ -679,19 +672,11 @@ def uniform_comparison_config(config: DacConfig) -> DacConfig:
 # Timing calibration
 
 
-def _buffer_deviations(sample: DacSample) -> np.ndarray:
-    """(n_ucc, 3) delay of every timing buffer at its selection relative to
-    the nominal design point (base + drive), seconds; raises ConfigError if
-    a delay is <= 0."""
-    return _selected_deviations(
-        sample.config, sample.widths, sample.extrinsic,
-        sample.delay_selection, sample.duty_selection,
-    )
-
-
 def _selected_deviations(cfg: DacConfig, widths, extrinsic, delay_selection, duty_selection):
-    """``_buffer_deviations`` of widths (..., n_ucc, 3, n) and extrinsic
-    errors (..., n_ucc, 3), with selections (n_ucc,) or (..., n_ucc)."""
+    """(..., n_ucc, 3) delay of every timing buffer at its selection relative
+    to the nominal design point (base + drive), seconds, for widths (...,
+    n_ucc, 3, n), extrinsic errors (..., n_ucc, 3) and selections (n_ucc,)
+    or (..., n_ucc); raises ConfigError if a delay is <= 0."""
     design = _cell_design(cfg)
     fixed = np.full(np.shape(delay_selection), balanced_row(cfg.n, cfg.k))
     selection = np.stack([delay_selection, duty_selection, fixed], axis=-1)
@@ -699,34 +684,36 @@ def _selected_deviations(cfg: DacConfig, widths, extrinsic, delay_selection, dut
     return inverse_width_deviation(design.drives, design.halves, selected, extrinsic)
 
 
-def delay_errors(sample: DacSample) -> np.ndarray:
-    """Clock-delay deviation of every UCC, seconds."""
-    return _buffer_deviations(sample)[:, 0]
+def delay_errors(deviations: np.ndarray) -> np.ndarray:
+    """Clock-delay deviation of every UCC, seconds, from the (..., n_ucc, 3)
+    buffer deviations."""
+    return deviations[..., 0]
 
 
-def duty_errors(sample: DacSample) -> np.ndarray:
-    """Duty-cycle error (tuned minus fixed buffer delay) per UCC, seconds."""
-    deviations = _buffer_deviations(sample)
-    return deviations[:, 1] - deviations[:, 2]
+def duty_errors(deviations: np.ndarray) -> np.ndarray:
+    """Duty-cycle error (tuned minus fixed buffer delay) of every UCC,
+    seconds, from the (..., n_ucc, 3) buffer deviations."""
+    return deviations[..., 1] - deviations[..., 2]
 
 
-def calibrate_timing(sample: DacSample) -> DacSample:
-    """Exhaustive timing calibration of every UCC.
+def calibrate_timing(cfg: DacConfig, widths, extrinsic, deviations, current) -> np.ndarray:
+    """Exhaustive timing calibration of every UCC: the (..., n_ucc, 2) delay
+    and tuned-duty selections for widths (..., n_ucc, 3, n), extrinsic errors
+    and buffer deviations (..., n_ucc, 3) at the ``current`` selections.
 
     Delay: pick the buffer subset minimizing |delay deviation| (the tunable
     inverse-width term must cancel the extrinsic error).  Duty: the fixed
     buffer keeps its balanced selection; the tuned buffer's subset minimizes
     |tuned deviation - fixed deviation|.  A buffer without drive has no
     tunable term and keeps its selection.  Ties go to the first subset in
-    ``combination_index_matrix`` order; ``_timing_selections`` makes the
-    choice.
+    ``combination_index_matrix`` order.  ``_timing_selections`` makes the
+    choice once per converter; one call over a block's cells ran slower.
     """
-    fixed = _buffer_deviations(sample)[:, 2]
-    current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
-    best = _timing_selections(sample.config, sample.widths, sample.extrinsic, fixed, current)
-    return dataclasses.replace(
-        sample, delay_selection=best[:, 0], duty_selection=best[:, 1]
-    )
+    current = np.broadcast_to(current, deviations.shape[:-1] + (2,))
+    arrays = (widths, extrinsic, deviations, current)
+    converters = zip(*(a.reshape((-1,) + a.shape[current.ndim - 2 :]) for a in arrays))
+    selections = [_timing_selections(cfg, w, e, d[:, 2], c) for w, e, d, c in converters]
+    return np.stack(selections).reshape(current.shape)
 
 
 @lru_cache(maxsize=None)
@@ -1169,11 +1156,18 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
     return SelfHealResult(False, bias, scale, None, None, None, seed, tuple(attempts))
 
 
-def healed_linearity(sample: SelfHealSample, result: SelfHealResult) -> LinearityMaxima:
-    """Static linearity maxima of the healed converter."""
-    if not result.healed:
-        raise ConfigError("self-heal run failed; there is no healed converter")
-    return _segment_maxima_rows(result.cell_currents[None], sample.lsb_values[None])[0]
+def healed_linearity(samples, results) -> list[LinearityMaxima]:
+    """Static linearity maxima of each healed converter of ``samples`` and
+    their ``self_heal_ses`` ``results``, all read in one
+    ``_segment_maxima_rows`` call; NaN maxima where a run failed."""
+    maxima = [LinearityMaxima(math.nan, math.nan)] * len(results)
+    healed = [r for r, result in enumerate(results) if result.healed]
+    if healed:
+        currents = np.stack([results[r].cell_currents for r in healed])
+        lsb_vals = np.stack([samples[r].lsb_values for r in healed])
+        for r, value in zip(healed, _segment_maxima_rows(currents, lsb_vals)):
+            maxima[r] = value
+    return maxima
 
 
 # ---------------------------------------------------------------------------
@@ -1326,13 +1320,13 @@ def _rerun_failing_blocks(block_rows):
 @_rerun_failing_blocks
 def _amplitude_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
     """Yield rows lo, ..., hi - 1 of an amplitude flow on ``config``, each
-    equal as floats to ``sample_dac``, ``calibrate_amplitude_eses`` and
-    ``linearity_from_curve`` on sample i's own stream.
+    equal as floats to ``linearity_from_curve`` of sample i's balanced and
+    ``calibrate_amplitude_eses`` currents, on ``sample_dac`` of its stream.
 
     Each converter is drawn from its own stream.  The block then runs
-    ``DacSample``'s checks, the balanced and calibrated cell currents, the
-    LSB values and the segment bounds on stacked arrays; the subset-sum
-    product, its argmin and the candidate codes run per converter.
+    ``DacSample``'s checks, the calibration, the cell currents, the LSB
+    values and the segment bounds on stacked arrays; the candidate codes
+    run per converter.
     """
     n, k = config.n, config.k
     draws = [_draw_dac(config, sample_substream(master_seed, i)) for i in range(lo, hi)]
@@ -1341,8 +1335,8 @@ def _amplitude_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> li
     _check_cells(config, amplitude, widths, extrinsic, balanced, balanced)
     lsb_vals = _lsb_values([d[1] for d in draws])
     pre = _segment_maxima_rows(selected_sums(amplitude, balanced, k), lsb_vals)
-    selection = [_closest_subsets(a, d[2], k) for a, d in zip(amplitude, draws)]
-    post = _segment_maxima_rows(selected_sums(amplitude, np.stack(selection), k), lsb_vals)
+    selection = calibrate_amplitude_eses(amplitude, [d[2] for d in draws], k)
+    post = _segment_maxima_rows(selected_sums(amplitude, selection, k), lsb_vals)
     return [
         (i, before.inl_max, after.inl_max, before.dnl_max, after.dnl_max)
         for i, before, after in zip(range(lo, hi), pre, post)
@@ -1351,15 +1345,15 @@ def _amplitude_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> li
 
 @_rerun_failing_blocks
 def _timing_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
-    """Yield rows lo, ..., hi - 1 of the timing flow, each equal as floats to
-    the standard deviations of ``delay_errors`` and ``duty_errors`` before
-    and after ``calibrate_timing``, on ``sample_dac`` of sample i's stream.
+    """Yield rows lo, ..., hi - 1 of the timing flow: the standard deviations
+    of ``delay_errors`` and ``duty_errors`` of sample i's buffer deviations
+    before and after ``calibrate_timing``, each equal as floats to those of
+    ``sample_dac`` on sample i's stream.
 
     Each converter's cells are drawn from its own stream; the LSB bank that
     follows them there is not drawn, since no timing column reads it.  The
-    block runs ``DacSample``'s checks, the deviations before and after and
-    their standard deviations on stacked arrays, and ``_timing_selections``
-    per converter.
+    block runs ``DacSample``'s checks, the deviations before and after, the
+    calibration and the standard deviations on stacked arrays.
     """
     n, k = config.n, config.k
     cells = [_draw_cells(config, sample_substream(master_seed, i)) for i in range(lo, hi)]
@@ -1367,25 +1361,22 @@ def _timing_rows(config: DacConfig, master_seed: int, lo: int, hi: int) -> list[
     balanced = np.full(config.n_ucc, balanced_row(n, k))
     pre = _check_cells(config, amplitude, widths, extrinsic, balanced, balanced)
     current = np.stack([balanced, balanced], axis=1)
-    selection = np.stack([
-        _timing_selections(config, w, e, deviations[:, 2], current)
-        for w, e, deviations in zip(widths, extrinsic, pre)
-    ])
+    selection = calibrate_timing(config, widths, extrinsic, pre, current)
     post = _selected_deviations(config, widths, extrinsic, selection[..., 0], selection[..., 1])
-    errors = (pre[..., 0], post[..., 0], pre[..., 1] - pre[..., 2], post[..., 1] - post[..., 2])
+    errors = (delay_errors(pre), delay_errors(post), duty_errors(pre), duty_errors(post))
     return list(zip(range(lo, hi), *(np.std(e, axis=1).tolist() for e in errors)))
 
 
 @_rerun_failing_blocks
 def _selfheal_rows(config: SelfHealConfig, master_seed: int, lo: int, hi: int) -> list[tuple]:
-    """Yield rows lo, ..., hi - 1 of the self-heal flow, each equal as floats
-    to ``sample_selfheal`` and ``self_heal_ses`` on sample i's own stream,
-    with the linearity maxima of the balanced, bias-scaled cell currents
-    before and of ``healed_linearity`` after.
+    """Yield rows lo, ..., hi - 1 of the self-heal flow: ``sample_selfheal``
+    and ``self_heal_ses`` on sample i's own stream, with the linearity maxima
+    of the balanced, bias-scaled cell currents before and of
+    ``healed_linearity`` after.
 
     Each converter is drawn by ``sample_selfheal`` from its own stream, and
-    the controller runs per converter on that generator.  The block runs
-    both linearity readings on stacked arrays.
+    the controller runs per converter on that generator.  The block reads
+    each linearity, before and after, in one call on stacked arrays.
     """
     n, k = config.n, config.k
     rngs = [sample_substream(master_seed, i) for i in range(lo, hi)]
@@ -1396,17 +1387,13 @@ def _selfheal_rows(config: SelfHealConfig, master_seed: int, lo: int, hi: int) -
     currents = selected_sums(np.stack([s.cells for s in samples]), balanced, k) * scale[:, None]
     pre = _segment_maxima_rows(currents, lsb_vals)
     results = [self_heal_ses(sample, rng) for sample, rng in zip(samples, rngs)]
-    healed = [r for r, result in enumerate(results) if result.healed]
-    post = dict.fromkeys(range(hi - lo), LinearityMaxima(math.nan, math.nan))
-    if healed:
-        healed_currents = np.stack([results[r].cell_currents for r in healed])
-        post.update(zip(healed, _segment_maxima_rows(healed_currents, lsb_vals[healed])))
+    post = healed_linearity(samples, results)
     return [
         (
             i, 1.0 if result.healed else 0.0, float(result.restarts),
-            before.inl_max, post[r].inl_max, before.dnl_max, post[r].dnl_max,
+            before.inl_max, after.inl_max, before.dnl_max, after.dnl_max,
         )
-        for r, (i, before, result) in enumerate(zip(range(lo, hi), pre, results))
+        for i, before, after, result in zip(range(lo, hi), pre, post, results)
     ]
 
 
@@ -1436,7 +1423,9 @@ def yield_study(
     independent of ``threads``.  ``runner.parallel_indexed`` hands out the
     rows of every flow in blocks of ``_YIELD_BLOCK`` converters
     (``_amplitude_rows``, ``_timing_rows``, ``_selfheal_rows``), in sample
-    order.
+    order.  A block calibrates through the public layer functions:
+    ``calibrate_amplitude_eses``; ``calibrate_timing``, ``delay_errors`` and
+    ``duty_errors``; or ``self_heal_ses`` and ``healed_linearity``.
     """
     if flow not in YIELD_FLOWS:
         raise ConfigError(f"flow must be one of {YIELD_FLOWS}, got {flow!r}")

@@ -436,14 +436,16 @@ def subset_deviations(sums: np.ndarray, drive, half, extrinsic) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def find_best(realized: np.ndarray, k: int, target: float) -> tuple[int, float]:
-    """Best-match selection of one (n,) element set: the row of
-    ``combination_index_matrix(n, k)`` minimizing |subset sum - target|.
+def find_best(realized: np.ndarray, k: int, target) -> np.ndarray:
+    """Best-match selections of element sets ``realized`` (..., n): per set,
+    the row of ``combination_index_matrix(n, k)`` minimizing |subset sum -
+    target|, with ``target`` (...) one value per set or one for them all.
 
-    Returns (row, signed residual) with residual = subset sum - target.
+    One ``realized @ membership_matrix(n, k)`` product gives every subset
+    sum; the target is subtracted and the absolute value taken in place.
     Ties on the absolute residual resolve to the earliest combination in
     lexicographic order (argmin semantics over the lexicographic enumeration).
     """
-    sums = all_subset_sums(realized, k)
-    best = int(np.argmin(np.abs(sums - target)))
-    return best, float(sums[best] - target)
+    distance = realized @ membership_matrix(realized.shape[-1], k)
+    distance -= np.asarray(target)[..., None]
+    return np.argmin(np.abs(distance, out=distance), axis=-1)

@@ -15,7 +15,7 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 from .mismatch import ConfigError
@@ -126,8 +126,7 @@ class RunManifest:
 
     ``config`` is the fully resolved key-value snapshot (defaults applied,
     command-line overrides folded in), so re-running the same subcommand with
-    this snapshot reproduces every artifact byte for byte; ``artifacts`` maps
-    each emitted file name to its SHA-256.
+    this snapshot reproduces every artifact byte for byte.
     """
 
     subcommand: str
@@ -137,25 +136,14 @@ class RunManifest:
     samples: Optional[int]
     threads: int
     out_dir: str
-    artifacts: dict
 
 
 def write_manifest(
     manifest: RunManifest, paths: Sequence[str], directory: Optional[str] = None
 ) -> str:
-    """Hash the artifact files and write ``manifest.json`` into ``directory``
-    (by default ``manifest.out_dir``)."""
-    artifacts = dict(manifest.artifacts)
-    for path in paths:
-        artifacts[os.path.basename(path)] = sha256_of(path)
-    payload = {
-        "subcommand": manifest.subcommand,
-        "config": manifest.config,
-        "overrides": manifest.overrides,
-        "master_seed": manifest.master_seed,
-        "samples": manifest.samples,
-        "threads": manifest.threads,
-        "out_dir": manifest.out_dir,
-        "artifacts": artifacts,
-    }
+    """Write ``manifest.json`` into ``directory`` (by default
+    ``manifest.out_dir``): the manifest's fields and ``artifacts``, which
+    maps each file of ``paths`` by name to its SHA-256."""
+    payload = asdict(manifest)
+    payload["artifacts"] = {os.path.basename(path): sha256_of(path) for path in paths}
     return emit_json(payload, os.path.join(directory or manifest.out_dir, "manifest.json"))

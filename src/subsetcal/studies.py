@@ -11,7 +11,7 @@ sigma to be corrected, sqrt(1 + sigma_T^2) * sigma_k, to the equivalent
 quantization sigma of a uniform residual over the window, width / sqrt(12).
 
 Determinism: sampling is partitioned into fixed blocks of ``BLOCK`` samples;
-block b draws from ``SeedSequence(master_seed, spawn_key=(b,))`` the element
+block b draws from ``runner.sample_substream(master_seed, b)`` the element
 sets and then one standard normal per sample that every Gaussian offset
 scales.  All widths of one study are evaluated on one population, and so are
 the offsets that ``run_studies`` serves from one draw: a block's subset sums
@@ -53,6 +53,7 @@ from .mismatch import (
     scheme_center,
     sigma_k,
 )
+from .runner import sample_substream
 
 __all__ = [
     "BLOCK",
@@ -112,9 +113,10 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        # min_distances' array; run_studies keeps none, so for it this only
-        # caps the sample count
-        check_array_bytes("the sample distances", (self.samples,))
+        check_array_bytes(
+            "min_distances' distance array that caps every study's sample count",
+            (self.samples,),
+        )
         if not self.window_widths:
             raise ConfigError("window_widths must not be empty")
         if any(w < 0 for w in self.window_widths):
@@ -194,8 +196,7 @@ def _block_distances(
     the resamples.  The element draw and the subset sums are shared by every
     offset."""
     size = out.shape[1]
-    ss = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(block,))
-    rng = np.random.default_rng(ss)
+    rng = sample_substream(config.master_seed, block)
     nom = np.broadcast_to(nominal, (size, config.n))
     realized, resamples = draw_realized(nom, sigmas, rng)
     # a Gaussian offset is drawn after the element block, in sigma_k units, as

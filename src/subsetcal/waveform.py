@@ -72,53 +72,37 @@ def edge_fourier(times, deltas, n) -> np.ndarray:
     """Fourier coefficients of edge lists: (1/(j 2 pi n)) * sum d * exp(-j 2 pi n t).
 
     ``times``/``deltas`` may be batched with shape (..., E); ``n`` is a positive
-    integer (scalar).  This is the hot path used by calibration searches, which
-    evaluate thousands of candidate edge lists at once.
+    integer (scalar).  The mixer reads one branch's or one LO path's edge
+    list at a time through it; a knob's candidates rotate that list or move
+    one of its edges (``moved_edge_fourier``), so no caller builds a batch
+    of candidate edge lists.
     """
     times = np.asarray(times, dtype=float)
     phase = np.exp((-2j * np.pi * n) * times)
     return (phase * deltas).sum(axis=-1) / (2j * np.pi * n)
 
 
-#: most edges whose row sum ``moved_edge_fourier`` reproduces: up to 64
-#: complex values numpy's add reduction sums in one unrolled block; longer
-#: rows it splits pairwise
-_MAX_MOVED_EDGES = 64
-
-
 def moved_edge_fourier(times, deltas, n, edge, moved) -> np.ndarray:
-    """``edge_fourier`` of the batch of edge lists equal to the 1-D ``times``
-    but for edge ``edge``, which takes each value of ``moved`` in turn.
+    """``edge_fourier`` of the batch of edge lists equal to the four-edge 1-D
+    ``times`` but for edge ``edge``, which takes each value of ``moved`` in
+    turn.
 
-    The E fixed terms d * exp(-j 2 pi n t) are evaluated once and the moved
-    edge's term once per list; no (len(moved), E) array is built.  The terms
-    are added in the order numpy's add reduction sums a row of E <= 64
-    complex values: four lanes t0..t3, each adding every fourth term after
-    it, then (lane0 + lane1) + (lane2 + lane3), then the E % 4 last terms
-    one by one, all added to 0.  For E = 4 that is 0 + ((t0 + t1) + (t2 +
-    t3)).  With the products and the division ``edge_fourier`` takes, every
-    coefficient equals its coefficient of the explicit batch bit for bit.
+    The four fixed terms d * exp(-j 2 pi n t) are evaluated once and the
+    moved edge's term once per list; no (len(moved), 4) array is built.  The
+    terms are added in the order numpy's add reduction sums a row of four
+    complex values, 0 + ((t0 + t1) + (t2 + t3)).  With the products and the
+    division ``edge_fourier`` takes, every coefficient equals its
+    coefficient of the explicit batch bit for bit.  Any other edge count is
+    a ``ConfigError``.
     """
     times = np.asarray(times, dtype=float)
-    count = times.size
-    if count > _MAX_MOVED_EDGES:
-        raise ConfigError(f"moved_edge_fourier takes at most {_MAX_MOVED_EDGES} edges")
+    if times.size != 4:
+        raise ConfigError(f"moved_edge_fourier takes 4 edges, got {times.size}")
     w = -2j * np.pi * n
     terms = (np.exp(w * times) * deltas).tolist()
     terms[edge] = np.exp(w * np.asarray(moved, dtype=float)) * deltas[edge]
-    if count < 4:
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-    else:
-        tail = count - count % 4
-        lanes = terms[:4]
-        for start in range(4, tail, 4):
-            lanes = [lane + term for lane, term in zip(lanes, terms[start : start + 4])]
-        total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-        for term in terms[tail:]:
-            total = total + term
-    return (0.0 + total) / (2j * np.pi * n)
+    t0, t1, t2, t3 = terms
+    return (0.0 + ((t0 + t1) + (t2 + t3))) / (2j * np.pi * n)
 
 
 def fourier_coeff(waveform: EdgeWaveform, n: int) -> complex:

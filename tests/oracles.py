@@ -1,28 +1,29 @@
 """Reference implementations that only the tests call.
 
-The sequential DAC decode, the per-cell amplitude residuals, the linearity
-maxima of a full transfer curve, one converter's amplitude yield row, the
-five-pass timing calibration, one converter's timing and self-heal yield
-rows with the pre-heal linearity, the per-reading sensing path built from
-waveform objects (square waves, cyclic shifts, level lookup and the exact
-product average), the zero-variance receiver and the
-textbook ideal receiver built on it, the HRR of one point, a waveform's
-edge count, a scalar failure-rate query, a
-study's distances in one pass over each block, the resolution frontier as
-one study per (sigma_t, d) pair, a waveform scaled by a gain, the weighted
-sum of waveforms and the receiver's effective LO built from it, one square
-wave per phase, the set-by-set element draw with its subset sum, the scalar
-inverse-width delay law that the receiver's and the converter's timing
-networks are checked against, one network or one subset at a time, the
-mixer's knob scorer with all four edges of every candidate evaluated, the
-mixer's calibration stage with a search at every step, and
-the self-heal controller as one audition at a time with an index tuple per
-healed cell: the tests check the package's fast paths against them, and no
-program code needs them.
+The sequential DAC decode, the per-cell amplitude residuals, a converter
+with the selections the package's array calibrations pick, one set's
+best-match residual, the linearity maxima of a full transfer curve, one
+converter's amplitude yield row, the five-pass timing calibration, one
+converter's timing and self-heal yield rows with the pre-heal linearity, the
+per-reading sensing path built from waveform objects (square waves, cyclic
+shifts, level lookup and the exact product average), the zero-variance
+receiver and the textbook ideal receiver built on it, the HRR of one point,
+a waveform's edge count, a scalar failure-rate query, a study's distances in
+one pass over each block, the resolution frontier as one study per (sigma_t,
+d) pair, a waveform scaled by a gain, the weighted sum of waveforms and the
+receiver's effective LO built from it, one square wave per phase, the
+set-by-set element draw with its subset sum, the scalar inverse-width delay
+law that the receiver's and the converter's timing networks are checked
+against, one network or one subset at a time, the mixer's knob scorer with
+all four edges of every candidate evaluated, the mixer's calibration stage
+with a search at every step, and the self-heal controller as one audition at
+a time with an index tuple per healed cell: the tests check the package's
+fast paths against them, and no program code needs them.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from typing import Optional, Sequence
@@ -69,6 +70,7 @@ from subsetcal.mismatch import (
     balanced_row,
     combination_index_matrix,
     draw_realized,
+    find_best,
     membership_matrix,
     nominal_sizes,
     scheme_center,
@@ -117,6 +119,34 @@ def amplitude_residuals(sample: DacSample) -> np.ndarray:
     return ucc_currents(sample) - sample.reference_current
 
 
+def amplitude_calibrated(sample: DacSample) -> DacSample:
+    """``sample`` with the amplitude selections ``calibrate_amplitude_eses``
+    picks.  Sizes and buffer delays do not change, so they are not checked
+    again."""
+    cfg = sample.config
+    selection = calibrate_amplitude_eses(sample.amplitude, sample.reference_current, cfg.k)
+    calibrated = copy.copy(sample)
+    object.__setattr__(calibrated, "amplitude_selection", selection)
+    return calibrated
+
+
+def timing_calibrated(sample: DacSample) -> DacSample:
+    """``sample`` with the delay and tuned-duty selections
+    ``csdac.calibrate_timing`` picks from its buffer deviations."""
+    current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
+    best = csdac.calibrate_timing(
+        sample.config, sample.widths, sample.extrinsic, sample.deviations, current
+    )
+    return dataclasses.replace(sample, delay_selection=best[:, 0], duty_selection=best[:, 1])
+
+
+def find_best_residual(realized: np.ndarray, k: int, target: float) -> tuple[int, float]:
+    """``find_best``'s row for one (n,) set, and that subset's sum less the
+    target, read from ``all_subset_sums``."""
+    row = int(find_best(realized, k, target))
+    return row, float(all_subset_sums(realized, k)[row] - target)
+
+
 def curve_maxima(currents, lsb_vals: np.ndarray) -> LinearityMaxima:
     """INL and DNL maxima of the full transfer curve of cell ``currents``
     over the LSB values ``lsb_vals``, read by ``linearity_from_curve``."""
@@ -132,7 +162,7 @@ def amplitude_row(config: DacConfig, master_seed: int, i: int) -> tuple:
     sample = sample_dac(config, sample_substream(master_seed, i))
     lsb_vals = csdac._lsb_values(sample.lsb_bit_currents)
     pre = curve_maxima(ucc_currents(sample), lsb_vals)
-    post = curve_maxima(ucc_currents(calibrate_amplitude_eses(sample)), lsb_vals)
+    post = curve_maxima(ucc_currents(amplitude_calibrated(sample)), lsb_vals)
     return i, pre.inl_max, post.inl_max, pre.dnl_max, post.dnl_max
 
 
@@ -144,7 +174,7 @@ def calibrate_timing(sample: DacSample) -> DacSample:
     drive keeps its selection."""
     cfg = sample.config
     design = csdac._cell_design(cfg)
-    fixed = csdac._buffer_deviations(sample)[:, 2]
+    fixed = sample.deviations[:, 2]
     distance = subset_deviations(  # delay and tuned-duty buffers, every subset
         sample.widths[:, :2] @ membership_matrix(cfg.n, cfg.k),
         design.drives[:2, None],
@@ -166,8 +196,8 @@ def timing_row(config: DacConfig, master_seed: int, i: int) -> tuple:
     its delay and duty errors before and after the five-pass
     ``calibrate_timing``."""
     sample = sample_dac(config, sample_substream(master_seed, i))
-    pre = csdac._buffer_deviations(sample)
-    post = csdac._buffer_deviations(calibrate_timing(sample))
+    pre = sample.deviations
+    post = calibrate_timing(sample).deviations
     return (
         i, float(np.std(pre[:, 0])), float(np.std(post[:, 0])),
         float(np.std(pre[:, 1] - pre[:, 2])), float(np.std(post[:, 1] - post[:, 2])),

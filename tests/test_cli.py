@@ -247,7 +247,8 @@ def test_sense_sweep_over_the_memory_bound_is_rejected_before_any_reading(
     "command, module, name, message",
     [
         (["study", "failure-rate"], studies, "_block_distances",
-         "the sample distances (100000000000,) needs 800000000000 bytes"),
+         "min_distances' distance array that caps every study's sample count"
+         " (100000000000,) needs 800000000000 bytes"),
         (["dac", "yield"], csdac, "parallel_indexed",
          "the yield rows (100000000000,) needs 40000000000000 bytes"),
         (["dac", "self-heal"], csdac, "parallel_indexed",

@@ -60,6 +60,7 @@ from subsetcal.runner import sample_substream
 
 from oracles import (
     SensedCell,
+    amplitude_calibrated,
     amplitude_residuals,
     amplitude_row,
     dac_output,
@@ -70,6 +71,7 @@ from oracles import (
     selfheal_row,
     sense_error,
     subset_value,
+    timing_calibrated,
     timing_row,
 )
 from oracles import calibrate_timing as five_pass_calibrate_timing
@@ -466,12 +468,13 @@ def test_sample_rejects_non_positive_sizes_and_delays():
         with pytest.raises(ConfigError, match="delay must stay strictly positive"):
             dataclasses.replace(sample, extrinsic=extrinsic)
         with pytest.raises(ConfigError, match="delay must stay strictly positive"):
-            dataclasses.replace(calibrate_timing(sample), extrinsic=extrinsic)
+            dataclasses.replace(timing_calibrated(sample), extrinsic=extrinsic)
 
 
 def test_delays_are_validated_where_timing_can_change(monkeypatch):
-    """Building a sample (``sample_dac``, ``calibrate_timing``) checks every
-    buffer delay; amplitude calibration moves no delay and checks none."""
+    """Building a sample (``sample_dac``, a timing-calibrated copy) checks
+    every buffer delay; amplitude calibration moves no delay and checks
+    none."""
     sample = sample_dac(DacConfig(), sample_substream(5, 4))
     checked = []  # the arrays of each checked converter
     check_cells = csdac._check_cells
@@ -487,11 +490,11 @@ def test_delays_are_validated_where_timing_can_change(monkeypatch):
         )
 
     monkeypatch.setattr(csdac, "_check_cells", recording)
-    calibrated = calibrate_amplitude_eses(sample)
+    calibrated = amplitude_calibrated(sample)
     assert checked == []
     assert calibrated.widths is sample.widths
     assert calibrated.extrinsic is sample.extrinsic
-    timed = calibrate_timing(sample)
+    timed = timing_calibrated(sample)
     assert all(a is b for a, b in zip(checked[-1], arrays_of(timed), strict=True))
     drawn = sample_dac(DacConfig(), sample_substream(5, 4))
     assert all(a is b for a, b in zip(checked[-1], arrays_of(drawn), strict=True))
@@ -502,8 +505,8 @@ def test_delays_are_validated_where_timing_can_change(monkeypatch):
     with pytest.raises(ConfigError, match="delay must stay strictly positive"):
         sample_dac(DacConfig(), sample_substream(5, 4))
     with pytest.raises(ConfigError, match="delay must stay strictly positive"):
-        calibrate_timing(sample)
-    calibrate_amplitude_eses(sample)
+        timing_calibrated(sample)
+    amplitude_calibrated(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +540,15 @@ def test_ideal_linearity_is_flat(ideal_sample):
 
 def test_ideal_amplitude_calibration_is_a_fixed_point(ideal_sample):
     pre = amplitude_residuals(ideal_sample)
-    post = amplitude_residuals(calibrate_amplitude_eses(ideal_sample))
+    post = amplitude_residuals(amplitude_calibrated(ideal_sample))
     assert np.all(np.abs(post) <= np.abs(pre) + 1e-18)
     assert np.max(np.abs(post)) < 1e-15
 
 
 def test_ideal_timing_is_exact_and_calibration_a_noop(ideal_sample):
-    assert np.all(delay_errors(ideal_sample) == 0.0)
-    assert np.all(duty_errors(ideal_sample) == 0.0)
-    calibrated = calibrate_timing(ideal_sample)
+    assert np.all(delay_errors(ideal_sample.deviations) == 0.0)
+    assert np.all(duty_errors(ideal_sample.deviations) == 0.0)
+    calibrated = timing_calibrated(ideal_sample)
     assert np.array_equal(calibrated.delay_selection, ideal_sample.delay_selection)
     assert np.array_equal(calibrated.duty_selection, ideal_sample.duty_selection)
 
@@ -575,7 +578,7 @@ def test_transfer_curve_matches_resummation_oracle():
 def test_transfer_curve_matches_sequential_output_after_calibration():
     rng = np.random.default_rng(35)
     for i in range(3):
-        sample = calibrate_amplitude_eses(sample_dac(DacConfig(), sample_substream(35, i)))
+        sample = amplitude_calibrated(sample_dac(DacConfig(), sample_substream(35, i)))
         curve = transfer_curve(sample)
         for code in rng.integers(0, 16384, size=200).tolist():
             assert math.isclose(
@@ -666,7 +669,7 @@ def test_segment_maxima_equal_the_full_curve_on_real_converters():
         for i in range(400):
             sample = sample_dac(cfg, sample_substream(5, i))
             lsb_vals = csdac._lsb_values(sample.lsb_bit_currents)
-            for converter in (sample, calibrate_amplitude_eses(sample)):
+            for converter in (sample, amplitude_calibrated(sample)):
                 currents = ucc_currents(converter)
                 expected = curve_maxima(currents, sample.lsb_bit_currents)
                 assert segment_maxima(currents, lsb_vals) == expected
@@ -684,7 +687,7 @@ def test_segment_maxima_equal_the_full_curve_on_real_converters():
         result = self_heal_ses(sample, rng)
         assert result.healed
         expected = curve_maxima(result.cell_currents, sample.lsb_bit_currents)
-        assert healed_linearity(sample, result) == expected
+        assert healed_linearity([sample], [result]) == [expected]
         readings += 2
     assert readings == 2000
 
@@ -828,7 +831,7 @@ def test_calibration_never_worsens_any_residual():
     for i in range(6):
         sample = sample_dac(DacConfig(), sample_substream(41, i))
         pre = np.abs(amplitude_residuals(sample))
-        post = np.abs(amplitude_residuals(calibrate_amplitude_eses(sample)))
+        post = np.abs(amplitude_residuals(amplitude_calibrated(sample)))
         assert np.all(post <= pre + 1e-18)
 
 
@@ -837,7 +840,7 @@ def test_calibration_improves_linearity():
     for i in range(20):
         sample = sample_dac(DacConfig(), sample_substream(43, i))
         pre_maxima.append(linearity(sample).inl_max)
-        post_maxima.append(linearity(calibrate_amplitude_eses(sample)).inl_max)
+        post_maxima.append(linearity(amplitude_calibrated(sample)).inl_max)
     pre_maxima, post_maxima = np.array(pre_maxima), np.array(post_maxima)
     assert np.all(post_maxima < pre_maxima)
     assert np.median(post_maxima) < 0.6
@@ -848,19 +851,19 @@ def test_calibrated_selections_match_find_best():
     for cfg in (DacConfig(), uniform_comparison_config(DacConfig())):
         for i in range(3):
             sample = sample_dac(cfg, sample_substream(45, i))
-            calibrated = calibrate_amplitude_eses(sample)
+            selection = calibrate_amplitude_eses(sample.amplitude, sample.reference_current, cfg.k)
             for c in range(cfg.n_ucc):
-                best, _ = find_best(sample.amplitude[c], cfg.k, sample.reference_current)
-                assert calibrated.amplitude_selection[c] == best
+                best = find_best(sample.amplitude[c], cfg.k, sample.reference_current)
+                assert selection[c] == best
 
 
 def test_calibration_touches_only_selections():
     sample = sample_dac(DacConfig(), sample_substream(41, 7))
-    calibrated = calibrate_amplitude_eses(sample)
+    calibrated = amplitude_calibrated(sample)
     assert calibrated.lsb_bit_currents == sample.lsb_bit_currents
     assert calibrated.reference_current == sample.reference_current
-    assert np.array_equal(delay_errors(calibrated), delay_errors(sample))
-    assert np.array_equal(duty_errors(calibrated), duty_errors(sample))
+    assert np.array_equal(delay_errors(calibrated.deviations), delay_errors(sample.deviations))
+    assert np.array_equal(duty_errors(calibrated.deviations), duty_errors(sample.deviations))
     assert calibrated.amplitude is sample.amplitude
     assert calibrated.widths is sample.widths
     assert calibrated.extrinsic is sample.extrinsic
@@ -885,12 +888,8 @@ def test_graded_sizing_beats_uniform_sizing():
     uniform = uniform_comparison_config(cfg)
     graded_rms, uniform_rms = [], []
     for i in range(30):
-        graded_post = calibrate_amplitude_eses(
-            sample_dac(cfg, sample_substream(47, i))
-        )
-        uniform_post = calibrate_amplitude_eses(
-            sample_dac(uniform, sample_substream(47, i))
-        )
+        graded_post = amplitude_calibrated(sample_dac(cfg, sample_substream(47, i)))
+        uniform_post = amplitude_calibrated(sample_dac(uniform, sample_substream(47, i)))
         graded_rms.append(np.sqrt(np.mean(amplitude_residuals(graded_post) ** 2)))
         uniform_rms.append(np.sqrt(np.mean(amplitude_residuals(uniform_post) ** 2)))
     assert np.mean(uniform_rms) > 2.0 * np.mean(graded_rms)
@@ -905,14 +904,14 @@ def test_graded_sizing_beats_uniform_sizing():
 def timing_population():
     cfg = DacConfig()
     samples = [sample_dac(cfg, sample_substream(53, i)) for i in range(60)]
-    calibrated = [calibrate_timing(s) for s in samples]
+    calibrated = [timing_calibrated(s) for s in samples]
     return samples, calibrated
 
 
 def test_uncalibrated_timing_sigmas_match_budgets(timing_population):
     samples, _ = timing_population
-    delays = np.concatenate([delay_errors(s) for s in samples])
-    duties = np.concatenate([duty_errors(s) for s in samples])
+    delays = np.concatenate([delay_errors(s.deviations) for s in samples])
+    duties = np.concatenate([duty_errors(s.deviations) for s in samples])
     assert abs(delays.std() - 1.3e-12) < 0.07e-12
     assert abs(duties.std() - 1.8e-12) < 0.10e-12
     assert abs(delays.mean()) < 0.1e-12
@@ -921,8 +920,8 @@ def test_uncalibrated_timing_sigmas_match_budgets(timing_population):
 
 def test_calibrated_timing_residuals(timing_population):
     _, calibrated = timing_population
-    delays = np.concatenate([delay_errors(s) for s in calibrated])
-    duties = np.concatenate([duty_errors(s) for s in calibrated])
+    delays = np.concatenate([delay_errors(s.deviations) for s in calibrated])
+    duties = np.concatenate([duty_errors(s.deviations) for s in calibrated])
     assert np.sqrt(np.mean(delays**2)) < 0.02e-12
     assert np.sqrt(np.mean(duties**2)) < 0.025e-12
 
@@ -936,7 +935,7 @@ def test_timing_calibration_leaves_fixed_buffer_alone(timing_population):
         assert after.extrinsic is before.extrinsic
         assert after.amplitude_selection is before.amplitude_selection
         # the fixed buffer reads as balanced in the inverter oracle
-        assert np.array_equal(duty_errors(after), oracle_timing_errors(after)[1])
+        assert np.array_equal(duty_errors(after.deviations), oracle_timing_errors(after)[1])
         changed += np.count_nonzero(after.delay_selection != before.delay_selection)
     assert changed > 0
 
@@ -945,8 +944,8 @@ def test_timing_errors_match_inverter_oracle(timing_population):
     samples, calibrated = timing_population
     for sample in samples[:3] + calibrated[:3]:
         delay, duty = oracle_timing_errors(sample)
-        assert np.array_equal(delay_errors(sample), delay)
-        assert np.array_equal(duty_errors(sample), duty)
+        assert np.array_equal(delay_errors(sample.deviations), delay)
+        assert np.array_equal(duty_errors(sample.deviations), duty)
 
 
 def test_timing_selections_match_inverter_search(timing_population):
@@ -985,7 +984,7 @@ def timing_case_sample(geometry, case, seed, cell, shift, rank, ulps):
         return dataclasses.replace(sample, extrinsic=extrinsic)
     if case == "near-tie":
         sums = sample.widths[cell, :2] @ mismatch.membership_matrix(n, k)
-        fixed = csdac._buffer_deviations(sample)[cell, 2]
+        fixed = sample.deviations[cell, 2]
         extrinsic = sample.extrinsic.copy()
         for b, offset in ((0, 0.0), (1, fixed)):
             distinct = np.unique(sums[b])
@@ -1014,9 +1013,10 @@ def test_timing_selections_equal_the_five_pass_calibration(
 ):
     sample = timing_case_sample(geometry, case, seed, cell, shift, rank, ulps)
     expected = five_pass_calibrate_timing(sample)
-    fixed = csdac._buffer_deviations(sample)[:, 2]
     current = np.stack([sample.delay_selection, sample.duty_selection], axis=1)
-    best = csdac._timing_selections(sample.config, sample.widths, sample.extrinsic, fixed, current)
+    best = calibrate_timing(
+        sample.config, sample.widths, sample.extrinsic, sample.deviations, current
+    )
     assert np.array_equal(best[:, 0], expected.delay_selection)
     assert np.array_equal(best[:, 1], expected.duty_selection)
 
@@ -1030,7 +1030,7 @@ def test_timing_selections_fall_back_where_the_bracket_proves_nothing(case):
     with mock.patch.object(
         csdac, "subset_deviations", wraps=csdac.subset_deviations
     ) as five_passes:
-        calibrated = calibrate_timing(sample)
+        calibrated = timing_calibrated(sample)
     assert five_passes.called
     expected = five_pass_calibrate_timing(sample)
     assert np.array_equal(calibrated.delay_selection, expected.delay_selection)
@@ -1198,7 +1198,7 @@ def test_heal_success_rate_and_linearity():
         result = self_heal_ses(sample, rng=500 + i)
         healed += result.healed
         if result.healed and len(inl_maxima) < 60:
-            inl_maxima.append(healed_linearity(sample, result).inl_max)
+            inl_maxima.append(healed_linearity([sample], [result])[0].inl_max)
     assert healed / 250 >= 0.97
     assert np.median(inl_maxima) <= 1.0
 
@@ -1214,8 +1214,7 @@ def test_starved_heal_fails_honestly():
     assert result.trace["outcome"] == "failed"
     assert len(result.trace["attempts"]) == 2
     assert not result.trace["attempts"][-1]["completed"]
-    with pytest.raises(ConfigError):
-        healed_linearity(sample, result)
+    assert all(math.isnan(value) for value in healed_linearity([sample], [result])[0])
 
 
 @pytest.mark.parametrize("n_combos", [12_870, 2**31 + 1])

@@ -34,7 +34,7 @@ from subsetcal.mismatch import (
     subset_deviations,
 )
 
-from oracles import sample_element_set, subset_deviation, subset_value
+from oracles import find_best_residual, sample_element_set, subset_deviation, subset_value
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def test_subset_deviations_equal_the_scalar_law(rows, n, data, seed):
 
 def test_find_best_two_element_example():
     es = make_set([1.0, 1.4])
-    row, residual = find_best(es, 1, 1.1)
+    row, residual = find_best_residual(es, 1, 1.1)
     assert indices(row, 2, 1) == (0,)
     assert residual == pytest.approx(-0.1)
 
@@ -353,7 +353,7 @@ def test_find_best_matches_oracle_randomized():
         values = rng.normal(1.0, 0.05, size=n)
         target = k * (1.0 + float(rng.normal(0, 0.05)))
         es = make_set(values)
-        row, residual = find_best(es, k, target)
+        row, residual = find_best_residual(es, k, target)
         o_combo, o_err = oracle_best(list(values), k, target)
         assert indices(row, n, k) == o_combo
         assert abs(residual) == pytest.approx(o_err)
@@ -380,7 +380,7 @@ def test_find_best_equals_brute_force_on_exact_sums(case):
     """With exact sums the selection, tie-break included, and the residual
     are the brute-force scan's."""
     values, k, target = case
-    row, residual = find_best(make_set(values), k, target)
+    row, residual = find_best_residual(make_set(values), k, target)
     o_combo, o_err = oracle_best(values, k, target)
     assert indices(row, len(values), k) == o_combo
     assert residual == sum(values[i] for i in o_combo) - target
@@ -392,7 +392,7 @@ def test_find_best_equals_brute_force(case):
     """On any floats the residual matches the brute-force minimum to
     rounding, and belongs to the selection returned."""
     values, k, target = case
-    row, residual = find_best(make_set(values), k, target)
+    row, residual = find_best_residual(make_set(values), k, target)
     _, o_err = oracle_best(values, k, target)
     assert abs(residual) == pytest.approx(o_err, rel=1e-12, abs=1e-12)
     combo = indices(row, len(values), k)
@@ -402,19 +402,32 @@ def test_find_best_equals_brute_force(case):
 def test_find_best_tie_breaks_lexicographic():
     # two selections with identical |residual| (symmetric values)
     es = make_set([1.0, 2.0, 3.0, 4.0])
-    row, residual = find_best(es, 1, 2.5)
+    row, residual = find_best_residual(es, 1, 2.5)
     assert indices(row, 4, 1) == (1,)  # 2.0 and 3.0 tie; (1,) precedes (2,)
     assert residual == pytest.approx(-0.5)
+
+
+def test_find_best_reads_a_batch_with_one_target_per_set():
+    """A (sets, n) batch with a (sets,) target, or one target for every
+    set, picks each set's own 1-D row."""
+    rng = np.random.default_rng(12)
+    batch = rng.normal(1.0, 0.05, size=(9, 8))
+    targets = 4.0 + rng.normal(0.0, 0.05, size=9)
+    rows = find_best(batch, 4, targets)
+    assert rows.shape == (9,)
+    assert rows.tolist() == [find_best(s, 4, t) for s, t in zip(batch, targets)]
+    shared = find_best(batch, 4, 4.0)
+    assert shared.tolist() == [find_best(s, 4, 4.0) for s in batch]
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(11)
     values = rng.normal(1.0, 0.04, size=10)
     target = 5.1
-    _, res = find_best(make_set(values), 5, target)
+    _, res = find_best_residual(make_set(values), 5, target)
     for _ in range(6):
         perm = rng.permutation(10)
-        _, res_p = find_best(make_set(values[perm]), 5, target)
+        _, res_p = find_best_residual(make_set(values[perm]), 5, target)
         assert abs(res_p) == pytest.approx(abs(res))
 
 

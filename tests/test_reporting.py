@@ -170,7 +170,6 @@ def test_write_manifest_checksums_every_artifact(tmp_path):
         samples=100,
         threads=2,
         out_dir=str(tmp_path),
-        artifacts={},
     )
     manifest_path = write_manifest(manifest, paths)
     data = json.loads(file_bytes(manifest_path))

@@ -19,7 +19,6 @@ from subsetcal.mismatch import (
     ConfigError,
     MismatchModel,
     Uniform,
-    find_best,
 )
 from subsetcal import studies
 from subsetcal.reporting import FigureDataset, emit_figure
@@ -39,7 +38,12 @@ from subsetcal.studies import (
     study_csv_rows,
 )
 
-from oracles import failure_rate, one_pass_distances, rcal_frontier_oracle
+from oracles import (
+    failure_rate,
+    find_best_residual,
+    one_pass_distances,
+    rcal_frontier_oracle,
+)
 
 
 def phi(x: float) -> float:
@@ -155,7 +159,7 @@ def test_block_distances_match_find_best_residuals():
     realized, _ = draw_realized(np.broadcast_to(nominal, (300, c.n)), sigmas, rng)
     target = c.k * nominal.mean()  # nominal k-subset sum
     for i in range(0, 300, 17):
-        _, residual = find_best(realized[i], c.k, target)
+        _, residual = find_best_residual(realized[i], c.k, target)
         assert abs(residual) == pytest.approx(dist[i], rel=1e-9, abs=1e-15)
 
 

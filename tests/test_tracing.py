@@ -4,7 +4,8 @@
 and patches it in each ``subsetcal`` module that holds it.  A rename or a
 removal in ``src/`` would otherwise show only when a traced benchmark run
 fails; these tests install the tracer over the loaded package, run one
-traced call, and check that uninstalling puts every original back.
+traced call, and check that uninstalling puts every original back.  A traced
+yield study shows that the DAC flows run the traced calibration layers.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import subsetcal.cli  # noqa: F401  (loads every subsetcal module)
+from subsetcal.csdac import DacConfig, SelfHealConfig
 from subsetcal.hrmixer import sweep_hrr
 
 from oracles import zero_variance_receiver
@@ -66,3 +69,30 @@ def test_install_then_uninstall_restores_the_originals(tracing):
         changed = [key for key, value in namespace.items() if after[name][key] is not value]
         assert changed == [], name
     assert sys.modules["subsetcal.hrmixer"].sweep_hrr is sweep_hrr
+
+
+def test_the_tracer_sees_the_dac_calibration_layers(tracing):
+    """The yield blocks call the calibration layers by their public names, so
+    a traced study records a span for each, ``find_best`` once per converter,
+    and writes the rows of an untraced run."""
+    csdac = sys.modules["subsetcal.csdac"]
+    runs = ((DacConfig(), "eses"), (DacConfig(), "timing"), (SelfHealConfig(), "self-heal"))
+    untraced = [csdac.yield_study(config, 100, flow, master_seed=3).rows for config, flow in runs]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = [
+            csdac.yield_study(config, 100, flow, master_seed=3, threads=1).rows
+            for config, flow in runs
+        ]
+    finally:
+        tracer.uninstall()
+    names = [span[4] for span in tracer.spans]
+    layers = (
+        "mismatch.find_best", "csdac.calibrate_amplitude_eses", "csdac.calibrate_timing",
+        "csdac.delay_errors", "csdac.duty_errors", "csdac.healed_linearity",
+    )
+    assert [name for name in layers if name not in names] == []
+    assert names.count("mismatch.find_best") == 100
+    for rows, expected in zip(traced, untraced, strict=True):
+        np.testing.assert_array_equal(np.array(rows), np.array(expected))
