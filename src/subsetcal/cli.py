@@ -537,10 +537,12 @@ def _dac_self_heal(cfg: dict, threads: int) -> Output:
     )
 
 
+#: points of a ``dac sense`` sweep read in one array pass (about 8 MB)
+_SENSE_CHUNK = 1024
 #: bytes each of a ``dac sense`` run's (3 error kinds, points, 3 modes)
-#: readings takes at the peak, in the array pass's temporaries (tracemalloc,
-#: CPython 3.11, numpy 2.4: 833 B per reading from 4 500 to 72 000 readings)
-_SENSE_READING_BYTES = 860
+#: readings takes at the peak, a quarter above the 198 B that tracemalloc
+#: reads at 216 000 and 864 000 readings (CPython 3.11, numpy 2.4)
+_SENSE_READING_BYTES = 250
 
 
 def _dac_sense(cfg: dict, threads: int) -> Output:
@@ -567,9 +569,12 @@ def _dac_sense(cfg: dict, threads: int) -> Output:
 
     readings(np.array([(-span, span) for span in spans]))  # the cell checks, at the ends
     errors = np.array([np.linspace(-span, span, points) for span in spans])
+    sweep = np.empty((3, points, len(SENSE_MODES)))
+    for start in range(0, points, _SENSE_CHUNK):
+        sweep[:, start : start + _SENSE_CHUNK] = readings(errors[:, start : start + _SENSE_CHUNK])
     rows = [
         (mode, kind, value, reading)
-        for kind, values, read in zip(SENSE_MODES, errors.tolist(), readings(errors).tolist())
+        for kind, values, read in zip(SENSE_MODES, errors.tolist(), sweep.tolist())
         for value, point in zip(values, read)
         for mode, reading in zip(SENSE_MODES, point)
     ]

@@ -854,11 +854,14 @@ class SelfHealConfig(_LsbBank):
         # the bias scale: a mean of bias elements, each of nominal below 2 and
         # sigma below sqrt(2) * bias_rel_sigma
         self._check_derived_sigmas(2.0 + DRAW_REACH * math.sqrt(2.0) * self.bias_rel_sigma)
-        check_array_bytes("the element draw", (self.n_ucc + self.backup_ucc_count + 1, self.n))
+        sets = self.n_ucc + self.backup_ucc_count
+        check_array_bytes("the element draw", (sets + 1, self.n))
+        check_array_bytes("the pair-sum table", (sets, math.comb(self.n, 2) + self.n))
         check_array_bytes("the combination table", (math.comb(self.n, self.k), self.k))
         check_array_bytes("the cell trial draw", (self.n_ucc, self.cell_trial_limit))
-        window = min(_HEAL_WINDOW, self.n_ucc)
-        check_array_bytes("the cell trial gather", (window, self.cell_trial_limit, self.k))
+        terms, window = self.k - _lead_pairs(self.k), min(_HEAL_WINDOW, self.n_ucc)
+        # each term's index and value are held at once
+        check_array_bytes("the cell trial gather", (terms, window, self.cell_trial_limit), 16)
         balanced_row(self.n, self.k)  # the first attempt's bias
 
     @property
@@ -1014,49 +1017,75 @@ class SelfHealResult:
         }
 
 
-# Candidates of a block scored before the rest, which only blocks without a
-# hit among them need (a default cell heals in about 43 trials on average).
-_HEAL_CHUNK = 48
 # Auditions scored together, on the guess that none of them misses.
 _HEAL_WINDOW = 16
 
 
+def _lead_pairs(k: int) -> int:
+    """Element pairs that numpy's add-reduce of k < 16 terms adds first:
+    x0 + x1 alone below 8 terms, else the four pairs of its 8-lane block as
+    (p01 + p23) + (p45 + p67); the other terms follow one at a time."""
+    return 4 if k >= 8 else min(k // 2, 1)
+
+
+def _pair_table(elements: np.ndarray) -> np.ndarray:
+    """(sets, C(n,2) + n) table of every element pair's sum x_a + x_b, a < b
+    (the rows of ``combination_index_matrix(n, 2)``), then the elements."""
+    a, b = combination_index_matrix(elements.shape[1], 2).T
+    return np.concatenate([elements[:, a] + elements[:, b], elements], axis=1)
+
+
+@lru_cache(maxsize=16)
+def _pair_plan(n: int, k: int) -> np.ndarray:
+    """(terms, C(n,k)) ids into a ``_pair_table`` row of each combination
+    row's terms: the sums of its ``_lead_pairs(k)`` leading pairs, then its
+    other elements.  SelfHealConfig admits k <= 12 (balanced_row needs even
+    k <= n/2 + 1, and n <= 24); from 16 terms numpy adds in another order."""
+    rows = combination_index_matrix(n, k)
+    pairs = math.comb(n, 2)
+    pair_ids = np.zeros((n, n), dtype=np.intp)
+    pair_ids[tuple(combination_index_matrix(n, 2).T)] = np.arange(pairs)
+    lead = 2 * _lead_pairs(k)
+    plan = np.concatenate(
+        [pair_ids[rows[:, 0:lead:2], rows[:, 1:lead:2]], pairs + rows[:, lead:]], axis=1
+    ).T.copy()
+    plan.setflags(write=False)
+    return plan
+
+
 def _first_hits(
-    flat: np.ndarray,
+    table: np.ndarray,
     offsets: np.ndarray,
     blocks: np.ndarray,
-    indices: np.ndarray,
+    plan: np.ndarray,
+    k: int,
     scale: float,
     window: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each block's first candidate whose scaled subset sum lands in the
-    closed window, or -1, and that candidate's current.
+    closed window, or -1, and that candidate's current (any value on a miss).
 
     Row r of ``blocks`` (rows, limit) draws combination rows for the element
-    set starting at ``flat[offsets[r]]``.  Each candidate's k elements are
-    summed along the last axis, then multiplied by ``scale``: the same
-    reduction and the same product as scoring one block at a time.
+    set whose ``_pair_table`` row starts at ``table[offsets[r]]``.  All
+    candidates are scored in one pass: each adds its ``_pair_plan(n, k)``
+    terms in numpy's add-reduce order for k terms, then is multiplied by
+    ``scale``, so its current is bit for bit ``selected_sums`` of its row
+    times ``scale``.
     """
-    rows, limit = blocks.shape
+    gather = plan.take(blocks, axis=1)  # (terms, rows, limit)
+    gather += offsets[:, None]
+    terms = table.take(gather)
+    sums, rest = terms[0], terms[1:]
+    if _lead_pairs(k) == 4:
+        sums, rest = (terms[0] + terms[1]) + (terms[2] + terms[3]), terms[4:]
+    for term in rest:
+        sums += term
+    sums *= scale
     low, high = window
-    hits = np.full(rows, -1)
-    currents = np.zeros(rows)
-    todo = np.arange(rows)
-    start = 0
-    for stop in (min(_HEAL_CHUNK, limit), limit):
-        if stop == start or todo.size == 0:
-            break
-        gather = np.take(indices, blocks[todo, start:stop], axis=0)
-        gather += offsets[todo, None, None]
-        sums = flat[gather].sum(axis=-1) * scale
-        in_window = (sums >= low) & (sums <= high)
-        found = in_window.any(axis=1)
-        first = in_window[found].argmax(axis=1)
-        hits[todo[found]] = start + first
-        currents[todo[found]] = sums[found.nonzero()[0], first]
-        todo = todo[~found]
-        start = stop
-    return hits, currents
+    in_window = (sums >= low) & (sums <= high)
+    first = in_window.argmax(axis=1)
+    rows = np.arange(len(blocks))
+    return np.where(in_window[rows, first], first, -1), sums[rows, first]
 
 
 def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
@@ -1084,18 +1113,22 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
     calls of L.  One loop scores the current cell's next audition (its own
     elements, or after m misses spare ``pool[m-1]``) with the next cells'
     own, on the guess that none of them misses, and accepts them up to the
-    first miss.  An attempt that fails with blocks left unread rewinds the
-    generator and draws only the blocks it read, so the next bias draw sees
-    the stream of one draw per audition.
+    first miss.  Each pass scores every candidate of its blocks from the
+    converter's pair-sum table, built once before the first attempt, with
+    sums bit for bit those of the k elements.  An attempt that fails with
+    blocks left unread rewinds the generator and draws only the blocks it
+    read, so the next bias draw sees the stream of one draw per audition.
     """
     cfg = sample.config
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     gen = np.random.default_rng(rng)
     indices = combination_index_matrix(cfg.n, cfg.k)
+    plan = _pair_plan(cfg.n, cfg.k)
     n_combos = indices.shape[0]
-    n_cells, n, limit = cfg.n_ucc, cfg.n, cfg.cell_trial_limit
+    n_cells, limit = cfg.n_ucc, cfg.cell_trial_limit
     window = (sample.reference_current, sample.reference_current + cfg.i_tiny)
-    flat = np.concatenate([sample.cells, sample.backups]).ravel()  # by source
+    table = _pair_table(np.concatenate([sample.cells, sample.backups]))  # by source
+    width = table.shape[1]
 
     attempts: list[_HealAttempt] = []
     bias = balanced_row(cfg.n, cfg.k)
@@ -1118,10 +1151,10 @@ def self_heal_ses(sample: SelfHealSample, rng=0) -> SelfHealResult:
                 blocks, head = gen.integers(0, n_combos, size=(n_cells - ci, limit)), 0
                 drawn += len(blocks)
             scored = blocks[head : head + _HEAL_WINDOW]
-            offsets = np.arange(ci, ci + len(scored)) * n
+            offsets = np.arange(ci, ci + len(scored)) * width
             if misses:  # cell ci auditions its next spare
-                offsets[0] = (n_cells + pool[misses - 1]) * n
-            hits, found = _first_hits(flat, offsets, scored, indices, scale, window)
+                offsets[0] = (n_cells + pool[misses - 1]) * width
+            hits, found = _first_hits(table, offsets, scored, plan, cfg.k, scale, window)
             missed = (hits < 0).nonzero()[0]
             healed = int(missed[0]) if missed.size else len(scored)
             selections[ci : ci + healed] = scored[np.arange(healed), hits[:healed]]

@@ -230,8 +230,8 @@ def test_sense_sweep_over_the_memory_bound_is_rejected_before_any_reading(
         raise AssertionError("a sense reading ran before the sweep size was checked")
 
     monkeypatch.setattr(cli, "sense_readings", reading_must_not_run)
-    # 2 000 000 points fit 8 bytes per reading, not the 860 a reading takes
-    for points, need in ((1000000000000, 7740000000000000), (2000000, 15480000000)):
+    # 2 000 000 points fit 8 bytes per reading, not the 250 a reading takes
+    for points, need in ((1000000000000, 2250000000000000), (2000000, 4500000000)):
         cfg = write_cfg(tmp_path, "sense.cfg", f"sense.points = {points}\n")
         out = tmp_path / "out"
         assert main(["dac", "sense", "--config", cfg, "--out", str(out)]) == 2
@@ -349,6 +349,9 @@ def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text
         (["dac", "self-heal"], "heal.ucc_sigma = 1e308\n", _OVERFLOWING_DRAW),
         (["dac", "yield", "--flow", "self-heal"], "heal.bias_rel_sigma = 1e308\n",
          _OVERFLOWING_DRAW),
+        # a spare pool whose element draw fits but whose pair-sum table does not
+        (["dac", "self-heal"], "heal.backup_ucc_count = 2000000\n",
+         "the pair-sum table (2000063, 136) needs 2176068544 bytes" + _OVER_LIMIT),
         # timing sigmas whose deviations' squares would overflow the columns
         (["dac", "yield", "--flow", "timing"], "dac.delay_sigma = 1e300\n",
          "a drawn buffer's delay could reach 1.7e+302 s at delay_sigma = 1e+300 s"
@@ -370,7 +373,7 @@ def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text
     ],
     ids=[
         "dac-lsb-sigma-factor", "dac-sub-sigma", "heal-lsb-sigma-factor", "dac-huge-n",
-        "dac-sub-sigma-sums", "heal-ucc-sigma-sums", "heal-bias-sigma-sums",
+        "dac-sub-sigma-sums", "heal-ucc-sigma-sums", "heal-bias-sigma-sums", "heal-pair-table",
         "dac-delay-sigma-squares", "dac-duty-sigma-squares", "sense-f-meas-tiny",
         "sense-timing-span-huge", "sense-amplitude-span-past-zero", "sense-timing-span-past-guard",
         "sense-reading-overflow",

@@ -55,6 +55,7 @@ from subsetcal.mismatch import (
     find_best,
     nominal_sizes,
     scheme_center,
+    selected_sums,
 )
 from subsetcal.runner import sample_substream
 
@@ -1237,6 +1238,26 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
+@pytest.mark.parametrize("n, k", [(k + 1, k) for k in range(2, 13, 2)] + [(16, 8)])
+def test_pair_plan_sums_equal_selected_sums(n, k):
+    """With a window that takes every sum, ``_first_hits`` reads each
+    candidate's pair-table sum: bit for bit ``selected_sums`` of its row,
+    for every combination of 24 element sets whose sizes span six decades,
+    so the order of the adds decides the rounding."""
+    rng = np.random.default_rng(k)
+    elements = rng.uniform(0.5, 1.5, (24, n)) * 10.0 ** rng.integers(0, 7, (24, n))
+    table = csdac._pair_table(elements)
+    combos = math.comb(n, k)
+    rows = np.tile(np.arange(combos), len(elements))
+    offsets = np.repeat(np.arange(len(elements)) * table.shape[1], combos)
+    hits, currents = csdac._first_hits(
+        table, offsets, rows[:, None], csdac._pair_plan(n, k), k, 1.0, (-np.inf, np.inf)
+    )
+    assert not hits.any()
+    expected = selected_sums(np.repeat(elements, combos, axis=0), rows, k)
+    np.testing.assert_array_equal(_bits(currents), _bits(expected))
+
+
 def _spare_heals_then_own_cells(cells, cfg):
     return any(
         cell["healed"] and cell["backups_used"] and after["healed"]
@@ -1304,7 +1325,7 @@ def test_oracle_examples_reach_each_audition_branch(reached, inputs):
 
 
 @given(
-    geometry=st.sampled_from([(4, 2), (8, 2), (8, 4), (10, 6), (12, 6), (16, 8)]),
+    geometry=st.sampled_from([(4, 2), (8, 2), (8, 4), (10, 6), (12, 6), (16, 8), (18, 10)]),
     cell_trial_limit=st.integers(1, 200),
     backup_ucc_count=st.integers(0, 4),
     window=st.sampled_from([1.0, 0.3, 0.1, 0.01]),

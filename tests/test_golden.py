@@ -31,6 +31,11 @@ import sys
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
 from subsetcal.cli import main
 from subsetcal.reporting import sha256_of
 
@@ -462,16 +467,31 @@ def _openblas_picks_kernels_at_run_time() -> bool:
 )
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_dac_golden_cases_hold_on_other_blas_kernels(coretype):
-    """Every golden case under an AVX2 and an SSE3 OpenBLAS kernel, in a
-    subprocess (the variable acts only on the process it is set for): the
+    """Every golden case under an AVX2 and an SSE3 OpenBLAS kernel: the
     subset-sum products change bits from kernel to kernel, and no output
     may."""
+    assert_golden_cases_hold_under({"OPENBLAS_CORETYPE": coretype})
+
+
+@pytest.mark.skipif(
+    "X86_V4" not in __cpu_features__,
+    reason="this numpy does not dispatch to x86-64-v4 (AVX-512) loops",
+)
+def test_golden_cases_hold_on_numpy_baseline_simd():
+    """Every golden case with numpy's AVX2 and AVX-512 loops switched off,
+    so its ufuncs and reductions run their baseline SIMD code: no output
+    may depend on which loops numpy dispatches to."""
+    assert_golden_cases_hold_under({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"})
+
+
+def assert_golden_cases_hold_under(env: dict) -> None:
+    """Every golden case in a subprocess with ``env`` set (the variables act
+    only on the process they are set for at its start)."""
     cases = sorted(CASES)
     tests = [f"{__file__}::test_outputs_match_golden_hashes[{case}]" for case in cases]
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-        env={**os.environ, "OPENBLAS_CORETYPE": coretype},
-        capture_output=True, text=True, timeout=600,
+        env={**os.environ, **env}, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stdout[-3000:]
     assert f"{len(cases)} passed" in run.stdout
