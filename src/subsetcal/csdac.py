@@ -1022,10 +1022,10 @@ _HEAL_WINDOW = 16
 
 
 def _lead_pairs(k: int) -> int:
-    """Element pairs that numpy's add-reduce of k < 16 terms adds first:
-    x0 + x1 alone below 8 terms, else the four pairs of its 8-lane block as
-    (p01 + p23) + (p45 + p67); the other terms follow one at a time."""
-    return 4 if k >= 8 else min(k // 2, 1)
+    """Element pairs that numpy's add-reduce of 2 <= k < 16 terms adds
+    first: x0 + x1 alone below 8 terms, else the four pairs of its 8-lane
+    block as (p01 + p23) + (p45 + p67); the other terms follow one at a time."""
+    return 4 if k >= 8 else 1
 
 
 def _pair_table(elements: np.ndarray) -> np.ndarray:
