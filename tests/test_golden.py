@@ -54,6 +54,14 @@ frontier.d_candidates = 0, 0.5, 2
 frontier.width_grid = 0.05, 0.2, 1.0
 """
 
+# nine sigma_T points: each block serves nine offsets at once, two blocks
+# per study (a full one and a partial one)
+FRONTIER_WIDE_CFG = """\
+frontier.sigma_t_list = 1, 2, 3, 5, 7, 9, 11, 13, 15
+frontier.d_candidates = 0, 0.5, 2, 4
+frontier.width_grid = 0.05, 0.2, 0.5, 1.0, 2.0
+"""
+
 A_SWEEP_CFG = """\
 sweep.a_values = 1, 0.25
 sweep.widths = 0.02, 0.08
@@ -118,6 +126,9 @@ DAC_YIELD = ["dac", "yield", "--samples", "100", "--seed", "1"]
 CASES = {
     "study-failure-rate": (["study", "failure-rate", "--samples", "2000"], STUDY_CFG),
     "study-rcal-frontier": (["study", "rcal-frontier", "--samples", "1000"], FRONTIER_CFG),
+    "study-rcal-frontier-wide": (
+        ["study", "rcal-frontier", "--samples", "5000"], FRONTIER_WIDE_CFG
+    ),
     "study-a-sweep": (["study", "a-sweep", "--samples", "2000"], A_SWEEP_CFG),
     "hr-simulate-1": (["hr", "simulate", "--seed", "1"], HR_CFG),
     "hr-simulate-2": (["hr", "simulate", "--seed", "2"], HR_CFG),
@@ -379,6 +390,12 @@ GOLDEN = {
         "hr_sweep.meta.json":
             "5c4f8c19bdff8ccf4a96c25ae2c8897c40f9b848262e6e237073c6be2cc2342d",
     },
+    "study-rcal-frontier-wide": {
+        "rcal_frontier.csv":
+            "e9c221e5829c171699c22ce82ec3d717a9dba2d126256b946fb289b3ec827648",
+        "rcal_frontier.meta.json":
+            "caa0594f26cee25ff820efe3230950b4c2bf0b686e45fb475591793461946f18",
+    },
     "study-a-sweep": {
         "a_sweep.csv":
             "57c525c98a7d1e30f73b79e50115930c6b71951031bfe86edc5b2d30b2d7f0c3",
@@ -425,6 +442,8 @@ MANIFEST_GOLDEN = {
     "study-a-sweep": "28da9e882e80cacd50f5f74b8c1ea397d46c27bb0f79f2a5d70948f2a8176752",
     "study-failure-rate": "5a804b89039f5a7102c1e28f256edc684640f15512ca168a6186f8c50cc050e4",
     "study-rcal-frontier": "2e6f07d977dba3693fcde354695d87aa750bbfd61089217c9b26370d3108a6d4",
+    "study-rcal-frontier-wide":
+        "b13ef812ca026fa6145c9a5af216f470de2a75199b7d5884acc0725f3b9f9f50",
 }
 
 
