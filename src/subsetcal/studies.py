@@ -15,13 +15,16 @@ block b draws from ``runner.sample_substream(master_seed, b)`` the element
 sets and then one standard normal per sample that every Gaussian offset
 scales.  All widths of one study are evaluated on one population, and so are
 the offsets that ``run_studies`` serves from one draw: a block's subset sums
-come from one matrix product, which every offset then reduces (subtract its
-center, abs, row min).  That reduction is most of a block's time, about
-10 ms per offset against 3 ms for the product in a 4096-row C(12, 6) block on
-a 2-core Xeon, so it runs over row chunks of about 256 KB that stay in
-cache.  Blocks run one after another: the product runs on OpenBLAS's own
-threads, and a thread pool on top of it measured slower and doubled the peak
-memory.
+come from one matrix product, which every offset then reduces to its nearest
+sum.  Measured on a 2-core Xeon for a 2048-row C(12, 6) block, the product
+takes about 1 ms, and one Gaussian offset's subtract, abs and row min about
+2.5 ms over row chunks of about 256 KB that stay in cache.  Sorting every
+row in place takes about 8 ms, after which a bisection finds each offset's
+nearest sum in about 0.3 ms.  So a block that serves ``_SORTED_OFFSETS``
+offsets or more sorts its sums once and bisects; a block with fewer keeps
+the chunked passes.  Both give the same bits.  Blocks run one after
+another: the product runs on OpenBLAS's own threads, and a thread pool on
+top of it measured slower and doubled the peak memory.
 """
 
 from __future__ import annotations
@@ -123,9 +126,13 @@ class StudyConfig:
             raise ConfigError("window widths must be >= 0")
         check_nk(self.n, self.k)
         # room for three (rows, C(n,k)) float64 arrays; a block holds one (its
-        # subset sums), one chunk-sized scratch array and a (rows,) center and
-        # distance row per offset, so for a handful of offsets the bound is
-        # conservative
+        # subset sums) and a (rows,) center and distance row per offset.  A
+        # block with fewer than _SORTED_OFFSETS offsets adds one chunk-sized
+        # scratch array.  A block with more sorts its sums in place and holds
+        # about 80 bytes per (row, offset) in all, with the bisection's index
+        # and probe arrays (tracemalloc, 9 offsets on 4096 rows of C(12, 6)
+        # peak at 1.13 times the sums).  So for up to about C(n,k) / 5
+        # offsets the bound is conservative on either path
         rows = min(self.samples, BLOCK)
         need = 3 * 8 * rows * math.comb(self.n, self.k)
         if need > MAX_ARRAY_BYTES:
@@ -134,7 +141,8 @@ class StudyConfig:
                 f" samples, above the {MAX_ARRAY_BYTES}-byte limit"
             )
         # a subset sum with every element DRAW_REACH sigma above the largest
-        # nominal must stay finite, and so must the distances taken from it
+        # nominal must stay finite, and so must the distances taken from it;
+        # the sorted path's bisection relies on finite sums
         nominal = nominal_sizes(self.scheme, self.n)
         sigma = float(self.model.element_sigmas(nominal).max())
         reach = self.k * (float(nominal.max()) + DRAW_REACH * sigma)
@@ -178,9 +186,17 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 
-# rows of subset sums per reduction chunk: about 256 KB, so a chunk stays in
-# L2 while every offset subtracts, takes abs and takes the row min over it
+# rows of subset sums per reduction chunk of the per-offset passes: about
+# 256 KB, so a chunk stays in L2 while every offset subtracts, takes abs and
+# takes the row min over it
 _CHUNK_BYTES = 2**18
+
+# offsets from which a block sorts its subset sums and bisects instead of
+# running one chunked pass per offset.  Sorting the rows costs about three
+# Gaussian offsets' passes, or six fixed ones' (a fixed offset subtracts a
+# broadcast scalar, about twice as fast).  At 5 no configs/ study slows; a
+# block of five fixed offsets alone takes about 15 % longer than its passes.
+_SORTED_OFFSETS = 5
 
 
 def _block_distances(
@@ -194,7 +210,14 @@ def _block_distances(
     """Min |subset sum - target center| for one block of samples and each of
     ``offsets``, absolute units, written into ``out`` (offsets, rows); returns
     the resamples.  The element draw and the subset sums are shared by every
-    offset."""
+    offset.
+
+    With fewer than ``_SORTED_OFFSETS`` offsets, each offset runs one
+    subtract, abs and row-min pass over cache-sized row chunks.  With more,
+    the sums are sorted row by row in place and ``_sorted_distances`` reads
+    each offset's two neighbouring sums.  Either way every distance is
+    bit-equal to one subtract, abs and min pass over the whole block.
+    """
     size = out.shape[1]
     rng = sample_substream(config.master_seed, block)
     nom = np.broadcast_to(nominal, (size, config.n))
@@ -215,11 +238,13 @@ def _block_distances(
             centers.append(np.broadcast_to(nominal_sum + offset.value * sk, (size, 1)))
     # The product's bits depend on its row count and on the OpenBLAS kernel
     # (the same rows differ between a 63-row and a 4096-row product), so it
-    # runs once over the whole block; only the elementwise passes and the exact
-    # row min below run in chunks, and every distance is bit-equal to one pass
-    # over the block.  A change that re-chunks the product must show that no
+    # runs once over the whole block; only the passes below run in chunks or
+    # on sorted rows.  A change that re-chunks the product must show that no
     # threshold count moves.
     sums = realized @ membership_matrix(config.n, config.k)
+    if len(offsets) >= _SORTED_OFFSETS:
+        _sorted_distances(sums, np.hstack(centers), out)
+        return resamples
     step = max(1, _CHUNK_BYTES // (8 * sums.shape[1]))
     scratch = np.empty((min(step, size), sums.shape[1]))
     for lo in range(0, size, step):
@@ -230,6 +255,44 @@ def _block_distances(
             np.abs(work, out=work)
             work.min(axis=1, out=dist[lo : lo + step])
     return resamples
+
+
+def _sorted_distances(sums: np.ndarray, centers: np.ndarray, out: np.ndarray) -> None:
+    """Sort each row of ``sums`` in place and write into ``out`` (offsets,
+    rows) each row's least |sum - center| for the (rows, offsets)
+    ``centers``.
+
+    Rounding is monotone, so on either side of a center c the computed
+    |fl(s - c)| does not fall as s moves away from c: the row minimum is
+    the value at the last sum below c or at the first one above it, and
+    those two are the only sums read.  The bisection needs sums that order:
+    a NaN sum would break it where a row min carries it through.
+    ``StudyConfig`` keeps every drawn sum below ``MAX_DRAW_SUM``, so the sums
+    are finite.  A NaN center compares false everywhere and gives NaN, as
+    the row min does.
+    """
+    rows, width = sums.shape
+    sums.sort(axis=1)
+    flat = sums.ravel()
+    first = np.arange(0, rows * width, width)[:, None]
+    # per (row, offset): the flat index of the row's last sum below the
+    # center, or of its first sum when none is; each step halves the run
+    # that holds it, on every row and offset at once, and row-major centers
+    # let one row's offsets probe the same cache lines
+    at = np.repeat(first, centers.shape[1], axis=1)
+    probe = np.empty(centers.shape)
+    below = np.empty(centers.shape, dtype=bool)
+    span = width
+    while span > 1:
+        half = span // 2
+        # every index is in range; "clip" spares take a buffered copy of out
+        np.take(flat[half:], at, out=probe, mode="clip")
+        np.less(probe, centers, out=below)
+        np.add(at, half, out=at, where=below)
+        span -= half
+    lower = np.abs(flat[at] - centers)
+    upper = np.abs(flat[np.minimum(at + 1, first + (width - 1))] - centers)
+    np.minimum(lower, upper, out=out.T)
 
 
 def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:

@@ -17,8 +17,10 @@ import pytest
 from subsetcal.mismatch import (
     Arithmetic,
     ConfigError,
+    Explicit,
     MismatchModel,
     Uniform,
+    nominal_sizes,
 )
 from subsetcal import studies
 from subsetcal.reporting import FigureDataset, emit_figure
@@ -164,7 +166,7 @@ def test_block_distances_match_find_best_residuals():
 
 
 # ---------------------------------------------------------------------------
-# offsets sharing a block, chunked reduction
+# offsets sharing a block: chunked passes and sorted rows
 # ---------------------------------------------------------------------------
 
 
@@ -175,8 +177,12 @@ def test_block_distances_match_find_best_residuals():
         (FixedOffset(0.0), FixedOffset(1.0), FixedOffset(3.0)),
         (GaussianOffset(0.25), GaussianOffset(0.0), GaussianOffset(2.0)),
         (FixedOffset(2.0), GaussianOffset(1.0), FixedOffset(0.0)),
+        tuple(
+            GaussianOffset(0.5 * j) if j % 2 else FixedOffset(0.5 * j - 1.0)
+            for j in range(studies._SORTED_OFFSETS)
+        ),
     ],
-    ids=["fixed", "gaussian", "mixed"],
+    ids=["fixed", "gaussian", "mixed", "sorted"],
 )
 def test_shared_offsets_equal_their_own_studies(samples, offsets):
     # a 0.4 relative sigma makes the draw redraw non-positive elements, so
@@ -240,6 +246,91 @@ def test_chunk_boundaries_are_invisible(n, k, samples):
         expect, expect_resamples = one_pass_distances(c)
         assert np.array_equal(dist, expect)
         assert resamples == expect_resamples
+
+
+def block_distances(c: StudyConfig, offsets) -> np.ndarray:
+    """(offsets, samples) distances, every block through ``_block_distances``
+    into its slice of one array, as ``run_studies`` fills its buffer."""
+    nominal = nominal_sizes(c.scheme, c.n)
+    sigmas = c.model.element_sigmas(nominal)
+    dist = np.empty((len(offsets), c.samples))
+    for start in range(0, c.samples, BLOCK):
+        out = dist[:, start : start + BLOCK]
+        studies._block_distances(c, offsets, nominal, sigmas, start // BLOCK, out)
+    return dist
+
+
+SORTED = studies._SORTED_OFFSETS
+
+
+@pytest.mark.parametrize("count", [SORTED - 1, SORTED], ids=["passes", "sorted"])
+@pytest.mark.parametrize(
+    "kinds, scale",
+    [
+        ("fixed", 1.0),
+        ("gaussian", 1.0),
+        ("mixed", 1.0),
+        # centers below the smallest and above the largest subset sum
+        ("fixed", 1e4),
+        ("mixed", 1e4),
+    ],
+    ids=["fixed", "gaussian", "mixed", "fixed-outside", "mixed-outside"],
+)
+def test_sorted_path_equals_one_pass_distances(count, kinds, scale):
+    offsets = []
+    for j in range(count):
+        value = scale * (j - (count - 1) / 2.0) / 2.0  # ascending about the nominal sum
+        gaussian = kinds == "gaussian" or (kinds == "mixed" and j % 2 == 1)
+        offsets.append(GaussianOffset(abs(value)) if gaussian else FixedOffset(value))
+    c = cfg(samples=BLOCK + 123, scheme=Arithmetic(1.0, 0.005))  # a partial last block
+    dist = block_distances(c, offsets)
+    for offset, row in zip(offsets, dist):
+        expect, _ = one_pass_distances(dataclasses.replace(c, offset=offset))
+        assert np.array_equal(row, expect)
+    if scale > 1.0:  # the lowest fixed center lies below every sum, the highest above
+        fixed = [j for j, o in enumerate(offsets) if isinstance(o, FixedOffset)]
+        assert offsets[fixed[0]].value < 0 < offsets[fixed[-1]].value
+        assert dist[fixed[0]].min() > c.k and dist[fixed[-1]].min() > c.k
+
+
+@pytest.mark.parametrize(
+    "n, k, scheme",
+    [
+        (12, 6, Uniform(1.0)),  # every sum and every center is 6.0
+        # 462 sums of 6.0 and 462 of 6.25 around a center of 6.125
+        (12, 6, Explicit([1.0] * 11 + [1.25])),
+        (6, 6, Arithmetic(1.0, 0.01)),  # n = k: one subset
+    ],
+    ids=["one-tied-value", "tied-on-both-sides", "one-subset"],
+)
+def test_sorted_path_on_ties_and_a_single_subset(n, k, scheme):
+    offsets = [GaussianOffset(1.0), FixedOffset(0.0), FixedOffset(-2.0)] * 2
+    assert len(offsets) >= SORTED
+    c = cfg(n=n, k=k, scheme=scheme, model=MismatchModel(0.0, 1.0), samples=300)
+    dist = block_distances(c, offsets)
+    for offset, row in zip(offsets, dist):
+        expect, _ = one_pass_distances(dataclasses.replace(c, offset=offset))
+        assert np.array_equal(row, expect)
+    if n > k:  # zero sigma: every center is the nominal sum, exact or 0.125 away
+        assert np.all(dist == (0.0 if isinstance(scheme, Uniform) else 0.125))
+
+
+def test_sorted_block_peak_stays_within_the_block_bound():
+    # StudyConfig bounds a block at three (rows, C(n,k)) float64 arrays; the
+    # sorted path sorts the sums in place, so a sorted copy would show here
+    offsets = [GaussianOffset(float(j)) for j in range(9)]
+    assert len(offsets) >= SORTED
+    c = cfg(samples=BLOCK)
+    sums_bytes = 8 * BLOCK * math.comb(c.n, c.k)
+    tracemalloc.start()
+    try:
+        results = run_studies(c, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 9
+    assert peak <= 3 * sums_bytes
+    assert peak < 1.25 * sums_bytes
 
 
 # ---------------------------------------------------------------------------
