@@ -14,17 +14,20 @@ Determinism: sampling is partitioned into fixed blocks of ``BLOCK`` samples;
 block b draws from ``runner.sample_substream(master_seed, b)`` the element
 sets and then one standard normal per sample that every Gaussian offset
 scales.  All widths of one study are evaluated on one population, and so are
-the offsets that ``run_studies`` serves from one draw: a block's subset sums
-come from one matrix product, which every offset then reduces to its nearest
-sum.  Measured on a 2-core Xeon for a 2048-row C(12, 6) block, the product
-takes about 1 ms, and one Gaussian offset's subtract, abs and row min about
-2.5 ms over row chunks of about 256 KB that stay in cache.  Sorting every
-row in place takes about 8 ms, after which a bisection finds each offset's
-nearest sum in about 0.3 ms.  So a block that serves ``_SORTED_OFFSETS``
-offsets or more sorts its sums once and bisects; a block with fewer keeps
-the chunked passes.  Both give the same bits.  Blocks run one after
-another: the product runs on OpenBLAS's own threads, and a thread pool on
-top of it measured slower and doubled the peak memory.
+the offsets that ``run_studies`` serves from one draw.  A block computes its
+subset sums in row chunks of about 47 rows at C(12, 6), each into one reused
+buffer, and every offset reduces a chunk to its nearest sums while the chunk
+is in cache: a subtract, abs and row-min pass per offset, or, for offsets
+that weigh ``_SORT_WEIGHT`` or more, one row sort per chunk and a bisection
+per offset over spans of sorted chunks.  Both give the same bits from the
+same sums.  A chunk that small keeps OpenBLAS on the calling thread.
+
+The sums' last bits depend on the BLAS kernel and on a chunk's rows, so
+``run_studies`` certifies every window decision against a fixed-order sum
+(``_settle``): every failure count is the one that ``selected_sums``'
+order of adding gives, whatever the kernel, the chunking or the threads.
+Blocks run one after another on the calling thread; forking them across
+--threads, or splitting the passes over two threads, measured slower.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .mismatch import (
     membership_matrix,
     nominal_sizes,
     scheme_center,
+    selected_sums,
     sigma_k,
 )
 from .runner import sample_substream
@@ -125,21 +129,6 @@ class StudyConfig:
         if any(w < 0 for w in self.window_widths):
             raise ConfigError("window widths must be >= 0")
         check_nk(self.n, self.k)
-        # room for three (rows, C(n,k)) float64 arrays; a block holds one (its
-        # subset sums) and a (rows,) center and distance row per offset.  A
-        # block with fewer than _SORTED_OFFSETS offsets adds one chunk-sized
-        # scratch array.  A block with more sorts its sums in place and holds
-        # about 80 bytes per (row, offset) in all, with the bisection's index
-        # and probe arrays (tracemalloc, 9 offsets on 4096 rows of C(12, 6)
-        # peak at 1.13 times the sums).  So for up to about C(n,k) / 5
-        # offsets the bound is conservative on either path
-        rows = min(self.samples, BLOCK)
-        need = 3 * 8 * rows * math.comb(self.n, self.k)
-        if need > MAX_ARRAY_BYTES:
-            raise ConfigError(
-                f"n={self.n}, k={self.k} needs {need} bytes per block of {rows}"
-                f" samples, above the {MAX_ARRAY_BYTES}-byte limit"
-            )
         # a subset sum with every element DRAW_REACH sigma above the largest
         # nominal must stay finite, and so must the distances taken from it;
         # the sorted path's bisection relies on finite sums
@@ -186,17 +175,72 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 
-# rows of subset sums per reduction chunk of the per-offset passes: about
-# 256 KB, so a chunk stays in L2 while every offset subtracts, takes abs and
-# takes the row min over it
-_CHUNK_BYTES = 2**18
+# multiply-adds per chunk of the subset-sum product, (rows, n) @ (n, C(n,k)):
+# 47 rows at C(12, 6), whose 350 KB of sums and as much pass scratch stay in
+# L2 while the passes or the row sort read them.  OpenBLAS's SkylakeX
+# kernels keep a product of up to 10**6 on the calling thread (cpu/wall
+# 1.00 at 90 rows); a larger one wakes a helper thread that spins after
+# every call (1.96 at 128 rows)
+_CHUNK_MULADDS = 2**19
 
-# offsets from which a block sorts its subset sums and bisects instead of
-# running one chunked pass per offset.  Sorting the rows costs about three
-# Gaussian offsets' passes, or six fixed ones' (a fixed offset subtracts a
-# broadcast scalar, about twice as fast).  At 5 no configs/ study slows; a
-# block of five fixed offsets alone takes about 15 % longer than its passes.
-_SORTED_OFFSETS = 5
+# sorted sums per bisection, bytes: each bisection step makes a few numpy
+# calls over every (row, offset) of its span, so one span of several
+# product chunks (282 rows at C(12, 6)) spreads their fixed cost
+_SPAN_BYTES = 2**21
+
+# pass weight from which a block sorts its subset sums and bisects instead
+# of running one pass per offset.  A fixed offset's pass subtracts a
+# broadcast scalar and weighs 2; a Gaussian one's subtracts a column of
+# centers and weighs 3.  Per 4096-row C(12, 6) block, a fixed pass took
+# about 4.7 ms, a Gaussian one 7.2 ms and the sorted path about 30 ms, so
+# four Gaussian offsets (12) tie and seven fixed ones (14) sort
+_SORT_WEIGHT = 13
+
+# bytes a block holds per (row, offset) beyond its sums and element draw:
+# the distance, the center, and the bisection's index, probe and neighbour
+# arrays or the certification's interval ends and ranks
+_OFFSET_ROW_BYTES = 80
+
+
+def _sorts(offsets: Sequence[OffsetSpec]) -> bool:
+    """Whether a block serving ``offsets`` sorts its sums (``_SORT_WEIGHT``)."""
+    weight = sum(3 if isinstance(offset, GaussianOffset) else 2 for offset in offsets)
+    return weight >= _SORT_WEIGHT
+
+
+def _chunking(n: int, k: int, rows: int, sort: bool) -> tuple[int, int, int]:
+    """Rows per product chunk, rows per sums buffer and combinations per
+    fixed-order gather for a block of ``rows`` samples.  A passing block's
+    buffer holds one chunk, a sorting block's a span of whole chunks for one
+    bisection; a gather holds three (combinations, k) arrays."""
+    width = math.comb(n, k)
+    step = min(rows, max(1, _CHUNK_MULADDS // (n * width)))
+    span = min(rows, max(1, _SPAN_BYTES // (8 * width * step)) * step) if sort else step
+    return step, span, min(width, max(1, _CHUNK_MULADDS // (n * k)))
+
+
+def _check_block_bytes(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> None:
+    """Reject a study whose blocks would hold more than ``MAX_ARRAY_BYTES``
+    while serving ``offsets``: the sums buffer and the pass scratch (or the
+    sorted span), the element draw and its two temporaries, a fixed-order
+    gather and ``_OFFSET_ROW_BYTES`` per (row, offset)."""
+    n, k = config.n, config.k
+    rows = min(config.samples, BLOCK)
+    sort = _sorts(offsets)
+    step, span, gather = _chunking(n, k, rows, sort)
+    sums = 8 * math.comb(n, k) * (span if sort else 2 * step)
+    need = sums + 24 * rows * n + 24 * gather * k + _OFFSET_ROW_BYTES * rows * len(offsets)
+    if need > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"{len(offsets)} offsets on blocks of {rows} samples at n={n}, k={k} need"
+            f" {need} bytes, above the {MAX_ARRAY_BYTES}-byte limit"
+        )
+
+
+def _subset_sums(realized: np.ndarray, members: np.ndarray, out: np.ndarray) -> None:
+    """Every subset sum of the element sets ``realized`` into ``out``, added
+    in whatever order the BLAS kernel takes; tests put other orders here."""
+    np.matmul(realized, members, out=out)
 
 
 def _block_distances(
@@ -206,17 +250,19 @@ def _block_distances(
     sigmas: np.ndarray,
     block: int,
     out: np.ndarray,
-) -> int:
+) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Min |subset sum - target center| for one block of samples and each of
-    ``offsets``, absolute units, written into ``out`` (offsets, rows); returns
-    the resamples.  The element draw and the subset sums are shared by every
-    offset.
+    ``offsets``, absolute units, written into ``out`` (offsets, rows).
+    Returns the block's element sets (rows, n), its centers, one (rows, 1)
+    column per offset, and the draw's resamples.
 
-    With fewer than ``_SORTED_OFFSETS`` offsets, each offset runs one
-    subtract, abs and row-min pass over cache-sized row chunks.  With more,
-    the sums are sorted row by row in place and ``_sorted_distances`` reads
-    each offset's two neighbouring sums.  Either way every distance is
-    bit-equal to one subtract, abs and min pass over the whole block.
+    One loop over row chunks of at most ``_CHUNK_MULADDS`` product
+    multiply-adds: a chunk's subset sums go into a reused buffer and, while
+    they are in cache, each offset runs a subtract, abs and row-min pass over
+    them, or (``_sorts``) their rows are sorted in place and
+    ``_sorted_distances`` bisects each span of sorted chunks.  Both give the
+    same bits from the same sums.  Those bits depend on the BLAS kernel and
+    on the chunk's rows; ``_settle`` bounds what that can move.
     """
     size = out.shape[1]
     rng = sample_substream(config.master_seed, block)
@@ -236,31 +282,36 @@ def _block_distances(
             centers.append((nominal_sum + z * (offset.sigma_t * sk))[:, None])
         else:
             centers.append(np.broadcast_to(nominal_sum + offset.value * sk, (size, 1)))
-    # The product's bits depend on its row count and on the OpenBLAS kernel
-    # (the same rows differ between a 63-row and a 4096-row product), so it
-    # runs once over the whole block; only the passes below run in chunks or
-    # on sorted rows.  A change that re-chunks the product must show that no
-    # threshold count moves.
-    sums = realized @ membership_matrix(config.n, config.k)
-    if len(offsets) >= _SORTED_OFFSETS:
-        _sorted_distances(sums, np.hstack(centers), out)
-        return resamples
-    step = max(1, _CHUNK_BYTES // (8 * sums.shape[1]))
-    scratch = np.empty((min(step, size), sums.shape[1]))
+    members = membership_matrix(config.n, config.k)
+    sort = _sorts(offsets)
+    step, span, _ = _chunking(config.n, config.k, size, sort)
+    sums = np.empty((span, members.shape[1]))
+    if sort:
+        table = np.hstack(centers)
+    else:
+        scratch = np.empty_like(sums)
     for lo in range(0, size, step):
-        chunk = sums[lo : lo + step]
-        work = scratch[: len(chunk)]
-        for center, dist in zip(centers, out):
-            np.subtract(chunk, center[lo : lo + step], out=work)
-            np.abs(work, out=work)
-            work.min(axis=1, out=dist[lo : lo + step])
-    return resamples
+        at = lo % span  # where the chunk lands in the span
+        chunk = sums[at : at + min(step, size - lo)]
+        hi = lo + len(chunk)
+        _subset_sums(realized[lo:hi], members, chunk)
+        if not sort:
+            work = scratch[: len(chunk)]
+            for center, dist in zip(centers, out):
+                np.subtract(chunk, center[lo:hi], out=work)
+                np.abs(work, out=work)
+                work.min(axis=1, out=dist[lo:hi])
+            continue
+        chunk.sort(axis=1)
+        if at + len(chunk) == span or hi == size:  # the span is full, or the block done
+            first = lo - at
+            _sorted_distances(sums[: hi - first], table[first:hi], out[:, first:hi])
+    return realized, centers, resamples
 
 
 def _sorted_distances(sums: np.ndarray, centers: np.ndarray, out: np.ndarray) -> None:
-    """Sort each row of ``sums`` in place and write into ``out`` (offsets,
-    rows) each row's least |sum - center| for the (rows, offsets)
-    ``centers``.
+    """Write into ``out`` (offsets, rows) each row's least |sum - center|
+    from the row-sorted ``sums`` for the (rows, offsets) ``centers``.
 
     Rounding is monotone, so on either side of a center c the computed
     |fl(s - c)| does not fall as s moves away from c: the row minimum is
@@ -272,7 +323,6 @@ def _sorted_distances(sums: np.ndarray, centers: np.ndarray, out: np.ndarray) ->
     the row min does.
     """
     rows, width = sums.shape
-    sums.sort(axis=1)
     flat = sums.ravel()
     first = np.arange(0, rows * width, width)[:, None]
     # per (row, offset): the flat index of the row's last sum below the
@@ -295,12 +345,53 @@ def _sorted_distances(sums: np.ndarray, centers: np.ndarray, out: np.ndarray) ->
     np.minimum(lower, upper, out=out.T)
 
 
+def _settle(
+    realized: np.ndarray,
+    centers: Sequence[np.ndarray],
+    k: int,
+    limits: np.ndarray,
+    out: np.ndarray,
+) -> int:
+    """Give every distance in ``out`` (offsets, rows) whose comparison with
+    one of the ascending ``limits`` the product's rounding could decide its
+    fixed-order value, and return how many were recomputed.  ``realized``
+    and ``centers`` are what ``_block_distances`` returned for ``out``.
+
+    The fixed-order distance d' of a (row, offset) is min |fl(s - c)| over
+    the row's sums s from ``selected_sums``, whose order no kernel, chunk
+    shape or thread count moves.  Every element is > 0, so a k-term sum,
+    added in any order, lies within gamma_(k-1) S of its exact value S, and
+    S <= T = k * the row's largest element; each distance adds one rounding.
+    So a computed distance d and d' differ by at most eps (1 + eps) d +
+    (k - 1) eps (1 + k eps) T, which m = (k + 2) eps (T + d), rounded, still
+    exceeds: d' lies in [d - m, d + m].  A limit outside that interval gets
+    the same answer from ``d > limit`` as from ``d' > limit``; a distance
+    with a limit inside it is recomputed.
+    """
+    slack = (k + 2) * np.finfo(float).eps * (k * realized.max(axis=1) + out)
+    near = np.searchsorted(limits, out - slack) != np.searchsorted(limits, out + slack)
+    offset_ids, row_ids = np.nonzero(near)
+    n = realized.shape[1]
+    width = math.comb(n, k)
+    _, _, gather = _chunking(n, k, 1, False)
+    for o, r in zip(offset_ids, row_ids):
+        center = centers[o][r, 0]
+        best = math.inf
+        for lo in range(0, width, gather):
+            sums = selected_sums(realized[r], np.arange(lo, min(lo + gather, width)), k)
+            best = min(best, np.abs(sums - center).min())
+        out[o, r] = best
+    return len(row_ids)
+
+
 def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
     """Per-sample distance from the best subset sum to the target, absolute units.
 
     Returns (distances, resample_count).  Every window width of the study is a
     simple threshold query against this one array, so all widths are evaluated
-    on the same sample population by construction.
+    on the same sample population by construction.  The distances are as the
+    chunked product gives them, each within ``_settle``'s bound of its
+    fixed-order value.
     """
     nominal = nominal_sizes(config.scheme, config.n)
     sigmas = config.model.element_sigmas(nominal)
@@ -310,7 +401,7 @@ def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
         out = dist[None, start : start + BLOCK]
         resamples += _block_distances(
             config, (config.offset,), nominal, sigmas, start // BLOCK, out
-        )
+        )[2]
     return dist, resamples
 
 
@@ -321,17 +412,25 @@ def run_studies(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> list[Stud
     ``run_study``: the element draw, the Gaussian offsets' standard normal and
     the subset sums are made once per block and shared, and each block's
     failures are counted before the next block reuses the distance buffer.
+    Every count is the one that the fixed-order distances of ``_settle``
+    give, whatever BLAS kernel made the sums.
     """
+    _check_block_bytes(config, offsets)
     nominal = nominal_sizes(config.scheme, config.n)
     sigmas = config.model.element_sigmas(nominal)
     sk = config.sigma_k_abs
     limits = [(w * sk) / 2.0 for w in config.window_widths]
+    ascending = np.sort(limits)
     failures = np.zeros((len(offsets), len(limits)), dtype=np.int64)
     dist = np.empty((len(offsets), min(config.samples, BLOCK)))
     resamples = 0
     for start in range(0, config.samples, BLOCK):
         out = dist[:, : min(BLOCK, config.samples - start)]
-        resamples += _block_distances(config, offsets, nominal, sigmas, start // BLOCK, out)
+        realized, centers, drawn = _block_distances(
+            config, offsets, nominal, sigmas, start // BLOCK, out
+        )
+        resamples += drawn
+        _settle(realized, centers, config.k, ascending, out)
         for j, limit in enumerate(limits):
             failures[:, j] += np.count_nonzero(out > limit, axis=1)
     return [

@@ -8,8 +8,9 @@ converter's timing and self-heal yield rows with the pre-heal linearity, the
 per-reading sensing path built from waveform objects (square waves, cyclic
 shifts, level lookup and the exact product average), the zero-variance
 receiver and the textbook ideal receiver built on it, the HRR of one point,
-a waveform's edge count, a scalar failure-rate query, a study's distances in
-one pass over each block, the resolution frontier as one study per (sigma_t,
+a waveform's edge count, a scalar failure-rate query, a study's distances
+from subset sums added in a fixed order, a subset-sum product that adds in
+a random order, the resolution frontier as one study per (sigma_t,
 d) pair, a waveform scaled by a gain, the weighted sum of waveforms and the
 receiver's effective LO built from it, one square wave per phase, the
 set-by-set element draw with its subset sum, the scalar inverse-width delay
@@ -281,19 +282,22 @@ def failure_rate(config: StudyConfig, width: Optional[float] = None) -> float:
     return run_study(config).rows[0].failure_rate
 
 
-def one_pass_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
-    """Per-sample distances of ``config``'s own offset, each block reduced in
-    one subtract, abs and min pass over its whole (rows, C(n,k)) subset sums;
-    returns (distances, resamples)."""
+def fixed_order_distances(config: StudyConfig) -> tuple[np.ndarray, int, np.ndarray]:
+    """Per-sample distances of ``config``'s own offset, from every subset sum
+    added in ``selected_sums``' order, which no BLAS kernel, chunk shape or
+    thread count moves; returns (distances, resamples, each sample's largest
+    element)."""
     nominal = nominal_sizes(config.scheme, config.n)
     sigmas = config.model.element_sigmas(nominal)
     sk = config.sigma_k_abs
+    every = np.arange(math.comb(config.n, config.k))
+    rows_per_gather = max(1, 2**19 // (every.size * config.k))
     dist = np.empty(config.samples)
+    largest = np.empty(config.samples)
     resamples = 0
     for start in range(0, config.samples, BLOCK):
         size = min(BLOCK, config.samples - start)
-        seed = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(start // BLOCK,))
-        rng = np.random.default_rng(seed)
+        rng = sample_substream(config.master_seed, start // BLOCK)
         realized, redraws = draw_realized(np.broadcast_to(nominal, (size, config.n)), sigmas, rng)
         resamples += redraws
         if isinstance(config.offset, GaussianOffset):
@@ -301,9 +305,30 @@ def one_pass_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
         else:
             t_abs = np.full(size, config.offset.value * sk)
         center = config.k * nominal.mean() + t_abs
-        sums = realized @ membership_matrix(config.n, config.k)
-        dist[start : start + size] = np.abs(sums - center[:, None]).min(axis=1)
-    return dist, resamples
+        for lo in range(0, size, rows_per_gather):
+            rows = slice(lo, lo + rows_per_gather)
+            sums = selected_sums(realized[rows, None, :], every, config.k)
+            dist[start + lo : start + lo + len(sums)] = (
+                np.abs(sums - center[rows, None]).min(axis=1)
+            )
+        largest[start : start + size] = realized.max(axis=1)
+    return dist, resamples, largest
+
+
+def shuffled_subset_sums(rng: np.random.Generator):
+    """A stand-in for ``studies._subset_sums`` that adds each subset sum's k
+    terms left to right in an order drawn anew for every entry: a BLAS
+    kernel as hostile to the sums' last bits as any can be."""
+
+    def subset_sums(realized: np.ndarray, members: np.ndarray, out: np.ndarray) -> None:
+        n = realized.shape[1]
+        k = int(members[:, 0].sum())
+        terms = rng.permuted(realized[:, combination_index_matrix(n, k)], axis=-1)
+        out[...] = terms[..., 0]
+        for j in range(1, k):
+            out += terms[..., j]
+
+    return subset_sums
 
 
 def rcal_frontier_oracle(

@@ -176,7 +176,10 @@ def test_study_over_the_memory_bound_is_rejected_before_sampling(
         raise AssertionError("a study block ran before the memory bound was checked")
 
     monkeypatch.setattr(studies, "_block_distances", block_must_not_run)
-    cfg = write_cfg(tmp_path, "big.cfg", "study.n = 20\nstudy.k = 10\n")
+    # 80 bytes per (row, offset) on blocks of 4096 rows, plus 3 397 248 for
+    # the sorted sums, the element draw and a fixed-order gather
+    offsets = ", ".join(["0"] * 3267)
+    cfg = write_cfg(tmp_path, "big.cfg", f"study.offsets = {offsets}\n")
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -186,8 +189,11 @@ def test_study_over_the_memory_bound_is_rejected_before_sampling(
         tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    need = 3 * 8 * studies.BLOCK * 184_756  # three (4096, C(20, 10)) float64 arrays
-    assert err.startswith("config error: n=20, k=10 needs") and f"{need} bytes" in err
+    need = 3_397_248 + 80 * studies.BLOCK * 3267
+    assert err == (
+        f"config error: 3267 offsets on blocks of 4096 samples at n=12, k=6 need {need}"
+        " bytes, above the 1073741824-byte limit\n"
+    )
     assert not out.exists()
     assert peak < 16 * 2**20
 
@@ -299,9 +305,15 @@ _OVERFLOWING_STUDY = (
         (["study", "failure-rate"], "study.rel_sigma = 1e308\n", _OVERFLOWING_STUDY),
         (["study", "a-sweep"], "sweep.a_values = 1e308\n", _OVERFLOWING_STUDY),
         (["study", "a-sweep"], "sweep.a_values = 1, 0.5, 1e308\n", _OVERFLOWING_STUDY),
+        # 80 bytes per (row, offset) on blocks of 4096 rows
+        (["study", "rcal-frontier"],
+         "frontier.sigma_t_list = " + ", ".join(["1"] * 3300) + "\n",
+         "3300 offsets on blocks of 4096 samples at n=12, k=6 need 1084741248 bytes"
+         + _OVER_LIMIT),
     ],
     ids=["a-sweep-k", "dac-lsb-bits", "heal-msb-bits", "heal-lsb-bits", "dac-huge-comb",
-         "study-center-sums", "study-rel-sigma-sums", "a-sweep-a-sums", "a-sweep-last-a-sums"],
+         "study-center-sums", "study-rel-sigma-sums", "a-sweep-a-sums", "a-sweep-last-a-sums",
+         "frontier-sigma-t-list"],
 )
 def test_hostile_geometry_is_rejected_before_any_work(
     tmp_path, capsys, monkeypatch, command, text, message

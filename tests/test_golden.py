@@ -36,8 +36,11 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
+from subsetcal import studies
 from subsetcal.cli import main
 from subsetcal.reporting import sha256_of
+
+from oracles import shuffled_subset_sums
 
 STUDY_CFG = """\
 study.n = 12
@@ -470,6 +473,18 @@ def run_case(tmp_path, case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_hashes(tmp_path, case):
+    hashes, manifest = run_case(tmp_path, case)
+    assert hashes == GOLDEN[case]
+    assert manifest == MANIFEST_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(case for case in CASES if case.startswith("study-")))
+def test_study_golden_cases_hold_on_a_hostile_product(tmp_path, monkeypatch, case):
+    """Every study case with each subset sum's terms added in a random order
+    of their own: the study counts are certified against a fixed order, so
+    no output may move however a BLAS kernel adds."""
+    shuffled = shuffled_subset_sums(np.random.default_rng(3))
+    monkeypatch.setattr(studies, "_subset_sums", shuffled)
     hashes, manifest = run_case(tmp_path, case)
     assert hashes == GOLDEN[case]
     assert manifest == MANIFEST_GOLDEN[case]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -43,9 +44,12 @@ from subsetcal.studies import (
 from oracles import (
     failure_rate,
     find_best_residual,
-    one_pass_distances,
+    fixed_order_distances,
     rcal_frontier_oracle,
+    shuffled_subset_sums,
 )
+
+EPS = np.finfo(float).eps
 
 
 def phi(x: float) -> float:
@@ -85,10 +89,18 @@ def test_rcal_rejects_zero_width():
 
 def test_memory_bound_counts_the_block_working_set():
     cfg(n=12, k=6, samples=10 * BLOCK)  # the configs/ catalog: n = 12, k = 6
-    cfg(n=15, k=7, samples=BLOCK)  # 3 * 8 * 4096 * 6435 bytes, under 1 GiB
-    cfg(n=20, k=10, samples=50)  # a short study needs only a short block
-    with pytest.raises(ConfigError, match=r"n=16, k=8 needs 1265172480 bytes"):
-        cfg(n=16, k=8, samples=BLOCK)  # 3 * 8 * 4096 * 12870 bytes
+    # a block holds row chunks of its sums, never all of them: C(16, 8) and
+    # C(24, 12) sums on 4096 rows (1.2 GB and 89 GB) run a row at a time
+    for n, k in ((16, 8), (24, 12)):
+        studies._check_block_bytes(cfg(n=n, k=k, samples=BLOCK), [GaussianOffset(1.0)])
+    # each (row, offset) holds 80 bytes; with 282 rows of sorted sums
+    # (2 084 544 bytes), the element draw (1 179 648) and one row's
+    # fixed-order gather (133 056), 3266 offsets fit in 1 GiB and 3267 do not
+    c = cfg(samples=BLOCK)
+    studies._check_block_bytes(c, [FixedOffset(0.0)] * 3266)
+    with pytest.raises(ConfigError, match=r"^3267 offsets on blocks of 4096 samples at"
+                       r" n=12, k=6 need 1073927808 bytes"):
+        run_studies(c, [FixedOffset(0.0)] * 3267)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +178,28 @@ def test_block_distances_match_find_best_residuals():
 
 
 # ---------------------------------------------------------------------------
-# offsets sharing a block: chunked passes and sorted rows
+# offsets sharing a block: chunked passes, sorted rows, certified counts
 # ---------------------------------------------------------------------------
+
+
+def oracle_counts(c: StudyConfig) -> tuple[list[int], int]:
+    """Failures per width of ``c`` from its fixed-order distances, and its
+    resamples."""
+    dist, resamples, _ = fixed_order_distances(c)
+    limits = [(w * c.sigma_k_abs) / 2.0 for w in c.window_widths]
+    return [int(np.count_nonzero(dist > limit)) for limit in limits], resamples
+
+
+def assert_within_the_settle_bound(c: StudyConfig, dist: np.ndarray) -> None:
+    """``dist``, ``c``'s own offset's distances from the product, differs
+    from the fixed-order ones by no more than ``_settle`` proves: eps (1 +
+    eps) max(d, d') + (k - 1) eps (1 + k eps) T, T = k * the row's largest
+    element."""
+    expect, _, largest = fixed_order_distances(c)
+    k = c.k
+    bound = EPS * (1 + EPS) * np.maximum(dist, expect)
+    bound += (k - 1) * EPS * (1 + k * EPS) * (k * largest)
+    assert np.all(np.abs(dist - expect) <= bound)
 
 
 @pytest.mark.parametrize("samples", [1, BLOCK + 1, 3 * BLOCK + 123])
@@ -177,14 +209,12 @@ def test_block_distances_match_find_best_residuals():
         (FixedOffset(0.0), FixedOffset(1.0), FixedOffset(3.0)),
         (GaussianOffset(0.25), GaussianOffset(0.0), GaussianOffset(2.0)),
         (FixedOffset(2.0), GaussianOffset(1.0), FixedOffset(0.0)),
-        tuple(
-            GaussianOffset(0.5 * j) if j % 2 else FixedOffset(0.5 * j - 1.0)
-            for j in range(studies._SORTED_OFFSETS)
-        ),
+        tuple(GaussianOffset(0.5 * j) if j % 2 else FixedOffset(0.5 * j - 1.0) for j in range(7)),
     ],
     ids=["fixed", "gaussian", "mixed", "sorted"],
 )
 def test_shared_offsets_equal_their_own_studies(samples, offsets):
+    assert studies._sorts(offsets) == (len(offsets) == 7)
     # a 0.4 relative sigma makes the draw redraw non-positive elements, so
     # the shared resample count is checked as well
     c = cfg(
@@ -195,12 +225,10 @@ def test_shared_offsets_equal_their_own_studies(samples, offsets):
     assert shared == [run_study(dataclasses.replace(c, offset=o)) for o in offsets]
     for offset, result in zip(offsets, shared):
         own = dataclasses.replace(c, offset=offset)
-        dist, resamples = one_pass_distances(own)
+        counts, resamples = oracle_counts(own)
         assert result.config == own
         assert result.resamples == resamples
-        assert [row.failures for row in result.rows] == [
-            int(np.count_nonzero(dist > (w * own.sigma_k_abs) / 2.0)) for w in c.window_widths
-        ]
+        assert [row.failures for row in result.rows] == counts
     if samples > BLOCK:
         assert shared[0].resamples > 0
 
@@ -237,14 +265,18 @@ def test_frontier_tie_keeps_the_first_step():
     ids=["924-sums", "120-sums", "one-row-chunks"],
 )
 def test_chunk_boundaries_are_invisible(n, k, samples):
-    step = max(1, studies._CHUNK_BYTES // (8 * math.comb(n, k)))
+    step = studies._chunking(n, k, BLOCK, False)[0]
     # a chunk ends inside the full block and inside the last one
     assert step == 1 or (BLOCK % step and samples % BLOCK % step)
     for offset in (FixedOffset(0.5), GaussianOffset(1.5)):
-        c = cfg(n=n, k=k, samples=samples, offset=offset, scheme=Arithmetic(1.0, 0.002))
+        c = cfg(
+            n=n, k=k, samples=samples, offset=offset, scheme=Arithmetic(1.0, 0.002),
+            window_widths=(0.02, 0.1, 0.5),
+        )
         dist, resamples = studies.min_distances(c)
-        expect, expect_resamples = one_pass_distances(c)
-        assert np.array_equal(dist, expect)
+        assert_within_the_settle_bound(c, dist)
+        counts, expect_resamples = oracle_counts(c)
+        assert [row.failures for row in run_study(c).rows] == counts
         assert resamples == expect_resamples
 
 
@@ -260,10 +292,18 @@ def block_distances(c: StudyConfig, offsets) -> np.ndarray:
     return dist
 
 
-SORTED = studies._SORTED_OFFSETS
+def offsets_of(kinds: str, count: int, scale: float) -> list:
+    """``count`` offsets ascending about the nominal sum, fixed, Gaussian
+    or alternating."""
+    offsets = []
+    for j in range(count):
+        value = scale * (j - (count - 1) / 2.0) / 2.0
+        gaussian = kinds == "gaussian" or (kinds == "mixed" and j % 2 == 1)
+        offsets.append(GaussianOffset(abs(value)) if gaussian else FixedOffset(value))
+    return offsets
 
 
-@pytest.mark.parametrize("count", [SORTED - 1, SORTED], ids=["passes", "sorted"])
+@pytest.mark.parametrize("path", ["passes", "sorted"])
 @pytest.mark.parametrize(
     "kinds, scale",
     [
@@ -276,17 +316,17 @@ SORTED = studies._SORTED_OFFSETS
     ],
     ids=["fixed", "gaussian", "mixed", "fixed-outside", "mixed-outside"],
 )
-def test_sorted_path_equals_one_pass_distances(count, kinds, scale):
-    offsets = []
-    for j in range(count):
-        value = scale * (j - (count - 1) / 2.0) / 2.0  # ascending about the nominal sum
-        gaussian = kinds == "gaussian" or (kinds == "mixed" and j % 2 == 1)
-        offsets.append(GaussianOffset(abs(value)) if gaussian else FixedOffset(value))
+def test_sorted_path_equals_one_pass_distances(path, kinds, scale):
+    # the fewest offsets of these kinds that sort, or one fewer
+    count = next(m for m in range(1, 20) if studies._sorts(offsets_of(kinds, m, scale)))
+    offsets = offsets_of(kinds, count - (path == "passes"), scale)
     c = cfg(samples=BLOCK + 123, scheme=Arithmetic(1.0, 0.005))  # a partial last block
     dist = block_distances(c, offsets)
     for offset, row in zip(offsets, dist):
-        expect, _ = one_pass_distances(dataclasses.replace(c, offset=offset))
-        assert np.array_equal(row, expect)
+        own = dataclasses.replace(c, offset=offset)
+        # one offset alone takes the passes over the same product chunks
+        assert np.array_equal(row, block_distances(own, [offset])[0])
+        assert_within_the_settle_bound(own, row)
     if scale > 1.0:  # the lowest fixed center lies below every sum, the highest above
         fixed = [j for j, o in enumerate(offsets) if isinstance(o, FixedOffset)]
         assert offsets[fixed[0]].value < 0 < offsets[fixed[-1]].value
@@ -305,23 +345,26 @@ def test_sorted_path_equals_one_pass_distances(count, kinds, scale):
 )
 def test_sorted_path_on_ties_and_a_single_subset(n, k, scheme):
     offsets = [GaussianOffset(1.0), FixedOffset(0.0), FixedOffset(-2.0)] * 2
-    assert len(offsets) >= SORTED
+    assert studies._sorts(offsets)
     c = cfg(n=n, k=k, scheme=scheme, model=MismatchModel(0.0, 1.0), samples=300)
     dist = block_distances(c, offsets)
-    for offset, row in zip(offsets, dist):
-        expect, _ = one_pass_distances(dataclasses.replace(c, offset=offset))
+    for offset, row in zip(offsets, dist):  # sums of 1.0 and 1.25 add exactly
+        expect, _, _ = fixed_order_distances(dataclasses.replace(c, offset=offset))
         assert np.array_equal(row, expect)
     if n > k:  # zero sigma: every center is the nominal sum, exact or 0.125 away
         assert np.all(dist == (0.0 if isinstance(scheme, Uniform) else 0.125))
 
 
 def test_sorted_block_peak_stays_within_the_block_bound():
-    # StudyConfig bounds a block at three (rows, C(n,k)) float64 arrays; the
-    # sorted path sorts the sums in place, so a sorted copy would show here
+    # a block holds one span of sorted sums, its element draw and 80 bytes
+    # per (row, offset), never the whole block's sums
     offsets = [GaussianOffset(float(j)) for j in range(9)]
-    assert len(offsets) >= SORTED
+    assert studies._sorts(offsets)
     c = cfg(samples=BLOCK)
-    sums_bytes = 8 * BLOCK * math.comb(c.n, c.k)
+    width = math.comb(c.n, c.k)
+    _, span, gather = studies._chunking(c.n, c.k, BLOCK, True)
+    bound = 8 * span * width + 24 * BLOCK * c.n + 24 * gather * c.k + 80 * BLOCK * 9
+    sums_bytes = 8 * BLOCK * width
     tracemalloc.start()
     try:
         results = run_studies(c, offsets)
@@ -329,8 +372,71 @@ def test_sorted_block_peak_stays_within_the_block_bound():
     finally:
         tracemalloc.stop()
     assert len(results) == 9
-    assert peak <= 3 * sums_bytes
+    assert peak <= bound
     assert peak < 1.25 * sums_bytes
+
+
+# ---------------------------------------------------------------------------
+# certified counts: the product's rounding moves no count
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        (FixedOffset(0.0), GaussianOffset(1.0)),
+        tuple(GaussianOffset(float(j)) for j in range(5)),
+    ],
+    ids=["passes", "sorted"],
+)
+def test_counts_hold_on_a_hostile_product(monkeypatch, offsets):
+    monkeypatch.setattr(studies, "_subset_sums", shuffled_subset_sums(np.random.default_rng(5)))
+    c = cfg(samples=BLOCK + 300, scheme=Arithmetic(1.0, 0.005),
+            window_widths=(0.0025, 0.01, 0.05, 0.2))
+    for result, offset in zip(run_studies(c, offsets), offsets):
+        counts, _ = oracle_counts(dataclasses.replace(c, offset=offset))
+        assert [row.failures for row in result.rows] == counts
+
+
+def width_on(distance: float, sk: float) -> Optional[float]:
+    """A window width whose limit ``(width * sk) / 2`` is ``distance`` exactly."""
+    width = 2.0 * distance / sk
+    for _ in range(8):
+        limit = (width * sk) / 2.0
+        if limit == distance:
+            return width
+        width = float(np.nextafter(width, math.inf if limit < distance else -math.inf))
+    return None
+
+
+@pytest.mark.parametrize("product", ["blas", "shuffled"])
+@pytest.mark.parametrize("count", [2, 5], ids=["passes", "sorted"])
+def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, count):
+    if product == "shuffled":
+        monkeypatch.setattr(
+            studies, "_subset_sums", shuffled_subset_sums(np.random.default_rng(9))
+        )
+    settled = []
+
+    def counting_settle(*args):
+        settled.append(studies_settle(*args))
+        return settled[-1]
+
+    studies_settle = studies._settle
+    monkeypatch.setattr(studies, "_settle", counting_settle)
+    offsets = [GaussianOffset(0.5 * j) for j in range(count)]
+    c = cfg(samples=700, scheme=Arithmetic(1.0, 0.005))
+    # limits that the fixed-order distances of one offset meet exactly
+    expect, _, _ = fixed_order_distances(dataclasses.replace(c, offset=offsets[-1]))
+    sk = c.sigma_k_abs
+    widths = [w for w in (width_on(d, sk) for d in expect[::50]) if w is not None]
+    assert len(widths) >= 10
+    c = dataclasses.replace(c, window_widths=tuple(widths))
+    results = run_studies(c, offsets)
+    assert sum(settled) >= len(widths)  # each limit's own row at least
+    for result, offset in zip(results, offsets):
+        counts, _ = oracle_counts(dataclasses.replace(c, offset=offset))
+        assert [row.failures for row in result.rows] == counts
 
 
 # ---------------------------------------------------------------------------
