@@ -14,8 +14,8 @@ runs the study, and emits CSV/JSON artifacts plus a ``manifest.json`` under
 so a present manifest means a complete run.
 
 --threads sets how many worker processes (this one included) share the rows
-of ``dac yield`` and ``dac self-heal``; study blocks run on OpenBLAS's own
-threads, and the mixer commands run one receiver.  Output bytes are
+of ``dac yield`` and ``dac self-heal``; study blocks run one after another
+on the calling thread, and the mixer commands run one receiver.  Output bytes are
 independent of --threads: parallel work is split by sample index over
 per-index random substreams and reassembled in canonical order.
 
@@ -813,7 +813,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads", type=int, default=1,
             help="worker processes, this one included, for the rows of dac yield and"
             " dac self-heal (at most the rows and the usable cores); study blocks"
-            " use OpenBLAS's own threads",
+            " run on the calling thread",
         )
         sub.add_argument("--quiet", action="store_true", help="suppress the summary line")
         if subcommand == "dac yield":

@@ -282,17 +282,21 @@ def failure_rate(config: StudyConfig, width: Optional[float] = None) -> float:
     return run_study(config).rows[0].failure_rate
 
 
-def fixed_order_distances(config: StudyConfig) -> tuple[np.ndarray, int, np.ndarray]:
-    """Per-sample distances of ``config``'s own offset, from every subset sum
-    added in ``selected_sums``' order, which no BLAS kernel, chunk shape or
-    thread count moves; returns (distances, resamples, each sample's largest
+def fixed_order_distances(
+    config: StudyConfig, offsets: Sequence
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Per-sample distances (offsets, samples) of each of ``offsets`` on the
+    element sets ``config`` draws, from every subset sum added in
+    ``selected_sums``' order, which no BLAS kernel, chunk shape or thread
+    count moves; returns (distances, resamples, each sample's largest
     element)."""
     nominal = nominal_sizes(config.scheme, config.n)
     sigmas = config.model.element_sigmas(nominal)
     sk = config.sigma_k_abs
+    nominal_sum = config.k * nominal.mean()
     every = np.arange(math.comb(config.n, config.k))
     rows_per_gather = max(1, 2**19 // (every.size * config.k))
-    dist = np.empty(config.samples)
+    dist = np.empty((len(offsets), config.samples))
     largest = np.empty(config.samples)
     resamples = 0
     for start in range(0, config.samples, BLOCK):
@@ -300,17 +304,21 @@ def fixed_order_distances(config: StudyConfig) -> tuple[np.ndarray, int, np.ndar
         rng = sample_substream(config.master_seed, start // BLOCK)
         realized, redraws = draw_realized(np.broadcast_to(nominal, (size, config.n)), sigmas, rng)
         resamples += redraws
-        if isinstance(config.offset, GaussianOffset):
-            t_abs = rng.standard_normal(size) * (config.offset.sigma_t * sk)
-        else:
-            t_abs = np.full(size, config.offset.value * sk)
-        center = config.k * nominal.mean() + t_abs
+        if any(isinstance(offset, GaussianOffset) for offset in offsets):
+            z = rng.standard_normal(size)
+        centers = [
+            nominal_sum + z * (offset.sigma_t * sk)
+            if isinstance(offset, GaussianOffset)
+            else np.full(size, nominal_sum + offset.value * sk)
+            for offset in offsets
+        ]
         for lo in range(0, size, rows_per_gather):
             rows = slice(lo, lo + rows_per_gather)
             sums = selected_sums(realized[rows, None, :], every, config.k)
-            dist[start + lo : start + lo + len(sums)] = (
-                np.abs(sums - center[rows, None]).min(axis=1)
-            )
+            for row, center in zip(dist, centers):
+                row[start + lo : start + lo + len(sums)] = (
+                    np.abs(sums - center[rows, None]).min(axis=1)
+                )
         largest[start : start + size] = realized.max(axis=1)
     return dist, resamples, largest
 

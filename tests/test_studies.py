@@ -182,23 +182,21 @@ def test_block_distances_match_find_best_residuals():
 # ---------------------------------------------------------------------------
 
 
-def oracle_counts(c: StudyConfig) -> tuple[list[int], int]:
-    """Failures per width of ``c`` from its fixed-order distances, and its
-    resamples."""
-    dist, resamples, _ = fixed_order_distances(c)
+def oracle_counts(c: StudyConfig, offsets) -> tuple[list[list[int]], int]:
+    """Failures per offset and width of ``c`` from the fixed-order
+    distances, and the resamples."""
+    dist, resamples, _ = fixed_order_distances(c, offsets)
     limits = [(w * c.sigma_k_abs) / 2.0 for w in c.window_widths]
-    return [int(np.count_nonzero(dist > limit)) for limit in limits], resamples
+    return [[int(np.count_nonzero(row > limit)) for limit in limits] for row in dist], resamples
 
 
-def assert_within_the_settle_bound(c: StudyConfig, dist: np.ndarray) -> None:
-    """``dist``, ``c``'s own offset's distances from the product, differs
-    from the fixed-order ones by no more than ``_settle`` proves: eps (1 +
-    eps) max(d, d') + (k - 1) eps (1 + k eps) T, T = k * the row's largest
-    element."""
-    expect, _, largest = fixed_order_distances(c)
+def assert_within_the_settle_bound(c: StudyConfig, offsets, dist: np.ndarray) -> None:
+    """``dist`` (offsets, samples) from the product differs from the
+    fixed-order distances by no more than ``_settle`` proves: eps (1 + eps)
+    d + (k - 1) eps (1 + k eps) T, T = k * the row's largest element."""
+    expect, _, largest = fixed_order_distances(c, offsets)
     k = c.k
-    bound = EPS * (1 + EPS) * np.maximum(dist, expect)
-    bound += (k - 1) * EPS * (1 + k * EPS) * (k * largest)
+    bound = EPS * (1 + EPS) * dist + (k - 1) * EPS * (1 + k * EPS) * (k * largest)
     assert np.all(np.abs(dist - expect) <= bound)
 
 
@@ -223,12 +221,11 @@ def test_shared_offsets_equal_their_own_studies(samples, offsets):
     )
     shared = run_studies(c, offsets)
     assert shared == [run_study(dataclasses.replace(c, offset=o)) for o in offsets]
-    for offset, result in zip(offsets, shared):
-        own = dataclasses.replace(c, offset=offset)
-        counts, resamples = oracle_counts(own)
-        assert result.config == own
+    counts, resamples = oracle_counts(c, offsets)
+    for offset, result, expect in zip(offsets, shared, counts):
+        assert result.config == dataclasses.replace(c, offset=offset)
         assert result.resamples == resamples
-        assert [row.failures for row in result.rows] == counts
+        assert [row.failures for row in result.rows] == expect
     if samples > BLOCK:
         assert shared[0].resamples > 0
 
@@ -274,8 +271,8 @@ def test_chunk_boundaries_are_invisible(n, k, samples):
             window_widths=(0.02, 0.1, 0.5),
         )
         dist, resamples = studies.min_distances(c)
-        assert_within_the_settle_bound(c, dist)
-        counts, expect_resamples = oracle_counts(c)
+        assert_within_the_settle_bound(c, [offset], dist[None])
+        (counts,), expect_resamples = oracle_counts(c, [offset])
         assert [row.failures for row in run_study(c).rows] == counts
         assert resamples == expect_resamples
 
@@ -322,11 +319,10 @@ def test_sorted_path_equals_one_pass_distances(path, kinds, scale):
     offsets = offsets_of(kinds, count - (path == "passes"), scale)
     c = cfg(samples=BLOCK + 123, scheme=Arithmetic(1.0, 0.005))  # a partial last block
     dist = block_distances(c, offsets)
+    assert_within_the_settle_bound(c, offsets, dist)
     for offset, row in zip(offsets, dist):
-        own = dataclasses.replace(c, offset=offset)
         # one offset alone takes the passes over the same product chunks
-        assert np.array_equal(row, block_distances(own, [offset])[0])
-        assert_within_the_settle_bound(own, row)
+        assert np.array_equal(row, block_distances(c, [offset])[0])
     if scale > 1.0:  # the lowest fixed center lies below every sum, the highest above
         fixed = [j for j, o in enumerate(offsets) if isinstance(o, FixedOffset)]
         assert offsets[fixed[0]].value < 0 < offsets[fixed[-1]].value
@@ -348,9 +344,8 @@ def test_sorted_path_on_ties_and_a_single_subset(n, k, scheme):
     assert studies._sorts(offsets)
     c = cfg(n=n, k=k, scheme=scheme, model=MismatchModel(0.0, 1.0), samples=300)
     dist = block_distances(c, offsets)
-    for offset, row in zip(offsets, dist):  # sums of 1.0 and 1.25 add exactly
-        expect, _, _ = fixed_order_distances(dataclasses.replace(c, offset=offset))
-        assert np.array_equal(row, expect)
+    expect, _, _ = fixed_order_distances(c, offsets)
+    assert np.array_equal(dist, expect)  # sums of 1.0 and 1.25 add exactly
     if n > k:  # zero sigma: every center is the nominal sum, exact or 0.125 away
         assert np.all(dist == (0.0 if isinstance(scheme, Uniform) else 0.125))
 
@@ -393,9 +388,8 @@ def test_counts_hold_on_a_hostile_product(monkeypatch, offsets):
     monkeypatch.setattr(studies, "_subset_sums", shuffled_subset_sums(np.random.default_rng(5)))
     c = cfg(samples=BLOCK + 300, scheme=Arithmetic(1.0, 0.005),
             window_widths=(0.0025, 0.01, 0.05, 0.2))
-    for result, offset in zip(run_studies(c, offsets), offsets):
-        counts, _ = oracle_counts(dataclasses.replace(c, offset=offset))
-        assert [row.failures for row in result.rows] == counts
+    counts, _ = oracle_counts(c, offsets)
+    assert [[row.failures for row in result.rows] for result in run_studies(c, offsets)] == counts
 
 
 def width_on(distance: float, sk: float) -> Optional[float]:
@@ -427,16 +421,15 @@ def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, coun
     offsets = [GaussianOffset(0.5 * j) for j in range(count)]
     c = cfg(samples=700, scheme=Arithmetic(1.0, 0.005))
     # limits that the fixed-order distances of one offset meet exactly
-    expect, _, _ = fixed_order_distances(dataclasses.replace(c, offset=offsets[-1]))
+    expect, _, _ = fixed_order_distances(c, offsets[-1:])
     sk = c.sigma_k_abs
-    widths = [w for w in (width_on(d, sk) for d in expect[::50]) if w is not None]
+    widths = [w for w in (width_on(d, sk) for d in expect[0, ::50]) if w is not None]
     assert len(widths) >= 10
     c = dataclasses.replace(c, window_widths=tuple(widths))
     results = run_studies(c, offsets)
     assert sum(settled) >= len(widths)  # each limit's own row at least
-    for result, offset in zip(results, offsets):
-        counts, _ = oracle_counts(dataclasses.replace(c, offset=offset))
-        assert [row.failures for row in result.rows] == counts
+    counts, _ = oracle_counts(c, offsets)
+    assert [[row.failures for row in result.rows] for result in results] == counts
 
 
 # ---------------------------------------------------------------------------
