@@ -349,39 +349,47 @@ def _settle(
     realized: np.ndarray,
     centers: Sequence[np.ndarray],
     k: int,
-    limits: np.ndarray,
+    limits: Sequence[float],
     out: np.ndarray,
-) -> int:
-    """Give every distance in ``out`` (offsets, rows) whose comparison with
-    one of the ascending ``limits`` the product's rounding could decide its
-    fixed-order value, and return how many were recomputed.  ``realized``
-    and ``centers`` are what ``_block_distances`` returned for ``out``.
+) -> tuple[np.ndarray, int]:
+    """The (offsets, limits) counts of ``out > limit`` over the distances
+    ``out`` (offsets, rows), each the count that the fixed-order distances
+    give, and how many distances were recomputed in that order.
+    ``realized`` and ``centers`` are what ``_block_distances`` returned for
+    ``out``.
 
     The fixed-order distance d' of a (row, offset) is min |fl(s - c)| over
     the row's sums s from ``selected_sums``, whose order no kernel, chunk
     shape or thread count moves.  Every element is > 0, so a k-term sum,
     added in any order, lies within gamma_(k-1) S of its exact value S, and
-    S <= T = k * the row's largest element; each distance adds one rounding.
-    So a computed distance d and d' differ by at most eps (1 + eps) d +
-    (k - 1) eps (1 + k eps) T, which m = (k + 2) eps (T + d), rounded, still
-    exceeds: d' lies in [d - m, d + m].  A limit outside that interval gets
-    the same answer from ``d > limit`` as from ``d' > limit``; a distance
-    with a limit inside it is recomputed.
+    S <= T = k * the block's largest element; each distance adds one
+    rounding.  So a computed distance d and d' differ by at most
+    eps (1 + eps) d + (k - 1) eps (1 + k eps) T, which m = (k + 2) eps
+    (T + d), rounded, still exceeds: d' lies in [d - m, d + m].  A limit
+    below that interval fails both d and d', one at or above it passes
+    both, and a distance with a limit inside it is recomputed.
     """
-    slack = (k + 2) * np.finfo(float).eps * (k * realized.max(axis=1) + out)
-    near = np.searchsorted(limits, out - slack) != np.searchsorted(limits, out + slack)
-    offset_ids, row_ids = np.nonzero(near)
+    slack = (k + 2) * np.finfo(float).eps * (k * realized.max() + out)
+    lower = out - slack
+    upper = out + slack
     n = realized.shape[1]
     width = math.comb(n, k)
     _, _, gather = _chunking(n, k, 1, False)
-    for o, r in zip(offset_ids, row_ids):
-        center = centers[o][r, 0]
-        best = math.inf
-        for lo in range(0, width, gather):
-            sums = selected_sums(realized[r], np.arange(lo, min(lo + gather, width)), k)
-            best = min(best, np.abs(sums - center).min())
-        out[o, r] = best
-    return len(row_ids)
+    counts = np.empty((len(out), len(limits)), dtype=np.int64)
+    recomputed = 0
+    for j, limit in enumerate(limits):
+        counts[:, j] = np.count_nonzero(lower > limit, axis=1)
+        if np.count_nonzero(upper > limit) == counts[:, j].sum():
+            continue  # no interval holds the limit
+        for o, r in zip(*np.nonzero((lower <= limit) & (upper > limit))):
+            best = math.inf
+            for lo in range(0, width, gather):
+                sums = selected_sums(realized[r], np.arange(lo, min(lo + gather, width)), k)
+                best = min(best, np.abs(sums - centers[o][r, 0]).min())
+            lower[o, r] = upper[o, r] = best
+            recomputed += 1
+        counts[:, j] = np.count_nonzero(lower > limit, axis=1)
+    return counts, recomputed
 
 
 def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
@@ -412,15 +420,14 @@ def run_studies(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> list[Stud
     ``run_study``: the element draw, the Gaussian offsets' standard normal and
     the subset sums are made once per block and shared, and each block's
     failures are counted before the next block reuses the distance buffer.
-    Every count is the one that the fixed-order distances of ``_settle``
-    give, whatever BLAS kernel made the sums.
+    Every count is the one that ``_settle``'s fixed-order distances give,
+    whatever BLAS kernel made the sums.
     """
     _check_block_bytes(config, offsets)
     nominal = nominal_sizes(config.scheme, config.n)
     sigmas = config.model.element_sigmas(nominal)
     sk = config.sigma_k_abs
     limits = [(w * sk) / 2.0 for w in config.window_widths]
-    ascending = np.sort(limits)
     failures = np.zeros((len(offsets), len(limits)), dtype=np.int64)
     dist = np.empty((len(offsets), min(config.samples, BLOCK)))
     resamples = 0
@@ -430,9 +437,7 @@ def run_studies(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> list[Stud
             config, offsets, nominal, sigmas, start // BLOCK, out
         )
         resamples += drawn
-        _settle(realized, centers, config.k, ascending, out)
-        for j, limit in enumerate(limits):
-            failures[:, j] += np.count_nonzero(out > limit, axis=1)
+        failures += _settle(realized, centers, config.k, limits, out)[0]
     return [
         StudyResult(
             config=replace(config, offset=offset),

@@ -413,8 +413,9 @@ def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, coun
     settled = []
 
     def counting_settle(*args):
-        settled.append(studies_settle(*args))
-        return settled[-1]
+        counts, recomputed = studies_settle(*args)
+        settled.append(recomputed)
+        return counts, recomputed
 
     studies_settle = studies._settle
     monkeypatch.setattr(studies, "_settle", counting_settle)
