@@ -404,8 +404,18 @@ def width_on(distance: float, sk: float) -> Optional[float]:
 
 
 @pytest.mark.parametrize("product", ["blas", "shuffled"])
-@pytest.mark.parametrize("count", [2, 5], ids=["passes", "sorted"])
-def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, count):
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        # a fixed center 10**4 sigma_k above every sum: its distances' own
+        # rounding outweighs the sums'
+        (GaussianOffset(0.5), FixedOffset(1e4)),
+        (GaussianOffset(0.0), GaussianOffset(0.5), GaussianOffset(1.0), GaussianOffset(1.5),
+         FixedOffset(1e4)),
+    ],
+    ids=["passes", "sorted"],
+)
+def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, offsets):
     if product == "shuffled":
         monkeypatch.setattr(
             studies, "_subset_sums", shuffled_subset_sums(np.random.default_rng(9))
@@ -419,16 +429,17 @@ def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, coun
 
     studies_settle = studies._settle
     monkeypatch.setattr(studies, "_settle", counting_settle)
-    offsets = [GaussianOffset(0.5 * j) for j in range(count)]
+    assert studies._sorts(offsets) == (len(offsets) == 5)
     c = cfg(samples=700, scheme=Arithmetic(1.0, 0.005))
-    # limits that the fixed-order distances of one offset meet exactly
-    expect, _, _ = fixed_order_distances(c, offsets[-1:])
-    sk = c.sigma_k_abs
-    widths = [w for w in (width_on(d, sk) for d in expect[0, ::50]) if w is not None]
-    assert len(widths) >= 10
+    # limits on fixed-order distances of both kinds, and one float below them
+    expect, _, _ = fixed_order_distances(c, offsets)
+    targets = [d for row in expect[[0, -1]] for d in row[::100]]
+    targets += [float(np.nextafter(d, 0.0)) for d in targets]
+    widths = [w for w in (width_on(d, c.sigma_k_abs) for d in targets) if w is not None]
+    assert len(widths) >= 20
     c = dataclasses.replace(c, window_widths=tuple(widths))
     results = run_studies(c, offsets)
-    assert sum(settled) >= len(widths)  # each limit's own row at least
+    assert sum(settled) >= len(widths) / 2  # each limit's own row, or its neighbour's
     counts, _ = oracle_counts(c, offsets)
     assert [[row.failures for row in result.rows] for result in results] == counts
 
