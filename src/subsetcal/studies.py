@@ -198,7 +198,7 @@ _SORT_WEIGHT = 13
 
 # bytes a block holds per (row, offset) beyond its sums and element draw:
 # the distance, the center, and the bisection's index, probe and neighbour
-# arrays or the certification's interval ends and ranks
+# arrays or the certification's interval ends
 _OFFSET_ROW_BYTES = 80
 
 
