@@ -295,17 +295,17 @@ def _block_distances(
         chunk = sums[at : at + min(step, size - lo)]
         hi = lo + len(chunk)
         _subset_sums(realized[lo:hi], members, chunk)
-        if not sort:
+        if sort:
+            chunk.sort(axis=1)
+            if at + len(chunk) == span or hi == size:  # a full span, or the block's last
+                first = lo - at
+                _sorted_distances(sums[: hi - first], table[first:hi], out[:, first:hi])
+        else:
             work = scratch[: len(chunk)]
             for center, dist in zip(centers, out):
                 np.subtract(chunk, center[lo:hi], out=work)
                 np.abs(work, out=work)
                 work.min(axis=1, out=dist[lo:hi])
-            continue
-        chunk.sort(axis=1)
-        if at + len(chunk) == span or hi == size:  # the span is full, or the block done
-            first = lo - at
-            _sorted_distances(sums[: hi - first], table[first:hi], out[:, first:hi])
     return realized, centers, resamples
 
 
@@ -407,9 +407,10 @@ def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
     resamples = 0
     for start in range(0, config.samples, BLOCK):  # each block fills its slice
         out = dist[None, start : start + BLOCK]
-        resamples += _block_distances(
+        _, _, drawn = _block_distances(
             config, (config.offset,), nominal, sigmas, start // BLOCK, out
-        )[2]
+        )
+        resamples += drawn
     return dist, resamples
 
 
