@@ -209,14 +209,14 @@ def _sorts(offsets: Sequence[OffsetSpec]) -> bool:
 
 
 def _chunking(n: int, k: int, rows: int, sort: bool) -> tuple[int, int, int]:
-    """Rows per product chunk, rows per sums buffer and combinations per
-    fixed-order gather for a block of ``rows`` samples.  A passing block's
-    buffer holds one chunk, a sorting block's a span of whole chunks for one
-    bisection; a gather holds three (combinations, k) arrays."""
+    """Rows per product chunk, rows per sums buffer and sums per fixed-order
+    gather for a block of ``rows`` samples.  A passing block's buffer holds
+    one chunk, a sorting block's a span of whole chunks for one bisection; a
+    gather holds three (sums, k) arrays."""
     width = math.comb(n, k)
     step = min(rows, max(1, _CHUNK_MULADDS // (n * width)))
     span = min(rows, max(1, _SPAN_BYTES // (8 * width * step)) * step) if sort else step
-    return step, span, min(width, max(1, _CHUNK_MULADDS // (n * k)))
+    return step, span, max(1, _CHUNK_MULADDS // (n * k))
 
 
 def _check_block_bytes(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> None:
@@ -228,8 +228,10 @@ def _check_block_bytes(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> No
     rows = min(config.samples, BLOCK)
     sort = _sorts(offsets)
     step, span, gather = _chunking(n, k, rows, sort)
-    sums = 8 * math.comb(n, k) * (span if sort else 2 * step)
-    need = sums + 24 * rows * n + 24 * gather * k + _OFFSET_ROW_BYTES * rows * len(offsets)
+    width = math.comb(n, k)
+    sums = 8 * width * (span if sort else 2 * step)
+    gathered = 24 * k * min(gather, rows * width)
+    need = sums + 24 * rows * n + gathered + _OFFSET_ROW_BYTES * rows * len(offsets)
     if need > MAX_ARRAY_BYTES:
         raise ConfigError(
             f"{len(offsets)} offsets on blocks of {rows} samples at n={n}, k={k} need"
@@ -372,24 +374,42 @@ def _settle(
     slack = (k + 2) * np.finfo(float).eps * (k * realized.max() + out)
     lower = out - slack
     upper = out + slack
-    n = realized.shape[1]
-    width = math.comb(n, k)
-    _, _, gather = _chunking(n, k, 1, False)
     counts = np.empty((len(out), len(limits)), dtype=np.int64)
     recomputed = 0
     for j, limit in enumerate(limits):
         counts[:, j] = np.count_nonzero(lower > limit, axis=1)
         if np.count_nonzero(upper > limit) == counts[:, j].sum():
             continue  # no interval holds the limit
-        for o, r in zip(*np.nonzero((lower <= limit) & (upper > limit))):
-            best = math.inf
-            for lo in range(0, width, gather):
-                sums = selected_sums(realized[r], np.arange(lo, min(lo + gather, width)), k)
-                best = min(best, np.abs(sums - centers[o][r, 0]).min())
-            lower[o, r] = upper[o, r] = best
-            recomputed += 1
+        near = (lower <= limit) & (upper > limit)
+        for o, center in enumerate(centers):
+            rows = np.flatnonzero(near[o])
+            exact = _fixed_order_distances(realized, rows, center[rows, 0], k)
+            lower[o, rows] = upper[o, rows] = exact
+            recomputed += len(rows)
         counts[:, j] = np.count_nonzero(lower > limit, axis=1)
     return counts, recomputed
+
+
+def _fixed_order_distances(
+    realized: np.ndarray, rows: np.ndarray, centers: np.ndarray, k: int
+) -> np.ndarray:
+    """min |fl(s - c)| over every k-subset sum s of the ``rows`` of
+    ``realized``, added in ``selected_sums``' order, for their ``centers``.
+    Each ``selected_sums`` call gathers at most ``_chunking``'s count of
+    sums: whole rows, or a run of one row's combinations."""
+    n = realized.shape[1]
+    width = math.comb(n, k)
+    _, _, gather = _chunking(n, k, 1, False)
+    batch = max(1, gather // width)
+    best = np.full(len(rows), math.inf)
+    for lo in range(0, len(rows), batch):
+        part = slice(lo, lo + batch)
+        elements = realized[rows[part], None, :]
+        for first in range(0, width, gather):
+            sums = selected_sums(elements, np.arange(first, min(first + gather, width)), k)
+            nearest = np.abs(sums - centers[part, None]).min(axis=1)
+            np.minimum(best[part], nearest, out=best[part])
+    return best
 
 
 def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:

@@ -176,7 +176,7 @@ def test_study_over_the_memory_bound_is_rejected_before_sampling(
         raise AssertionError("a study block ran before the memory bound was checked")
 
     monkeypatch.setattr(studies, "_block_distances", block_must_not_run)
-    # 80 bytes per (row, offset) on blocks of 4096 rows, plus 3 397 248 for
+    # 80 bytes per (row, offset) on blocks of 4096 rows, plus 4 312 656 for
     # the sorted sums, the element draw and a fixed-order gather
     offsets = ", ".join(["0"] * 3267)
     cfg = write_cfg(tmp_path, "big.cfg", f"study.offsets = {offsets}\n")
@@ -189,7 +189,7 @@ def test_study_over_the_memory_bound_is_rejected_before_sampling(
         tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    need = 3_397_248 + 80 * studies.BLOCK * 3267
+    need = 4_312_656 + 80 * studies.BLOCK * 3267
     assert err == (
         f"config error: 3267 offsets on blocks of 4096 samples at n=12, k=6 need {need}"
         " bytes, above the 1073741824-byte limit\n"
@@ -308,7 +308,7 @@ _OVERFLOWING_STUDY = (
         # 80 bytes per (row, offset) on blocks of 4096 rows
         (["study", "rcal-frontier"],
          "frontier.sigma_t_list = " + ", ".join(["1"] * 3300) + "\n",
-         "3300 offsets on blocks of 4096 samples at n=12, k=6 need 1084741248 bytes"
+         "3300 offsets on blocks of 4096 samples at n=12, k=6 need 1085656656 bytes"
          + _OVER_LIMIT),
     ],
     ids=["a-sweep-k", "dac-lsb-bits", "heal-msb-bits", "heal-lsb-bits", "dac-huge-comb",

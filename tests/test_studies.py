@@ -94,13 +94,13 @@ def test_memory_bound_counts_the_block_working_set():
     for n, k in ((16, 8), (24, 12)):
         studies._check_block_bytes(cfg(n=n, k=k, samples=BLOCK), [GaussianOffset(1.0)])
     # each (row, offset) holds 80 bytes; with 282 rows of sorted sums
-    # (2 084 544 bytes), the element draw (1 179 648) and one row's
-    # fixed-order gather (133 056), 3266 offsets fit in 1 GiB and 3267 do not
+    # (2 084 544 bytes), the element draw (1 179 648) and a fixed-order
+    # gather of 7281 sums (1 048 464), 3263 offsets fit in 1 GiB and 3264 do not
     c = cfg(samples=BLOCK)
-    studies._check_block_bytes(c, [FixedOffset(0.0)] * 3266)
-    with pytest.raises(ConfigError, match=r"^3267 offsets on blocks of 4096 samples at"
-                       r" n=12, k=6 need 1073927808 bytes"):
-        run_studies(c, [FixedOffset(0.0)] * 3267)
+    studies._check_block_bytes(c, [FixedOffset(0.0)] * 3263)
+    with pytest.raises(ConfigError, match=r"^3264 offsets on blocks of 4096 samples at"
+                       r" n=12, k=6 need 1073860176 bytes"):
+        run_studies(c, [FixedOffset(0.0)] * 3264)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_sorted_block_peak_stays_within_the_block_bound():
     c = cfg(samples=BLOCK)
     width = math.comb(c.n, c.k)
     _, span, gather = studies._chunking(c.n, c.k, BLOCK, True)
-    bound = 8 * span * width + 24 * BLOCK * c.n + 24 * gather * c.k + 80 * BLOCK * 9
+    bound = 8 * span * width + 24 * BLOCK * c.n + 24 * c.k * gather + 80 * BLOCK * 9
     sums_bytes = 8 * BLOCK * width
     tracemalloc.start()
     try:
