@@ -392,6 +392,25 @@ def test_counts_hold_on_a_hostile_product(monkeypatch, offsets):
     assert [[row.failures for row in result.rows] for result in run_studies(c, offsets)] == counts
 
 
+@pytest.mark.parametrize("n, k", [(12, 6), (18, 9)], ids=["rows-per-gather", "gathers-per-row"])
+def test_fixed_order_recompute_equals_the_oracle(n, k):
+    # C(12, 6) gathers several whole rows at once, C(18, 9) one row in runs
+    # of its combinations
+    width = math.comb(n, k)
+    gather = studies._chunking(n, k, 1, False)[2]
+    assert (gather // width > 1) == (n == 12)
+    offsets = [GaussianOffset(1.0)]
+    c = cfg(n=n, k=k, samples=20, scheme=Arithmetic(1.0, 0.005))
+    nominal = nominal_sizes(c.scheme, c.n)
+    realized, centers, _ = studies._block_distances(
+        c, offsets, nominal, c.model.element_sigmas(nominal), 0, np.empty((1, 20))
+    )
+    rows = np.arange(20)[::-1]
+    exact = studies._fixed_order_distances(realized, rows, centers[0][rows, 0], k)
+    expect, _, _ = fixed_order_distances(c, offsets)
+    assert np.array_equal(exact, expect[0, rows])
+
+
 def width_on(distance: float, sk: float) -> Optional[float]:
     """A window width whose limit ``(width * sk) / 2`` is ``distance`` exactly."""
     width = 2.0 * distance / sk
