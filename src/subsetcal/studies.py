@@ -369,11 +369,14 @@ def _settle(
     eps (1 + eps) d + (k - 1) eps (1 + k eps) T, which m = (k + 2) eps
     (T + d), rounded, still exceeds: d' lies in [d - m, d + m].  A limit
     below that interval fails both d and d', one at or above it passes
-    both, and a distance with a limit inside it is recomputed.
+    both, and a distance with a limit inside it is recomputed.  The ends
+    are taken as d (1 -/+ (k + 2) eps) -/+ (k + 2) eps T, so that an
+    infinite distance (an overflowing center) keeps an infinite interval.
     """
-    slack = (k + 2) * np.finfo(float).eps * (k * realized.max() + out)
-    lower = out - slack
-    upper = out + slack
+    scale = (k + 2) * np.finfo(float).eps
+    top = scale * k * realized.max()
+    lower = out * (1.0 - scale) - top
+    upper = out * (1.0 + scale) + top
     counts = np.empty((len(out), len(limits)), dtype=np.int64)
     recomputed = 0
     for j, limit in enumerate(limits):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -89,8 +90,9 @@ def test_rcal_rejects_zero_width():
 
 def test_memory_bound_counts_the_block_working_set():
     cfg(n=12, k=6, samples=10 * BLOCK)  # the configs/ catalog: n = 12, k = 6
-    # a block holds row chunks of its sums, never all of them: C(16, 8) and
-    # C(24, 12) sums on 4096 rows (1.2 GB and 89 GB) run a row at a time
+    # a block holds row chunks of its sums, never all of them: 4096 rows of
+    # C(16, 8) and C(24, 12) sums (422 MB and 89 GB) run two rows and one
+    # row at a time
     for n, k in ((16, 8), (24, 12)):
         studies._check_block_bytes(cfg(n=n, k=k, samples=BLOCK), [GaussianOffset(1.0)])
     # each (row, offset) holds 80 bytes; with 282 rows of sorted sums
@@ -409,6 +411,20 @@ def test_fixed_order_recompute_equals_the_oracle(n, k):
     exact = studies._fixed_order_distances(realized, rows, centers[0][rows, 0], k)
     expect, _, _ = fixed_order_distances(c, offsets)
     assert np.array_equal(exact, expect[0, rows])
+
+
+@pytest.mark.parametrize("count", [1, 5], ids=["passes", "sorted"])
+def test_an_infinite_center_fails_every_window(count):
+    # 1e308 sigma_k of 2.45 overflows: that center, and so every distance
+    # to it, is infinite and lies outside every window
+    offsets = [FixedOffset(1e308)] + [GaussianOffset(1.0)] * (count - 1)
+    assert studies._sorts(offsets) == (count == 5)
+    c = cfg(scheme=Uniform(100.0), model=MismatchModel(1.0, 100.0), samples=500,
+            window_widths=(0.1, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_studies(c, offsets)
+    assert [row.failures for row in results[0].rows] == [500, 500]
 
 
 def width_on(distance: float, sk: float) -> Optional[float]:
