@@ -180,7 +180,7 @@ class StudyResult:
 # L2 while the passes or the row sort read them.  OpenBLAS's SkylakeX
 # kernels keep a product of up to 10**6 on the calling thread (cpu/wall
 # 1.00 at 90 rows); a larger one wakes a helper thread that spins after
-# every call (1.96 at 128 rows)
+# every call (cpu/wall about 2 at 128 rows)
 _CHUNK_MULADDS = 2**19
 
 # sorted sums per bisection, bytes: each bisection step makes a few numpy
