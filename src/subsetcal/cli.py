@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .csdac import (
+    DEFAULT_SUB_SCHEME,
     DacConfig,
     SENSE_MODES,
     SelfHealConfig,
@@ -66,9 +67,7 @@ from .mismatch import (
     Arithmetic,
     ConfigError,
     DegenerateConfigurationError,
-    Explicit,
     MismatchModel,
-    Uniform,
     check_array_bytes,
     check_nk,
 )
@@ -251,12 +250,11 @@ def _study_dataset(cfg: dict, rows: list[tuple], series: list[str], **meta) -> F
 
 def _failure_rate(cfg: dict, threads: int) -> Output:
     center = cfg["study.center"]
-    uniform = _study(cfg, scheme=Uniform(center), window_widths=cfg["study.widths"])
+    uniform = _study(cfg, scheme=Arithmetic(center, 0.0), window_widths=cfg["study.widths"])
     offsets = [_offset_spec(cfg["study.offset_kind"], value) for value in cfg["study.offsets"]]
     rows: list[tuple] = []
     for d in cfg["study.d_list"]:  # one shared study per d serves every offset
-        scheme = Arithmetic(center, d * uniform.sigma_k_abs) if d else uniform.scheme
-        study = dataclasses.replace(uniform, scheme=scheme)
+        study = dataclasses.replace(uniform, scheme=Arithmetic(center, d * uniform.sigma_k_abs))
         for result in run_studies(study, offsets):
             rows += study_csv_rows(result)
     dataset = _study_dataset(cfg, rows, ["method", "d_eses", "offset_kind", "sigma_T"])
@@ -270,7 +268,7 @@ def _failure_rate(cfg: dict, threads: int) -> Output:
 def _rcal_frontier(cfg: dict, threads: int) -> Output:
     widths = cfg["frontier.width_grid"]
     entries = rcal_frontier(
-        _study(cfg, scheme=Uniform(cfg["study.center"]), window_widths=widths),
+        _study(cfg, scheme=Arithmetic(cfg["study.center"], 0.0), window_widths=widths),
         cfg["frontier.sigma_t_list"], cfg["frontier.d_candidates"], widths,
         yield_floor=cfg["frontier.yield_floor"],
     )
@@ -410,15 +408,10 @@ _HEAL_SCHEMA: Schema = {
 
 
 def _dac_config(cfg: dict) -> DacConfig:
-    """The converter config.  With a graded scheme it is first checked with
-    equal sizes at the center, so the cell-draw bound limits n before the n
-    graded sizes are listed."""
-    n, center, step = cfg["dac.n"], cfg["dac.sub_center"], cfg["dac.sub_step"]
-    config = DacConfig(ucc_sub_scheme=Uniform(center), **_field_values(cfg, _DAC_FIELDS))
-    if step == 0.0:
-        return config
-    sizes = (center + (i - (n - 1) / 2.0) * step for i in range(n))
-    return dataclasses.replace(config, ucc_sub_scheme=Explicit(sizes))
+    """The converter config: its n sub-currents are graded by ``dac.sub_step``
+    around ``dac.sub_center`` (step 0 is equal sizing)."""
+    scheme = Arithmetic(cfg["dac.sub_center"], cfg["dac.sub_step"])
+    return DacConfig(ucc_sub_scheme=scheme, **_field_values(cfg, _DAC_FIELDS))
 
 
 def _yield_datasets(study, columns: Sequence[str], figure_id: str) -> list[FigureDataset]:
@@ -675,8 +668,8 @@ _COMMANDS = {
         {
             "figure.id": (str, ""),
             **_field_schema(DacConfig, _DAC_FIELDS),
-            "dac.sub_center": (_parse_float, 52e-6),
-            "dac.sub_step": (_parse_float, 0.76e-6),
+            "dac.sub_center": (_parse_float, DEFAULT_SUB_SCHEME.mean),
+            "dac.sub_step": (_parse_float, DEFAULT_SUB_SCHEME.step),
             **_HEAL_SCHEMA,
             "dac.flow": (str, "eses"),
             "dac.samples": (int, 10_000),

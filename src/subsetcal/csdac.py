@@ -43,10 +43,7 @@ from .mismatch import (
     Arithmetic,
     ConfigError,
     DegenerateConfigurationError,
-    Explicit,
     MismatchModel,
-    SizingScheme,
-    Uniform,
     _draw_units,
     balanced_row,
     check_array_bytes,
@@ -55,7 +52,6 @@ from .mismatch import (
     inverse_width_deviation,
     membership_matrix,
     nominal_sizes,
-    scheme_center,
     selected_sums,
     subset_deviations,
     timing_network,
@@ -105,7 +101,7 @@ _TIMING_INTRINSIC_FRACTION = 0.25
 _MAX_TIMING_REACH = math.sqrt(sys.float_info.max) / 2**40
 
 # Default graded sub-current nominals: mean 52 uA, common difference 0.76 uA.
-DEFAULT_SUB_SCHEME = Explicit(tuple(52e-6 + (i - 5.5) * 0.76e-6 for i in range(12)))
+DEFAULT_SUB_SCHEME = Arithmetic(52e-6, 0.76e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +181,13 @@ class DacConfig(_LsbBank):
 
     ``ucc_sub_scheme`` sets the nominal sizes of the n sub-currents inside
     each UCC; any k of them must nominally sum to ``ucc_nominal`` (the
-    scheme's center times k), because the decode assumes every enabled UCC
+    scheme's mean times k), because the decode assumes every enabled UCC
     weighs exactly 2**lsb_bits LSB units.
     """
 
     resolution: int = 14
     ucc_nominal: float = 312e-6
-    ucc_sub_scheme: SizingScheme = DEFAULT_SUB_SCHEME
+    ucc_sub_scheme: Arithmetic = DEFAULT_SUB_SCHEME
     sub_sigma: float = 1.1e-6
     delay_sigma: float = 1.3e-12
     duty_sigma: float = 1.8e-12
@@ -214,7 +210,7 @@ class DacConfig(_LsbBank):
         self._check_derived_sigmas()
         check_array_bytes("the cell draw", (self.n_ucc, 4 * self.n + 3))
         check_array_bytes("the timing product", (self.n_ucc, 2, math.comb(self.n, self.k)))
-        nominal_sum = self.k * scheme_center(self.ucc_sub_scheme)
+        nominal_sum = self.k * self.ucc_sub_scheme.mean
         if abs(nominal_sum - self.ucc_nominal) > 1e-9 * self.ucc_nominal:
             raise ConfigError(
                 f"k-subset nominal sum {nominal_sum:g} A does not match"
@@ -271,7 +267,7 @@ class DacConfig(_LsbBank):
 
     @property
     def sub_model(self) -> MismatchModel:
-        return MismatchModel(self.sub_sigma, scheme_center(self.ucc_sub_scheme))
+        return MismatchModel(self.sub_sigma, self.ucc_sub_scheme.mean)
 
     # Timing-network sizing --------------------------------------------
 
@@ -660,11 +656,11 @@ def calibrate_amplitude_eses(amplitude: np.ndarray, references, k: int) -> np.nd
 def uniform_comparison_config(config: DacConfig) -> DacConfig:
     """Same converter with equal-nominal sub-currents (comparison baseline).
 
-    Elements are resized to the scheme center, so the mean and the
-    center-referenced sigma match the graded configuration.
+    The step drops to 0 at the scheme's mean, so the mean and the
+    mean-referenced sigma match the graded configuration.
     """
     return dataclasses.replace(
-        config, ucc_sub_scheme=Uniform(scheme_center(config.ucc_sub_scheme))
+        config, ucc_sub_scheme=Arithmetic(config.ucc_sub_scheme.mean, 0.0)
     )
 
 
@@ -913,7 +909,7 @@ class SelfHealSample:
 def _heal_design(cfg: SelfHealConfig) -> tuple[np.ndarray, np.ndarray]:
     """(n_ucc + backup_ucc_count + 1, n) nominal sizes and sigmas: the cells,
     the backups, then the bias elements."""
-    cell = nominal_sizes(Uniform(cfg.sub_nominal), cfg.n)
+    cell = nominal_sizes(Arithmetic(cfg.sub_nominal, 0.0), cfg.n)
     bias = nominal_sizes(Arithmetic(1.0, cfg.bias_step), cfg.n)
     cell_sigmas = MismatchModel(cfg.sub_sigma, cfg.sub_nominal).element_sigmas(cell)
     bias_sigmas = MismatchModel(cfg.bias_rel_sigma, 1.0).element_sigmas(bias)

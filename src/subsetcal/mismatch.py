@@ -6,6 +6,11 @@ switched on at a time.  Redundancy comes from the C(n, k) possible selections; a
 calibration step picks the selection whose realized sum lands closest to a target
 value.
 
+Nominal sizes follow one scheme, ``Arithmetic(mean, step)``: step 0 is equal
+sizing (statistical element selection, SES), a nonzero step grades the elements
+(extended SES, ESES), and ``mean`` is the size whose element sigma references
+sigma_k.
+
 Element sets are (..., n) arrays of realized sizes and a selection is a row index
 into ``combination_index_matrix(n, k)``; every module reads selections, and the
 timing networks' inverse-width delay law, through this one.
@@ -21,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations as _lex_combinations
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +37,9 @@ __all__ = [
     "check_array_bytes",
     "DRAW_REACH",
     "MAX_DRAW_SUM",
-    "Uniform",
     "Arithmetic",
-    "Explicit",
-    "SizingScheme",
     "MismatchModel",
     "nominal_sizes",
-    "scheme_center",
     "draw_realized",
     "sigma_k",
     "combination_index_matrix",
@@ -93,15 +94,8 @@ def check_array_bytes(what: str, shape: tuple[int, ...], item_bytes: int = 8) ->
 
 
 # ---------------------------------------------------------------------------
-# sizing schemes
+# nominal sizing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """All n elements share one nominal size (classic equally-sized redundancy)."""
-
-    width: float
 
 
 @dataclass(frozen=True)
@@ -109,50 +103,25 @@ class Arithmetic:
     """Nominal sizes form an arithmetic sequence centered on ``mean``.
 
     Element i (0-based) has nominal size  mean + (i - (n-1)/2) * step.
-    ``step == 0`` degenerates to Uniform(mean).  The spread of nominal sizes is
-    what widens the reachable range of subset sums compared to equal sizing.
+    ``step == 0`` is equal sizing (the SES design); a nonzero step grades the
+    elements (ESES) and widens the reachable range of subset sums.  ``mean``
+    is the size whose element sigma defines sigma_k.
     """
 
     mean: float
     step: float
 
 
-@dataclass(frozen=True)
-class Explicit:
-    """Nominal sizes given literally, one per element, from any iterable
-    (kept as a tuple)."""
-
-    sizes: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-
-
-SizingScheme = Union[Uniform, Arithmetic, Explicit]
-
-
-def nominal_sizes(scheme: SizingScheme, n: int) -> np.ndarray:
+def nominal_sizes(scheme: Arithmetic, n: int) -> np.ndarray:
     """Nominal size of each of the n elements, validated strictly positive.
 
     Raises ConfigError naming the first offending element index if any nominal
-    size comes out <= 0 (e.g. an Arithmetic step so large the low end goes
-    negative).
+    size comes out <= 0 (e.g. a step so large the low end goes negative).
     """
     if n < 1:
         raise ConfigError(f"element count must be >= 1, got {n}")
-    if isinstance(scheme, Uniform):
-        sizes = np.full(n, float(scheme.width))
-    elif isinstance(scheme, Arithmetic):
-        offsets = np.arange(n, dtype=float) - (n - 1) / 2.0
-        sizes = float(scheme.mean) + offsets * float(scheme.step)
-    elif isinstance(scheme, Explicit):
-        if len(scheme.sizes) != n:
-            raise ConfigError(
-                f"Explicit scheme has {len(scheme.sizes)} sizes but n={n}"
-            )
-        sizes = np.asarray(scheme.sizes, dtype=float)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown sizing scheme {scheme!r}")
+    offsets = np.arange(n, dtype=float) - (n - 1) / 2.0
+    sizes = float(scheme.mean) + offsets * float(scheme.step)
     bad = np.nonzero(sizes <= 0.0)[0]
     if bad.size:
         raise ConfigError(
@@ -160,23 +129,6 @@ def nominal_sizes(scheme: SizingScheme, n: int) -> np.ndarray:
             "all nominal sizes must be strictly positive"
         )
     return sizes
-
-
-def scheme_center(scheme: SizingScheme) -> float:
-    """Central nominal size of a scheme (the mean size).
-
-    Uniform -> width; Arithmetic -> mean; Explicit -> mean of the size list.
-    This is the size whose element sigma defines sigma_k.
-    """
-    if isinstance(scheme, Uniform):
-        return float(scheme.width)
-    if isinstance(scheme, Arithmetic):
-        return float(scheme.mean)
-    if isinstance(scheme, Explicit):
-        if not scheme.sizes:
-            raise ConfigError("Explicit scheme has no sizes")
-        return float(np.mean(scheme.sizes))
-    raise TypeError(f"unknown sizing scheme {scheme!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +220,7 @@ def _draw_units(
     return values
 
 
-def sigma_k(model: MismatchModel, scheme: SizingScheme, k: int) -> float:
+def sigma_k(model: MismatchModel, scheme: Arithmetic, k: int) -> float:
     """Standard deviation of a k-element subset sum, sqrt(k) * sigma(center size).
 
     The selection-independent yardstick used to normalize window widths and
@@ -277,8 +229,7 @@ def sigma_k(model: MismatchModel, scheme: SizingScheme, k: int) -> float:
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    center = scheme_center(scheme)
-    return math.sqrt(k) * float(model.element_sigmas(np.array([center]))[0])
+    return math.sqrt(k) * float(model.element_sigmas(np.array([scheme.mean]))[0])
 
 
 # ---------------------------------------------------------------------------

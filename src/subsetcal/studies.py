@@ -47,16 +47,12 @@ from .mismatch import (
     MAX_DRAW_SUM,
     Arithmetic,
     ConfigError,
-    Explicit,
     MismatchModel,
-    SizingScheme,
-    Uniform,
     check_array_bytes,
     check_nk,
     draw_realized,
     membership_matrix,
     nominal_sizes,
-    scheme_center,
     selected_sums,
     sigma_k,
 )
@@ -110,7 +106,7 @@ OffsetSpec = Union[FixedOffset, GaussianOffset]
 class StudyConfig:
     n: int
     k: int
-    scheme: SizingScheme
+    scheme: Arithmetic
     model: MismatchModel
     window_widths: tuple[float, ...]  # sigma_k units
     offset: OffsetSpec = FixedOffset(0.0)
@@ -532,17 +528,14 @@ def rcal_frontier(
     widths = tuple(sorted(set(float(w) for w in width_grid)))
     if any(w <= 0 for w in widths):
         raise ConfigError("frontier width grid must be strictly positive")
-    if isinstance(template.scheme, Explicit):
-        raise ConfigError("frontier template needs a Uniform or Arithmetic scheme")
-    center = scheme_center(template.scheme)
+    center = template.scheme.mean
     sk = template.sigma_k_abs
     max_fail = 1.0 - yield_floor
     offsets = [GaussianOffset(float(st)) for st in sigma_t_list]
     # per sigma_t: (rcal, d, width), the d candidates taken in order
     best: list[Optional[tuple[float, float, float]]] = [None] * len(offsets)
     for d in d_candidates:  # one shared study per d serves every sigma_t
-        scheme = Arithmetic(center, float(d) * sk) if d else Uniform(center)
-        cfg = replace(template, scheme=scheme, window_widths=widths)
+        cfg = replace(template, scheme=Arithmetic(center, float(d) * sk), window_widths=widths)
         for i, result in enumerate(run_studies(cfg, offsets)):
             st = result.config.offset.sigma_t
             for row in result.rows:  # widths ascend; first feasible is best
@@ -614,21 +607,17 @@ STUDY_CSV_COLUMNS = (
 def study_csv_rows(result: StudyResult) -> list[tuple]:
     """Flatten one study into CSV rows (one per width).
 
-    ``method`` is "eses" for arithmetic sizing with a nonzero step, else "ses";
+    ``method`` is "eses" for graded sizing (a nonzero step), else "ses";
     ``d_eses`` is the step in sigma_k units; ``sigma_T`` carries the offset
     parameter (the fixed value or the Gaussian sigma, per ``offset_kind``).
     """
     cfg = result.config
     scheme = cfg.scheme
     sk = cfg.sigma_k_abs
-    if isinstance(scheme, Arithmetic) and scheme.step != 0.0:
-        method, d_sigmak, a = "eses", scheme.step / sk, scheme.mean
-    elif isinstance(scheme, Arithmetic):
-        method, d_sigmak, a = "ses", 0.0, scheme.mean
-    elif isinstance(scheme, Uniform):
-        method, d_sigmak, a = "ses", 0.0, scheme.width
+    if scheme.step != 0.0:
+        method, d_sigmak = "eses", scheme.step / sk
     else:
-        method, d_sigmak, a = "explicit", 0.0, float(np.mean(scheme.sizes))
+        method, d_sigmak = "ses", 0.0
     if isinstance(cfg.offset, GaussianOffset):
         kind, par = "gaussian", cfg.offset.sigma_t
     else:
@@ -637,7 +626,7 @@ def study_csv_rows(result: StudyResult) -> list[tuple]:
         (
             method,
             d_sigmak,
-            a,
+            scheme.mean,
             kind,
             par,
             row.width,

@@ -65,8 +65,6 @@ from subsetcal.mismatch import (
     Arithmetic,
     ConfigError,
     MismatchModel,
-    SizingScheme,
-    Uniform,
     all_subset_sums,
     balanced_row,
     combination_index_matrix,
@@ -74,7 +72,6 @@ from subsetcal.mismatch import (
     find_best,
     membership_matrix,
     nominal_sizes,
-    scheme_center,
     selected_sums,
     subset_deviations,
 )
@@ -350,13 +347,13 @@ def rcal_frontier_oracle(
     outer and the d candidates in order, a later pair winning only on a
     strictly larger r_cal."""
     widths = tuple(sorted(set(float(w) for w in width_grid)))
-    center = scheme_center(template.scheme)
+    center = template.scheme.mean
     sk = template.sigma_k_abs
     out = []
     for st in sigma_t_list:
         best = None  # (rcal, d, width)
         for d in d_candidates:
-            scheme = Arithmetic(center, float(d) * sk) if d else Uniform(center)
+            scheme = Arithmetic(center, float(d) * sk)
             cfg = dataclasses.replace(
                 template, scheme=scheme, offset=GaussianOffset(float(st)), window_widths=widths
             )
@@ -566,7 +563,7 @@ def square_wave_lo(sample: HrReceiverSample, path: str, f: float) -> EdgeWavefor
 
 
 def sample_element_set(
-    scheme: SizingScheme, model: MismatchModel, n: int, rng: np.random.Generator
+    scheme: Arithmetic, model: MismatchModel, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One element set with its own draw: nominal sizes plus Gaussian
     mismatch per element, non-positive sizes redrawn (the stream a

@@ -45,7 +45,7 @@ from subsetcal.hrmixer import (
     sample_receiver,
     sweep_hrr,
 )
-from subsetcal.mismatch import Arithmetic, MismatchModel, Uniform, balanced_row, sigma_k
+from subsetcal.mismatch import Arithmetic, MismatchModel, balanced_row, sigma_k
 from subsetcal.runner import sample_substream
 from subsetcal.studies import (
     FixedOffset,
@@ -124,7 +124,7 @@ def linear_r2(x: np.ndarray, y: np.ndarray) -> float:
 
 def study_model() -> tuple[MismatchModel, float]:
     model = MismatchModel(0.01, 1.0)
-    return model, sigma_k(model, Uniform(1.0), 6)
+    return model, sigma_k(model, Arithmetic(1.0, 0.0), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,8 @@ def test_c02_window_failure_regimes():
 
     graded_small = rates(Arithmetic(1.0, 0.25 * sk), GaussianOffset(0.25), (0.03,))
     graded_wide = rates(Arithmetic(1.0, 0.5 * sk), GaussianOffset(2.0), (0.07,))
-    equal_spread = rates(Uniform(1.0), GaussianOffset(1.0), (0.05, 0.1, 0.15, 0.2))
-    equal_fixed = rates(Uniform(1.0), FixedOffset(3.0), fixed_widths)
+    equal_spread = rates(Arithmetic(1.0, 0.0), GaussianOffset(1.0), (0.05, 0.1, 0.15, 0.2))
+    equal_fixed = rates(Arithmetic(1.0, 0.0), FixedOffset(3.0), fixed_widths)
     elapsed = time.time() - start
     assert elapsed < 60.0, f"regime checks took {elapsed:.0f}s"
 
@@ -267,7 +267,7 @@ def test_c03_resolution_frontier():
     start = time.time()
     model, _ = study_model()
     template = StudyConfig(
-        n=12, k=6, scheme=Uniform(1.0), model=model,
+        n=12, k=6, scheme=Arithmetic(1.0, 0.0), model=model,
         window_widths=(1.0,), samples=100_000, master_seed=1,
     )
     entries = rcal_frontier(

@@ -8,13 +8,14 @@ import os
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from subsetcal import cli, csdac, reporting, runner, studies
 from subsetcal.cli import main
-from subsetcal.csdac import DacConfig, SelfHealConfig
+from subsetcal.csdac import DacConfig, SelfHealConfig, uniform_comparison_config
 from subsetcal.hrmixer import HrConfig
-from subsetcal.mismatch import ConfigError
+from subsetcal.mismatch import Arithmetic, ConfigError, nominal_sizes
 from subsetcal.reporting import emit_json, sha256_of
 from subsetcal.studies import STUDY_CSV_COLUMNS
 
@@ -323,15 +324,14 @@ def test_hostile_geometry_is_rejected_before_any_work(
 
 def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text, message):
     """``command`` under the config ``text`` exits 2 with ``message`` alone on
-    stderr, before any study, converter or graded size list is made, and
-    leaves no output directory."""
+    stderr, before any study or converter is made, and leaves no output
+    directory."""
 
     def work_must_not_run(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
     monkeypatch.setattr(studies, "_block_distances", work_must_not_run)
     monkeypatch.setattr(csdac, "parallel_indexed", work_must_not_run)
-    monkeypatch.setattr(cli, "Explicit", work_must_not_run)  # n graded sizes
     cfg = write_cfg(tmp_path, "hostile.cfg", text)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:  # numpy's would print first
@@ -352,8 +352,7 @@ def assert_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, text
          "the derived ucc_sigma is inf, not a finite current"),
         (["dac", "self-heal"], "heal.lsb_sigma_factor = 5e-324\n",
          "the derived lsb_unit_sigma is inf, not a finite current"),
-        # listing the n graded sizes before DacConfig checks n would not
-        # end; the patched Explicit fails before it takes the first size
+        # the cell-draw bound rejects n before any of its sizes is made
         (["dac", "yield"], "dac.n = 1000000000\n",
          "the cell draw (63, 4000000003) needs 2016000001512 bytes" + _OVER_LIMIT),
         # finite derived sigmas whose draws' sums would overflow
@@ -710,6 +709,17 @@ def test_dac_yield_runs_without_a_config_file(tmp_path, capsys):
     # default: one histogram per value column
     for column in rows[0][1:]:
         assert os.path.isfile(os.path.join(out, f"hist_{column}.csv"))
+
+
+def test_graded_converter_is_referenced_at_the_configured_center():
+    # at dac.sub_step = 0.9e-6 the 12 graded sizes average 52e-6 - 6.8e-21;
+    # the sigma reference and the equal-sized comparison take the configured
+    # center itself, as every study's center does
+    schema = cli._COMMANDS["dac yield"].schema
+    config = cli._dac_config(cli._resolve(schema, {"dac.sub_step": "0.9e-6"}))
+    assert np.mean(nominal_sizes(config.ucc_sub_scheme, config.n)) != 52e-6
+    assert config.sub_model.size_ref == 52e-6
+    assert uniform_comparison_config(config).ucc_sub_scheme == Arithmetic(52e-6, 0.0)
 
 
 def test_dac_yield_is_byte_identical_across_thread_counts(tmp_path):

@@ -49,12 +49,10 @@ from subsetcal.mismatch import (
     ConfigError,
     DegenerateConfigurationError,
     MismatchModel,
-    Uniform,
     combination_index_matrix,
     draw_realized,
     find_best,
     nominal_sizes,
-    scheme_center,
     selected_sums,
 )
 from subsetcal.runner import sample_substream
@@ -172,7 +170,7 @@ def oracle_selfheal_draws(cfg, rng):
     backup, then the bias stage with ``sample_element_set``; then the LSB
     bank bit by bit.  Returns (cells, backups, bias, bits, reference,
     redraws) with the element sets as realized-size arrays."""
-    scheme, model = Uniform(cfg.sub_nominal), MismatchModel(cfg.sub_sigma, cfg.sub_nominal)
+    scheme, model = Arithmetic(cfg.sub_nominal, 0.0), MismatchModel(cfg.sub_sigma, cfg.sub_nominal)
     sets = [
         sample_element_set(scheme, model, cfg.n, rng)
         for _ in range(cfg.n_ucc + cfg.backup_ucc_count)
@@ -277,10 +275,13 @@ def zero_variance_config():
 
 
 def test_default_sub_scheme_is_graded_around_52ua():
-    sizes = np.asarray(DEFAULT_SUB_SCHEME.sizes)
-    assert sizes.size == 12
+    sizes = nominal_sizes(DEFAULT_SUB_SCHEME, 12)
+    # listed term by term, the sizes are the scheme's bit for bit, and their
+    # mean is exactly the scheme's mean, the sigma reference
+    listed = np.array([52e-6 + (i - 5.5) * 0.76e-6 for i in range(12)])
+    assert sizes.tobytes() == listed.tobytes()
+    assert np.mean(listed) == DEFAULT_SUB_SCHEME.mean == 52e-6
     assert np.allclose(np.diff(sizes), 0.76e-6, rtol=1e-12)
-    assert math.isclose(scheme_center(DEFAULT_SUB_SCHEME), 52e-6, rel_tol=1e-12)
     assert math.isclose(sizes.min(), 47.82e-6, rel_tol=1e-9)
     assert math.isclose(sizes.max(), 56.18e-6, rel_tol=1e-9)
 
@@ -291,7 +292,7 @@ def test_default_geometry():
     assert cfg.n_codes == 16384
     assert cfg.lsb_levels == 256
     assert math.isclose(cfg.lsb_unit_nominal, 312e-6 / 256, rel_tol=1e-12)
-    assert math.isclose(6 * scheme_center(cfg.ucc_sub_scheme), cfg.ucc_nominal,
+    assert math.isclose(6 * cfg.ucc_sub_scheme.mean, cfg.ucc_nominal,
                         rel_tol=1e-9)
 
 
@@ -316,7 +317,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DacConfig(k=7)  # 7-subset nominal sum != ucc_nominal
     with pytest.raises(ConfigError):
-        DacConfig(ucc_sub_scheme=Uniform(50e-6))
+        DacConfig(ucc_sub_scheme=Arithmetic(50e-6, 0.0))
 
 
 def test_timing_step_covers_budget_on_the_short_side():
@@ -342,7 +343,7 @@ def test_timing_reach_needs_the_lowest_lowered_widths_to_sum_above_zero(monkeypa
     # delay bound holds; n = 25, k = 1 has the least such sum found.
     model = MismatchModel(0.01, 1.0)
     for n, k, negative in ((38, 2, True), (25, 1, False)):
-        cfg = DacConfig(n=n, k=k, ucc_sub_scheme=Uniform(312e-6 / k))
+        cfg = DacConfig(n=n, k=k, ucc_sub_scheme=Arithmetic(312e-6 / k, 0.0))
         widths = nominal_sizes(Arithmetic(1.0, cfg.duty_network[1]), n)
         lowered = np.sort(widths - 16.0 * model.element_sigmas(widths))
         assert (lowered[0] < 0.0) == negative
@@ -350,7 +351,7 @@ def test_timing_reach_needs_the_lowest_lowered_widths_to_sum_above_zero(monkeypa
     # a wider reach takes that sum below 0, where no delay bound holds
     monkeypatch.setattr(csdac, "DRAW_REACH", 40.0)
     with pytest.raises(ConfigError, match=r"at n = 38, k = 2 .* a drawn buffer's delay has no bound"):
-        DacConfig(n=38, k=2, ucc_sub_scheme=Uniform(312e-6 / 2))
+        DacConfig(n=38, k=2, ucc_sub_scheme=Arithmetic(312e-6 / 2, 0.0))
 
 
 def test_timing_variance_split():
@@ -878,8 +879,7 @@ def test_calibration_touches_only_selections():
 def test_uniform_comparison_config_keeps_center():
     cfg = DacConfig()
     uniform = uniform_comparison_config(cfg)
-    assert isinstance(uniform.ucc_sub_scheme, Uniform)
-    assert math.isclose(uniform.ucc_sub_scheme.width, 52e-6, rel_tol=1e-12)
+    assert uniform.ucc_sub_scheme == Arithmetic(52e-6, 0.0)
     assert uniform.ucc_nominal == cfg.ucc_nominal
     assert uniform.sub_sigma == cfg.sub_sigma
 
@@ -972,7 +972,7 @@ def timing_case_sample(geometry, case, seed, cell, shift, rank, ulps):
     the point where two neighbouring subset sums score alike."""
     n, k = geometry
     sigmas = {"no-delay-drive": {"delay_sigma": 0.0}, "no-duty-drive": {"duty_sigma": 0.0}}
-    cfg = DacConfig(n=n, k=k, ucc_sub_scheme=Uniform(312e-6 / k), **sigmas.get(case, {}))
+    cfg = DacConfig(n=n, k=k, ucc_sub_scheme=Arithmetic(312e-6 / k, 0.0), **sigmas.get(case, {}))
     sample = sample_dac(cfg, sample_substream(seed, 0))
     design = csdac._cell_design(cfg)
     cell %= cfg.n_ucc

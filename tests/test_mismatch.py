@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 from subsetcal.mismatch import (
     Arithmetic,
     ConfigError,
-    Explicit,
     MismatchModel,
-    Uniform,
     all_subset_sums,
     balanced_row,
     combination_index_matrix,
@@ -28,7 +26,6 @@ from subsetcal.mismatch import (
     draw_realized,
     find_best,
     nominal_sizes,
-    scheme_center,
     selected_sums,
     sigma_k,
     subset_deviations,
@@ -67,7 +64,7 @@ def indices(row, n, k):
 
 
 def test_uniform_sizes():
-    assert np.array_equal(nominal_sizes(Uniform(2.5), 4), [2.5, 2.5, 2.5, 2.5])
+    assert np.array_equal(nominal_sizes(Arithmetic(2.5, 0.0), 4), [2.5, 2.5, 2.5, 2.5])
 
 
 def test_arithmetic_sizes_center_1_step_002():
@@ -86,27 +83,36 @@ def test_arithmetic_small_center_quarter_sigma_step():
 
 
 def test_arithmetic_zero_step_is_uniform():
-    assert np.array_equal(
-        nominal_sizes(Arithmetic(1.0, 0.0), 7), nominal_sizes(Uniform(1.0), 7)
-    )
+    # mean + offset * 0.0 adds a signed zero: equal sizing, bit for bit
+    for mean in (5e-324, 1e-300, 1.0, 1e308):
+        for n in range(1, 25):
+            sizes = nominal_sizes(Arithmetic(mean, 0.0), n)
+            assert sizes.tobytes() == np.full(n, mean).tobytes()
+
+
+def test_arithmetic_sizes_equal_the_listed_sequence():
+    # every size equals c + (i - (n - 1) / 2) * s added term by term, bit for bit
+    for center in (52e-6, 0.0625, 1.0, 3.7, 1e5):
+        for rel_step in (0.0, 0.76 / 52, 0.9 / 52, 0.02, 0.125 / 1.5, 0.08):
+            step = center * rel_step
+            for n in range(1, 25):
+                listed = [center + (i - (n - 1) / 2.0) * step for i in range(n)]
+                sizes = nominal_sizes(Arithmetic(center, step), n)
+                assert sizes.tobytes() == np.array(listed).tobytes(), (center, step, n)
 
 
 def test_nonpositive_size_names_offending_index():
     with pytest.raises(ConfigError, match="element 0"):
         nominal_sizes(Arithmetic(0.05, 0.02), 12)  # low end goes negative
-    with pytest.raises(ConfigError, match="element 2"):
-        nominal_sizes(Explicit((1.0, 2.0, -1.0)), 3)
-
-
-def test_explicit_length_mismatch():
-    with pytest.raises(ConfigError):
-        nominal_sizes(Explicit((1.0, 2.0)), 3)
+    with pytest.raises(ConfigError, match="element 10"):
+        nominal_sizes(Arithmetic(1.0, -0.25), 12)  # a falling step: the high end
 
 
 def test_scheme_center():
-    assert scheme_center(Uniform(3.0)) == 3.0
-    assert scheme_center(Arithmetic(1.5, 0.1)) == 1.5
-    assert scheme_center(Explicit((1.0, 2.0, 6.0))) == 3.0
+    # the mean is the size sigma_k references, whatever the step
+    for mean, step in ((3.0, 0.0), (1.5, 0.1), (52e-6, 0.9e-6)):
+        scheme = Arithmetic(mean, step)
+        assert sigma_k(MismatchModel(0.01, mean), scheme, 4) == 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +128,7 @@ def test_sigma_scales_with_sqrt_size():
 
 def test_sigma_k_example():
     model = MismatchModel(sigma_ref=0.187, size_ref=1.0)
-    assert sigma_k(model, Uniform(1.0), 8) == pytest.approx(0.5289, abs=5e-5)
+    assert sigma_k(model, Arithmetic(1.0, 0.0), 8) == pytest.approx(0.5289, abs=5e-5)
 
 
 def test_sigma_k_uses_center_size():
@@ -143,7 +149,7 @@ def test_sampling_deterministic_per_seed():
 
 def test_sampling_statistics():
     # empirical mean/sigma of realized sizes over many draws
-    scheme, model = Uniform(1.0), MismatchModel(0.02, 1.0)
+    scheme, model = Arithmetic(1.0, 0.0), MismatchModel(0.02, 1.0)
     rng = np.random.default_rng(2024)
     draws = np.array(
         [sample_element_set(scheme, model, 8, rng)[1] for _ in range(4000)]
@@ -153,7 +159,7 @@ def test_sampling_statistics():
 
 
 def test_subset_sum_sigma_is_sqrt_k():
-    scheme, model = Uniform(1.0), MismatchModel(0.01, 1.0)
+    scheme, model = Arithmetic(1.0, 0.0), MismatchModel(0.01, 1.0)
     rng = np.random.default_rng(99)
     combo = (0, 2, 3, 5, 8, 9)
     sums = []

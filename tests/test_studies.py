@@ -19,9 +19,7 @@ import pytest
 from subsetcal.mismatch import (
     Arithmetic,
     ConfigError,
-    Explicit,
     MismatchModel,
-    Uniform,
     nominal_sizes,
 )
 from subsetcal import studies
@@ -250,7 +248,7 @@ def test_frontier_tie_keeps_the_first_step():
     assert entries == rcal_frontier_oracle(*args)
     assert [(e.d_eses, e.width) for e in entries] == [(0.5, 20.0), (0.5, 20.0)]
     for st in (0.0, 2.0):
-        for scheme in (Uniform(1.0), Arithmetic(1.0, 0.25 * t.sigma_k_abs)):  # d = 0, 0.25
+        for scheme in (Arithmetic(1.0, 0.0), Arithmetic(1.0, 0.25 * t.sigma_k_abs)):  # d = 0, 0.25
             late = dataclasses.replace(
                 t, scheme=scheme, offset=GaussianOffset(st), window_widths=(1e-4, 20.0)
             )
@@ -334,9 +332,10 @@ def test_sorted_path_equals_one_pass_distances(path, kinds, scale):
 @pytest.mark.parametrize(
     "n, k, scheme",
     [
-        (12, 6, Uniform(1.0)),  # every sum and every center is 6.0
-        # 462 sums of 6.0 and 462 of 6.25 around a center of 6.125
-        (12, 6, Explicit([1.0] * 11 + [1.25])),
+        (12, 6, Arithmetic(1.0, 0.0)),  # every sum and every center is 6.0
+        # sums at 5 +- 0.0625 * (odd) around a center of 5.0: the nearest
+        # lie in tied groups 0.0625 below and 0.0625 above it
+        (12, 5, Arithmetic(1.0, 0.125)),
         (6, 6, Arithmetic(1.0, 0.01)),  # n = k: one subset
     ],
     ids=["one-tied-value", "tied-on-both-sides", "one-subset"],
@@ -347,9 +346,9 @@ def test_sorted_path_on_ties_and_a_single_subset(n, k, scheme):
     c = cfg(n=n, k=k, scheme=scheme, model=MismatchModel(0.0, 1.0), samples=300)
     dist = block_distances(c, offsets)
     expect, _, _ = fixed_order_distances(c, offsets)
-    assert np.array_equal(dist, expect)  # sums of 1.0 and 1.25 add exactly
-    if n > k:  # zero sigma: every center is the nominal sum, exact or 0.125 away
-        assert np.all(dist == (0.0 if isinstance(scheme, Uniform) else 0.125))
+    assert np.array_equal(dist, expect)  # sums of multiples of 1/16 add exactly
+    if n > k:  # zero sigma: every center is the nominal sum, exact or 0.0625 away
+        assert np.all(dist == (0.0 if scheme.step == 0.0 else 0.0625))
 
 
 def test_sorted_block_peak_stays_within_the_block_bound():
@@ -419,7 +418,7 @@ def test_an_infinite_center_fails_every_window(count):
     # to it, is infinite and lies outside every window
     offsets = [FixedOffset(1e308)] + [GaussianOffset(1.0)] * (count - 1)
     assert studies._sorts(offsets) == (count == 5)
-    c = cfg(scheme=Uniform(100.0), model=MismatchModel(1.0, 100.0), samples=500,
+    c = cfg(scheme=Arithmetic(100.0, 0.0), model=MismatchModel(1.0, 100.0), samples=500,
             window_widths=(0.1, 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
