@@ -44,6 +44,7 @@ import numpy as np
 
 from .mismatch import (
     COVERAGE_SIGMA,
+    DRAW_REACH,
     RANGE_MARGIN,
     Arithmetic,
     ConfigError,
@@ -172,6 +173,7 @@ class HrConfig:
         if len(self.weights) != 3 or any(w <= 0 for w in self.weights):
             raise ConfigError(f"weights must be three positive values: {self.weights}")
         self._check_coverage()
+        self._check_weight_scale()
 
     # -- derived sizing ----------------------------------------------------
 
@@ -248,6 +250,41 @@ class HrConfig:
             if step * (self.n_elements - 1) >= 2.0:
                 raise ConfigError(f"{name} {step:g} drives element sizes non-positive")
 
+    def _check_weight_scale(self) -> None:
+        """The weights set the LO's scale, which no rejection ratio sees but
+        the floats do.  Their sum W must keep every LO level and |c_n|, and
+        their squares, finite, and |c_1| * HRR_INF_REL a nonzero float.
+
+        High end: a branch gain is (S / half)**GAIN_ALPHA * (1 + e), half is k
+        times the tail's mean nominal size, 1, and S at most k times its
+        largest realized size.  With every element and extrinsic error at
+        most DRAW_REACH sigma high, the gain stays below ``high``.  A path sums
+        six square waves of amplitude gain * weight, each with one edge up
+        and one down, so every level, edge step and |c_n| (at most the sum
+        of |step| over 2 pi n) of a path or of a knob candidate is at most
+        2 * high * W.  high * W <= 2**256 keeps their squares below 2**514, far
+        below the float maximum of about 2**1024.
+
+        Low end: a path's three branch fundamentals lie 45 degrees apart, each
+        turned less than 22.5 degrees by edge errors below 1/16 period
+        (``_check_edge_errors``), so all lie within 135 degrees and none
+        cancels another: |c_1| >= cos(67.5 deg) * 4 cos(22.5 deg) / (2 pi) *
+        g * W > g * W / 5, with g the least branch gain.  W >= 2**-256 keeps
+        |c_1|**2 a normal float, and |c_1| * HRR_INF_REL nonzero, for every
+        gain above 2**-252; a receiver whose |c_1| is 0 raises
+        DegenerateConfigurationError.  The default weights sum to 41.
+        """
+        top = 1.0 + self.tail_step * (self.n_elements - 1) / 2.0
+        high = (top + DRAW_REACH * self.tail_element_sigma * math.sqrt(top)) ** GAIN_ALPHA * (
+            1.0 + DRAW_REACH * self.tail_extrinsic_sigma
+        )
+        total = sum(self.weights)
+        if not (2.0**-256 <= total and high * total <= 2.0**256):
+            raise ConfigError(
+                f"weights sum to {total:g}: with branch gains up to {high:.3g},"
+                " the LO's scale must stay within 2**-256 and 2**256"
+            )
+
 
 # ---------------------------------------------------------------------------
 # sampled state
@@ -305,13 +342,6 @@ def _knob_design(cfg: HrConfig) -> _KnobDesign:
     return _KnobDesign(nominal, sigmas, halves, drives)
 
 
-def _edge_errors(deviations: np.ndarray) -> dict[str, np.ndarray]:
-    """Phase p's rise and fall edge errors: its pair clock's deviation
-    (clock p % 4) plus its own rise or fall network's."""
-    clock = np.tile(deviations[:4], 2)
-    return {"rise_errors": clock + deviations[4:12], "fall_errors": clock + deviations[12:]}
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class HrReceiverSample:
     """One Monte Carlo receiver instance, held as per-knob arrays.
@@ -325,20 +355,18 @@ class HrReceiverSample:
     ``selection`` (24,) holds each knob's enabled k-subset as a row index
     into ``combination_index_matrix(n, k)``.
 
-    Derived once, when the sample is built, all read-only: ``selected``
-    (24,), each row's selected sum; ``tail_ratios`` (4,), selected over
-    nominal tail current; ``deviations`` (20,), each inverter's delay less
-    its design point base + drive; and the (8,) ``rise_errors`` and
-    ``fall_errors``: phase p's edge error is its pair clock's deviation
-    (clock p % 4) plus its own rise or fall network's.  A calibration step
-    (``_with_knob``) derives again only what its changed row feeds.
+    Derived once, when the sample is built, from each row's selected sum,
+    all read-only: ``tail_ratios`` (4,), selected over nominal tail current;
+    ``deviations`` (20,), each inverter's delay less its design point base +
+    drive; and the (8,) ``rise_errors`` and ``fall_errors``: phase p's edge
+    error is its pair clock's deviation (clock p % 4) plus its own rise or
+    fall network's.
     """
 
     config: HrConfig
     elements: np.ndarray
     extrinsic: np.ndarray
     selection: np.ndarray
-    selected: np.ndarray = dataclasses.field(init=False, repr=False)
     tail_ratios: np.ndarray = dataclasses.field(init=False, repr=False)
     deviations: np.ndarray = dataclasses.field(init=False, repr=False)
     rise_errors: np.ndarray = dataclasses.field(init=False, repr=False)
@@ -351,18 +379,20 @@ class HrReceiverSample:
         expected = ((rows, cfg.n_elements), (rows,), (rows,))
         if shapes != expected:
             raise ConfigError(f"array shapes {shapes} differ from {expected}")
-        if np.any(self.elements <= 0.0):
+        if self.elements.min() <= 0.0:
             raise ConfigError("realized sizes must be strictly positive")
         selected = selected_sums(self.elements, self.selection, cfg.k_selected)
         design = _knob_design(cfg)
         deviations = inverse_width_deviation(
             design.drives, design.halves[4:], selected[4:], self.extrinsic[4:]
         )
+        # rise then fall networks in rows of four phases: phase p adds clock p % 4
+        edges = (deviations[4:].reshape(4, 4) + deviations[:4]).reshape(2, N_PHASES)
         derived = {
-            "selected": selected,
             "tail_ratios": selected[:4] / design.halves[:4],
             "deviations": deviations,
-            **_edge_errors(deviations),
+            "rise_errors": edges[0],
+            "fall_errors": edges[1],
         }
         for name, array in derived.items():
             array.setflags(write=False)
@@ -535,38 +565,10 @@ class CalReport:
 
 
 def _with_knob(sample: HrReceiverSample, name: str, best: int) -> HrReceiverSample:
-    """``sample`` with knob ``name`` switched to selection row ``best``.
-
-    Only what that row feeds is derived again, with the arithmetic
-    ``HrReceiverSample`` uses on the whole receiver: the row's selected sum,
-    then its tail ratio, or its inverter's deviation (a delay <= 0 is
-    rejected) and the rise and fall errors.  Every other array is shared
-    with ``sample``, and the checks the drawn receiver passed are not run
-    again: the elements and extrinsic errors are the same arrays.
-    """
-    cfg = sample.config
-    design = _knob_design(cfg)
-    row = _KNOB_ROWS[name]
+    """``sample`` with knob ``name`` switched to selection row ``best``."""
     selection = sample.selection.copy()
-    selection[row] = best
-    selected = sample.selected.copy()
-    selected[row] = selected_sums(sample.elements[row], best, cfg.k_selected)
-    derived = {"selected": selected}
-    if row < 4:
-        ratios = sample.tail_ratios.copy()
-        ratios[row] = selected[row] / design.halves[row]
-        derived["tail_ratios"] = ratios
-    else:
-        deviations = sample.deviations.copy()
-        deviations[row - 4] = inverse_width_deviation(
-            design.drives[row - 4], design.halves[row], selected[row], sample.extrinsic[row]
-        )
-        derived.update(deviations=deviations, **_edge_errors(deviations))
-    for array in derived.values():
-        array.setflags(write=False)
-    moved = object.__new__(HrReceiverSample)  # frozen: its fields are set in its dict
-    vars(moved).update(vars(sample), selection=selection, **derived)
-    return moved
+    selection[_KNOB_ROWS[name]] = best
+    return dataclasses.replace(sample, selection=selection)
 
 
 def _selection_snapshot(sample: HrReceiverSample) -> dict[str, tuple[int, ...]]:

@@ -465,9 +465,22 @@ def test_hr_gain_range_past_zero_is_a_config_error(tmp_path, capsys):
          "delay tuning range 2.26578e-11s cannot cover 2.553e-11s"),
         ("hr.element_rel_sigma = 5e-324",
          "the clock drive is inf s at element_rel_sigma = 4.94066e-324, not a finite delay"),
+        *(
+            (f"hr.weights = {weights}", f"weights sum to {total}: with branch gains up to"
+             " 1.42, the LO's scale must stay within 2**-256 and 2**256")
+            for weights, total in (
+                ("5e-324, 5e-324, 5e-324", "1.4822e-323"),
+                ("1e-320, 1e-320, 1e-320", "2.99997e-320"),
+                ("1e-300, 1e-300, 1e-300", "3e-300"),
+                ("1e160, 1e160, 1e160", "3e+160"),
+                ("1e308, 1, 1", "1e+308"),
+                ("1e308, 1e308, 1e308", "inf"),
+            )
+        ),
     ],
     ids=["path", "harmonic-1", "no-harmonics", "iterations-0", "iterations-huge", "f-zero",
-         "f-negative", "underdriven-clock", "infinite-drive"],
+         "f-negative", "underdriven-clock", "infinite-drive", "weights-5e-324", "weights-1e-320",
+         "weights-1e-300", "weights-1e160", "weights-one-1e308", "weights-1e308"],
 )
 @pytest.mark.parametrize("command", ["simulate", "calibrate", "sweep"])
 def test_bad_hr_keys_are_rejected_before_the_draw(
@@ -483,6 +496,43 @@ def test_bad_hr_keys_are_rejected_before_the_draw(
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n" and captured.out == ""
     assert not out.exists()
+
+
+#: hostile values for every numeric ``hr.*`` key; the integer keys take the
+#: integer ones, and a ``weights`` value is given to all three weights
+HR_HOSTILE_FLOATS = ("0", "-1", "-0.0", "5e-324", "1e-300", "2.5", "1e308", "1e9")
+HR_HOSTILE_INTS = ("0", "-1", "1000000000")
+HR_NUMERIC_KEYS = {
+    **dict.fromkeys(("n", "k", "seed", "iterations", "harmonics"), HR_HOSTILE_INTS),
+    **dict.fromkeys(
+        ("f0", "f_low", "element_rel_sigma", "gain_sigma", "clock_delay_sigma",
+         "diff_phase_sigma", "weights", "f_list"),
+        HR_HOSTILE_FLOATS,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key, value", [(key, value) for key, values in HR_NUMERIC_KEYS.items() for value in values]
+)
+def test_hostile_hr_values_exit_cleanly(tmp_path, capsys, key, value):
+    """Each numeric ``hr.*`` key at each hostile value, through the three
+    mixer commands: exit 0, 2 or 3 and no traceback, an output directory
+    only on exit 0, and no floating-point overflow, invalid operation or
+    division by zero on the way.  Underflow stays allowed: at ``hr.f_low``
+    5e-324 or 1e-300 an edge's phase error (f times its error in seconds)
+    underflows, and at ``hr.gain_sigma = 5e-324`` the tail elements' sigmas
+    and drawn deviations do.  Both are values those terms may take, and
+    those runs exit 0."""
+    text = ", ".join(3 * [value]) if key == "weights" else value
+    cfg = write_cfg(tmp_path, "hr.cfg", f"hr.{key} = {text}\n")
+    for command in ("simulate", "calibrate", "sweep"):
+        out = tmp_path / command
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            code = main(["hr", command, "--config", cfg, "--out", str(out), "--quiet"])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), (command, captured.err)
+        assert "Traceback" not in captured.err and out.exists() == (code == 0)
 
 
 SEEDED_COMMANDS = sorted(name for name, command in cli._COMMANDS.items() if command.seed_key)
