@@ -14,8 +14,8 @@ runs the study, and emits CSV/JSON artifacts plus a ``manifest.json`` under
 so a present manifest means a complete run.
 
 --threads sets how many worker processes (this one included) share the rows
-of ``dac yield`` and ``dac self-heal``; study blocks run one after another
-on the calling thread, and the mixer commands run one receiver.  Output bytes are
+of ``dac yield`` and ``dac self-heal`` and the sample blocks of every study a
+``study`` command runs; the mixer commands run one receiver.  Output bytes are
 independent of --threads: parallel work is split by sample index over
 per-index random substreams and reassembled in canonical order.
 
@@ -252,11 +252,14 @@ def _failure_rate(cfg: dict, threads: int) -> Output:
     center = cfg["study.center"]
     uniform = _study(cfg, scheme=Arithmetic(center, 0.0), window_widths=cfg["study.widths"])
     offsets = [_offset_spec(cfg["study.offset_kind"], value) for value in cfg["study.offsets"]]
-    rows: list[tuple] = []
-    for d in cfg["study.d_list"]:  # one shared study per d serves every offset
-        study = dataclasses.replace(uniform, scheme=Arithmetic(center, d * uniform.sigma_k_abs))
-        for result in run_studies(study, offsets):
-            rows += study_csv_rows(result)
+    jobs = [  # one shared study per d serves every offset
+        (dataclasses.replace(uniform, scheme=Arithmetic(center, d * uniform.sigma_k_abs)), offsets)
+        for d in cfg["study.d_list"]
+    ]
+    rows = [
+        row for results in run_studies(jobs, threads) for result in results
+        for row in study_csv_rows(result)
+    ]
     dataset = _study_dataset(cfg, rows, ["method", "d_eses", "offset_kind", "sigma_T"])
     n_series = len(cfg["study.d_list"]) * len(cfg["study.offsets"])
     return [dataset], {}, (
@@ -270,7 +273,7 @@ def _rcal_frontier(cfg: dict, threads: int) -> Output:
     entries = rcal_frontier(
         _study(cfg, scheme=Arithmetic(cfg["study.center"], 0.0), window_widths=widths),
         cfg["frontier.sigma_t_list"], cfg["frontier.d_candidates"], widths,
-        yield_floor=cfg["frontier.yield_floor"],
+        yield_floor=cfg["frontier.yield_floor"], threads=threads,
     )
     feasible = [entry for entry in entries if entry.feasible]
     if not feasible:
@@ -302,7 +305,7 @@ def _a_sweep(cfg: dict, threads: int) -> Output:
         cfg["sweep.a_values"], step_abs, cfg["sweep.widths"],
         _offset_spec(cfg["sweep.offset_kind"], cfg["sweep.offset"]),
         n=cfg["study.n"], k=cfg["study.k"], center_sigma=cfg["sweep.center_sigma"],
-        samples=cfg["study.samples"], master_seed=cfg["study.seed"],
+        samples=cfg["study.samples"], master_seed=cfg["study.seed"], threads=threads,
     )
     rows = [row for _, result in results for row in study_csv_rows(result)]
     dataset = _study_dataset(cfg, rows, ["a_eses"], step_abs=step_abs)
@@ -627,7 +630,7 @@ _COMMANDS = {
                 _parse_floats, (1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0)
             ),
             "frontier.d_candidates": (
-                _parse_floats, (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
+                _parse_floats, (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 7.0)
             ),
             "frontier.width_grid": (
                 _parse_floats, (0.03, 0.05, 0.07, 0.1, 0.14, 0.2, 0.3, 0.45, 0.7, 1.0)
@@ -805,8 +808,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--threads", type=int, default=1,
             help="worker processes, this one included, for the rows of dac yield and"
-            " dac self-heal (at most the rows and the usable cores); study blocks"
-            " run on the calling thread",
+            " dac self-heal and the sample blocks of the study commands (at most the"
+            " rows or blocks and the usable cores)",
         )
         sub.add_argument("--quiet", action="store_true", help="suppress the summary line")
         if subcommand == "dac yield":

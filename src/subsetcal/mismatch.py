@@ -125,7 +125,7 @@ def nominal_sizes(scheme: Arithmetic, n: int) -> np.ndarray:
     bad = np.nonzero(sizes <= 0.0)[0]
     if bad.size:
         raise ConfigError(
-            f"nominal size of element {bad[0]} is {sizes[bad[0]]!r}; "
+            f"nominal size of element {bad[0]} is {float(sizes[bad[0]])!r}; "
             "all nominal sizes must be strictly positive"
         )
     return sizes

@@ -26,15 +26,17 @@ The sums' last bits depend on the BLAS kernel and on a chunk's rows, so
 ``run_studies`` certifies every window decision against a fixed-order sum
 (``_settle``): every failure count is the one that ``selected_sums``'
 order of adding gives, whatever the kernel, the chunking or the threads.
-Blocks run one after another on the calling thread; forking them across
---threads, or splitting the passes over two threads, measured slower.
+A study command hands every block of all its studies to one
+``runner.parallel_indexed`` call, so --threads workers share them; a block
+returns only its integer failure counts and resamples, which are summed per
+study in block order.
 """
 
 from __future__ import annotations
 
 import math
-# unused here since blocks run in sequence; kept because perfbench/tracing.py
-# replaces studies.ThreadPoolExecutor when it traces
+# unused here; kept because perfbench/tracing.py replaces
+# studies.ThreadPoolExecutor when it traces
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -56,7 +58,7 @@ from .mismatch import (
     selected_sums,
     sigma_k,
 )
-from .runner import sample_substream
+from .runner import parallel_indexed, sample_substream
 
 __all__ = [
     "BLOCK",
@@ -433,47 +435,66 @@ def min_distances(config: StudyConfig) -> tuple[np.ndarray, int]:
     return dist, resamples
 
 
-def run_studies(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> list[StudyResult]:
-    """One study per offset, all on the element sets ``config`` draws.
+def run_studies(
+    jobs: Sequence[tuple[StudyConfig, Sequence[OffsetSpec]]], threads: int = 1
+) -> list[list[StudyResult]]:
+    """Per job (config, offsets), one study per offset, all on the element
+    sets that config draws; every block of every job shares one
+    ``parallel_indexed`` call over ``threads`` workers.
 
-    Each result carries ``config`` with that offset and equals its own
-    ``run_study``: the element draw, the Gaussian offsets' standard normal and
-    the subset sums are made once per block and shared, and each block's
-    failures are counted before the next block reuses the distance buffer.
-    Every count is the one that ``_settle``'s fixed-order distances give,
-    whatever BLAS kernel made the sums.
+    Each result carries its config with that offset and equals its own
+    ``run_study``: a block makes the element draw, the Gaussian offsets'
+    standard normal and the subset sums once for all its job's offsets, and
+    returns only its (offsets, widths) failure counts and resamples.  Every
+    job is checked before the first block runs.  The counts are the ones
+    that ``_settle``'s fixed-order distances give, whatever BLAS kernel made
+    the sums, and are summed per job in block order, so no count depends on
+    ``threads``.
     """
-    _check_block_bytes(config, offsets)
-    nominal = nominal_sizes(config.scheme, config.n)
-    sigmas = config.model.element_sigmas(nominal)
-    sk = config.sigma_k_abs
-    limits = [(w * sk) / 2.0 for w in config.window_widths]
-    failures = np.zeros((len(offsets), len(limits)), dtype=np.int64)
-    dist = np.empty((len(offsets), min(config.samples, BLOCK)))
-    resamples = 0
-    for start in range(0, config.samples, BLOCK):
-        out = dist[:, : min(BLOCK, config.samples - start)]
+    for config, offsets in jobs:
+        _check_block_bytes(config, offsets)
+    blocks = [  # (job, first sample), jobs in order
+        (j, start) for j, (config, _) in enumerate(jobs)
+        for start in range(0, config.samples, BLOCK)
+    ]
+
+    def run_block(index: int) -> tuple[np.ndarray, int]:
+        j, start = blocks[index]
+        config, offsets = jobs[j]
+        nominal = nominal_sizes(config.scheme, config.n)
+        sigmas = config.model.element_sigmas(nominal)
+        limits = [(w * config.sigma_k_abs) / 2.0 for w in config.window_widths]
+        out = np.empty((len(offsets), min(BLOCK, config.samples - start)))
         realized, centers, drawn = _block_distances(
             config, offsets, nominal, sigmas, start // BLOCK, out
         )
-        resamples += drawn
-        failures += _settle(realized, centers, config.k, limits, out)[0]
+        return _settle(realized, centers, config.k, limits, out)[0], drawn
+
+    failures = [np.zeros((len(offsets), len(config.window_widths)), dtype=np.int64)
+                for config, offsets in jobs]
+    resamples = [0] * len(jobs)
+    for (j, _), (counts, drawn) in zip(blocks, parallel_indexed(len(blocks), run_block, threads)):
+        failures[j] += counts
+        resamples[j] += drawn
     return [
-        StudyResult(
-            config=replace(config, offset=offset),
-            rows=tuple(
-                WidthResult(width=w, samples=config.samples, failures=int(f))
-                for w, f in zip(config.window_widths, counts)
-            ),
-            resamples=resamples,
-        )
-        for offset, counts in zip(offsets, failures)
+        [
+            StudyResult(
+                config=replace(config, offset=offset),
+                rows=tuple(
+                    WidthResult(width=w, samples=config.samples, failures=int(f))
+                    for w, f in zip(config.window_widths, counts)
+                ),
+                resamples=drawn,
+            )
+            for offset, counts in zip(offsets, job_failures)
+        ]
+        for (config, offsets), job_failures, drawn in zip(jobs, failures, resamples)
     ]
 
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Failure rate of in-window calibration for every configured window width."""
-    return run_studies(config, (config.offset,))[0]
+    return run_studies([(config, (config.offset,))])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +535,7 @@ def rcal_frontier(
     d_candidates: Sequence[float],
     width_grid: Sequence[float],
     yield_floor: float = 0.99,
+    threads: int = 1,
 ) -> list[FrontierEntry]:
     """Best achievable r_cal versus offset spread, searching step and width.
 
@@ -521,7 +543,8 @@ def rcal_frontier(
     is run once over the whole width grid; a (d, width) pair is feasible when
     its success rate is at least ``yield_floor``.  The winning pair maximizes
     r_cal — i.e. the smallest feasible width wins.  Entries with no feasible
-    pair are marked infeasible rather than raising.
+    pair are marked infeasible rather than raising.  Every step's study is
+    checked before the first runs, and all share one ``run_studies`` call.
     """
     if not (0.0 < yield_floor <= 1.0):
         raise ConfigError(f"yield_floor must be in (0, 1], got {yield_floor}")
@@ -532,11 +555,15 @@ def rcal_frontier(
     sk = template.sigma_k_abs
     max_fail = 1.0 - yield_floor
     offsets = [GaussianOffset(float(st)) for st in sigma_t_list]
+    jobs = [  # one shared study per d serves every sigma_t
+        (replace(template, scheme=Arithmetic(center, float(d) * sk), window_widths=widths),
+         offsets)
+        for d in d_candidates
+    ]
     # per sigma_t: (rcal, d, width), the d candidates taken in order
     best: list[Optional[tuple[float, float, float]]] = [None] * len(offsets)
-    for d in d_candidates:  # one shared study per d serves every sigma_t
-        cfg = replace(template, scheme=Arithmetic(center, float(d) * sk), window_widths=widths)
-        for i, result in enumerate(run_studies(cfg, offsets)):
+    for d, results in zip(d_candidates, run_studies(jobs, threads)):
+        for i, result in enumerate(results):
             st = result.config.offset.sigma_t
             for row in result.rows:  # widths ascend; first feasible is best
                 if row.failure_rate <= max_fail:
@@ -561,6 +588,7 @@ def a_eses_sweep(
     center_sigma: float,
     samples: int,
     master_seed: int,
+    threads: int = 1,
 ) -> list[tuple[float, StudyResult]]:
     """Shrink the center size while holding the absolute step and center sigma.
 
@@ -568,7 +596,8 @@ def a_eses_sweep(
     center element keeps the same absolute sigma while its *relative* sigma
     grows as a shrinks; the fixed absolute step then covers ever more sigma_k.
     Window widths stay in sigma_k units (the same absolute widths, since
-    sigma_k is common to the whole sweep).
+    sigma_k is common to the whole sweep).  The center sizes share one
+    ``run_studies`` call.
     """
     configs = [  # every center size is checked before the first study runs
         StudyConfig(
@@ -583,7 +612,8 @@ def a_eses_sweep(
         )
         for a in a_values
     ]
-    return [(float(a), run_study(cfg)) for a, cfg in zip(a_values, configs)]
+    results = run_studies([(cfg, (offset,)) for cfg in configs], threads)
+    return [(float(a), result) for a, (result,) in zip(a_values, results)]
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,8 @@ def test_c12_cli_thread_determinism(tmp_path):
     )
     runs = [
         ("failure-rate", ["study", "failure-rate", "--samples", "2000"]),
+        # three blocks, so even a one-study command shares its blocks
+        ("failure-rate-blocks", ["study", "failure-rate", "--samples", "9000"]),
         ("rcal-frontier", ["study", "rcal-frontier", "--config", str(frontier_cfg)]),
         ("a-sweep", ["study", "a-sweep", "--samples", "2000"]),
         ("hr-simulate", ["hr", "simulate"]),

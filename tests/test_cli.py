@@ -286,6 +286,9 @@ _OVERFLOWING_DELAY = ", above the 1.22e+142 s its squared sums are kept below"
 _OVERFLOWING_STUDY = (
     "a drawn study's subset sums could reach inf, above the 2.81e+306 they are kept below"
 )
+_NEGATIVE_ELEMENT = (
+    "nominal size of element 0 is -134720.9358530748; all nominal sizes must be strictly positive"
+)
 
 
 @pytest.mark.parametrize(
@@ -311,10 +314,15 @@ _OVERFLOWING_STUDY = (
          "frontier.sigma_t_list = " + ", ".join(["1"] * 3300) + "\n",
          "3300 offsets on blocks of 4096 samples at n=12, k=6 need 1085656656 bytes"
          + _OVER_LIMIT),
+        # a step of 10**6 sigma_k makes element 0 negative: the last step is
+        # checked before the first step's study runs
+        (["study", "failure-rate"], "study.d_list = 0, 0.5, 1e6\n", _NEGATIVE_ELEMENT),
+        (["study", "rcal-frontier"], "frontier.d_candidates = 0, 0.5, 1, 2, 4, 1e6\n",
+         _NEGATIVE_ELEMENT),
     ],
     ids=["a-sweep-k", "dac-lsb-bits", "heal-msb-bits", "heal-lsb-bits", "dac-huge-comb",
          "study-center-sums", "study-rel-sigma-sums", "a-sweep-a-sums", "a-sweep-last-a-sums",
-         "frontier-sigma-t-list"],
+         "frontier-sigma-t-list", "failure-rate-last-d", "frontier-last-d"],
 )
 def test_hostile_geometry_is_rejected_before_any_work(
     tmp_path, capsys, monkeypatch, command, text, message
@@ -604,6 +612,20 @@ def test_a_flag_the_subcommand_cannot_use_is_rejected(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+def test_every_subcommand_runs_on_its_defaults(tmp_path, capsys, subcommand):
+    # every default of every schema runs: an empty config, and 100 samples
+    # where the command draws samples
+    cfg = write_cfg(tmp_path, "empty.cfg", "")
+    out = tmp_path / "out"
+    argv = [*subcommand.split(), "--config", cfg, "--out", str(out), "--quiet"]
+    if cli._COMMANDS[subcommand].samples_key is not None:
+        argv += ["--samples", "100"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "manifest.json").exists()
 
 
 def test_zero_threads_is_rejected(capsys):

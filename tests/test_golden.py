@@ -450,10 +450,10 @@ MANIFEST_GOLDEN = {
 }
 
 
-def run_case(tmp_path, case):
+def run_case(tmp_path, case, threads=1):
     argv, cfg_text = CASES[case]
     out = tmp_path / case
-    argv = argv + ["--quiet", "--out", str(out)]
+    argv = argv + ["--quiet", "--out", str(out), "--threads", str(threads)]
     if cfg_text is not None:
         cfg = tmp_path / f"{case}.cfg"
         cfg.write_text(cfg_text, encoding="utf-8")
@@ -467,6 +467,8 @@ def run_case(tmp_path, case):
     with open(out / "manifest.json", encoding="utf-8") as handle:
         manifest = json.load(handle)
     del manifest["out_dir"]
+    assert manifest["threads"] == threads
+    manifest["threads"] = 1  # the golden manifests record one thread
     text = json.dumps(manifest, sort_keys=True)
     return hashes, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -486,6 +488,15 @@ def test_study_golden_cases_hold_on_a_hostile_product(tmp_path, monkeypatch, cas
     shuffled = shuffled_subset_sums(np.random.default_rng(3))
     monkeypatch.setattr(studies, "_subset_sums", shuffled)
     hashes, manifest = run_case(tmp_path, case)
+    assert hashes == GOLDEN[case]
+    assert manifest == MANIFEST_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(case for case in CASES if case.startswith("study-")))
+def test_study_golden_cases_hold_at_two_threads(tmp_path, case):
+    """Every study case with its blocks shared by two workers: the counts are
+    integers summed in block order, so no output may move."""
+    hashes, manifest = run_case(tmp_path, case, threads=2)
     assert hashes == GOLDEN[case]
     assert manifest == MANIFEST_GOLDEN[case]
 

@@ -106,6 +106,12 @@ def test_nonpositive_size_names_offending_index():
         nominal_sizes(Arithmetic(0.05, 0.02), 12)  # low end goes negative
     with pytest.raises(ConfigError, match="element 10"):
         nominal_sizes(Arithmetic(1.0, -0.25), 12)  # a falling step: the high end
+    with pytest.raises(ConfigError) as caught:
+        nominal_sizes(Arithmetic(1.0, 0.5), 12)
+    # the size as a plain float, not numpy's np.float64(...) repr
+    assert str(caught.value) == (
+        "nominal size of element 0 is -1.75; all nominal sizes must be strictly positive"
+    )
 
 
 def test_scheme_center():

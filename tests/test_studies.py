@@ -100,7 +100,7 @@ def test_memory_bound_counts_the_block_working_set():
     studies._check_block_bytes(c, [FixedOffset(0.0)] * 3263)
     with pytest.raises(ConfigError, match=r"^3264 offsets on blocks of 4096 samples at"
                        r" n=12, k=6 need 1073860176 bytes"):
-        run_studies(c, [FixedOffset(0.0)] * 3264)
+        run_studies([(c, [FixedOffset(0.0)] * 3264)])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_shared_offsets_equal_their_own_studies(samples, offsets):
         samples=samples, scheme=Arithmetic(1.0, 0.05), model=MismatchModel(0.4, 1.0),
         window_widths=(0.02, 0.1, 0.5, 2.0),
     )
-    shared = run_studies(c, offsets)
+    shared = run_studies([(c, offsets)])[0]
     assert shared == [run_study(dataclasses.replace(c, offset=o)) for o in offsets]
     counts, resamples = oracle_counts(c, offsets)
     for offset, result, expect in zip(offsets, shared, counts):
@@ -279,7 +279,7 @@ def test_chunk_boundaries_are_invisible(n, k, samples):
 
 def block_distances(c: StudyConfig, offsets) -> np.ndarray:
     """(offsets, samples) distances, every block through ``_block_distances``
-    into its slice of one array, as ``run_studies`` fills its buffer."""
+    into its slice of one array."""
     nominal = nominal_sizes(c.scheme, c.n)
     sigmas = c.model.element_sigmas(nominal)
     dist = np.empty((len(offsets), c.samples))
@@ -363,13 +363,58 @@ def test_sorted_block_peak_stays_within_the_block_bound():
     sums_bytes = 8 * BLOCK * width
     tracemalloc.start()
     try:
-        results = run_studies(c, offsets)
+        results = run_studies([(c, offsets)])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(results) == 9
     assert peak <= bound
     assert peak < 1.25 * sums_bytes
+
+
+# ---------------------------------------------------------------------------
+# jobs sharing one fan-out: a flat (job, block) index over --threads
+# ---------------------------------------------------------------------------
+
+
+def uneven_jobs() -> list:
+    """Three jobs of 2, 1 and 3 blocks, each ending in a short block: flat
+    blocks 0-1, 2 and 3-5."""
+    return [
+        (cfg(samples=BLOCK + 5, window_widths=(0.02, 0.1)),
+         (FixedOffset(0.0), GaussianOffset(1.0))),
+        (cfg(samples=300, scheme=Arithmetic(1.0, 0.005), master_seed=3), (GaussianOffset(2.0),)),
+        (cfg(n=10, k=4, samples=2 * BLOCK + 77, window_widths=(0.05, 0.5)),
+         tuple(GaussianOffset(0.5 * j) for j in range(5))),  # sorts
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_jobs_of_uneven_sizes_equal_their_own_studies(threads):
+    jobs = uneven_jobs()
+    expect = [[run_study(dataclasses.replace(c, offset=o)) for o in offsets] for c, offsets in jobs]
+    assert run_studies(jobs, threads) == expect
+
+
+@pytest.mark.parametrize(
+    "failing, first", [((3, 5), 3), ((2, 5), 2)], ids=["both-forked", "inline-and-forked"]
+)
+def test_a_failing_block_raises_the_serial_error(monkeypatch, failing, first):
+    # at two workers flat blocks 0-2 run inline and 3-5 in a forked worker;
+    # the error of the lowest failing block surfaces, as it would in series
+    jobs = uneven_jobs()
+    flat = [(c.samples, b) for c, _ in jobs for b in range(-(-c.samples // BLOCK))]
+    block_distances = studies._block_distances
+
+    def failing_block(config, offsets, nominal, sigmas, block, out):
+        index = flat.index((config.samples, block))
+        if index in failing:
+            raise ValueError(f"flat block {index}")
+        return block_distances(config, offsets, nominal, sigmas, block, out)
+
+    monkeypatch.setattr(studies, "_block_distances", failing_block)
+    with pytest.raises(ValueError, match=rf"^flat block {first}$"):
+        run_studies(jobs, threads=2)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +435,8 @@ def test_counts_hold_on_a_hostile_product(monkeypatch, offsets):
     c = cfg(samples=BLOCK + 300, scheme=Arithmetic(1.0, 0.005),
             window_widths=(0.0025, 0.01, 0.05, 0.2))
     counts, _ = oracle_counts(c, offsets)
-    assert [[row.failures for row in result.rows] for result in run_studies(c, offsets)] == counts
+    results = run_studies([(c, offsets)])[0]
+    assert [[row.failures for row in result.rows] for result in results] == counts
 
 
 @pytest.mark.parametrize("n, k", [(12, 6), (18, 9)], ids=["rows-per-gather", "gathers-per-row"])
@@ -422,7 +468,7 @@ def test_an_infinite_center_fails_every_window(count):
             window_widths=(0.1, 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = run_studies(c, offsets)
+        results = run_studies([(c, offsets)])[0]
     assert [row.failures for row in results[0].rows] == [500, 500]
 
 
@@ -472,7 +518,7 @@ def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, offs
     widths = [w for w in (width_on(d, c.sigma_k_abs) for d in targets) if w is not None]
     assert len(widths) >= 20
     c = dataclasses.replace(c, window_widths=tuple(widths))
-    results = run_studies(c, offsets)
+    results = run_studies([(c, offsets)])[0]
     assert sum(settled) >= len(widths) / 2  # each limit's own row, or its neighbour's
     counts, _ = oracle_counts(c, offsets)
     assert [[row.failures for row in result.rows] for result in results] == counts
