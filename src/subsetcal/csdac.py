@@ -45,6 +45,7 @@ from .mismatch import (
     DegenerateConfigurationError,
     MismatchModel,
     _draw_units,
+    _shifted_membership,
     balanced_row,
     check_array_bytes,
     combination_index_matrix,
@@ -710,15 +711,6 @@ def calibrate_timing(cfg: DacConfig, widths, extrinsic, deviations, current) -> 
     converters = zip(*(a.reshape((-1,) + a.shape[current.ndim - 2 :]) for a in arrays))
     selections = [_timing_selections(cfg, w, e, d[:, 2], c) for w, e, d, c in converters]
     return np.stack(selections).reshape(current.shape)
-
-
-@lru_cache(maxsize=None)
-def _shifted_membership(n: int, k: int) -> np.ndarray:
-    """``membership_matrix(n, k)`` over a row of ones: a row [widths | -t]
-    times it gives every subset sum less t."""
-    out = np.vstack([membership_matrix(n, k), np.ones((1, math.comb(n, k)))])
-    out.setflags(write=False)
-    return out
 
 
 def _timing_selections(cfg: DacConfig, widths, extrinsic, fixed, current) -> np.ndarray:

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations as _lex_combinations
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -117,18 +117,35 @@ def nominal_sizes(scheme: Arithmetic, n: int) -> np.ndarray:
 
     Raises ConfigError naming the first offending element index if any nominal
     size comes out <= 0 (e.g. a step so large the low end goes negative).
+    The two ends are checked first, in Python floats, so that numpy never
+    overflows: an end that overflows names the low end if it is <= 0, else
+    the high end, which must be finite.
     """
     if n < 1:
         raise ConfigError(f"element count must be >= 1, got {n}")
+    mean, step = float(scheme.mean), float(scheme.step)
+    reach = math.inf if math.isinf(step) else (n - 1) / 2.0 * abs(step)
+    low, high = mean - reach, mean + reach
+    if math.isinf(low) or math.isinf(high):
+        ends = (0, n - 1) if step > 0.0 else (n - 1, 0)
+        if not low > 0.0:
+            _nonpositive_size(ends[0], low)
+        raise ConfigError(
+            f"nominal size of element {ends[1]} is inf; all nominal sizes must be finite"
+        )
     offsets = np.arange(n, dtype=float) - (n - 1) / 2.0
-    sizes = float(scheme.mean) + offsets * float(scheme.step)
+    sizes = mean + offsets * step
     bad = np.nonzero(sizes <= 0.0)[0]
     if bad.size:
-        raise ConfigError(
-            f"nominal size of element {bad[0]} is {float(sizes[bad[0]])!r}; "
-            "all nominal sizes must be strictly positive"
-        )
+        _nonpositive_size(bad[0], float(sizes[bad[0]]))
     return sizes
+
+
+def _nonpositive_size(element: int, size: float) -> NoReturn:
+    raise ConfigError(
+        f"nominal size of element {element} is {size!r}; "
+        "all nominal sizes must be strictly positive"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +286,15 @@ def membership_matrix(n: int, k: int) -> np.ndarray:
     idx = combination_index_matrix(n, k)
     out = np.zeros((n, idx.shape[0]))
     out[idx.T, np.arange(idx.shape[0])] = 1.0
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shifted_membership(n: int, k: int) -> np.ndarray:
+    """``membership_matrix(n, k)`` over a row of ones: a row [realized | -c]
+    times it gives every subset sum less c, as k + 1 terms."""
+    out = np.vstack([membership_matrix(n, k), np.ones((1, math.comb(n, k)))])
     out.setflags(write=False)
     return out
 

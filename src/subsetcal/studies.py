@@ -15,17 +15,20 @@ block b draws from ``runner.sample_substream(master_seed, b)`` the element
 sets and then one standard normal per sample that every Gaussian offset
 scales.  All widths of one study are evaluated on one population, and so are
 the offsets that ``run_studies`` serves from one draw.  A block computes its
-subset sums in row chunks of about 47 rows at C(12, 6), each into one reused
-buffer, and every offset reduces a chunk to its nearest sums while the chunk
-is in cache: a subtract, abs and row-min pass per offset, or, for offsets
-that weigh ``_SORT_WEIGHT`` or more, one row sort per chunk and a bisection
-per offset over spans of sorted chunks.  Both give the same bits from the
-same sums.  A chunk that small keeps OpenBLAS on the calling thread.
+subset sums in row chunks of 43 to 47 rows at C(12, 6), each into one reused
+buffer, and reduces a chunk to its nearest sums while it is in cache.  An
+offset folds its centers into a product of its own, [realized | -c] @
+[members; ones], and takes abs and the row min of it in place; two or more
+fixed offsets share one plain product with a scalar subtract each; offsets
+that weigh ``_SORT_WEIGHT`` or more share one row sort per chunk and bisect
+spans of sorted chunks.  A chunk that small keeps OpenBLAS on the calling
+thread.
 
-The sums' last bits depend on the BLAS kernel and on a chunk's rows, so
-``run_studies`` certifies every window decision against a fixed-order sum
-(``_settle``): every failure count is the one that ``selected_sums``'
-order of adding gives, whatever the kernel, the chunking or the threads.
+A distance's last bits depend on the BLAS kernel, on a chunk's rows and on
+whether its center was folded in, so ``run_studies`` certifies every window
+decision against a fixed-order sum (``_settle``): every failure count is
+the one that ``selected_sums``' order of adding gives, whatever the
+kernel, the chunking or the threads.
 A study command hands every block of all its studies to one
 ``runner.parallel_indexed`` call, so --threads workers share them; a block
 returns only its integer failure counts and resamples, which are summed per
@@ -50,6 +53,7 @@ from .mismatch import (
     Arithmetic,
     ConfigError,
     MismatchModel,
+    _shifted_membership,
     check_array_bytes,
     check_nk,
     draw_realized,
@@ -173,9 +177,10 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 
-# multiply-adds per chunk of the subset-sum product, (rows, n) @ (n, C(n,k)):
-# 47 rows at C(12, 6), whose 350 KB of sums and as much pass scratch stay in
-# L2 while the passes or the row sort read them.  OpenBLAS's SkylakeX
+# multiply-adds per chunk of the subset-sum product, (rows, n) @ (n, C(n,k)),
+# or (rows, n + 1) @ (n + 1, C(n,k)) folded: 43 rows at C(12, 6) folded and
+# 47 plain, whose 350 KB of sums and as much pass scratch stay in L2 while
+# the passes or the row sort read them.  OpenBLAS's SkylakeX
 # kernels keep a product of up to 10**6 on the calling thread (cpu/wall
 # 1.00 at 90 rows); a larger one wakes a helper thread that spins after
 # every call (cpu/wall about 2 at 128 rows)
@@ -187,12 +192,14 @@ _CHUNK_MULADDS = 2**19
 _SPAN_BYTES = 2**21
 
 # pass weight from which a block sorts its subset sums and bisects instead
-# of running one pass per offset.  A fixed offset's pass subtracts a
-# broadcast scalar and weighs 2; a Gaussian one's subtracts a column of
-# centers and weighs 3.  Per 4096-row C(12, 6) block, a fixed pass took
-# about 4.7 ms, a Gaussian one 7.2 ms and the sorted path about 30 ms, so
-# four Gaussian offsets (12) tie and seven fixed ones (14) sort
-_SORT_WEIGHT = 13
+# of running one pass per offset.  A folded offset's product, abs and row
+# min weigh 3; a shared fixed offset's scalar subtract, abs and row min
+# weigh 2.  Per 4096-row C(12, 6) block, beyond its 1.1 ms draw, a folded
+# offset took about 3.6 ms, a shared fixed one 2.7 ms after a 1 ms shared
+# product, and the sorted path about 18.5 ms whatever its offsets, so four
+# Gaussian offsets (12) pass, five (15) tie and sort, and seven fixed ones
+# (14) sort
+_SORT_WEIGHT = 14
 
 # bytes a block holds per (row, offset) beyond its sums and element draw:
 # the distance, the center, and the bisection's index, probe and neighbour
@@ -200,34 +207,45 @@ _SORT_WEIGHT = 13
 _OFFSET_ROW_BYTES = 80
 
 
+def _shared(offsets: Sequence[OffsetSpec]) -> list[int]:
+    """The fixed offsets that share one plain product in a passing block:
+    all of them when there are two or more.  Every other offset folds."""
+    fixed = [j for j, offset in enumerate(offsets) if isinstance(offset, FixedOffset)]
+    return fixed if len(fixed) > 1 else []
+
+
 def _sorts(offsets: Sequence[OffsetSpec]) -> bool:
     """Whether a block serving ``offsets`` sorts its sums (``_SORT_WEIGHT``)."""
-    weight = sum(3 if isinstance(offset, GaussianOffset) else 2 for offset in offsets)
-    return weight >= _SORT_WEIGHT
+    shared = len(_shared(offsets))
+    return 3 * (len(offsets) - shared) + 2 * shared >= _SORT_WEIGHT
 
 
 def _chunking(n: int, k: int, rows: int, sort: bool) -> tuple[int, int, int]:
     """Rows per product chunk, rows per sums buffer and sums per fixed-order
     gather for a block of ``rows`` samples.  A passing block's buffer holds
     one chunk, a sorting block's a span of whole chunks for one bisection; a
-    gather holds three (sums, k) arrays."""
+    gather holds three (sums, k) arrays.  A passing block's chunk counts the
+    n + 1 columns of a folded product, a sorting block's the n of its plain
+    one."""
     width = math.comb(n, k)
-    step = min(rows, max(1, _CHUNK_MULADDS // (n * width)))
+    columns = n if sort else n + 1
+    step = min(rows, max(1, _CHUNK_MULADDS // (columns * width)))
     span = min(rows, max(1, _SPAN_BYTES // (8 * width * step)) * step) if sort else step
     return step, span, max(1, _CHUNK_MULADDS // (n * k))
 
 
 def _check_block_bytes(config: StudyConfig, offsets: Sequence[OffsetSpec]) -> None:
     """Reject a study whose blocks would hold more than ``MAX_ARRAY_BYTES``
-    while serving ``offsets``: the sums buffer and the pass scratch (or the
-    sorted span), the element draw and its two temporaries, a fixed-order
-    gather and ``_OFFSET_ROW_BYTES`` per (row, offset)."""
+    while serving ``offsets``: the sums buffer and the pass scratch with the
+    folded (rows, n + 1) element copy (or the sorted span), the element draw
+    and its two temporaries, a fixed-order gather and ``_OFFSET_ROW_BYTES``
+    per (row, offset)."""
     n, k = config.n, config.k
     rows = min(config.samples, BLOCK)
     sort = _sorts(offsets)
     step, span, gather = _chunking(n, k, rows, sort)
     width = math.comb(n, k)
-    sums = 8 * width * (span if sort else 2 * step)
+    sums = 8 * width * span if sort else 8 * (2 * width * step + rows * (n + 1))
     gathered = 24 * k * min(gather, rows * width)
     need = sums + 24 * rows * n + gathered + _OFFSET_ROW_BYTES * rows * len(offsets)
     if need > MAX_ARRAY_BYTES:
@@ -257,12 +275,16 @@ def _block_distances(
     column per offset, and the draw's resamples.
 
     One loop over row chunks of at most ``_CHUNK_MULADDS`` product
-    multiply-adds: a chunk's subset sums go into a reused buffer and, while
-    they are in cache, each offset runs a subtract, abs and row-min pass over
-    them, or (``_sorts``) their rows are sorted in place and
-    ``_sorted_distances`` bisects each span of sorted chunks.  Both give the
-    same bits from the same sums.  Those bits depend on the BLAS kernel and
-    on the chunk's rows; ``_settle`` bounds what that can move.
+    multiply-adds, each into a reused buffer.  A sorting block (``_sorts``)
+    sorts the rows of each chunk's plain sums in place, and
+    ``_sorted_distances`` bisects each span of sorted chunks.  A passing
+    block folds each offset's centers into a product of its own,
+    [realized | -c] @ [members; ones], whose sums less c it takes abs and the
+    row min of in place; two or more fixed offsets instead share one plain
+    product, and each runs a scalar subtract, abs and row-min pass over it
+    (folding each of four measured about 20 % slower).  The bits depend on the
+    BLAS kernel, on the chunk's rows and on which way the center went in;
+    ``_settle`` bounds what that can move.
     """
     size = out.shape[1]
     rng = sample_substream(config.master_seed, block)
@@ -286,26 +308,40 @@ def _block_distances(
     sort = _sorts(offsets)
     step, span, _ = _chunking(config.n, config.k, size, sort)
     sums = np.empty((span, members.shape[1]))
+    shared = [] if sort else _shared(offsets)
+    folded = [] if sort else [j for j in range(len(offsets)) if j not in shared]
     if sort:
         table = np.hstack(centers)
-    else:
+    if shared:
         scratch = np.empty_like(sums)
-    for lo in range(0, size, step):
-        at = lo % span  # where the chunk lands in the span
-        chunk = sums[at : at + min(step, size - lo)]
-        hi = lo + len(chunk)
-        _subset_sums(realized[lo:hi], members, chunk)
-        if sort:
-            chunk.sort(axis=1)
-            if at + len(chunk) == span or hi == size:  # a full span, or the block's last
-                first = lo - at
-                _sorted_distances(sums[: hi - first], table[first:hi], out[:, first:hi])
-        else:
-            work = scratch[: len(chunk)]
-            for center, dist in zip(centers, out):
-                np.subtract(chunk, center[lo:hi], out=work)
+    if folded:
+        augmented = np.empty((size, config.n + 1))  # [realized | -c], c per offset
+        augmented[:, :-1] = realized
+        shifted = _shifted_membership(config.n, config.k)
+    # an infinite center times the zero columns a BLAS kernel pads its panels
+    # with flags an invalid operation in entries the product drops
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, size, step):
+            at = lo % span  # where the chunk lands in the span
+            chunk = sums[at : at + min(step, size - lo)]
+            hi = lo + len(chunk)
+            if sort or shared:
+                _subset_sums(realized[lo:hi], members, chunk)
+            if sort:
+                chunk.sort(axis=1)
+                if at + len(chunk) == span or hi == size:  # a full span, or the block's last
+                    first = lo - at
+                    _sorted_distances(sums[: hi - first], table[first:hi], out[:, first:hi])
+            for j in shared:
+                work = scratch[: len(chunk)]
+                np.subtract(chunk, centers[j][lo:hi], out=work)
                 np.abs(work, out=work)
-                work.min(axis=1, out=dist[lo:hi])
+                work.min(axis=1, out=out[j, lo:hi])
+            for j in folded:  # after the shared passes: each overwrites the chunk
+                np.negative(centers[j][lo:hi, 0], out=augmented[lo:hi, -1])
+                _subset_sums(augmented[lo:hi], shifted, chunk)
+                np.abs(chunk, out=chunk)
+                chunk.min(axis=1, out=out[j, lo:hi])
     return realized, centers, resamples
 
 
@@ -360,19 +396,30 @@ def _settle(
 
     The fixed-order distance d' of a (row, offset) is min |fl(s - c)| over
     the row's sums s from ``selected_sums``, whose order no kernel, chunk
-    shape or thread count moves.  Every element is > 0, so a k-term sum,
-    added in any order, lies within gamma_(k-1) S of its exact value S, and
-    S <= T = k * the block's largest element; each distance adds one
-    rounding.  So a computed distance d and d' differ by at most
-    eps (1 + eps) d + (k - 1) eps (1 + k eps) T, which m = (k + 2) eps
-    (T + d), rounded, still exceeds: d' lies in [d - m, d + m].  A limit
+    shape or thread count moves.  Let S be a subset's exact sum, S <= T =
+    k * the block's largest element, and E the row's exact min |S - c|.
+
+    A computed distance d is the row min of |k + 1 terms|, the elements and
+    -c, added in some order: the folded product's, or the plain product's
+    with -c last.  Such a sum lies within gamma_k (S + |c|) of S - c, and
+    the row min of values each that close to their exact ones is that
+    close to theirs: |d - E| <= gamma_k (T + |c|).  Every element is > 0,
+    so the fixed-order sum lies within gamma_(k-1) S of S, and its subtract
+    adds one rounding: d' lies within eps E + (1 + eps) gamma_(k-1) T of E.
+    The center is at most E + T, so T + |c| <= (d + 2T) / (1 - gamma_k).
+    Together, d and d' differ by at most eps d + (1 + eps) (gamma_k
+    (d + 2T) / (1 - gamma_k) + gamma_(k-1) T), that is (k + 1) eps d +
+    (3k - 1) eps T and terms in k**2 eps**2, which m = (k + 2) eps d + 3k
+    eps T, rounded, still exceeds: d' lies in [d - m, d + m].  A limit
     below that interval fails both d and d', one at or above it passes
-    both, and a distance with a limit inside it is recomputed.  The ends
-    are taken as d (1 -/+ (k + 2) eps) -/+ (k + 2) eps T, so that an
-    infinite distance (an overflowing center) keeps an infinite interval.
+    both, and a distance with a limit inside it is recomputed.  Written with
+    the center bounded through d, the ends d (1 -/+ (k + 2) eps) -/+ 3k eps
+    T keep an infinite distance (an overflowing center) in an infinite
+    interval, never inf - inf.
     """
-    scale = (k + 2) * np.finfo(float).eps
-    top = scale * k * realized.max()
+    eps = np.finfo(float).eps
+    scale = (k + 2) * eps
+    top = 3 * k * eps * k * realized.max()
     lower = out * (1.0 - scale) - top
     upper = out * (1.0 + scale) + top
     counts = np.empty((len(out), len(limits)), dtype=np.int64)

@@ -10,7 +10,7 @@ shifts, level lookup and the exact product average), the zero-variance
 receiver and the textbook ideal receiver built on it, the HRR of one point,
 a waveform's edge count, a scalar failure-rate query, a study's distances
 from subset sums added in a fixed order, a subset-sum product that adds in
-a random order, the resolution frontier as one study per (sigma_t,
+a random order or in row order, the resolution frontier as one study per (sigma_t,
 d) pair, a waveform scaled by a gain, the weighted sum of waveforms and the
 receiver's effective LO built from it, one square wave per phase, the
 set-by-set element draw with its subset sum, the scalar inverse-width delay
@@ -320,17 +320,22 @@ def fixed_order_distances(
     return dist, resamples, largest
 
 
-def shuffled_subset_sums(rng: np.random.Generator):
-    """A stand-in for ``studies._subset_sums`` that adds each subset sum's k
-    terms left to right in an order drawn anew for every entry: a BLAS
-    kernel as hostile to the sums' last bits as any can be."""
+def shuffled_subset_sums(rng: Optional[np.random.Generator]):
+    """A stand-in for ``studies._subset_sums`` that adds each product entry's
+    terms, the entries of ``realized`` whose ``members`` row is 1, left to
+    right in an order drawn anew for every entry: a BLAS kernel as hostile
+    to the sums' last bits as any can be.  A plain product adds k terms, a
+    folded one k + 1, its -c at a random place among them.  With ``rng``
+    None the terms go in row order, the folded -c last: for k < 8, the
+    order of ``selected_sums`` followed by the subtract."""
 
     def subset_sums(realized: np.ndarray, members: np.ndarray, out: np.ndarray) -> None:
-        n = realized.shape[1]
-        k = int(members[:, 0].sum())
-        terms = rng.permuted(realized[:, combination_index_matrix(n, k)], axis=-1)
+        columns = np.nonzero(members.T)[1].reshape(members.shape[1], -1)
+        terms = realized[:, columns]
+        if rng is not None:
+            terms = rng.permuted(terms, axis=-1)
         out[...] = terms[..., 0]
-        for j in range(1, k):
+        for j in range(1, terms.shape[-1]):
             out += terms[..., j]
 
     return subset_sums

@@ -543,6 +543,77 @@ def test_hostile_hr_values_exit_cleanly(tmp_path, capsys, key, value):
         assert "Traceback" not in captured.err and out.exists() == (code == 0)
 
 
+def hostile_rows(command: str, prefixes: tuple[str, ...], kind: str = "") -> list:
+    """(command, config text) parameters for every numeric key of
+    ``command``'s schema under ``prefixes`` at each hostile value: the
+    integer keys take ``HR_HOSTILE_INTS``, the float and float-list keys
+    ``HR_HOSTILE_FLOATS`` (a list as its one entry).  A ``kind`` sets the
+    offset kind, whose key is ``prefixes[0]`` + "_kind".  The sample count
+    is left to --samples."""
+    command_spec = cli._COMMANDS[command]
+    rows = []
+    for key, (parse, _) in command_spec.schema.items():
+        if not key.startswith(prefixes) or key == command_spec.samples_key:
+            continue
+        if parse is int:
+            values = HR_HOSTILE_INTS
+        elif parse in (cli._parse_float, cli._parse_floats):
+            values = HR_HOSTILE_FLOATS
+        else:
+            continue
+        rows += [
+            pytest.param(
+                command, f"{key} = {value}\n" + (f"{prefixes[0]}_kind = {kind}\n" if kind else ""),
+                id="-".join([command.split()[1], key, value] + ([kind] if kind else [])),
+            )
+            for value in values
+        ]
+    return rows
+
+
+#: the three study commands, with the Gaussian offsets' columns driven to
+#: their extremes as well as the fixed ones', and ``dac yield``'s ``dac.*``
+#: keys, which its amplitude flows read
+STUDY_AND_DAC_HOSTILE_ROWS = [
+    *(row for command in ("study failure-rate", "study rcal-frontier", "study a-sweep")
+      for row in hostile_rows(command, ("study.", "frontier.", "sweep."))),
+    *hostile_rows("study failure-rate", ("study.offset",), "gaussian"),
+    *hostile_rows("study a-sweep", ("sweep.offset",), "gaussian"),
+    # an offset of 1e308 sigma_k at a sigma_k above 1 puts the center at inf
+    *(pytest.param("study failure-rate",
+                   f"study.rel_sigma = 2.5\nstudy.offset_kind = {kind}\nstudy.offsets = 1e308\n",
+                   id=f"failure-rate-infinite-{kind}-center") for kind in ("fixed", "gaussian")),
+    *(pytest.param("study a-sweep",
+                   f"sweep.center_sigma = 2.5\nsweep.step_abs = 0\nsweep.offset_kind = {kind}\n"
+                   "sweep.offset = 1e308\n",
+                   id=f"a-sweep-infinite-{kind}-center") for kind in ("fixed", "gaussian")),
+    *hostile_rows("dac yield", ("dac.",)),
+]
+
+
+@pytest.mark.parametrize("command, text", STUDY_AND_DAC_HOSTILE_ROWS)
+def test_hostile_study_and_dac_values_exit_cleanly(tmp_path, capsys, command, text):
+    """Each numeric key of the study commands and of ``dac yield`` at each
+    hostile value, the converters through the eses and ses flows: exit 0, 2
+    or 3 and no traceback, an output directory only on exit 0, and no
+    floating-point overflow, invalid operation or division by zero on the
+    way (an infinite study center among them).  Underflow stays allowed, as
+    in the mixer's table."""
+    cfg = write_cfg(tmp_path, "hostile.cfg", text)
+    if command == "dac yield":
+        runs = [["--flow", flow, "--samples", "100"] for flow in ("eses", "ses")]
+    else:
+        runs = [["--samples", "200"]]
+    for run, flags in enumerate(runs):
+        out = tmp_path / f"out{run}"
+        argv = [*command.split(), *flags, "--config", cfg, "--out", str(out), "--quiet"]
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), (flags, captured.err)
+        assert "Traceback" not in captured.err and out.exists() == (code == 0)
+
+
 SEEDED_COMMANDS = sorted(name for name, command in cli._COMMANDS.items() if command.seed_key)
 
 

@@ -112,6 +112,19 @@ def test_nonpositive_size_names_offending_index():
     assert str(caught.value) == (
         "nominal size of element 0 is -1.75; all nominal sizes must be strictly positive"
     )
+    # an end that overflows is named before numpy could overflow: the low
+    # end if it is <= 0, else the high one
+    with np.errstate(over="raise", invalid="raise"):
+        for mean, step, n, message in (
+            (1.0, 1e308, 12, "element 0 is -inf; all nominal sizes must be strictly positive"),
+            (1.0, -1e308, 12, "element 11 is -inf; all nominal sizes must be strictly positive"),
+            (1.0, math.inf, 1, "element 0 is -inf; all nominal sizes must be strictly positive"),
+            (1e308, 1.5e308, 3,
+             "element 0 is -5e+307; all nominal sizes must be strictly positive"),
+            (1.5e308, 1e307, 12, "element 11 is inf; all nominal sizes must be finite"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{re.escape('nominal size of ' + message)}$"):
+                nominal_sizes(Arithmetic(mean, step), n)
 
 
 def test_scheme_center():

@@ -192,11 +192,11 @@ def oracle_counts(c: StudyConfig, offsets) -> tuple[list[list[int]], int]:
 
 def assert_within_the_settle_bound(c: StudyConfig, offsets, dist: np.ndarray) -> None:
     """``dist`` (offsets, samples) from the product differs from the
-    fixed-order distances by no more than ``_settle`` proves: eps (1 + eps)
-    d + (k - 1) eps (1 + k eps) T, T = k * the row's largest element."""
+    fixed-order distances by no more than ``_settle`` proves: (k + 2) eps d
+    + 3k eps T, T = k * the row's largest element."""
     expect, _, largest = fixed_order_distances(c, offsets)
     k = c.k
-    bound = EPS * (1 + EPS) * dist + (k - 1) * EPS * (1 + k * EPS) * (k * largest)
+    bound = (k + 2) * EPS * dist + 3 * k * EPS * (k * largest)
     assert np.all(np.abs(dist - expect) <= bound)
 
 
@@ -313,16 +313,21 @@ def offsets_of(kinds: str, count: int, scale: float) -> list:
     ],
     ids=["fixed", "gaussian", "mixed", "fixed-outside", "mixed-outside"],
 )
-def test_sorted_path_equals_one_pass_distances(path, kinds, scale):
+def test_sorted_path_equals_one_pass_distances(monkeypatch, path, kinds, scale):
     # the fewest offsets of these kinds that sort, or one fewer
     count = next(m for m in range(1, 20) if studies._sorts(offsets_of(kinds, m, scale)))
     offsets = offsets_of(kinds, count - (path == "passes"), scale)
     c = cfg(samples=BLOCK + 123, scheme=Arithmetic(1.0, 0.005))  # a partial last block
     dist = block_distances(c, offsets)
     assert_within_the_settle_bound(c, offsets, dist)
-    for offset, row in zip(offsets, dist):
-        # one offset alone takes the passes over the same product chunks
-        assert np.array_equal(row, block_distances(c, [offset])[0])
+    # on a product that adds in selected_sums' order, a folded center last,
+    # the sorted rows, the shared passes and the folded products all give
+    # the fixed-order distances bit for bit
+    monkeypatch.setattr(studies, "_subset_sums", shuffled_subset_sums(None))
+    expect, _, _ = fixed_order_distances(c, offsets)
+    assert np.array_equal(block_distances(c, offsets), expect)
+    for offset, row in zip(offsets, expect):  # one offset alone folds
+        assert np.array_equal(block_distances(c, [offset])[0], row)
     if scale > 1.0:  # the lowest fixed center lies below every sum, the highest above
         fixed = [j for j, o in enumerate(offsets) if isinstance(o, FixedOffset)]
         assert offsets[fixed[0]].value < 0 < offsets[fixed[-1]].value
@@ -427,8 +432,11 @@ def test_a_failing_block_raises_the_serial_error(monkeypatch, failing, first):
     [
         (FixedOffset(0.0), GaussianOffset(1.0)),
         tuple(GaussianOffset(float(j)) for j in range(5)),
+        (FixedOffset(0.5),),
+        (GaussianOffset(1.0),),
+        (FixedOffset(0.0), FixedOffset(0.5)),
     ],
-    ids=["passes", "sorted"],
+    ids=["passes", "sorted", "lone-fixed", "lone-gaussian", "shared-fixed"],
 )
 def test_counts_hold_on_a_hostile_product(monkeypatch, offsets):
     monkeypatch.setattr(studies, "_subset_sums", shuffled_subset_sums(np.random.default_rng(5)))
@@ -492,8 +500,11 @@ def width_on(distance: float, sk: float) -> Optional[float]:
         (GaussianOffset(0.5), FixedOffset(1e4)),
         (GaussianOffset(0.0), GaussianOffset(0.5), GaussianOffset(1.0), GaussianOffset(1.5),
          FixedOffset(1e4)),
+        (FixedOffset(0.5),),
+        (GaussianOffset(0.5),),
+        (FixedOffset(0.5), FixedOffset(1e4)),
     ],
-    ids=["passes", "sorted"],
+    ids=["passes", "sorted", "lone-fixed", "lone-gaussian", "shared-fixed"],
 )
 def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, offsets):
     if product == "shuffled":
@@ -511,9 +522,10 @@ def test_a_limit_on_a_computed_distance_is_recomputed(monkeypatch, product, offs
     monkeypatch.setattr(studies, "_settle", counting_settle)
     assert studies._sorts(offsets) == (len(offsets) == 5)
     c = cfg(samples=700, scheme=Arithmetic(1.0, 0.005))
-    # limits on fixed-order distances of both kinds, and one float below them
+    # limits on fixed-order distances of both kinds (of distinct samples when
+    # one offset is both), and one float below them
     expect, _, _ = fixed_order_distances(c, offsets)
-    targets = [d for row in expect[[0, -1]] for d in row[::100]]
+    targets = [d for j, row in enumerate(expect[[0, -1]]) for d in row[50 * j :: 100]]
     targets += [float(np.nextafter(d, 0.0)) for d in targets]
     widths = [w for w in (width_on(d, c.sigma_k_abs) for d in targets) if w is not None]
     assert len(widths) >= 20
